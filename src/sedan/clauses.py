@@ -7,10 +7,8 @@ returned clauses is logically equivalent to the input formula.
 
 from __future__ import annotations
 
-from .terms import App, Quote, Term, app, is_negation, negate
+from .terms import App, Quote, Term, app, free_vars, is_negation, negate
 from .values import NIL
-
-_CONNECTIVES = ("and", "or", "not", "implies", "if")
 
 
 def _dedup(literals: list[Term]) -> list[Term]:
@@ -82,6 +80,32 @@ def _neg_cnf(t: Term) -> list[list[Term]]:
         if fn == "not" and len(t.args) == 1:
             return _cnf(t.args[0])
     return [[negate(t)]]
+
+
+def clause_vars(literals: list[Term]) -> list[str]:
+    """Variables of a clause in first-occurrence order."""
+    order: dict[str, None] = {}
+    for lit in literals:
+        for v in free_vars(lit):
+            order.setdefault(v, None)
+    return list(order)
+
+
+def split_implies(term: Term) -> tuple[tuple[Term, ...], Term]:
+    """Flatten an implies-chain into (hypotheses, conclusion); a conjunctive
+    hypothesis contributes each conjunct. ``clause_to_term`` goes the other way."""
+    hyps: list[Term] = []
+    concl = term
+    while isinstance(concl, App) and concl.fn == "implies" and len(concl.args) == 2:
+        pending = [concl.args[0]]
+        while pending:
+            h = pending.pop()
+            if isinstance(h, App) and h.fn == "and":
+                pending.extend(reversed(h.args))
+            else:
+                hyps.append(h)
+        concl = concl.args[1]
+    return tuple(hyps), concl
 
 
 def clause_to_term(literals: list[Term]) -> Term:

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .reader import SAtom, Sexpr, SList
+from .evaluator import evaluate, is_callable_name
+from .reader import ParseError, SAtom, Sexpr, SList, sexpr_to_value
 from .terms import Quote, app
 from .values import (
     NIL,
@@ -53,6 +54,11 @@ from .values import (
 
 EXTENT_CAP = 4096
 _UNGROUNDED = math.inf
+
+
+class AdmissionError(Exception):
+    """A form the world cannot admit. Defined below the world so that
+    registration can raise it; ``sedan.world`` re-exports it."""
 
 
 class DatadefError(Exception):
@@ -184,6 +190,13 @@ class SingletonRestriction:
 Restriction = str | SingletonRestriction
 
 
+def print_restriction(r: Restriction, upcase: bool = False) -> str:
+    """A type name, or a singleton's value; ``upcase`` as for ``print_value``."""
+    if isinstance(r, SingletonRestriction):
+        return print_value(r.value, upcase)
+    return r.upper() if upcase else r
+
+
 @dataclass
 class TypeEntry:
     name: str
@@ -200,9 +213,6 @@ class TypeEntry:
 class TypeTable:
     entries: dict[str, TypeEntry] = field(default_factory=dict)
     recognizer_index: dict[str, str] = field(default_factory=dict)
-
-    def names(self) -> list[str]:
-        return list(self.entries)
 
 
 BASE_TYPES = (
@@ -323,8 +333,6 @@ def _decode(world, expr: TypeExpr, n: int) -> Value:
         ]
         return from_list([Symbol(expr.tag)] + pairs)
     if isinstance(expr, CustomExpr):
-        from .evaluator import evaluate
-
         return evaluate(app(expr.enumerator, Quote(n)), {}, world)
     raise DatadefError(f"cannot decode {expr!r}")
 
@@ -410,8 +418,6 @@ def _recognize(world, expr: TypeExpr, v: Value) -> bool:
             rest = rest.cdr
         return rest == NIL
     if isinstance(expr, CustomExpr):
-        from .evaluator import evaluate
-
         return truthy(evaluate(app(expr.recognizer, Quote(v)), {}, world))
     raise DatadefError(f"cannot recognize with {expr!r}")
 
@@ -611,8 +617,6 @@ def _auto_subtype_edges(world, name: str, expr: TypeExpr):
 
 def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
     """Register one data definition or a mutually recursive group of them."""
-    from .world import AdmissionError
-
     definitions = [
         (name, RecordExpr(name, expr.fields) if isinstance(expr, RecordExpr) and not expr.tag else expr)
         for name, expr in definitions
@@ -625,8 +629,6 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
             raise AdmissionError(f"duplicate type name: {name}")
         if isinstance(expr, CustomExpr):
             # the user supplies both functions; they must already exist
-            from .evaluator import is_callable_name
-
             for fname in (expr.recognizer, expr.enumerator):
                 if not is_callable_name(world, fname):
                     raise AdmissionError(f"custom type {name}: unknown function {fname}")
@@ -785,12 +787,7 @@ def minimal_type(world, restrictions: list[Restriction]) -> TypeSelection:
 # surface-syntax compilation
 
 
-_CONSTRUCTORS = {"enum", "oneof", "cons", "list", "listof", "set", "record", "custom", "quote"}
-
-
 def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
-    from .reader import ParseError, sexpr_to_value
-
     if isinstance(sx, SAtom):
         v = sx.value
         if isinstance(v, Symbol) and not v.name.startswith(":"):
@@ -864,8 +861,6 @@ def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
 
 
 def _datum_list(sx: Sexpr, ctx: Sexpr) -> list[Value]:
-    from .reader import ParseError, sexpr_to_value
-
     if not isinstance(sx, SList):
         raise ParseError("enum expects a list of values", ctx.line, ctx.col)
     return [sexpr_to_value(i) for i in sx.items]
@@ -883,8 +878,6 @@ def _is_dotted_field(sx: Sexpr) -> bool:
 
 
 def _compile_field(sx: Sexpr, group: set[str], world):
-    from .reader import ParseError
-
     if not _is_dotted_field(sx):
         raise ParseError("record field must look like (name . type)", getattr(sx, "line", 0), getattr(sx, "col", 0))
     fname = sx.items[0].value.name

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from .clauses import split_implies
 from .reader import ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value
 from .terms import App, Quote, Term, Var, app
 from .values import NIL, T, Symbol, print_value
@@ -267,11 +268,7 @@ def compile_form(sx: Sexpr) -> Form:
 
 
 def _rule_parts(body: Term, sx: Sexpr):
-    hyps: list[Term] = []
-    concl = body
-    while isinstance(concl, App) and concl.fn == "implies" and len(concl.args) == 2:
-        hyps.extend(_flatten_and(concl.args[0]))
-        concl = concl.args[1]
+    hyps, concl = split_implies(body)
     if isinstance(concl, App) and concl.fn == "equal" and len(concl.args) == 2:
         lhs, rhs = concl.args
     elif isinstance(concl, App) and concl.fn == "not" and len(concl.args) == 1:
@@ -280,16 +277,7 @@ def _rule_parts(body: Term, sx: Sexpr):
         lhs, rhs = concl, Quote(T)
     if not isinstance(lhs, App):
         raise ParseError("rule left-hand side must be a function application", sx.line, sx.col)
-    return tuple(hyps), lhs, rhs
-
-
-def _flatten_and(term: Term) -> list[Term]:
-    if isinstance(term, App) and term.fn == "and":
-        out = []
-        for a in term.args:
-            out.extend(_flatten_and(a))
-        return out
-    return [term]
+    return hyps, lhs, rhs
 
 
 def _parse_hints(sx: Sexpr, ctx: Sexpr) -> tuple[HintSpec, ...]:

@@ -11,7 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
+from . import testgen
+from .clauses import clause_to_term, clause_vars
 from .forms import PROCESS_NAMES, HintSpec
+from .history import merge_type_alists
 from .testgen import TestConfig, TestReport
 
 
@@ -88,24 +91,12 @@ def test_gen_checkpoint(processor, children, goal, world, config: TestConfig, hi
     this goal. Other processes are left alone."""
     if processor != "generalize" or not children:
         return BacktrackOutcome("keep")
-    from .clauses import clause_to_term
-    from .history import clause_vars
-    from .testgen import extract_restrictions, run_trials
-
     child = children[0]
-    child_vars = clause_vars(child)
-    own = extract_restrictions(child, world)
-    parent_acc = history.accumulated_type_alist(goal.id, world)
-    alist = {}
-    for v in child_vars:
-        restrictions = [r for r in own.get(v, ()) if r != "all"]
-        for r in parent_acc.get(v, ()):
-            if r != "all" and r not in restrictions:
-                restrictions.append(r)
-        alist[v] = tuple(restrictions) if restrictions else ("all",)
+    own = testgen.extract_restrictions(child, world)
+    alist = merge_type_alists(clause_vars(child), own, history.accumulated_type_alist(goal.id, world))
     trials = goal.settings.trials if goal.settings.trials is not None else config.trials
     probe_config = replace(config, trials=trials)
-    report = run_trials(clause_to_term(child), alist, probe_config, world, seed=config.seed, goal_id=goal.id)
+    report = testgen.run_trials(clause_to_term(child), alist, probe_config, world, seed=config.seed, goal_id=goal.id)
     if report.falsified:
         return BacktrackOutcome(
             "redo",

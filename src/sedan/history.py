@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .datadef import Restriction, enumerate_value
+from . import testgen
+from .clauses import clause_vars
+from .datadef import Restriction, enumerate_value, print_restriction
 from .evaluator import EvaluationError, evaluate
-from .terms import Term, Var, free_vars
+from .terms import Term, Var, print_term
 from .values import NIL, Value
 
 DONT_CARE = None  # marker inside variable maps
@@ -39,12 +41,23 @@ class LiftOutcome:
     wildcard_vars: tuple[str, ...] = ()  # top-level vars still carrying a pure don't-care
 
 
-def clause_vars(literals: list[Term]) -> list[str]:
-    order: dict[str, None] = {}
-    for lit in literals:
-        for v in free_vars(lit):
-            order.setdefault(v, None)
-    return list(order)
+def merge_restrictions(own, inherited) -> tuple[Restriction, ...]:
+    """Own restrictions first, then each inherited one not already listed;
+    an inherited ``all`` adds nothing and is dropped."""
+    out = list(own)
+    for r in inherited:
+        if r != "all" and r not in out:
+            out.append(r)
+    return tuple(out)
+
+
+def merge_type_alists(variables, own, inherited) -> dict[str, tuple[Restriction, ...]]:
+    """Per variable, own restrictions (bar ``all``) before inherited ones; a
+    variable left with none maps to ``all``."""
+    return {
+        v: merge_restrictions([r for r in own.get(v, ()) if r != "all"], inherited.get(v, ())) or ("all",)
+        for v in variables
+    }
 
 
 class History:
@@ -105,30 +118,16 @@ class History:
         (datatype monotonicity for surviving variables)."""
         parent_acc = self.accumulated_type_alist(parent_id, world)
         survivors = {pv for pv, expr in variable_map.items() if expr == Var(pv)}
-        merged: dict[str, tuple[Restriction, ...]] = {}
-        for cv in child_vars:
-            restrictions = list(process_typemap.get(cv, ()))
-            if cv in survivors:
-                for r in parent_acc.get(cv, ()):
-                    if r != "all" and r not in restrictions:
-                        restrictions.append(r)
-            merged[cv] = tuple(restrictions)
-        return merged
+        return {
+            cv: merge_restrictions(process_typemap.get(cv, ()), parent_acc.get(cv, ()) if cv in survivors else ())
+            for cv in child_vars
+        }
 
     def accumulated_type_alist(self, goal_id: str, world) -> dict[str, tuple[Restriction, ...]]:
         """Own extracted restrictions first, inherited restrictions after."""
-        from .testgen import extract_restrictions
-
         node = self.nodes[goal_id]
-        own = extract_restrictions(node.clause, world)
-        out: dict[str, tuple[Restriction, ...]] = {}
-        for v in clause_vars(node.clause):
-            restrictions = [r for r in own.get(v, ()) if r != "all"]
-            for r in node.type_map.get(v, ()):
-                if r != "all" and r not in restrictions:
-                    restrictions.append(r)
-            out[v] = tuple(restrictions) if restrictions else ("all",)
-        return out
+        own = testgen.extract_restrictions(node.clause, world)
+        return merge_type_alists(clause_vars(node.clause), own, node.type_map)
 
     def lift(
         self,
@@ -190,8 +189,6 @@ class History:
         return out
 
     def to_json(self) -> list[dict]:
-        from .terms import print_term
-
         out = []
         for gid in self.order:
             node = self.nodes[gid]
@@ -206,17 +203,9 @@ class History:
                         for pv, expr in node.variable_map.items()
                     },
                     "type_map": {
-                        cv: [_restriction_str(r) for r in rs] for cv, rs in node.type_map.items()
+                        cv: [print_restriction(r) for r in rs] for cv, rs in node.type_map.items()
                     },
                 }
             )
         return out
 
-
-def _restriction_str(r: Restriction) -> str:
-    from .datadef import SingletonRestriction
-    from .values import print_value
-
-    if isinstance(r, SingletonRestriction):
-        return print_value(r.value)
-    return r

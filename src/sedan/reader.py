@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Union
 
-from .values import CHAR_BY_NAME, Char, Symbol, Value, norm_rat
+from .values import CHAR_BY_NAME, Char, Cons, Symbol, Value, from_list, norm_rat
 
 
 class ParseError(Exception):
@@ -192,8 +192,6 @@ def read_sexprs(text: str) -> List[Sexpr]:
 
 def sexpr_to_value(sx: Sexpr) -> Value:
     """Interpret an s-expression as literal data (for quoted constants)."""
-    from .values import Cons, from_list
-
     if isinstance(sx, SAtom):
         return sx.value
     items = sx.items

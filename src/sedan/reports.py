@@ -9,15 +9,15 @@ deliberately omitted: identical inputs must produce byte-identical documents.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .datadef import SingletonRestriction
+from .clauses import clause_to_term, clause_vars
+from .datadef import SingletonRestriction, print_restriction
 from .history import DONT_CARE
-from .reader import read_sexprs
+from .reader import SAtom, SList, read_sexprs, sexpr_to_value
 from .session import FormResult, SessionOutcome
-from .terms import Quote, Term, Var
+from .terms import print_term
 from .testgen import TestReport, print_binding
-from .values import Char, Cons, Symbol, Value, print_value
+from .values import Symbol, Value, print_value
 from .waterfall import ProcessLogEntry, ProofResult
 
 
@@ -25,55 +25,18 @@ from .waterfall import ProcessLogEntry, ProofResult
 # upcased display for the narrative text
 
 
-def display_value(v: Value) -> str:
-    if isinstance(v, Symbol):
-        return v.name.upper()
-    if isinstance(v, Cons):
-        parts = []
-        while isinstance(v, Cons):
-            parts.append(display_value(v.car))
-            v = v.cdr
-        from .values import NIL
-
-        if v == NIL:
-            return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + display_value(v) + ")"
-    return print_value(v)
-
-
-def display_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name.upper()
-    if isinstance(t, Quote):
-        inner = t.value
-        if isinstance(inner, (int, Fraction, Char)) or isinstance(inner, str):
-            return print_value(inner)
-        from .values import NIL, T
-
-        if inner == T or inner == NIL:
-            return display_value(inner)
-        return "'" + display_value(inner)
-    return "(" + " ".join([t.fn.upper()] + [display_term(a) for a in t.args]) + ")"
-
-
-def _display_restriction(r) -> str:
-    if isinstance(r, SingletonRestriction):
-        return display_value(r.value)
-    return r.upper()
-
-
 def display_alist(report: TestReport) -> str:
     parts = []
     for var in report.type_alist:
         sel = report.selections[var]
-        parts.append(f"({var.upper()} . {_display_restriction(sel.primary)})")
+        parts.append(f"({var.upper()} . {print_restriction(sel.primary, upcase=True)})")
     return "(" + " ".join(parts) + ")"
 
 
 def display_binding(binding: dict[str, Value], var_order=None, dont_care=()) -> str:
     names = list(var_order) if var_order else list(binding)
     parts = [
-        f"({v.upper()} {'?' if v in dont_care else display_value(binding[v])})"
+        f"({v.upper()} {'?' if v in dont_care else print_value(binding[v], upcase=True)})"
         for v in names
         if v in binding
     ]
@@ -165,16 +128,14 @@ def _render_thm(fr: FormResult, cap: int) -> list[str]:
         report = proof.checkpoint_reports.get(goal.id)
         if report is None:
             continue
-        from .clauses import clause_to_term
-
         lines.append(f"Checkpoint {goal.id}:")
-        lines.append(display_term(clause_to_term(goal.literals)))
+        lines.append(print_term(clause_to_term(goal.literals), upcase=True))
         lines.append("")
         lines.extend(render_test_report(report, cap))
         lines.append("")
     if proof.counterexamples:
         lines.append("We falsified the conjecture. Here are counterexamples:")
-        top_order = _top_var_order(proof)
+        top_order = clause_vars([proof.top_term])
         for cex in proof.counterexamples[:cap]:
             lines.append(f" -- {display_binding(cex.top_binding, top_order, cex.wildcard_vars)}")
         if len(proof.counterexamples) > cap:
@@ -188,12 +149,6 @@ def _render_thm(fr: FormResult, cap: int) -> list[str]:
     for sp in proof.spurious_lifts:
         lines.append(f'Spurious lift from "{sp.goal_id}": {display_binding(sp.binding)} ({sp.reason})')
     return lines
-
-
-def _top_var_order(proof: ProofResult):
-    from .history import clause_vars
-
-    return clause_vars([proof.top_term])
 
 
 def render_text(outcome: SessionOutcome) -> str:
@@ -254,8 +209,6 @@ def _restriction_json(r) -> str:
 
 
 def _log_entry_json(entry: ProcessLogEntry) -> dict:
-    from .terms import print_term
-
     return {
         "goal": entry.goal_id,
         "process": entry.process,
@@ -268,8 +221,6 @@ def _log_entry_json(entry: ProcessLogEntry) -> dict:
 
 
 def _proof_json(proof: ProofResult, cap: int) -> dict:
-    from .history import clause_vars
-
     top_order = clause_vars([proof.top_term])
     return {
         "status": proof.status,
@@ -361,8 +312,6 @@ def emit_report(outcome: SessionOutcome, format: str = "text") -> bytes:
 
 def parse_binding(text: str) -> dict[str, Value]:
     """Parse a canonical binding string from the structured report."""
-    from .reader import SAtom, SList, sexpr_to_value
-
     sxs = read_sexprs(text)
     if len(sxs) != 1 or not isinstance(sxs[0], SList):
         raise ValueError(f"not a binding: {text}")

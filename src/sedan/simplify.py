@@ -15,11 +15,8 @@ from typing import Optional
 
 from .clauses import clausify, has_connective
 from .evaluator import EvaluationError, evaluate
-from .terms import App, Quote, Term, Var, app, free_var_set, is_negation, subst_vars
-from .values import NIL, T, truthy
-
-QT = Quote(T)
-QNIL = Quote(NIL)
+from .terms import QNIL, QT, App, Quote, Term, Var, app, free_var_set, is_negation, subst_vars
+from .values import truthy
 
 
 @dataclass

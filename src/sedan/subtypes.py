@@ -1,8 +1,9 @@
-"""Directed subtype graph with strongly connected components and transitive closure.
+"""Directed subtype graph with reachability computed on demand.
 
-An edge T1 -> T2 means the extent of T1 is contained in T2's. Names in one SCC
-denote provably equivalent extents. Both caches are recomputed on every edge
-insertion; the graphs involved are small.
+An edge T1 -> T2 means the extent of T1 is contained in T2's. Names that reach
+each other denote provably equivalent extents. The graphs involved are small
+(a few dozen names), so every query walks the graph afresh and nothing is
+cached between edge insertions.
 """
 
 from __future__ import annotations
@@ -11,128 +12,41 @@ from __future__ import annotations
 class SubtypeGraph:
     def __init__(self):
         self.adj: dict[str, set[str]] = {}
-        self._scc_of: dict[str, int] = {}
-        self._scc_members: dict[int, tuple[str, ...]] = {}
-        self._reach: dict[int, frozenset[int]] = {}
 
     def add_vertex(self, name: str):
-        if name not in self.adj:
-            self.adj[name] = set()
-            self._recompute()
+        self.adj.setdefault(name, set())
 
     def add_edge(self, t1: str, t2: str):
         self.adj.setdefault(t1, set()).add(t2)
         self.adj.setdefault(t2, set())
-        self._recompute()
-
-    def has_vertex(self, name: str) -> bool:
-        return name in self.adj
 
     def edges(self):
         for src in sorted(self.adj):
             for dst in sorted(self.adj[src]):
                 yield (src, dst)
 
-    def _recompute(self):
-        self._tarjan()
-        # transitive closure over the condensation, by reverse topological order
-        order = self._scc_topo_order()
-        reach: dict[int, frozenset[int]] = {}
-        for comp in reversed(order):
-            acc = {comp}
-            for v in self._scc_members[comp]:
-                for w in self.adj[v]:
-                    acc.add(self._scc_of[w])
-                    acc.update(reach.get(self._scc_of[w], ()))
-            reach[comp] = frozenset(acc)
-        self._reach = reach
-
-    def _tarjan(self):
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-        comp_of: dict[str, int] = {}
-        members: dict[int, list[str]] = {}
-
-        for root in sorted(self.adj):
-            if root in index:
-                continue
-            # iterative Tarjan: (vertex, iterator position)
-            work = [(root, 0)]
-            while work:
-                v, i = work.pop()
-                if i == 0:
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack.add(v)
-                succ = sorted(self.adj[v])
-                advanced = False
-                while i < len(succ):
-                    w = succ[i]
-                    i += 1
-                    if w not in index:
-                        work.append((v, i))
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                if low[v] == index[v]:
-                    comp_id = len(members)
-                    group = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp_of[w] = comp_id
-                        group.append(w)
-                        if w == v:
-                            break
-                    members[comp_id] = sorted(group)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-        self._scc_of = comp_of
-        self._scc_members = {k: tuple(v) for k, v in members.items()}
-
-    def _scc_topo_order(self) -> list[int]:
-        # condensation is a DAG; Kahn ordering with deterministic tie-breaking
-        comp_adj: dict[int, set[int]] = {c: set() for c in self._scc_members}
-        indeg = {c: 0 for c in self._scc_members}
-        for v, outs in self.adj.items():
-            cv = self._scc_of[v]
-            for w in outs:
-                cw = self._scc_of[w]
-                if cv != cw and cw not in comp_adj[cv]:
-                    comp_adj[cv].add(cw)
-                    indeg[cw] += 1
-        ready = sorted(c for c, d in indeg.items() if d == 0)
-        order = []
-        while ready:
-            c = ready.pop(0)
-            order.append(c)
-            for w in sorted(comp_adj[c]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort()
-        return order
+    def _reachable(self, name: str) -> set[str]:
+        seen = {name}
+        stack = [name]
+        while stack:
+            for w in self.adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
 
     def subsumes(self, t1: str, t2: str) -> bool:
-        """True when T1's extent is provably contained in T2's (closure reachability)."""
-        if t1 not in self._scc_of or t2 not in self._scc_of:
+        """True when T1's extent is provably contained in T2's (reachability)."""
+        if t1 not in self.adj or t2 not in self.adj:
             return t1 == t2
-        return self._scc_of[t2] in self._reach[self._scc_of[t1]]
+        return t2 in self._reachable(t1)
 
     def equivalents(self, name: str) -> tuple[str, ...]:
-        """All names in the same SCC, sorted; the first is the representative."""
-        if name not in self._scc_of:
+        """All names that reach and are reached by NAME, sorted; the first is
+        the representative."""
+        if name not in self.adj:
             return (name,)
-        return self._scc_members[self._scc_of[name]]
+        return tuple(sorted(w for w in self._reachable(name) if name in self._reachable(w)))
 
     def representative(self, name: str) -> str:
         return self.equivalents(name)[0]
@@ -140,8 +54,8 @@ class SubtypeGraph:
     def minimal_among(self, names: list[str]):
         """A name whose extent is contained in every listed extent, or None.
 
-        When one exists, returns the lexicographically least member of its SCC
-        so equivalent-type cycles resolve deterministically.
+        When one exists, returns the lexicographically least name equivalent
+        to it, so equivalent-type cycles resolve deterministically.
         """
         for n in names:
             if all(self.subsumes(n, m) for m in names):

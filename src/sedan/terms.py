@@ -99,10 +99,6 @@ def subterms(term: Term):
             yield from subterms(a)
 
 
-def occurrences(term: Term, target: Term) -> int:
-    return sum(1 for s in subterms(term) if s == target)
-
-
 def negate(term: Term) -> Term:
     if isinstance(term, App) and term.fn == "not" and len(term.args) == 1:
         return term.args[0]
@@ -123,12 +119,13 @@ def _self_evaluating(v: Value) -> bool:
     return False
 
 
-def print_term(term: Term) -> str:
+def print_term(term: Term, upcase: bool = False) -> str:
+    """Printed form of a term; ``upcase`` as for ``print_value``."""
     if isinstance(term, Var):
-        return term.name
+        return term.name.upper() if upcase else term.name
     if isinstance(term, Quote):
         if _self_evaluating(term.value):
-            return print_value(term.value)
-        return "'" + print_value(term.value)
-    parts = [term.fn] + [print_term(a) for a in term.args]
+            return print_value(term.value, upcase)
+        return "'" + print_value(term.value, upcase)
+    parts = [term.fn.upper() if upcase else term.fn] + [print_term(a, upcase) for a in term.args]
     return "(" + " ".join(parts) + ")"

@@ -12,11 +12,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .datadef import Restriction, SingletonRestriction, TypeSelection, minimal_type, recognize, sample
+from .clauses import clause_vars, split_implies
+from .datadef import (
+    Restriction,
+    SingletonRestriction,
+    TypeSelection,
+    enumerate_value,
+    minimal_type,
+    recognize,
+    sample,
+)
 from .evaluator import EvaluationError, evaluate
 from .rand import DEFAULT_UNIFORM_BOUND, IndexSource
 from .terms import App, Quote, Term, Var, free_vars, is_negation, negate
-from .values import NIL, Value, print_value, truthy
+from .values import Value, print_value, truthy
 
 TypeAlist = dict[str, tuple[Restriction, ...]]
 Binding = dict[str, Value]
@@ -62,52 +71,13 @@ class TestReport:
         return bool(self.counterexamples)
 
 
-def split_conjecture(term: Term) -> tuple[tuple[Term, ...], Term]:
-    """Flatten implies-chains into (hypotheses, conclusion)."""
-    hyps: list[Term] = []
-    concl = term
-    while isinstance(concl, App) and concl.fn == "implies" and len(concl.args) == 2:
-        hyps.extend(_flatten_and(concl.args[0]))
-        concl = concl.args[1]
-    return tuple(hyps), concl
-
-
-def _flatten_and(term: Term):
-    if isinstance(term, App) and term.fn == "and":
-        out = []
-        for a in term.args:
-            out.extend(_flatten_and(a))
-        return out
-    return [term]
-
-
-def clause_of(term: Term) -> list[Term]:
-    """The conjecture as a disjunction: negated hypotheses, then the conclusion."""
-    hyps, concl = split_conjecture(term)
-    return [negate(h) for h in hyps] + [concl]
-
-
-def clause_hyps_concl(literals: list[Term]) -> tuple[list[Term], Term]:
-    """Hypotheses (negated literals) and conclusion (last literal) of a clause."""
-    if not literals:
-        return [], Quote(NIL)
-    hyps = []
-    for lit in literals[:-1]:
-        hyps.append(lit.args[0] if is_negation(lit) else negate(lit))
-    return hyps, literals[-1]
-
-
 def extract_restrictions(literals: list[Term], world) -> TypeAlist:
     """Datatype and equality hypotheses become per-variable restriction lists.
 
     A hypothesis (recognizerp x) maps x to the recognizer's type; (equal x 'v)
     pins x to the singleton v. Unrestricted variables map to all.
     """
-    order: dict[str, None] = {}
-    for lit in literals:
-        for v in free_vars(lit):
-            order.setdefault(v, None)
-    alist: dict[str, list[Restriction]] = {v: [] for v in order}
+    alist: dict[str, list[Restriction]] = {v: [] for v in clause_vars(literals)}
     for lit in literals[:-1]:
         if not is_negation(lit):
             continue
@@ -170,8 +140,6 @@ def _exhaustive_assignments(world, plans, var_order, config: TestConfig):
             if isinstance(sel.primary, SingletonRestriction):
                 binding[v] = sel.primary.value
             else:
-                from .datadef import enumerate_value
-
                 binding[v] = enumerate_value(world, sel.primary, idx)
         yield binding
         # odometer: last variable fastest
@@ -208,8 +176,8 @@ def run_trials(
     variable in variable order, so the first k trials of a longer run match a
     k-trial run exactly.
     """
-    hyps, concl = split_conjecture(conjecture)
-    var_order = [v for v in free_vars(conjecture)]
+    hyps, concl = split_implies(conjecture)
+    var_order = free_vars(conjecture)
     for v in var_order:
         if v not in alist:
             raise ValueError(f"type alist does not cover variable {v}")
@@ -289,6 +257,6 @@ def top_level_test(
     seed: Optional[int] = None,
 ) -> TestReport:
     """Test an unsimplified conjecture: extract restrictions, then run trials."""
-    literals = clause_of(term)
-    alist = extract_restrictions(literals, world)
+    hyps, concl = split_implies(term)
+    alist = extract_restrictions([negate(h) for h in hyps] + [concl], world)
     return run_trials(term, alist, config, world, seed=seed)

@@ -95,10 +95,6 @@ def is_integer(v: Value) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def is_string(v: Value) -> bool:
-    return isinstance(v, str)
-
-
 def from_list(items, tail: Value = NIL) -> Value:
     """Build a cons chain from a Python list."""
     out = tail
@@ -141,8 +137,11 @@ def _escape_string(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def print_value(v: Value) -> str:
-    """Canonical printed form; parses back to an equal value."""
+def print_value(v: Value, upcase: bool = False) -> str:
+    """Canonical printed form; parses back to an equal value.
+
+    ``upcase`` prints symbols in upper case, the way ACL2 session output
+    echoes them; the result then no longer reads back case-preserved."""
     if isinstance(v, bool):
         raise TypeError("Python bool is not a value; use t/nil symbols")
     if isinstance(v, int):
@@ -150,7 +149,7 @@ def print_value(v: Value) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, Symbol):
-        return v.name
+        return v.name.upper() if upcase else v.name
     if isinstance(v, Char):
         return "#\\" + _CHAR_NAMES.get(v.ch, v.ch)
     if isinstance(v, str):
@@ -158,15 +157,12 @@ def print_value(v: Value) -> str:
     if isinstance(v, Cons):
         parts = []
         while isinstance(v, Cons):
-            parts.append(print_value(v.car))
+            parts.append(print_value(v.car, upcase))
             v = v.cdr
         if v == NIL:
             return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + print_value(v) + ")"
+        return "(" + " ".join(parts) + " . " + print_value(v, upcase) + ")"
     raise TypeError(f"not a value: {v!r}")
-
-
-_KIND_RANK = {"rational": 0, "symbol": 1, "char": 2, "string": 3, "cons": 4}
 
 
 def order_key(v: Value):

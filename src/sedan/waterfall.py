@@ -13,12 +13,12 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .clauses import clause_to_term, clausify
+from .clauses import clause_to_term, clause_vars, clausify
 from .datadef import BaseRef, ListofExpr, NamedRef, ProductExpr, Restriction
 from .evaluator import EvaluationError, evaluate
 from .forms import HintSpec
 from .hints import EMPTY_SETTINGS, HintSettings, OverrideHint, apply_backtrack, fold_override_hints, select_hints
-from .history import History, clause_vars
+from .history import History
 from .simplify import simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
 from .testgen import TestConfig, TestReport, run_trials

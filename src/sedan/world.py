@@ -9,12 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .datadef import AdmissionError, TypeTable, install_base_types
 from .evaluator import arity_bounds, is_callable_name
+from .subtypes import SubtypeGraph
 from .terms import App, Term, Var, free_var_set
-
-
-class AdmissionError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,6 @@ class World:
         self.rules: list[RewriteRule] = []
         self.rules_by_name: dict[str, RewriteRule] = {}
         self.settings = Settings()
-        from .datadef import TypeTable, install_base_types
-        from .subtypes import SubtypeGraph
-
         self.types = TypeTable()
         self.subtypes = SubtypeGraph()
         install_base_types(self)

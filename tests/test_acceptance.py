@@ -9,6 +9,7 @@ import json
 import time
 from fractions import Fraction
 
+from sedan.clauses import split_implies
 from sedan.datadef import enumerate_value, minimal_type, recognize, sample, SubtypeEvidenceError, add_subtype_edge
 from sedan.evaluator import evaluate
 from sedan.forms import parse_forms, TestForm, ThmForm
@@ -140,9 +141,7 @@ def test_criterion_5_inequality():
         if isinstance(f, TestForm)
     )
     binding = {"a": Fraction(1, 7), "b": Fraction(2, 11), "c": Fraction(2, 9)}
-    from sedan.testgen import split_conjecture
-
-    hyps, concl = split_conjecture(conjecture)
+    hyps, concl = split_implies(conjecture)
     for h in hyps:
         assert evaluate(h, binding, w) == T
     assert evaluate(concl, binding, w) == NIL

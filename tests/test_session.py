@@ -171,6 +171,14 @@ def test_display_binding_narrative_style():
     assert display_binding({"a": 1, "b": 2, "c": 3}, ["a", "b", "c"]) == "(A 1), (B 2) and (C 3)"
 
 
+def test_checkpoint_echo_prints_keywords_unquoted():
+    # keywords evaluate to themselves, so the echo needs no quote mark
+    out, _ = process_source("(thm (equal x :foo))")
+    text = render_text(out)
+    assert "\n(EQUAL X :FOO)\n" in text
+    assert "':FOO" not in text
+
+
 def test_triangle_text_report_sentences():
     out = process_file(corpus_path("triangle.lisp"), options(seed=24))
     text = render_text(out)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedan.datadef import SubtypeEvidenceError, add_subtype_edge, minimal_type
 from sedan.subtypes import SubtypeGraph
@@ -109,3 +111,55 @@ def test_closure_recomputed_on_insertion():
     assert not g.subsumes("x", "z")
     g.add_edge("y", "z")
     assert g.subsumes("x", "z")
+
+
+# vertex names deliberately out of index order, plus one name never added
+_NAMES = ["h", "c", "f", "a", "g", "b", "e", "d"]
+_ABSENT = "zz"
+
+
+def _warshall(vertices, edges):
+    """Reflexive transitive closure by Warshall's algorithm."""
+    reach = {(a, b): a == b or (a, b) in edges for a in vertices for b in vertices}
+    for k in vertices:
+        for i in vertices:
+            for j in vertices:
+                if reach[i, k] and reach[k, j]:
+                    reach[i, j] = True
+    return reach
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=len(_NAMES)),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=20),
+    st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4), max_size=6),
+)
+def test_subtype_graph_agrees_with_warshall_closure(isolated, edge_indices, queries):
+    g = SubtypeGraph()
+    for name in _NAMES[:isolated]:
+        g.add_vertex(name)
+    edges = {(_NAMES[i], _NAMES[j]) for i, j in edge_indices}
+    for t1, t2 in edges:
+        g.add_edge(t1, t2)
+    vertices = sorted(set(_NAMES[:isolated]) | {v for e in edges for v in e})
+    reach = _warshall(vertices, edges)
+
+    def subsumes(a, b):
+        return reach[a, b] if (a, b) in reach else a == b
+
+    def equivalents(a):
+        if a not in vertices:
+            return (a,)
+        return tuple(sorted(b for b in vertices if reach[a, b] and reach[b, a]))
+
+    names = _NAMES + [_ABSENT]
+    for a in names:
+        assert g.equivalents(a) == equivalents(a)
+        assert g.representative(a) == equivalents(a)[0]
+        for b in names:
+            assert g.subsumes(a, b) == subsumes(a, b), (a, b)
+    for query in queries:
+        listed = [names[i] for i in query]
+        expected = next((equivalents(n)[0] for n in listed if all(subsumes(n, m) for m in listed)), None)
+        assert g.minimal_among(listed) == expected

@@ -1,11 +1,11 @@
 import pytest
 
+from sedan.clauses import split_implies
 from sedan.datadef import SingletonRestriction
 from sedan.evaluator import evaluate
-from sedan.terms import Quote
+from sedan.terms import Quote, negate
 from sedan.testgen import (
     TestConfig,
-    clause_of,
     extract_restrictions,
     print_binding,
     run_trials,
@@ -19,7 +19,8 @@ REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
 
 
 def alist_of(src, world):
-    return extract_restrictions(clause_of(term(src)), world)
+    hyps, concl = split_implies(term(src))
+    return extract_restrictions([negate(h) for h in hyps] + [concl], world)
 
 
 def test_extract_unrestricted_is_all(world):
