@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .evaluator import evaluate, is_callable_name
+from .evaluator import apply_function, arity_bounds, is_callable_name
 from .reader import ParseError, SAtom, Sexpr, SList, sexpr_to_value
-from .terms import Quote, app
 from .values import (
     NIL,
     T,
@@ -333,7 +332,7 @@ def _decode(world, expr: TypeExpr, n: int) -> Value:
         ]
         return from_list([Symbol(expr.tag)] + pairs)
     if isinstance(expr, CustomExpr):
-        return evaluate(app(expr.enumerator, Quote(n)), {}, world)
+        return apply_function(expr.enumerator, [n], world)
     raise DatadefError(f"cannot decode {expr!r}")
 
 
@@ -418,7 +417,7 @@ def _recognize(world, expr: TypeExpr, v: Value) -> bool:
             rest = rest.cdr
         return rest == NIL
     if isinstance(expr, CustomExpr):
-        return truthy(evaluate(app(expr.recognizer, Quote(v)), {}, world))
+        return truthy(apply_function(expr.recognizer, [v], world))
     raise DatadefError(f"cannot recognize with {expr!r}")
 
 
@@ -632,6 +631,9 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
             for fname in (expr.recognizer, expr.enumerator):
                 if not is_callable_name(world, fname):
                     raise AdmissionError(f"custom type {name}: unknown function {fname}")
+                lo, hi = arity_bounds(world, fname)
+                if lo > 1 or (hi is not None and hi < 1):
+                    raise AdmissionError(f"custom type {name}: {fname} cannot take exactly one argument")
         else:
             recog, enum = _derived_names(name)
             for fname in (recog, enum):

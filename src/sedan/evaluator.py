@@ -2,15 +2,32 @@
 
 Every built-in returns a value on every input (ACL2-style default completions):
 car/cdr of a non-pair is nil, arithmetic treats non-rationals as 0, division by
-zero is 0. User-function recursion is bounded by the world's depth cap and is
-driven by an explicit work stack, so a runaway definition raises an error
-instead of exhausting the interpreter stack.
+zero is 0. User-function nesting is bounded by the world's depth cap, read on
+every call, so a runaway definition raises an error instead of running forever.
+
+A term is compiled once into nested closures ``code(env, remaining)``, where
+``remaining`` is the user-function nesting the cap still allows, and the code is
+memoised on the term object, so it lives exactly as long as the term does:
+
+- ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter does;
+- a built-in's implementation is bound at compile time, its arity checked once;
+- a user function's body is compiled on its first call, and its code is kept on
+  the body term the world holds (worlds only grow and redefinition is rejected,
+  so nothing goes stale); a name not yet defined is looked up again when the
+  call is reached.
+
+An error is raised only when evaluation reaches it, in the interpreter's order
+and with the interpreter's class and message. Closures recurse on the
+Python stack; a compiled run that overflows it is rerun by the explicit
+work-stack interpreter ``_interpret``, which is also the oracle the compiled
+path is tested against.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Mapping
 
@@ -200,6 +217,220 @@ def _check_arity(name: str, lo: int, hi, n: int):
 
 def evaluate(term: Term, binding: Binding, world, depth_cap: int | None = None) -> Value:
     """Evaluate a term under a binding of its free variables."""
+    cap = world.settings.depth_cap if depth_cap is None else depth_cap
+    try:
+        return _code(term, world)(binding, cap)
+    except _OutOfDepth:
+        raise DepthExceededError(cap) from None
+    except RecursionError:
+        return _interpret(term, binding, world, cap)
+
+
+def apply_function(name: str, argv: list, world, depth_cap: int | None = None) -> Value:
+    """Apply a named function to argument values: the value or error of
+    evaluating the application to quoted arguments, without building a term."""
+    if name in SPECIAL_FORMS:
+        return evaluate(App(name, tuple(Quote(a) for a in argv)), {}, world, depth_cap)
+    cap = world.settings.depth_cap if depth_cap is None else depth_cap
+    try:
+        return _caller(world, name, len(argv))(list(argv), cap)
+    except _OutOfDepth:
+        raise DepthExceededError(cap) from None
+    except RecursionError:
+        return _interpret(App(name, tuple(Quote(a) for a in argv)), {}, world, cap)
+
+
+# ---------------------------------------------------------------------------
+# compilation: a term becomes code(env, remaining) -> value, where remaining is
+# the user-function nesting still allowed under the depth cap
+
+
+class _OutOfDepth(Exception):
+    """Raised by compiled code past the depth cap; evaluate reports the cap."""
+
+
+def _code(term: Term, world):
+    """The term's compiled code in this world, memoised on the term object.
+
+    Neither the memo nor the code holds the world strongly: a defun body is a
+    term the world holds, and a reference cycle through it would keep a
+    finished world alive until the cyclic collector runs."""
+    try:
+        owner, code = term._compiled
+        if owner() is world:
+            return code
+    except AttributeError:
+        pass
+    code = _compile(term, world)
+    if type(term) in (App, Var, Quote):
+        object.__setattr__(term, "_compiled", (weakref.ref(world), code))
+    return code
+
+
+def _compile(t: Term, world):
+    tt = type(t)
+    if tt is Quote:
+        value = t.value
+        return lambda env, rem: value
+    if tt is Var:
+        name = t.name
+
+        def var(env, rem):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariableError(name) from None
+
+        return var
+    if tt is not App:
+        def not_a_term(env, rem):
+            raise EvaluationError(f"not a term: {t!r}")
+
+        return not_a_term
+    fn, n = t.fn, len(t.args)
+    if fn in SPECIAL_FORMS:
+        lo, hi = SPECIAL_FORMS[fn]
+        bad = _bad_arity(fn, lo, hi, n)
+        if bad is not None:
+            return bad
+        return _SPECIAL[fn](*[_compile(a, world) for a in t.args])
+    args = [_compile(a, world) for a in t.args]
+    impl = _impl(world, fn, n)
+    if impl is not None:  # a built-in or native: no depth bookkeeping
+        if n == 1:
+            a0 = args[0]
+            return lambda env, rem: impl([a0(env, rem)])
+        if n == 2:
+            a0, a1 = args
+            return lambda env, rem: impl([a0(env, rem), a1(env, rem)])
+        return lambda env, rem: impl([a(env, rem) for a in args])
+    call = _caller(world, fn, n)
+    if n == 1:
+        a0 = args[0]
+        return lambda env, rem: call([a0(env, rem)], rem)
+    return lambda env, rem: call([a(env, rem) for a in args], rem)
+
+
+def _if(test, then, other):
+    def if_(env, rem):
+        if test(env, rem) != NIL:
+            return then(env, rem)
+        return other(env, rem)
+
+    return if_
+
+
+def _and(*parts):
+    if not parts:
+        return lambda env, rem: T
+
+    def and_(env, rem):
+        for part in parts:
+            v = part(env, rem)
+            if v == NIL:
+                return NIL
+        return v
+
+    return and_
+
+
+def _or(*parts):
+    if not parts:
+        return lambda env, rem: NIL
+
+    def or_(env, rem):
+        for part in parts:
+            v = part(env, rem)
+            if v != NIL:
+                return v
+        return v
+
+    return or_
+
+
+def _implies(hyp, concl):
+    def implies(env, rem):
+        if hyp(env, rem) == NIL:
+            return T
+        return T if concl(env, rem) != NIL else NIL
+
+    return implies
+
+
+_SPECIAL = {"if": _if, "and": _and, "or": _or, "implies": _implies}
+
+
+def _bad_arity(fn: str, lo: int, hi, n: int):
+    """None if n is within the bounds, else a function of two arguments (code or
+    a caller) that raises the arity error."""
+    if n >= lo and (hi is None or n <= hi):
+        return None
+
+    def raise_arity(argv, rem):
+        _check_arity(fn, lo, hi, n)
+
+    return raise_arity
+
+
+def _impl(world, fn: str, n: int):
+    """impl(argv) for a built-in or native function that takes n arguments."""
+    builtin = BUILTINS.get(fn)
+    if builtin is not None:
+        lo, hi, impl = builtin
+        return impl if _bad_arity(fn, lo, hi, n) is None else None
+    fdef = world.functions.get(fn)
+    if fdef is not None and fdef.is_native() and fdef.arity == n:
+        native, owner = fdef.fn, weakref.ref(world)
+        return lambda argv: native(argv, owner())
+    return None
+
+
+def _caller(world, fn: str, n: int):
+    """call(argv, remaining) applying fn to n evaluated arguments. Arity is
+    checked once here; its error, like every other, is raised only when a call
+    is reached, after the arguments were evaluated."""
+    impl = _impl(world, fn, n)
+    if impl is not None:
+        return lambda argv, rem: impl(argv)
+    owner = weakref.ref(world)
+    bounds = arity_bounds(world, fn)
+    if bounds is None:
+        # not defined yet: a later defun may add the name
+        resolved = None
+
+        def late(argv, rem):
+            nonlocal resolved
+            if resolved is None:
+                if fn not in owner().functions:
+                    raise UndefinedFunctionError(fn)
+                resolved = _caller(owner(), fn, n)
+            return resolved(argv, rem)
+
+        return late
+    bad = _bad_arity(fn, *bounds, n)
+    if bad is not None:
+        return bad
+    formals = world.functions[fn].formals
+    body = None
+
+    def user(argv, rem):
+        nonlocal body
+        if rem <= 0:
+            raise _OutOfDepth
+        if body is None:
+            body = _code(owner().functions[fn].body, owner())
+        return body(dict(zip(formals, argv)), rem - 1)
+
+    return user
+
+
+# ---------------------------------------------------------------------------
+# interpretation
+
+
+def _interpret(term: Term, binding: Binding, world, depth_cap: int | None = None) -> Value:
+    """The explicit-work-stack interpreter: the fallback for compiled runs that
+    overflow the Python stack, and the oracle the compiled path is tested against."""
     cap = world.settings.depth_cap if depth_cap is None else depth_cap
     work: list = [("ev", term, binding)]
     vals: list = []

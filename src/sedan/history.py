@@ -115,11 +115,15 @@ class History:
         world,
     ) -> dict[str, tuple[Restriction, ...]]:
         """Process-provided restrictions first, inherited parent restrictions after
-        (datatype monotonicity for surviving variables)."""
+        (datatype monotonicity for surviving variables). A process's ``all`` adds
+        nothing and is dropped, so an unrestricted variable always maps to ()."""
         parent_acc = self.accumulated_type_alist(parent_id, world)
         survivors = {pv for pv, expr in variable_map.items() if expr == Var(pv)}
         return {
-            cv: merge_restrictions(process_typemap.get(cv, ()), parent_acc.get(cv, ()) if cv in survivors else ())
+            cv: merge_restrictions(
+                [r for r in process_typemap.get(cv, ()) if r != "all"],
+                parent_acc.get(cv, ()) if cv in survivors else (),
+            )
             for cv in child_vars
         }
 

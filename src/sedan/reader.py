@@ -43,6 +43,11 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RAT_RE = re.compile(r"[+-]?\d+/\d+\Z")
 _DELIMS = set("()'\";")
 
+# deepest list nesting the reader accepts, which keeps the recursive walks over
+# what it reads (term compilation, printing, rewriting) off the Python stack
+# limit; cond and c[ad]+r sugar still expand into deeper terms
+MAX_NESTING = 256
+
 
 def _classify_atom(text: str, line: int, col: int) -> Value:
     if _INT_RE.match(text):
@@ -166,6 +171,8 @@ def read_sexprs(text: str) -> List[Sexpr]:
 
     for kind, payload, line, col in tokenizer.tokens():
         if kind == "open":
+            if len(stack) >= MAX_NESTING:
+                raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
             lst = SList([], line, col)
             stack.append(lst)
         elif kind == "close":

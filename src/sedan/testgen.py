@@ -30,6 +30,10 @@ from .values import Value, print_value, truthy
 TypeAlist = dict[str, tuple[Restriction, ...]]
 Binding = dict[str, Value]
 
+# what a trial may raise: an evaluation error, or a value nested too deeply
+# for a recursive recognizer
+_TRIAL_ERRORS = (EvaluationError, RecursionError)
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -126,6 +130,25 @@ def _index_bound(world, selection: TypeSelection, config: TestConfig) -> int:
     return config.exhaustive_bound
 
 
+def _bind(plans, var_order, value_of):
+    """One trial's binding, each non-singleton variable's value drawn by
+    ``value_of(var, type)``, and the first error an enumerator raised (None if
+    none did). Every variable is drawn even after an error, so each trial makes
+    the same draws whether or not an enumerator fails."""
+    binding, error = {}, None
+    for v in var_order:
+        primary = plans[v].primary
+        if isinstance(primary, SingletonRestriction):
+            binding[v] = primary.value
+        else:
+            try:
+                binding[v] = value_of(v, primary)
+            except _TRIAL_ERRORS as e:
+                if error is None:
+                    error = e
+    return binding, error
+
+
 def _exhaustive_assignments(world, plans, var_order, config: TestConfig):
     bounds = [_index_bound(world, plans[v], config) for v in var_order]
     total = 1
@@ -134,14 +157,8 @@ def _exhaustive_assignments(world, plans, var_order, config: TestConfig):
     total = min(total, config.per_goal_cap)
     counters = [0] * len(var_order)
     for _ in range(total):
-        binding = {}
-        for v, idx in zip(var_order, counters):
-            sel = plans[v]
-            if isinstance(sel.primary, SingletonRestriction):
-                binding[v] = sel.primary.value
-            else:
-                binding[v] = enumerate_value(world, sel.primary, idx)
-        yield binding
+        index = dict(zip(var_order, counters))
+        yield _bind(plans, var_order, lambda v, t: enumerate_value(world, t, index[v]))
         # odometer: last variable fastest
         for i in range(len(counters) - 1, -1, -1):
             counters[i] += 1
@@ -151,15 +168,17 @@ def _exhaustive_assignments(world, plans, var_order, config: TestConfig):
 
 
 def _random_assignments(world, plans, var_order, config: TestConfig, rng: IndexSource):
+    def draw(v, t):
+        return sample(world, t, rng, config.dist)
+
     for _ in range(config.trials):
-        binding = {}
-        for v in var_order:
-            sel = plans[v]
-            if isinstance(sel.primary, SingletonRestriction):
-                binding[v] = sel.primary.value
-            else:
-                binding[v] = sample(world, sel.primary, rng, config.dist)
-        yield binding
+        yield _bind(plans, var_order, draw)
+
+
+def _erred(report: TestReport, e: BaseException):
+    report.erroring += 1
+    if report.first_error is None:
+        report.first_error = str(e)
 
 
 def run_trials(
@@ -207,20 +226,21 @@ def run_trials(
     )
     seen: dict[str, str] = {}  # binding key -> "cex" | "wit" | "err"
     started = time.perf_counter()
-    for binding in assignments:
+    for binding, error in assignments:
         report.trials_run += 1
-        if not all(_passes_residuals(world, plans[v], binding[v]) for v in var_order):
+        if error is not None:
+            _erred(report, error)  # a custom enumerator failed to instantiate
             continue
         try:
+            if not all(_passes_residuals(world, plans[v], binding[v]) for v in var_order):
+                continue
             ok = True
             for h in hyps:
                 if not truthy(evaluate(h, binding, world)):
                     ok = False
                     break
-        except (EvaluationError, RecursionError) as e:
-            report.erroring += 1
-            if report.first_error is None:
-                report.first_error = str(e)
+        except _TRIAL_ERRORS as e:
+            _erred(report, e)
             continue
         if not ok:
             continue  # vacuous: a hypothesis failed
@@ -233,12 +253,10 @@ def run_trials(
         report.unique_satisfied += 1
         try:
             value = evaluate(concl, binding, world)
-        except (EvaluationError, RecursionError) as e:
-            report.erroring += 1
+        except _TRIAL_ERRORS as e:
+            _erred(report, e)
             report.erroring_unique += 1
             seen[key] = "err"
-            if report.first_error is None:
-                report.first_error = str(e)
             continue
         if truthy(value):
             seen[key] = "wit"

@@ -14,6 +14,7 @@ from sedan.datadef import (
 )
 from sedan.evaluator import evaluate
 from sedan.rand import IndexSource
+from sedan.session import process_source
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value, proper_length
 
 from conftest import make_world, term
@@ -170,6 +171,21 @@ def test_custom_type():
     for n in range(50):
         assert recognize(w, "ev", enumerate_value(w, "ev", n))
     assert enumerate_value(w, "ev", 21) == 42
+
+
+@pytest.mark.parametrize("custom", ["(custom evr eve)", "(custom eve evr)"])
+def test_custom_type_functions_must_take_one_argument(custom):
+    # eve takes two arguments, so it can serve as neither recognizer nor enumerator
+    outcome, world = process_source(
+        "(defun evr (x) (integerp x))\n"
+        "(defun eve (n m) (* 2 n))\n"
+        f"(defdata ev {custom})\n"
+        "(test? (implies (evr x) (integerp x)))"
+    )
+    last = outcome.forms[-1]
+    assert last.kind == "defdata" and last.status == "error"
+    assert "eve cannot take exactly one argument" in last.error
+    assert "ev" not in world.types.entries
 
 
 def test_recursive_definition_without_base_case_rejected():

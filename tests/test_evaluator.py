@@ -3,15 +3,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sedan import evaluator
 from sedan.evaluator import (
     BUILTINS,
+    SPECIAL_FORMS,
     ArityError,
     DepthExceededError,
+    EvaluationError,
     UnboundVariableError,
     UndefinedFunctionError,
+    _interpret,
     evaluate,
 )
+from sedan.terms import App, Quote, Var
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value
 
 from conftest import make_world, term
@@ -160,3 +167,105 @@ def test_special_forms_total_over_representatives():
         binding = {"p": a, "q": b}
         for src in ("(if p q q)", "(and p q)", "(or p q)", "(implies p q)"):
             print_value(evaluate(term(src), binding, w))
+
+
+# ---------------------------------------------------------------------------
+# the compiled path against the interpreter
+
+
+DIFF_DEFUNS = (
+    "(defun dbl (x) (+ x x))\n"
+    "(defun len2 (x) (if (consp x) (+ 1 (len2 (cdr x))) 0))\n"
+    "(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))\n"
+    "(defun spin (x) (spin x))\n"
+    "(defun pick (a b) (if a b (car b)))\n"
+)
+DIFF_WORLD = make_world(DIFF_DEFUNS)
+
+# callable names with their arity bounds; expt is left out because nested
+# powers grow without bound, and mystery is never defined
+DIFF_FUNS = {name: (lo, hi) for name, (lo, hi, _) in BUILTINS.items() if name != "expt"}
+DIFF_FUNS.update(SPECIAL_FORMS)
+DIFF_FUNS.update({"dbl": (1, 1), "len2": (1, 1), "cnt": (1, 1), "spin": (1, 1), "pick": (2, 2), "mystery": (1, 1)})
+
+diff_leaves = st.one_of(
+    st.sampled_from(["x", "y", "z"]).map(Var),  # z is never bound
+    st.sampled_from([0, 1, 2, -3, 600, Fraction(1, 2), NIL, T, Symbol("foo"), "s",
+                     from_list([1, 2, 3]), Cons(1, 2)]).map(Quote),
+)
+
+
+def diff_apps(children):
+    @st.composite
+    def build(draw):
+        fn = draw(st.sampled_from(sorted(DIFF_FUNS)))
+        lo, hi = DIFF_FUNS[fn]
+        if draw(st.integers(0, 9)) == 0:
+            n = draw(st.integers(0, 3))  # often the wrong arity
+        else:
+            n = draw(st.integers(lo, lo + 2 if hi is None else hi))
+        return App(fn, tuple(draw(st.lists(children, min_size=n, max_size=n))))
+
+    return build()
+
+
+diff_terms = st.recursive(diff_leaves, diff_apps, max_leaves=12)
+
+
+def outcome(run, t, binding, cap):
+    try:
+        v = run(t, binding, DIFF_WORLD, depth_cap=cap)
+    except EvaluationError as e:
+        return (type(e), str(e))
+    return (type(v), print_value(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(diff_terms, st.sampled_from([None, 10]))
+def test_compiled_evaluation_matches_the_interpreter(t, cap):
+    binding = {"x": from_list([1, 2]), "y": 3}
+    assert outcome(evaluate, t, binding, cap) == outcome(_interpret, t, binding, cap)
+    # a second run goes through the code memoised on the term
+    assert outcome(evaluate, t, binding, cap) == outcome(_interpret, t, binding, cap)
+
+
+def test_small_depth_cap_is_enforced_on_the_compiled_path(monkeypatch):
+    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+    with pytest.raises(DepthExceededError, match="cap of 10 exceeded"):
+        evaluate(term("(cnt 10)"), {}, DIFF_WORLD, depth_cap=10)
+    assert evaluate(term("(cnt 9)"), {}, DIFF_WORLD, depth_cap=10) == 9  # ten nested calls
+
+
+def test_stack_overflow_falls_back_to_the_interpreter(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluator, "_interpret", lambda *a: calls.append(a) or _interpret(*a))
+    assert evaluate(term("(cnt 3000)"), {}, DIFF_WORLD) == 3000
+    assert len(calls) == 1
+    with pytest.raises(DepthExceededError, match="cap of 10000 exceeded"):
+        evaluate(term("(spin 1)"), {}, DIFF_WORLD)
+
+
+def test_compiled_code_sees_later_definitions_and_cap_changes():
+    w = make_world()
+    t = term("(if (posp x) (later x) 0)")
+    assert evaluate(t, {"x": 0}, w) == 0
+    with pytest.raises(UndefinedFunctionError):
+        evaluate(t, {"x": 1}, w)
+    w.define_function("later", ("n",), term("(if (posp n) (later (- n 1)) 7)"))
+    assert evaluate(t, {"x": 5}, w) == 7  # the same term object, compiled before the defun
+    with pytest.raises(DepthExceededError, match="cap of 3 exceeded"):
+        evaluate(t, {"x": 5}, w, depth_cap=3)
+    w.settings.depth_cap = 4
+    with pytest.raises(DepthExceededError, match="cap of 4 exceeded"):
+        evaluate(t, {"x": 5}, w)
+
+
+def test_arguments_are_evaluated_before_arity_and_undefined_errors():
+    w = make_world()
+    for src in ("(car 1 (+ z 1))", "(mystery (+ z 1))"):
+        with pytest.raises(UnboundVariableError):
+            ev(src, world=w)
+    # an ill-formed form is an error only when evaluation reaches it
+    assert ev("(if t 1 (if 1 2))", world=w) == 1
+    with pytest.raises(ArityError, match="if expects 3 argument"):
+        ev("(if nil 1 (if 1 2))", world=w)

@@ -1,6 +1,7 @@
 import pytest
 
 from sedan.history import DONT_CARE, History
+from sedan.session import process_source
 from sedan.terms import Var
 from sedan.values import NIL, from_list
 
@@ -151,3 +152,16 @@ def test_history_serialization_shape(world):
     assert [n["goal"] for n in doc] == ["Goal", "Goal'", "Goal''", "Goal'''", "Goal''''"]
     assert doc[1]["variable_map"]["x"] == "(cons x1 x2)"
     assert doc[4]["process"] == "simplify"
+
+
+def test_unrestricted_child_variable_has_an_empty_type_map():
+    # destructor elimination hands x1 the element type of (listof all); the
+    # recorded type map spells "unrestricted" as [] like every other variable
+    outcome, _ = process_source(
+        "(defdata la (listof all))\n"
+        "(thm (implies (and (lap x) (consp x)) (equal (car x) 0)))"
+    )
+    doc = outcome.forms[-1].proof.history.to_json()
+    type_maps = {n["goal"]: n["type_map"] for n in doc}
+    assert type_maps["Goal''"] == {"x1": [], "x2": ["la"]}
+    assert all("all" not in rs for tm in type_maps.values() for rs in tm.values())

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedan.forms import parse_forms, print_form
-from sedan.reader import ParseError, read_sexprs, sexpr_to_value
+from sedan.reader import MAX_NESTING, ParseError, read_sexprs, sexpr_to_value
 from sedan.terms import App, Quote, Var, app, print_term
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, norm_rat, print_value
 
@@ -37,6 +37,13 @@ def test_unbalanced_parens_report_position():
     with pytest.raises(ParseError) as e:
         parse_forms("(defun f (x) x))")
     assert e.value.line == 1 and e.value.col == 16
+
+
+def test_nesting_past_the_cap_is_a_positioned_parse_error():
+    read_sexprs("(" * MAX_NESTING + ")" * MAX_NESTING)
+    with pytest.raises(ParseError, match="nested deeper") as e:
+        read_sexprs("'(" + "\n(" * MAX_NESTING + ")" * (MAX_NESTING + 1))
+    assert (e.value.line, e.value.col) == (MAX_NESTING + 1, 1)
 
 
 def test_unknown_form_head_rejected():

@@ -60,6 +60,28 @@ def test_parse_error_is_fatal(tmp_path):
     assert out.exit_code == 1
 
 
+def _nested_car(depth: int) -> str:
+    return "(test? (equal " + "(car " * depth + "x" + ")" * depth + " 0))\n"
+
+
+def test_deep_nesting_is_reported_not_a_traceback(tmp_path, capsys):
+    from sedan.cli import main
+
+    out, _ = process_source(_nested_car(500) + _nested_car(500).replace("test?", "thm"))
+    assert "nested deeper" in out.fatal_error
+    assert out.exit_code == 1
+    path = tmp_path / "deep.lisp"
+    path.write_text(_nested_car(500))
+    assert main([str(path), "--format", "text"]) == 1
+    assert "nested deeper" in capsys.readouterr().out
+
+
+def test_moderate_nesting_is_accepted():
+    out, _ = process_source(_nested_car(200) + _nested_car(200).replace("test?", "thm"))
+    assert out.fatal_error is None
+    assert [fr.status for fr in out.forms] == ["falsified", "falsified"]
+
+
 def test_missing_file_is_fatal():
     out = process_file("no-such-file.lisp", options())
     assert out.fatal_error is not None

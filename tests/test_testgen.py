@@ -206,3 +206,47 @@ def test_strengthened_inequality_yields_no_counterexamples():
     report = top_level_test(t, TestConfig(trials=3000), w, seed=24)
     assert not report.counterexamples
     assert report.witnesses  # and the hypotheses are satisfiable
+
+
+SPINNING_ENUMERATOR = (
+    "(set-testing :depth-cap 50)\n"
+    "(defun evr (x) (integerp x))\n"
+    "(defun eve (n) (if (equal n 0) 0 (eve n)))\n"
+    "(defdata ev (custom evr eve))"
+)
+
+
+def test_erroring_custom_enumerator_counts_as_erroring_trials():
+    w = make_world(SPINNING_ENUMERATOR)
+    t = term("(implies (and (evr x) (natp y)) (equal x (- y y)))")
+    alist = {"x": ("ev",), "y": ("nat",)}
+    small = run_trials(t, alist, TestConfig(trials=30), w, seed=3)
+    assert small.trials_run == 30
+    assert small.erroring > 0 and small.satisfied > 0
+    assert small.erroring + small.satisfied == 30  # only x = 0 instantiates
+    assert "depth cap of 50" in small.first_error
+    large = run_trials(t, alist, TestConfig(trials=90), w, seed=3)
+    keys = lambda r: [print_binding(b, ["x", "y"]) for b in r.witnesses]
+    assert keys(large)[: len(keys(small))] == keys(small)
+    assert large.erroring >= small.erroring
+
+
+def test_erroring_custom_recognizer_in_a_residual_check_counts_as_erroring():
+    w = make_world(
+        "(set-testing :depth-cap 50)\n"
+        "(defun evr (x) (if (equal x 0) t (evr x)))\n"
+        "(defun eve (n) n)\n"
+        "(defdata ev (custom evr eve))"
+    )
+    report = run_trials(term("(equal x x)"), {"x": ("nat", "ev")}, TestConfig(trials=40), w, seed=5)
+    assert report.erroring > 0 and report.erroring + report.satisfied == 40
+    assert "depth cap of 50" in report.first_error
+
+
+def test_erroring_custom_enumerator_is_reported_by_the_cli(tmp_path, capsys):
+    from sedan.cli import main
+
+    path = tmp_path / "spin.lisp"
+    path.write_text(SPINNING_ENUMERATOR + "\n(test? (implies (evr x) (integerp x)))\n")
+    assert main([str(path), "--format", "text"]) == 0
+    assert "raised evaluation errors; first: recursion depth cap of 50" in capsys.readouterr().out
