@@ -22,6 +22,14 @@ Pairing is Cantor's: pair(i, j) = (i+j)(i+j+1)/2 + j.
 
 Types whose extent is provably finite and small are collapsed to an explicit
 extent, making the enumerator periodic with period |T|.
+
+Each type's enumerator and recognizer are compiled once, on first use, into
+closures ``dec(world, n)`` and ``rec(world, v)`` memoised on its TypeEntry;
+enumeration, recognition, sampling, the native ``Xp``/``nth-X`` functions
+and subtype evidence all run them. The closures take the world as an
+argument instead of holding it, so no finished world stays alive through
+them, and a reference to a named type is looked up when it is called, so
+mutually recursive groups need no compile order.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .evaluator import apply_function, arity_bounds, is_callable_name
 from .reader import ParseError, SAtom, Sexpr, SList, sexpr_to_value
@@ -202,6 +210,9 @@ class TypeEntry:
     expr: TypeExpr
     kind: str  # "finite" | "infinite"
     extent: Optional[tuple[Value, ...]] = None
+    # compiled on first use: dec(world, n) enumerates, rec(world, v) recognizes
+    dec: Optional[Callable] = field(default=None, repr=False, compare=False)
+    rec: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> Optional[int]:
@@ -233,191 +244,279 @@ BASE_EDGES = (
 
 
 # ---------------------------------------------------------------------------
-# decoding (enumerators)
+# compilation: a type's enumerator becomes dec(world, n) -> value and its
+# recognizer rec(world, v) -> bool. The world is an argument, never captured,
+# so compiled code keeps no finished world alive; a NamedRef is looked up when
+# it is called, so a mutually recursive group compiles in any order.
 
 
-def _decode_base(world, name: str, n: int) -> Value:
-    if name == "nat":
-        return n
-    if name == "pos":
-        return n + 1
-    if name == "neg":
-        return -(n + 1)
-    if name == "integer":
-        return zigzag(n)
-    if name == "rational":
-        i, j = unpair(n)
-        return norm_rat(Fraction(zigzag(i), j + 1))
-    if name == "boolean":
-        return T if n % 2 == 0 else NIL
-    if name == "character":
-        return Char(ALPHABET62[n % 62])
-    if name == "string":
-        chars = []
-        while n > 0:
-            i, n = unpair(n - 1)
-            chars.append(ALPHABET62[i % 62])
-        return "".join(chars)
-    if name == "symbol":
-        if n < len(SYMBOL_ALPHABET):
-            return SYMBOL_ALPHABET[n]
-        return Symbol(f"s{n - len(SYMBOL_ALPHABET)}")
-    if name == "true-list":
-        return _decode_listof(world, BaseRef("all"), n)
-    if name == "proper-cons":
-        i, j = unpair(n)
-        return Cons(_decode(world, BaseRef("all"), i), _decode_base(world, "true-list", j))
-    if name == "all":
-        # branches: rational, symbol, character, string, true-list, pair
-        b, inner = (0, 0) if n == 0 else (n % 6, n // 6)
-        if b == 0:
-            return _decode_base(world, "rational", inner)
-        if b == 1:
-            return _decode_base(world, "symbol", inner)
-        if b == 2:
-            return _decode_base(world, "character", inner)
-        if b == 3:
-            return _decode_base(world, "string", inner)
-        if b == 4:
-            return _decode_base(world, "true-list", inner)
-        i, j = unpair(inner)
-        return Cons(_decode_base(world, "all", i), _decode_base(world, "all", j))
-    raise UnknownTypeError(name)
+def _decoder(world, name: str):
+    entry = world.types.entries.get(name)
+    if entry is None:
+        raise UnknownTypeError(name)
+    if entry.dec is None:
+        extent = entry.extent
+        if extent is None:
+            entry.dec = _compile_dec(entry.expr)
+        else:
+            size = len(extent)
+            entry.dec = lambda world, n: extent[n % size]
+    return entry.dec
 
 
-def _decode_listof(world, elem: TypeExpr, n: int) -> Value:
+def _recognizer(world, name: str):
+    entry = world.types.entries.get(name)
+    if entry is None:
+        raise UnknownTypeError(name)
+    if entry.rec is None:
+        extent = entry.extent
+        if extent is None:
+            entry.rec = _compile_rec(entry.expr)
+        else:
+            entry.rec = lambda world, v: v in extent
+    return entry.rec
+
+
+def _decode_items(elem, world, n: int) -> list[Value]:
+    """The elements a list index encodes: 0 is empty, n+1 unpairs into the
+    head's index and the tail's."""
     items = []
     while n > 0:
-        head_idx, n = unpair(n - 1)
-        items.append(_decode(world, elem, head_idx))
-    return from_list(items)
+        head, n = unpair(n - 1)
+        items.append(elem(world, head))
+    return items
 
 
-def _decode(world, expr: TypeExpr, n: int) -> Value:
+def _dec_listof(elem):
+    return lambda world, n: from_list(_decode_items(elem, world, n))
+
+
+def _dec_rational(world, n: int) -> Value:
+    i, j = unpair(n)
+    return zigzag(i) if j == 0 else norm_rat(Fraction(zigzag(i), j + 1))
+
+
+def _dec_string(world, n: int) -> str:
+    chars = []
+    while n > 0:
+        i, n = unpair(n - 1)
+        chars.append(ALPHABET62[i % 62])
+    return "".join(chars)
+
+
+def _dec_symbol(world, n: int) -> Symbol:
+    if n < len(SYMBOL_ALPHABET):
+        return SYMBOL_ALPHABET[n]
+    return Symbol(f"s{n - len(SYMBOL_ALPHABET)}")
+
+
+_CHARS62 = tuple(Char(c) for c in ALPHABET62)
+
+
+def _dec_all(world, n: int) -> Value:
+    # branches: rational, symbol, character, string, true-list, pair
+    b, inner = n % 6, n // 6
+    if b < 5:
+        return _ALL_BRANCHES[b](world, inner)
+    i, j = unpair(inner)
+    return Cons(_dec_all(world, i), _dec_all(world, j))
+
+
+def _dec_proper_cons(world, n: int) -> Cons:
+    i, j = unpair(n)
+    return Cons(_dec_all(world, i), _dec_true_list(world, j))
+
+
+_dec_true_list = _dec_listof(_dec_all)
+
+_BASE_DEC = {
+    "all": _dec_all,
+    "nat": lambda world, n: n,
+    "pos": lambda world, n: n + 1,
+    "neg": lambda world, n: -(n + 1),
+    "integer": lambda world, n: zigzag(n),
+    "rational": _dec_rational,
+    "boolean": lambda world, n: T if n % 2 == 0 else NIL,
+    "character": lambda world, n: _CHARS62[n % 62],
+    "string": _dec_string,
+    "symbol": _dec_symbol,
+    "true-list": _dec_true_list,
+    "proper-cons": _dec_proper_cons,
+}
+_ALL_BRANCHES = tuple(_BASE_DEC[b] for b in ("rational", "symbol", "character", "string", "true-list"))
+
+_BASE_REC = {
+    "all": lambda world, v: True,
+    "nat": lambda world, v: is_integer(v) and v >= 0,
+    "pos": lambda world, v: is_integer(v) and v > 0,
+    "neg": lambda world, v: is_integer(v) and v < 0,
+    "integer": lambda world, v: is_integer(v),
+    "rational": lambda world, v: is_rational(v),
+    "boolean": lambda world, v: v == T or v == NIL,
+    "symbol": lambda world, v: isinstance(v, Symbol),
+    "string": lambda world, v: isinstance(v, str),
+    "character": lambda world, v: isinstance(v, Char),
+    "true-list": lambda world, v: is_true_list(v),
+    "proper-cons": lambda world, v: isinstance(v, Cons) and is_true_list(v),
+}
+
+
+def _product_spine(expr: ProductExpr):
+    """The components of a right-nested product and the type of its last cdr."""
+    comps = []
+    while isinstance(expr, ProductExpr):
+        comps.append(expr.car)
+        expr = expr.cdr
+    return comps, expr
+
+
+def _compile_dec(expr: TypeExpr):
     if isinstance(expr, BaseRef):
-        return _decode_base(world, expr.name, n)
+        return _BASE_DEC[expr.name]
     if isinstance(expr, NamedRef):
-        return enumerate_value(world, expr.name, n)
+        name = expr.name
+        return lambda world, n: _decoder(world, name)(world, n)
     if isinstance(expr, EnumExpr):
-        return expr.values[n % len(expr.values)]
+        values, size = expr.values, len(expr.values)
+        return lambda world, n: values[n % size]
     if isinstance(expr, SingletonExpr):
-        return expr.value
+        value = expr.value
+        return lambda world, n: value
     if isinstance(expr, OneofExpr):
-        k = len(expr.branches)
-        if n == 0:
-            return _decode(world, expr.branches[expr.base_branch], 0)
-        return _decode(world, expr.branches[n % k], n // k)
+        branches = tuple(_compile_dec(b) for b in expr.branches)
+        base, k = branches[expr.base_branch], len(branches)
+
+        def oneof(world, n):
+            if n == 0:
+                return base(world, 0)
+            return branches[n % k](world, n // k)
+
+        return oneof
     if isinstance(expr, ProductExpr):
-        i, j = unpair(n)
-        return Cons(_decode(world, expr.car, i), _decode(world, expr.cdr, j))
+        cars, last = _product_spine(expr)
+        comps, tail = tuple(_compile_dec(c) for c in cars), _compile_dec(last)
+
+        def product(world, n):
+            items = []
+            for dec in comps:
+                i, n = unpair(n)
+                items.append(dec(world, i))
+            return from_list(items, tail(world, n))
+
+        return product
     if isinstance(expr, ListofExpr):
-        return _decode_listof(world, expr.elem, n)
+        return _dec_listof(_compile_dec(expr.elem))
     if isinstance(expr, SetExpr):
-        raw = _decode_listof(world, expr.elem, n)
-        items = []
-        v = raw
-        while isinstance(v, Cons):
-            items.append(v.car)
-            v = v.cdr
-        canon = []
-        for item in sorted(items, key=order_key):
-            if not canon or canon[-1] != item:
-                canon.append(item)
-        return from_list(canon)
+        elem = _compile_dec(expr.elem)
+
+        def set_(world, n):
+            canon = []
+            for item in sorted(_decode_items(elem, world, n), key=order_key):
+                if not canon or canon[-1] != item:
+                    canon.append(item)
+            return from_list(canon)
+
+        return set_
     if isinstance(expr, RecordExpr):
-        indices = split_indices(n, len(expr.fields))
-        pairs = [
-            Cons(Symbol(fname), _decode(world, fexpr, idx))
-            for (fname, fexpr), idx in zip(expr.fields, indices)
-        ]
-        return from_list([Symbol(expr.tag)] + pairs)
+        tag = Symbol(expr.tag)
+        names = tuple(Symbol(fname) for fname, _ in expr.fields)
+        fields = tuple(_compile_dec(fexpr) for _, fexpr in expr.fields)
+
+        def record(world, n):
+            indices = split_indices(n, len(fields))
+            return from_list([tag] + [
+                Cons(fname, dec(world, i)) for fname, dec, i in zip(names, fields, indices)
+            ])
+
+        return record
     if isinstance(expr, CustomExpr):
-        return apply_function(expr.enumerator, [n], world)
+        enumerator = expr.enumerator
+        return lambda world, n: apply_function(enumerator, [n], world)
     raise DatadefError(f"cannot decode {expr!r}")
 
 
-# ---------------------------------------------------------------------------
-# recognition
-
-
-def _recognize_base(world, name: str, v: Value) -> bool:
-    if name == "all":
-        return True
-    if name == "nat":
-        return is_integer(v) and v >= 0
-    if name == "pos":
-        return is_integer(v) and v > 0
-    if name == "neg":
-        return is_integer(v) and v < 0
-    if name == "integer":
-        return is_integer(v)
-    if name == "rational":
-        return is_rational(v)
-    if name == "boolean":
-        return v == T or v == NIL
-    if name == "symbol":
-        return isinstance(v, Symbol)
-    if name == "string":
-        return isinstance(v, str)
-    if name == "character":
-        return isinstance(v, Char)
-    if name == "true-list":
-        return is_true_list(v)
-    if name == "proper-cons":
-        return isinstance(v, Cons) and is_true_list(v)
-    raise UnknownTypeError(name)
-
-
-def _recognize(world, expr: TypeExpr, v: Value) -> bool:
+def _compile_rec(expr: TypeExpr):
     if isinstance(expr, BaseRef):
-        return _recognize_base(world, expr.name, v)
+        return _BASE_REC[expr.name]
     if isinstance(expr, NamedRef):
-        return recognize(world, expr.name, v)
+        name = expr.name
+        return lambda world, v: _recognizer(world, name)(world, v)
     if isinstance(expr, EnumExpr):
-        return v in expr.values
+        values = expr.values
+        return lambda world, v: v in values
     if isinstance(expr, SingletonExpr):
-        return v == expr.value
+        value = expr.value
+        return lambda world, v: v == value
     if isinstance(expr, OneofExpr):
-        return any(_recognize(world, b, v) for b in expr.branches)
-    if isinstance(expr, ProductExpr):
-        return (
-            isinstance(v, Cons)
-            and _recognize(world, expr.car, v.car)
-            and _recognize(world, expr.cdr, v.cdr)
-        )
-    if isinstance(expr, ListofExpr):
-        while isinstance(v, Cons):
-            if not _recognize(world, expr.elem, v.car):
-                return False
-            v = v.cdr
-        return v == NIL
-    if isinstance(expr, SetExpr):
-        prev_key = None
-        while isinstance(v, Cons):
-            if not _recognize(world, expr.elem, v.car):
-                return False
-            key = order_key(v.car)
-            if prev_key is not None and not prev_key < key:
-                return False
-            prev_key = key
-            v = v.cdr
-        return v == NIL
-    if isinstance(expr, RecordExpr):
-        if not (isinstance(v, Cons) and v.car == Symbol(expr.tag)):
+        branches = tuple(_compile_rec(b) for b in expr.branches)
+
+        def oneof(world, v):
+            for rec in branches:
+                if rec(world, v):
+                    return True
             return False
-        rest = v.cdr
-        for fname, fexpr in expr.fields:
-            if not isinstance(rest, Cons):
+
+        return oneof
+    if isinstance(expr, ProductExpr):
+        cars, last = _product_spine(expr)
+        comps, tail = tuple(_compile_rec(c) for c in cars), _compile_rec(last)
+
+        def product(world, v):
+            for rec in comps:
+                if not (isinstance(v, Cons) and rec(world, v.car)):
+                    return False
+                v = v.cdr
+            return tail(world, v)
+
+        return product
+    if isinstance(expr, ListofExpr):
+        elem = _compile_rec(expr.elem)
+
+        def listof(world, v):
+            while isinstance(v, Cons):
+                if not elem(world, v.car):
+                    return False
+                v = v.cdr
+            return v == NIL
+
+        return listof
+    if isinstance(expr, SetExpr):
+        elem = _compile_rec(expr.elem)
+
+        def set_(world, v):
+            prev_key = None
+            while isinstance(v, Cons):
+                if not elem(world, v.car):
+                    return False
+                key = order_key(v.car)
+                if prev_key is not None and not prev_key < key:
+                    return False
+                prev_key = key
+                v = v.cdr
+            return v == NIL
+
+        return set_
+    if isinstance(expr, RecordExpr):
+        tag = Symbol(expr.tag)
+        fields = tuple((Symbol(fname), _compile_rec(fexpr)) for fname, fexpr in expr.fields)
+
+        def record(world, v):
+            if not (isinstance(v, Cons) and v.car == tag):
                 return False
-            cell = rest.car
-            if not (isinstance(cell, Cons) and cell.car == Symbol(fname)):
-                return False
-            if not _recognize(world, fexpr, cell.cdr):
-                return False
-            rest = rest.cdr
-        return rest == NIL
+            rest = v.cdr
+            for fname, rec in fields:
+                if not isinstance(rest, Cons):
+                    return False
+                cell = rest.car
+                if not (isinstance(cell, Cons) and cell.car == fname and rec(world, cell.cdr)):
+                    return False
+                rest = rest.cdr
+            return rest == NIL
+
+        return record
     if isinstance(expr, CustomExpr):
-        return truthy(apply_function(expr.recognizer, [v], world))
+        recognizer = expr.recognizer
+        return lambda world, v: truthy(apply_function(recognizer, [v], world))
     raise DatadefError(f"cannot recognize with {expr!r}")
 
 
@@ -427,27 +526,17 @@ def _recognize(world, expr: TypeExpr, v: Value) -> bool:
 
 def enumerate_value(world, name: str, n: int) -> Value:
     """Total surjective map from naturals onto the named type's extent."""
-    entry = world.types.entries.get(name)
-    if entry is None:
-        raise UnknownTypeError(name)
-    if entry.extent is not None:
-        return entry.extent[n % len(entry.extent)]
-    return _decode(world, entry.expr, n)
+    return _decoder(world, name)(world, n)
 
 
 def recognize(world, name: str, v: Value) -> bool:
-    entry = world.types.entries.get(name)
-    if entry is None:
-        raise UnknownTypeError(name)
-    if entry.extent is not None:
-        return v in entry.extent
-    return _recognize(world, entry.expr, v)
+    return _recognizer(world, name)(world, v)
 
 
 def sample(world, name: str, rng, dist: str = "geometric") -> Value:
     """Draw one value: a distribution-controlled index fed to the enumerator."""
     idx = rng.draw_index(dist)
-    return enumerate_value(world, name, idx)
+    return _decoder(world, name)(world, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +688,11 @@ def _auto_subtype_edges(world, name: str, expr: TypeExpr):
             graph.add_edge(name, "proper-cons")
     if isinstance(expr, SingletonExpr):
         for base in BASE_TYPES:
-            if base != "all" and _recognize_base(world, base, expr.value):
+            if base != "all" and _BASE_REC[base](world, expr.value):
                 graph.add_edge(name, base)
     if isinstance(expr, EnumExpr):
         for base in BASE_TYPES:
-            if base != "all" and all(_recognize_base(world, base, v) for v in expr.values):
+            if base != "all" and all(_BASE_REC[base](world, v) for v in expr.values):
                 graph.add_edge(name, base)
     if isinstance(expr, NamedRef):
         # a direct alias has exactly the other type's extent
@@ -688,7 +777,7 @@ def _derived_names(name: str) -> tuple[str, str]:
 
 def _make_recognizer_native(type_name: str):
     def fn(argv, world):
-        return boolify(recognize(world, type_name, argv[0]))
+        return boolify(_recognizer(world, type_name)(world, argv[0]))
 
     return fn
 
@@ -698,7 +787,7 @@ def _make_enumerator_native(type_name: str):
         n = argv[0]
         if not (is_integer(n) and n >= 0):
             n = 0
-        return enumerate_value(world, type_name, n)
+        return _decoder(world, type_name)(world, n)
 
     return fn
 
@@ -741,9 +830,10 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
         entry = world.types.entries[t1]
         if entry.size is not None:
             n_trials = min(n_trials, entry.size)
+        dec, rec = _decoder(world, t1), _recognizer(world, t2)
         for i in range(n_trials):
-            v = enumerate_value(world, t1, i)
-            if not recognize(world, t2, v):
+            v = dec(world, i)
+            if not rec(world, v):
                 raise SubtypeEvidenceError(t1, t2, i, v)
     world.subtypes.add_edge(t1, t2)
 

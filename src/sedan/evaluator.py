@@ -10,7 +10,9 @@ A term is compiled once into nested closures ``code(env, remaining)``, where
 memoised on the term object, so it lives exactly as long as the term does:
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter does;
-- a built-in's implementation is bound at compile time, its arity checked once;
+- a built-in's implementation is bound at compile time, its arity checked
+  once, and it is called with the argument values as positional arguments
+  (``impl(a, b)``), so a call builds no argument list;
 - a user function's body is compiled on its first call, and its code is kept on
   the body term the world holds (worlds only grow and redefinition is rejected,
   so nothing goes stale); a name not yet defined is looked up again when the
@@ -80,6 +82,8 @@ class ArityError(EvaluationError):
 
 def _fix(v: Value) -> Value:
     """Coerce to a rational; non-numbers act as 0."""
+    if type(v) is int:
+        return v
     return v if is_rational(v) else 0
 
 
@@ -87,32 +91,30 @@ def _ifix(v: Value) -> int:
     return v if is_integer(v) else 0
 
 
-def _car(args):
-    v = args[0]
+def _car(v):
     return v.car if isinstance(v, Cons) else NIL
 
 
-def _cdr(args):
-    v = args[0]
+def _cdr(v):
     return v.cdr if isinstance(v, Cons) else NIL
 
 
-def _divide(args):
-    if len(args) == 1:
-        a = _fix(args[0])
+def _divide(a, b=None):
+    if b is None:
+        a = _fix(a)
         return 0 if a == 0 else norm_rat(Fraction(1, 1) / a)
-    a, b = _fix(args[0]), _fix(args[1])
+    a, b = _fix(a), _fix(b)
     return 0 if b == 0 else norm_rat(Fraction(a) / b)
 
 
-def _minus(args):
-    if len(args) == 1:
-        return -_fix(args[0])
-    return norm_rat(Fraction(_fix(args[0]) - _fix(args[1])))
+def _minus(a, b=None):
+    if b is None:
+        return -_fix(a)
+    return norm_rat(Fraction(_fix(a) - _fix(b)))
 
 
-def _expt(args):
-    base, power = _fix(args[0]), _ifix(args[1])
+def _expt(base, power):
+    base, power = _fix(base), _ifix(power)
     if power == 0:
         return 1
     if base == 0:
@@ -120,7 +122,7 @@ def _expt(args):
     return norm_rat(Fraction(base) ** power)
 
 
-def _append(args):
+def _append(*args):
     if not args:
         return NIL
     out = args[-1]
@@ -133,14 +135,14 @@ def _append(args):
     return out
 
 
-def _plus(args):
+def _plus(*args):
     total = 0
     for a in args:
         total = total + _fix(a)
     return norm_rat(Fraction(total)) if isinstance(total, Fraction) else total
 
 
-def _times(args):
+def _times(*args):
     total = 1
     for a in args:
         total = total * _fix(a)
@@ -151,41 +153,43 @@ def _is_bool(v: Value) -> bool:
     return v == T or v == NIL
 
 
-# name -> (min arity, max arity or None, implementation)
+# name -> (min arity, max arity or None, implementation); the implementation
+# takes the argument values as positional arguments, impl(a, b), so a call
+# builds no argument list
 BUILTINS = {
-    "cons": (2, 2, lambda a: Cons(a[0], a[1])),
+    "cons": (2, 2, Cons),
     "car": (1, 1, _car),
     "cdr": (1, 1, _cdr),
-    "consp": (1, 1, lambda a: boolify(isinstance(a[0], Cons))),
-    "atom": (1, 1, lambda a: boolify(not isinstance(a[0], Cons))),
-    "endp": (1, 1, lambda a: boolify(not isinstance(a[0], Cons))),
-    "equal": (2, 2, lambda a: boolify(a[0] == a[1])),
-    "not": (1, 1, lambda a: boolify(a[0] == NIL)),
+    "consp": (1, 1, lambda a: boolify(isinstance(a, Cons))),
+    "atom": (1, 1, lambda a: boolify(not isinstance(a, Cons))),
+    "endp": (1, 1, lambda a: boolify(not isinstance(a, Cons))),
+    "equal": (2, 2, lambda a, b: boolify(a == b)),
+    "not": (1, 1, lambda a: boolify(a == NIL)),
     "+": (0, None, _plus),
     "*": (0, None, _times),
     "-": (1, 2, _minus),
     "/": (1, 2, _divide),
-    "<": (2, 2, lambda a: boolify(_fix(a[0]) < _fix(a[1]))),
-    "<=": (2, 2, lambda a: boolify(_fix(a[0]) <= _fix(a[1]))),
-    ">": (2, 2, lambda a: boolify(_fix(a[0]) > _fix(a[1]))),
-    ">=": (2, 2, lambda a: boolify(_fix(a[0]) >= _fix(a[1]))),
-    "=": (2, 2, lambda a: boolify(_fix(a[0]) == _fix(a[1]))),
+    "<": (2, 2, lambda a, b: boolify(_fix(a) < _fix(b))),
+    "<=": (2, 2, lambda a, b: boolify(_fix(a) <= _fix(b))),
+    ">": (2, 2, lambda a, b: boolify(_fix(a) > _fix(b))),
+    ">=": (2, 2, lambda a, b: boolify(_fix(a) >= _fix(b))),
+    "=": (2, 2, lambda a, b: boolify(_fix(a) == _fix(b))),
     "expt": (2, 2, _expt),
-    "len": (1, 1, lambda a: proper_length(a[0])),
+    "len": (1, 1, proper_length),
     "append": (0, None, _append),
-    "list": (0, None, lambda a: from_list(list(a))),
-    "natp": (1, 1, lambda a: boolify(is_integer(a[0]) and a[0] >= 0)),
-    "posp": (1, 1, lambda a: boolify(is_integer(a[0]) and a[0] > 0)),
-    "negp": (1, 1, lambda a: boolify(is_integer(a[0]) and a[0] < 0)),
-    "integerp": (1, 1, lambda a: boolify(is_integer(a[0]))),
-    "rationalp": (1, 1, lambda a: boolify(is_rational(a[0]))),
-    "real/rationalp": (1, 1, lambda a: boolify(is_rational(a[0]))),
-    "booleanp": (1, 1, lambda a: boolify(_is_bool(a[0]))),
-    "symbolp": (1, 1, lambda a: boolify(isinstance(a[0], Symbol))),
-    "stringp": (1, 1, lambda a: boolify(isinstance(a[0], str))),
-    "characterp": (1, 1, lambda a: boolify(isinstance(a[0], Char))),
-    "true-listp": (1, 1, lambda a: boolify(is_true_list(a[0]))),
-    "proper-consp": (1, 1, lambda a: boolify(isinstance(a[0], Cons) and is_true_list(a[0]))),
+    "list": (0, None, lambda *a: from_list(a)),
+    "natp": (1, 1, lambda a: boolify(is_integer(a) and a >= 0)),
+    "posp": (1, 1, lambda a: boolify(is_integer(a) and a > 0)),
+    "negp": (1, 1, lambda a: boolify(is_integer(a) and a < 0)),
+    "integerp": (1, 1, lambda a: boolify(is_integer(a))),
+    "rationalp": (1, 1, lambda a: boolify(is_rational(a))),
+    "real/rationalp": (1, 1, lambda a: boolify(is_rational(a))),
+    "booleanp": (1, 1, lambda a: boolify(_is_bool(a))),
+    "symbolp": (1, 1, lambda a: boolify(isinstance(a, Symbol))),
+    "stringp": (1, 1, lambda a: boolify(isinstance(a, str))),
+    "characterp": (1, 1, lambda a: boolify(isinstance(a, Char))),
+    "true-listp": (1, 1, lambda a: boolify(is_true_list(a))),
+    "proper-consp": (1, 1, lambda a: boolify(isinstance(a, Cons) and is_true_list(a))),
     "allp": (1, 1, lambda a: T),
 }
 
@@ -299,11 +303,11 @@ def _compile(t: Term, world):
     if impl is not None:  # a built-in or native: no depth bookkeeping
         if n == 1:
             a0 = args[0]
-            return lambda env, rem: impl([a0(env, rem)])
+            return lambda env, rem: impl(a0(env, rem))
         if n == 2:
             a0, a1 = args
-            return lambda env, rem: impl([a0(env, rem), a1(env, rem)])
-        return lambda env, rem: impl([a(env, rem) for a in args])
+            return lambda env, rem: impl(a0(env, rem), a1(env, rem))
+        return lambda env, rem: impl(*[a(env, rem) for a in args])
     call = _caller(world, fn, n)
     if n == 1:
         a0 = args[0]
@@ -373,7 +377,7 @@ def _bad_arity(fn: str, lo: int, hi, n: int):
 
 
 def _impl(world, fn: str, n: int):
-    """impl(argv) for a built-in or native function that takes n arguments."""
+    """impl(*argv) for a built-in or native function that takes n arguments."""
     builtin = BUILTINS.get(fn)
     if builtin is not None:
         lo, hi, impl = builtin
@@ -381,7 +385,7 @@ def _impl(world, fn: str, n: int):
     fdef = world.functions.get(fn)
     if fdef is not None and fdef.is_native() and fdef.arity == n:
         native, owner = fdef.fn, weakref.ref(world)
-        return lambda argv: native(argv, owner())
+        return lambda *argv: native(argv, owner())
     return None
 
 
@@ -391,7 +395,7 @@ def _caller(world, fn: str, n: int):
     is reached, after the arguments were evaluated."""
     impl = _impl(world, fn, n)
     if impl is not None:
-        return lambda argv, rem: impl(argv)
+        return lambda argv, rem: impl(*argv)
     owner = weakref.ref(world)
     bounds = arity_bounds(world, fn)
     if bounds is None:
@@ -486,7 +490,7 @@ def _interpret(term: Term, binding: Binding, world, depth_cap: int | None = None
             if builtin is not None:
                 lo, hi, impl = builtin
                 _check_arity(fn, lo, hi, n)
-                vals.append(impl(argv))
+                vals.append(impl(*argv))
                 continue
             fdef = world.functions.get(fn)
             if fdef is None:

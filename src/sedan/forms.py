@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clauses import split_implies
-from .reader import ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value
+from .reader import MAX_NESTING, ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value
 from .terms import App, Quote, Term, Var, app
 from .values import NIL, T, Symbol, print_value
 
@@ -106,7 +106,14 @@ Form = (
 )
 
 
-def compile_term(sx: Sexpr) -> Term:
+def compile_term(sx: Sexpr, depth: int = 1) -> Term:
+    """The core term of a source expression.
+
+    ``depth`` is the nesting level of the term's root among function
+    applications (1 for a term on its own). Sugar can nest deeper than its
+    source, so a term whose applications, once ``cond`` and selectors expand,
+    nest deeper than ``reader.MAX_NESTING`` is a ParseError at the expression
+    that crosses the limit, as a deeply nested list is in the reader."""
     if isinstance(sx, SAtom):
         v = sx.value
         if isinstance(v, Symbol):
@@ -127,31 +134,47 @@ def compile_term(sx: Sexpr) -> Term:
             raise ParseError("quote takes exactly one datum", sx.line, sx.col)
         return Quote(sexpr_to_value(args[0]))
     if fn == "cond":
-        return _expand_cond(args, sx)
-    compiled = [compile_term(a) for a in args]
+        return _expand_cond(args, sx, depth)
     if fn in _SELECTOR_SUGAR:
+        path = _SELECTOR_SUGAR[fn]
+    else:
+        m = _CXR_RE.match(fn)
+        path = m.group(1) if m else None
+    width = 1 if path is None else len(path)  # applications the call expands to
+    if depth + width - 1 > MAX_NESTING:
+        raise _too_deep(sx)
+    compiled = [compile_term(a, depth + width) for a in args]
+    if path is not None:
         if len(compiled) != 1:
             raise ParseError(f"{fn} takes exactly one argument", sx.line, sx.col)
-        return _expand_selector(_SELECTOR_SUGAR[fn], compiled[0])
-    m = _CXR_RE.match(fn)
-    if m:
-        if len(compiled) != 1:
-            raise ParseError(f"{fn} takes exactly one argument", sx.line, sx.col)
-        return _expand_selector(m.group(1), compiled[0])
+        return _expand_selector(path, compiled[0])
     return App(fn, tuple(compiled))
 
 
-def _expand_cond(clauses, sx: Sexpr) -> Term:
-    out: Term = Quote(NIL)
-    for clause in reversed(clauses):
+def _too_deep(sx: Sexpr) -> ParseError:
+    return ParseError(
+        f"term nested deeper than {MAX_NESTING} levels once cond and selectors expand",
+        sx.line, sx.col,
+    )
+
+
+def _expand_cond(clauses, sx: Sexpr, depth: int) -> Term:
+    # each clause but a t clause nests the rest of the chain one level deeper
+    arms = []
+    for clause in clauses:
         if not (isinstance(clause, SList) and len(clause.items) == 2):
             raise ParseError("cond clause must be (test expr)", sx.line, sx.col)
-        test = compile_term(clause.items[0])
-        body = compile_term(clause.items[1])
+        test = compile_term(clause.items[0], depth + 1)
         if test == Quote(T):
-            out = body
-        else:
-            out = app("if", test, body, out)
+            arms.append((test, compile_term(clause.items[1], depth)))
+            continue
+        if depth > MAX_NESTING:
+            raise _too_deep(clause)
+        arms.append((test, compile_term(clause.items[1], depth + 1)))
+        depth += 1
+    out: Term = Quote(NIL)
+    for test, body in reversed(arms):
+        out = body if test == Quote(T) else app("if", test, body, out)
     return out
 
 

@@ -29,8 +29,9 @@ class IndexSource:
         raise ValueError(f"unknown distribution: {dist}")
 
     def geometric(self) -> int:
+        coin = self._rng.random
         g = 0
-        while g < GEOMETRIC_WIDTH_CAP and self._rng.random() < GEOMETRIC_CONTINUE:
+        while g < GEOMETRIC_WIDTH_CAP and coin() < GEOMETRIC_CONTINUE:
             g += 1
         return self._rng.randrange(1 << g)
 

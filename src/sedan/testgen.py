@@ -3,7 +3,7 @@
 Hypotheses are always evaluated before the conclusion, so no trial passes
 vacuously: a reported witness satisfies every hypothesis, and a reported
 counterexample falsifies the whole conjecture. Satisfying assignments are
-deduplicated by their canonically printed binding.
+deduplicated by the tuple of their values in variable order.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def extract_restrictions(literals: list[Term], world) -> TypeAlist:
 
 
 def print_binding(binding: Binding, var_order) -> str:
-    """Canonical alist form, also the deduplication key."""
+    """Canonical alist form."""
     parts = [f"({v} . {print_value(binding[v])})" for v in var_order if v in binding]
     return "(" + " ".join(parts) + ")"
 
@@ -224,7 +224,11 @@ def run_trials(
         dist=config.dist,
         mode=mode,
     )
-    seen: dict[str, str] = {}  # binding key -> "cex" | "wit" | "err"
+    # one conjunction evaluates the hypotheses in order, stopping at the first
+    # that fails, with the depth cap applying to each on its own
+    hyp_term = App("and", tuple(hyps)) if hyps else None
+    filtered = [(v, plans[v]) for v in var_order if plans[v].residuals]
+    seen: dict[tuple, str] = {}  # binding values -> "cex" | "wit" | "err"
     started = time.perf_counter()
     for binding, error in assignments:
         report.trials_run += 1
@@ -232,20 +236,16 @@ def run_trials(
             _erred(report, error)  # a custom enumerator failed to instantiate
             continue
         try:
-            if not all(_passes_residuals(world, plans[v], binding[v]) for v in var_order):
+            if filtered and not all(_passes_residuals(world, plan, binding[v]) for v, plan in filtered):
                 continue
-            ok = True
-            for h in hyps:
-                if not truthy(evaluate(h, binding, world)):
-                    ok = False
-                    break
+            ok = hyp_term is None or truthy(evaluate(hyp_term, binding, world))
         except _TRIAL_ERRORS as e:
             _erred(report, e)
             continue
         if not ok:
             continue  # vacuous: a hypothesis failed
         report.satisfied += 1
-        key = print_binding(binding, var_order)
+        key = tuple(binding[v] for v in var_order)
         if key in seen:
             if seen[key] == "err":
                 report.erroring += 1  # erroring is counted per trial

@@ -1,13 +1,18 @@
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
+from sedan import session
 from sedan.evaluator import evaluate
+from sedan.reader import MAX_NESTING
 from sedan.reports import display_binding, emit_report, parse_binding, render_text
 from sedan.session import SessionOptions, process_file, process_source
 from sedan.testgen import TestConfig
 from sedan.values import NIL
+from sedan.world import World
 
 from conftest import corpus_path, make_world, term
 
@@ -76,10 +81,74 @@ def test_deep_nesting_is_reported_not_a_traceback(tmp_path, capsys):
     assert "nested deeper" in capsys.readouterr().out
 
 
+def _long_cond(clauses: int, form: str) -> str:
+    arms = " ".join(f"((equal x {i}) {i})" for i in range(clauses))
+    return f"({form} (implies (natp x) (equal (cond {arms} (t x)) x)))\n"
+
+
+@pytest.mark.parametrize("form", ["thm", "test?"])
+def test_cond_expanding_past_the_nesting_cap_is_a_parse_error(form, tmp_path, capsys):
+    from sedan.cli import main
+
+    # 1500 clauses read as shallow lists but expand into 1500 nested ifs
+    path = tmp_path / "cond.lisp"
+    path.write_text(_long_cond(1500, form))
+    assert main([str(path), "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert f"nested deeper than {MAX_NESTING} levels" in out
+    assert "Traceback" not in out
+    # the ifs start at level 3, so 253 clauses keep every test within the cap
+    path.write_text(_long_cond(MAX_NESTING - 3, form))
+    assert main([str(path), "--format", "text"]) == 0
+    path.write_text(_long_cond(MAX_NESTING - 2, form))
+    assert main([str(path), "--format", "text"]) == 1
+
+
 def test_moderate_nesting_is_accepted():
     out, _ = process_source(_nested_car(200) + _nested_car(200).replace("test?", "thm"))
     assert out.fatal_error is None
     assert [fr.status for fr in out.forms] == ["falsified", "falsified"]
+
+
+RECURSIVE_AND_CUSTOM = """\
+(defun evp (x) (and (integerp x) (integerp (* x 1/2))))
+(defun nth-ev (n) (* 2 n))
+(defdata ev (custom evp nth-ev))
+(defdata-subtype ev integer)
+(defdata tree (oneof nat (cons tree tree)))
+(defdata (sexp (oneof symbol integer slist)) (slist (oneof nil (cons sexp slist))))
+(defun size (x) (if (consp x) (+ (size (car x)) (size (cdr x))) 1))
+(test? (implies (and (treep x) (evp y)) (posp (size x))))
+(test? (implies (and (slistp x) (evp y)) (equal (len x) y)))
+(thm (implies (and (treep x) (evp y) (sexpp z)) (< (size x) (+ y 10))))
+"""
+
+
+def test_a_finished_world_is_freed_by_reference_counting(monkeypatch, tmp_path):
+    # compiled terms and types must not hold their world in a reference cycle,
+    # or every verdict would leave a world for the cyclic collector
+    worlds = []
+
+    def tracked_world():
+        world = World()
+        worlds.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(session, "World", tracked_world)
+    path = tmp_path / "types.lisp"
+    path.write_text(RECURSIVE_AND_CUSTOM)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in (corpus_path("triangle.lisp"), str(path)):
+            outcome = process_file(name, options())
+            assert outcome.fatal_error is None
+            assert "error" not in {fr.status for fr in outcome.forms}
+            assert outcome.forms[-1].status in ("falsified", "failed-with-checkpoints")
+            assert worlds[-1]() is None, name
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_missing_file_is_fatal():

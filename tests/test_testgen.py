@@ -1,8 +1,11 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from sedan.clauses import split_implies
-from sedan.datadef import SingletonRestriction
-from sedan.evaluator import evaluate
+from sedan.datadef import SingletonRestriction, enumerate_value
+from sedan.evaluator import EvaluationError, evaluate
 from sedan.terms import Quote, negate
 from sedan.testgen import (
     TestConfig,
@@ -11,7 +14,7 @@ from sedan.testgen import (
     run_trials,
     top_level_test,
 )
-from sedan.values import NIL, T, truthy
+from sedan.values import NIL, T, print_value, truthy
 
 from conftest import make_world, term
 
@@ -250,3 +253,68 @@ def test_erroring_custom_enumerator_is_reported_by_the_cli(tmp_path, capsys):
     path.write_text(SPINNING_ENUMERATOR + "\n(test? (implies (evr x) (integerp x)))\n")
     assert main([str(path), "--format", "text"]) == 0
     assert "raised evaluation errors; first: recursion depth cap of 50" in capsys.readouterr().out
+
+
+# symbol a, string "a" and character #\a, and pairs of them; many indices of
+# the union decode to the same value, so exhaustive trials repeat bindings
+LOOK_ALIKES = (
+    "(set-testing :depth-cap 30)\n"
+    "(defdata look (oneof 'a \"a\" #\\a (cons look look)))\n"
+    "(defun spin (v) (if (consp (car v)) (spin v) v))"
+)
+
+
+def _counts_under_printed_keys(world, conjecture, names, bound):
+    """The trial classification of run_trials in exhaustive mode, keyed by
+    each binding's printed form instead of its values."""
+    hyps, concl = split_implies(conjecture)
+    seen, counts, witnesses, counterexamples = {}, Counter(), [], []
+    for index in itertools.product(range(bound), repeat=len(names)):
+        binding = {v: enumerate_value(world, "look", i) for v, i in zip(names, index)}
+        try:
+            ok = all(truthy(evaluate(h, binding, world)) for h in hyps)
+        except EvaluationError:
+            counts["erroring"] += 1
+            continue
+        if not ok:
+            continue
+        key = print_binding(binding, names)
+        if key in seen:
+            counts["erroring"] += seen[key] == "err"
+            continue
+        counts["unique_satisfied"] += 1
+        try:
+            value = evaluate(concl, binding, world)
+        except EvaluationError:
+            counts["erroring"] += 1
+            counts["erroring_unique"] += 1
+            seen[key] = "err"
+            continue
+        seen[key] = "wit" if truthy(value) else "cex"
+        (witnesses if truthy(value) else counterexamples).append(key)
+    return counts, witnesses, counterexamples
+
+
+def test_value_keys_deduplicate_as_printed_keys_do():
+    w = make_world(LOOK_ALIKES)
+    # spin loops on a value whose car is a pair: errors in a hypothesis (y)
+    # and in the conclusion (x)
+    t = term("(implies (and (lookp x) (not (equal (spin y) 'b))) (equal (spin x) y))")
+    bound = 40
+    report = run_trials(t, {"x": ("look",), "y": ("look",)},
+                        TestConfig(mode="exhaustive", exhaustive_bound=bound), w)
+    counts, witnesses, counterexamples = _counts_under_printed_keys(w, t, ["x", "y"], bound)
+    assert report.trials_run == bound * bound
+    assert report.unique_satisfied == counts["unique_satisfied"]
+    assert report.erroring == counts["erroring"]
+    assert report.erroring_unique == counts["erroring_unique"]
+    assert [print_binding(b, ["x", "y"]) for b in report.witnesses] == witnesses
+    assert [print_binding(b, ["x", "y"]) for b in report.counterexamples] == counterexamples
+    # the check means something: every trial that is not satisfied raised in
+    # a hypothesis, bindings repeat, and some repeat an error in the conclusion
+    hypothesis_errors = report.trials_run - report.satisfied
+    assert report.unique_satisfied < report.satisfied
+    assert 0 < report.erroring_unique < report.erroring - hypothesis_errors
+    assert witnesses and counterexamples
+    printed = {print_value(enumerate_value(w, "look", n)) for n in range(bound)}
+    assert {"a", '"a"', "#\\a", '(a . "a")'} <= printed
