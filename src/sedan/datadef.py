@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .evaluator import apply_function, arity_bounds, is_callable_name
+from .evaluator import EvaluationError, apply_function, arity_bounds, is_callable_name
 from .reader import ParseError, SAtom, Sexpr, SList, sexpr_to_value
 from .values import (
     NIL,
@@ -208,8 +208,7 @@ def print_restriction(r: Restriction, upcase: bool = False) -> str:
 class TypeEntry:
     name: str
     expr: TypeExpr
-    kind: str  # "finite" | "infinite"
-    extent: Optional[tuple[Value, ...]] = None
+    extent: Optional[tuple[Value, ...]] = None  # the values of a finite type
     # compiled on first use: dec(world, n) enumerates, rec(world, v) recognizes
     dec: Optional[Callable] = field(default=None, repr=False, compare=False)
     rec: Optional[Callable] = field(default=None, repr=False, compare=False)
@@ -543,7 +542,7 @@ def sample(world, name: str, rng, dist: str = "geometric") -> Value:
 # groundedness and finiteness
 
 
-def _height(expr: TypeExpr, member_heights: dict[str, float], world) -> float:
+def _height(expr: TypeExpr, member_heights: dict[str, float]) -> float:
     if isinstance(expr, (BaseRef, EnumExpr, SingletonExpr, CustomExpr)):
         return 0
     if isinstance(expr, NamedRef):
@@ -554,35 +553,35 @@ def _height(expr: TypeExpr, member_heights: dict[str, float], world) -> float:
     if isinstance(expr, (ListofExpr, SetExpr)):
         return 0  # nil is always available
     if isinstance(expr, ProductExpr):
-        return max(_height(expr.car, member_heights, world), _height(expr.cdr, member_heights, world))
+        return max(_height(expr.car, member_heights), _height(expr.cdr, member_heights))
     if isinstance(expr, RecordExpr):
         if not expr.fields:
             return 0
-        return max(_height(f, member_heights, world) for _, f in expr.fields)
+        return max(_height(f, member_heights) for _, f in expr.fields)
     if isinstance(expr, OneofExpr):
-        return min(_height(b, member_heights, world) for b in expr.branches)
+        return min(_height(b, member_heights) for b in expr.branches)
     raise DatadefError(f"no height for {expr!r}")
 
 
-def _resolve_base_branches(expr: TypeExpr, member_heights, world) -> TypeExpr:
+def _resolve_base_branches(expr: TypeExpr, member_heights) -> TypeExpr:
     """Pin each oneof's index-0 branch to its lowest-height branch."""
     if isinstance(expr, OneofExpr):
-        branches = tuple(_resolve_base_branches(b, member_heights, world) for b in expr.branches)
-        heights = [_height(b, member_heights, world) for b in branches]
+        branches = tuple(_resolve_base_branches(b, member_heights) for b in expr.branches)
+        heights = [_height(b, member_heights) for b in branches]
         return OneofExpr(branches, base_branch=heights.index(min(heights)))
     if isinstance(expr, ProductExpr):
         return ProductExpr(
-            _resolve_base_branches(expr.car, member_heights, world),
-            _resolve_base_branches(expr.cdr, member_heights, world),
+            _resolve_base_branches(expr.car, member_heights),
+            _resolve_base_branches(expr.cdr, member_heights),
         )
     if isinstance(expr, ListofExpr):
-        return ListofExpr(_resolve_base_branches(expr.elem, member_heights, world))
+        return ListofExpr(_resolve_base_branches(expr.elem, member_heights))
     if isinstance(expr, SetExpr):
-        return SetExpr(_resolve_base_branches(expr.elem, member_heights, world))
+        return SetExpr(_resolve_base_branches(expr.elem, member_heights))
     if isinstance(expr, RecordExpr):
         return RecordExpr(
             expr.tag,
-            tuple((n, _resolve_base_branches(f, member_heights, world)) for n, f in expr.fields),
+            tuple((n, _resolve_base_branches(f, member_heights)) for n, f in expr.fields),
         )
     return expr
 
@@ -738,7 +737,7 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
     while changed:
         changed = False
         for name, expr in definitions:
-            h = _height(expr, heights, world)
+            h = _height(expr, heights)
             if h < heights[name]:
                 heights[name] = h
                 changed = True
@@ -746,16 +745,15 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
         if heights[name] == _UNGROUNDED:
             raise AdmissionError(f"recursive data definition {name} has no base case")
 
-    resolved = [(name, _resolve_base_branches(expr, heights, world)) for name, expr in definitions]
+    resolved = [(name, _resolve_base_branches(expr, heights)) for name, expr in definitions]
 
     # install entries first so mutual references resolve during extent checks
     for name, expr in resolved:
-        world.types.entries[name] = TypeEntry(name, expr, "infinite")
+        world.types.entries[name] = TypeEntry(name, expr)
     for name, expr in resolved:
         extent = _compute_extent(expr, set(), world)
         entry = world.types.entries[name]
         if extent is not None and len(extent) <= EXTENT_CAP:
-            entry.kind = "finite"
             entry.extent = tuple(extent)
 
     for name, expr in resolved:
@@ -794,12 +792,7 @@ def _make_enumerator_native(type_name: str):
 
 def install_base_types(world):
     for name in BASE_TYPES:
-        expr = BaseRef(name)
-        entry = TypeEntry(name, expr, "infinite")
-        if name == "boolean":
-            entry.kind = "finite"
-            entry.extent = (T, NIL)
-        world.types.entries[name] = entry
+        world.types.entries[name] = TypeEntry(name, BaseRef(name), (T, NIL) if name == "boolean" else None)
         world.types.recognizer_index[BASE_RECOGNIZER[name]] = name
         world.subtypes.add_vertex(name)
         world.define_native("nth-" + name, 1, _make_enumerator_native(name))
@@ -819,7 +812,8 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
     """Admit the containment T1 <= T2, after an enumerated evidence check.
 
     The check runs recognize(t2, enumerate(t1, i)) for i in [0, N). Following
-    a failure the edge is rejected with the witness index and value. ``trust``
+    a failure the edge is rejected with the witness index and value, and an
+    index whose enumeration or recognition raises rejects it too. ``trust``
     skips the check (for curated corpus files).
     """
     for name in (t1, t2):
@@ -832,8 +826,14 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
             n_trials = min(n_trials, entry.size)
         dec, rec = _decoder(world, t1), _recognizer(world, t2)
         for i in range(n_trials):
-            v = dec(world, i)
-            if not rec(world, v):
+            try:
+                v = dec(world, i)
+                ok = rec(world, v)
+            except (EvaluationError, RecursionError) as e:
+                raise DatadefError(
+                    f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: {e}"
+                ) from None
+            if not ok:
                 raise SubtypeEvidenceError(t1, t2, i, v)
     world.subtypes.add_edge(t1, t2)
 
@@ -844,7 +844,6 @@ class TypeSelection:
 
     primary: Restriction
     residuals: tuple[Restriction, ...]
-    equivalents: tuple[str, ...] = ()
 
 
 def minimal_type(world, restrictions: list[Restriction]) -> TypeSelection:
@@ -869,10 +868,10 @@ def minimal_type(world, restrictions: list[Restriction]) -> TypeSelection:
     minimal = graph.minimal_among(names)
     if minimal is not None:
         residuals = tuple(n for n in names if not graph.subsumes(minimal, n))
-        return TypeSelection(minimal, residuals, equivalents=graph.equivalents(minimal))
+        return TypeSelection(minimal, residuals)
     primary = names[0]
     residuals = tuple(n for n in names[1:] if not graph.subsumes(primary, n))
-    return TypeSelection(primary, residuals, equivalents=graph.equivalents(primary))
+    return TypeSelection(primary, residuals)
 
 
 # ---------------------------------------------------------------------------

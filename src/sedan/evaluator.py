@@ -498,7 +498,7 @@ def _interpret(term: Term, binding: Binding, world, depth_cap: int | None = None
             if fdef.is_native():
                 lo, hi = fdef.arity_bounds()
                 _check_arity(fn, lo, hi, n)
-                vals.append(fdef.call(argv, world))
+                vals.append(fdef.fn(argv, world))
             else:
                 _check_arity(fn, len(fdef.formals), len(fdef.formals), n)
                 depth += 1

@@ -1,9 +1,12 @@
-"""Hint selection, override-hint folding, and the backtrack protocol.
+"""Hint settings and the backtrack protocol.
 
-Hints are selected once per goal at the top of the waterfall; override hints
-then fold over the selection in registration order. Backtrack handlers run
-after a process succeeds and may discard its children, re-entering the goal
-with settings that extend (never replace) the previous ones.
+``goal_settings`` is the one rule for what a goal gets when the waterfall
+takes it up. The first user hint naming the goal gives its do-not set and its
+trial count, and may name a backtrack handler; a goal whose hint names none
+gets the testing handler when backtracking is on, and otherwise the handler
+its parent had. Backtrack handlers run after a process succeeds and may
+discard its children, re-entering the goal with settings that extend (never
+replace) the previous ones.
 """
 
 from __future__ import annotations
@@ -22,22 +25,13 @@ from .testgen import TestConfig, TestReport
 class HintSettings:
     do_not: frozenset[str] = frozenset()
     trials: Optional[int] = None
-    backtrack: Optional[str] = None  # registered handler name
-    replacement: bool = False  # propagate to descendant goals
+    backtrack: Optional[str] = None  # registered handler name; children inherit it
 
     def extend_do_not(self, names) -> "HintSettings":
         return replace(self, do_not=self.do_not | frozenset(names))
 
 
 EMPTY_SETTINGS = HintSettings()
-
-
-@dataclass(frozen=True)
-class OverrideHint:
-    """A pure transformer over hint settings, applied in registration order."""
-
-    name: str
-    transform: Callable[[HintSettings], HintSettings]
 
 
 @dataclass
@@ -48,8 +42,13 @@ class BacktrackOutcome:
     note: Optional[str] = None
 
 
-def select_hints(goal_id: str, user_hints: tuple[HintSpec, ...]) -> HintSettings:
-    """First user hint whose goal id matches wins; otherwise empty settings."""
+def goal_settings(
+    goal_id: str, user_hints: tuple[HintSpec, ...], inherited: Optional[str], testing: bool
+) -> HintSettings:
+    """The first user hint whose goal id matches (empty settings if none);
+    when it names no backtrack handler, the goal gets ``test-gen-checkpoint``
+    if ``testing`` is on and its parent's handler ``inherited`` otherwise."""
+    settings = EMPTY_SETTINGS
     for spec in user_hints:
         if spec.goal_id == goal_id:
             for name in spec.do_not:
@@ -57,32 +56,11 @@ def select_hints(goal_id: str, user_hints: tuple[HintSpec, ...]) -> HintSettings
                     raise ValueError(f"hint references unknown process: {name}")
             if spec.backtrack is not None and spec.backtrack not in HANDLERS:
                 raise ValueError(f"hint references unknown backtrack handler: {spec.backtrack}")
-            return HintSettings(
-                do_not=frozenset(spec.do_not),
-                trials=spec.trials,
-                backtrack=spec.backtrack,
-                replacement=spec.backtrack is not None,
-            )
-    return EMPTY_SETTINGS
-
-
-def fold_override_hints(settings: HintSettings, overrides: list[OverrideHint]) -> HintSettings:
-    """Left fold in registration order; each result feeds the next transformer."""
-    for override in overrides:
-        settings = override.transform(settings)
+            settings = HintSettings(frozenset(spec.do_not), spec.trials, spec.backtrack)
+            break
+    if settings.backtrack is None:
+        settings = replace(settings, backtrack="test-gen-checkpoint" if testing else inherited)
     return settings
-
-
-def testing_override() -> OverrideHint:
-    """Attach the counterexample-driven backtrack handler, keeping any
-    user-provided do-not set and trial override intact."""
-
-    def transform(settings: HintSettings) -> HintSettings:
-        if settings.backtrack is not None:
-            return settings
-        return replace(settings, backtrack="test-gen-checkpoint", replacement=True)
-
-    return OverrideHint("testing-override", transform)
 
 
 def test_gen_checkpoint(processor, children, goal, world, config: TestConfig, history) -> BacktrackOutcome:
@@ -124,11 +102,8 @@ def apply_backtrack(
     a proof: they are logged and treated as keep."""
     if handler_name is None:
         return BacktrackOutcome("keep")
-    handler = HANDLERS.get(handler_name)
-    if handler is None:
-        return BacktrackOutcome("keep", note=f"unknown backtrack handler {handler_name}; ignored")
     try:
-        outcome = handler(processor, children, goal, world, config, history)
+        outcome = HANDLERS[handler_name](processor, children, goal, world, config, history)
     except Exception as e:  # a broken handler must not kill the attempt
         return BacktrackOutcome("keep", note=f"backtrack handler error: {e}")
     if outcome.action == "redo" and outcome.settings is not None:

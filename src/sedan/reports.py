@@ -20,6 +20,7 @@ from .testgen import TestReport, print_binding
 from .values import Symbol, Value, print_value
 from .waterfall import ProcessLogEntry, ProofResult
 
+REPORT_CAP = 3  # counterexamples and witnesses listed per report
 
 # ---------------------------------------------------------------------------
 # upcased display for the narrative text
@@ -82,7 +83,7 @@ def _trial_sentences(report: TestReport) -> list[str]:
     return lines
 
 
-def render_test_report(report: TestReport, cap: int) -> list[str]:
+def render_test_report(report: TestReport) -> list[str]:
     var_order = list(report.type_alist)
     lines = []
     if report.goal_id:
@@ -92,23 +93,23 @@ def render_test_report(report: TestReport, cap: int) -> list[str]:
     lines.append("")
     if report.counterexamples:
         lines.append("We falsified the conjecture. Here are counterexamples:")
-        for b in report.counterexamples[:cap]:
+        for b in report.counterexamples[:REPORT_CAP]:
             lines.append(f" -- {display_binding(b, var_order)}")
-        if len(report.counterexamples) > cap:
+        if len(report.counterexamples) > REPORT_CAP:
             lines.append("...")
         lines.append("")
     if report.witnesses:
         lines.append("Cases in which the conjecture is true include:")
-        for b in report.witnesses[:cap]:
+        for b in report.witnesses[:REPORT_CAP]:
             lines.append(f" -- {display_binding(b, var_order)}")
-        if len(report.witnesses) > cap:
+        if len(report.witnesses) > REPORT_CAP:
             lines.append("...")
         lines.append("")
     lines.extend(_trial_sentences(report))
     return lines
 
 
-def _render_thm(fr: FormResult, cap: int) -> list[str]:
+def _render_thm(fr: FormResult) -> list[str]:
     proof = fr.proof
     lines: list[str] = []
     for entry in proof.discarded_generalizations:
@@ -131,14 +132,14 @@ def _render_thm(fr: FormResult, cap: int) -> list[str]:
         lines.append(f"Checkpoint {goal.id}:")
         lines.append(print_term(clause_to_term(goal.literals), upcase=True))
         lines.append("")
-        lines.extend(render_test_report(report, cap))
+        lines.extend(render_test_report(report))
         lines.append("")
     if proof.counterexamples:
         lines.append("We falsified the conjecture. Here are counterexamples:")
         top_order = clause_vars([proof.top_term])
-        for cex in proof.counterexamples[:cap]:
+        for cex in proof.counterexamples[:REPORT_CAP]:
             lines.append(f" -- {display_binding(cex.top_binding, top_order, cex.wildcard_vars)}")
-        if len(proof.counterexamples) > cap:
+        if len(proof.counterexamples) > REPORT_CAP:
             lines.append("...")
         lines.append("")
     for sub in proof.subgoal_counterexamples:
@@ -152,7 +153,6 @@ def _render_thm(fr: FormResult, cap: int) -> list[str]:
 
 
 def render_text(outcome: SessionOutcome) -> str:
-    cap = outcome.options.config.report_cap
     lines: list[str] = []
     if outcome.fatal_error:
         lines.append(f"Error: {outcome.fatal_error}")
@@ -163,9 +163,9 @@ def render_text(outcome: SessionOutcome) -> str:
             lines.append("")
             continue
         if fr.kind == "test?" and fr.testing is not None:
-            lines.extend(render_test_report(fr.testing, cap))
+            lines.extend(render_test_report(fr.testing))
         elif fr.kind == "thm" and fr.proof is not None:
-            lines.extend(_render_thm(fr, cap))
+            lines.extend(_render_thm(fr))
         else:
             lines.append(f"{fr.status.capitalize()}.")
         lines.append("")
@@ -177,7 +177,7 @@ def render_text(outcome: SessionOutcome) -> str:
 # structured report
 
 
-def _report_json(report: TestReport, cap: int) -> dict:
+def _report_json(report: TestReport) -> dict:
     var_order = list(report.type_alist)
     return {
         "goal": report.goal_id,
@@ -192,8 +192,8 @@ def _report_json(report: TestReport, cap: int) -> dict:
         "unique": report.unique_satisfied,
         "counterexample_count": len(report.counterexamples),
         "witness_count": len(report.witnesses),
-        "counterexamples": [print_binding(b, var_order) for b in report.counterexamples[:cap]],
-        "witnesses": [print_binding(b, var_order) for b in report.witnesses[:cap]],
+        "counterexamples": [print_binding(b, var_order) for b in report.counterexamples[:REPORT_CAP]],
+        "witnesses": [print_binding(b, var_order) for b in report.witnesses[:REPORT_CAP]],
         "erroring": report.erroring,
         "first_error": report.first_error,
         "seed": report.seed,
@@ -220,14 +220,14 @@ def _log_entry_json(entry: ProcessLogEntry) -> dict:
     }
 
 
-def _proof_json(proof: ProofResult, cap: int) -> dict:
+def _proof_json(proof: ProofResult) -> dict:
     top_order = clause_vars([proof.top_term])
     return {
         "status": proof.status,
         "seed": proof.seed,
         "checkpoints": [g.id for g in proof.checkpoints],
         "checkpoint_reports": {
-            gid: _report_json(r, cap) for gid, r in sorted(proof.checkpoint_reports.items())
+            gid: _report_json(r) for gid, r in sorted(proof.checkpoint_reports.items())
         },
         "counterexamples": [
             {
@@ -266,7 +266,6 @@ def _proof_json(proof: ProofResult, cap: int) -> dict:
 
 
 def render_structured(outcome: SessionOutcome) -> str:
-    cap = outcome.options.config.report_cap
     cfg = outcome.options.config
     doc = {
         "tool": "sedan",
@@ -291,8 +290,8 @@ def render_structured(outcome: SessionOutcome) -> str:
                 "status": fr.status,
                 "error": fr.error,
                 "seed": fr.seed,
-                "testing": _report_json(fr.testing, cap) if fr.testing else None,
-                "proof": _proof_json(fr.proof, cap) if fr.proof else None,
+                "testing": _report_json(fr.testing) if fr.testing else None,
+                "proof": _proof_json(fr.proof) if fr.proof else None,
             }
             for fr in outcome.forms
         ],

@@ -30,7 +30,6 @@ from .forms import (
     parse_forms,
     print_form,
 )
-from .hints import testing_override
 from .rand import derive_seed
 from .reader import ParseError
 from .testgen import TestConfig, TestReport, top_level_test
@@ -92,7 +91,6 @@ class _Session:
         self.world = World()
         self.world.settings.max_rewrite_depth = options.max_rewrite_depth
         self.config = options.config
-        self.overrides = [testing_override()] if options.backtrack else []
         self.results: list[FormResult] = []
         self.index = 0
         self.include_stack: list[str] = []
@@ -142,11 +140,7 @@ class _Session:
                 self._run_test(form, fr)
             elif isinstance(form, ThmForm):
                 self._run_thm(form, fr)
-        except (AdmissionError, DatadefError, ParseError, OSError) as e:
-            fr.status = "error"
-            fr.error = str(e)
-            return False
-        except ValueError as e:
+        except (AdmissionError, DatadefError, ParseError, OSError, ValueError) as e:
             fr.status = "error"
             fr.error = str(e)
             return False
@@ -184,7 +178,7 @@ class _Session:
         seed = self._seed_for(fr.index, is_thm=True)
         fr.seed = seed
         result = run_waterfall(
-            form.term, self.world, form.hints, self.config, overrides=self.overrides, seed=seed
+            form.term, self.world, form.hints, self.config, backtrack=self.options.backtrack, seed=seed
         )
         fr.proof = result
         if result.falsified:

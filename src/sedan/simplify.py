@@ -150,8 +150,6 @@ def _rewrite(t: Term, world, ctx: _Context, budget: _Budget, depth: int, srec: i
         except EvaluationError:
             return t
     for rule in world.rules:
-        if not rule.enabled:
-            continue
         sigma = match(rule.lhs, t)
         if sigma is None:
             continue
@@ -205,12 +203,9 @@ def _cleanup(literals: list[Term]):
     return out, False
 
 
-def simplify_clause(literals: list[Term], world, max_depth: Optional[int] = None) -> SimplifyOutcome:
+def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
     """Run the staged simplifier on one clause."""
-    budget = _Budget(
-        world.settings.max_rule_applications,
-        world.settings.max_rewrite_depth if max_depth is None else max_depth,
-    )
+    budget = _Budget(world.settings.max_rule_applications, world.settings.max_rewrite_depth)
     lits = list(literals)
     substitutions: dict[str, Term] = {}
     diagnostics: list[str] = []

@@ -47,7 +47,6 @@ class TestConfig:
     uniform_bound: int = DEFAULT_UNIFORM_BOUND
     per_goal_cap: int = 200_000
     deterministic: Optional[bool] = None  # None: on for thm forms, off for test?
-    report_cap: int = 3
 
 
 @dataclass

@@ -5,6 +5,11 @@ every checkpoint and lift its counterexamples back to the top-level conjecture.
 Pooled goals would be handed to induction in a full prover; here the pool is
 never drained, so any pooled goal makes the attempt fail and the pooled goals
 are exactly the checkpoints reported and tested.
+
+Each goal takes its settings from ``hints.goal_settings``, and every process
+that fires is logged as one ``ProcessLogEntry``. The goal's backtrack handler
+may discard that step, and the goal then runs again with the settings the
+handler returns.
 """
 
 from __future__ import annotations
@@ -16,15 +21,13 @@ from typing import Optional
 from .clauses import clause_to_term, clause_vars, clausify
 from .datadef import BaseRef, ListofExpr, NamedRef, ProductExpr, Restriction
 from .evaluator import EvaluationError, evaluate
-from .forms import HintSpec
-from .hints import EMPTY_SETTINGS, HintSettings, OverrideHint, apply_backtrack, fold_override_hints, select_hints
+from .forms import PROCESS_NAMES, HintSpec
+from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, goal_settings
 from .history import History
 from .simplify import simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
 from .testgen import TestConfig, TestReport, run_trials
 from .values import Value, truthy
-
-PROCESS_ORDER = ("simplify", "eliminate-destructors", "generalize")
 
 
 @dataclass
@@ -32,12 +35,16 @@ class Goal:
     id: str
     literals: list[Term]
     settings: HintSettings = EMPTY_SETTINGS
-    origin: str = "top"
     inherited_backtrack: Optional[str] = None
 
 
 @dataclass
 class ProcessLogEntry:
+    """One waterfall step. ``variable_map`` is the edge's map from parent
+    variables to child terms, except for generalize, whose non-liftable edge
+    keeps the reverse map (fresh variable -> replaced term); ``type_map``
+    holds the restrictions destructor elimination gives its fresh variables."""
+
     goal_id: str
     process: str
     outcome: str  # "proved" | "children" | "discarded"
@@ -45,6 +52,7 @@ class ProcessLogEntry:
     parent_clause: list[Term] = field(default_factory=list)
     child_clauses: list[list[Term]] = field(default_factory=list)
     variable_map: dict = field(default_factory=dict)
+    type_map: dict = field(default_factory=dict)
     liftable: bool = True
     note: Optional[str] = None
 
@@ -215,10 +223,11 @@ def run_waterfall(
     world,
     hints: tuple[HintSpec, ...],
     config: TestConfig,
-    overrides: Optional[list[OverrideHint]] = None,
+    backtrack: bool = False,
     seed: Optional[int] = None,
 ) -> ProofResult:
-    overrides = overrides or []
+    """Prove ``top`` as far as the waterfall goes. With ``backtrack`` on,
+    every goal whose hint names no backtrack handler gets the testing one."""
     used_seed = config.seed if seed is None else seed
     config = replace(config, seed=used_seed)
     history = History()
@@ -237,7 +246,7 @@ def run_waterfall(
         ids = _child_ids("Goal", len(clauses))
         for cid, cl in zip(ids, clauses):
             history.record_node("Goal", cid, cl, "clausify", {}, world=world)
-            agenda.append(Goal(cid, cl, origin="Goal:clausify"))
+            agenda.append(Goal(cid, cl))
         result.process_log.append(
             ProcessLogEntry("Goal", "clausify", "children", tuple(ids), [top], clauses)
         )
@@ -255,52 +264,29 @@ def run_waterfall(
             agenda.clear()
             break
         goal = agenda.popleft()
-        settings = fold_override_hints(select_hints(goal.id, hints), overrides)
-        if settings.backtrack is None and goal.inherited_backtrack is not None:
-            settings = replace(settings, backtrack=goal.inherited_backtrack, replacement=True)
-        goal.settings = settings
+        goal.settings = goal_settings(goal.id, hints, goal.inherited_backtrack, backtrack)
 
-        for _ in range(len(PROCESS_ORDER) + 1):
-            fired = _try_processes(goal, world, history, fresh)
-            if fired is None:
+        for _ in range(len(PROCESS_NAMES) + 1):
+            entry = _try_processes(goal, world, history, fresh)
+            if entry is None:
                 pool.append(goal)
                 break
-            process, status, children, varmap, typemap, liftable, note, log_map = fired
+            result.process_log.append(entry)
             outcome = apply_backtrack(
-                settings.backtrack, process, children, goal, world, config, history
+                goal.settings.backtrack, entry.process, entry.child_clauses, goal, world, config, history
             )
             if outcome.action == "redo":
-                result.process_log.append(
-                    ProcessLogEntry(
-                        goal.id, process, "discarded",
-                        parent_clause=goal.literals, child_clauses=children,
-                        variable_map=dict(log_map), liftable=liftable,
-                        note=outcome.note,
-                    )
-                )
-                goal.settings = settings = outcome.settings
+                entry.outcome, entry.note = "discarded", outcome.note
+                goal.settings = outcome.settings
                 continue
-            if status == "proved":
-                result.process_log.append(
-                    ProcessLogEntry(goal.id, process, "proved", parent_clause=goal.literals, note=note)
-                )
-                break
-            ids = _child_ids(goal.id, len(children))
-            for cid, cl in zip(ids, children):
-                history.record_node(
-                    goal.id, cid, cl, process, dict(varmap), typemap, liftable=liftable, world=world
-                )
-                child = Goal(cid, cl, origin=f"{goal.id}:{process}")
-                if settings.replacement and settings.backtrack is not None:
-                    child.inherited_backtrack = settings.backtrack
-                agenda.append(child)
-            result.process_log.append(
-                ProcessLogEntry(
-                    goal.id, process, "children", tuple(ids),
-                    parent_clause=goal.literals, child_clauses=children,
-                    variable_map=dict(log_map), liftable=liftable, note=note,
-                )
-            )
+            if entry.outcome == "children":
+                entry.child_ids = tuple(_child_ids(goal.id, len(entry.child_clauses)))
+                for cid, cl in zip(entry.child_ids, entry.child_clauses):
+                    history.record_node(
+                        goal.id, cid, cl, entry.process, entry.variable_map, entry.type_map,
+                        liftable=entry.liftable, world=world,
+                    )
+                    agenda.append(Goal(cid, cl, inherited_backtrack=goal.settings.backtrack))
             break
         else:
             result.diagnostics.append(f"{goal.id}: backtracking did not settle; pushed to pool")
@@ -361,31 +347,37 @@ def _classify_counterexample(result: ProofResult, history: History, goal: Goal, 
     )
 
 
-def _try_processes(goal: Goal, world, history: History, fresh: FreshNames):
-    """First applicable process wins; returns (name, status, children,
-    history varmap, typemap, liftable, note, log map) or None. For liftable
-    edges the log map matches the history map (parent var -> child term); for
-    generalize it is the reverse map (fresh var -> replaced term)."""
-    for process in PROCESS_ORDER:
+def _try_processes(goal: Goal, world, history: History, fresh: FreshNames) -> Optional[ProcessLogEntry]:
+    """First applicable process wins; returns its step with outcome "proved"
+    or "children", or None when no process applies."""
+    for process in PROCESS_NAMES:
         if process in goal.settings.do_not:
             continue
         if process == "simplify":
             outcome = simplify_clause(goal.literals, world)
             note = "; ".join(outcome.diagnostics) if outcome.diagnostics else None
             if outcome.status == "proved":
-                return ("simplify", "proved", [], {}, {}, True, note, {})
+                return ProcessLogEntry(goal.id, process, "proved", parent_clause=goal.literals, note=note)
             if outcome.status == "children":
-                subs = outcome.substitutions
-                return ("simplify", "children", outcome.children, subs, {}, True, note, subs)
+                return ProcessLogEntry(
+                    goal.id, process, "children", parent_clause=goal.literals,
+                    child_clauses=outcome.children, variable_map=outcome.substitutions, note=note,
+                )
         elif process == "eliminate-destructors":
             found = eliminate_destructors(goal, world, history, fresh)
             if found is not None:
                 new_lits, varmap, typemap = found
-                return ("eliminate-destructors", "children", [new_lits], varmap, typemap, True, None, varmap)
+                return ProcessLogEntry(
+                    goal.id, process, "children", parent_clause=goal.literals,
+                    child_clauses=[new_lits], variable_map=varmap, type_map=typemap,
+                )
         elif process == "generalize":
             found = generalize(goal, fresh)
             if found is not None:
                 new_lits, reverse_map = found
-                note = "; ".join(f"{v} abstracts {t}" for v, t in reverse_map.items())
-                return ("generalize", "children", [new_lits], {}, {}, False, note, reverse_map)
+                return ProcessLogEntry(
+                    goal.id, process, "children", parent_clause=goal.literals,
+                    child_clauses=[new_lits], variable_map=reverse_map, liftable=False,
+                    note="; ".join(f"{v} abstracts {t}" for v, t in reverse_map.items()),
+                )
     return None

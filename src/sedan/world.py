@@ -42,9 +42,6 @@ class NativeFunction:
     def arity_bounds(self):
         return (self.arity, self.arity)
 
-    def call(self, argv, world):
-        return self.fn(argv, world)
-
 
 @dataclass(frozen=True)
 class RewriteRule:
@@ -54,7 +51,6 @@ class RewriteRule:
     hyps: tuple[Term, ...]
     lhs: Term
     rhs: Term
-    enabled: bool = True
 
 
 @dataclass

@@ -13,7 +13,6 @@ from sedan.clauses import split_implies
 from sedan.datadef import enumerate_value, minimal_type, recognize, sample, SubtypeEvidenceError, add_subtype_edge
 from sedan.evaluator import evaluate
 from sedan.forms import parse_forms, TestForm, ThmForm
-from sedan.hints import testing_override as make_testing_override
 from sedan.rand import IndexSource
 from sedan.reports import emit_report
 from sedan.session import SessionOptions, process_file
@@ -79,7 +78,7 @@ def test_criterion_2_typed_rev_rev():
     assert len(report.witnesses) >= 1
     from sedan.reports import render_test_report
 
-    text = "\n".join(render_test_report(report, cap=3))
+    text = "\n".join(render_test_report(report))
     sentence = (
         f"We tried 100 random trials, {report.satisfied} "
         f"({report.unique_satisfied} unique) of which satisfied the hypotheses."
@@ -108,8 +107,7 @@ def test_criterion_4_triangle_prover_assisted():
     cfg = TestConfig(trials=10000, dist="geometric")
     ok = 0
     for seed in SEEDS:
-        result = run_waterfall(thm.term, world, thm.hints, cfg,
-                               overrides=[make_testing_override()], seed=seed)
+        result = run_waterfall(thm.term, world, thm.hints, cfg, backtrack=True, seed=seed)
         assert len(result.checkpoints) == 1
         goal = result.checkpoints[0]
         alist = result.history.accumulated_type_alist(goal.id, world)
@@ -187,7 +185,7 @@ def test_criterion_7_enumerators():
     for name, entry in world.types.entries.items():
         for n in range(5001):
             assert recognize(world, name, enumerate_value(world, name, n)), (name, n)
-        if entry.kind == "finite":
+        if entry.extent is not None:
             size = entry.size
             covered = {print_value(enumerate_value(world, name, n)) for n in range(10 * size)}
             full = {print_value(v) for v in entry.extent}

@@ -109,10 +109,10 @@ def test_enum_and_oneof():
     w = make_world("(defdata rgb (enum '(red green blue)))\n(defdata borc (oneof boolean character))")
     ext = {enumerate_value(w, "rgb", n) for n in range(30)}
     assert ext == {Symbol("red"), Symbol("green"), Symbol("blue")}
-    assert w.types.entries["rgb"].kind == "finite"
+    assert w.types.entries["rgb"].extent is not None
     assert w.types.entries["rgb"].size == 3
     # character is semantically unbounded, so the union stays infinite-tagged
-    assert w.types.entries["borc"].kind == "infinite"
+    assert w.types.entries["borc"].extent is None
     for n in range(200):
         assert recognize(w, "borc", enumerate_value(w, "borc", n))
     assert recognize(w, "borc", T) and recognize(w, "borc", Char("q"))

@@ -1,35 +1,78 @@
-"""Byte-for-byte goldens for every corpus file's reports at default flags.
+"""Byte-for-byte goldens for the text and structured reports of the corpus
+files and of the fixtures in ``fixtures/``.
 
-A refactor must leave these files untouched. When a change to a report is
-intended, regenerate them (see README.md, "Layout") and explain the diff in
-CHANGES.md.
+Each case in ``CASES`` names an input file and the command-line flags it runs
+with; its goldens are ``golden/<case>.txt`` and ``golden/<case>.json``. A
+refactor must leave them untouched. When a change to a report is intended,
+rewrite every golden from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and explain the diff in CHANGES.md.
 """
 
+import contextlib
+import io
 import os
 
 import pytest
 
-from sedan.reports import emit_report
-from sedan.session import process_file
+from sedan import cli
 
 from conftest import CORPUS_DIR
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(HERE, "golden")
+FIXTURE_DIR = os.path.join(HERE, "fixtures")
 CORPUS = sorted(n for n in os.listdir(CORPUS_DIR) if n.endswith(".lisp"))
 FORMATS = {"structured": ".json", "text": ".txt"}
+BACKTRACK_OFF = ("--backtrack", "off")
+
+# golden name -> (directory, input file, flags besides --seed and --format)
+CASES = {
+    **{name[: -len(".lisp")]: (CORPUS_DIR, name, ()) for name in CORPUS},
+    "gen-backtrack.backtrack-off": (CORPUS_DIR, "gen-backtrack.lisp", BACKTRACK_OFF),
+    "triangle.backtrack-off": (CORPUS_DIR, "triangle.lisp", BACKTRACK_OFF),
+    "backtrack-hints": (FIXTURE_DIR, "backtrack-hints.lisp", ()),
+    "backtrack-hints.backtrack-off": (FIXTURE_DIR, "backtrack-hints.lisp", BACKTRACK_OFF),
+}
+
+
+def render(case: str, fmt: str) -> bytes:
+    """What ``sedan`` prints for a case, run from the input's directory so the
+    report's "file" field is the bare name."""
+    directory, name, flags = CASES[case]
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out):
+            cli.main([name, "--seed", "24", "--format", fmt, *flags])
+        out.flush()
+    finally:
+        os.chdir(cwd)
+    return out.buffer.getvalue()
+
+
+def golden_path(case: str, fmt: str) -> str:
+    return os.path.join(GOLDEN_DIR, case + FORMATS[fmt])
 
 
 def test_every_corpus_file_has_goldens():
-    stems = {n[: -len(".lisp")] for n in CORPUS}
-    goldens = {os.path.splitext(n)[0] for n in os.listdir(GOLDEN_DIR)}
-    assert stems == goldens
+    assert {name for _, name, flags in CASES.values() if not flags} >= set(CORPUS)
+    expected = {os.path.basename(golden_path(case, fmt)) for case in CASES for fmt in FORMATS}
+    assert set(os.listdir(GOLDEN_DIR)) == expected
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
-@pytest.mark.parametrize("name", CORPUS)
-def test_report_matches_golden(name, fmt, monkeypatch):
-    # run from the corpus directory so the report's "file" field is the bare name
-    monkeypatch.chdir(CORPUS_DIR)
-    got = emit_report(process_file(name), fmt)
-    with open(os.path.join(GOLDEN_DIR, name[: -len(".lisp")] + FORMATS[fmt]), "rb") as fh:
-        assert got == fh.read()
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join((CASES[case][1], *CASES[case][2])))
+def test_report_matches_golden(case, fmt):
+    with open(golden_path(case, fmt), "rb") as fh:
+        assert render(case, fmt) == fh.read()
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        for fmt in FORMATS:
+            with open(golden_path(case, fmt), "wb") as fh:
+                fh.write(render(case, fmt))

@@ -1,18 +1,8 @@
-from dataclasses import replace
-
 import pytest
 
 from sedan.forms import HintSpec
-from sedan.hints import (
-    EMPTY_SETTINGS,
-    HintSettings,
-    OverrideHint,
-    apply_backtrack,
-    fold_override_hints,
-    select_hints,
-)
+from sedan.hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, goal_settings
 from sedan.hints import test_gen_checkpoint as checkpoint_handler
-from sedan.hints import testing_override as make_testing_override
 from sedan.history import History
 from sedan.testgen import TestConfig
 from sedan.waterfall import Goal
@@ -26,43 +16,42 @@ def clause(*srcs):
 
 def test_select_hints_matches_goal_id():
     hints = (HintSpec("Goal", do_not=("generalize",)), HintSpec("Subgoal 2", trials=50))
-    assert select_hints("Goal", hints).do_not == frozenset({"generalize"})
-    assert select_hints("Subgoal 2", hints).trials == 50
-    assert select_hints("Subgoal 3", hints) == EMPTY_SETTINGS
+    assert goal_settings("Goal", hints, None, testing=False).do_not == frozenset({"generalize"})
+    assert goal_settings("Subgoal 2", hints, None, testing=False).trials == 50
+    assert goal_settings("Subgoal 3", hints, None, testing=False) == EMPTY_SETTINGS
 
 
 def test_select_hints_first_match_wins():
     hints = (HintSpec("Goal", trials=5), HintSpec("Goal", trials=9))
-    assert select_hints("Goal", hints).trials == 5
+    assert goal_settings("Goal", hints, None, testing=False).trials == 5
 
 
 def test_select_hints_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown process"):
-        select_hints("Goal", (HintSpec("Goal", do_not=("induct",)),))
+        goal_settings("Goal", (HintSpec("Goal", do_not=("induct",)),), None, testing=True)
     with pytest.raises(ValueError, match="unknown backtrack handler"):
-        select_hints("Goal", (HintSpec("Goal", backtrack="nope"),))
-
-
-def test_fold_override_hints_is_a_left_fold():
-    assert fold_override_hints(EMPTY_SETTINGS, []) == EMPTY_SETTINGS
-    set10 = OverrideHint("ten", lambda s: replace(s, trials=10))
-    set50 = OverrideHint("fifty", lambda s: replace(s, trials=50))
-    assert fold_override_hints(EMPTY_SETTINGS, [set50, set10]).trials == 10
-    assert fold_override_hints(EMPTY_SETTINGS, [set10, set50]).trials == 50
+        goal_settings("Goal", (HintSpec("Goal", backtrack="nope"),), None, testing=True)
 
 
 def test_testing_override_preserves_user_do_not():
-    settings = HintSettings(do_not=frozenset({"generalize"}))
-    out = fold_override_hints(settings, [make_testing_override()])
-    assert out.backtrack == "test-gen-checkpoint"
-    assert out.do_not == frozenset({"generalize"})
-    assert out.replacement
+    hints = (HintSpec("Goal", do_not=("generalize",), trials=7),)
+    out = goal_settings("Goal", hints, None, testing=True)
+    assert out == HintSettings(frozenset({"generalize"}), 7, "test-gen-checkpoint")
 
 
 def test_testing_override_keeps_existing_handler():
-    settings = HintSettings(backtrack="none")
-    out = fold_override_hints(settings, [make_testing_override()])
-    assert out.backtrack == "none"
+    hints = (HintSpec("Goal", backtrack="none"),)
+    assert goal_settings("Goal", hints, None, testing=True).backtrack == "none"
+    assert goal_settings("Goal", hints, "test-gen-checkpoint", testing=False).backtrack == "none"
+
+
+def test_parent_handler_is_inherited_only_with_testing_off():
+    assert goal_settings("Goal'", (), "none", testing=True).backtrack == "test-gen-checkpoint"
+    assert goal_settings("Goal'", (), "none", testing=False).backtrack == "none"
+    assert goal_settings("Goal'", (), None, testing=False) == EMPTY_SETTINGS
+    hints = (HintSpec("Goal'", trials=7),)
+    out = goal_settings("Goal'", hints, "test-gen-checkpoint", testing=False)
+    assert out == HintSettings(trials=7, backtrack="test-gen-checkpoint")
 
 
 def _goal_with_history(world, *clause_srcs):

@@ -110,6 +110,29 @@ def test_moderate_nesting_is_accepted():
     assert [fr.status for fr in out.forms] == ["falsified", "falsified"]
 
 
+def test_subtype_evidence_that_raises_is_an_admission_error(tmp_path, capsys):
+    from sedan.cli import main
+
+    # the enumerator loops at index 3; the depth cap turns that into an error
+    path = tmp_path / "loops.lisp"
+    path.write_text(
+        "(set-testing :depth-cap 50)\n"
+        "(defun evr (x) (integerp x))\n"
+        "(defun eve (n) (if (equal n 3) (eve n) n))\n"
+        "(defdata ev (custom evr eve))\n"
+        "(defdata-subtype ev integer)\n"
+        "(test? (equal 1 1))\n"
+    )
+    assert main([str(path), "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "Traceback" not in out
+    assert (
+        "Error: cannot admit ev as a subtype of integer: evidence check at index 3 raised: "
+        "recursion depth cap of 50 exceeded" in out
+    )
+    assert "form 5" not in out  # an admission error stops the session
+
+
 RECURSIVE_AND_CUSTOM = """\
 (defun evp (x) (and (integerp x) (integerp (* x 1/2))))
 (defun nth-ev (n) (* 2 n))

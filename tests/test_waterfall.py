@@ -1,5 +1,4 @@
 from sedan.evaluator import evaluate
-from sedan.hints import testing_override as make_testing_override
 from sedan.simplify import simplify_clause
 from sedan.testgen import TestConfig
 from sedan.values import NIL, Cons
@@ -45,9 +44,8 @@ TRIANGLE_THM = """
 
 def run(src_world, thm_src, trials=100, seed=24, backtrack=True, hints=()):
     world = make_world(src_world)
-    overrides = [make_testing_override()] if backtrack else []
     return run_waterfall(term(thm_src), world, hints, TestConfig(trials=trials, seed=seed),
-                         overrides=overrides), world
+                         backtrack=backtrack), world
 
 
 def test_posp_natp_proves_with_base_rules():
