@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .evaluator import EvaluationError, apply_function, arity_bounds, is_callable_name
-from .reader import ParseError, SAtom, Sexpr, SList, sexpr_to_value
+from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .values import (
     NIL,
     T,
@@ -903,14 +903,7 @@ def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
         return SingletonExpr(sexpr_to_value(args[0]))
     if op == "enum":
         if len(args) == 1 and isinstance(args[0], SList):
-            inner = args[0]
-            if (
-                inner.items
-                and isinstance(inner.items[0], SAtom)
-                and inner.items[0].value == Symbol("quote")
-            ):
-                inner = inner.items[1]
-            values = _datum_list(inner, sx)
+            values = _datum_list(unquote(args[0]), sx)
         else:
             values = [sexpr_to_value(a) for a in args]
         if not values:
@@ -958,14 +951,7 @@ def _datum_list(sx: Sexpr, ctx: Sexpr) -> list[Value]:
 
 
 def _is_dotted_field(sx: Sexpr) -> bool:
-    return (
-        isinstance(sx, SList)
-        and len(sx.items) == 3
-        and isinstance(sx.items[0], SAtom)
-        and isinstance(sx.items[0].value, Symbol)
-        and isinstance(sx.items[1], SAtom)
-        and sx.items[1].value == Symbol(".")
-    )
+    return dotted_pair(sx) and isinstance(sx.items[0], SAtom) and isinstance(sx.items[0].value, Symbol)
 
 
 def _compile_field(sx: Sexpr, group: set[str], world):

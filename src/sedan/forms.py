@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clauses import split_implies
-from .reader import MAX_NESTING, ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value
+from .reader import MAX_NESTING, ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value, unquote
 from .terms import App, Quote, Term, Var, app
 from .values import NIL, T, Symbol, print_value
 
@@ -189,18 +189,6 @@ def _require(cond: bool, msg: str, sx: Sexpr):
         raise ParseError(msg, getattr(sx, "line", 0), getattr(sx, "col", 0))
 
 
-def _unquote(sx: Sexpr) -> Sexpr:
-    """Strip one (quote ...) wrapper: hints are often written '(generalize)."""
-    if (
-        isinstance(sx, SList)
-        and len(sx.items) == 2
-        and isinstance(sx.items[0], SAtom)
-        and sx.items[0].value == Symbol("quote")
-    ):
-        return sx.items[1]
-    return sx
-
-
 def compile_form(sx: Sexpr) -> Form:
     _require(isinstance(sx, SList), "top-level form must be a list", sx)
     items = sx.items
@@ -269,7 +257,7 @@ def compile_form(sx: Sexpr) -> Form:
                 "thm options must be :hints (...)",
                 sx,
             )
-            hints = _parse_hints(_unquote(rest[1]), sx)
+            hints = _parse_hints(unquote(rest[1]), sx)
         return ThmForm(term, hints, sx)
 
     if op in ("test?", "top-level-test?"):
@@ -320,7 +308,7 @@ def _parse_hints(sx: Sexpr, ctx: Sexpr) -> tuple[HintSpec, ...]:
             _require(isinstance(key_sx, SAtom) and isinstance(key_sx.value, Symbol), "expected a hint keyword", ctx)
             key = key_sx.value.name
             if key == ":do-not":
-                val = _unquote(val_sx)
+                val = unquote(val_sx)
                 _require(isinstance(val, SList), ":do-not expects a list of process names", ctx)
                 names = tuple(_symbol_name(i, "process") for i in val.items)
                 for n in names:
@@ -388,10 +376,10 @@ def parse_forms(text: str) -> list[Form]:
 def print_sexpr(sx: Sexpr) -> str:
     if isinstance(sx, SAtom):
         return print_value(sx.value)
-    items = sx.items
-    if len(items) == 2 and isinstance(items[0], SAtom) and items[0].value == Symbol("quote"):
-        return "'" + print_sexpr(items[1])
-    return "(" + " ".join(print_sexpr(i) for i in items) + ")"
+    quoted = unquote(sx)
+    if quoted is not sx:
+        return "'" + print_sexpr(quoted)
+    return "(" + " ".join(print_sexpr(i) for i in sx.items) + ")"
 
 
 def print_form(form: Form) -> str:

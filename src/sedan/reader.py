@@ -2,12 +2,17 @@
 
 Surface syntax: parenthesized lists, ``;`` line comments, integer and ``p/q``
 rational literals, ``"..."`` strings, ``#\\c`` characters, and the ``'x``
-quote shorthand (expanded to ``(quote x)``).
+quote shorthand (expanded to ``(quote x)``). Every character for which
+``str.isspace`` holds (form feed and no-break space included) separates
+tokens. A quote must be followed by a datum in its own list: a quote just
+before ``)`` or at the end of the text is a "quote mark with nothing to
+quote" error at that quote.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Union
@@ -41,12 +46,14 @@ Sexpr = Union[SAtom, SList]
 
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _RAT_RE = re.compile(r"[+-]?\d+/\d+\Z")
-_DELIMS = set("()'\";")
 
 # deepest list nesting the reader accepts, which keeps the recursive walks over
 # what it reads (term compilation, printing, rewriting) off the Python stack
 # limit; cond and c[ad]+r sugar still expand into deeper terms
 MAX_NESTING = 256
+
+_QUOTE = Symbol("quote")
+_DOT = Symbol(".")
 
 
 def _classify_atom(text: str, line: int, col: int) -> Value:
@@ -60,141 +67,112 @@ def _classify_atom(text: str, line: int, col: int) -> Value:
     return Symbol(text)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+# a string literal up to, not including, its closing quote
+_STRING_PREFIX = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
 
-    def _advance(self, n: int = 1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+# one token per match; every character falls in some group, so the matches tile
+# the text. A string or `#\` that the string and char groups reject falls
+# through to `bad`, and _bad_literal says what is wrong with it.
+_TOKEN = re.compile(
+    rf"""
+    (?P<skip>\s+|;[^\n]*)
+    |(?P<open>\()
+    |(?P<close>\))
+    |(?P<quote>')
+    |(?P<string>{_STRING_PREFIX}")
+    |(?P<char>\#\\[\s\S][^\W_]*)
+    |(?P<bad>"|\#\\)
+    |(?P<atom>[^\s()'";]+)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
-    def tokens(self):
-        """Yield (kind, payload, line, col); kind in open/close/quote/atom/string/char."""
-        text = self.text
-        while self.pos < len(text):
-            c = text[self.pos]
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == ";":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if c == "(":
-                self._advance()
-                yield ("open", None, line, col)
-            elif c == ")":
-                self._advance()
-                yield ("close", None, line, col)
-            elif c == "'":
-                self._advance()
-                yield ("quote", None, line, col)
-            elif c == '"':
-                yield ("string", self._read_string(), line, col)
-            elif c == "#" and self.pos + 1 < len(text) and text[self.pos + 1] == "\\":
-                yield ("char", self._read_char(), line, col)
-            else:
-                start = self.pos
-                while self.pos < len(text) and text[self.pos] not in _DELIMS and not text[self.pos].isspace():
-                    self._advance()
-                yield ("atom", text[start:self.pos], line, col)
 
-    def _read_string(self) -> str:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        out = []
-        text = self.text
-        while True:
-            if self.pos >= len(text):
-                raise ParseError("unterminated string", line, col)
-            c = text[self.pos]
-            if c == '"':
-                self._advance()
-                return "".join(out)
-            if c == "\\":
-                self._advance()
-                if self.pos >= len(text):
-                    raise ParseError("unterminated string escape", line, col)
-                esc = text[self.pos]
-                if esc not in ('"', "\\"):
-                    raise ParseError(f"unknown string escape \\{esc}", self.line, self.col)
-                out.append(esc)
-                self._advance()
-            else:
-                out.append(c)
-                self._advance()
+def _position(line_starts: List[int], pos: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, pos)
+    return line, pos - line_starts[line - 1] + 1
 
-    def _read_char(self) -> Char:
-        line, col = self.line, self.col
-        self._advance(2)  # skip #\
-        text = self.text
-        if self.pos >= len(text):
-            raise ParseError("unterminated character literal", line, col)
-        start = self.pos
-        self._advance()
-        while self.pos < len(text) and text[self.pos].isalnum():
-            self._advance()
-        name = text[start:self.pos]
-        if len(name) == 1:
-            return Char(name)
-        if name in CHAR_BY_NAME:
-            return Char(CHAR_BY_NAME[name])
-        raise ParseError(f"unknown character name #\\{name}", line, col)
+
+def _bad_literal(text: str, pos: int, line_starts: List[int]) -> ParseError:
+    """The error for a string or `#\\` at pos that no token pattern accepts."""
+    line, col = _position(line_starts, pos)
+    if text[pos] == "#":
+        return ParseError("unterminated character literal", line, col)
+    end = re.compile(_STRING_PREFIX).match(text, pos).end()  # stops at the end or at a bad escape
+    if end == len(text):
+        return ParseError("unterminated string", line, col)
+    if end + 1 == len(text):
+        return ParseError("unterminated string escape", line, col)
+    return ParseError(f"unknown string escape \\{text[end + 1]}", *_position(line_starts, end + 1))
 
 
 def read_sexprs(text: str) -> List[Sexpr]:
     """Read all top-level s-expressions, with positions for error reporting."""
-    tokenizer = _Tokenizer(text)
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
     stack: List[SList] = []
-    # each pending quote is (depth, line, col); a quote wraps the next datum
+    # each pending quote is (depth, line, col); it wraps the next datum that
+    # completes at its depth, and the ')' closing that depth may not come first
     quotes: List[tuple[int, int, int]] = []
     top: List[Sexpr] = []
-
-    def emit(datum: Sexpr):
-        while quotes and quotes[-1][0] == len(stack):
-            _, ql, qc = quotes.pop()
-            wrapper = SList([SAtom(Symbol("quote"), ql, qc), datum], ql, qc)
-            datum = wrapper
-        if stack:
-            stack[-1].items.append(datum)
-        else:
-            top.append(datum)
-
-    for kind, payload, line, col in tokenizer.tokens():
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue
+        line, col = _position(line_starts, m.start())
         if kind == "open":
             if len(stack) >= MAX_NESTING:
                 raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
-            lst = SList([], line, col)
-            stack.append(lst)
-        elif kind == "close":
+            stack.append(SList([], line, col))
+            continue
+        if kind == "quote":
+            quotes.append((len(stack), line, col))
+            continue
+        if kind == "close":
             if not stack:
                 raise ParseError("unbalanced ')'", line, col)
-            lst = stack.pop()
-            emit(lst)
-        elif kind == "quote":
-            quotes.append((len(stack), line, col))
+            if quotes and quotes[-1][0] == len(stack):
+                raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
+            datum: Sexpr = stack.pop()
+        elif kind == "atom":
+            datum = SAtom(_classify_atom(m.group(), line, col), line, col)
         elif kind == "string":
-            emit(SAtom(payload, line, col))
+            datum = SAtom(_ESCAPE.sub(r"\1", m.group()[1:-1]), line, col)
         elif kind == "char":
-            emit(SAtom(payload, line, col))
+            name = m.group()[2:]
+            if len(name) > 1 and name not in CHAR_BY_NAME:
+                raise ParseError(f"unknown character name #\\{name}", line, col)
+            datum = SAtom(Char(CHAR_BY_NAME.get(name, name)), line, col)
         else:
-            emit(SAtom(_classify_atom(payload, line, col), line, col))
+            raise _bad_literal(text, m.start(), line_starts)
+        while quotes and quotes[-1][0] == len(stack):
+            _, ql, qc = quotes.pop()
+            datum = SList([SAtom(_QUOTE, ql, qc), datum], ql, qc)
+        (stack[-1].items if stack else top).append(datum)
     if stack:
         lst = stack[0]
         raise ParseError("unbalanced '('", lst.line, lst.col)
     if quotes:
-        _, ql, qc = quotes[-1]
-        raise ParseError("quote mark with nothing to quote", ql, qc)
+        raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
     return top
+
+
+def _is_dot(sx: Sexpr) -> bool:
+    return isinstance(sx, SAtom) and sx.value == _DOT
+
+
+def dotted_pair(sx: Sexpr) -> bool:
+    """Whether sx is written ``(a . b)``: three items, the middle one ``.``."""
+    return isinstance(sx, SList) and len(sx.items) == 3 and _is_dot(sx.items[1])
+
+
+def unquote(sx: Sexpr) -> Sexpr:
+    """The datum x of a list ``(quote x)``; any other s-expression unchanged."""
+    if isinstance(sx, SList) and len(sx.items) == 2:
+        head, datum = sx.items
+        if isinstance(head, SAtom) and head.value == _QUOTE:
+            return datum
+    return sx
 
 
 def sexpr_to_value(sx: Sexpr) -> Value:
@@ -202,11 +180,10 @@ def sexpr_to_value(sx: Sexpr) -> Value:
     if isinstance(sx, SAtom):
         return sx.value
     items = sx.items
-    # dotted pair: (a . b)
-    if len(items) == 3 and isinstance(items[1], SAtom) and items[1].value == Symbol("."):
+    if dotted_pair(sx):
         return Cons(sexpr_to_value(items[0]), sexpr_to_value(items[2]))
-    if any(isinstance(i, SAtom) and i.value == Symbol(".") for i in items):
-        if len(items) >= 3 and isinstance(items[-2], SAtom) and items[-2].value == Symbol("."):
+    if any(_is_dot(i) for i in items):
+        if len(items) >= 3 and _is_dot(items[-2]):
             return from_list([sexpr_to_value(i) for i in items[:-2]], sexpr_to_value(items[-1]))
         raise ParseError("misplaced '.' in datum", sx.line, sx.col)
     return from_list([sexpr_to_value(i) for i in items])

@@ -13,7 +13,7 @@ import json
 from .clauses import clause_to_term, clause_vars
 from .datadef import SingletonRestriction, print_restriction
 from .history import DONT_CARE
-from .reader import SAtom, SList, read_sexprs, sexpr_to_value
+from .reader import SAtom, SList, dotted_pair, read_sexprs, sexpr_to_value
 from .session import FormResult, SessionOutcome
 from .terms import print_term
 from .testgen import TestReport, print_binding
@@ -316,14 +316,7 @@ def parse_binding(text: str) -> dict[str, Value]:
         raise ValueError(f"not a binding: {text}")
     binding: dict[str, Value] = {}
     for item in sxs[0].items:
-        if not (
-            isinstance(item, SList)
-            and len(item.items) == 3
-            and isinstance(item.items[0], SAtom)
-            and isinstance(item.items[0].value, Symbol)
-            and isinstance(item.items[1], SAtom)
-            and item.items[1].value == Symbol(".")
-        ):
+        if not (dotted_pair(item) and isinstance(item.items[0], SAtom) and isinstance(item.items[0].value, Symbol)):
             raise ValueError(f"bad binding entry in {text}")
         binding[item.items[0].value.name] = sexpr_to_value(item.items[2])
     return binding

@@ -8,7 +8,7 @@ continues past them and they drive the exit code instead.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .datadef import (
@@ -85,6 +85,10 @@ _KIND = {
 }
 
 
+# set-testing keys that name a TestConfig field; the others are World settings
+_CONFIG_FIELDS = {f.name for f in fields(TestConfig)}
+
+
 class _Session:
     def __init__(self, options: SessionOptions):
         self.options = options
@@ -147,17 +151,11 @@ class _Session:
         return True
 
     def _apply_set_testing(self, updates: dict):
-        config_fields = {
-            "trials", "mode", "dist", "seed", "exhaustive_bound", "uniform_bound",
-            "per_goal_cap", "deterministic",
-        }
-        cfg = {k: v for k, v in updates.items() if k in config_fields}
-        if cfg:
-            self.config = replace(self.config, **cfg)
-        if "evidence_trials" in updates:
-            self.world.settings.evidence_trials = updates["evidence_trials"]
-        if "depth_cap" in updates:
-            self.world.settings.depth_cap = updates["depth_cap"]
+        for name, value in updates.items():
+            if name in _CONFIG_FIELDS:
+                self.config = replace(self.config, **{name: value})
+            else:
+                setattr(self.world.settings, name, value)
 
     def _seed_for(self, form_index: int, is_thm: bool) -> int:
         deterministic = self.config.deterministic
@@ -199,8 +197,6 @@ def process_file(path: str, options: Optional[SessionOptions] = None) -> Session
     except ParseError as e:
         outcome.fatal_error = f"{path}: {e}"
     except OSError as e:
-        outcome.fatal_error = str(e)
-    except AdmissionError as e:
         outcome.fatal_error = str(e)
     outcome.forms = session.results
     return outcome

@@ -122,6 +122,16 @@ def test_enum_and_oneof():
     assert {enumerate_value(w2, "duo", n) for n in range(30)} == {T, NIL, Symbol("maybe")}
 
 
+def test_enum_strips_only_a_well_formed_quote():
+    # (quote x) is unwrapped; a list that merely starts with quote is data, so
+    # (enum (quote)) is an enum of one symbol, not an IndexError
+    w = make_world("(defdata bare (enum (quote)))\n(defdata ab (enum (quote (a b))))")
+    assert {enumerate_value(w, "bare", n) for n in range(5)} == {Symbol("quote")}
+    assert {enumerate_value(w, "ab", n) for n in range(5)} == {Symbol("a"), Symbol("b")}
+    out, _ = process_source("(defdata one (enum (quote a)))")
+    assert out.forms[0].error.endswith("enum expects a list of values")
+
+
 def test_record_type():
     w = make_world(
         "(defdata entry (record (valid . boolean) (addr . nat)))"

@@ -74,6 +74,24 @@ def test_zero_denominator_is_a_syntax_error():
         read_sexprs("1/0")
 
 
+@pytest.mark.parametrize("space", ["\f", "\v", "\u00a0", "\x1c", "\x85"])
+def test_every_whitespace_character_separates_atoms(space):
+    # whitespace other than space, tab, CR and newline must not start an atom
+    lst, atom = read_sexprs(f"{space}(a{space}b){space}c{space}")
+    assert [sx.value for sx in lst.items] == [Symbol("a"), Symbol("b")]
+    assert (lst.line, lst.col, atom.value, atom.col) == (1, 2, Symbol("c"), 8)
+
+
+def test_a_quote_before_a_closing_paren_is_an_error_at_that_quote():
+    # a pending quote must not outlive its list and quote a later datum
+    with pytest.raises(ParseError, match="quote mark with nothing to quote") as e:
+        read_sexprs("(') (a)")
+    assert (e.value.line, e.value.col) == (1, 2)
+    with pytest.raises(ParseError, match="quote mark with nothing to quote") as e:
+        read_sexprs("(x\n '')\n'y")
+    assert (e.value.line, e.value.col) == (2, 3)
+
+
 def test_quote_shorthand():
     assert term("'foo") == Quote(Symbol("foo"))
     assert term("'(1 2)") == Quote(from_list([1, 2]))

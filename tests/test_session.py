@@ -2,17 +2,19 @@ import gc
 import json
 import os
 import weakref
+from dataclasses import fields
 
 import pytest
 
 from sedan import session
 from sedan.evaluator import evaluate
+from sedan.forms import _SET_TESTING_KEYS
 from sedan.reader import MAX_NESTING
 from sedan.reports import display_binding, emit_report, parse_binding, render_text
 from sedan.session import SessionOptions, process_file, process_source
 from sedan.testgen import TestConfig
 from sedan.values import NIL
-from sedan.world import World
+from sedan.world import Settings, World
 
 from conftest import corpus_path, make_world, term
 
@@ -102,6 +104,18 @@ def test_cond_expanding_past_the_nesting_cap_is_a_parse_error(form, tmp_path, ca
     assert main([str(path), "--format", "text"]) == 0
     path.write_text(_long_cond(MAX_NESTING - 2, form))
     assert main([str(path), "--format", "text"]) == 1
+
+
+def test_form_feed_and_other_whitespace_separate_forms(tmp_path, capsys):
+    from sedan.cli import main
+
+    # Lisp files often separate pages with a form feed
+    path = tmp_path / "pages.lisp"
+    path.write_text("(test? (equal x x))\f\n\f(test?\v(equal\u00a0y y))\x85\n", encoding="utf-8")
+    assert main([str(path), "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert ";; form 1: (test? (equal y y))" in out
+    assert out.count("none were counterexamples") == 2
 
 
 def test_moderate_nesting_is_accepted():
@@ -195,6 +209,14 @@ def test_redefinition_rejected():
     out, _ = process_source("(defun f (x) x)\n(defun f (y) y)")
     assert out.forms[1].status == "error"
     assert "redefinition" in out.forms[1].error
+
+
+def test_every_set_testing_key_names_a_config_field_or_a_world_setting():
+    # session routes a key to TestConfig by field name and setattrs the rest
+    targets = {name for name, _ in _SET_TESTING_KEYS.values()}
+    config = {f.name for f in fields(TestConfig)}
+    assert targets - config <= {f.name for f in fields(Settings)}
+    assert targets & config and targets - config
 
 
 def test_set_testing_changes_later_forms():
