@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .clauses import split_implies
@@ -24,6 +25,15 @@ PROCESS_NAMES = ("simplify", "eliminate-destructors", "generalize")
 # selector paths follow the c*r naming: second = cadr = (car (cdr x))
 _SELECTOR_SUGAR = {"first": "a", "second": "ad", "third": "add"}
 _CXR_RE = re.compile(r"c([ad]{2,4})r\Z")
+
+
+@lru_cache(maxsize=4096)
+def _selector_path(fn: str) -> Optional[str]:
+    """The c[ad]*r path a selector name stands for, or None for any other name."""
+    if fn in _SELECTOR_SUGAR:
+        return _SELECTOR_SUGAR[fn]
+    m = _CXR_RE.match(fn)
+    return m.group(1) if m else None
 
 
 def _expand_selector(path: str, arg: Term) -> Term:
@@ -114,18 +124,19 @@ def compile_term(sx: Sexpr, depth: int = 1) -> Term:
     source, so a term whose applications, once ``cond`` and selectors expand,
     nest deeper than ``reader.MAX_NESTING`` is a ParseError at the expression
     that crosses the limit, as a deeply nested list is in the reader."""
-    if isinstance(sx, SAtom):
+    if type(sx) is SAtom:
         v = sx.value
-        if isinstance(v, Symbol):
-            if v == T or v == NIL or v.name.startswith(":"):
+        if type(v) is Symbol:
+            name = v.name
+            if name == "t" or name == "nil" or name[:1] == ":":
                 return Quote(v)
-            return Var(v.name)
+            return Var(name)
         return Quote(v)
     items = sx.items
     if not items:
         return Quote(NIL)
     head = items[0]
-    if not (isinstance(head, SAtom) and isinstance(head.value, Symbol)):
+    if not (type(head) is SAtom and type(head.value) is Symbol):
         raise ParseError("expected a function symbol", sx.line, sx.col)
     fn = head.value.name
     args = items[1:]
@@ -135,11 +146,7 @@ def compile_term(sx: Sexpr, depth: int = 1) -> Term:
         return Quote(sexpr_to_value(args[0]))
     if fn == "cond":
         return _expand_cond(args, sx, depth)
-    if fn in _SELECTOR_SUGAR:
-        path = _SELECTOR_SUGAR[fn]
-    else:
-        m = _CXR_RE.match(fn)
-        path = m.group(1) if m else None
+    path = _selector_path(fn)
     width = 1 if path is None else len(path)  # applications the call expands to
     if depth + width - 1 > MAX_NESTING:
         raise _too_deep(sx)
@@ -374,12 +381,13 @@ def parse_forms(text: str) -> list[Form]:
 
 
 def print_sexpr(sx: Sexpr) -> str:
-    if isinstance(sx, SAtom):
-        return print_value(sx.value)
+    if type(sx) is SAtom:
+        v = sx.value
+        return v.name if type(v) is Symbol else print_value(v)
     quoted = unquote(sx)
     if quoted is not sx:
         return "'" + print_sexpr(quoted)
-    return "(" + " ".join(print_sexpr(i) for i in sx.items) + ")"
+    return "(" + " ".join([print_sexpr(i) for i in sx.items]) + ")"
 
 
 def print_form(form: Form) -> str:

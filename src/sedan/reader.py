@@ -7,6 +7,13 @@ quote shorthand (expanded to ``(quote x)``). Every character for which
 tokens. A quote must be followed by a datum in its own list: a quote just
 before ``)`` or at the end of the text is a "quote mark with nothing to
 quote" error at that quote.
+
+An atom is an ``SAtom``, a ``NamedTuple`` of its value and the line and
+column where it starts (the cheapest immutable record to build; nothing hashes
+or compares nodes); a list is an ``SList`` of its items and position. Within one
+``read_sexprs`` call each distinct atom text is classified once (integer,
+rational or symbol) and later occurrences share the value; a zero
+denominator raises at its first occurrence, so no error is ever shared.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
-from .values import CHAR_BY_NAME, Char, Cons, Symbol, Value, from_list, norm_rat
+from .values import CHAR_BY_NAME, NIL, Char, Symbol, Value, from_list, norm_rat
 
 
 class ParseError(Exception):
@@ -28,8 +35,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class SAtom:
+class SAtom(NamedTuple):
     value: Value
     line: int
     col: int
@@ -70,12 +76,13 @@ def _classify_atom(text: str, line: int, col: int) -> Value:
 # a string literal up to, not including, its closing quote
 _STRING_PREFIX = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
 
-# one token per match; every character falls in some group, so the matches tile
-# the text. A string or `#\` that the string and char groups reject falls
-# through to `bad`, and _bad_literal says what is wrong with it.
+# one token per match. Every character but whitespace starts some group, so the
+# search skips exactly the whitespace between tokens. A string or `#\` that the
+# string and char groups reject falls through to `bad`, and _bad_literal says
+# what is wrong with it.
 _TOKEN = re.compile(
     rf"""
-    (?P<skip>\s+|;[^\n]*)
+    (?P<comment>;[^\n]*)
     |(?P<open>\()
     |(?P<close>\))
     |(?P<quote>')
@@ -109,33 +116,48 @@ def _bad_literal(text: str, pos: int, line_starts: List[int]) -> ParseError:
 
 def read_sexprs(text: str) -> List[Sexpr]:
     """Read all top-level s-expressions, with positions for error reporting."""
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+    # offsets where each line starts, then one past the end of the text
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)] + [len(text) + 1]
+    line, line_start, next_line_start = 1, 0, line_starts[1]
     stack: List[SList] = []
     # each pending quote is (depth, line, col); it wraps the next datum that
     # completes at its depth, and the ')' closing that depth may not come first
     quotes: List[tuple[int, int, int]] = []
     top: List[Sexpr] = []
+    items = top  # the items of the innermost open list
+    atoms: dict[str, Value] = {}  # atom text -> its value, for this text only
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
+        if kind == "comment":
             continue
-        line, col = _position(line_starts, m.start())
-        if kind == "open":
+        start = m.start()
+        if start >= next_line_start:
+            line = bisect_right(line_starts, start)
+            line_start, next_line_start = line_starts[line - 1], line_starts[line]
+        col = start - line_start + 1
+        if kind == "atom":
+            atom = m.group()
+            value = atoms.get(atom)
+            if value is None:
+                value = atoms[atom] = _classify_atom(atom, line, col)
+            datum: Sexpr = SAtom(value, line, col)
+        elif kind == "open":
             if len(stack) >= MAX_NESTING:
                 raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
-            stack.append(SList([], line, col))
+            lst = SList([], line, col)
+            stack.append(lst)
+            items = lst.items
             continue
-        if kind == "quote":
-            quotes.append((len(stack), line, col))
-            continue
-        if kind == "close":
+        elif kind == "close":
             if not stack:
                 raise ParseError("unbalanced ')'", line, col)
             if quotes and quotes[-1][0] == len(stack):
                 raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
-            datum: Sexpr = stack.pop()
-        elif kind == "atom":
-            datum = SAtom(_classify_atom(m.group(), line, col), line, col)
+            datum = stack.pop()
+            items = stack[-1].items if stack else top
+        elif kind == "quote":
+            quotes.append((len(stack), line, col))
+            continue
         elif kind == "string":
             datum = SAtom(_ESCAPE.sub(r"\1", m.group()[1:-1]), line, col)
         elif kind == "char":
@@ -144,11 +166,11 @@ def read_sexprs(text: str) -> List[Sexpr]:
                 raise ParseError(f"unknown character name #\\{name}", line, col)
             datum = SAtom(Char(CHAR_BY_NAME.get(name, name)), line, col)
         else:
-            raise _bad_literal(text, m.start(), line_starts)
+            raise _bad_literal(text, start, line_starts)
         while quotes and quotes[-1][0] == len(stack):
             _, ql, qc = quotes.pop()
             datum = SList([SAtom(_QUOTE, ql, qc), datum], ql, qc)
-        (stack[-1].items if stack else top).append(datum)
+        items.append(datum)
     if stack:
         lst = stack[0]
         raise ParseError("unbalanced '('", lst.line, lst.col)
@@ -158,7 +180,7 @@ def read_sexprs(text: str) -> List[Sexpr]:
 
 
 def _is_dot(sx: Sexpr) -> bool:
-    return isinstance(sx, SAtom) and sx.value == _DOT
+    return type(sx) is SAtom and sx.value == _DOT
 
 
 def dotted_pair(sx: Sexpr) -> bool:
@@ -168,9 +190,9 @@ def dotted_pair(sx: Sexpr) -> bool:
 
 def unquote(sx: Sexpr) -> Sexpr:
     """The datum x of a list ``(quote x)``; any other s-expression unchanged."""
-    if isinstance(sx, SList) and len(sx.items) == 2:
+    if type(sx) is SList and len(sx.items) == 2:
         head, datum = sx.items
-        if isinstance(head, SAtom) and head.value == _QUOTE:
+        if type(head) is SAtom and type(head.value) is Symbol and head.value.name == "quote":
             return datum
     return sx
 
@@ -180,10 +202,9 @@ def sexpr_to_value(sx: Sexpr) -> Value:
     if isinstance(sx, SAtom):
         return sx.value
     items = sx.items
-    if dotted_pair(sx):
-        return Cons(sexpr_to_value(items[0]), sexpr_to_value(items[2]))
+    tail = None
+    if len(items) >= 3 and _is_dot(items[-2]):
+        items, tail = items[:-2], items[-1]
     if any(_is_dot(i) for i in items):
-        if len(items) >= 3 and _is_dot(items[-2]):
-            return from_list([sexpr_to_value(i) for i in items[:-2]], sexpr_to_value(items[-1]))
         raise ParseError("misplaced '.' in datum", sx.line, sx.col)
-    return from_list([sexpr_to_value(i) for i in items])
+    return from_list([sexpr_to_value(i) for i in items], NIL if tail is None else sexpr_to_value(tail))

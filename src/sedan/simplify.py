@@ -141,15 +141,18 @@ def _rewrite(t: Term, world, ctx: _Context, budget: _Budget, depth: int, srec: i
         if isinstance(test, Quote):
             branch = t.args[1] if truthy(test.value) else t.args[2]
             return _rewrite(branch, world, ctx, budget, depth, srec + 1)
-        return App("if", (test, t.args[1], t.args[2]))
-    new_args = tuple(_rewrite(a, world, ctx, budget, depth, srec + 1) for a in t.args)
-    t = App(t.fn, new_args)
+        return t if test is t.args[0] else App("if", (test, t.args[1], t.args[2]))
+    # an unchanged term stays the same object, and keeps its compiled code
+    new_args = tuple([_rewrite(a, world, ctx, budget, depth, srec + 1) for a in t.args])
+    if any(new is not old for new, old in zip(new_args, t.args)):
+        t = App(t.fn, new_args)
     if _is_ground(t):
         try:
             return Quote(evaluate(t, {}, world))
         except EvaluationError:
             return t
-    for rule in world.rules:
+    # match fails on a rule whose left-hand side has another function symbol
+    for rule in world.rules_by_head.get(t.fn, ()):
         sigma = match(rule.lhs, t)
         if sigma is None:
             continue

@@ -67,6 +67,8 @@ class World:
         self.functions: dict[str, FunctionDef | NativeFunction] = {}
         self.rules: list[RewriteRule] = []
         self.rules_by_name: dict[str, RewriteRule] = {}
+        # the rules on each left-hand side's function symbol, in admission order
+        self.rules_by_head: dict[str, list[RewriteRule]] = {}
         self.settings = Settings()
         self.types = TypeTable()
         self.subtypes = SubtypeGraph()
@@ -129,6 +131,7 @@ class World:
                 raise AdmissionError(f"rule {rule.name}: hypothesis has variables not bound by the left-hand side")
         self.rules.append(rule)
         self.rules_by_name[rule.name] = rule
+        self.rules_by_head.setdefault(rule.lhs.fn, []).append(rule)
 
     @staticmethod
     def _walk_apps(term: Term):

@@ -103,6 +103,46 @@ def test_dotted_pair_data():
     assert sexpr_to_value(read_sexprs("(1 2 . 3)")[0]) == Cons(1, Cons(2, 3))
 
 
+@pytest.mark.parametrize("text", ["(a . b . c)", "(. . b)", "(a . b c . d)", "(1 (x . y . z))", "(a .)", "(.)"])
+def test_a_dot_anywhere_but_before_the_last_item_is_misplaced(text):
+    # only one '.' is allowed, just before the final datum x of (... . x)
+    with pytest.raises(ParseError, match="misplaced '.' in datum") as e:
+        sexpr_to_value(read_sexprs("\n  " + text)[0])
+    assert e.value.line == 2 and e.value.col in (3, 6)
+
+
+def test_each_distinct_atom_text_is_classified_once_per_read(monkeypatch):
+    import sedan.reader as reader
+
+    calls = []
+    classify = reader._classify_atom
+
+    def counting(text, line, col):
+        calls.append(text)
+        return classify(text, line, col)
+
+    monkeypatch.setattr(reader, "_classify_atom", counting)
+    a, b, lst = read_sexprs("a 1/2\n(a b a\n  1/2 x)")
+    assert sorted(calls) == ["1/2", "a", "b", "x"]
+    # repeated atoms share a value but keep their own positions
+    assert (a.value, a.line, a.col) == (Symbol("a"), 1, 1)
+    assert [(sx.value, sx.line, sx.col) for sx in lst.items] == [
+        (Symbol("a"), 2, 2), (Symbol("b"), 2, 4), (Symbol("a"), 2, 6), (Fraction(1, 2), 3, 3), (Symbol("x"), 3, 7),
+    ]
+    # the cache lives for one call only
+    read_sexprs("(a)")
+    assert calls.count("a") == 2
+
+
+def test_a_zero_denominator_raises_at_its_first_occurrence():
+    with pytest.raises(ParseError, match="zero denominator") as e:
+        read_sexprs("(a 1/2\n 1/0 b 1/0)")
+    assert (e.value.line, e.value.col) == (2, 2)
+    with pytest.raises(ParseError, match="zero denominator") as e:
+        read_sexprs("1/0 1/0")
+    assert (e.value.line, e.value.col) == (1, 1)
+
+
 def test_selector_sugar_expands():
     assert term("(first x)") == app("car", Var("x"))
     assert term("(second x)") == term("(car (cdr x))")

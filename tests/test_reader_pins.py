@@ -76,6 +76,12 @@ INPUTS = [
     "'a '(1 2) ''x (quote y) '#\\a '\"s\"",
     "\r\n(a\tb)\r\n\t; trailing",
     '"\u00e9" #\\\u00e9 \u540d\u524d ;\u00e9\n\u00e9x',
+    # texts that end in a comment or hold only comments or whitespace; and a
+    # second '.' in a list, which the reader accepts and sexpr_to_value rejects
+    "(a)\n; trailing",
+    "; only a comment\n;; and another",
+    " \n\t\r\n ",
+    "(a . b . c)",
 ]
 
 

@@ -67,6 +67,17 @@ def test_parse_error_is_fatal(tmp_path):
     assert out.exit_code == 1
 
 
+def test_a_misplaced_dot_in_quoted_data_is_a_parse_error(tmp_path, capsys):
+    from sedan.cli import main
+
+    path = tmp_path / "dots.lisp"
+    path.write_text("(test? (equal '(a . b) (cons 'a 'b)))\n(test? (equal (quote (a . b . c)) nil))\n")
+    assert main([str(path), "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "2:22: misplaced '.' in datum" in out  # at the datum's '('
+    assert "Traceback" not in out and "counterexample" not in out.lower()
+
+
 def _nested_car(depth: int) -> str:
     return "(test? (equal " + "(car " * depth + "x" + ")" * depth + " 0))\n"
 

@@ -1,3 +1,4 @@
+from sedan import simplify
 from sedan.simplify import QNIL, fold_ground, match, simplify_clause
 from sedan.terms import Quote, Var
 from sedan.world import RewriteRule
@@ -128,3 +129,27 @@ def test_reclausification_of_introduced_ifs():
     assert len(out.children) == 2
     assert out.children[0] == clause("(not q)", "(natp q)")
     assert out.children[1] == clause("q", "(negp q)")
+
+
+def test_rules_are_tried_only_on_their_own_head_first_admitted_first(monkeypatch):
+    w = make_world("(defun f (x) x)\n(defun g (x) x)\n(defun h (x) x)")
+    # two rules on f that both match (f y), with rules on g and h between them
+    w.add_rule(RewriteRule("g-one", (), term("(g x)"), term("1")))
+    w.add_rule(RewriteRule("f-first", (), term("(f x)"), term("(h x)")))
+    w.add_rule(RewriteRule("h-two", (), term("(h x)"), term("2")))
+    w.add_rule(RewriteRule("f-second", (), term("(f x)"), term("3")))
+    w.add_rule(RewriteRule("g-three", (), term("(g x)"), term("3")))
+    rule_of = {id(r.lhs): r.name for r in w.rules}
+    tried = []
+
+    def counting_match(pattern, t, sigma=None):
+        if id(pattern) in rule_of:  # not match's own calls on subterms
+            tried.append(rule_of[id(pattern)])
+        return match(pattern, t, sigma)
+
+    monkeypatch.setattr(simplify, "match", counting_match)
+    out = simplify_clause(clause("(equal (f y) z)"), w)
+    # (f y) -> (h y) by f-first, the first admitted; then (h y) -> 2. A scan of
+    # every rule would have tried g-one on (f y) and on (h y) too.
+    assert out.children == [clause("(equal 2 z)")]
+    assert tried == ["f-first", "h-two"]
