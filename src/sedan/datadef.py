@@ -25,22 +25,26 @@ extent, making the enumerator periodic with period |T|.
 
 Each type's enumerator and recognizer are compiled once, on first use, into
 closures ``dec(world, n)`` and ``rec(world, v)`` memoised on its TypeEntry;
-enumeration, recognition, sampling, the native ``Xp``/``nth-X`` functions
-and subtype evidence all run them. The closures take the world as an
-argument instead of holding it, so no finished world stays alive through
-them, and a reference to a named type is looked up when it is called, so
-mutually recursive groups need no compile order.
+enumeration, recognition, sampling, the host functions ``Xp``/``nth-X`` in
+the world's function table and subtype evidence all run them. The closures
+take the world as an argument instead of holding it, so no finished world
+stays alive through them, and a reference to a named type is looked up when
+it is called, so mutually recursive groups need no compile order. A custom
+type evaluates an application of its user-supplied functions, built once
+when the type compiles.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .evaluator import EvaluationError, apply_function, arity_bounds, is_callable_name
+from .evaluator import EvaluationError, HostFunction, arity_bounds, evaluate
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
+from .terms import App, Var
 from .values import (
     NIL,
     T,
@@ -171,11 +175,6 @@ class RecordExpr:
 
 
 @dataclass(frozen=True)
-class SingletonExpr:
-    value: Value
-
-
-@dataclass(frozen=True)
 class CustomExpr:
     recognizer: str
     enumerator: str
@@ -183,7 +182,7 @@ class CustomExpr:
 
 TypeExpr = (
     BaseRef | NamedRef | EnumExpr | OneofExpr | ProductExpr | ListofExpr | SetExpr
-    | RecordExpr | SingletonExpr | CustomExpr
+    | RecordExpr | CustomExpr
 )
 
 
@@ -378,9 +377,6 @@ def _compile_dec(expr: TypeExpr):
     if isinstance(expr, EnumExpr):
         values, size = expr.values, len(expr.values)
         return lambda world, n: values[n % size]
-    if isinstance(expr, SingletonExpr):
-        value = expr.value
-        return lambda world, n: value
     if isinstance(expr, OneofExpr):
         branches = tuple(_compile_dec(b) for b in expr.branches)
         base, k = branches[expr.base_branch], len(branches)
@@ -429,8 +425,8 @@ def _compile_dec(expr: TypeExpr):
 
         return record
     if isinstance(expr, CustomExpr):
-        enumerator = expr.enumerator
-        return lambda world, n: apply_function(enumerator, [n], world)
+        call = App(expr.enumerator, (Var("n"),))
+        return lambda world, n: evaluate(call, {"n": n}, world)
     raise DatadefError(f"cannot decode {expr!r}")
 
 
@@ -443,9 +439,6 @@ def _compile_rec(expr: TypeExpr):
     if isinstance(expr, EnumExpr):
         values = expr.values
         return lambda world, v: v in values
-    if isinstance(expr, SingletonExpr):
-        value = expr.value
-        return lambda world, v: v == value
     if isinstance(expr, OneofExpr):
         branches = tuple(_compile_rec(b) for b in expr.branches)
 
@@ -514,8 +507,8 @@ def _compile_rec(expr: TypeExpr):
 
         return record
     if isinstance(expr, CustomExpr):
-        recognizer = expr.recognizer
-        return lambda world, v: truthy(apply_function(recognizer, [v], world))
+        call = App(expr.recognizer, (Var("v"),))
+        return lambda world, v: truthy(evaluate(call, {"v": v}, world))
     raise DatadefError(f"cannot recognize with {expr!r}")
 
 
@@ -543,7 +536,7 @@ def sample(world, name: str, rng, dist: str = "geometric") -> Value:
 
 
 def _height(expr: TypeExpr, member_heights: dict[str, float]) -> float:
-    if isinstance(expr, (BaseRef, EnumExpr, SingletonExpr, CustomExpr)):
+    if isinstance(expr, (BaseRef, EnumExpr, CustomExpr)):
         return 0
     if isinstance(expr, NamedRef):
         if expr.name in member_heights:
@@ -594,8 +587,6 @@ def _compute_extent(expr: TypeExpr, group: set[str], world) -> Optional[list[Val
             if v not in out:
                 out.append(v)
         return out
-    if isinstance(expr, SingletonExpr):
-        return [expr.value]
     if isinstance(expr, BaseRef):
         return [T, NIL] if expr.name == "boolean" else None
     if isinstance(expr, NamedRef):
@@ -683,12 +674,8 @@ def _auto_subtype_edges(world, name: str, expr: TypeExpr):
         tail = expr
         while isinstance(tail, ProductExpr):
             tail = tail.cdr
-        if tail == SingletonExpr(NIL):
+        if tail == EnumExpr((NIL,)):
             graph.add_edge(name, "proper-cons")
-    if isinstance(expr, SingletonExpr):
-        for base in BASE_TYPES:
-            if base != "all" and _BASE_REC[base](world, expr.value):
-                graph.add_edge(name, base)
     if isinstance(expr, EnumExpr):
         for base in BASE_TYPES:
             if base != "all" and all(_BASE_REC[base](world, v) for v in expr.values):
@@ -717,9 +704,10 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
         if isinstance(expr, CustomExpr):
             # the user supplies both functions; they must already exist
             for fname in (expr.recognizer, expr.enumerator):
-                if not is_callable_name(world, fname):
+                bounds = arity_bounds(world, fname)
+                if bounds is None:
                     raise AdmissionError(f"custom type {name}: unknown function {fname}")
-                lo, hi = arity_bounds(world, fname)
+                lo, hi = bounds
                 if lo > 1 or (hi is not None and hi < 1):
                     raise AdmissionError(f"custom type {name}: {fname} cannot take exactly one argument")
         else:
@@ -761,10 +749,10 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
         if isinstance(expr, CustomExpr):
             world.types.recognizer_index[expr.recognizer] = name
             if enum not in world.functions:
-                world.define_native(enum, 1, _make_enumerator_native(name))
+                world.add_function(enum, _enumerator_host(world, name))
         else:
-            world.define_native(recog, 1, _make_recognizer_native(name))
-            world.define_native(enum, 1, _make_enumerator_native(name))
+            world.add_function(recog, _recognizer_host(world, name))
+            world.add_function(enum, _enumerator_host(world, name))
             world.types.recognizer_index[recog] = name
         _auto_subtype_edges(world, name, expr)
 
@@ -773,21 +761,28 @@ def _derived_names(name: str) -> tuple[str, str]:
     return name + "p", "nth-" + name
 
 
-def _make_recognizer_native(type_name: str):
-    def fn(argv, world):
-        return boolify(_recognizer(world, type_name)(world, argv[0]))
+def _recognizer_host(world, type_name: str) -> HostFunction:
+    """``Xp``; it holds its world weakly, so a finished world is freed."""
+    owner = weakref.ref(world)
 
-    return fn
+    def impl(v):
+        world = owner()
+        return boolify(_recognizer(world, type_name)(world, v))
+
+    return HostFunction(1, 1, impl)
 
 
-def _make_enumerator_native(type_name: str):
-    def fn(argv, world):
-        n = argv[0]
+def _enumerator_host(world, type_name: str) -> HostFunction:
+    """``nth-X``: a non-natural index acts as 0."""
+    owner = weakref.ref(world)
+
+    def impl(n):
         if not (is_integer(n) and n >= 0):
             n = 0
+        world = owner()
         return _decoder(world, type_name)(world, n)
 
-    return fn
+    return HostFunction(1, 1, impl)
 
 
 def install_base_types(world):
@@ -795,7 +790,7 @@ def install_base_types(world):
         world.types.entries[name] = TypeEntry(name, BaseRef(name), (T, NIL) if name == "boolean" else None)
         world.types.recognizer_index[BASE_RECOGNIZER[name]] = name
         world.subtypes.add_vertex(name)
-        world.define_native("nth-" + name, 1, _make_enumerator_native(name))
+        world.add_function("nth-" + name, _enumerator_host(world, name))
     world.types.recognizer_index["real/rationalp"] = "rational"
     for t1, t2 in BASE_EDGES:
         world.subtypes.add_edge(t1, t2)
@@ -884,13 +879,13 @@ def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
         if isinstance(v, Symbol) and not v.name.startswith(":"):
             name = v.name
             if name in ("t", "nil"):
-                return SingletonExpr(T if name == "t" else NIL)
+                return EnumExpr((T if name == "t" else NIL,))
             if name in group:
                 return NamedRef(name)
             if name in world.types.entries:
                 return BaseRef(name) if name in BASE_RECOGNIZER else NamedRef(name)
             raise ParseError(f"unknown type name: {name}", sx.line, sx.col)
-        return SingletonExpr(v)
+        return EnumExpr((v,))
     items = sx.items
     if not items:
         raise ParseError("empty type expression", sx.line, sx.col)
@@ -900,7 +895,9 @@ def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
     op = head.value.name
     args = items[1:]
     if op == "quote":
-        return SingletonExpr(sexpr_to_value(args[0]))
+        if len(args) != 1:
+            raise ParseError("quote takes exactly one datum", sx.line, sx.col)
+        return EnumExpr((sexpr_to_value(args[0]),))
     if op == "enum":
         if len(args) == 1 and isinstance(args[0], SList):
             values = _datum_list(unquote(args[0]), sx)
@@ -920,7 +917,7 @@ def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
             compile_type_expr(args[0], group, world), compile_type_expr(args[1], group, world)
         )
     if op == "list":
-        out: TypeExpr = SingletonExpr(NIL)
+        out: TypeExpr = EnumExpr((NIL,))
         for a in reversed(args):
             out = ProductExpr(compile_type_expr(a, group, world), out)
         return out

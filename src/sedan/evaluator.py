@@ -5,12 +5,16 @@ car/cdr of a non-pair is nil, arithmetic treats non-rationals as 0, division by
 zero is 0. User-function nesting is bounded by the world's depth cap, read on
 every call, so a runaway definition raises an error instead of running forever.
 
+Every name but the special forms resolves in one table, the world's
+``functions``: a ``HostFunction`` (a built-in from ``BUILTINS``, or a data
+definition's recognizer or enumerator) or a defun.
+
 A term is compiled once into nested closures ``code(env, remaining)``, where
 ``remaining`` is the user-function nesting the cap still allows, and the code is
 memoised on the term object, so it lives exactly as long as the term does:
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter does;
-- a built-in's implementation is bound at compile time, its arity checked
+- a host function's implementation is bound at compile time, its arity checked
   once, and it is called with the argument values as positional arguments
   (``impl(a, b)``), so a call builds no argument list;
 - a user function's body is compiled on its first call, and its code is kept on
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .terms import App, Quote, Term, Var
 from .values import (
@@ -153,60 +157,65 @@ def _is_bool(v: Value) -> bool:
     return v == T or v == NIL
 
 
-# name -> (min arity, max arity or None, implementation); the implementation
-# takes the argument values as positional arguments, impl(a, b), so a call
-# builds no argument list
+class HostFunction(NamedTuple):
+    """A function implemented in Python, in a world's function table next to
+    the defuns: arity bounds (``hi`` None for any number) and ``impl``, which
+    takes the argument values as positional arguments, impl(a, b), so a call
+    builds no argument list."""
+
+    lo: int
+    hi: Optional[int]
+    impl: Callable
+
+    def arity_bounds(self):
+        return (self.lo, self.hi)
+
+
+# every world's function table starts from these
 BUILTINS = {
-    "cons": (2, 2, Cons),
-    "car": (1, 1, _car),
-    "cdr": (1, 1, _cdr),
-    "consp": (1, 1, lambda a: boolify(isinstance(a, Cons))),
-    "atom": (1, 1, lambda a: boolify(not isinstance(a, Cons))),
-    "endp": (1, 1, lambda a: boolify(not isinstance(a, Cons))),
-    "equal": (2, 2, lambda a, b: boolify(a == b)),
-    "not": (1, 1, lambda a: boolify(a == NIL)),
-    "+": (0, None, _plus),
-    "*": (0, None, _times),
-    "-": (1, 2, _minus),
-    "/": (1, 2, _divide),
-    "<": (2, 2, lambda a, b: boolify(_fix(a) < _fix(b))),
-    "<=": (2, 2, lambda a, b: boolify(_fix(a) <= _fix(b))),
-    ">": (2, 2, lambda a, b: boolify(_fix(a) > _fix(b))),
-    ">=": (2, 2, lambda a, b: boolify(_fix(a) >= _fix(b))),
-    "=": (2, 2, lambda a, b: boolify(_fix(a) == _fix(b))),
-    "expt": (2, 2, _expt),
-    "len": (1, 1, proper_length),
-    "append": (0, None, _append),
-    "list": (0, None, lambda *a: from_list(a)),
-    "natp": (1, 1, lambda a: boolify(is_integer(a) and a >= 0)),
-    "posp": (1, 1, lambda a: boolify(is_integer(a) and a > 0)),
-    "negp": (1, 1, lambda a: boolify(is_integer(a) and a < 0)),
-    "integerp": (1, 1, lambda a: boolify(is_integer(a))),
-    "rationalp": (1, 1, lambda a: boolify(is_rational(a))),
-    "real/rationalp": (1, 1, lambda a: boolify(is_rational(a))),
-    "booleanp": (1, 1, lambda a: boolify(_is_bool(a))),
-    "symbolp": (1, 1, lambda a: boolify(isinstance(a, Symbol))),
-    "stringp": (1, 1, lambda a: boolify(isinstance(a, str))),
-    "characterp": (1, 1, lambda a: boolify(isinstance(a, Char))),
-    "true-listp": (1, 1, lambda a: boolify(is_true_list(a))),
-    "proper-consp": (1, 1, lambda a: boolify(isinstance(a, Cons) and is_true_list(a))),
-    "allp": (1, 1, lambda a: T),
+    "cons": HostFunction(2, 2, Cons),
+    "car": HostFunction(1, 1, _car),
+    "cdr": HostFunction(1, 1, _cdr),
+    "consp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Cons))),
+    "atom": HostFunction(1, 1, lambda a: boolify(not isinstance(a, Cons))),
+    "endp": HostFunction(1, 1, lambda a: boolify(not isinstance(a, Cons))),
+    "equal": HostFunction(2, 2, lambda a, b: boolify(a == b)),
+    "not": HostFunction(1, 1, lambda a: boolify(a == NIL)),
+    "+": HostFunction(0, None, _plus),
+    "*": HostFunction(0, None, _times),
+    "-": HostFunction(1, 2, _minus),
+    "/": HostFunction(1, 2, _divide),
+    "<": HostFunction(2, 2, lambda a, b: boolify(_fix(a) < _fix(b))),
+    "<=": HostFunction(2, 2, lambda a, b: boolify(_fix(a) <= _fix(b))),
+    ">": HostFunction(2, 2, lambda a, b: boolify(_fix(a) > _fix(b))),
+    ">=": HostFunction(2, 2, lambda a, b: boolify(_fix(a) >= _fix(b))),
+    "=": HostFunction(2, 2, lambda a, b: boolify(_fix(a) == _fix(b))),
+    "expt": HostFunction(2, 2, _expt),
+    "len": HostFunction(1, 1, proper_length),
+    "append": HostFunction(0, None, _append),
+    "list": HostFunction(0, None, lambda *a: from_list(a)),
+    "natp": HostFunction(1, 1, lambda a: boolify(is_integer(a) and a >= 0)),
+    "posp": HostFunction(1, 1, lambda a: boolify(is_integer(a) and a > 0)),
+    "negp": HostFunction(1, 1, lambda a: boolify(is_integer(a) and a < 0)),
+    "integerp": HostFunction(1, 1, lambda a: boolify(is_integer(a))),
+    "rationalp": HostFunction(1, 1, lambda a: boolify(is_rational(a))),
+    "real/rationalp": HostFunction(1, 1, lambda a: boolify(is_rational(a))),
+    "booleanp": HostFunction(1, 1, lambda a: boolify(_is_bool(a))),
+    "symbolp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Symbol))),
+    "stringp": HostFunction(1, 1, lambda a: boolify(isinstance(a, str))),
+    "characterp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Char))),
+    "true-listp": HostFunction(1, 1, lambda a: boolify(is_true_list(a))),
+    "proper-consp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Cons) and is_true_list(a))),
+    "allp": HostFunction(1, 1, lambda a: T),
 }
 
 SPECIAL_FORMS = {"if": (3, 3), "implies": (2, 2), "and": (0, None), "or": (0, None)}
-
-
-def is_callable_name(world, name: str) -> bool:
-    return name in SPECIAL_FORMS or name in BUILTINS or name in world.functions
 
 
 def arity_bounds(world, name: str):
     """(min, max) arity for a callable name, or None if unknown."""
     if name in SPECIAL_FORMS:
         return SPECIAL_FORMS[name]
-    if name in BUILTINS:
-        lo, hi, _ = BUILTINS[name]
-        return (lo, hi)
     fn = world.functions.get(name)
     if fn is None:
         return None
@@ -228,20 +237,6 @@ def evaluate(term: Term, binding: Binding, world, depth_cap: int | None = None) 
         raise DepthExceededError(cap) from None
     except RecursionError:
         return _interpret(term, binding, world, cap)
-
-
-def apply_function(name: str, argv: list, world, depth_cap: int | None = None) -> Value:
-    """Apply a named function to argument values: the value or error of
-    evaluating the application to quoted arguments, without building a term."""
-    if name in SPECIAL_FORMS:
-        return evaluate(App(name, tuple(Quote(a) for a in argv)), {}, world, depth_cap)
-    cap = world.settings.depth_cap if depth_cap is None else depth_cap
-    try:
-        return _caller(world, name, len(argv))(list(argv), cap)
-    except _OutOfDepth:
-        raise DepthExceededError(cap) from None
-    except RecursionError:
-        return _interpret(App(name, tuple(Quote(a) for a in argv)), {}, world, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,7 @@ def _compile(t: Term, world):
         return _SPECIAL[fn](*[_compile(a, world) for a in t.args])
     args = [_compile(a, world) for a in t.args]
     impl = _impl(world, fn, n)
-    if impl is not None:  # a built-in or native: no depth bookkeeping
+    if impl is not None:  # a host function: no depth bookkeeping
         if n == 1:
             a0 = args[0]
             return lambda env, rem: impl(a0(env, rem))
@@ -377,15 +372,10 @@ def _bad_arity(fn: str, lo: int, hi, n: int):
 
 
 def _impl(world, fn: str, n: int):
-    """impl(*argv) for a built-in or native function that takes n arguments."""
-    builtin = BUILTINS.get(fn)
-    if builtin is not None:
-        lo, hi, impl = builtin
-        return impl if _bad_arity(fn, lo, hi, n) is None else None
-    fdef = world.functions.get(fn)
-    if fdef is not None and fdef.is_native() and fdef.arity == n:
-        native, owner = fdef.fn, weakref.ref(world)
-        return lambda *argv: native(argv, owner())
+    """impl(*argv) for a host function that takes n arguments."""
+    host = world.functions.get(fn)
+    if type(host) is HostFunction and _bad_arity(fn, host.lo, host.hi, n) is None:
+        return host.impl
     return None
 
 
@@ -486,21 +476,13 @@ def _interpret(term: Term, binding: Binding, world, depth_cap: int | None = None
             argv = vals[len(vals) - n:]
             del vals[len(vals) - n:]
             fn = t.fn
-            builtin = BUILTINS.get(fn)
-            if builtin is not None:
-                lo, hi, impl = builtin
-                _check_arity(fn, lo, hi, n)
-                vals.append(impl(*argv))
-                continue
             fdef = world.functions.get(fn)
             if fdef is None:
                 raise UndefinedFunctionError(fn)
-            if fdef.is_native():
-                lo, hi = fdef.arity_bounds()
-                _check_arity(fn, lo, hi, n)
-                vals.append(fdef.fn(argv, world))
+            _check_arity(fn, *fdef.arity_bounds(), n)
+            if type(fdef) is HostFunction:
+                vals.append(fdef.impl(*argv))
             else:
-                _check_arity(fn, len(fdef.formals), len(fdef.formals), n)
                 depth += 1
                 if depth > cap:
                     raise DepthExceededError(cap)

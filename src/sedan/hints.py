@@ -1,12 +1,13 @@
 """Hint settings and the backtrack protocol.
 
-``goal_settings`` is the one rule for what a goal gets when the waterfall
-takes it up. The first user hint naming the goal gives its do-not set and its
-trial count, and may name a backtrack handler; a goal whose hint names none
-gets the testing handler when backtracking is on, and otherwise the handler
-its parent had. Backtrack handlers run after a process succeeds and may
-discard its children, re-entering the goal with settings that extend (never
-replace) the previous ones.
+``check_hints`` rejects a hint naming an unknown process or handler before
+the waterfall starts. ``goal_settings`` is the one rule for what a goal gets
+when the waterfall takes it up. The first user hint naming the goal gives its
+do-not set and its trial count, and may name a backtrack handler; a goal
+whose hint names none gets the testing handler when backtracking is on, and
+otherwise the handler its parent had. Backtrack handlers run after a process
+succeeds and may discard its children, re-entering the goal with settings that
+extend (never replace) the previous ones.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ class BacktrackOutcome:
     note: Optional[str] = None
 
 
+def check_hints(user_hints: tuple[HintSpec, ...]):
+    """Raise ValueError for the first hint naming an unknown process or
+    backtrack handler."""
+    for spec in user_hints:
+        for name in spec.do_not:
+            if name not in PROCESS_NAMES:
+                raise ValueError(f"hint references unknown process: {name}")
+        if spec.backtrack is not None and spec.backtrack not in HANDLERS:
+            raise ValueError(f"hint references unknown backtrack handler: {spec.backtrack}")
+
+
 def goal_settings(
     goal_id: str, user_hints: tuple[HintSpec, ...], inherited: Optional[str], testing: bool
 ) -> HintSettings:
@@ -51,11 +63,6 @@ def goal_settings(
     settings = EMPTY_SETTINGS
     for spec in user_hints:
         if spec.goal_id == goal_id:
-            for name in spec.do_not:
-                if name not in PROCESS_NAMES:
-                    raise ValueError(f"hint references unknown process: {name}")
-            if spec.backtrack is not None and spec.backtrack not in HANDLERS:
-                raise ValueError(f"hint references unknown backtrack handler: {spec.backtrack}")
             settings = HintSettings(frozenset(spec.do_not), spec.trials, spec.backtrack)
             break
     if settings.backtrack is None:

@@ -6,10 +6,11 @@ Pooled goals would be handed to induction in a full prover; here the pool is
 never drained, so any pooled goal makes the attempt fail and the pooled goals
 are exactly the checkpoints reported and tested.
 
-Each goal takes its settings from ``hints.goal_settings``, and every process
-that fires is logged as one ``ProcessLogEntry``. The goal's backtrack handler
-may discard that step, and the goal then runs again with the settings the
-handler returns.
+The hints are checked once, before the first goal. Each goal takes its
+settings from ``hints.goal_settings``; a goal that clausification produced
+takes "Goal"'s hint unless it has its own. Every process that fires is logged
+as one ``ProcessLogEntry``. The goal's backtrack handler may discard that
+step, and the goal then runs again with the settings the handler returns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .clauses import clause_to_term, clause_vars, clausify
 from .datadef import BaseRef, ListofExpr, NamedRef, ProductExpr, Restriction
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
-from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, goal_settings
+from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings
 from .history import History
 from .simplify import simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
@@ -228,6 +229,7 @@ def run_waterfall(
 ) -> ProofResult:
     """Prove ``top`` as far as the waterfall goes. With ``backtrack`` on,
     every goal whose hint names no backtrack handler gets the testing one."""
+    check_hints(hints)
     used_seed = config.seed if seed is None else seed
     config = replace(config, seed=used_seed)
     history = History()
@@ -244,6 +246,11 @@ def run_waterfall(
         return result
     else:
         ids = _child_ids("Goal", len(clauses))
+        # a clausified goal without a hint of its own takes "Goal"'s; the
+        # first hint naming a goal wins, so its own still does
+        hints = (
+            *hints, *(replace(spec, goal_id=cid) for spec in hints if spec.goal_id == "Goal" for cid in ids)
+        )
         for cid, cl in zip(ids, clauses):
             history.record_node("Goal", cid, cl, "clausify", {}, world=world)
             agenda.append(Goal(cid, cl))

@@ -2,15 +2,21 @@
 
 Construction is a linear sequence of form admissions; during a proof attempt or
 a testing run the world is read-only.
+
+``World.functions`` is the one table for every callable name except the
+special forms. A new world seeds it with the built-ins (``evaluator.BUILTINS``);
+data definitions add their recognizers ``Xp`` and enumerators ``nth-X`` as
+``HostFunction`` records, whose one-argument ``impl`` holds the world only
+through a weak reference; and each defun adds a ``FunctionDef``. No name is
+ever redefined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .datadef import AdmissionError, TypeTable, install_base_types
-from .evaluator import arity_bounds, is_callable_name
+from .evaluator import BUILTINS, HostFunction, arity_bounds
 from .subtypes import SubtypeGraph
 from .terms import App, Term, Var, free_var_set
 
@@ -21,26 +27,8 @@ class FunctionDef:
     formals: tuple[str, ...]
     body: Term
 
-    def is_native(self) -> bool:
-        return False
-
     def arity_bounds(self):
         return (len(self.formals), len(self.formals))
-
-
-@dataclass(frozen=True)
-class NativeFunction:
-    """A function implemented in the host language (type recognizers, enumerators)."""
-
-    name: str
-    arity: int
-    fn: Callable  # fn(argv, world) -> Value
-
-    def is_native(self) -> bool:
-        return True
-
-    def arity_bounds(self):
-        return (self.arity, self.arity)
 
 
 @dataclass(frozen=True)
@@ -64,7 +52,7 @@ class Settings:
 
 class World:
     def __init__(self):
-        self.functions: dict[str, FunctionDef | NativeFunction] = {}
+        self.functions: dict[str, HostFunction | FunctionDef] = dict(BUILTINS)
         self.rules: list[RewriteRule] = []
         self.rules_by_name: dict[str, RewriteRule] = {}
         # the rules on each left-hand side's function symbol, in admission order
@@ -74,7 +62,7 @@ class World:
         self.subtypes = SubtypeGraph()
         install_base_types(self)
 
-    def check_term(self, term: Term, allow_vars=None, extra_fn: Optional[str] = None):
+    def check_term(self, term: Term, allow_vars=None):
         """Well-formedness: every applied name is callable with a valid arity,
         and (when allow_vars is given) all variables are drawn from it."""
         stack = [term]
@@ -84,37 +72,32 @@ class World:
                 if allow_vars is not None and t.name not in allow_vars:
                     raise AdmissionError(f"unbound variable in body: {t.name}")
             elif isinstance(t, App):
-                if not (is_callable_name(self, t.fn) or t.fn == extra_fn):
-                    raise AdmissionError(f"unknown function: {t.fn}")
                 bounds = arity_bounds(self, t.fn)
-                if bounds is not None:
-                    lo, hi = bounds
-                    n = len(t.args)
-                    if n < lo or (hi is not None and n > hi):
-                        raise AdmissionError(f"{t.fn} applied to {n} argument(s), expects {lo}" + ("" if hi == lo else f"..{hi if hi is not None else '*'}"))
-                elif t.fn == extra_fn:
-                    # self-recursive call in a body being admitted: arity checked by caller
-                    pass
+                if bounds is None:
+                    raise AdmissionError(f"unknown function: {t.fn}")
+                lo, hi = bounds
+                n = len(t.args)
+                if n < lo or (hi is not None and n > hi):
+                    raise AdmissionError(f"{t.fn} applied to {n} argument(s), expects {lo}" + ("" if hi == lo else f"..{hi if hi is not None else '*'}"))
                 stack.extend(t.args)
 
     def define_function(self, name: str, formals: tuple[str, ...], body: Term):
-        """Admit a defun. Self-recursion is allowed; no termination proof is
+        """Admit a defun. It enters the table before its body is checked, so a
+        self-call resolves like any other call. No termination proof is
         attempted (the evaluator's depth cap guards execution)."""
-        if is_callable_name(self, name):
-            raise AdmissionError(f"redefinition of {name}")
-        if len(set(formals)) != len(formals):
-            raise AdmissionError(f"duplicate formal in {name}")
-        self.check_term(body, allow_vars=set(formals), extra_fn=name)
-        # arity of self-calls
-        for t in self._walk_apps(body):
-            if t.fn == name and len(t.args) != len(formals):
-                raise AdmissionError(f"{name} called with {len(t.args)} argument(s) in its own body, expects {len(formals)}")
-        self.functions[name] = FunctionDef(name, tuple(formals), body)
+        self.add_function(name, FunctionDef(name, tuple(formals), body))
+        try:
+            if len(set(formals)) != len(formals):
+                raise AdmissionError(f"duplicate formal in {name}")
+            self.check_term(body, allow_vars=set(formals))
+        except AdmissionError:
+            del self.functions[name]
+            raise
 
-    def define_native(self, name: str, arity: int, fn: Callable):
-        if is_callable_name(self, name):
+    def add_function(self, name: str, fn: HostFunction | FunctionDef):
+        if arity_bounds(self, name) is not None:
             raise AdmissionError(f"redefinition of {name}")
-        self.functions[name] = NativeFunction(name, arity, fn)
+        self.functions[name] = fn
 
     def add_rule(self, rule: RewriteRule):
         if rule.name in self.rules_by_name:
@@ -132,12 +115,3 @@ class World:
         self.rules.append(rule)
         self.rules_by_name[rule.name] = rule
         self.rules_by_head.setdefault(rule.lhs.fn, []).append(rule)
-
-    @staticmethod
-    def _walk_apps(term: Term):
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, App):
-                yield t
-                stack.extend(t.args)

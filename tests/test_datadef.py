@@ -198,6 +198,14 @@ def test_custom_type_functions_must_take_one_argument(custom):
     assert "ev" not in world.types.entries
 
 
+def test_defdata_cannot_redefine_a_builtin():
+    outcome, world = process_source("(defdata cons nat)")
+    assert outcome.forms[0].status == "error"
+    assert outcome.forms[0].error == "defdata cons would redefine function consp"
+    assert "cons" not in world.types.entries
+    assert "nth-cons" not in world.functions
+
+
 def test_recursive_definition_without_base_case_rejected():
     with pytest.raises(AssertionError):
         # surfaced as a form admission error by the session helper

@@ -179,14 +179,22 @@ DIFF_DEFUNS = (
     "(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))\n"
     "(defun spin (x) (spin x))\n"
     "(defun pick (a b) (if a b (car b)))\n"
+    # data definitions add host functions Xp and nth-X; nth-ev and evsp run
+    # the custom type's user functions
+    "(defdata tree (oneof nat (cons tree tree)))\n"
+    "(defdata color (enum '(red green)))\n"
+    "(defun evr (x) (and (integerp x) (integerp (* x 1/2))))\n"
+    "(defun eve (n) (dbl n))\n"
+    "(defdata ev (custom evr eve))\n"
+    "(defdata evs (listof ev))\n"
 )
 DIFF_WORLD = make_world(DIFF_DEFUNS)
 
-# callable names with their arity bounds; expt is left out because nested
-# powers grow without bound, and mystery is never defined
-DIFF_FUNS = {name: (lo, hi) for name, (lo, hi, _) in BUILTINS.items() if name != "expt"}
+# every name in the world's function table with its arity bounds; expt is left
+# out because nested powers grow without bound, and mystery is never defined
+DIFF_FUNS = {name: fn.arity_bounds() for name, fn in DIFF_WORLD.functions.items() if name != "expt"}
 DIFF_FUNS.update(SPECIAL_FORMS)
-DIFF_FUNS.update({"dbl": (1, 1), "len2": (1, 1), "cnt": (1, 1), "spin": (1, 1), "pick": (2, 2), "mystery": (1, 1)})
+DIFF_FUNS["mystery"] = (1, 1)
 
 diff_leaves = st.one_of(
     st.sampled_from(["x", "y", "z"]).map(Var),  # z is never bound

@@ -1,7 +1,7 @@
 import pytest
 
 from sedan.forms import HintSpec
-from sedan.hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, goal_settings
+from sedan.hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings
 from sedan.hints import test_gen_checkpoint as checkpoint_handler
 from sedan.history import History
 from sedan.testgen import TestConfig
@@ -27,10 +27,12 @@ def test_select_hints_first_match_wins():
 
 
 def test_select_hints_rejects_unknown_names():
+    # every hint is checked, whichever goal it names
     with pytest.raises(ValueError, match="unknown process"):
-        goal_settings("Goal", (HintSpec("Goal", do_not=("induct",)),), None, testing=True)
+        check_hints((HintSpec("Goal"), HintSpec("Subgoal 9", do_not=("induct",))))
     with pytest.raises(ValueError, match="unknown backtrack handler"):
-        goal_settings("Goal", (HintSpec("Goal", backtrack="nope"),), None, testing=True)
+        check_hints((HintSpec("Goal", backtrack="nope"),))
+    check_hints((HintSpec("Goal", do_not=("simplify",), backtrack="none"),))
 
 
 def test_testing_override_preserves_user_do_not():

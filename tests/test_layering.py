@@ -61,3 +61,23 @@ def test_imports_point_to_earlier_layers(module):
         if target not in LAYERS or LAYERS.index(target) >= rank
     ]
     assert not upward, upward
+
+
+def _reads_of_builtins(module: str) -> list[int]:
+    """Lines where the module imports or loads the name BUILTINS."""
+    lines = []
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "BUILTINS" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "BUILTINS" and isinstance(node.ctx, ast.Load):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "BUILTINS":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_world_reads_the_builtins():
+    # a world's function table is the one place a callable name resolves; it
+    # is seeded from evaluator.BUILTINS, and nothing else looks there
+    readers = {m: _reads_of_builtins(m) for m in MODULES}
+    assert {m for m, lines in readers.items() if lines} == {"world"}, readers

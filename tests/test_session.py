@@ -78,6 +78,18 @@ def test_a_misplaced_dot_in_quoted_data_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in out and "counterexample" not in out.lower()
 
 
+@pytest.mark.parametrize("type_expr", ["(quote)", "(quote a b)"])
+def test_a_quoted_singleton_type_takes_exactly_one_datum(type_expr, tmp_path, capsys):
+    from sedan.cli import main
+
+    path = tmp_path / "quote.lisp"
+    path.write_text(f"(defdata x {type_expr})\n(test? (xp y))\n")
+    assert main([str(path), "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "Error: 1:12: quote takes exactly one datum" in out
+    assert "Traceback" not in out and "form 1" not in out
+
+
 def _nested_car(depth: int) -> str:
     return "(test? (equal " + "(car " * depth + "x" + ")" * depth + " 0))\n"
 
@@ -220,6 +232,16 @@ def test_redefinition_rejected():
     out, _ = process_source("(defun f (x) x)\n(defun f (y) y)")
     assert out.forms[1].status == "error"
     assert "redefinition" in out.forms[1].error
+
+
+def test_a_self_call_is_checked_like_any_other_call():
+    out, world = process_source("(defun f (x) (if (consp x) (f x x) 0))")
+    assert out.forms[0].status == "error"
+    assert out.forms[0].error == "f applied to 2 argument(s), expects 1"
+    # the rejected defun leaves no entry behind, so the name is free again
+    assert "f" not in world.functions
+    world.define_function("f", ("x",), term("(if (consp x) (f (cdr x)) 0)"))
+    assert evaluate(term("(f '(1 2))"), {}, world) == 0
 
 
 def test_every_set_testing_key_names_a_config_field_or_a_world_setting():

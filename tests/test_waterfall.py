@@ -1,3 +1,5 @@
+import pytest
+
 from sedan.evaluator import evaluate
 from sedan.simplify import simplify_clause
 from sedan.testgen import TestConfig
@@ -252,10 +254,30 @@ def test_thm_trials_hint_flows_into_checkpoint_testing():
     ckpt = result.checkpoints[0]
     assert ckpt.id == "Goal'"
     assert result.checkpoint_reports[ckpt.id].trials_run == 7
-    # a hint naming a different goal does not leak into this one
+    # a clausified goal without a hint of its own takes "Goal"'s
     result2, _ = run(REV, "(implies (true-listp x) (equal (rev (rev x)) x))",
                      trials=100, hints=(HintSpec("Goal", trials=7),))
-    assert result2.checkpoint_reports[result2.checkpoints[0].id].trials_run == 100
+    assert result2.checkpoints[0].id == "Goal'"
+    assert result2.checkpoint_reports["Goal'"].trials_run == 7
+    # its own hint still wins
+    result3, _ = run(REV, "(implies (true-listp x) (equal (rev (rev x)) x))",
+                     trials=100, hints=(HintSpec("Goal", trials=7), HintSpec("Goal'", trials=9)))
+    assert result3.checkpoint_reports["Goal'"].trials_run == 9
+
+
+def test_goal_hint_on_an_implication_sets_do_not_and_is_checked():
+    from sedan.forms import HintSpec
+
+    hint = HintSpec("Goal", do_not=("simplify",), trials=7)
+    result, _ = run("", "(implies (natp n) (equal (+ n 0) n))", hints=(hint,))
+    assert [c.id for c in result.checkpoints] == ["Goal'"]
+    assert result.checkpoints[0].settings.do_not == frozenset({"simplify"})
+    assert result.checkpoint_reports["Goal'"].trials_run == 7
+    # every hint is checked before the first goal, one naming no goal too
+    for hints in ((HintSpec("Goal", backtrack="bogus"),),
+                  (HintSpec("Subgoal 9", do_not=("induct",)),)):
+        with pytest.raises(ValueError, match="hint references unknown"):
+            run("", "(implies (natp n) (equal (+ n 0) n))", hints=hints)
 
 
 def test_conjunctive_theorem_proves_through_multiple_clauses():
