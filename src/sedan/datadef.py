@@ -32,6 +32,9 @@ stays alive through them, and a reference to a named type is looked up when
 it is called, so mutually recursive groups need no compile order. A custom
 type evaluates an application of its user-supplied functions, built once
 when the type compiles.
+
+Only this module reads a type expression, and it defines the base types'
+recognizers (``natp``, ...) too, in ``install_base_types``.
 """
 
 from __future__ import annotations
@@ -223,18 +226,6 @@ class TypeTable:
     recognizer_index: dict[str, str] = field(default_factory=dict)
 
 
-BASE_TYPES = (
-    "all", "nat", "pos", "neg", "integer", "rational", "boolean",
-    "symbol", "string", "character", "true-list", "proper-cons",
-)
-
-BASE_RECOGNIZER = {
-    "all": "allp", "nat": "natp", "pos": "posp", "neg": "negp",
-    "integer": "integerp", "rational": "rationalp", "boolean": "booleanp",
-    "symbol": "symbolp", "string": "stringp", "character": "characterp",
-    "true-list": "true-listp", "proper-cons": "proper-consp",
-}
-
 BASE_EDGES = (
     ("pos", "nat"), ("nat", "integer"), ("neg", "integer"),
     ("integer", "rational"), ("boolean", "symbol"), ("proper-cons", "true-list"),
@@ -357,6 +348,7 @@ _BASE_REC = {
     "true-list": lambda world, v: is_true_list(v),
     "proper-cons": lambda world, v: isinstance(v, Cons) and is_true_list(v),
 }
+BASE_TYPES = tuple(_BASE_REC)
 
 
 def _product_spine(expr: ProductExpr):
@@ -579,7 +571,7 @@ def _resolve_base_branches(expr: TypeExpr, member_heights) -> TypeExpr:
     return expr
 
 
-def _compute_extent(expr: TypeExpr, group: set[str], world) -> Optional[list[Value]]:
+def _compute_extent(expr: TypeExpr, world) -> Optional[list[Value]]:
     """Explicit extent when finite and small, else None. Order is deterministic."""
     if isinstance(expr, EnumExpr):
         out = []
@@ -590,14 +582,13 @@ def _compute_extent(expr: TypeExpr, group: set[str], world) -> Optional[list[Val
     if isinstance(expr, BaseRef):
         return [T, NIL] if expr.name == "boolean" else None
     if isinstance(expr, NamedRef):
-        if expr.name in group:
-            return None
+        # a group member whose extent is not computed yet counts as infinite
         entry = world.types.entries[expr.name]
         return list(entry.extent) if entry.extent is not None else None
     if isinstance(expr, OneofExpr):
         out = []
         for b in expr.branches:
-            sub = _compute_extent(b, group, world)
+            sub = _compute_extent(b, world)
             if sub is None:
                 return None
             for v in sub:
@@ -607,8 +598,8 @@ def _compute_extent(expr: TypeExpr, group: set[str], world) -> Optional[list[Val
                 return None
         return out
     if isinstance(expr, ProductExpr):
-        car_ext = _compute_extent(expr.car, group, world)
-        cdr_ext = _compute_extent(expr.cdr, group, world)
+        car_ext = _compute_extent(expr.car, world)
+        cdr_ext = _compute_extent(expr.cdr, world)
         if car_ext is None or cdr_ext is None or len(car_ext) * len(cdr_ext) > EXTENT_CAP:
             return None
         out = []
@@ -622,7 +613,7 @@ def _compute_extent(expr: TypeExpr, group: set[str], world) -> Optional[list[Val
         field_exts = []
         total = 1
         for _, fexpr in expr.fields:
-            ext = _compute_extent(fexpr, group, world)
+            ext = _compute_extent(fexpr, world)
             if ext is None:
                 return None
             total *= max(len(ext), 1)
@@ -640,6 +631,12 @@ def _compute_extent(expr: TypeExpr, group: set[str], world) -> Optional[list[Val
                 values.append(rec)
         return values
     return None  # listof, set, custom: infinite or unknown
+
+
+def _finite_extent(expr: TypeExpr, world) -> Optional[tuple[Value, ...]]:
+    """A type entry's ``extent``: its values when finite and small, else None."""
+    extent = _compute_extent(expr, world)
+    return tuple(extent) if extent is not None and len(extent) <= EXTENT_CAP else None
 
 
 # ---------------------------------------------------------------------------
@@ -698,9 +695,12 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
     group = {name for name, _ in definitions}
     if len(group) != len(definitions):
         raise AdmissionError("duplicate name within a defdata group")
+    # every function the group adds, checked whole before the world changes
+    hosts: dict[str, tuple[str, HostFunction]] = {}  # function -> (its type, host)
     for name, expr in definitions:
         if name in world.types.entries:
             raise AdmissionError(f"duplicate type name: {name}")
+        recog, enum = _derived_names(name)
         if isinstance(expr, CustomExpr):
             # the user supplies both functions; they must already exist
             for fname in (expr.recognizer, expr.enumerator):
@@ -710,11 +710,16 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
                 lo, hi = bounds
                 if lo > 1 or (hi is not None and hi < 1):
                     raise AdmissionError(f"custom type {name}: {fname} cannot take exactly one argument")
+            added = {} if enum in world.functions else {enum: _enumerator_host(world, name)}
         else:
-            recog, enum = _derived_names(name)
             for fname in (recog, enum):
                 if fname in world.functions:
                     raise AdmissionError(f"defdata {name} would redefine function {fname}")
+            added = {recog: _recognizer_host(world, name), enum: _enumerator_host(world, name)}
+        for fname, host in added.items():
+            if fname in hosts:
+                raise AdmissionError(f"defdata group defines function {fname} twice: for {hosts[fname][0]} and for {name}")
+            hosts[fname] = (name, host)
         for ref in _referenced_names(expr):
             if ref not in group and ref not in world.types.entries:
                 raise AdmissionError(f"unknown referenced type: {ref}")
@@ -739,21 +744,13 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
     for name, expr in resolved:
         world.types.entries[name] = TypeEntry(name, expr)
     for name, expr in resolved:
-        extent = _compute_extent(expr, set(), world)
-        entry = world.types.entries[name]
-        if extent is not None and len(extent) <= EXTENT_CAP:
-            entry.extent = tuple(extent)
+        world.types.entries[name].extent = _finite_extent(expr, world)
 
+    for fname, (_, host) in hosts.items():
+        world.add_function(fname, host)
     for name, expr in resolved:
-        recog, enum = _derived_names(name)
-        if isinstance(expr, CustomExpr):
-            world.types.recognizer_index[expr.recognizer] = name
-            if enum not in world.functions:
-                world.add_function(enum, _enumerator_host(world, name))
-        else:
-            world.add_function(recog, _recognizer_host(world, name))
-            world.add_function(enum, _enumerator_host(world, name))
-            world.types.recognizer_index[recog] = name
+        recognizer = expr.recognizer if isinstance(expr, CustomExpr) else _derived_names(name)[0]
+        world.types.recognizer_index[recognizer] = name
         _auto_subtype_edges(world, name, expr)
 
 
@@ -786,11 +783,18 @@ def _enumerator_host(world, type_name: str) -> HostFunction:
 
 
 def install_base_types(world):
-    for name in BASE_TYPES:
-        world.types.entries[name] = TypeEntry(name, BaseRef(name), (T, NIL) if name == "boolean" else None)
-        world.types.recognizer_index[BASE_RECOGNIZER[name]] = name
+    """Register the base types like any other: an entry, a vertex, ``Xp`` and
+    ``nth-X``; ``real/rationalp`` is another name for ``rationalp``."""
+    for name, rec in _BASE_REC.items():
+        expr = BaseRef(name)
+        recog, enum = _derived_names(name)
+        world.types.entries[name] = TypeEntry(name, expr, _finite_extent(expr, world))
+        world.types.recognizer_index[recog] = name
         world.subtypes.add_vertex(name)
-        world.add_function("nth-" + name, _enumerator_host(world, name))
+        # a base recognizer never reads its world, so it is bound directly
+        world.add_function(recog, HostFunction(1, 1, lambda v, rec=rec: T if rec(None, v) else NIL))
+        world.add_function(enum, _enumerator_host(world, name))
+    world.add_function("real/rationalp", world.functions["rationalp"])
     world.types.recognizer_index["real/rationalp"] = "rational"
     for t1, t2 in BASE_EDGES:
         world.subtypes.add_edge(t1, t2)
@@ -869,6 +873,40 @@ def minimal_type(world, restrictions: list[Restriction]) -> TypeSelection:
     return TypeSelection(primary, residuals)
 
 
+def component_types(world, restrictions) -> tuple[list[Restriction], list[Restriction]]:
+    """Restrictions on the car and on the cdr of a pair that meets every one
+    of ``restrictions``: a listof gives its element type to the car and itself
+    to the cdr, a product its named components, and true-list or proper-cons
+    a true-list cdr. Singletons and other shapes give nothing."""
+    car_r: list[Restriction] = []
+    cdr_r: list[Restriction] = []
+
+    def name_of(expr):
+        if isinstance(expr, (BaseRef, NamedRef)):
+            return expr.name
+        return None
+
+    for r in restrictions:
+        if not isinstance(r, str) or r not in world.types.entries:
+            continue
+        expr = world.types.entries[r].expr
+        if isinstance(expr, ListofExpr):
+            elem = name_of(expr.elem)
+            if elem:
+                car_r.append(elem)
+            cdr_r.append(r)
+        elif isinstance(expr, ProductExpr):
+            head = name_of(expr.car)
+            if head:
+                car_r.append(head)
+            tail = name_of(expr.cdr)
+            if tail:
+                cdr_r.append(tail)
+        elif isinstance(expr, BaseRef) and expr.name in ("true-list", "proper-cons"):
+            cdr_r.append("true-list")
+    return car_r, cdr_r
+
+
 # ---------------------------------------------------------------------------
 # surface-syntax compilation
 
@@ -883,7 +921,7 @@ def compile_type_expr(sx: Sexpr, group: set[str], world) -> TypeExpr:
             if name in group:
                 return NamedRef(name)
             if name in world.types.entries:
-                return BaseRef(name) if name in BASE_RECOGNIZER else NamedRef(name)
+                return BaseRef(name) if name in _BASE_REC else NamedRef(name)
             raise ParseError(f"unknown type name: {name}", sx.line, sx.col)
         return EnumExpr((v,))
     items = sx.items

@@ -7,7 +7,9 @@ every call, so a runaway definition raises an error instead of running forever.
 
 Every name but the special forms resolves in one table, the world's
 ``functions``: a ``HostFunction`` (a built-in from ``BUILTINS``, or a data
-definition's recognizer or enumerator) or a defun.
+definition's recognizer or enumerator) or a defun. ``BUILTINS`` holds no type
+recognizer: ``natp``, ``booleanp`` and the other base recognizers come from
+``datadef.install_base_types``, like every defdata type's ``Xp``.
 
 A term is compiled once into nested closures ``code(env, remaining)``, where
 ``remaining`` is the user-function nesting the cap still allows, and the code is
@@ -41,15 +43,12 @@ from .terms import App, Quote, Term, Var
 from .values import (
     NIL,
     T,
-    Char,
     Cons,
-    Symbol,
     Value,
     boolify,
     from_list,
     is_integer,
     is_rational,
-    is_true_list,
     norm_rat,
     proper_length,
     truthy,
@@ -153,10 +152,6 @@ def _times(*args):
     return norm_rat(total) if isinstance(total, Fraction) else total
 
 
-def _is_bool(v: Value) -> bool:
-    return v == T or v == NIL
-
-
 class HostFunction(NamedTuple):
     """A function implemented in Python, in a world's function table next to
     the defuns: arity bounds (``hi`` None for any number) and ``impl``, which
@@ -194,19 +189,6 @@ BUILTINS = {
     "len": HostFunction(1, 1, proper_length),
     "append": HostFunction(0, None, _append),
     "list": HostFunction(0, None, lambda *a: from_list(a)),
-    "natp": HostFunction(1, 1, lambda a: boolify(is_integer(a) and a >= 0)),
-    "posp": HostFunction(1, 1, lambda a: boolify(is_integer(a) and a > 0)),
-    "negp": HostFunction(1, 1, lambda a: boolify(is_integer(a) and a < 0)),
-    "integerp": HostFunction(1, 1, lambda a: boolify(is_integer(a))),
-    "rationalp": HostFunction(1, 1, lambda a: boolify(is_rational(a))),
-    "real/rationalp": HostFunction(1, 1, lambda a: boolify(is_rational(a))),
-    "booleanp": HostFunction(1, 1, lambda a: boolify(_is_bool(a))),
-    "symbolp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Symbol))),
-    "stringp": HostFunction(1, 1, lambda a: boolify(isinstance(a, str))),
-    "characterp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Char))),
-    "true-listp": HostFunction(1, 1, lambda a: boolify(is_true_list(a))),
-    "proper-consp": HostFunction(1, 1, lambda a: boolify(isinstance(a, Cons) and is_true_list(a))),
-    "allp": HostFunction(1, 1, lambda a: T),
 }
 
 SPECIAL_FORMS = {"if": (3, 3), "implies": (2, 2), "and": (0, None), "or": (0, None)}

@@ -106,7 +106,8 @@ def apply_backtrack(
     handler_name: Optional[str], processor: str, children, goal, world, config, history
 ) -> BacktrackOutcome:
     """Run the goal's backtrack handler, if any. Handler failures never abort
-    a proof: they are logged and treated as keep."""
+    a proof: they are treated as keep, with the error in the outcome's note,
+    which ``run_waterfall`` adds to the proof's diagnostics."""
     if handler_name is None:
         return BacktrackOutcome("keep")
     try:

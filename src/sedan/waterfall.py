@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .clauses import clause_to_term, clause_vars, clausify
-from .datadef import BaseRef, ListofExpr, NamedRef, ProductExpr, Restriction
+from .datadef import component_types
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
 from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings
@@ -123,38 +123,6 @@ def _child_ids(parent_id: str, count: int) -> list[str]:
 # destructor elimination
 
 
-def _propagate_component_types(world, restrictions) -> tuple[list, list]:
-    """Element/tail restrictions for the fresh car/cdr variables, when the
-    eliminated variable's restriction is a listof or product shape."""
-    car_r: list[Restriction] = []
-    cdr_r: list[Restriction] = []
-
-    def name_of(expr):
-        if isinstance(expr, (BaseRef, NamedRef)):
-            return expr.name
-        return None
-
-    for r in restrictions:
-        if not isinstance(r, str) or r not in world.types.entries:
-            continue
-        expr = world.types.entries[r].expr
-        if isinstance(expr, ListofExpr):
-            elem = name_of(expr.elem)
-            if elem:
-                car_r.append(elem)
-            cdr_r.append(r)
-        elif isinstance(expr, ProductExpr):
-            head = name_of(expr.car)
-            if head:
-                car_r.append(head)
-            tail = name_of(expr.cdr)
-            if tail:
-                cdr_r.append(tail)
-        elif isinstance(expr, BaseRef) and expr.name in ("true-list", "proper-cons"):
-            cdr_r.append("true-list")
-    return car_r, cdr_r
-
-
 def eliminate_destructors(goal: Goal, world, history: History, fresh: FreshNames):
     """Replace (car v)/(cdr v) by fresh variables and v by their cons.
 
@@ -184,7 +152,7 @@ def eliminate_destructors(goal: Goal, world, history: History, fresh: FreshNames
             out = subst_vars(out, {v.name: replacement})
             new_lits.append(out)
         acc = history.accumulated_type_alist(goal.id, world)
-        car_r, cdr_r = _propagate_component_types(world, acc.get(v.name, ()))
+        car_r, cdr_r = component_types(world, acc.get(v.name, ()))
         type_map = {v1: tuple(car_r), v2: tuple(cdr_r)}
         return new_lits, {v.name: replacement}, type_map
     return None
@@ -286,6 +254,8 @@ def run_waterfall(
                 entry.outcome, entry.note = "discarded", outcome.note
                 goal.settings = outcome.settings
                 continue
+            if outcome.note:
+                result.diagnostics.append(f"{goal.id}: {outcome.note}")
             if entry.outcome == "children":
                 entry.child_ids = tuple(_child_ids(goal.id, len(entry.child_clauses)))
                 for cid, cl in zip(entry.child_ids, entry.child_clauses):

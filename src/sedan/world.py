@@ -4,11 +4,12 @@ Construction is a linear sequence of form admissions; during a proof attempt or
 a testing run the world is read-only.
 
 ``World.functions`` is the one table for every callable name except the
-special forms. A new world seeds it with the built-ins (``evaluator.BUILTINS``);
-data definitions add their recognizers ``Xp`` and enumerators ``nth-X`` as
-``HostFunction`` records, whose one-argument ``impl`` holds the world only
-through a weak reference; and each defun adds a ``FunctionDef``. No name is
-ever redefined.
+special forms. A new world seeds it with the built-ins (``evaluator.BUILTINS``)
+and then the base types (``datadef.install_base_types``, the one source of the
+base recognizers such as ``natp``); data definitions add their recognizers
+``Xp`` and enumerators ``nth-X`` as ``HostFunction`` records, whose
+one-argument ``impl`` holds the world only through a weak reference; and each
+defun adds a ``FunctionDef``. No name is ever redefined.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 
 from sedan.datadef import (
     SingletonRestriction,
+    component_types,
     enumerate_value,
     minimal_type,
     pair,
@@ -16,6 +17,7 @@ from sedan.evaluator import evaluate
 from sedan.rand import IndexSource
 from sedan.session import process_source
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value, proper_length
+from sedan.world import World
 
 from conftest import make_world, term
 
@@ -204,6 +206,26 @@ def test_defdata_cannot_redefine_a_builtin():
     assert outcome.forms[0].error == "defdata cons would redefine function consp"
     assert "cons" not in world.types.entries
     assert "nth-cons" not in world.functions
+
+
+def test_defdata_group_deriving_one_name_twice_changes_nothing():
+    # nth-y's recognizer and yp's enumerator are both nth-yp
+    outcome, world = process_source("(defdata (nth-y nat) (yp nat))")
+    assert outcome.forms[0].error == "defdata group defines function nth-yp twice: for nth-y and for yp"
+    fresh = World()
+    assert world.types.entries.keys() == fresh.types.entries.keys()
+    assert world.functions.keys() == fresh.functions.keys()
+    assert world.types.recognizer_index == fresh.types.recognizer_index
+
+
+def test_component_types_of_base_and_singleton_restrictions():
+    world = make_world("(defdata loi (listof integer))")
+    assert component_types(world, ["true-list"]) == ([], ["true-list"])
+    assert component_types(world, ["proper-cons"]) == ([], ["true-list"])
+    assert component_types(world, [SingletonRestriction(from_list([1]))]) == ([], [])
+    assert component_types(world, ["nat", SingletonRestriction(NIL), "loi", "proper-cons"]) == (
+        ["integer"], ["loi", "true-list"]
+    )
 
 
 def test_recursive_definition_without_base_case_rejected():

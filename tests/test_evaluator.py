@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from sedan import evaluator
 from sedan.evaluator import (
-    BUILTINS,
     SPECIAL_FORMS,
     ArityError,
     DepthExceededError,
     EvaluationError,
+    HostFunction,
     UnboundVariableError,
     UndefinedFunctionError,
     _interpret,
@@ -147,8 +147,12 @@ def test_evaluation_is_pure():
 
 
 def test_every_builtin_total_over_representatives():
+    # every host function a fresh world holds: the built-ins and the base
+    # types' recognizers and enumerators
     w = make_world()
-    for name, (lo, hi, _) in BUILTINS.items():
+    hosts = {name: fn for name, fn in w.functions.items() if type(fn) is HostFunction}
+    assert {"cons", "natp", "booleanp", "real/rationalp", "nth-nat", "nth-all"} <= hosts.keys()
+    for name, (lo, hi, _) in hosts.items():
         arity = lo if lo > 0 else (1 if hi is None else lo)
         if arity == 1:
             pools = [REPRESENTATIVES]

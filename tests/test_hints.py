@@ -1,11 +1,11 @@
 import pytest
 
 from sedan.forms import HintSpec
-from sedan.hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings
+from sedan.hints import EMPTY_SETTINGS, HANDLERS, HintSettings, apply_backtrack, check_hints, goal_settings
 from sedan.hints import test_gen_checkpoint as checkpoint_handler
 from sedan.history import History
 from sedan.testgen import TestConfig
-from sedan.waterfall import Goal
+from sedan.waterfall import Goal, run_waterfall
 
 from conftest import term
 
@@ -123,6 +123,18 @@ def test_handler_failure_is_logged_and_kept(world):
         assert "boom" in out.note
     finally:
         del hints_mod.HANDLERS["broken"]
+
+
+def test_handler_failure_reaches_the_proof_diagnostics(world, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(HANDLERS, "broken", broken)
+    result = run_waterfall(term("(<= 0 (+ (len x) (len x)))"), world, (HintSpec("Goal", backtrack="broken"),),
+                           TestConfig(trials=20, seed=1))
+    assert result.diagnostics == ["Goal: backtrack handler error: boom"]
+    # the step the handler failed on is kept
+    assert [(e.goal_id, e.process, e.outcome) for e in result.process_log] == [("Goal", "generalize", "children")]
 
 
 def test_redo_termination_bound():

@@ -6,8 +6,13 @@ so the package has no import cycle and none hides inside a function body.
 
 import ast
 import os
+import typing
 
 import pytest
+
+from sedan import datadef
+from sedan.evaluator import BUILTINS
+from sedan.world import World
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "sedan")
 
@@ -63,15 +68,15 @@ def test_imports_point_to_earlier_layers(module):
     assert not upward, upward
 
 
-def _reads_of_builtins(module: str) -> list[int]:
-    """Lines where the module imports or loads the name BUILTINS."""
+def _loads(module: str, names) -> list[int]:
+    """Lines where the module imports or loads one of the names."""
     lines = []
     for node in ast.walk(_tree(module)):
-        if isinstance(node, ast.ImportFrom) and any(a.name == "BUILTINS" for a in node.names):
+        if isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Name) and node.id == "BUILTINS" and isinstance(node.ctx, ast.Load):
+        elif isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load):
             lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "BUILTINS":
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             lines.append(node.lineno)
     return lines
 
@@ -79,5 +84,20 @@ def _reads_of_builtins(module: str) -> list[int]:
 def test_only_the_world_reads_the_builtins():
     # a world's function table is the one place a callable name resolves; it
     # is seeded from evaluator.BUILTINS, and nothing else looks there
-    readers = {m: _reads_of_builtins(m) for m in MODULES}
+    readers = {m: _loads(m, {"BUILTINS"}) for m in MODULES}
     assert {m for m, lines in readers.items() if lines} == {"world"}, readers
+
+
+def test_only_datadef_knows_the_type_expressions():
+    # a type's shape is datadef's decision; other modules ask datadef about it
+    names = {cls.__name__ for cls in typing.get_args(datadef.TypeExpr)}
+    assert {"BaseRef", "ListofExpr", "ProductExpr", "CustomExpr"} <= names
+    readers = {m: _loads(m, names) for m in MODULES if m != "datadef"}
+    assert not {m: lines for m, lines in readers.items() if lines}
+
+
+def test_base_recognizers_are_not_builtins():
+    # natp and the other base recognizers come from datadef.install_base_types
+    recognizers = World().types.recognizer_index.keys()
+    assert {"natp", "booleanp", "allp", "real/rationalp"} <= recognizers
+    assert not recognizers & BUILTINS.keys()
