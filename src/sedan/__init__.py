@@ -17,18 +17,18 @@ from .datadef import (
 from .evaluator import EvaluationError, evaluate
 from .forms import parse_forms
 from .reports import emit_report, parse_binding
-from .session import SessionOptions, SessionOutcome, process_file
+from .session import SessionOutcome, process_file
 from .terms import App, Quote, Term, Var, free_vars
-from .testgen import TestConfig, TestReport, extract_restrictions, run_trials, top_level_test
+from .testgen import TestReport, extract_restrictions, run_trials, top_level_test
 from .values import Char, Cons, Symbol, Value
 from .waterfall import ProofResult, run_waterfall
-from .world import World
+from .world import Settings, World
 
 __all__ = [
     "App", "Char", "Cons", "EvaluationError", "ProofResult", "Quote",
-    "SessionOptions", "SessionOutcome", "SingletonRestriction", "Symbol",
-    "Term", "TestConfig", "TestReport", "TypeSelection", "Value", "Var",
-    "World", "add_subtype_edge", "emit_report", "enumerate_value", "evaluate",
+    "SessionOutcome", "Settings", "SingletonRestriction", "Symbol", "Term",
+    "TestReport", "TypeSelection", "Value", "Var", "World",
+    "add_subtype_edge", "emit_report", "enumerate_value", "evaluate",
     "extract_restrictions", "free_vars", "minimal_type", "parse_binding",
     "parse_forms", "process_file", "recognize", "register_defdata",
     "run_trials", "run_waterfall", "sample", "top_level_test",

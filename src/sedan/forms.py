@@ -337,18 +337,21 @@ def _parse_hints(sx: Sexpr, ctx: Sexpr) -> tuple[HintSpec, ...]:
     return tuple(out)
 
 
+# each key's settings field and the values it takes: an integer kind from
+# _INT_KINDS, "bool", or a tuple of symbol names
 _SET_TESTING_KEYS = {
-    ":trials": ("trials", int),
+    ":trials": ("trials", "nat"),
     ":mode": ("mode", ("random", "exhaustive", "mixed")),
     ":dist": ("dist", ("geometric", "uniform")),
-    ":seed": ("seed", int),
-    ":exhaustive-bound": ("exhaustive_bound", int),
-    ":uniform-bound": ("uniform_bound", int),
-    ":per-goal-cap": ("per_goal_cap", int),
+    ":seed": ("seed", "nat"),
+    ":exhaustive-bound": ("exhaustive_bound", "nat"),
+    ":uniform-bound": ("uniform_bound", "pos"),  # a uniform draw is below it
+    ":per-goal-cap": ("per_goal_cap", "nat"),
     ":deterministic": ("deterministic", "bool"),
-    ":evidence-trials": ("evidence_trials", int),
-    ":depth-cap": ("depth_cap", int),
+    ":evidence-trials": ("evidence_trials", "nat"),
+    ":depth-cap": ("depth_cap", "nat"),
 }
+_INT_KINDS = {"nat": (0, "nonnegative"), "pos": (1, "positive")}
 
 
 def _parse_set_testing(args, sx: Sexpr) -> dict:
@@ -363,8 +366,9 @@ def _parse_set_testing(args, sx: Sexpr) -> dict:
         field_name, kind = spec
         _require(isinstance(val_sx, SAtom), f"{key} expects an atom", sx)
         v = val_sx.value
-        if kind is int:
-            _require(isinstance(v, int) and v >= 0, f"{key} expects a nonnegative integer", sx)
+        if kind in _INT_KINDS:
+            least, what = _INT_KINDS[kind]
+            _require(isinstance(v, int) and v >= least, f"{key} expects a {what} integer", sx)
             updates[field_name] = v
         elif kind == "bool":
             _require(v in (T, NIL), f"{key} expects t or nil", sx)

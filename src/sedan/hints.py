@@ -5,9 +5,11 @@ the waterfall starts. ``goal_settings`` is the one rule for what a goal gets
 when the waterfall takes it up. The first user hint naming the goal gives its
 do-not set and its trial count, and may name a backtrack handler; a goal
 whose hint names none gets the testing handler when backtracking is on, and
-otherwise the handler its parent had. Backtrack handlers run after a process
-succeeds and may discard its children, re-entering the goal with settings that
-extend (never replace) the previous ones.
+otherwise the handler its parent had. ``goal_trials`` is the one rule for how
+many trials a goal's tests run: its hint's count, else the world's. Backtrack
+handlers run after a process succeeds and may discard its children,
+re-entering the goal with settings that extend (never replace) the previous
+ones.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import testgen
 from .clauses import clause_to_term, clause_vars
 from .forms import PROCESS_NAMES, HintSpec
 from .history import merge_type_alists
-from .testgen import TestConfig, TestReport
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ EMPTY_SETTINGS = HintSettings()
 class BacktrackOutcome:
     action: str  # "keep" | "redo"
     settings: Optional[HintSettings] = None  # for redo: the goal's new settings
-    report: Optional[TestReport] = None
     note: Optional[str] = None
 
 
@@ -70,7 +70,12 @@ def goal_settings(
     return settings
 
 
-def test_gen_checkpoint(processor, children, goal, world, config: TestConfig, history) -> BacktrackOutcome:
+def goal_trials(goal, world) -> int:
+    """The trials a goal's probe and checkpoint run: its hint's, else the world's."""
+    return world.settings.trials if goal.settings.trials is None else goal.settings.trials
+
+
+def test_gen_checkpoint(processor, children, goal, world, seed: int, history) -> BacktrackOutcome:
     """After a generalization, test the first child with a deterministic seed;
     a counterexample discards the children and disables generalization for
     this goal. Other processes are left alone."""
@@ -79,20 +84,17 @@ def test_gen_checkpoint(processor, children, goal, world, config: TestConfig, hi
     child = children[0]
     own = testgen.extract_restrictions(child, world)
     alist = merge_type_alists(clause_vars(child), own, history.accumulated_type_alist(goal.id, world))
-    trials = goal.settings.trials if goal.settings.trials is not None else config.trials
-    probe_config = replace(config, trials=trials)
-    report = testgen.run_trials(clause_to_term(child), alist, probe_config, world, seed=config.seed, goal_id=goal.id)
+    report = testgen.run_trials(clause_to_term(child), alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
     if report.falsified:
         return BacktrackOutcome(
             "redo",
             settings=goal.settings.extend_do_not(["generalize"]),
-            report=report,
             note="generalization refuted by testing",
         )
-    return BacktrackOutcome("keep", report=report)
+    return BacktrackOutcome("keep")
 
 
-def _noop_handler(processor, children, goal, world, config, history) -> BacktrackOutcome:
+def _noop_handler(processor, children, goal, world, seed, history) -> BacktrackOutcome:
     return BacktrackOutcome("keep")
 
 
@@ -103,7 +105,7 @@ HANDLERS: dict[str, Callable] = {
 
 
 def apply_backtrack(
-    handler_name: Optional[str], processor: str, children, goal, world, config, history
+    handler_name: Optional[str], processor: str, children, goal, world, seed: int, history
 ) -> BacktrackOutcome:
     """Run the goal's backtrack handler, if any. Handler failures never abort
     a proof: they are treated as keep, with the error in the outcome's note,
@@ -111,7 +113,7 @@ def apply_backtrack(
     if handler_name is None:
         return BacktrackOutcome("keep")
     try:
-        outcome = HANDLERS[handler_name](processor, children, goal, world, config, history)
+        outcome = HANDLERS[handler_name](processor, children, goal, world, seed, history)
     except Exception as e:  # a broken handler must not kill the attempt
         return BacktrackOutcome("keep", note=f"backtrack handler error: {e}")
     if outcome.action == "redo" and outcome.settings is not None:

@@ -266,20 +266,20 @@ def _proof_json(proof: ProofResult) -> dict:
 
 
 def render_structured(outcome: SessionOutcome) -> str:
-    cfg = outcome.options.config
+    settings = outcome.settings
     doc = {
         "tool": "sedan",
         "file": outcome.path,
         "flags": {
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "mode": cfg.mode,
-            "dist": cfg.dist,
-            "uniform_bound": cfg.uniform_bound,
-            "exhaustive_bound": cfg.exhaustive_bound,
-            "deterministic": cfg.deterministic,
-            "backtrack": outcome.options.backtrack,
-            "max_rewrite_depth": outcome.options.max_rewrite_depth,
+            "seed": settings.seed,
+            "trials": settings.trials,
+            "mode": settings.mode,
+            "dist": settings.dist,
+            "uniform_bound": settings.uniform_bound,
+            "exhaustive_bound": settings.exhaustive_bound,
+            "deterministic": settings.deterministic,
+            "backtrack": settings.backtrack,
+            "max_rewrite_depth": settings.max_rewrite_depth,
         },
         "fatal_error": outcome.fatal_error,
         "forms": [

@@ -8,7 +8,7 @@ continues past them and they drive the exit code instead.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .datadef import (
@@ -32,16 +32,9 @@ from .forms import (
 )
 from .rand import derive_seed
 from .reader import ParseError
-from .testgen import TestConfig, TestReport, top_level_test
+from .testgen import TestReport, top_level_test
 from .waterfall import ProofResult, run_waterfall
-from .world import AdmissionError, RewriteRule, World
-
-
-@dataclass
-class SessionOptions:
-    config: TestConfig = field(default_factory=TestConfig)
-    backtrack: bool = True
-    max_rewrite_depth: int = 8
+from .world import AdmissionError, RewriteRule, Settings, World
 
 
 @dataclass
@@ -59,7 +52,7 @@ class FormResult:
 @dataclass
 class SessionOutcome:
     path: str
-    options: SessionOptions
+    settings: Settings  # the settings the session started with
     forms: list[FormResult] = field(default_factory=list)
     fatal_error: Optional[str] = None
 
@@ -85,21 +78,21 @@ _KIND = {
 }
 
 
-# set-testing keys that name a TestConfig field; the others are World settings
-_CONFIG_FIELDS = {f.name for f in fields(TestConfig)}
-
-
 class _Session:
-    def __init__(self, options: SessionOptions):
-        self.options = options
-        self.world = World()
-        self.world.settings.max_rewrite_depth = options.max_rewrite_depth
-        self.config = options.config
+    def __init__(self, settings: Settings):
+        self.world = World(settings=settings)
         self.results: list[FormResult] = []
         self.index = 0
         self.include_stack: list[str] = []
 
-    def load_file(self, path: str):
+    def run_forms(self, text: str, directory: str) -> bool:
+        """Admit or run each form of ``text`` in order; False once one fails."""
+        for form in parse_forms(text):
+            if not self.process_form(form, directory):
+                return False
+        return True
+
+    def load_file(self, path: str) -> bool:
         real = os.path.realpath(path)
         if real in self.include_stack:
             raise AdmissionError(f"include cycle at {path}")
@@ -107,13 +100,9 @@ class _Session:
             text = fh.read()
         self.include_stack.append(real)
         try:
-            forms = parse_forms(text)
-            for form in forms:
-                if not self.process_form(form, os.path.dirname(path)):
-                    return False
+            return self.run_forms(text, os.path.dirname(path))
         finally:
             self.include_stack.pop()
-        return True
 
     def process_form(self, form: Form, directory: str) -> bool:
         """Admit or run one form; False stops the session (admission error)."""
@@ -135,7 +124,7 @@ class _Session:
             elif isinstance(form, DefruleForm):
                 self.world.add_rule(RewriteRule(form.name, form.hyps, form.lhs, form.rhs))
             elif isinstance(form, SetTestingForm):
-                self._apply_set_testing(form.updates)
+                self.world.settings = replace(self.world.settings, **form.updates)
             elif isinstance(form, IncludeForm):
                 target = os.path.normpath(os.path.join(directory, form.path))
                 if not self.load_file(target):
@@ -150,34 +139,22 @@ class _Session:
             return False
         return True
 
-    def _apply_set_testing(self, updates: dict):
-        for name, value in updates.items():
-            if name in _CONFIG_FIELDS:
-                self.config = replace(self.config, **{name: value})
-            else:
-                setattr(self.world.settings, name, value)
-
     def _seed_for(self, form_index: int, is_thm: bool) -> int:
-        deterministic = self.config.deterministic
-        if deterministic is None:
-            deterministic = is_thm
-        return self.config.seed if deterministic else derive_seed(self.config.seed, form_index)
+        settings = self.world.settings
+        deterministic = is_thm if settings.deterministic is None else settings.deterministic
+        return settings.seed if deterministic else derive_seed(settings.seed, form_index)
 
     def _run_test(self, form: TestForm, fr: FormResult):
         self.world.check_term(form.term)
-        seed = self._seed_for(fr.index, is_thm=False)
-        fr.seed = seed
-        report = top_level_test(form.term, self.config, self.world, seed=seed)
+        fr.seed = self._seed_for(fr.index, is_thm=False)
+        report = top_level_test(form.term, self.world, fr.seed)
         fr.testing = report
         fr.status = "falsified" if report.falsified else "admitted"
 
     def _run_thm(self, form: ThmForm, fr: FormResult):
         self.world.check_term(form.term)
-        seed = self._seed_for(fr.index, is_thm=True)
-        fr.seed = seed
-        result = run_waterfall(
-            form.term, self.world, form.hints, self.config, backtrack=self.options.backtrack, seed=seed
-        )
+        fr.seed = self._seed_for(fr.index, is_thm=True)
+        result = run_waterfall(form.term, self.world, form.hints, fr.seed)
         fr.proof = result
         if result.falsified:
             fr.status = "falsified"
@@ -187,14 +164,14 @@ class _Session:
             fr.status = "failed-with-checkpoints"
 
 
-def process_file(path: str, options: Optional[SessionOptions] = None) -> SessionOutcome:
-    """Run one corpus file in a fresh world."""
-    options = options or SessionOptions()
-    outcome = SessionOutcome(path, options)
-    session = _Session(options)
+def process_file(path: str, settings: Settings = Settings()) -> SessionOutcome:
+    """Run one corpus file in a fresh world. A file that cannot be read, is
+    not UTF-8 or does not parse is the outcome's fatal error."""
+    outcome = SessionOutcome(path, settings)
+    session = _Session(settings)
     try:
         session.load_file(path)
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         outcome.fatal_error = f"{path}: {e}"
     except OSError as e:
         outcome.fatal_error = str(e)
@@ -202,15 +179,12 @@ def process_file(path: str, options: Optional[SessionOptions] = None) -> Session
     return outcome
 
 
-def process_source(text: str, options: Optional[SessionOptions] = None, directory: str = ".") -> tuple[SessionOutcome, World]:
+def process_source(text: str, settings: Settings = Settings(), directory: str = ".") -> tuple[SessionOutcome, World]:
     """Run forms from a string; returns the outcome and the populated world."""
-    options = options or SessionOptions()
-    outcome = SessionOutcome("<string>", options)
-    session = _Session(options)
+    outcome = SessionOutcome("<string>", settings)
+    session = _Session(settings)
     try:
-        for form in parse_forms(text):
-            if not session.process_form(form, directory):
-                break
+        session.run_forms(text, directory)
     except ParseError as e:
         outcome.fatal_error = str(e)
     outcome.forms = session.results

@@ -18,6 +18,9 @@ from .evaluator import EvaluationError, evaluate
 from .terms import QNIL, QT, App, Quote, Term, Var, app, free_var_set, is_negation, subst_vars
 from .values import truthy
 
+# rule applications one clause's simplification may spend
+MAX_RULE_APPLICATIONS = 10_000
+
 
 @dataclass
 class SimplifyOutcome:
@@ -208,7 +211,7 @@ def _cleanup(literals: list[Term]):
 
 def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
     """Run the staged simplifier on one clause."""
-    budget = _Budget(world.settings.max_rule_applications, world.settings.max_rewrite_depth)
+    budget = _Budget(MAX_RULE_APPLICATIONS, world.settings.max_rewrite_depth)
     lits = list(literals)
     substitutions: dict[str, Term] = {}
     diagnostics: list[str] = []
@@ -243,7 +246,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
         lits, proved = _cleanup(lits)
         if proved:
             out = SimplifyOutcome("proved", substitutions=substitutions, diagnostics=diagnostics)
-            out.rule_applications = world.settings.max_rule_applications - budget.left
+            out.rule_applications = MAX_RULE_APPLICATIONS - budget.left
             return out
 
         if any(has_connective(lit) for lit in lits):
@@ -254,7 +257,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
                     # or() of nothing is false
                     new_clauses = [[QNIL]]
                 out = SimplifyOutcome("children", children=new_clauses, substitutions=substitutions, diagnostics=diagnostics)
-                out.rule_applications = world.settings.max_rule_applications - budget.left
+                out.rule_applications = MAX_RULE_APPLICATIONS - budget.left
                 return out
 
         if lits == before:
@@ -262,7 +265,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
 
     if budget.depth_cut:
         diagnostics.append("rewrite backchain depth limit reached while relieving hypotheses")
-    applications = world.settings.max_rule_applications - budget.left
+    applications = MAX_RULE_APPLICATIONS - budget.left
     if not lits:
         lits = [QNIL]  # empty disjunction is false
     if lits == list(literals):

@@ -8,6 +8,7 @@ deduplicated by the tuple of their values in variable order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +24,7 @@ from .datadef import (
     sample,
 )
 from .evaluator import EvaluationError, evaluate
-from .rand import DEFAULT_UNIFORM_BOUND, IndexSource
+from .rand import IndexSource
 from .terms import App, Quote, Term, Var, free_vars, is_negation, negate
 from .values import Value, print_value, truthy
 
@@ -33,20 +34,6 @@ Binding = dict[str, Value]
 # what a trial may raise: an evaluation error, or a value nested too deeply
 # for a recursive recognizer
 _TRIAL_ERRORS = (EvaluationError, RecursionError)
-
-
-@dataclass(frozen=True)
-class TestConfig:
-    __test__ = False  # not a pytest class
-
-    trials: int = 100
-    mode: str = "random"  # random | exhaustive | mixed
-    dist: str = "geometric"  # geometric | uniform
-    seed: int = 24
-    exhaustive_bound: int = 1000
-    uniform_bound: int = DEFAULT_UNIFORM_BOUND
-    per_goal_cap: int = 200_000
-    deterministic: Optional[bool] = None  # None: on for thm forms, off for test?
 
 
 @dataclass
@@ -120,13 +107,13 @@ def _passes_residuals(world, selection: TypeSelection, value: Value) -> bool:
     return True
 
 
-def _index_bound(world, selection: TypeSelection, config: TestConfig) -> int:
+def _index_bound(world, selection: TypeSelection, exhaustive_bound: int) -> int:
     if isinstance(selection.primary, SingletonRestriction):
         return 1
     entry = world.types.entries[selection.primary]
     if entry.size is not None:
-        return min(config.exhaustive_bound, entry.size)
-    return config.exhaustive_bound
+        return min(exhaustive_bound, entry.size)
+    return exhaustive_bound
 
 
 def _bind(plans, var_order, value_of):
@@ -148,14 +135,9 @@ def _bind(plans, var_order, value_of):
     return binding, error
 
 
-def _exhaustive_assignments(world, plans, var_order, config: TestConfig):
-    bounds = [_index_bound(world, plans[v], config) for v in var_order]
-    total = 1
-    for b in bounds:
-        total *= b
-    total = min(total, config.per_goal_cap)
+def _exhaustive_assignments(world, plans, var_order, bounds, per_goal_cap: int):
     counters = [0] * len(var_order)
-    for _ in range(total):
+    for _ in range(min(math.prod(bounds), per_goal_cap)):
         index = dict(zip(var_order, counters))
         yield _bind(plans, var_order, lambda v, t: enumerate_value(world, t, index[v]))
         # odometer: last variable fastest
@@ -166,11 +148,11 @@ def _exhaustive_assignments(world, plans, var_order, config: TestConfig):
             counters[i] = 0
 
 
-def _random_assignments(world, plans, var_order, config: TestConfig, rng: IndexSource):
+def _random_assignments(world, plans, var_order, trials: int, dist: str, rng: IndexSource):
     def draw(v, t):
-        return sample(world, t, rng, config.dist)
+        return sample(world, t, rng, dist)
 
-    for _ in range(config.trials):
+    for _ in range(trials):
         yield _bind(plans, var_order, draw)
 
 
@@ -183,12 +165,14 @@ def _erred(report: TestReport, e: BaseException):
 def run_trials(
     conjecture: Term,
     alist: TypeAlist,
-    config: TestConfig,
     world,
-    seed: Optional[int] = None,
+    seed: int,
+    trials: int,
     goal_id: Optional[str] = None,
 ) -> TestReport:
     """Instantiate, evaluate, and classify trials for one conjecture.
+    ``trials`` is the random-mode count; the mode, distribution and bounds
+    come from ``world.settings``.
 
     Deterministic for a fixed seed: each trial draws one index per non-singleton
     variable in variable order, so the first k trials of a longer run match a
@@ -200,27 +184,26 @@ def run_trials(
         if v not in alist:
             raise ValueError(f"type alist does not cover variable {v}")
     plans = _var_plans(alist, world)
-    used_seed = config.seed if seed is None else seed
-    rng = IndexSource(used_seed, uniform_bound=config.uniform_bound)
+    settings = world.settings
 
-    mode = config.mode
-    if mode == "mixed":
-        total = 1
-        for v in var_order:
-            total *= _index_bound(world, plans[v], config)
-        mode = "exhaustive" if total <= config.trials else "random"
+    mode = settings.mode
+    if mode != "random":
+        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v in var_order]
+        if mode == "mixed":
+            mode = "exhaustive" if math.prod(bounds) <= trials else "random"
 
     if mode == "exhaustive":
-        assignments = _exhaustive_assignments(world, plans, var_order, config)
+        assignments = _exhaustive_assignments(world, plans, var_order, bounds, settings.per_goal_cap)
     else:
-        assignments = _random_assignments(world, plans, var_order, config, rng)
+        rng = IndexSource(seed, uniform_bound=settings.uniform_bound)
+        assignments = _random_assignments(world, plans, var_order, trials, settings.dist, rng)
 
     report = TestReport(
         goal_id=goal_id,
         type_alist=alist,
         selections=plans,
-        seed=used_seed,
-        dist=config.dist,
+        seed=seed,
+        dist=settings.dist,
         mode=mode,
     )
     # one conjunction evaluates the hypotheses in order, stopping at the first
@@ -267,13 +250,9 @@ def run_trials(
     return report
 
 
-def top_level_test(
-    term: Term,
-    config: TestConfig,
-    world,
-    seed: Optional[int] = None,
-) -> TestReport:
-    """Test an unsimplified conjecture: extract restrictions, then run trials."""
+def top_level_test(term: Term, world, seed: int) -> TestReport:
+    """Test an unsimplified conjecture: extract restrictions, then run the
+    world's number of trials."""
     hyps, concl = split_implies(term)
     alist = extract_restrictions([negate(h) for h in hyps] + [concl], world)
-    return run_trials(term, alist, config, world, seed=seed)
+    return run_trials(term, alist, world, seed, world.settings.trials)

@@ -103,17 +103,6 @@ def from_list(items, tail: Value = NIL) -> Value:
     return out
 
 
-def list_elements(v: Value):
-    """Elements of a proper list, or None if v is not nil-terminated."""
-    out = []
-    while isinstance(v, Cons):
-        out.append(v.car)
-        v = v.cdr
-    if v != NIL:
-        return None
-    return out
-
-
 def is_true_list(v: Value) -> bool:
     while isinstance(v, Cons):
         v = v.cdr

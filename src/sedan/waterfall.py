@@ -23,11 +23,11 @@ from .clauses import clause_to_term, clause_vars, clausify
 from .datadef import component_types
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
-from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings
+from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings, goal_trials
 from .history import History
 from .simplify import simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
-from .testgen import TestConfig, TestReport, run_trials
+from .testgen import TestReport, run_trials
 from .values import Value, truthy
 
 
@@ -186,23 +186,19 @@ def generalize(goal: Goal, fresh: FreshNames):
 # ---------------------------------------------------------------------------
 # the waterfall proper
 
+# goals one proof attempt may process before the rest are pooled unprocessed:
+# a guard against rule sets that loop
+MAX_GOALS_PER_PROOF = 10_000
 
-def run_waterfall(
-    top: Term,
-    world,
-    hints: tuple[HintSpec, ...],
-    config: TestConfig,
-    backtrack: bool = False,
-    seed: Optional[int] = None,
-) -> ProofResult:
-    """Prove ``top`` as far as the waterfall goes. With ``backtrack`` on,
-    every goal whose hint names no backtrack handler gets the testing one."""
+
+def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> ProofResult:
+    """Prove ``top`` as far as the waterfall goes, testing with ``seed``. With
+    ``world.settings.backtrack`` on, every goal whose hint names no backtrack
+    handler gets the testing one."""
     check_hints(hints)
-    used_seed = config.seed if seed is None else seed
-    config = replace(config, seed=used_seed)
     history = History()
     fresh = FreshNames(clause_vars([top]))
-    result = ProofResult("failed", top, history=history, seed=used_seed)
+    result = ProofResult("failed", top, history=history, seed=seed)
 
     history.record_top("Goal", [top])
     clauses = clausify(top)
@@ -230,16 +226,16 @@ def run_waterfall(
 
     while agenda:
         processed += 1
-        if processed > world.settings.max_goals_per_proof:
+        if processed > MAX_GOALS_PER_PROOF:
             result.diagnostics.append(
-                f"goal budget of {world.settings.max_goals_per_proof} exceeded; "
+                f"goal budget of {MAX_GOALS_PER_PROOF} exceeded; "
                 "remaining goals pooled unprocessed (check the rule set for loops)"
             )
             pool.extend(agenda)
             agenda.clear()
             break
         goal = agenda.popleft()
-        goal.settings = goal_settings(goal.id, hints, goal.inherited_backtrack, backtrack)
+        goal.settings = goal_settings(goal.id, hints, goal.inherited_backtrack, world.settings.backtrack)
 
         for _ in range(len(PROCESS_NAMES) + 1):
             entry = _try_processes(goal, world, history, fresh)
@@ -248,7 +244,7 @@ def run_waterfall(
                 break
             result.process_log.append(entry)
             outcome = apply_backtrack(
-                goal.settings.backtrack, entry.process, entry.child_clauses, goal, world, config, history
+                goal.settings.backtrack, entry.process, entry.child_clauses, goal, world, seed, history
             )
             if outcome.action == "redo":
                 entry.outcome, entry.note = "discarded", outcome.note
@@ -274,10 +270,8 @@ def run_waterfall(
 
     for goal in pool:
         alist = history.accumulated_type_alist(goal.id, world)
-        trials = goal.settings.trials if goal.settings.trials is not None else config.trials
-        goal_config = replace(config, trials=trials)
         report = run_trials(
-            clause_to_term(goal.literals), alist, goal_config, world, seed=used_seed, goal_id=goal.id
+            clause_to_term(goal.literals), alist, world, seed, goal_trials(goal, world), goal_id=goal.id
         )
         result.checkpoint_reports[goal.id] = report
         for binding in report.counterexamples:

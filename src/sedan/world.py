@@ -3,6 +3,11 @@
 Construction is a linear sequence of form admissions; during a proof attempt or
 a testing run the world is read-only.
 
+``World.settings`` is the one record of every setting: testing parameters,
+backtracking, and the evaluator's and simplifier's limits. It is frozen, so a
+``set-testing`` form changes it in one update,
+``world.settings = replace(world.settings, **updates)``.
+
 ``World.functions`` is the one table for every callable name except the
 special forms. A new world seeds it with the built-ins (``evaluator.BUILTINS``)
 and then the base types (``datadef.install_base_types``, the one source of the
@@ -15,9 +20,11 @@ defun adds a ``FunctionDef``. No name is ever redefined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .datadef import AdmissionError, TypeTable, install_base_types
 from .evaluator import BUILTINS, HostFunction, arity_bounds
+from .rand import DEFAULT_UNIFORM_BOUND
 from .subtypes import SubtypeGraph
 from .terms import App, Term, Var, free_var_set
 
@@ -42,23 +49,30 @@ class RewriteRule:
     rhs: Term
 
 
-@dataclass
+@dataclass(frozen=True)
 class Settings:
+    trials: int = 100
+    mode: str = "random"  # random | exhaustive | mixed
+    dist: str = "geometric"  # geometric | uniform
+    seed: int = 24
+    exhaustive_bound: int = 1000
+    uniform_bound: int = DEFAULT_UNIFORM_BOUND
+    per_goal_cap: int = 200_000
+    deterministic: Optional[bool] = None  # None: on for thm forms, off for test?
+    backtrack: bool = True  # goals without a handler hint get test-gen-checkpoint
+    max_rewrite_depth: int = 8
     depth_cap: int = 10_000
     evidence_trials: int = 1000
-    max_rewrite_depth: int = 8
-    max_rule_applications: int = 10_000
-    max_goals_per_proof: int = 10_000  # global guard against looping rule sets
 
 
 class World:
-    def __init__(self):
+    def __init__(self, settings: Settings = Settings()):
         self.functions: dict[str, HostFunction | FunctionDef] = dict(BUILTINS)
         self.rules: list[RewriteRule] = []
         self.rules_by_name: dict[str, RewriteRule] = {}
         # the rules on each left-hand side's function symbol, in admission order
         self.rules_by_head: dict[str, list[RewriteRule]] = {}
-        self.settings = Settings()
+        self.settings = settings
         self.types = TypeTable()
         self.subtypes = SubtypeGraph()
         install_base_types(self)

@@ -1,11 +1,11 @@
 import os
+from dataclasses import replace
 
 import pytest
 
 from sedan.forms import compile_term
 from sedan.reader import read_sexprs
-from sedan.session import SessionOptions, process_source
-from sedan.testgen import TestConfig
+from sedan.session import process_source
 from sedan.world import World
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "sedan", "corpus")
@@ -22,13 +22,18 @@ def term(src: str):
     return compile_term(sxs[0])
 
 
-def make_world(src: str = "", **config):
+def make_world(src: str = ""):
     """A world populated by admitting the given forms; raises on any error."""
-    options = SessionOptions(config=TestConfig(**config)) if config else SessionOptions()
-    outcome, world = process_source(src, options, directory=CORPUS_DIR)
+    outcome, world = process_source(src, directory=CORPUS_DIR)
     for fr in outcome.forms:
         assert fr.status != "error", f"form {fr.index} ({fr.source}): {fr.error}"
     assert outcome.fatal_error is None, outcome.fatal_error
+    return world
+
+
+def with_settings(world, **updates):
+    """The world, its settings updated as a set-testing form would."""
+    world.settings = replace(world.settings, **updates)
     return world
 
 

@@ -15,13 +15,14 @@ from sedan.evaluator import evaluate
 from sedan.forms import parse_forms, TestForm, ThmForm
 from sedan.rand import IndexSource
 from sedan.reports import emit_report
-from sedan.session import SessionOptions, process_file
-from sedan.testgen import TestConfig, top_level_test
+from sedan.session import process_file
+from sedan.testgen import top_level_test
 from sedan.values import NIL, T, Cons, print_value
 from sedan.waterfall import run_waterfall
+from sedan.world import Settings
 
 from checkers import check_process_soundness
-from conftest import corpus_path, make_world, term
+from conftest import corpus_path, make_world, term, with_settings
 from test_clauses import FORMULAS, _truth_equivalent
 
 SEEDS = range(1, 21)
@@ -53,11 +54,11 @@ def triangle_world():
 def test_criterion_1_untyped_rev_rev():
     w = make_world(REV)
     conjecture = term("(equal (rev (rev x)) x)")
-    cfg = TestConfig(trials=100, dist="geometric")
+    with_settings(w, trials=100, dist="geometric")
     hits = 0
     for seed in SEEDS:
         started = time.perf_counter()
-        report = top_level_test(conjecture, cfg, w, seed=seed)
+        report = top_level_test(conjecture, w, seed)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"seed {seed} took {elapsed:.2f}s"
         if report.counterexamples:
@@ -71,7 +72,7 @@ def test_criterion_1_untyped_rev_rev():
 def test_criterion_2_typed_rev_rev():
     w = make_world(REV)
     conjecture = term("(implies (true-listp x) (equal (rev (rev x)) x))")
-    report = top_level_test(conjecture, TestConfig(trials=100), w, seed=24)
+    report = top_level_test(conjecture, with_settings(w, trials=100), 24)
     assert report.trials_run == 100
     assert report.satisfied == 100  # type-directed sampling satisfies by construction
     assert not report.counterexamples
@@ -91,10 +92,10 @@ def test_criterion_2_typed_rev_rev():
 def test_criterion_3_triangle_naive():
     world, forms = triangle_world()
     naive = next(f.term for f in forms if isinstance(f, TestForm))
-    cfg = TestConfig(trials=10000, dist="uniform", uniform_bound=2**10)
+    with_settings(world, trials=10000, dist="uniform", uniform_bound=2**10)
     ok = 0
     for seed in SEEDS:
-        report = top_level_test(naive, cfg, world, seed=seed)
+        report = top_level_test(naive, world, seed)
         if report.satisfied <= 5 and not report.counterexamples:
             ok += 1
     assert ok >= 19, f"only {ok}/20 seeds within bounds"
@@ -104,10 +105,10 @@ def test_criterion_3_triangle_naive():
 def test_criterion_4_triangle_prover_assisted():
     world, forms = triangle_world()
     thm = next(f for f in forms if isinstance(f, ThmForm))
-    cfg = TestConfig(trials=10000, dist="geometric")
+    with_settings(world, trials=10000, dist="geometric", backtrack=True)
     ok = 0
     for seed in SEEDS:
-        result = run_waterfall(thm.term, world, thm.hints, cfg, backtrack=True, seed=seed)
+        result = run_waterfall(thm.term, world, thm.hints, seed)
         assert len(result.checkpoints) == 1
         goal = result.checkpoints[0]
         alist = result.history.accumulated_type_alist(goal.id, world)
@@ -144,8 +145,8 @@ def test_criterion_5_inequality():
         assert evaluate(h, binding, w) == T
     assert evaluate(concl, binding, w) == NIL
 
-    cfg = TestConfig(trials=10000, dist="geometric")
-    hits = sum(bool(top_level_test(conjecture, cfg, w, seed=s).counterexamples) for s in SEEDS)
+    with_settings(w, trials=10000, dist="geometric")
+    hits = sum(bool(top_level_test(conjecture, w, s).counterexamples) for s in SEEDS)
     assert hits >= 15, f"counterexamples in only {hits}/20 seeds"
 
     weakened = term(
@@ -161,7 +162,7 @@ def test_criterion_5_inequality():
 @criterion(6, "backtracking discards refuted generalizations; off-mode counterexample stays subgoal-local")
 def test_criterion_6_backtracking():
     path = corpus_path("gen-backtrack.lisp")
-    on = process_file(path, SessionOptions(config=TestConfig(trials=100, seed=24), backtrack=True))
+    on = process_file(path, Settings(trials=100, seed=24, backtrack=True))
     thm_on = on.forms[0].proof
     assert len(thm_on.discarded_generalizations) >= 1
     ckpt = thm_on.checkpoints[0]
@@ -169,7 +170,7 @@ def test_criterion_6_backtracking():
     assert not thm_on.counterexamples
     assert not thm_on.subgoal_counterexamples
 
-    off = process_file(path, SessionOptions(config=TestConfig(trials=100, seed=24), backtrack=False))
+    off = process_file(path, Settings(trials=100, seed=24, backtrack=False))
     thm_off = off.forms[0].proof
     assert not thm_off.discarded_generalizations
     assert thm_off.subgoal_counterexamples  # the generalized child's counterexample appears
@@ -228,7 +229,7 @@ def test_criterion_9_process_soundness():
         for backtrack in (True, False):
             out = process_file(
                 corpus_path(name),
-                SessionOptions(config=TestConfig(trials=100, seed=24), backtrack=backtrack),
+                Settings(trials=100, seed=24, backtrack=backtrack),
             )
             world = make_world(open(corpus_path(name)).read().split("(set-testing")[0].split("(test?")[0].split("(thm")[0])
             for fr in out.forms:
@@ -250,8 +251,8 @@ def test_criterion_10_determinism():
     names = ["base-rules.lisp", "cancel-rules.lisp", "rev.lisp", "triangle.lisp",
              "inequality.lisp", "gen-backtrack.lisp"]
     for name in names:
-        opts = SessionOptions(config=TestConfig(trials=100, seed=24), backtrack=True)
-        first = emit_report(process_file(corpus_path(name), opts), "structured")
-        second = emit_report(process_file(corpus_path(name), opts), "structured")
+        settings = Settings(trials=100, seed=24, backtrack=True)
+        first = emit_report(process_file(corpus_path(name), settings), "structured")
+        second = emit_report(process_file(corpus_path(name), settings), "structured")
         assert first == second, f"structured report for {name} not byte-identical"
         json.loads(first.decode())  # and it is valid JSON

@@ -21,7 +21,7 @@ from sedan.evaluator import (
 from sedan.terms import App, Quote, Var
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value
 
-from conftest import make_world, term
+from conftest import make_world, term, with_settings
 
 # one representative per primitive kind of the (reduced) value universe:
 # zero, positive/negative integers, positive/negative non-integer rationals,
@@ -267,7 +267,7 @@ def test_compiled_code_sees_later_definitions_and_cap_changes():
     assert evaluate(t, {"x": 5}, w) == 7  # the same term object, compiled before the defun
     with pytest.raises(DepthExceededError, match="cap of 3 exceeded"):
         evaluate(t, {"x": 5}, w, depth_cap=3)
-    w.settings.depth_cap = 4
+    with_settings(w, depth_cap=4)
     with pytest.raises(DepthExceededError, match="cap of 4 exceeded"):
         evaluate(t, {"x": 5}, w)
 

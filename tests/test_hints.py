@@ -4,10 +4,9 @@ from sedan.forms import HintSpec
 from sedan.hints import EMPTY_SETTINGS, HANDLERS, HintSettings, apply_backtrack, check_hints, goal_settings
 from sedan.hints import test_gen_checkpoint as checkpoint_handler
 from sedan.history import History
-from sedan.testgen import TestConfig
 from sedan.waterfall import Goal, run_waterfall
 
-from conftest import term
+from conftest import term, with_settings
 
 
 def clause(*srcs):
@@ -65,37 +64,35 @@ def _goal_with_history(world, *clause_srcs):
 
 def test_backtrack_no_handler_keeps(world):
     goal, h = _goal_with_history(world, "(natp x)")
-    out = apply_backtrack(None, "generalize", [clause("(natp v1)")], goal, world, TestConfig(), h)
+    out = apply_backtrack(None, "generalize", [clause("(natp v1)")], goal, world, 24, h)
     assert out.action == "keep"
 
 
 def test_checkpoint_handler_ignores_other_processes(world):
     goal, h = _goal_with_history(world, "(natp x)")
-    out = checkpoint_handler("simplify", [clause("nil")], goal, world, TestConfig(), h)
+    out = checkpoint_handler("simplify", [clause("nil")], goal, world, 24, h)
     assert out.action == "keep"
 
 
 def test_checkpoint_handler_redoes_refuted_generalization(world):
     goal, h = _goal_with_history(world, "(<= 0 (+ (len x) (len x)))")
     child = clause("(<= 0 (+ v1 v1))")
-    out = checkpoint_handler("generalize", [child], goal, world, TestConfig(trials=100, seed=24), h)
+    out = checkpoint_handler("generalize", [child], goal, world, 24, h)
     assert out.action == "redo"
     assert "generalize" in out.settings.do_not
-    assert out.report is not None and out.report.falsified
 
 
 def test_checkpoint_handler_keeps_unfalsified_generalization(world):
     goal, h = _goal_with_history(world, "(equal (+ (len x) (len x)) (+ (len x) (len x)))")
     child = clause("(equal (+ v1 v1) (+ v1 v1))")
-    out = checkpoint_handler("generalize", [child], goal, world, TestConfig(trials=50, seed=24), h)
+    out = checkpoint_handler("generalize", [child], goal, with_settings(world, trials=50), 24, h)
     assert out.action == "keep"
 
 
 def test_backtrack_decisions_deterministic(world):
     goal, h = _goal_with_history(world, "(<= 0 (+ (len x) (len x)))")
     child = clause("(<= 0 (+ v1 v1))")
-    cfg = TestConfig(trials=100, seed=7)
-    outs = [checkpoint_handler("generalize", [child], goal, world, cfg, h).action for _ in range(3)]
+    outs = [checkpoint_handler("generalize", [child], goal, world, 7, h).action for _ in range(3)]
     assert outs == ["redo", "redo", "redo"]
 
 
@@ -103,8 +100,7 @@ def test_redo_settings_extend_prior_do_not(world):
     goal, h = _goal_with_history(world, "(<= 0 (+ (len x) (len x)))")
     goal.settings = HintSettings(do_not=frozenset({"eliminate-destructors"}), backtrack="test-gen-checkpoint")
     child = clause("(<= 0 (+ v1 v1))")
-    out = apply_backtrack("test-gen-checkpoint", "generalize", [child], goal, world,
-                          TestConfig(trials=100, seed=24), h)
+    out = apply_backtrack("test-gen-checkpoint", "generalize", [child], goal, world, 24, h)
     assert out.action == "redo"
     assert out.settings.do_not >= {"eliminate-destructors", "generalize"}
 
@@ -118,7 +114,7 @@ def test_handler_failure_is_logged_and_kept(world):
     hints_mod.HANDLERS["broken"] = broken
     try:
         goal, h = _goal_with_history(world, "(natp x)")
-        out = apply_backtrack("broken", "generalize", [clause("(natp v1)")], goal, world, TestConfig(), h)
+        out = apply_backtrack("broken", "generalize", [clause("(natp v1)")], goal, world, 24, h)
         assert out.action == "keep"
         assert "boom" in out.note
     finally:
@@ -130,8 +126,8 @@ def test_handler_failure_reaches_the_proof_diagnostics(world, monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(HANDLERS, "broken", broken)
-    result = run_waterfall(term("(<= 0 (+ (len x) (len x)))"), world, (HintSpec("Goal", backtrack="broken"),),
-                           TestConfig(trials=20, seed=1))
+    result = run_waterfall(term("(<= 0 (+ (len x) (len x)))"), with_settings(world, trials=20, backtrack=False),
+                           (HintSpec("Goal", backtrack="broken"),), 1)
     assert result.diagnostics == ["Goal: backtrack handler error: boom"]
     # the step the handler failed on is kept
     assert [(e.goal_id, e.process, e.outcome) for e in result.process_log] == [("Goal", "generalize", "children")]

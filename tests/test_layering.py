@@ -18,7 +18,7 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "sedan")
 
 LAYERS = [
     "values", "terms", "reader", "clauses", "evaluator", "subtypes", "datadef",
-    "world", "rand", "testgen", "history", "simplify", "forms", "hints",
+    "rand", "world", "testgen", "history", "simplify", "forms", "hints",
     "waterfall", "session", "reports", "cli",
 ]
 
@@ -94,6 +94,19 @@ def test_only_datadef_knows_the_type_expressions():
     assert {"BaseRef", "ListofExpr", "ProductExpr", "CustomExpr"} <= names
     readers = {m: _loads(m, names) for m in MODULES if m != "datadef"}
     assert not {m: lines for m, lines in readers.items() if lines}
+
+
+def test_settings_travel_only_on_the_world():
+    # every setting lives in world.settings; no function takes a separate record
+    found = [
+        f"{module}.py:{fn.lineno} {fn.name}({arg.arg})"
+        for module in MODULES
+        for fn in ast.walk(_tree(module))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+        if arg.arg in ("config", "options")
+    ]
+    assert not found, found
 
 
 def test_base_recognizers_are_not_builtins():

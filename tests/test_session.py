@@ -11,8 +11,7 @@ from sedan.evaluator import evaluate
 from sedan.forms import _SET_TESTING_KEYS
 from sedan.reader import MAX_NESTING
 from sedan.reports import display_binding, emit_report, parse_binding, render_text
-from sedan.session import SessionOptions, process_file, process_source
-from sedan.testgen import TestConfig
+from sedan.session import process_file, process_source
 from sedan.values import NIL
 from sedan.world import Settings, World
 
@@ -22,15 +21,8 @@ CORPUS = ["rev.lisp", "triangle.lisp", "inequality.lisp", "gen-backtrack.lisp",
           "base-rules.lisp", "cancel-rules.lisp"]
 
 
-def options(**kw):
-    cfg_keys = {"trials", "seed", "mode", "dist", "deterministic"}
-    cfg = {k: v for k, v in kw.items() if k in cfg_keys}
-    rest = {k: v for k, v in kw.items() if k not in cfg_keys}
-    return SessionOptions(config=TestConfig(**cfg), **rest)
-
-
 def test_rev_corpus_outcome():
-    out = process_file(corpus_path("rev.lisp"), options(trials=100, seed=24))
+    out = process_file(corpus_path("rev.lisp"), Settings(trials=100, seed=24))
     assert out.fatal_error is None
     statuses = [(fr.kind, fr.status) for fr in out.forms]
     assert statuses == [("defun", "admitted"), ("test?", "falsified"), ("test?", "admitted")]
@@ -44,7 +36,7 @@ def test_rev_corpus_outcome():
 def test_empty_file_exits_zero(tmp_path):
     path = tmp_path / "empty.lisp"
     path.write_text("; nothing here\n")
-    out = process_file(str(path), options())
+    out = process_file(str(path))
     assert out.exit_code == 0
     assert out.forms == []
 
@@ -52,7 +44,7 @@ def test_empty_file_exits_zero(tmp_path):
 def test_admission_error_stops_processing(tmp_path):
     path = tmp_path / "bad.lisp"
     path.write_text("(defun f (x) (g x))\n(defun h (x) x)\n")
-    out = process_file(str(path), options())
+    out = process_file(str(path))
     assert out.forms[0].status == "error"
     assert "g" in out.forms[0].error
     assert len(out.forms) == 1  # processing stopped
@@ -62,7 +54,7 @@ def test_admission_error_stops_processing(tmp_path):
 def test_parse_error_is_fatal(tmp_path):
     path = tmp_path / "broken.lisp"
     path.write_text("(defun f (x)")
-    out = process_file(str(path), options())
+    out = process_file(str(path))
     assert out.fatal_error is not None
     assert out.exit_code == 1
 
@@ -189,8 +181,8 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch, tmp_path):
     # or every verdict would leave a world for the cyclic collector
     worlds = []
 
-    def tracked_world():
-        world = World()
+    def tracked_world(**kwargs):
+        world = World(**kwargs)
         worlds.append(weakref.ref(world))
         return world
 
@@ -201,7 +193,7 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch, tmp_path):
     gc.disable()
     try:
         for name in (corpus_path("triangle.lisp"), str(path)):
-            outcome = process_file(name, options())
+            outcome = process_file(name)
             assert outcome.fatal_error is None
             assert "error" not in {fr.status for fr in outcome.forms}
             assert outcome.forms[-1].status in ("falsified", "failed-with-checkpoints")
@@ -212,19 +204,36 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch, tmp_path):
 
 
 def test_missing_file_is_fatal():
-    out = process_file("no-such-file.lisp", options())
+    out = process_file("no-such-file.lisp")
     assert out.fatal_error is not None
     assert out.exit_code == 1
+
+
+def test_a_file_that_is_not_utf8_is_a_fatal_error(tmp_path, capsys):
+    from sedan.cli import main
+
+    path = tmp_path / "latin1.lisp"
+    path.write_bytes(b"(test? (natp \xff x))\n")
+    assert main([str(path), "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert f"{path}: 'utf-8' codec can't decode byte 0xff in position 13" in out
+    assert "Traceback" not in out
+    # reached through an include, the same bytes are the include form's error
+    (tmp_path / "main.lisp").write_text('(include "latin1.lisp")\n')
+    out = process_file(str(tmp_path / "main.lisp"))
+    assert out.fatal_error is None
+    assert [fr.status for fr in out.forms] == ["error"]
+    assert "can't decode byte 0xff" in out.forms[0].error
 
 
 def test_include_loads_relative_and_detects_cycles(tmp_path):
     (tmp_path / "a.lisp").write_text('(include "b.lisp")\n(test? (posp (one)))\n')
     (tmp_path / "b.lisp").write_text("(defun one () 1)\n")
-    out = process_file(str(tmp_path / "a.lisp"), options())
+    out = process_file(str(tmp_path / "a.lisp"))
     assert [fr.status for fr in out.forms] == ["admitted", "admitted", "admitted"]
     assert out.exit_code == 0  # (posp (one)) holds on every trial
     (tmp_path / "c.lisp").write_text('(include "c.lisp")\n')
-    out = process_file(str(tmp_path / "c.lisp"), options())
+    out = process_file(str(tmp_path / "c.lisp"))
     assert any(fr.status == "error" and "cycle" in fr.error for fr in out.forms)
 
 
@@ -244,12 +253,26 @@ def test_a_self_call_is_checked_like_any_other_call():
     assert evaluate(term("(f '(1 2))"), {}, world) == 0
 
 
-def test_every_set_testing_key_names_a_config_field_or_a_world_setting():
-    # session routes a key to TestConfig by field name and setattrs the rest
+def test_every_set_testing_key_names_a_setting():
+    # a set-testing form is one replace() on the world's settings
     targets = {name for name, _ in _SET_TESTING_KEYS.values()}
-    config = {f.name for f in fields(TestConfig)}
-    assert targets - config <= {f.name for f in fields(Settings)}
-    assert targets & config and targets - config
+    assert targets <= {f.name for f in fields(Settings)}
+
+
+def test_every_setting_can_be_set():
+    from sedan.cli import build_parser
+
+    by_keys = {name for name, _ in _SET_TESTING_KEYS.values()}
+    by_flags = {action.dest for action in build_parser()._actions}
+    assert {f.name for f in fields(Settings)} - by_keys - by_flags == set()
+
+
+def test_a_zero_uniform_bound_is_rejected_at_its_form():
+    out, _ = process_source("(defun f (x) x)\n(set-testing :dist uniform :uniform-bound 0)\n(test? (natp n))")
+    assert out.fatal_error == "2:1: :uniform-bound expects a positive integer"
+    assert out.forms == []
+    out, _ = process_source("(set-testing :dist uniform :uniform-bound 1)\n(test? (natp n))")
+    assert out.forms[1].testing.witnesses == [{"n": 0}]
 
 
 def test_set_testing_changes_later_forms():
@@ -265,7 +288,7 @@ def test_thm_statuses():
         "(thm (implies (true-listp q) (equal q q)))\n"
         "(thm (equal 1 2))\n"
     )
-    out, _ = process_source(src, options(trials=50), directory=os.path.dirname(corpus_path("rev.lisp")))
+    out, _ = process_source(src, Settings(trials=50), directory=os.path.dirname(corpus_path("rev.lisp")))
     kinds = [(fr.kind, fr.status) for fr in out.forms if fr.kind == "thm"]
     assert kinds[0] == ("thm", "proved")
     assert kinds[1] == ("thm", "proved")  # reflexive equality simplifies away
@@ -275,7 +298,7 @@ def test_thm_statuses():
 
 def test_deterministic_auto_mode_thm_fixed_testq_derived():
     src = "(test? (natp n))\n(test? (natp n))\n(thm (natp n))\n(thm (natp n))"
-    out, _ = process_source(src, options(trials=20, seed=5))
+    out, _ = process_source(src, Settings(trials=20, seed=5))
     seeds = [fr.seed for fr in out.forms]
     assert seeds[0] != seeds[1]  # exploratory test? forms get per-form seeds
     assert seeds[2] == seeds[3] == 5  # thm forms pin the global constant
@@ -283,15 +306,15 @@ def test_deterministic_auto_mode_thm_fixed_testq_derived():
 
 def test_deterministic_flag_overrides_both_kinds():
     src = "(test? (natp n))\n(thm (natp n))"
-    out, _ = process_source(src, options(trials=20, seed=5, deterministic=True))
+    out, _ = process_source(src, Settings(trials=20, seed=5, deterministic=True))
     assert [fr.seed for fr in out.forms] == [5, 5]
-    out, _ = process_source(src, options(trials=20, seed=5, deterministic=False))
+    out, _ = process_source(src, Settings(trials=20, seed=5, deterministic=False))
     assert len({fr.seed for fr in out.forms}) == 2
 
 
 def test_structured_report_round_trips_counterexamples():
     rev = corpus_path("rev.lisp")
-    out = process_file(rev, options(trials=100, seed=24))
+    out = process_file(rev, Settings(trials=100, seed=24))
     doc = json.loads(emit_report(out, "structured").decode())
     world = make_world(open(rev).read().split("(test?")[0])
     conjecture = term("(equal (rev (rev x)) x)")
@@ -308,15 +331,15 @@ def test_structured_report_round_trips_counterexamples():
 
 def test_byte_determinism_same_flags_same_report():
     for name in CORPUS:
-        opts = options(trials=50, seed=24)
-        a = emit_report(process_file(corpus_path(name), opts), "structured")
-        b = emit_report(process_file(corpus_path(name), opts), "structured")
+        settings = Settings(trials=50, seed=24)
+        a = emit_report(process_file(corpus_path(name), settings), "structured")
+        b = emit_report(process_file(corpus_path(name), settings), "structured")
         assert a == b, name
 
 
 def test_different_seed_changes_structured_report():
-    a = emit_report(process_file(corpus_path("rev.lisp"), options(trials=50, seed=1)), "structured")
-    b = emit_report(process_file(corpus_path("rev.lisp"), options(trials=50, seed=2)), "structured")
+    a = emit_report(process_file(corpus_path("rev.lisp"), Settings(trials=50, seed=1)), "structured")
+    b = emit_report(process_file(corpus_path("rev.lisp"), Settings(trials=50, seed=2)), "structured")
     assert a != b
 
 
@@ -330,7 +353,7 @@ def test_exit_code_contract_across_corpus():
         "cancel-rules.lisp": 0,
     }
     for name, code in expected.items():
-        out = process_file(corpus_path(name), options(seed=24))
+        out = process_file(corpus_path(name), Settings(seed=24))
         assert out.exit_code == code, name
 
 
@@ -349,7 +372,7 @@ def test_checkpoint_echo_prints_keywords_unquoted():
 
 
 def test_triangle_text_report_sentences():
-    out = process_file(corpus_path("triangle.lisp"), options(seed=24))
+    out = process_file(corpus_path("triangle.lisp"), Settings(seed=24))
     text = render_text(out)
     assert "none of which satisfied the hypotheses" in text
     assert "We falsified the conjecture. Here are counterexamples:" in text
@@ -370,6 +393,18 @@ def test_cli_main_runs(tmp_path, capsys):
     assert "Testing refuted a generalization" in captured.out
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--max-rewrite-depth"])
+def test_cli_rejects_a_negative_count(flag, capsys):
+    from sedan.cli import main
+
+    # the rule set-testing applies to its counts
+    with pytest.raises(SystemExit) as exit:
+        main([corpus_path("base-rules.lisp"), flag, "-1"])
+    assert exit.value.code == 2
+    assert f"argument {flag}: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert main([corpus_path("base-rules.lisp"), flag, "0", "--format", "text"]) == 0
+
+
 def test_cli_seed_env_precedence(monkeypatch):
     from sedan.cli import resolve_seed
 
@@ -381,7 +416,7 @@ def test_cli_seed_env_precedence(monkeypatch):
 
 
 def test_emit_report_rejects_unknown_format():
-    out = process_file(corpus_path("base-rules.lisp"), options())
+    out = process_file(corpus_path("base-rules.lisp"))
     with pytest.raises(ValueError, match="unknown report format"):
         emit_report(out, "xml")
 

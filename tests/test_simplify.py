@@ -96,11 +96,11 @@ def test_unchanged_when_nothing_applies():
     assert out.status == "unchanged"
 
 
-def test_rewrite_budget_exhaustion_downgrades_with_diagnostic():
+def test_rewrite_budget_exhaustion_downgrades_with_diagnostic(monkeypatch):
     w = make_world("(defun f (x) x)\n(defun g (x) x)")
     # a deliberately looping rule: (f x) -> (f (g x))
     w.add_rule(RewriteRule("loop", (), term("(f x)"), term("(f (g x))")))
-    w.settings.max_rule_applications = 50
+    monkeypatch.setattr(simplify, "MAX_RULE_APPLICATIONS", 50)
     out = simplify_clause(clause("(not (natp (f y)))", "(natp y)"), w)
     assert any("budget" in d for d in out.diagnostics)
 

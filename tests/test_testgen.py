@@ -8,7 +8,6 @@ from sedan.datadef import SingletonRestriction, enumerate_value
 from sedan.evaluator import EvaluationError, evaluate
 from sedan.terms import Quote, negate
 from sedan.testgen import (
-    TestConfig,
     extract_restrictions,
     print_binding,
     run_trials,
@@ -16,7 +15,7 @@ from sedan.testgen import (
 )
 from sedan.values import NIL, T, print_value, truthy
 
-from conftest import make_world, term
+from conftest import make_world, term, with_settings
 
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
 
@@ -62,7 +61,7 @@ def test_unrecognized_hypotheses_contribute_nothing(world):
 
 def test_tautology_counts():
     w = make_world()
-    report = run_trials(Quote(T), {}, TestConfig(trials=10), w, seed=3)
+    report = run_trials(Quote(T), {}, w, 3, 10)
     assert report.trials_run == 10
     assert report.satisfied == 10
     assert report.unique_satisfied == 1  # the empty binding, deduplicated
@@ -74,7 +73,7 @@ def test_tautology_counts():
 def test_typed_rev_all_trials_satisfy():
     w = make_world(REV)
     report = top_level_test(term("(implies (true-listp x) (equal (rev (rev x)) x))"),
-                            TestConfig(trials=100), w, seed=11)
+                            with_settings(w, trials=100), 11)
     assert report.trials_run == 100
     assert report.satisfied == 100  # sampling is type-directed
     assert not report.counterexamples
@@ -83,7 +82,7 @@ def test_typed_rev_all_trials_satisfy():
 
 def test_untyped_rev_finds_counterexamples():
     w = make_world(REV)
-    report = top_level_test(term("(equal (rev (rev x)) x)"), TestConfig(trials=100), w, seed=11)
+    report = top_level_test(term("(equal (rev (rev x)) x)"), with_settings(w, trials=100), 11)
     assert report.counterexamples
     t = term("(equal (rev (rev x)) x)")
     for b in report.counterexamples:
@@ -93,7 +92,7 @@ def test_untyped_rev_finds_counterexamples():
 def test_counterexample_and_witness_soundness():
     w = make_world()
     t = term("(implies (integerp x) (natp x))")
-    report = top_level_test(t, TestConfig(trials=200), w, seed=5)
+    report = top_level_test(t, with_settings(w, trials=200), 5)
     assert report.counterexamples and report.witnesses
     hyps = term("(integerp x)")
     concl = term("(natp x)")
@@ -107,7 +106,7 @@ def test_counterexample_and_witness_soundness():
 
 def test_singleton_dominance():
     w = make_world()
-    report = top_level_test(term("(implies (equal x 42) (natp x))"), TestConfig(trials=50), w, seed=1)
+    report = top_level_test(term("(implies (equal x 42) (natp x))"), with_settings(w, trials=50), 1)
     assert report.satisfied == 50
     assert report.unique_satisfied == 1
     assert all(b["x"] == 42 for b in report.witnesses)
@@ -117,7 +116,7 @@ def test_singleton_conflicting_with_type_filter_is_vacuous():
     w = make_world()
     report = top_level_test(
         term("(implies (and (stringp x) (equal x 42)) (equal x x))"),
-        TestConfig(trials=20), w, seed=1,
+        with_settings(w, trials=20), 1,
     )
     assert report.satisfied == 0
     assert not report.witnesses and not report.counterexamples
@@ -128,7 +127,7 @@ def test_incomparable_restrictions_reject_via_residual():
     # primary string, residual integer: nothing passes both filters
     report = top_level_test(
         term("(implies (and (stringp x) (integerp x)) (equal x x))"),
-        TestConfig(trials=50), w, seed=2,
+        with_settings(w, trials=50), 2,
     )
     assert report.satisfied == 0
 
@@ -136,8 +135,8 @@ def test_incomparable_restrictions_reject_via_residual():
 def test_determinism_byte_identical():
     w = make_world(REV)
     t = term("(equal (rev (rev x)) x)")
-    r1 = top_level_test(t, TestConfig(trials=60), w, seed=42)
-    r2 = top_level_test(t, TestConfig(trials=60), w, seed=42)
+    r1 = top_level_test(t, with_settings(w, trials=60), 42)
+    r2 = top_level_test(t, with_settings(w, trials=60), 42)
     key = lambda r: (
         [print_binding(b, ["x"]) for b in r.counterexamples],
         [print_binding(b, ["x"]) for b in r.witnesses],
@@ -149,8 +148,8 @@ def test_determinism_byte_identical():
 def test_monotone_budget_prefix_property():
     w = make_world(REV)
     t = term("(equal (rev (rev x)) x)")
-    small = top_level_test(t, TestConfig(trials=30), w, seed=9)
-    large = top_level_test(t, TestConfig(trials=90), w, seed=9)
+    small = top_level_test(t, with_settings(w, trials=30), 9)
+    large = top_level_test(t, with_settings(w, trials=90), 9)
     small_keys = [print_binding(b, ["x"]) for b in small.counterexamples]
     large_keys = [print_binding(b, ["x"]) for b in large.counterexamples]
     assert large_keys[: len(small_keys)] == small_keys
@@ -159,7 +158,7 @@ def test_monotone_budget_prefix_property():
 
 def test_erroring_trials_are_neither_witness_nor_counterexample():
     w = make_world("(set-testing :depth-cap 50)\n(defun spin (x) (spin x))")
-    report = top_level_test(term("(equal (spin x) 1)"), TestConfig(trials=5), w, seed=1)
+    report = top_level_test(term("(equal (spin x) 1)"), with_settings(w, trials=5), 1)
     assert report.erroring == 5
     assert report.satisfied == 5  # no hypotheses, so every trial reached the conclusion
     assert not report.witnesses and not report.counterexamples
@@ -171,8 +170,9 @@ def test_exhaustive_mode_covers_the_box():
     report = run_trials(
         term("(implies (booleanp x) (equal x x))"),
         {"x": ("boolean",)},
-        TestConfig(trials=100, mode="exhaustive", exhaustive_bound=10),
-        w,
+        with_settings(w, mode="exhaustive", exhaustive_bound=10),
+        24,
+        100,
     )
     assert report.mode == "exhaustive"
     assert report.trials_run == 2  # bound clipped to |boolean|
@@ -182,18 +182,17 @@ def test_exhaustive_mode_covers_the_box():
 def test_mixed_mode_switches_on_bound_product():
     w = make_world()
     t = term("(implies (and (booleanp x) (booleanp y)) (equal x x))")
-    small = run_trials(t, {"x": ("boolean",), "y": ("boolean",)},
-                       TestConfig(trials=100, mode="mixed"), w)
+    with_settings(w, mode="mixed")
+    small = run_trials(t, {"x": ("boolean",), "y": ("boolean",)}, w, 24, 100)
     assert small.mode == "exhaustive" and small.trials_run == 4
-    big = run_trials(t, {"x": ("all",), "y": ("all",)},
-                     TestConfig(trials=10, mode="mixed"), w)
+    big = run_trials(t, {"x": ("all",), "y": ("all",)}, w, 24, 10)
     assert big.mode == "random" and big.trials_run == 10
 
 
 def test_alist_must_cover_free_variables():
     w = make_world()
     with pytest.raises(ValueError, match="does not cover"):
-        run_trials(term("(natp x)"), {}, TestConfig(trials=5), w)
+        run_trials(term("(natp x)"), {}, w, 24, 5)
 
 
 def test_strengthened_inequality_yields_no_counterexamples():
@@ -206,7 +205,7 @@ def test_strengthened_inequality_yields_no_counterexamples():
         " (<= (expt a 2) (* b (+ c 1))) (<= b (* 4 c)))"
         " (< (expt (- a 1) 2) (* b c)))"
     )
-    report = top_level_test(t, TestConfig(trials=3000), w, seed=24)
+    report = top_level_test(t, with_settings(w, trials=3000), 24)
     assert not report.counterexamples
     assert report.witnesses  # and the hypotheses are satisfiable
 
@@ -223,12 +222,12 @@ def test_erroring_custom_enumerator_counts_as_erroring_trials():
     w = make_world(SPINNING_ENUMERATOR)
     t = term("(implies (and (evr x) (natp y)) (equal x (- y y)))")
     alist = {"x": ("ev",), "y": ("nat",)}
-    small = run_trials(t, alist, TestConfig(trials=30), w, seed=3)
+    small = run_trials(t, alist, w, 3, 30)
     assert small.trials_run == 30
     assert small.erroring > 0 and small.satisfied > 0
     assert small.erroring + small.satisfied == 30  # only x = 0 instantiates
     assert "depth cap of 50" in small.first_error
-    large = run_trials(t, alist, TestConfig(trials=90), w, seed=3)
+    large = run_trials(t, alist, w, 3, 90)
     keys = lambda r: [print_binding(b, ["x", "y"]) for b in r.witnesses]
     assert keys(large)[: len(keys(small))] == keys(small)
     assert large.erroring >= small.erroring
@@ -241,7 +240,7 @@ def test_erroring_custom_recognizer_in_a_residual_check_counts_as_erroring():
         "(defun eve (n) n)\n"
         "(defdata ev (custom evr eve))"
     )
-    report = run_trials(term("(equal x x)"), {"x": ("nat", "ev")}, TestConfig(trials=40), w, seed=5)
+    report = run_trials(term("(equal x x)"), {"x": ("nat", "ev")}, w, 5, 40)
     assert report.erroring > 0 and report.erroring + report.satisfied == 40
     assert "depth cap of 50" in report.first_error
 
@@ -302,7 +301,7 @@ def test_value_keys_deduplicate_as_printed_keys_do():
     t = term("(implies (and (lookp x) (not (equal (spin y) 'b))) (equal (spin x) y))")
     bound = 40
     report = run_trials(t, {"x": ("look",), "y": ("look",)},
-                        TestConfig(mode="exhaustive", exhaustive_bound=bound), w)
+                        with_settings(w, mode="exhaustive", exhaustive_bound=bound), 24, 100)
     counts, witnesses, counterexamples = _counts_under_printed_keys(w, t, ["x", "y"], bound)
     assert report.trials_run == bound * bound
     assert report.unique_satisfied == counts["unique_satisfied"]

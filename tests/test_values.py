@@ -8,7 +8,6 @@ from sedan.values import (
     Symbol,
     from_list,
     is_true_list,
-    list_elements,
     norm_rat,
     order_key,
     print_value,
@@ -51,8 +50,6 @@ def test_values_of_distinct_kinds_never_compare_equal():
 
 def test_list_helpers():
     lst = from_list([1, 2, 3])
-    assert list_elements(lst) == [1, 2, 3]
-    assert list_elements(Cons(1, 2)) is None
     assert is_true_list(NIL) and is_true_list(lst) and not is_true_list(Cons(1, 2))
     assert proper_length(lst) == 3
     assert proper_length(Cons(1, 2)) == 1

@@ -1,14 +1,14 @@
 import pytest
 
+from sedan import waterfall
 from sedan.evaluator import evaluate
 from sedan.simplify import simplify_clause
-from sedan.testgen import TestConfig
 from sedan.values import NIL, Cons
 from sedan.waterfall import FreshNames, Goal, eliminate_destructors, generalize, run_waterfall
 from sedan.history import History
 
 from checkers import check_process_soundness
-from conftest import make_world, term
+from conftest import make_world, term, with_settings
 
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
 RULES = '(include "base-rules.lisp")\n(include "cancel-rules.lisp")\n'
@@ -45,9 +45,8 @@ TRIANGLE_THM = """
 
 
 def run(src_world, thm_src, trials=100, seed=24, backtrack=True, hints=()):
-    world = make_world(src_world)
-    return run_waterfall(term(thm_src), world, hints, TestConfig(trials=trials, seed=seed),
-                         backtrack=backtrack), world
+    world = with_settings(make_world(src_world), trials=trials, backtrack=backtrack)
+    return run_waterfall(term(thm_src), world, hints, seed), world
 
 
 def test_posp_natp_proves_with_base_rules():
@@ -305,14 +304,14 @@ def test_spurious_lift_is_demoted_not_reported():
     assert "wildcard" in result.spurious_lifts[0].reason
 
 
-def test_goal_budget_guards_against_looping_rule_sets():
+def test_goal_budget_guards_against_looping_rule_sets(monkeypatch):
     from sedan.world import RewriteRule
 
     world = make_world("(defun f (x) x)")
     # pathological: the right-hand side re-embeds the trigger under an if, so
     # every simplify visit splits into a goal that still contains (f x)
     world.add_rule(RewriteRule("respawn", (), term("(f x)"), term("(if (natp x) (f x) t)")))
-    world.settings.max_goals_per_proof = 20
-    result = run_waterfall(term("(f y)"), world, (), TestConfig(trials=5, seed=1))
+    monkeypatch.setattr(waterfall, "MAX_GOALS_PER_PROOF", 20)
+    result = run_waterfall(term("(f y)"), with_settings(world, trials=5, backtrack=False), (), 1)
     assert any("goal budget" in d for d in result.diagnostics)
     assert result.status == "failed"
