@@ -1,7 +1,8 @@
 """Command-line front end: run corpus files and emit reports.
 
 Seed precedence: --seed flag, then the SEDAN_SEED environment variable, then
-the built-in default of 24.
+the built-in default of 24. A negative or non-integer ``--seed`` is an
+argument error; such a SEDAN_SEED is reported and ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .reports import emit_report
 from .session import process_file
-from .world import Settings
+from .world import SETTING_BOUNDS, Settings, describe_bound, within_bound
 
 
 def _on_off(value: str) -> bool:
@@ -21,15 +22,21 @@ def _on_off(value: str) -> bool:
     return value == "on"
 
 
-def _count(value: str) -> int:
-    """A nonnegative integer, the rule ``set-testing`` applies to its counts."""
-    try:
-        n = int(value)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value!r}")
-    return n
+def _setting(name: str):
+    """An argparse type for an integer setting, held to the bound that
+    ``Settings`` and ``set-testing`` apply."""
+    bound = SETTING_BOUNDS[name]
+
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = None
+        if not within_bound(n, bound):
+            raise argparse.ArgumentTypeError(f"expected {describe_bound(bound)}, got {value!r}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,13 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Type-aware random testing with a waterfall-style conjecture checker.",
     )
     parser.add_argument("files", nargs="+", help="corpus files to process in order")
-    parser.add_argument("--seed", type=int, default=None, help=f"64-bit seed (default {Settings.seed}; SEDAN_SEED overrides the default)")
-    parser.add_argument("--trials", type=_count, default=Settings.trials, help="trials per conjecture (default %(default)s)")
-    parser.add_argument("--mode", choices=("random", "exhaustive", "mixed"), default=Settings.mode)
-    parser.add_argument("--dist", choices=("geometric", "uniform"), default=Settings.dist)
+    parser.add_argument("--seed", type=_setting("seed"), default=None, help=f"64-bit seed (default {Settings.seed}; SEDAN_SEED overrides the default)")
+    parser.add_argument("--trials", type=_setting("trials"), default=Settings.trials, help="trials per conjecture (default %(default)s)")
+    parser.add_argument("--mode", choices=SETTING_BOUNDS["mode"], default=Settings.mode)
+    parser.add_argument("--dist", choices=SETTING_BOUNDS["dist"], default=Settings.dist)
     parser.add_argument("--backtrack", type=_on_off, default=Settings.backtrack, metavar="{on,off}",
                         help="install the counterexample-driven backtrack handler (default on)")
-    parser.add_argument("--max-rewrite-depth", type=_count, default=Settings.max_rewrite_depth,
+    parser.add_argument("--max-rewrite-depth", type=_setting("max_rewrite_depth"), default=Settings.max_rewrite_depth,
                         help="backchain depth for rule hypotheses (default %(default)s)")
     parser.add_argument("--deterministic", type=_on_off, default=Settings.deterministic, metavar="{on,off}",
                         help="fixed seed for every form; default: fixed for thm, per-form for test?")
@@ -59,9 +66,9 @@ def resolve_seed(flag_value) -> int:
     env = os.environ.get("SEDAN_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            print(f"warning: ignoring non-integer SEDAN_SEED={env!r}", file=sys.stderr)
+            return _setting("seed")(env)
+        except argparse.ArgumentTypeError as e:
+            print(f"warning: ignoring SEDAN_SEED={env!r}: {e}", file=sys.stderr)
     return Settings.seed
 
 

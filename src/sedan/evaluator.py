@@ -11,39 +11,57 @@ definition's recognizer or enumerator) or a defun. ``BUILTINS`` holds no type
 recognizer: ``natp``, ``booleanp`` and the other base recognizers come from
 ``datadef.install_base_types``, like every defdata type's ``Xp``.
 
-A term is compiled once into nested closures ``code(env, remaining)``, where
-``remaining`` is the user-function nesting the cap still allows, and the code is
-memoised on the term object, so it lives exactly as long as the term does:
+A term is compiled into generated Python: one function ``f(env, remaining)``
+per evaluated term, which reads its variables from ``env`` once on entry, and
+one function ``f(remaining, *formals)`` per defun body, which takes the formals
+as positional parameters, so a call builds no environment. ``remaining`` is
+the user-function nesting the cap still allows. A term's function is memoised
+on the term object, so it lives exactly as long as the term does.
 
-- ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter does;
-- a host function's implementation is bound at compile time, its arity checked
-  once, and it is called with the argument values as positional arguments
-  (``impl(a, b)``), so a call builds no argument list;
-- a user function's body is compiled on its first call, and its code is kept on
-  the body term the world holds (worlds only grow and redefinition is rejected,
-  so nothing goes stale); a name not yet defined is looked up again when the
-  call is reached.
+- ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter
+  does, and in their test position a built-in predicate (``consp``,
+  ``equal``, ``<``, ``not``, ...) gives a Python bool directly;
+- ``car``, ``cdr``, ``cons``, ``consp``, ``equal``, the comparisons and binary
+  ``+``, ``*`` and ``-`` are inlined, with an int fast path for the numbers;
+- every other host function is a global of the world's namespace, called with
+  the argument values as positional arguments;
+- a defun is called through a per-world slot in that namespace, which
+  generates the body's function on its first call and then holds it (worlds
+  only grow and redefinition is rejected, so nothing goes stale); a name not
+  yet defined is looked up again each time the call is reached.
+
+Quoted constants become parameters of a maker function, so the source text
+depends only on the term's shape, and ``compile()`` runs once per text for
+every world: its result is kept in an LRU cache of 1024 texts
+(``_maker_code``). A subterm nested deep enough to approach Python's parser
+limits moves into a helper function. A world's namespace is cleared when the
+world is freed, which breaks the cycle between it and the defun functions it
+holds, so a finished world is freed by reference counting.
 
 An error is raised only when evaluation reaches it, in the interpreter's order
-and with the interpreter's class and message. Closures recurse on the
-Python stack; a compiled run that overflows it is rerun by the explicit
-work-stack interpreter ``_interpret``, which is also the oracle the compiled
-path is tested against.
+and with the interpreter's class and message. The explicit work-stack
+interpreter ``_interpret`` is the oracle the generated code is tested against,
+and the fallback that reruns an evaluation which overflows the Python stack,
+misses a variable of its binding, or whose source Python cannot compile.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
 import weakref
 from fractions import Fraction
+from types import CodeType, FunctionType
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .terms import App, Quote, Term, Var
+from .terms import App, Quote, Term, Var, free_vars
 from .values import (
     NIL,
     T,
     Cons,
+    Symbol,
     Value,
     boolify,
     from_list,
@@ -217,24 +235,44 @@ def evaluate(term: Term, binding: Binding, world, depth_cap: int | None = None) 
         return _code(term, world)(binding, cap)
     except _OutOfDepth:
         raise DepthExceededError(cap) from None
-    except RecursionError:
+    except (_Interpret, RecursionError):
         return _interpret(term, binding, world, cap)
 
 
 # ---------------------------------------------------------------------------
-# compilation: a term becomes code(env, remaining) -> value, where remaining is
-# the user-function nesting still allowed under the depth cap
+# compilation: a term becomes a generated Python function f(env, remaining) and
+# a defun body a function f(remaining, *formals), where remaining is the
+# user-function nesting still allowed under the depth cap
 
 
 class _OutOfDepth(Exception):
-    """Raised by compiled code past the depth cap; evaluate reports the cap."""
+    """Raised by generated code past the depth cap; evaluate reports the cap."""
+
+
+class _Interpret(Exception):
+    """Raised by generated code that cannot run this evaluation (a variable
+    the binding lacks, a body Python cannot compile); evaluate reruns it in
+    the interpreter, which raises the same errors in the same order."""
+
+
+def _interpret_instead(*_):
+    raise _Interpret
+
+
+def _bad_arity(name: str, lo: int, hi, n: int, *argv):
+    """Called by generated code once the call's arguments are evaluated."""
+    _check_arity(name, lo, hi, n)
+
+
+def _not_a_term(t):
+    raise EvaluationError(f"not a term: {t!r}")
 
 
 def _code(term: Term, world):
-    """The term's compiled code in this world, memoised on the term object.
+    """The term's generated function in this world, memoised on the term object.
 
-    Neither the memo nor the code holds the world strongly: a defun body is a
-    term the world holds, and a reference cycle through it would keep a
+    Neither the memo nor the function holds the world strongly: a defun body
+    is a term the world holds, and a reference cycle through it would keep a
     finished world alive until the cyclic collector runs."""
     try:
         owner, code = term._compiled
@@ -242,162 +280,321 @@ def _code(term: Term, world):
             return code
     except AttributeError:
         pass
-    code = _compile(term, world)
+    code = _generate(world, term)
     if type(term) in (App, Var, Quote):
         object.__setattr__(term, "_compiled", (weakref.ref(world), code))
     return code
 
 
-def _compile(t: Term, world):
-    tt = type(t)
-    if tt is Quote:
-        value = t.value
-        return lambda env, rem: value
-    if tt is Var:
-        name = t.name
-
-        def var(env, rem):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariableError(name) from None
-
-        return var
-    if tt is not App:
-        def not_a_term(env, rem):
-            raise EvaluationError(f"not a term: {t!r}")
-
-        return not_a_term
-    fn, n = t.fn, len(t.args)
-    if fn in SPECIAL_FORMS:
-        lo, hi = SPECIAL_FORMS[fn]
-        bad = _bad_arity(fn, lo, hi, n)
-        if bad is not None:
-            return bad
-        return _SPECIAL[fn](*[_compile(a, world) for a in t.args])
-    args = [_compile(a, world) for a in t.args]
-    impl = _impl(world, fn, n)
-    if impl is not None:  # a host function: no depth bookkeeping
-        if n == 1:
-            a0 = args[0]
-            return lambda env, rem: impl(a0(env, rem))
-        if n == 2:
-            a0, a1 = args
-            return lambda env, rem: impl(a0(env, rem), a1(env, rem))
-        return lambda env, rem: impl(*[a(env, rem) for a in args])
-    call = _caller(world, fn, n)
-    if n == 1:
-        a0 = args[0]
-        return lambda env, rem: call([a0(env, rem)], rem)
-    return lambda env, rem: call([a(env, rem) for a in args], rem)
+# the names every generated function may read; a world's namespace adds the
+# host functions (h_NAME), defun slots (d_NAME) and late-bound names (l_NAME)
+# its code calls
+_PRELUDE = {
+    "__builtins__": builtins,
+    "_T": T,
+    "_NIL": NIL,
+    "_Cons": Cons,
+    "_Symbol": Symbol,
+    "_fix": _fix,
+    "_plus": _plus,
+    "_minus": _minus,
+    "_times": _times,
+    "_OutOfDepth": _OutOfDepth,
+    "_Interpret": _Interpret,
+    "_bad_arity": _bad_arity,
+    "_not_a_term": _not_a_term,
+}
 
 
-def _if(test, then, other):
-    def if_(env, rem):
-        if test(env, rem) != NIL:
-            return then(env, rem)
-        return other(env, rem)
-
-    return if_
-
-
-def _and(*parts):
-    if not parts:
-        return lambda env, rem: T
-
-    def and_(env, rem):
-        for part in parts:
-            v = part(env, rem)
-            if v == NIL:
-                return NIL
-        return v
-
-    return and_
+def new_namespace(world) -> dict:
+    """The globals of a world's generated functions, made with the world. A
+    defun's function sits in it and reads it, a cycle that is cleared when
+    the world is freed."""
+    ns = dict(_PRELUDE)
+    weakref.finalize(world, ns.clear)
+    return ns
 
 
-def _or(*parts):
-    if not parts:
-        return lambda env, rem: NIL
-
-    def or_(env, rem):
-        for part in parts:
-            v = part(env, rem)
-            if v != NIL:
-                return v
-        return v
-
-    return or_
+@functools.lru_cache(maxsize=1024)
+def _maker_code(source: str) -> CodeType:
+    """The code of the ``_make`` function that ``source`` defines. The source
+    depends only on a term's shape, so every world shares one compilation."""
+    module = compile(source, "<sedan>", "exec")
+    return next(c for c in module.co_consts if type(c) is CodeType)
 
 
-def _implies(hyp, concl):
-    def implies(env, rem):
-        if hyp(env, rem) == NIL:
-            return T
-        return T if concl(env, rem) != NIL else NIL
-
-    return implies
-
-
-_SPECIAL = {"if": _if, "and": _and, "or": _or, "implies": _implies}
-
-
-def _bad_arity(fn: str, lo: int, hi, n: int):
-    """None if n is within the bounds, else a function of two arguments (code or
-    a caller) that raises the arity error."""
-    if n >= lo and (hi is None or n <= hi):
-        return None
-
-    def raise_arity(argv, rem):
-        _check_arity(fn, lo, hi, n)
-
-    return raise_arity
+def _generate(world, term: Term, formals=None):
+    """The generated function for a term (``formals`` None) or for a defun
+    body, or ``_interpret_instead`` when Python cannot compile its source. A
+    RecursionError while emitting is left to ``evaluate``'s fallback, so a
+    term first met deep in the stack is generated again the next time."""
+    em = _Emitter(world, formals)
+    body = em.value(term)[0]
+    try:
+        make = FunctionType(_maker_code(em.source(body)), world.namespace)
+    except (SyntaxError, MemoryError):
+        return _interpret_instead
+    return make(*em.consts)
 
 
-def _impl(world, fn: str, n: int):
-    """impl(*argv) for a host function that takes n arguments."""
-    host = world.functions.get(fn)
-    if type(host) is HostFunction and _bad_arity(fn, host.lo, host.hi, n) is None:
-        return host.impl
-    return None
+@functools.lru_cache(maxsize=4096)
+def _ident(prefix: str, name: str) -> str:
+    """A Python identifier for a Lisp name, one-to-one."""
+    return prefix + "".join(c if c.isascii() and c.isalnum() else f"_{ord(c):x}_" for c in name)
 
 
-def _caller(world, fn: str, n: int):
-    """call(argv, remaining) applying fn to n evaluated arguments. Arity is
-    checked once here; its error, like every other, is raised only when a call
-    is reached, after the arguments were evaluated."""
-    impl = _impl(world, fn, n)
-    if impl is not None:
-        return lambda argv, rem: impl(*argv)
-    owner = weakref.ref(world)
-    bounds = arity_bounds(world, fn)
-    if bounds is None:
-        # not defined yet: a later defun may add the name
-        resolved = None
+def _defun_slot(world, name: str) -> str:
+    """The namespace key generated code calls a defun through. It starts as
+    a stub that generates the body's function on the first call and puts it
+    in its own place, so recursion and later callers call it directly."""
+    key, ns = _ident("d_", name), world.namespace
+    if key not in ns:
+        owner = weakref.ref(world)
 
-        def late(argv, rem):
-            nonlocal resolved
-            if resolved is None:
-                if fn not in owner().functions:
-                    raise UndefinedFunctionError(fn)
-                resolved = _caller(owner(), fn, n)
-            return resolved(argv, rem)
+        def first_call(rem, *argv):
+            world = owner()
+            fdef = world.functions[name]
+            fn = ns[key] = _generate(world, fdef.body, fdef.formals)
+            return fn(rem, *argv)
 
-        return late
-    bad = _bad_arity(fn, *bounds, n)
-    if bad is not None:
-        return bad
-    formals = world.functions[fn].formals
-    body = None
+        ns[key] = first_call
+    return key
 
-    def user(argv, rem):
-        nonlocal body
-        if rem <= 0:
-            raise _OutOfDepth
-        if body is None:
-            body = _code(owner().functions[fn].body, owner())
-        return body(dict(zip(formals, argv)), rem - 1)
 
-    return user
+def _late_slot(world, name: str) -> str:
+    """The namespace key for a name not defined when the code was generated:
+    a later defun or defdata may add it, so it is looked up at every call."""
+    key, ns = _ident("l_", name), world.namespace
+    if key not in ns:
+        owner = weakref.ref(world)
+
+        def late(rem, *argv):
+            world = owner()
+            fdef = world.functions.get(name)
+            if fdef is None:
+                raise UndefinedFunctionError(name)
+            _check_arity(name, *fdef.arity_bounds(), len(argv))
+            if type(fdef) is HostFunction:
+                return fdef.impl(*argv)
+            return ns[_defun_slot(world, name)](rem, *argv)
+
+        ns[key] = late
+    return key
+
+
+# an expression nested deeper than this many parentheses moves into a helper
+# function, far below Python's limit of 200; a level of the term adds at most four
+_HOIST_DEPTH = 100
+
+_COMPARISONS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=="}
+_ARITHMETIC = {"+": "_plus", "*": "_times", "-": "_minus"}
+# the built-ins whose truth is a Python bool, with the argument count at which
+# they are inlined; and and or take any count
+_TEST_ARITY = {"consp": 1, "atom": 1, "endp": 1, "not": 1, "equal": 2, "if": 3, "implies": 2,
+               **dict.fromkeys(_COMPARISONS, 2)}
+# every name the emitter treats by name, the special forms among them;
+# any other is a call
+_INLINE = {"and", "or", "car", "cdr", "cons", *_TEST_ARITY, *_ARITHMETIC}
+
+
+def _tests_inline(fn: str, n: int) -> bool:
+    return fn in ("and", "or") or _TEST_ARITY.get(fn) == n
+
+
+class _Emitter:
+    """Python source for one term or defun body in one world.
+
+    ``value`` returns an expression for a term's value and ``test`` one for
+    its truth as a Python bool, each with its parenthesis depth. Built-ins
+    are recognised by name (no name is ever redefined); any other host
+    function, defun or unknown name is registered in the world's namespace.
+    Quoted constants become parameters ``k0, k1, ...`` of the maker function,
+    so the source depends only on the term's shape."""
+
+    def __init__(self, world, formals):
+        self.world = world
+        self.formals = formals
+        # variable -> Python identifier: a defun's formals, or a term's
+        # variables as they are met
+        self.locals = {} if formals is None else {name: _ident("v_", name) for name in formals}
+        self.consts: list = []
+        self.helpers: list[str] = []
+        self.temps = 0
+
+    def source(self, body: str) -> str:
+        consts = ", ".join([f"k{i}" for i in range(len(self.consts))])
+        if self.formals is not None:
+            entry = (f"    def _f({', '.join(['rem', *self.locals.values()])}):\n"
+                     "        if rem <= 0:\n            raise _OutOfDepth\n        rem -= 1\n")
+        elif self.locals:
+            reads = "".join([f"            {ident} = env[{name!r}]\n" for name, ident in self.locals.items()])
+            entry = f"    def _f(env, rem):\n        try:\n{reads}        except KeyError:\n            raise _Interpret from None\n"
+        else:
+            entry = "    def _f(env, rem):\n"
+        return f"def _make({consts}):\n{''.join(self.helpers)}{entry}        return {body}\n    return _f\n"
+
+    # -- pieces -----------------------------------------------------------
+
+    def bind(self, text: str) -> tuple[str, str]:
+        """(first use, later uses) of an expression's value: the expression
+        itself if it is a name, else an assignment to a fresh temporary."""
+        if text.isidentifier():
+            return text, text
+        tmp = f"t{self.temps}"
+        self.temps += 1
+        return f"({tmp} := {text})", tmp
+
+    def truthy(self, text: str) -> str:
+        # nil is a Symbol but not a singleton, so no identity test will do
+        first, name = self.bind(text)
+        return f"(type({first}) is not _Symbol or {name}.name != 'nil')"
+
+    def hoist(self, terms, text: str, depth: int) -> tuple[str, int]:
+        """The expression, or a call of a new helper function returning it
+        when it nests too deep; the helper takes the variables it reads."""
+        if depth <= _HOIST_DEPTH:
+            return text, depth
+        names: dict = {}
+        for t in terms:
+            names.update(dict.fromkeys(free_vars(t)))
+        params = ", ".join(["rem", *(self.locals[name] for name in names)])
+        helper = f"_h{len(self.helpers)}"
+        self.helpers.append(f"    def {helper}({params}):\n        return {text}\n")
+        return f"{helper}({params})", 1
+
+    # -- values -------------------------------------------------------------
+
+    def value(self, t) -> tuple[str, int]:
+        tt = type(t)
+        if tt is Var:
+            ident = self.locals.get(t.name)
+            if ident is None:
+                ident = self.locals[t.name] = _ident("v_", t.name)
+            return ident, 0
+        if tt is Quote:
+            self.consts.append(t.value)
+            return f"k{len(self.consts) - 1}", 0
+        if tt is not App:
+            self.consts.append(t)
+            return f"_not_a_term(k{len(self.consts) - 1})", 1
+        fn, args = t.fn, t.args
+        text, depth = self._app_value(fn, args) if fn in _INLINE else self._call(fn, args)
+        return (text, depth) if depth <= _HOIST_DEPTH else self.hoist((t,), text, depth)
+
+    def _app_value(self, fn: str, args) -> tuple[str, int]:
+        n = len(args)
+        if fn in ("and", "or") and n == 1:
+            return self.value(args[0])
+        if fn == "if" and n == 3:
+            (c, dc), (a, da), (b, db) = self.test(args[0]), self.value(args[1]), self.value(args[2])
+            return f"({a} if {c} else {b})", 1 + max(dc, da, db)
+        if fn == "and":
+            if n == 0:
+                return "_T", 0
+            tests = [self.test(a) for a in args[:-1]]
+            last, dl = self.value(args[-1])
+            return f"({last} if {' and '.join(c for c, _ in tests)} else _NIL)", 1 + max(dl, *(d for _, d in tests))
+        if fn == "or":
+            return self._or_value(args) if n else ("_NIL", 0)
+        if _tests_inline(fn, n):
+            c, depth = self._app_test(fn, args)
+            return f"(_T if {c} else _NIL)", depth + 1
+        if n == 2 and fn in _ARITHMETIC:
+            return self._numeric(args, fn, _ARITHMETIC[fn] + "({}, {})")
+        if n == 1 and fn in ("car", "cdr"):
+            a, depth = self.value(args[0])
+            first, name = self.bind(a)
+            return f"({name}.{fn} if type({first}) is _Cons else _NIL)", depth + 3
+        if n == 2 and fn == "cons":
+            (a, da), (b, db) = self.value(args[0]), self.value(args[1])
+            return f"_Cons({a}, {b})", 1 + max(da, db)
+        if fn in SPECIAL_FORMS:
+            # a special form's arity error comes before any argument
+            lo, hi = SPECIAL_FORMS[fn]
+            return f"_bad_arity({fn!r}, {lo}, {hi}, {n})", 1
+        return self._call(fn, args)
+
+    def _or_value(self, args) -> tuple[str, int]:
+        """The first non-nil value, else the last value: a right fold, so a
+        long disjunction can move into helpers piece by piece."""
+        if len(args) == 1:
+            return self.value(args[0])
+        a, da = self.value(args[0])
+        first, name = self.bind(a)
+        rest, dr = self._or_value(args[1:])
+        return self.hoist(args, f"({name} if {self.truthy(first)} else {rest})", 1 + max(da + 3, dr))
+
+    def _numeric(self, args, op: str, slow: str) -> tuple[str, int]:
+        """``a op b`` on two ints (an int constant needs no check), else
+        ``slow`` applied to the values. Both arguments are evaluated, in
+        order, before either test."""
+        names, checks, depth = [], [], 0
+        for a in args:
+            text, d = self.value(a)
+            depth = max(depth, d)
+            if type(a) is Quote and type(a.value) is int:
+                names.append(text)
+                continue
+            first, name = self.bind(text)
+            names.append(name)
+            checks.append(f"type({first}) is ")
+        a, b = names
+        if not checks:
+            return f"({a} {op} {b})", depth + 1
+        return f"({a} {op} {b} if {''.join(checks)}int else {slow.format(a, b)})", depth + 3
+
+    def _call(self, fn: str, args) -> tuple[str, int]:
+        texts, depth = [], 0
+        for a in args:
+            text, d = self.value(a)
+            texts.append(text)
+            depth = d if d > depth else depth
+        depth += 1
+        fdef = self.world.functions.get(fn)
+        if fdef is None:
+            return f"{_late_slot(self.world, fn)}({', '.join(['rem', *texts])})", depth
+        lo, hi = fdef.arity_bounds()
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            return f"_bad_arity({', '.join([repr(fn), str(lo), str(hi), str(len(args)), *texts])})", depth
+        if type(fdef) is HostFunction:
+            key = _ident("h_", fn)
+            self.world.namespace.setdefault(key, fdef.impl)
+            return f"{key}({', '.join(texts)})", depth
+        return f"{_defun_slot(self.world, fn)}({', '.join(['rem', *texts])})", depth
+
+    # -- tests ----------------------------------------------------------------
+
+    def test(self, t) -> tuple[str, int]:
+        """An expression for the term's truth as a Python bool. A built-in
+        predicate's bool is used directly, without making t or nil."""
+        if type(t) is App and _tests_inline(t.fn, len(t.args)):
+            text, depth = self._app_test(t.fn, t.args)
+            return (text, depth) if depth <= _HOIST_DEPTH else self.hoist((t,), text, depth)
+        text, depth = self.value(t)
+        return self.truthy(text), depth + 3
+
+    def _app_test(self, fn: str, args) -> tuple[str, int]:
+        if fn in ("consp", "atom", "endp"):
+            a, depth = self.value(args[0])
+            return f"(type({a}) is {'' if fn == 'consp' else 'not '}_Cons)", depth + 2
+        if fn == "equal":
+            (a, da), (b, db) = self.value(args[0]), self.value(args[1])
+            return f"({a} == {b})", 1 + max(da, db)
+        if fn in _COMPARISONS:
+            op = _COMPARISONS[fn]
+            return self._numeric(args, op, f"_fix({{}}) {op} _fix({{}})")
+        tests = [self.test(a) for a in args]
+        texts = [text for text, _ in tests]
+        depth = 1 + max((d for _, d in tests), default=0)
+        if fn == "not":
+            return f"(not {texts[0]})", depth
+        if fn == "if":
+            return f"({texts[1]} if {texts[0]} else {texts[2]})", depth
+        if fn == "implies":
+            return f"(not {texts[0]} or {texts[1]})", depth
+        if not texts:
+            return ("True" if fn == "and" else "False"), 0
+        return f"({f' {fn} '.join(texts)})", depth
 
 
 # ---------------------------------------------------------------------------

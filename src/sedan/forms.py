@@ -19,6 +19,7 @@ from .clauses import split_implies
 from .reader import MAX_NESTING, ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value, unquote
 from .terms import App, Quote, Term, Var, app
 from .values import NIL, T, Symbol, print_value
+from .world import SETTING_BOUNDS, describe_bound, within_bound
 
 PROCESS_NAMES = ("simplify", "eliminate-destructors", "generalize")
 
@@ -337,21 +338,12 @@ def _parse_hints(sx: Sexpr, ctx: Sexpr) -> tuple[HintSpec, ...]:
     return tuple(out)
 
 
-# each key's settings field and the values it takes: an integer kind from
-# _INT_KINDS, "bool", or a tuple of symbol names
+# each key's settings field and the values it takes, from world.SETTING_BOUNDS
 _SET_TESTING_KEYS = {
-    ":trials": ("trials", "nat"),
-    ":mode": ("mode", ("random", "exhaustive", "mixed")),
-    ":dist": ("dist", ("geometric", "uniform")),
-    ":seed": ("seed", "nat"),
-    ":exhaustive-bound": ("exhaustive_bound", "nat"),
-    ":uniform-bound": ("uniform_bound", "pos"),  # a uniform draw is below it
-    ":per-goal-cap": ("per_goal_cap", "nat"),
-    ":deterministic": ("deterministic", "bool"),
-    ":evidence-trials": ("evidence_trials", "nat"),
-    ":depth-cap": ("depth_cap", "nat"),
+    ":" + name.replace("_", "-"): (name, SETTING_BOUNDS[name])
+    for name in ("trials", "mode", "dist", "seed", "exhaustive_bound", "uniform_bound",
+                 "per_goal_cap", "deterministic", "evidence_trials", "depth_cap")
 }
-_INT_KINDS = {"nat": (0, "nonnegative"), "pos": (1, "positive")}
 
 
 def _parse_set_testing(args, sx: Sexpr) -> dict:
@@ -363,18 +355,17 @@ def _parse_set_testing(args, sx: Sexpr) -> dict:
         spec = _SET_TESTING_KEYS.get(key)
         if spec is None:
             raise ParseError(f"unknown set-testing keyword: {key}", sx.line, sx.col)
-        field_name, kind = spec
+        field_name, bound = spec
         _require(isinstance(val_sx, SAtom), f"{key} expects an atom", sx)
         v = val_sx.value
-        if kind in _INT_KINDS:
-            least, what = _INT_KINDS[kind]
-            _require(isinstance(v, int) and v >= least, f"{key} expects a {what} integer", sx)
+        if type(bound) is int:
+            _require(within_bound(v, bound), f"{key} expects {describe_bound(bound)}", sx)
             updates[field_name] = v
-        elif kind == "bool":
+        elif True in bound:  # a flag, set by t or nil
             _require(v in (T, NIL), f"{key} expects t or nil", sx)
             updates[field_name] = v == T
         else:
-            _require(isinstance(v, Symbol) and v.name in kind, f"{key} expects one of {kind}", sx)
+            _require(isinstance(v, Symbol) and within_bound(v.name, bound), f"{key} expects {describe_bound(bound)}", sx)
             updates[field_name] = v.name
     return updates
 

@@ -6,7 +6,8 @@ a testing run the world is read-only.
 ``World.settings`` is the one record of every setting: testing parameters,
 backtracking, and the evaluator's and simplifier's limits. It is frozen, so a
 ``set-testing`` form changes it in one update,
-``world.settings = replace(world.settings, **updates)``.
+``world.settings = replace(world.settings, **updates)``, and a value outside
+``SETTING_BOUNDS`` is a ``ValueError`` naming the field.
 
 ``World.functions`` is the one table for every callable name except the
 special forms. A new world seeds it with the built-ins (``evaluator.BUILTINS``)
@@ -15,6 +16,9 @@ base recognizers such as ``natp``); data definitions add their recognizers
 ``Xp`` and enumerators ``nth-X`` as ``HostFunction`` records, whose
 one-argument ``impl`` holds the world only through a weak reference; and each
 defun adds a ``FunctionDef``. No name is ever redefined.
+
+``World.namespace`` holds the globals of the world's generated code: the
+host functions and defun functions that ``evaluator`` emits calls to.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datadef import AdmissionError, TypeTable, install_base_types
-from .evaluator import BUILTINS, HostFunction, arity_bounds
+from .evaluator import BUILTINS, HostFunction, arity_bounds, new_namespace
 from .rand import DEFAULT_UNIFORM_BOUND
 from .subtypes import SubtypeGraph
 from .terms import App, Term, Var, free_var_set
@@ -49,6 +53,37 @@ class RewriteRule:
     rhs: Term
 
 
+# the values each setting accepts: an integer is the least one allowed and a
+# tuple lists the allowed values. Settings, set-testing and the command line
+# all check against this one table.
+SETTING_BOUNDS = {
+    "trials": 0,
+    "mode": ("random", "exhaustive", "mixed"),
+    "dist": ("geometric", "uniform"),
+    "seed": 0,
+    "exhaustive_bound": 0,
+    "uniform_bound": 1,  # a uniform draw is below it
+    "per_goal_cap": 0,
+    "deterministic": (None, True, False),
+    "backtrack": (True, False),
+    "max_rewrite_depth": 0,
+    "depth_cap": 0,
+    "evidence_trials": 0,
+}
+
+
+def within_bound(value, bound) -> bool:
+    if type(bound) is int:
+        return type(value) is int and value >= bound
+    return any(value is b or (type(b) is str and value == b) for b in bound)
+
+
+def describe_bound(bound) -> str:
+    if type(bound) is int:
+        return f"a {('nonnegative', 'positive')[bound]} integer"
+    return f"one of {bound}"
+
+
 @dataclass(frozen=True)
 class Settings:
     trials: int = 100
@@ -64,6 +99,12 @@ class Settings:
     depth_cap: int = 10_000
     evidence_trials: int = 1000
 
+    def __post_init__(self):
+        for name, bound in SETTING_BOUNDS.items():
+            value = getattr(self, name)
+            if not within_bound(value, bound):
+                raise ValueError(f"setting {name} expects {describe_bound(bound)}, got {value!r}")
+
 
 class World:
     def __init__(self, settings: Settings = Settings()):
@@ -73,6 +114,7 @@ class World:
         # the rules on each left-hand side's function symbol, in admission order
         self.rules_by_head: dict[str, list[RewriteRule]] = {}
         self.settings = settings
+        self.namespace = new_namespace(self)  # the globals of its generated code
         self.types = TypeTable()
         self.subtypes = SubtypeGraph()
         install_base_types(self)

@@ -281,3 +281,114 @@ def test_arguments_are_evaluated_before_arity_and_undefined_errors():
     assert ev("(if t 1 (if 1 2))", world=w) == 1
     with pytest.raises(ArityError, match="if expects 3 argument"):
         ev("(if nil 1 (if 1 2))", world=w)
+
+
+# ---------------------------------------------------------------------------
+# generated code: deep terms, the shape-keyed cache and worlds sharing it
+
+DIFF_WORLD_TWIN = make_world(DIFF_DEFUNS)
+
+# leaves the binding always has, so a term runs on the generated code rather
+# than falling back to the interpreter for a missing variable; Symbol("nil")
+# is nil but not the NIL object, as the reader makes it inside quoted data
+bound_leaves = st.one_of(
+    st.sampled_from(["x", "y"]).map(Var),
+    st.sampled_from([0, 1, 2, -3, Fraction(1, 2), NIL, Symbol("nil"), T, Symbol("foo"), from_list([1, 2])]).map(Quote),
+)
+small_terms = st.recursive(bound_leaves, diff_apps, max_leaves=3)
+
+
+CHAIN_FORMS = [("if", 3), ("implies", 2), ("not", 1), *((fn, n) for fn in ("and", "or") for n in (1, 2, 3))]
+
+
+@st.composite
+def deep_chains(draw, first_only: bool):
+    """if/and/or/implies/not nested 200 levels or more (Python allows 100
+    nested blocks and 200 nested parentheses), the other arguments from a
+    small pool. With ``first_only`` the chain runs through the argument
+    evaluated first, so evaluation reaches its bottom; else through any."""
+    pool = [*draw(st.lists(small_terms, min_size=1, max_size=4)), Var("x"), Var("y")]
+    t = pool[0]
+    for k in draw(st.lists(st.integers(0, 2**12), min_size=200, max_size=260)):
+        fn, n = CHAIN_FORMS[k % len(CHAIN_FORMS)]
+        k //= len(CHAIN_FORMS)
+        args = [pool[(k >> (2 * i)) % len(pool)] for i in range(n - 1)]
+        args.insert(0 if first_only else (k >> 4) % n, t)
+        t = App(fn, tuple(args))
+    return t
+
+
+def _same_shape(draw, t):
+    """t with every quoted constant replaced by a drawn one."""
+    if type(t) is Quote:
+        return draw(bound_leaves.filter(lambda leaf: type(leaf) is Quote))
+    if type(t) is App:
+        return App(t.fn, tuple(_same_shape(draw, a) for a in t.args))
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_generated_code_matches_the_interpreter_on_deep_reshaped_and_shared_terms(data):
+    binding = {"x": from_list([1, 2]), "y": 3}
+    cap = data.draw(st.sampled_from([None, 10]))
+    deep, reached = data.draw(deep_chains(False)), data.draw(deep_chains(True))
+    shaped = data.draw(diff_terms)
+    reshaped = _same_shape(data.draw, shaped)
+    for t in (deep, reached, shaped, reshaped):
+        for world in (DIFF_WORLD, DIFF_WORLD_TWIN):
+            expected = outcome(_interpret, t, binding, cap)
+            try:
+                got = (type(v := evaluate(t, binding, world, depth_cap=cap)), print_value(v))
+            except EvaluationError as e:
+                got = (type(e), str(e))
+            assert got == expected
+    # Python compiled the deep chains: they did not fall back to the interpreter
+    assert evaluator._interpret_instead not in (deep._compiled[1], reached._compiled[1])
+
+
+def test_one_defun_text_is_compiled_once_for_every_world(monkeypatch):
+    sources = []
+    monkeypatch.setattr(evaluator, "compile", lambda src, *a: sources.append(src) or compile(src, *a), raising=False)
+    evaluator._maker_code.cache_clear()
+    defun = "(defun tw (a b) (if (consp a) (tw (cdr a) (+ b 1)) b))"
+    first, second = make_world(defun), make_world(defun)
+    assert evaluate(term("(tw x 0)"), {"x": from_list([1, 2])}, first) == 2
+    compiled = len(sources)
+    assert compiled == 2  # the term and the body
+    assert evaluate(term("(tw x 0)"), {"x": from_list([1, 2, 3])}, second) == 3
+    assert len(sources) == compiled
+
+
+def test_terms_differing_only_in_constants_share_one_code_object():
+    w = make_world()
+    one, two = term("(equal x '1)"), term("(equal x '2)")
+    assert evaluate(one, {"x": 1}, w) == T
+    assert evaluate(two, {"x": 1}, w) == NIL
+    assert one._compiled[1].__code__ is two._compiled[1].__code__
+
+
+def test_a_deep_cond_body_runs_on_generated_code(monkeypatch):
+    clauses = " ".join(f"((equal n {i}) {i})" for i in range(249))
+    w = make_world(f"(defun cls (n) (cond {clauses} (t 249)))")
+    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+    assert evaluate(term("(cls 248)"), {}, w) == 248
+    assert evaluate(term("(cls 5000)"), {}, w) == 249
+
+
+def test_a_nil_that_is_not_the_nil_object_is_false_in_every_test_position():
+    w = make_world()
+    nil = {"q": Symbol("nil")}  # as the reader makes it inside quoted data
+    for src, expected in (("(if q 1 2)", 2), ("(and q 1)", NIL), ("(or q 1)", 1), ("(or 1 q)", 1),
+                          ("(implies q nil)", T), ("(not q)", T), ("(if (and 1 q) 1 2)", 2),
+                          ("(if (or q q) 1 2)", 2), ("(if (implies 1 q) 1 2)", 2)):
+        assert ev(src, nil, w) == expected, src
+
+
+def test_a_missing_variable_is_raised_where_evaluation_reaches_it():
+    w = make_world("(defun dbl (x) (+ x x))")
+    assert ev("(if (consp y) z (dbl y))", {"y": 4}, w) == 8
+    with pytest.raises(UnboundVariableError, match="unbound variable: z"):
+        ev("(if (natp y) (dbl z) y)", {"y": 4}, w)
+    with pytest.raises(ArityError):
+        ev("(cons (car y) (car y y) z)", {"y": 4}, w)

@@ -10,7 +10,7 @@ import typing
 
 import pytest
 
-from sedan import datadef
+from sedan import datadef, evaluator
 from sedan.evaluator import BUILTINS
 from sedan.world import World
 
@@ -114,3 +114,18 @@ def test_base_recognizers_are_not_builtins():
     recognizers = World().types.recognizer_index.keys()
     assert {"natp", "booleanp", "allp", "real/rationalp"} <= recognizers
     assert not recognizers & BUILTINS.keys()
+
+
+def test_terms_are_compiled_at_one_site():
+    # generated code goes through evaluator's bounded, shape-keyed cache, so
+    # no second term compiler can grow beside it
+    calls = [
+        (module, node.lineno)
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("compile", "exec", "eval")
+    ]
+    maker = next(fn for fn in ast.walk(_tree("evaluator")) if isinstance(fn, ast.FunctionDef) and fn.name == "_maker_code")
+    assert len(calls) == 1 and calls[0][0] == "evaluator", calls
+    assert maker.lineno <= calls[0][1] <= maker.end_lineno, calls
+    assert evaluator._maker_code.cache_parameters()["maxsize"] is not None

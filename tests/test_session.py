@@ -1,4 +1,7 @@
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import os
 import weakref
@@ -13,7 +16,7 @@ from sedan.reader import MAX_NESTING
 from sedan.reports import display_binding, emit_report, parse_binding, render_text
 from sedan.session import process_file, process_source
 from sedan.values import NIL
-from sedan.world import Settings, World
+from sedan.world import SETTING_BOUNDS, Settings, World, describe_bound
 
 from conftest import corpus_path, make_world, term
 
@@ -275,6 +278,29 @@ def test_a_zero_uniform_bound_is_rejected_at_its_form():
     assert out.forms[1].testing.witnesses == [{"n": 0}]
 
 
+def test_a_setting_outside_its_bound_is_a_value_error_naming_it():
+    assert set(SETTING_BOUNDS) == {f.name for f in fields(Settings)}
+    with pytest.raises(ValueError, match="uniform_bound expects a positive integer, got 0"):
+        Settings(dist="uniform", uniform_bound=0)
+    for name, bad in (("seed", -5), ("trials", -1), ("mode", "fast"), ("deterministic", 1), ("depth_cap", 1.5)):
+        with pytest.raises(ValueError, match=f"setting {name} expects"):
+            Settings(**{name: bad})
+
+
+@pytest.mark.parametrize("key", sorted(_SET_TESTING_KEYS))
+def test_set_testing_and_settings_hold_a_key_to_one_bound(key):
+    name, bound = _SET_TESTING_KEYS[key]
+    assert bound == SETTING_BOUNDS[name]
+    if type(bound) is not int:
+        return
+    out, _ = process_source(f"(set-testing {key} {bound - 1})")
+    assert out.fatal_error == f"1:1: {key} expects {describe_bound(bound)}"
+    with pytest.raises(ValueError, match=name):
+        Settings(**{name: bound - 1})
+    out, world = process_source(f"(set-testing {key} {bound})")
+    assert out.fatal_error is None and getattr(world.settings, name) == bound
+
+
 def test_set_testing_changes_later_forms():
     out, _ = process_source("(set-testing :trials 7)\n(test? (natp n))")
     report = out.forms[1].testing
@@ -405,6 +431,24 @@ def test_cli_rejects_a_negative_count(flag, capsys):
     assert main([corpus_path("base-rules.lisp"), flag, "0", "--format", "text"]) == 0
 
 
+def test_cli_rejects_a_negative_seed(capsys):
+    from sedan.cli import main
+
+    with pytest.raises(SystemExit) as exit:
+        main([corpus_path("base-rules.lisp"), "--seed", "-5"])
+    assert exit.value.code == 2
+    assert "argument --seed: expected a nonnegative integer, got '-5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["-5", "x"])
+def test_a_bad_sedan_seed_is_warned_about_and_ignored(env, monkeypatch, capsys):
+    from sedan.cli import resolve_seed
+
+    monkeypatch.setenv("SEDAN_SEED", env)
+    assert resolve_seed(None) == Settings.seed
+    assert f"warning: ignoring SEDAN_SEED={env!r}: expected a nonnegative integer" in capsys.readouterr().err
+
+
 def test_cli_seed_env_precedence(monkeypatch):
     from sedan.cli import resolve_seed
 
@@ -429,3 +473,34 @@ def test_cli_structured_format_to_stdout(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["exit_code"] == 0
     assert all(f["status"] == "admitted" for f in doc["forms"])
+
+
+# sha256 of the reports of the file below at --seed 24, recorded when terms
+# were still compiled to nested closures, before generated Python replaced them
+DEEP_COND_DIGESTS = {
+    "text": "fdaeb7c70cef47b84bdc77c88c9149d70f0f2f9c3a4a0bd86feb2ff4a69d5eb8",
+    "structured": "fee39d6a08a2be5ba3920aaf8004c09e9a07cbca0df6a6f6c922801c1ff783dc",
+}
+
+
+def test_a_defun_with_a_250_clause_cond_reports_as_before(tmp_path, monkeypatch):
+    # once cond expands, the body's ifs nest 250 levels: more than Python
+    # allows for nested blocks (100) or parentheses (200) in one function
+    from sedan.cli import main
+
+    clauses = "\n".join(f"        ((equal n {i}) {i})" for i in range(249))
+    (tmp_path / "deep-cond.lisp").write_text(
+        f"(defun cls (n)\n  (cond\n{clauses}\n        (t 249)))\n"
+        "(test? (implies (natp n) (<= (cls n) n)))\n"
+        "(test? (implies (natp n) (< (cls n) 200)))\n"
+        "(thm (implies (natp n) (< (cls n) 5)))\n"
+    )
+    monkeypatch.chdir(tmp_path)
+    for fmt, digest in DEEP_COND_DIGESTS.items():
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        with contextlib.redirect_stdout(out):
+            assert main(["deep-cond.lisp", "--seed", "24", "--format", fmt]) == 1
+        out.flush()
+        report = out.buffer.getvalue()
+        assert b"Traceback" not in report and b'"status": "error"' not in report
+        assert hashlib.sha256(report).hexdigest() == digest, report.decode()
