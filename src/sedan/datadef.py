@@ -23,15 +23,18 @@ Pairing is Cantor's: pair(i, j) = (i+j)(i+j+1)/2 + j.
 Types whose extent is provably finite and small are collapsed to an explicit
 extent, making the enumerator periodic with period |T|.
 
-Each type's enumerator and recognizer are compiled once, on first use, into
-closures ``dec(world, n)`` and ``rec(world, v)`` memoised on its TypeEntry;
-enumeration, recognition, sampling, the host functions ``Xp``/``nth-X`` in
-the world's function table and subtype evidence all run them. The closures
-take the world as an argument instead of holding it, so no finished world
-stays alive through them, and a reference to a named type is looked up when
-it is called, so mutually recursive groups need no compile order. A custom
-type evaluates an application of its user-supplied functions, built once
-when the type compiles.
+Each type's enumerator and recognizer are generated Python, emitted on first
+use by ``_TypeEmitter`` the way ``evaluator`` emits defun bodies: a function
+``dec(n)`` and a function ``rec(v)``, memoised on its TypeEntry; enumeration,
+recognition, sampling, the host functions ``Xp``/``nth-X`` in the world's
+function table and subtype evidence all run them. A reference to a named type
+calls that type's function through a slot in the world's namespace that
+generates it on its first call, so mutually recursive groups need no compile
+order. A custom type evaluates an application of its user-supplied functions
+through ``evaluate``, which holds the world weakly. The source depends only
+on the type's shape, so ``compile()`` runs once per shape for every world. No
+generated function holds its world, so a finished world is freed by
+reference counting.
 
 Only this module reads a type expression, and it defines the base types'
 recognizers (``natp``, ...) too, in ``install_base_types``.
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .evaluator import EvaluationError, HostFunction, arity_bounds, evaluate
+from .evaluator import EvaluationError, HostFunction, arity_bounds, evaluate, instantiate, lazy_slot
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -55,15 +58,11 @@ from .values import (
     Cons,
     Symbol,
     Value,
-    boolify,
     from_list,
-    is_integer,
-    is_rational,
     is_true_list,
     norm_rat,
     order_key,
     print_value,
-    truthy,
 )
 
 EXTENT_CAP = 4096
@@ -105,18 +104,6 @@ def unpair(z: int) -> tuple[int, int]:
     t = w * (w + 1) // 2
     j = z - t
     return w - j, j
-
-
-def split_indices(n: int, k: int) -> list[int]:
-    """Split one natural into k component indices (right-nested unpairing)."""
-    if k == 0:
-        return []
-    out = []
-    for _ in range(k - 1):
-        i, n = unpair(n)
-        out.append(i)
-    out.append(n)
-    return out
 
 
 def zigzag(n: int) -> int:
@@ -211,7 +198,7 @@ class TypeEntry:
     name: str
     expr: TypeExpr
     extent: Optional[tuple[Value, ...]] = None  # the values of a finite type
-    # compiled on first use: dec(world, n) enumerates, rec(world, v) recognizes
+    # generated on first use: dec(n) enumerates, rec(v) recognizes
     dec: Optional[Callable] = field(default=None, repr=False, compare=False)
     rec: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -233,10 +220,9 @@ BASE_EDGES = (
 
 
 # ---------------------------------------------------------------------------
-# compilation: a type's enumerator becomes dec(world, n) -> value and its
-# recognizer rec(world, v) -> bool. The world is an argument, never captured,
-# so compiled code keeps no finished world alive; a NamedRef is looked up when
-# it is called, so a mutually recursive group compiles in any order.
+# compilation: a type's enumerator becomes generated Python dec(n) -> value and
+# its recognizer rec(v) -> bool, emitted by _TypeEmitter and made in the
+# world's namespace on first use. Neither holds the world.
 
 
 def _decoder(world, name: str):
@@ -244,12 +230,7 @@ def _decoder(world, name: str):
     if entry is None:
         raise UnknownTypeError(name)
     if entry.dec is None:
-        extent = entry.extent
-        if extent is None:
-            entry.dec = _compile_dec(entry.expr)
-        else:
-            size = len(extent)
-            entry.dec = lambda world, n: extent[n % size]
+        entry.dec = _generate_type(world, entry, _TypeEmitter.decoder)
     return entry.dec
 
 
@@ -258,34 +239,23 @@ def _recognizer(world, name: str):
     if entry is None:
         raise UnknownTypeError(name)
     if entry.rec is None:
-        extent = entry.extent
-        if extent is None:
-            entry.rec = _compile_rec(entry.expr)
-        else:
-            entry.rec = lambda world, v: v in extent
+        entry.rec = _generate_type(world, entry, _TypeEmitter.recognizer)
     return entry.rec
 
 
-def _decode_items(elem, world, n: int) -> list[Value]:
-    """The elements a list index encodes: 0 is empty, n+1 unpairs into the
-    head's index and the tail's."""
-    items = []
-    while n > 0:
-        head, n = unpair(n - 1)
-        items.append(elem(world, head))
-    return items
+def _generate_type(world, entry: TypeEntry, emit):
+    """A finite type runs over its extent, any other over its expression."""
+    em = _TypeEmitter(world)
+    main = emit(em, "_f", entry.expr if entry.extent is None else EnumExpr(entry.extent))
+    return instantiate(world, em.source(main), em.consts)
 
 
-def _dec_listof(elem):
-    return lambda world, n: from_list(_decode_items(elem, world, n))
-
-
-def _dec_rational(world, n: int) -> Value:
+def _dec_rational(n: int) -> Value:
     i, j = unpair(n)
     return zigzag(i) if j == 0 else norm_rat(Fraction(zigzag(i), j + 1))
 
 
-def _dec_string(world, n: int) -> str:
+def _dec_string(n: int) -> str:
     chars = []
     while n > 0:
         i, n = unpair(n - 1)
@@ -293,7 +263,7 @@ def _dec_string(world, n: int) -> str:
     return "".join(chars)
 
 
-def _dec_symbol(world, n: int) -> Symbol:
+def _dec_symbol(n: int) -> Symbol:
     if n < len(SYMBOL_ALPHABET):
         return SYMBOL_ALPHABET[n]
     return Symbol(f"s{n - len(SYMBOL_ALPHABET)}")
@@ -302,53 +272,105 @@ def _dec_symbol(world, n: int) -> Symbol:
 _CHARS62 = tuple(Char(c) for c in ALPHABET62)
 
 
-def _dec_all(world, n: int) -> Value:
+def _dec_all(n: int) -> Value:
     # branches: rational, symbol, character, string, true-list, pair
     b, inner = n % 6, n // 6
-    if b < 5:
-        return _ALL_BRANCHES[b](world, inner)
+    if b == 0:
+        return _dec_rational(inner)
+    if b == 1:
+        return _dec_symbol(inner)
+    if b == 2:
+        return _CHARS62[inner % 62]
+    if b == 3:
+        return _dec_string(inner)
+    if b == 4:
+        return _dec_true_list(inner)
     i, j = unpair(inner)
-    return Cons(_dec_all(world, i), _dec_all(world, j))
+    return Cons(_dec_all(i), _dec_all(j))
 
 
-def _dec_proper_cons(world, n: int) -> Cons:
+def _dec_true_list(n: int) -> Value:
+    items = []
+    while n > 0:
+        i, n = unpair(n - 1)
+        items.append(_dec_all(i))
+    return from_list(items)
+
+
+def _dec_proper_cons(n: int) -> Cons:
     i, j = unpair(n)
-    return Cons(_dec_all(world, i), _dec_true_list(world, j))
+    return Cons(_dec_all(i), _dec_true_list(j))
 
 
-_dec_true_list = _dec_listof(_dec_all)
+def _canonical_set(items: list[Value]) -> Value:
+    """The set's list: its items in ``order_key`` order, without repeats."""
+    canon = []
+    for item in sorted(items, key=order_key):
+        if not canon or canon[-1] != item:
+            canon.append(item)
+    return from_list(canon)
 
+
+# the base types' encodings and checks, as Python expressions of the index or
+# value {0}, which is a name or a chain of .car/.cdr from one
 _BASE_DEC = {
-    "all": _dec_all,
-    "nat": lambda world, n: n,
-    "pos": lambda world, n: n + 1,
-    "neg": lambda world, n: -(n + 1),
-    "integer": lambda world, n: zigzag(n),
-    "rational": _dec_rational,
-    "boolean": lambda world, n: T if n % 2 == 0 else NIL,
-    "character": lambda world, n: _CHARS62[n % 62],
-    "string": _dec_string,
-    "symbol": _dec_symbol,
-    "true-list": _dec_true_list,
-    "proper-cons": _dec_proper_cons,
+    "all": "_dec_all({0})",
+    "nat": "{0}",
+    "pos": "({0} + 1)",
+    "neg": "(-{0} - 1)",
+    "integer": "({0} // 2 if {0} % 2 == 0 else -({0} + 1) // 2)",
+    "rational": "_dec_rational({0})",
+    "boolean": "(_T if {0} % 2 == 0 else _NIL)",
+    "character": "_CHARS62[{0} % 62]",
+    "string": "_dec_string({0})",
+    "symbol": "_dec_symbol({0})",
+    "true-list": "_dec_true_list({0})",
+    "proper-cons": "_dec_proper_cons({0})",
 }
-_ALL_BRANCHES = tuple(_BASE_DEC[b] for b in ("rational", "symbol", "character", "string", "true-list"))
-
 _BASE_REC = {
-    "all": lambda world, v: True,
-    "nat": lambda world, v: is_integer(v) and v >= 0,
-    "pos": lambda world, v: is_integer(v) and v > 0,
-    "neg": lambda world, v: is_integer(v) and v < 0,
-    "integer": lambda world, v: is_integer(v),
-    "rational": lambda world, v: is_rational(v),
-    "boolean": lambda world, v: v == T or v == NIL,
-    "symbol": lambda world, v: isinstance(v, Symbol),
-    "string": lambda world, v: isinstance(v, str),
-    "character": lambda world, v: isinstance(v, Char),
-    "true-list": lambda world, v: is_true_list(v),
-    "proper-cons": lambda world, v: isinstance(v, Cons) and is_true_list(v),
+    "all": "True",
+    "nat": "(type({0}) is int and {0} >= 0)",
+    "pos": "(type({0}) is int and {0} > 0)",
+    "neg": "(type({0}) is int and {0} < 0)",
+    "integer": "(type({0}) is int)",
+    "rational": "(type({0}) is int or type({0}) is _Fraction)",
+    "boolean": "(type({0}) is _Symbol and ({0}.name == 't' or {0}.name == 'nil'))",
+    "symbol": "(type({0}) is _Symbol)",
+    "string": "(type({0}) is str)",
+    "character": "(type({0}) is _Char)",
+    "true-list": "_is_true_list({0})",
+    "proper-cons": "(type({0}) is _Cons and _is_true_list({0}))",
 }
 BASE_TYPES = tuple(_BASE_REC)
+# nil is a Symbol but not a singleton, so no identity test will do
+_IS_NIL = "(type({0}) is _Symbol and {0}.name == 'nil')"
+
+# the names type code reads besides evaluator's; install_base_types adds them
+# to every world's namespace
+_TYPE_PRELUDE = {
+    "_Char": Char,
+    "_Fraction": Fraction,
+    "_isqrt": math.isqrt,
+    "_from_list": from_list,
+    "_canonical_set": _canonical_set,
+    "_order_key": order_key,
+    "_is_true_list": is_true_list,
+    "_CHARS62": _CHARS62,
+    "_dec_all": _dec_all,
+    "_dec_rational": _dec_rational,
+    "_dec_string": _dec_string,
+    "_dec_symbol": _dec_symbol,
+    "_dec_true_list": _dec_true_list,
+    "_dec_proper_cons": _dec_proper_cons,
+}
+
+# a function nests at most this many compound type expressions; a deeper one
+# moves into a helper function, which keeps the source far inside Python's
+# limits on indentation, nested loops and parentheses
+_NEST_LIMIT = 8
+# a oneof with more branches than this halves its branch range with an if
+# before a chain of elifs picks one, so no chain is long
+_CHAIN_LIMIT = 16
 
 
 def _product_spine(expr: ProductExpr):
@@ -360,148 +382,223 @@ def _product_spine(expr: ProductExpr):
     return comps, expr
 
 
-def _compile_dec(expr: TypeExpr):
-    if isinstance(expr, BaseRef):
-        return _BASE_DEC[expr.name]
-    if isinstance(expr, NamedRef):
-        name = expr.name
-        return lambda world, n: _decoder(world, name)(world, n)
-    if isinstance(expr, EnumExpr):
-        values, size = expr.values, len(expr.values)
-        return lambda world, n: values[n % size]
-    if isinstance(expr, OneofExpr):
-        branches = tuple(_compile_dec(b) for b in expr.branches)
-        base, k = branches[expr.base_branch], len(branches)
-
-        def oneof(world, n):
-            if n == 0:
-                return base(world, 0)
-            return branches[n % k](world, n // k)
-
-        return oneof
-    if isinstance(expr, ProductExpr):
-        cars, last = _product_spine(expr)
-        comps, tail = tuple(_compile_dec(c) for c in cars), _compile_dec(last)
-
-        def product(world, n):
-            items = []
-            for dec in comps:
-                i, n = unpair(n)
-                items.append(dec(world, i))
-            return from_list(items, tail(world, n))
-
-        return product
-    if isinstance(expr, ListofExpr):
-        return _dec_listof(_compile_dec(expr.elem))
-    if isinstance(expr, SetExpr):
-        elem = _compile_dec(expr.elem)
-
-        def set_(world, n):
-            canon = []
-            for item in sorted(_decode_items(elem, world, n), key=order_key):
-                if not canon or canon[-1] != item:
-                    canon.append(item)
-            return from_list(canon)
-
-        return set_
-    if isinstance(expr, RecordExpr):
-        tag = Symbol(expr.tag)
-        names = tuple(Symbol(fname) for fname, _ in expr.fields)
-        fields = tuple(_compile_dec(fexpr) for _, fexpr in expr.fields)
-
-        def record(world, n):
-            indices = split_indices(n, len(fields))
-            return from_list([tag] + [
-                Cons(fname, dec(world, i)) for fname, dec, i in zip(names, fields, indices)
-            ])
-
-        return record
-    if isinstance(expr, CustomExpr):
-        call = App(expr.enumerator, (Var("n"),))
-        return lambda world, n: evaluate(call, {"n": n}, world)
-    raise DatadefError(f"cannot decode {expr!r}")
+def _evaluator_key(world) -> str:
+    """The namespace key of ``evaluate`` in this world, which holds the world
+    weakly; a custom type's generated code calls it."""
+    ns = world.namespace
+    if "w_evaluate" not in ns:
+        owner = weakref.ref(world)
+        ns["w_evaluate"] = lambda term, binding: evaluate(term, binding, owner())
+    return "w_evaluate"
 
 
-def _compile_rec(expr: TypeExpr):
-    if isinstance(expr, BaseRef):
-        return _BASE_REC[expr.name]
-    if isinstance(expr, NamedRef):
-        name = expr.name
-        return lambda world, v: _recognizer(world, name)(world, v)
-    if isinstance(expr, EnumExpr):
-        values = expr.values
-        return lambda world, v: v in values
-    if isinstance(expr, OneofExpr):
-        branches = tuple(_compile_rec(b) for b in expr.branches)
+class _TypeEmitter:
+    """Python source for one type's enumerator or recognizer in one world.
 
-        def oneof(world, v):
-            for rec in branches:
-                if rec(world, v):
-                    return True
-            return False
+    ``decoder`` and ``recognizer`` return the source of one function and
+    leave the helper functions it calls in ``helpers``. Quoted values,
+    extents, sizes and the symbols of a record become parameters
+    ``k0, k1, ...`` of the maker function, so the source depends only on the
+    type's shape.
 
-        return oneof
-    if isinstance(expr, ProductExpr):
-        cars, last = _product_spine(expr)
-        comps, tail = tuple(_compile_rec(c) for c in cars), _compile_rec(last)
+    An enumerator is statements: ``unpair`` is inlined as ``isqrt``
+    arithmetic, a product or record binds its components in order and then
+    builds its conses from the tail, a oneof branches on ``n % k`` (index 0
+    goes to its base branch), and a listof or set is a loop. A recognizer is
+    one expression, a conjunction along a product's or record's spine and a
+    disjunction over a oneof's branches, except that a listof or set is a
+    loop in a function of its own."""
 
-        def product(world, v):
-            for rec in comps:
-                if not (isinstance(v, Cons) and rec(world, v.car)):
-                    return False
-                v = v.cdr
-            return tail(world, v)
+    def __init__(self, world):
+        self.world = world
+        self.consts: list = []
+        self.helpers: list[str] = []
+        self.temps = 0
 
-        return product
-    if isinstance(expr, ListofExpr):
-        elem = _compile_rec(expr.elem)
+    def source(self, main: str) -> str:
+        consts = ", ".join([f"k{i}" for i in range(len(self.consts))])
+        return f"def _make({consts}):\n{''.join(self.helpers)}{main}    return _f\n"
 
-        def listof(world, v):
-            while isinstance(v, Cons):
-                if not elem(world, v.car):
-                    return False
-                v = v.cdr
-            return v == NIL
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
 
-        return listof
-    if isinstance(expr, SetExpr):
-        elem = _compile_rec(expr.elem)
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
 
-        def set_(world, v):
-            prev_key = None
-            while isinstance(v, Cons):
-                if not elem(world, v.car):
-                    return False
-                key = order_key(v.car)
-                if prev_key is not None and not prev_key < key:
-                    return False
-                prev_key = key
-                v = v.cdr
-            return v == NIL
+    def helper(self, emit, expr: TypeExpr) -> str:
+        """The name of a new helper function, ``emit``'s source for ``expr``."""
+        index = len(self.helpers)
+        self.helpers.append("")
+        self.helpers[index] = emit(self, f"_h{index}", expr)
+        return f"_h{index}"
 
-        return set_
-    if isinstance(expr, RecordExpr):
-        tag = Symbol(expr.tag)
-        fields = tuple((Symbol(fname), _compile_rec(fexpr)) for fname, fexpr in expr.fields)
+    # -- enumerators ----------------------------------------------------------
 
-        def record(world, v):
-            if not (isinstance(v, Cons) and v.car == tag):
-                return False
-            rest = v.cdr
-            for fname, rec in fields:
-                if not isinstance(rest, Cons):
-                    return False
-                cell = rest.car
-                if not (isinstance(cell, Cons) and cell.car == fname and rec(world, cell.cdr)):
-                    return False
-                rest = rest.cdr
-            return rest == NIL
+    def decoder(self, name: str, expr: TypeExpr) -> str:
+        out: list[str] = []
+        value = self.dec(expr, "n", out, 2, 0)
+        return f"    def {name}(n):\n{''.join(out)}        return {value}\n"
 
-        return record
-    if isinstance(expr, CustomExpr):
-        call = App(expr.recognizer, (Var("v"),))
-        return lambda world, v: truthy(evaluate(call, {"v": v}, world))
-    raise DatadefError(f"cannot recognize with {expr!r}")
+    def dec(self, expr: TypeExpr, n: str, out: list[str], level: int, nest: int) -> str:
+        """An expression for the value at index ``n``, a name, after the
+        statements it needs, appended to ``out`` at indentation ``level``."""
+        kind = type(expr)
+        if kind is BaseRef:
+            return _BASE_DEC[expr.name].format(n)
+        if kind is NamedRef:
+            return f"{lazy_slot(self.world, 'e_', expr.name, _decoder)}({n})"
+        if kind is EnumExpr:
+            if len(expr.values) == 1:
+                return self.const(expr.values[0])
+            return f"{self.const(expr.values)}[{n} % {self.const(len(expr.values))}]"
+        if kind is CustomExpr:
+            call = self.const(App(expr.enumerator, (Var("n"),)))
+            return f"{_evaluator_key(self.world)}({call}, {{'n': {n}}})"
+        if nest == _NEST_LIMIT:
+            return f"{self.helper(_TypeEmitter.decoder, expr)}({n})"
+        pad, nest = "    " * level, nest + 1
+        if kind is ProductExpr:
+            cars, last = _product_spine(expr)
+            parts = []
+            for car in cars:
+                i, n = self.unpair(n, out, pad)
+                parts.append(self.bind(self.dec(car, i, out, level, nest), out, pad))
+            return self.build(parts, self.dec(last, n, out, level, nest), out, pad)
+        if kind is RecordExpr:
+            parts = []
+            for pos, (fname, fexpr) in enumerate(expr.fields):
+                i = n
+                if pos < len(expr.fields) - 1:
+                    i, n = self.unpair(n, out, pad)
+                value = self.bind(self.dec(fexpr, i, out, level, nest), out, pad)
+                parts.append(f"_Cons({self.const(Symbol(fname))}, {value})")
+            return self.build([self.const(Symbol(expr.tag)), *parts], "_NIL", out, pad)
+        if kind is OneofExpr:
+            branches, k = expr.branches, len(expr.branches)
+            if k == 1:
+                return self.dec(branches[0], n, out, level, nest)
+            b, m, r = self.temp(), self.temp(), self.temp()
+            pick = f"{n} % {k}" if expr.base_branch == 0 else f"{n} % {k} if {n} else {expr.base_branch}"
+            out.append(f"{pad}{b} = {pick}\n{pad}{m} = {n} // {k}\n")
+            self.branch(branches, 0, k, (b, m, r), out, level, nest)
+            return r
+        if kind is ListofExpr or kind is SetExpr:
+            items, z, w, i = self.temp(), self.temp(), self.temp(), self.temp()
+            inner = pad + "    "
+            out.append(
+                f"{pad}{items} = []\n{pad}{z} = {n}\n{pad}while {z} > 0:\n"
+                f"{inner}{z} -= 1\n{inner}{w} = (_isqrt(8 * {z} + 1) - 1) // 2\n"
+                f"{inner}{z} -= {w} * ({w} + 1) // 2\n{inner}{i} = {w} - {z}\n"
+            )
+            value = self.dec(expr.elem, i, out, level + 1, nest)
+            out.append(f"{inner}{items}.append({value})\n")
+            return f"{'_from_list' if kind is ListofExpr else '_canonical_set'}({items})"
+        raise DatadefError(f"cannot decode {expr!r}")
+
+    def unpair(self, z: str, out: list[str], pad: str) -> tuple[str, str]:
+        w, j, i = self.temp(), self.temp(), self.temp()
+        out.append(f"{pad}{w} = (_isqrt(8 * {z} + 1) - 1) // 2\n{pad}{j} = {z} - {w} * ({w} + 1) // 2\n{pad}{i} = {w} - {j}\n")
+        return i, j
+
+    def bind(self, text: str, out: list[str], pad: str) -> str:
+        """A name for the expression's value, computed now."""
+        if text.isidentifier():
+            return text
+        name = self.temp()
+        out.append(f"{pad}{name} = {text}\n")
+        return name
+
+    def build(self, parts: list[str], tail: str, out: list[str], pad: str) -> str:
+        """The conses of ``parts`` onto ``tail``, one statement each."""
+        r = self.temp()
+        for part in reversed(parts):
+            out.append(f"{pad}{r} = _Cons({part}, {tail})\n")
+            tail = r
+        return r
+
+    def branch(self, branches, lo: int, hi: int, names, out: list[str], level: int, nest: int):
+        """Statements setting r to branch b's value at index m, for b in [lo, hi)."""
+        b, m, r = names
+        pad = "    " * level
+        if hi - lo == 1:
+            value = self.dec(branches[lo], m, out, level, nest)
+            out.append(f"{pad}{r} = {value}\n")
+        elif hi - lo > _CHAIN_LIMIT:
+            mid = (lo + hi) // 2
+            out.append(f"{pad}if {b} < {mid}:\n")
+            self.branch(branches, lo, mid, names, out, level + 1, nest)
+            out.append(f"{pad}else:\n")
+            self.branch(branches, mid, hi, names, out, level + 1, nest)
+        else:
+            for i in range(lo, hi):
+                out.append(f"{pad}{'if' if i == lo else 'elif'} {b} == {i}:\n" if i < hi - 1 else f"{pad}else:\n")
+                self.branch(branches, i, i + 1, names, out, level + 1, nest)
+
+    # -- recognizers ----------------------------------------------------------
+
+    def recognizer(self, name: str, expr: TypeExpr) -> str:
+        if type(expr) is ListofExpr or type(expr) is SetExpr:
+            body = self.loop(expr)
+        else:
+            body = f"        return {self.rec(expr, 'v', 0)}\n"
+        return f"    def {name}(v):\n{body}"
+
+    def loop(self, expr) -> str:
+        """A listof's or set's recognizer body: a loop over the list's cells;
+        a set's keys must ascend strictly too (sorted, without repeats)."""
+        lines = ["while type(v) is _Cons:", f"    if not {self.rec(expr.elem, 'v.car', 1)}:", "        return False"]
+        if type(expr) is SetExpr:
+            lines = ["prev = None", *lines, "    key = _order_key(v.car)",
+                     "    if prev is not None and not prev < key:", "        return False", "    prev = key"]
+        lines += ["    v = v.cdr", f"return {_IS_NIL.format('v')}"]
+        return "".join([f"        {line}\n" for line in lines])
+
+    def rec(self, expr: TypeExpr, v: str, nest: int) -> str:
+        """An expression for whether ``v`` (a name, or a chain of .car and
+        .cdr from one) is in the type, as a Python bool."""
+        kind = type(expr)
+        if kind is BaseRef:
+            return _BASE_REC[expr.name].format(v)
+        if kind is NamedRef:
+            return f"{lazy_slot(self.world, 'r_', expr.name, _recognizer)}({v})"
+        if kind is EnumExpr:
+            if expr.values == (NIL,):
+                return _IS_NIL.format(v)
+            return f"({v} in {self.const(expr.values)})"
+        if kind is CustomExpr:
+            call = self.const(App(expr.recognizer, (Var("v"),)))
+            r = self.temp()
+            return f"(type({r} := {_evaluator_key(self.world)}({call}, {{'v': {v}}})) is not _Symbol or {r}.name != 'nil')"
+        if nest == _NEST_LIMIT or kind is ListofExpr or kind is SetExpr:
+            return f"{self.helper(_TypeEmitter.recognizer, expr)}({v})"
+        nest += 1
+        if kind is OneofExpr:
+            return f"({' or '.join([self.rec(b, v, nest) for b in expr.branches])})"
+        if kind is ProductExpr:
+            # v's spine is read once per cell: each cdr is bound to a name
+            # where it is first tested, except the last one
+            cars, last = _product_spine(expr)
+            checks = [f"type({v}) is _Cons", self.rec(cars[0], f"{v}.car", nest)]
+            for car in cars[1:]:
+                cell = self.temp()
+                checks.append(f"type({cell} := {v}.cdr) is _Cons")
+                checks.append(self.rec(car, f"{cell}.car", nest))
+                v = cell
+            checks.append(self.rec(last, f"{v}.cdr", nest))
+            return f"({' and '.join(checks)})"
+        if kind is RecordExpr:
+            checks = [f"type({v}) is _Cons", f"{v}.car == {self.const(Symbol(expr.tag))}"]
+            for fname, fexpr in expr.fields:
+                rest, cell = self.temp(), self.temp()
+                checks.append(f"type({rest} := {v}.cdr) is _Cons and type({cell} := {rest}.car) is _Cons")
+                checks.append(f"{cell}.car == {self.const(Symbol(fname))}")
+                checks.append(self.rec(fexpr, f"{cell}.cdr", nest))
+                v = rest
+            checks.append(_IS_NIL.format(f"{v}.cdr"))
+            return f"({' and '.join(checks)})"
+        raise DatadefError(f"cannot recognize with {expr!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +607,17 @@ def _compile_rec(expr: TypeExpr):
 
 def enumerate_value(world, name: str, n: int) -> Value:
     """Total surjective map from naturals onto the named type's extent."""
-    return _decoder(world, name)(world, n)
+    return _decoder(world, name)(n)
 
 
 def recognize(world, name: str, v: Value) -> bool:
-    return _recognizer(world, name)(world, v)
+    return _recognizer(world, name)(v)
 
 
 def sample(world, name: str, rng, dist: str = "geometric") -> Value:
     """Draw one value: a distribution-controlled index fed to the enumerator."""
-    idx = rng.draw_index(dist)
-    return _decoder(world, name)(world, idx)
+    idx = rng.geometric() if dist == "geometric" else rng.uniform()
+    return _decoder(world, name)(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +772,7 @@ def _auto_subtype_edges(world, name: str, expr: TypeExpr):
             graph.add_edge(name, "proper-cons")
     if isinstance(expr, EnumExpr):
         for base in BASE_TYPES:
-            if base != "all" and all(_BASE_REC[base](world, v) for v in expr.values):
+            if base != "all" and all(recognize(world, base, v) for v in expr.values):
                 graph.add_edge(name, base)
     if isinstance(expr, NamedRef):
         # a direct alias has exactly the other type's extent
@@ -759,25 +856,17 @@ def _derived_names(name: str) -> tuple[str, str]:
 
 
 def _recognizer_host(world, type_name: str) -> HostFunction:
-    """``Xp``; it holds its world weakly, so a finished world is freed."""
-    owner = weakref.ref(world)
-
-    def impl(v):
-        world = owner()
-        return boolify(_recognizer(world, type_name)(world, v))
-
-    return HostFunction(1, 1, impl)
+    """``Xp``: the type's recognizer, called through the world's namespace."""
+    ns, key = world.namespace, lazy_slot(world, "r_", type_name, _recognizer)
+    return HostFunction(1, 1, lambda v: T if ns[key](v) else NIL)
 
 
 def _enumerator_host(world, type_name: str) -> HostFunction:
     """``nth-X``: a non-natural index acts as 0."""
-    owner = weakref.ref(world)
+    ns, key = world.namespace, lazy_slot(world, "e_", type_name, _decoder)
 
     def impl(n):
-        if not (is_integer(n) and n >= 0):
-            n = 0
-        world = owner()
-        return _decoder(world, type_name)(world, n)
+        return ns[key](n if type(n) is int and n >= 0 else 0)
 
     return HostFunction(1, 1, impl)
 
@@ -785,14 +874,14 @@ def _enumerator_host(world, type_name: str) -> HostFunction:
 def install_base_types(world):
     """Register the base types like any other: an entry, a vertex, ``Xp`` and
     ``nth-X``; ``real/rationalp`` is another name for ``rationalp``."""
-    for name, rec in _BASE_REC.items():
+    world.namespace.update(_TYPE_PRELUDE)
+    for name in BASE_TYPES:
         expr = BaseRef(name)
         recog, enum = _derived_names(name)
         world.types.entries[name] = TypeEntry(name, expr, _finite_extent(expr, world))
         world.types.recognizer_index[recog] = name
         world.subtypes.add_vertex(name)
-        # a base recognizer never reads its world, so it is bound directly
-        world.add_function(recog, HostFunction(1, 1, lambda v, rec=rec: T if rec(None, v) else NIL))
+        world.add_function(recog, _recognizer_host(world, name))
         world.add_function(enum, _enumerator_host(world, name))
     world.add_function("real/rationalp", world.functions["rationalp"])
     world.types.recognizer_index["real/rationalp"] = "rational"
@@ -826,8 +915,8 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
         dec, rec = _decoder(world, t1), _recognizer(world, t2)
         for i in range(n_trials):
             try:
-                v = dec(world, i)
-                ok = rec(world, v)
+                v = dec(i)
+                ok = rec(v)
             except (EvaluationError, RecursionError) as e:
                 raise DatadefError(
                     f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: {e}"

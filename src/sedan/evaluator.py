@@ -33,10 +33,12 @@ on the term object, so it lives exactly as long as the term does.
 Quoted constants become parameters of a maker function, so the source text
 depends only on the term's shape, and ``compile()`` runs once per text for
 every world: its result is kept in an LRU cache of 1024 texts
-(``_maker_code``). A subterm nested deep enough to approach Python's parser
-limits moves into a helper function. A world's namespace is cleared when the
-world is freed, which breaks the cycle between it and the defun functions it
-holds, so a finished world is freed by reference counting.
+(``_maker_code``). ``datadef`` makes its types' generated code through the
+same ``instantiate`` and ``lazy_slot``. A subterm nested deep enough to
+approach Python's parser limits moves into a helper function. A world's
+namespace is cleared when the world is freed, which breaks the cycle between
+it and the defun functions it holds, so a finished world is freed by
+reference counting.
 
 An error is raised only when evaluation reaches it, in the interpreter's order
 and with the interpreter's class and message. The explicit work-stack
@@ -331,10 +333,15 @@ def _generate(world, term: Term, formals=None):
     em = _Emitter(world, formals)
     body = em.value(term)[0]
     try:
-        make = FunctionType(_maker_code(em.source(body)), world.namespace)
+        return instantiate(world, em.source(body), em.consts)
     except (SyntaxError, MemoryError):
         return _interpret_instead
-    return make(*em.consts)
+
+
+def instantiate(world, source: str, consts):
+    """The function that the ``_make`` defined by ``source`` returns when
+    called with ``consts``, made in the world's namespace."""
+    return FunctionType(_maker_code(source), world.namespace)(*consts)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -343,22 +350,30 @@ def _ident(prefix: str, name: str) -> str:
     return prefix + "".join(c if c.isascii() and c.isalnum() else f"_{ord(c):x}_" for c in name)
 
 
-def _defun_slot(world, name: str) -> str:
-    """The namespace key generated code calls a defun through. It starts as
-    a stub that generates the body's function on the first call and puts it
-    in its own place, so recursion and later callers call it directly."""
-    key, ns = _ident("d_", name), world.namespace
+def lazy_slot(world, prefix: str, name: str, generate) -> str:
+    """The namespace key generated code calls a function through. It starts
+    as a stub that makes the function with ``generate(world, name)`` on the
+    first call and puts it in its own place, so recursion and later callers
+    call it directly."""
+    key, ns = _ident(prefix, name), world.namespace
     if key not in ns:
         owner = weakref.ref(world)
 
-        def first_call(rem, *argv):
-            world = owner()
-            fdef = world.functions[name]
-            fn = ns[key] = _generate(world, fdef.body, fdef.formals)
-            return fn(rem, *argv)
+        def first_call(*args):
+            fn = ns[key] = generate(owner(), name)
+            return fn(*args)
 
         ns[key] = first_call
     return key
+
+
+def _generate_defun(world, name: str):
+    fdef = world.functions[name]
+    return _generate(world, fdef.body, fdef.formals)
+
+
+def _defun_slot(world, name: str) -> str:
+    return lazy_slot(world, "d_", name, _generate_defun)
 
 
 def _late_slot(world, name: str) -> str:

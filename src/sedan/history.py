@@ -30,6 +30,7 @@ class HistoryNode:
     variable_map: dict[str, Optional[Term]] = field(default_factory=dict)
     type_map: dict[str, tuple[Restriction, ...]] = field(default_factory=dict)
     liftable: bool = True
+    variables: list[str] = field(default_factory=list)  # clause_vars(clause), recorded once
 
 
 @dataclass
@@ -70,7 +71,7 @@ class History:
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
         self.top_id = goal_id
-        node = HistoryNode(goal_id, None, None, list(clause))
+        node = HistoryNode(goal_id, None, None, list(clause), variables=clause_vars(clause))
         self.nodes[goal_id] = node
         self.order.append(goal_id)
 
@@ -93,7 +94,7 @@ class History:
         child_vars = clause_vars(clause)
         child_var_set = set(child_vars)
         full_map: dict[str, Optional[Term]] = {}
-        for pv in clause_vars(parent.clause):
+        for pv in parent.variables:
             if pv in variable_map:
                 full_map[pv] = variable_map[pv]
             elif pv in child_var_set:
@@ -101,7 +102,7 @@ class History:
             else:
                 full_map[pv] = DONT_CARE
         merged = self.merge_child_restrictions(parent_id, child_vars, full_map, type_map or {}, world)
-        node = HistoryNode(goal_id, parent_id, process, list(clause), full_map, merged, liftable)
+        node = HistoryNode(goal_id, parent_id, process, list(clause), full_map, merged, liftable, child_vars)
         self.nodes[goal_id] = node
         self.order.append(goal_id)
         return node
@@ -131,7 +132,7 @@ class History:
         """Own extracted restrictions first, inherited restrictions after."""
         node = self.nodes[goal_id]
         own = testgen.extract_restrictions(node.clause, world)
-        return merge_type_alists(clause_vars(node.clause), own, node.type_map)
+        return merge_type_alists(node.variables, own, node.type_map)
 
     def lift(
         self,
@@ -168,7 +169,7 @@ class History:
             binding = parent_binding
             pure_wildcards = parent_wild
             node = self.nodes[node.parent_id]
-        top_vars = clause_vars(node.clause)
+        top_vars = node.variables
         missing = [v for v in top_vars if v not in binding]
         if missing:
             return LiftOutcome("failed", reason=f"lift lost top-level variables: {missing}")

@@ -21,19 +21,19 @@ class IndexSource:
         self._rng = random.Random(seed)
         self.uniform_bound = uniform_bound
 
-    def draw_index(self, dist: str) -> int:
-        if dist == "geometric":
-            return self.geometric()
-        if dist == "uniform":
-            return self.uniform()
-        raise ValueError(f"unknown distribution: {dist}")
-
     def geometric(self) -> int:
-        coin = self._rng.random
+        rng = self._rng
+        coin = rng.random
         g = 0
         while g < GEOMETRIC_WIDTH_CAP and coin() < GEOMETRIC_CONTINUE:
             g += 1
-        return self._rng.randrange(1 << g)
+        # randrange(1 << g) without its checks: the same rejection loop over
+        # g + 1 random bits, so the same index sequence
+        bound = 1 << g
+        x = rng.getrandbits(g + 1)
+        while x >= bound:
+            x = rng.getrandbits(g + 1)
+        return x
 
     def uniform(self) -> int:
         return self._rng.randrange(self.uniform_bound)

@@ -32,15 +32,23 @@ class Char:
         return print_value(self)
 
 
-@dataclass(frozen=True, eq=False)
 class Cons:
-    """An ordered pair of values.
+    """An ordered pair of values, immutable once made.
 
     Equality and hashing walk the cdr spine iteratively so long proper lists
     do not hit the interpreter recursion limit."""
 
-    car: "Value"
-    cdr: "Value"
+    __slots__ = ("car", "cdr")
+
+    def __init__(self, car: "Value", cdr: "Value"):
+        object.__setattr__(self, "car", car)
+        object.__setattr__(self, "cdr", cdr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a cons")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a cons")
 
     def __eq__(self, other):
         a, b = self, other
@@ -73,7 +81,8 @@ T = Symbol("t")
 
 
 def truthy(v: Value) -> bool:
-    return v != NIL
+    # nil is a Symbol but not a singleton, so no identity test will do
+    return type(v) is not Symbol or v.name != "nil"
 
 
 def boolify(b: bool) -> Symbol:

@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from sedan import evaluator
 from sedan.datadef import (
     SingletonRestriction,
     component_types,
@@ -15,6 +17,7 @@ from sedan.datadef import (
 )
 from sedan.evaluator import evaluate
 from sedan.rand import IndexSource
+from sedan.reader import read_sexprs, sexpr_to_value
 from sedan.session import process_source
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value, proper_length
 from sedan.world import World
@@ -339,3 +342,97 @@ def test_set_of_products():
         assert recognize(w, "points", v)
     assert recognize(w, "points", NIL)  # the empty set
     assert w.subtypes.subsumes("points", "true-list")
+
+
+def test_one_defdata_text_is_compiled_once_for_every_world(monkeypatch):
+    sources = []
+    monkeypatch.setattr(evaluator, "compile", lambda src, *a: sources.append(src) or compile(src, *a), raising=False)
+    evaluator._maker_code.cache_clear()
+    defdata = "(defdata ctree (oneof nat (cons ctree (listof pos))))"
+    first, second = make_world(defdata), make_world(defdata)
+    values = [enumerate_value(first, "ctree", n) for n in range(40)]
+    assert all(recognize(first, "ctree", v) for v in values)
+    compiled = len(sources)
+    assert compiled == 2  # the enumerator and the recognizer
+    assert [enumerate_value(second, "ctree", n) for n in range(40)] == values
+    assert all(recognize(second, "ctree", v) for v in values)
+    assert len(sources) == compiled
+
+
+def test_enums_differing_only_in_their_values_share_one_code_object():
+    w = make_world("(defdata ab (enum '(a b)))\n(defdata cd (enum '(c d)))")
+    assert [print_value(enumerate_value(w, "ab", n)) for n in range(3)] == ["a", "b", "a"]
+    assert [print_value(enumerate_value(w, "cd", n)) for n in range(3)] == ["c", "d", "c"]
+    assert recognize(w, "ab", Symbol("b")) and not recognize(w, "ab", Symbol("c"))
+    assert recognize(w, "cd", Symbol("c")) and not recognize(w, "cd", Symbol("b"))
+    ab, cd = w.types.entries["ab"], w.types.entries["cd"]
+    assert ab.dec.__code__ is cd.dec.__code__
+    assert ab.rec.__code__ is cd.rec.__code__
+
+
+def _wide_branch(i: int) -> str:
+    return (f"(cons 'c{i} nat)", f"(list 'c{i} integer symbol)", f"(listof (enum '(c{i} d{i})))")[i % 3]
+
+
+def _nested_type(depth: int) -> str:
+    text = "nat"
+    for i in range(depth):
+        text = (
+            f"(listof {text})", f"(oneof 'x{i} {text})", f"(cons {text} pos)", f"(record (g{i} . {text}) (h{i} . boolean))"
+        )[i % 4]
+    return text
+
+
+# a product and a record of 250 components, a oneof of 250 branches and a type
+# nesting listof, oneof, cons and record 30 levels deep: one nested _Cons(...)
+# per component, or one nested block per level, would pass Python's limits
+WIDE_TYPES = (
+    "(defdata wide (list " + " ".join(["nat"] * 250) + "))\n"
+    "(defdata big (record " + " ".join(f"(f{i} . nat)" for i in range(250)) + "))\n"
+    "(defdata many (oneof " + " ".join(_wide_branch(i) for i in range(250)) + "))\n"
+    "(defdata deep " + _nested_type(30) + ")\n"
+)
+WIDE_INDICES = [*range(51), *(10**6 + 7919 * k for k in range(10))]
+# sha256 of the printed values at WIDE_INDICES followed by every type's
+# recognizer verdict on each of them, recorded before types compiled to
+# generated Python
+WIDE_DIGESTS = {
+    "big": "0b653e45ab44f409e85b42f7c3b098ad8ff6013bf39596119e99ab421b577c6b",
+    "deep": "8b88fcb91ea6df995151fc80ebb5f6490ada8f61f9ecb15ae9499ee83a1a0e7f",
+    "many": "b809703e51ae24b8a197af2f58d73fc5f3de2454c1894bb4b1134775ab0f75c1",
+    "wide": "d68291f1cccc67a22f66d8e8bcf7c4c6133cbe8286851a50f3d8c59870ad062a",
+}
+
+
+def test_wide_and_deep_types_enumerate_and_recognize_as_before():
+    w = make_world(WIDE_TYPES)
+    for name, digest in WIDE_DIGESTS.items():
+        values = [enumerate_value(w, name, n) for n in WIDE_INDICES]
+        assert all(recognize(w, name, v) for v in values), name
+        text = "\n".join(print_value(v) for v in values)
+        verdicts = "".join("01"[recognize(w, other, v)] for other in sorted(WIDE_DIGESTS) for v in values)
+        assert hashlib.sha256((text + verdicts).encode()).hexdigest() == digest, name
+
+
+def test_index_zero_goes_to_a_oneofs_base_branch_wherever_it_is():
+    # base branches recorded before types compiled to generated Python
+    w = make_world(
+        "(defdata rtree (oneof (cons rtree rtree) nat))\n"
+        "(defdata mix (oneof (list mix symbol) (set mix) (enum '(a b))))"
+    )
+    assert w.types.entries["rtree"].expr.base_branch == 1
+    assert " ".join(print_value(enumerate_value(w, "rtree", n)) for n in range(12)) == (
+        "0 0 (0 . 0) 1 (0 . 0) 2 ((0 . 0) . 0) 3 (0 . 0) 4 (0 0 . 0) 5"
+    )
+    assert " ".join(print_value(enumerate_value(w, "mix", n)) for n in range(12)) == (
+        "nil nil a (nil nil) (nil) b (nil t) (nil) a (a nil) (nil) b"
+    )
+
+
+def test_a_record_recognizer_rejects_extra_fields_and_improper_tails():
+    w = make_world("(defdata entry (record (valid . boolean) (addr . nat)))")
+    values = [sexpr_to_value(sx) for sx in read_sexprs(
+        "(entry (valid . t) (addr . 3)) (entry (valid . t) (addr . 3) (extra . 1))"
+        " (entry (valid . t) (addr . 3) . 5) (entry (valid . t)) (entry (valid . 2) (addr . 3))"
+    )]
+    assert [recognize(w, "entry", v) for v in values] == [True, False, False, False, False]

@@ -1,0 +1,34 @@
+"""The benchmark's tracer wraps sedan's functions where other modules import
+them (see ``perfbench/tracer.py``). These tests run a traced verdict in
+process, so a change that stops calling through one of those sites shows up
+here rather than as a lost span or an ``AttributeError`` in a benchmark run."""
+
+import contextlib
+import importlib
+import io
+import os
+
+from sedan import datadef, testgen
+from sedan.cli import main
+from sedan.history import History
+
+from conftest import corpus_path
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def test_a_traced_triangle_verdict_reaches_the_sample_and_lift_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracer")
+    lift = History.lift
+    t = tracer.Tracer()
+    t.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            t.call(main, [corpus_path("triangle.lisp"), "--report", str(tmp_path / "report.json"), "--seed", "24"])
+    finally:
+        t.uninstall()
+    assert tracer.prefixed(t.stats, "datadef.sample")[0] > 0
+    assert tracer.prefixed(t.stats, "history.lift")[0] > 0
+    assert tracer.prefixed(t.stats, "evaluator.evaluate.in_testgen")[0] > 0
+    assert testgen.sample is datadef.sample and History.lift is lift

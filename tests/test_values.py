@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from sedan.values import (
     NIL,
     T,
@@ -61,3 +63,16 @@ def test_order_key_is_a_total_order_over_sample():
     keys = [order_key(v) for v in sample]
     assert sorted(keys) is not None  # all keys mutually comparable
     assert len(set(keys)) == len(sample)
+
+
+def test_a_cons_cannot_be_changed():
+    c = Cons(1, NIL)
+    with pytest.raises(AttributeError):
+        c.car = 2
+    with pytest.raises(AttributeError):
+        c.cdr = 2
+    with pytest.raises(AttributeError):
+        del c.car
+    with pytest.raises(AttributeError):
+        c.extra = 3
+    assert c.car == 1 and c.cdr == NIL and c == Cons(1, NIL) and hash(c) == hash(Cons(1, NIL))
