@@ -24,15 +24,16 @@ Types whose extent is provably finite and small are collapsed to an explicit
 extent, making the enumerator periodic with period |T|.
 
 Each type's enumerator and recognizer are generated Python, emitted on first
-use by ``_TypeEmitter`` the way ``evaluator`` emits defun bodies: a function
-``dec(n)`` and a function ``rec(v)``, memoised on its TypeEntry; enumeration,
-recognition, sampling, the host functions ``Xp``/``nth-X`` in the world's
-function table and subtype evidence all run them. A reference to a named type
-calls that type's function through a slot in the world's namespace that
-generates it on its first call, so mutually recursive groups need no compile
-order. A custom type evaluates an application of its user-supplied functions
-through ``evaluate``, which holds the world weakly. The source depends only
-on the type's shape, so ``compile()`` runs once per shape for every world. No
+use by ``_TypeEmitter``, which builds on the evaluator's emitter core
+``Source`` as the term emitter does: a function ``dec(n)`` and a function
+``rec(v)``, memoised on its TypeEntry; enumeration, recognition, sampling, the
+host functions ``Xp``/``nth-X`` in the world's function table and subtype
+evidence all run them. A reference to a named type calls that type's function
+through a slot in the world's namespace that generates it on its first call,
+so mutually recursive groups need no compile order. A custom type evaluates
+an application of its user-supplied functions through the namespace's
+``w_evaluate``, which holds the world weakly. The source depends only on the
+type's shape, so ``compile()`` runs once per shape for every world. No
 generated function holds its world, so a finished world is freed by
 reference counting.
 
@@ -43,12 +44,11 @@ recognizers (``natp``, ...) too, in ``install_base_types``.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .evaluator import EvaluationError, HostFunction, arity_bounds, evaluate, instantiate, lazy_slot
+from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -246,8 +246,7 @@ def _recognizer(world, name: str):
 def _generate_type(world, entry: TypeEntry, emit):
     """A finite type runs over its extent, any other over its expression."""
     em = _TypeEmitter(world)
-    main = emit(em, "_f", entry.expr if entry.extent is None else EnumExpr(entry.extent))
-    return instantiate(world, em.source(main), em.consts)
+    return em.make(emit(em, "_f", entry.expr if entry.extent is None else EnumExpr(entry.extent)))
 
 
 def _dec_rational(n: int) -> Value:
@@ -382,24 +381,12 @@ def _product_spine(expr: ProductExpr):
     return comps, expr
 
 
-def _evaluator_key(world) -> str:
-    """The namespace key of ``evaluate`` in this world, which holds the world
-    weakly; a custom type's generated code calls it."""
-    ns = world.namespace
-    if "w_evaluate" not in ns:
-        owner = weakref.ref(world)
-        ns["w_evaluate"] = lambda term, binding: evaluate(term, binding, owner())
-    return "w_evaluate"
-
-
-class _TypeEmitter:
+class _TypeEmitter(Source):
     """Python source for one type's enumerator or recognizer in one world.
 
-    ``decoder`` and ``recognizer`` return the source of one function and
-    leave the helper functions it calls in ``helpers``. Quoted values,
-    extents, sizes and the symbols of a record become parameters
-    ``k0, k1, ...`` of the maker function, so the source depends only on the
-    type's shape.
+    ``decoder`` and ``recognizer`` return the source of one function. Quoted
+    values, extents, sizes and the symbols of a record are constants of the
+    ``Source``, so the source depends only on the type's shape.
 
     An enumerator is statements: ``unpair`` is inlined as ``isqrt``
     arithmetic, a product or record binds its components in order and then
@@ -408,31 +395,6 @@ class _TypeEmitter:
     one expression, a conjunction along a product's or record's spine and a
     disjunction over a oneof's branches, except that a listof or set is a
     loop in a function of its own."""
-
-    def __init__(self, world):
-        self.world = world
-        self.consts: list = []
-        self.helpers: list[str] = []
-        self.temps = 0
-
-    def source(self, main: str) -> str:
-        consts = ", ".join([f"k{i}" for i in range(len(self.consts))])
-        return f"def _make({consts}):\n{''.join(self.helpers)}{main}    return _f\n"
-
-    def const(self, value) -> str:
-        self.consts.append(value)
-        return f"k{len(self.consts) - 1}"
-
-    def temp(self) -> str:
-        self.temps += 1
-        return f"t{self.temps - 1}"
-
-    def helper(self, emit, expr: TypeExpr) -> str:
-        """The name of a new helper function, ``emit``'s source for ``expr``."""
-        index = len(self.helpers)
-        self.helpers.append("")
-        self.helpers[index] = emit(self, f"_h{index}", expr)
-        return f"_h{index}"
 
     # -- enumerators ----------------------------------------------------------
 
@@ -455,9 +417,9 @@ class _TypeEmitter:
             return f"{self.const(expr.values)}[{n} % {self.const(len(expr.values))}]"
         if kind is CustomExpr:
             call = self.const(App(expr.enumerator, (Var("n"),)))
-            return f"{_evaluator_key(self.world)}({call}, {{'n': {n}}})"
+            return f"w_evaluate({call}, {{'n': {n}}})"
         if nest == _NEST_LIMIT:
-            return f"{self.helper(_TypeEmitter.decoder, expr)}({n})"
+            return f"{self.helper(lambda name: self.decoder(name, expr))}({n})"
         pad, nest = "    " * level, nest + 1
         if kind is ProductExpr:
             cars, last = _product_spine(expr)
@@ -570,9 +532,9 @@ class _TypeEmitter:
         if kind is CustomExpr:
             call = self.const(App(expr.recognizer, (Var("v"),)))
             r = self.temp()
-            return f"(type({r} := {_evaluator_key(self.world)}({call}, {{'v': {v}}})) is not _Symbol or {r}.name != 'nil')"
+            return f"(type({r} := w_evaluate({call}, {{'v': {v}}})) is not _Symbol or {r}.name != 'nil')"
         if nest == _NEST_LIMIT or kind is ListofExpr or kind is SetExpr:
-            return f"{self.helper(_TypeEmitter.recognizer, expr)}({v})"
+            return f"{self.helper(lambda name: self.recognizer(name, expr))}({v})"
         nest += 1
         if kind is OneofExpr:
             return f"({' or '.join([self.rec(b, v, nest) for b in expr.branches])})"

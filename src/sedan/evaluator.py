@@ -27,24 +27,26 @@ on the term object, so it lives exactly as long as the term does.
   the argument values as positional arguments;
 - a defun is called through a per-world slot in that namespace, which
   generates the body's function on its first call and then holds it (worlds
-  only grow and redefinition is rejected, so nothing goes stale); a name not
-  yet defined is looked up again each time the call is reached.
+  only grow and redefinition is rejected, so nothing goes stale);
+- a call that is not well formed (to a name the world lacks, with a wrong
+  argument count, a malformed special form, a non-term) becomes
+  ``_interpret_instead``, after the arguments the interpreter evaluates first.
 
-Quoted constants become parameters of a maker function, so the source text
-depends only on the term's shape, and ``compile()`` runs once per text for
-every world: its result is kept in an LRU cache of 1024 texts
-(``_maker_code``). ``datadef`` makes its types' generated code through the
-same ``instantiate`` and ``lazy_slot``. A subterm nested deep enough to
-approach Python's parser limits moves into a helper function. A world's
-namespace is cleared when the world is freed, which breaks the cycle between
-it and the defun functions it holds, so a finished world is freed by
-reference counting.
+``Source`` is the emitter core that ``_Emitter`` and datadef's type emitter
+build on. Quoted constants become parameters of a maker function, so the
+source text depends only on the shape of what is emitted, and ``compile()``
+runs once per text for every world: its result is kept in an LRU cache of
+1024 texts (``_maker_code``). A subterm nested deep enough to approach
+Python's parser limits moves into a helper function. A world's namespace is
+cleared when the world is freed, which breaks the cycle between it and the
+defun functions it holds, so a finished world is freed by reference counting.
 
-An error is raised only when evaluation reaches it, in the interpreter's order
-and with the interpreter's class and message. The explicit work-stack
-interpreter ``_interpret`` is the oracle the generated code is tested against,
-and the fallback that reruns an evaluation which overflows the Python stack,
-misses a variable of its binding, or whose source Python cannot compile.
+The explicit work-stack interpreter ``_interpret`` is the oracle the generated
+code is tested against, and it reruns every evaluation the generated code does
+not run: one that overflows the Python stack, misses a variable of its
+binding, reaches a call that is not well formed, or whose source Python cannot
+compile. So an error is raised only when evaluation reaches it, in the
+interpreter's order and with its class and message.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -252,22 +254,15 @@ class _OutOfDepth(Exception):
 
 
 class _Interpret(Exception):
-    """Raised by generated code that cannot run this evaluation (a variable
-    the binding lacks, a body Python cannot compile); evaluate reruns it in
-    the interpreter, which raises the same errors in the same order."""
+    """Raised by generated code that cannot run this evaluation: a variable
+    the binding lacks, a call that is not well formed (``_interpret_instead``)
+    or a body Python cannot compile. evaluate reruns it in the interpreter,
+    which raises the same errors in the same order, or calls a defun admitted
+    since the code was generated."""
 
 
 def _interpret_instead(*_):
     raise _Interpret
-
-
-def _bad_arity(name: str, lo: int, hi, n: int, *argv):
-    """Called by generated code once the call's arguments are evaluated."""
-    _check_arity(name, lo, hi, n)
-
-
-def _not_a_term(t):
-    raise EvaluationError(f"not a term: {t!r}")
 
 
 def _code(term: Term, world):
@@ -288,9 +283,9 @@ def _code(term: Term, world):
     return code
 
 
-# the names every generated function may read; a world's namespace adds the
-# host functions (h_NAME), defun slots (d_NAME) and late-bound names (l_NAME)
-# its code calls
+# the names every generated function may read; a world's namespace adds
+# ``w_evaluate``, the host functions (h_NAME) and the defun slots (d_NAME) its
+# code calls, and datadef's type names and slots
 _PRELUDE = {
     "__builtins__": builtins,
     "_T": T,
@@ -303,16 +298,17 @@ _PRELUDE = {
     "_times": _times,
     "_OutOfDepth": _OutOfDepth,
     "_Interpret": _Interpret,
-    "_bad_arity": _bad_arity,
-    "_not_a_term": _not_a_term,
+    "_interpret_instead": _interpret_instead,
 }
 
 
 def new_namespace(world) -> dict:
-    """The globals of a world's generated functions, made with the world. A
-    defun's function sits in it and reads it, a cycle that is cleared when
-    the world is freed."""
-    ns = dict(_PRELUDE)
+    """The globals of a world's generated functions, made with the world.
+    ``w_evaluate`` is the world's ``evaluate``, which holds it weakly; a
+    custom type's code calls it. A defun's function sits in the namespace and
+    reads it, a cycle that is cleared when the world is freed."""
+    owner = weakref.ref(world)
+    ns = dict(_PRELUDE, w_evaluate=lambda term, binding: evaluate(term, binding, owner()))
     weakref.finalize(world, ns.clear)
     return ns
 
@@ -325,23 +321,54 @@ def _maker_code(source: str) -> CodeType:
     return next(c for c in module.co_consts if type(c) is CodeType)
 
 
+class Source:
+    """The source of one generated function ``_f`` in one world, and the
+    function it makes. ``_f`` sits in a maker function ``_make`` beside the
+    helper functions it calls; quoted constants become the maker's parameters
+    ``k0, k1, ...``, so the source depends only on the shape of what is
+    emitted, and temporaries are ``t0, t1, ...``."""
+
+    def __init__(self, world):
+        self.world = world
+        self.consts: list = []
+        self.helpers: list[str] = []
+        self.temps = 0
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
+    def helper(self, emit) -> str:
+        """The name of a new helper function, whose source ``emit(name)``
+        returns; the helpers ``emit`` adds come after it."""
+        index = len(self.helpers)
+        self.helpers.append("")
+        self.helpers[index] = emit(f"_h{index}")
+        return f"_h{index}"
+
+    def make(self, main: str):
+        """The function ``_f`` that ``main`` defines, made in the world's
+        namespace from the shared compilation of the source."""
+        params = ", ".join([f"k{i}" for i in range(len(self.consts))])
+        source = f"def _make({params}):\n{''.join(self.helpers)}{main}    return _f\n"
+        return FunctionType(_maker_code(source), self.world.namespace)(*self.consts)
+
+
 def _generate(world, term: Term, formals=None):
     """The generated function for a term (``formals`` None) or for a defun
     body, or ``_interpret_instead`` when Python cannot compile its source. A
     RecursionError while emitting is left to ``evaluate``'s fallback, so a
     term first met deep in the stack is generated again the next time."""
     em = _Emitter(world, formals)
-    body = em.value(term)[0]
+    main = em.function(term)
     try:
-        return instantiate(world, em.source(body), em.consts)
+        return em.make(main)
     except (SyntaxError, MemoryError):
         return _interpret_instead
-
-
-def instantiate(world, source: str, consts):
-    """The function that the ``_make`` defined by ``source`` returns when
-    called with ``consts``, made in the world's namespace."""
-    return FunctionType(_maker_code(source), world.namespace)(*consts)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -376,27 +403,6 @@ def _defun_slot(world, name: str) -> str:
     return lazy_slot(world, "d_", name, _generate_defun)
 
 
-def _late_slot(world, name: str) -> str:
-    """The namespace key for a name not defined when the code was generated:
-    a later defun or defdata may add it, so it is looked up at every call."""
-    key, ns = _ident("l_", name), world.namespace
-    if key not in ns:
-        owner = weakref.ref(world)
-
-        def late(rem, *argv):
-            world = owner()
-            fdef = world.functions.get(name)
-            if fdef is None:
-                raise UndefinedFunctionError(name)
-            _check_arity(name, *fdef.arity_bounds(), len(argv))
-            if type(fdef) is HostFunction:
-                return fdef.impl(*argv)
-            return ns[_defun_slot(world, name)](rem, *argv)
-
-        ns[key] = late
-    return key
-
-
 # an expression nested deeper than this many parentheses moves into a helper
 # function, far below Python's limit of 200; a level of the term adds at most four
 _HOIST_DEPTH = 100
@@ -416,28 +422,26 @@ def _tests_inline(fn: str, n: int) -> bool:
     return fn in ("and", "or") or _TEST_ARITY.get(fn) == n
 
 
-class _Emitter:
+class _Emitter(Source):
     """Python source for one term or defun body in one world.
 
     ``value`` returns an expression for a term's value and ``test`` one for
     its truth as a Python bool, each with its parenthesis depth. Built-ins
     are recognised by name (no name is ever redefined); any other host
-    function, defun or unknown name is registered in the world's namespace.
-    Quoted constants become parameters ``k0, k1, ...`` of the maker function,
-    so the source depends only on the term's shape."""
+    function or defun is registered in the world's namespace. A call that is
+    not well formed becomes ``_interpret_instead``, after the arguments the
+    interpreter would evaluate first."""
 
     def __init__(self, world, formals):
-        self.world = world
+        super().__init__(world)
         self.formals = formals
         # variable -> Python identifier: a defun's formals, or a term's
         # variables as they are met
         self.locals = {} if formals is None else {name: _ident("v_", name) for name in formals}
-        self.consts: list = []
-        self.helpers: list[str] = []
-        self.temps = 0
 
-    def source(self, body: str) -> str:
-        consts = ", ".join([f"k{i}" for i in range(len(self.consts))])
+    def function(self, term) -> str:
+        """The source of ``_f``, which returns the term's value."""
+        body = self.value(term)[0]
         if self.formals is not None:
             entry = (f"    def _f({', '.join(['rem', *self.locals.values()])}):\n"
                      "        if rem <= 0:\n            raise _OutOfDepth\n        rem -= 1\n")
@@ -446,7 +450,7 @@ class _Emitter:
             entry = f"    def _f(env, rem):\n        try:\n{reads}        except KeyError:\n            raise _Interpret from None\n"
         else:
             entry = "    def _f(env, rem):\n"
-        return f"def _make({consts}):\n{''.join(self.helpers)}{entry}        return {body}\n    return _f\n"
+        return f"{entry}        return {body}\n"
 
     # -- pieces -----------------------------------------------------------
 
@@ -455,8 +459,7 @@ class _Emitter:
         itself if it is a name, else an assignment to a fresh temporary."""
         if text.isidentifier():
             return text, text
-        tmp = f"t{self.temps}"
-        self.temps += 1
+        tmp = self.temp()
         return f"({tmp} := {text})", tmp
 
     def truthy(self, text: str) -> str:
@@ -473,8 +476,7 @@ class _Emitter:
         for t in terms:
             names.update(dict.fromkeys(free_vars(t)))
         params = ", ".join(["rem", *(self.locals[name] for name in names)])
-        helper = f"_h{len(self.helpers)}"
-        self.helpers.append(f"    def {helper}({params}):\n        return {text}\n")
+        helper = self.helper(lambda name: f"    def {name}({params}):\n        return {text}\n")
         return f"{helper}({params})", 1
 
     # -- values -------------------------------------------------------------
@@ -487,11 +489,9 @@ class _Emitter:
                 ident = self.locals[t.name] = _ident("v_", t.name)
             return ident, 0
         if tt is Quote:
-            self.consts.append(t.value)
-            return f"k{len(self.consts) - 1}", 0
+            return self.const(t.value), 0
         if tt is not App:
-            self.consts.append(t)
-            return f"_not_a_term(k{len(self.consts) - 1})", 1
+            return "_interpret_instead()", 1
         fn, args = t.fn, t.args
         text, depth = self._app_value(fn, args) if fn in _INLINE else self._call(fn, args)
         return (text, depth) if depth <= _HOIST_DEPTH else self.hoist((t,), text, depth)
@@ -525,8 +525,7 @@ class _Emitter:
             return f"_Cons({a}, {b})", 1 + max(da, db)
         if fn in SPECIAL_FORMS:
             # a special form's arity error comes before any argument
-            lo, hi = SPECIAL_FORMS[fn]
-            return f"_bad_arity({fn!r}, {lo}, {hi}, {n})", 1
+            return "_interpret_instead()", 1
         return self._call(fn, args)
 
     def _or_value(self, args) -> tuple[str, int]:
@@ -566,11 +565,10 @@ class _Emitter:
             depth = d if d > depth else depth
         depth += 1
         fdef = self.world.functions.get(fn)
-        if fdef is None:
-            return f"{_late_slot(self.world, fn)}({', '.join(['rem', *texts])})", depth
-        lo, hi = fdef.arity_bounds()
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            return f"_bad_arity({', '.join([repr(fn), str(lo), str(hi), str(len(args)), *texts])})", depth
+        if fdef is not None:
+            lo, hi = fdef.arity_bounds()
+        if fdef is None or len(args) < lo or (hi is not None and len(args) > hi):
+            return f"_interpret_instead({', '.join(texts)})", depth
         if type(fdef) is HostFunction:
             key = _ident("h_", fn)
             self.world.namespace.setdefault(key, fdef.impl)

@@ -216,6 +216,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
     substitutions: dict[str, Term] = {}
     diagnostics: list[str] = []
     rewriting_enabled = bool(world.rules)
+    out = None
 
     for _ in range(100):  # fixpoint pass limit
         before = list(lits)
@@ -246,8 +247,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
         lits, proved = _cleanup(lits)
         if proved:
             out = SimplifyOutcome("proved", substitutions=substitutions, diagnostics=diagnostics)
-            out.rule_applications = MAX_RULE_APPLICATIONS - budget.left
-            return out
+            break
 
         if any(has_connective(lit) for lit in lits):
             disjunction = lits[0] if len(lits) == 1 else app("or", *lits)
@@ -257,21 +257,19 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
                     # or() of nothing is false
                     new_clauses = [[QNIL]]
                 out = SimplifyOutcome("children", children=new_clauses, substitutions=substitutions, diagnostics=diagnostics)
-                out.rule_applications = MAX_RULE_APPLICATIONS - budget.left
-                return out
+                break
 
         if lits == before:
             break
 
-    if budget.depth_cut:
-        diagnostics.append("rewrite backchain depth limit reached while relieving hypotheses")
-    applications = MAX_RULE_APPLICATIONS - budget.left
-    if not lits:
-        lits = [QNIL]  # empty disjunction is false
-    if lits == list(literals):
-        out = SimplifyOutcome("unchanged", diagnostics=diagnostics)
-        out.rule_applications = applications
-        return out
-    out = SimplifyOutcome("children", children=[lits], substitutions=substitutions, diagnostics=diagnostics)
-    out.rule_applications = applications
+    if out is None:  # a fixpoint, or the pass limit
+        if budget.depth_cut:
+            diagnostics.append("rewrite backchain depth limit reached while relieving hypotheses")
+        if not lits:
+            lits = [QNIL]  # empty disjunction is false
+        if lits == list(literals):
+            out = SimplifyOutcome("unchanged", diagnostics=diagnostics)
+        else:
+            out = SimplifyOutcome("children", children=[lits], substitutions=substitutions, diagnostics=diagnostics)
+    out.rule_applications = MAX_RULE_APPLICATIONS - budget.left
     return out

@@ -35,8 +35,10 @@ class Char:
 class Cons:
     """An ordered pair of values, immutable once made.
 
-    Equality and hashing walk the cdr spine iteratively so long proper lists
-    do not hit the interpreter recursion limit."""
+    Equality, hashing, printing and ``order_key`` walk a value iteratively:
+    each follows the cdr spine in a loop and keeps on an explicit stack only
+    the cells whose car is itself a cons, so neither a long list nor a value
+    nested deep in its cars hits the interpreter recursion limit."""
 
     __slots__ = ("car", "cdr")
 
@@ -52,23 +54,45 @@ class Cons:
 
     def __eq__(self, other):
         a, b = self, other
-        while isinstance(a, Cons) and isinstance(b, Cons):
-            if a is b:
+        pending = None  # pairs of cars still to compare, the first a cons
+        while True:
+            while type(a) is Cons and type(b) is Cons:
+                if a is b:
+                    break
+                x = a.car
+                if type(x) is Cons:
+                    if pending is None:
+                        pending = []
+                    pending.append((x, b.car))
+                elif not (x == b.car):
+                    return False
+                a, b = a.cdr, b.cdr
+            else:
+                if type(a) is Cons or type(b) is Cons or not (a == b):
+                    return False
+            if not pending:
                 return True
-            if not (a.car == b.car):
-                return False
-            a, b = a.cdr, b.cdr
-        if isinstance(a, Cons) or isinstance(b, Cons):
-            return False
-        return a == b
+            a, b = pending.pop()
 
     def __hash__(self):
-        h = 0
-        node = self
-        while isinstance(node, Cons):
-            h = hash((h, node.car))
-            node = node.cdr
-        return hash((h, "·", node))
+        h, node = 0, self
+        outer = None  # (hash of the cars before it, cell) per list whose car is being hashed
+        while True:
+            while type(node) is Cons:
+                car = node.car
+                if type(car) is Cons:
+                    if outer is None:
+                        outer = []
+                    outer.append((h, node))
+                    h, node = 0, car
+                    continue
+                h = hash((h, car))
+                node = node.cdr
+            h = hash((h, "·", node))
+            if not outer:
+                return h
+            before, cell = outer.pop()
+            h, node = hash((before, h)), cell.cdr
 
     def __repr__(self):
         return print_value(self)
@@ -140,6 +164,29 @@ def print_value(v: Value, upcase: bool = False) -> str:
 
     ``upcase`` prints symbols in upper case, the way ACL2 session output
     echoes them; the result then no longer reads back case-preserved."""
+    if type(v) is not Cons:
+        return _print_atom(v, upcase)
+    out = ["("]  # each item is followed by " ", which the list's end replaces
+    outer = []  # cells whose car is being printed
+    while True:
+        while type(v) is Cons:
+            car = v.car
+            if type(car) is Cons:
+                outer.append(v)
+                out.append("(")
+                v = car
+                continue
+            out.append(_print_atom(car, upcase))
+            out.append(" ")
+            v = v.cdr
+        out[-1] = ")" if v == NIL else " . " + _print_atom(v, upcase) + ")"
+        if not outer:
+            return "".join(out)
+        out.append(" ")
+        v = outer.pop().cdr
+
+
+def _print_atom(v: Value, upcase: bool) -> str:
     if isinstance(v, bool):
         raise TypeError("Python bool is not a value; use t/nil symbols")
     if isinstance(v, int):
@@ -152,22 +199,37 @@ def print_value(v: Value, upcase: bool = False) -> str:
         return "#\\" + _CHAR_NAMES.get(v.ch, v.ch)
     if isinstance(v, str):
         return '"' + _escape_string(v) + '"'
-    if isinstance(v, Cons):
-        parts = []
-        while isinstance(v, Cons):
-            parts.append(print_value(v.car, upcase))
-            v = v.cdr
-        if v == NIL:
-            return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + print_value(v, upcase) + ")"
     raise TypeError(f"not a value: {v!r}")
 
 
-def order_key(v: Value):
+def order_key(v: Value) -> tuple:
     """Total order over values; used to canonicalize set-typed lists.
 
-    Cons keys flatten the cdr spine so deep lists compare without deep
-    recursion; lexicographic tuple comparison keeps the order total."""
+    The key is a flat tuple, so keys of deep values compare without
+    recursion: an atom gives its (rank, payload) pair, and a cons gives
+    (4,), what its cars give, then (5, its tail's pair). A list's end
+    outranks any item, so lists compare item by item as nested keys would."""
+    if type(v) is not Cons:
+        return (_atom_key(v),)
+    keys = [(4,)]
+    outer = []  # cells whose car is being keyed
+    while True:
+        while type(v) is Cons:
+            car = v.car
+            if type(car) is Cons:
+                outer.append(v)
+                keys.append((4,))
+                v = car
+                continue
+            keys.append(_atom_key(car))
+            v = v.cdr
+        keys.append((5, _atom_key(v)))
+        if not outer:
+            return tuple(keys)
+        v = outer.pop().cdr
+
+
+def _atom_key(v: Value):
     if is_rational(v):
         return (0, Fraction(v))
     if isinstance(v, Symbol):
@@ -176,9 +238,4 @@ def order_key(v: Value):
         return (2, v.ch)
     if isinstance(v, str):
         return (3, v)
-    spine = []
-    while isinstance(v, Cons):
-        spine.append(order_key(v.car))
-        v = v.cdr
-    spine.append((5, order_key(v)))  # rank-5 terminator stays comparable with element keys
-    return (4, tuple(spine))
+    raise TypeError(f"not a value: {v!r}")

@@ -272,6 +272,12 @@ def test_compiled_code_sees_later_definitions_and_cap_changes():
         evaluate(t, {"x": 5}, w)
 
 
+def test_an_ill_formed_call_in_a_branch_not_taken_runs_on_generated_code(monkeypatch):
+    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+    assert ev("(if (posp x) (later x) (+ x 1))", {"x": 0}) == 1
+    assert ev("(if t 1 (car 1 2))") == 1
+
+
 def test_arguments_are_evaluated_before_arity_and_undefined_errors():
     w = make_world()
     for src in ("(car 1 (+ z 1))", "(mystery (+ z 1))"):

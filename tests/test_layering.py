@@ -129,3 +129,19 @@ def test_terms_are_compiled_at_one_site():
     assert len(calls) == 1 and calls[0][0] == "evaluator", calls
     assert maker.lineno <= calls[0][1] <= maker.end_lineno, calls
     assert evaluator._maker_code.cache_parameters()["maxsize"] is not None
+    # every generator builds on one emitter core, the only function that
+    # writes the maker's text, so none grows a wrapper of its own
+    writers = [
+        (module, fn.name, node.lineno)
+        for module in MODULES
+        for fn in ast.walk(_tree(module))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "def _make(" in node.value
+    ]
+    core = next(cls for cls in _tree("evaluator").body if isinstance(cls, ast.ClassDef) and cls.name == "Source")
+    assert [w[:2] for w in writers] == [("evaluator", "make")], writers
+    assert core.lineno <= writers[0][2] <= core.end_lineno, writers
+    assert issubclass(evaluator._Emitter, evaluator.Source) and issubclass(datadef._TypeEmitter, evaluator.Source)
+    own = [fn.name for fn in ast.walk(_tree("datadef")) if isinstance(fn, ast.FunctionDef) and fn.name in ("source", "const", "temp")]
+    assert not own, own

@@ -76,3 +76,30 @@ def test_a_cons_cannot_be_changed():
     with pytest.raises(AttributeError):
         c.extra = 3
     assert c.car == 1 and c.cdr == NIL and c == Cons(1, NIL) and hash(c) == hash(Cons(1, NIL))
+
+
+def _deep_in_the_car(depth: int, leaf):
+    v = leaf
+    for _ in range(depth):
+        v = Cons(v, 0)
+    return v
+
+
+def test_a_value_deep_in_the_car_needs_no_python_recursion():
+    # ten times Python's default recursion limit
+    deep, copy, changed = (_deep_in_the_car(10_000, leaf) for leaf in (7, 7, 8))
+    assert deep is not copy
+    assert print_value(deep) == "(" * 10_000 + "7" + " . 0)" * 10_000
+    assert hash(deep) == hash(copy)
+    assert deep == copy and not (deep != copy)
+    assert deep != changed and not (deep == changed)
+    assert order_key(deep) == order_key(copy)
+    assert order_key(deep) < order_key(changed)
+
+
+def test_order_key_orders_lists_item_by_item_with_the_end_last():
+    # numbers, then symbols, ..., then lists, compared item by item; where one
+    # list ends and the other goes on, the end sorts after the item
+    one, one_two = from_list([1]), from_list([1, 2])
+    ordered = [0, Symbol("a"), from_list([one_two, 2]), from_list([one, 2, 3]), from_list([one, 2]), Cons(one, 5)]
+    assert sorted(reversed(ordered), key=order_key) == ordered

@@ -4,7 +4,15 @@ from sedan import waterfall
 from sedan.evaluator import evaluate
 from sedan.simplify import simplify_clause
 from sedan.values import NIL, Cons
-from sedan.waterfall import FreshNames, Goal, eliminate_destructors, generalize, run_waterfall
+from sedan.waterfall import (
+    FreshNames,
+    Goal,
+    ProofResult,
+    _classify_counterexample,
+    eliminate_destructors,
+    generalize,
+    run_waterfall,
+)
 from sedan.history import History
 
 from checkers import check_process_soundness
@@ -285,23 +293,62 @@ def test_conjunctive_theorem_proves_through_multiple_clauses():
     assert not result.checkpoints
 
 
-def test_spurious_lift_is_demoted_not_reported():
-    # a hand-built bogus history: the child "forgets" x, but the parent's truth
-    # depends on it, so the wildcard probe must demote the lift
-    from sedan.history import History
-    from sedan.waterfall import Goal, ProofResult, _classify_counterexample
-
+def _demotions(top, chain, binding):
+    """The reasons ``_classify_counterexample`` gives for demoting a
+    counterexample at the last goal of ``chain``, in a hand-built history:
+    each (goal id, clause, variable map) in ``chain`` is the child of the one
+    before it, and the first is the child of "Goal", whose clause is ``top``."""
     world = make_world()
-    top = term("(consp x)")
     h = History()
     h.record_top("Goal", [top])
-    h.record_node("Goal", "Goal'", [term("(natp y)")], "simplify", {"x": None}, world=world)
-    goal = Goal("Goal'", [term("(natp y)")])
+    parent = "Goal"
+    for goal_id, clause, variable_map in chain:
+        h.record_node(parent, goal_id, clause, "simplify", variable_map, world=world)
+        parent = goal_id
     result = ProofResult("failed", top, history=h)
-    _classify_counterexample(result, h, goal, {"y": -1}, top, world)
+    _classify_counterexample(result, h, Goal(parent, chain[-1][1]), binding, top, world)
     assert not result.counterexamples
-    assert result.spurious_lifts
-    assert "wildcard" in result.spurious_lifts[0].reason
+    return [spurious.reason for spurious in result.spurious_lifts]
+
+
+def test_spurious_lift_is_demoted_not_reported():
+    # the child "forgets" x, but the parent's truth depends on it, so the
+    # wildcard probe must demote the lift
+    chain = [("Goal'", [term("(natp y)")], {"x": None})]
+    assert _demotions(term("(consp x)"), chain, {"y": -1}) == ["wildcard instantiation no longer falsifies"]
+
+
+def test_a_lift_that_does_not_falsify_the_top_is_demoted():
+    # the child's y is the top's x, and x = 1 satisfies the top
+    chain = [("Goal'", [term("(natp y)")], {"x": term("y")})]
+    assert _demotions(term("(natp x)"), chain, {"y": 1}) == [
+        "lifted binding does not falsify the top-level conjecture"
+    ]
+
+
+def test_a_lift_the_top_cannot_be_evaluated_on_is_demoted():
+    chain = [("Goal'", [term("(natp y)")], {"x": term("y")})]
+    assert _demotions(term("(mystery x)"), chain, {"y": -1}) == [
+        "evaluation error at top level: undefined function: mystery"
+    ]
+
+
+def test_a_wildcard_probe_that_fails_to_lift_demotes_the_lift():
+    # Goal'' drops w, and Goal' computes the top's x from w, which the
+    # default nil lifts to 0 (falsifying the top) and every probe to an error
+    chain = [
+        ("Goal'", [term("(natp w)")], {"x": term("(if w (mystery w) 0)")}),
+        ("Goal''", [term("(natp y)")], {"w": None}),
+    ]
+    assert _demotions(term("(not (equal x 0))"), chain, {"y": -1}) == ["wildcard probe failed to lift"]
+
+
+def test_a_wildcard_probe_that_raises_at_the_top_demotes_the_lift():
+    # the child drops x: nil falsifies the top, every probe reaches mystery
+    chain = [("Goal'", [term("(natp y)")], {"x": None})]
+    assert _demotions(term("(if x (mystery x) nil)"), chain, {"y": -1}) == [
+        "wildcard probe error: undefined function: mystery"
+    ]
 
 
 def test_goal_budget_guards_against_looping_rule_sets(monkeypatch):
