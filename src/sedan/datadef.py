@@ -21,7 +21,11 @@ and a membership recognizer. Encodings:
 Pairing is Cantor's: pair(i, j) = (i+j)(i+j+1)/2 + j.
 
 Types whose extent is provably finite and small are collapsed to an explicit
-extent, making the enumerator periodic with period |T|.
+extent, making the enumerator periodic with period |T|. An extent is built
+bottom-up in time linear in its size: an enum's or a oneof's duplicates are
+removed in order, each value keeping its first place; a product's or record's
+values are distinct by construction, one per choice of its parts' values; and
+a type with more than EXTENT_CAP values has no extent.
 
 Each type's enumerator and recognizer are generated Python, emitted on first
 use by ``_TypeEmitter``, which builds on the evaluator's emitter core
@@ -43,6 +47,7 @@ recognizers (``natp``, ...) too, in ``install_base_types``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -136,10 +141,10 @@ class EnumExpr:
     values: tuple[Value, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class OneofExpr:
     branches: tuple["TypeExpr", ...]
-    base_branch: int = 0
+    base_branch: int = 0  # index 0's branch, pinned by register_defdata
 
 
 @dataclass(frozen=True)
@@ -583,139 +588,85 @@ def sample(world, name: str, rng, dist: str = "geometric") -> Value:
 
 
 # ---------------------------------------------------------------------------
-# groundedness and finiteness
+# groundedness and finiteness: walks over a type expression's parts
 
 
-def _height(expr: TypeExpr, member_heights: dict[str, float]) -> float:
-    if isinstance(expr, (BaseRef, EnumExpr, CustomExpr)):
-        return 0
-    if isinstance(expr, NamedRef):
-        if expr.name in member_heights:
-            h = member_heights[expr.name]
-            return h + 1 if h != _UNGROUNDED else _UNGROUNDED
-        return 0  # already-registered types are grounded
-    if isinstance(expr, (ListofExpr, SetExpr)):
+def _parts(expr: TypeExpr) -> tuple[TypeExpr, ...]:
+    """The type expressions directly inside ``expr``, in order."""
+    kind = type(expr)
+    if kind is OneofExpr:
+        return expr.branches
+    if kind is ProductExpr:
+        return (expr.car, expr.cdr)
+    if kind is ListofExpr or kind is SetExpr:
+        return (expr.elem,)
+    if kind is RecordExpr:
+        return tuple(f for _, f in expr.fields)
+    return ()
+
+
+def _referenced_names(expr: TypeExpr):
+    if type(expr) is NamedRef:
+        yield expr.name
+    for part in _parts(expr):
+        yield from _referenced_names(part)
+
+
+def _height(expr: TypeExpr, heights: dict[str, float]) -> float:
+    """How deep the least values of ``expr`` nest references to the group's
+    members, whose heights so far are ``heights``. On the way each oneof's
+    index-0 branch is pinned to its lowest branch."""
+    kind = type(expr)
+    if kind is NamedRef:
+        # a type registered before the group is grounded
+        return heights[expr.name] + 1 if expr.name in heights else 0
+    below = [_height(part, heights) for part in _parts(expr)]
+    if kind is OneofExpr:
+        expr.base_branch = below.index(min(below))
+        return min(below)
+    if kind is ListofExpr or kind is SetExpr:
         return 0  # nil is always available
-    if isinstance(expr, ProductExpr):
-        return max(_height(expr.car, member_heights), _height(expr.cdr, member_heights))
-    if isinstance(expr, RecordExpr):
-        if not expr.fields:
-            return 0
-        return max(_height(f, member_heights) for _, f in expr.fields)
-    if isinstance(expr, OneofExpr):
-        return min(_height(b, member_heights) for b in expr.branches)
-    raise DatadefError(f"no height for {expr!r}")
-
-
-def _resolve_base_branches(expr: TypeExpr, member_heights) -> TypeExpr:
-    """Pin each oneof's index-0 branch to its lowest-height branch."""
-    if isinstance(expr, OneofExpr):
-        branches = tuple(_resolve_base_branches(b, member_heights) for b in expr.branches)
-        heights = [_height(b, member_heights) for b in branches]
-        return OneofExpr(branches, base_branch=heights.index(min(heights)))
-    if isinstance(expr, ProductExpr):
-        return ProductExpr(
-            _resolve_base_branches(expr.car, member_heights),
-            _resolve_base_branches(expr.cdr, member_heights),
-        )
-    if isinstance(expr, ListofExpr):
-        return ListofExpr(_resolve_base_branches(expr.elem, member_heights))
-    if isinstance(expr, SetExpr):
-        return SetExpr(_resolve_base_branches(expr.elem, member_heights))
-    if isinstance(expr, RecordExpr):
-        return RecordExpr(
-            expr.tag,
-            tuple((n, _resolve_base_branches(f, member_heights)) for n, f in expr.fields),
-        )
-    return expr
-
-
-def _compute_extent(expr: TypeExpr, world) -> Optional[list[Value]]:
-    """Explicit extent when finite and small, else None. Order is deterministic."""
-    if isinstance(expr, EnumExpr):
-        out = []
-        for v in expr.values:
-            if v not in out:
-                out.append(v)
-        return out
-    if isinstance(expr, BaseRef):
-        return [T, NIL] if expr.name == "boolean" else None
-    if isinstance(expr, NamedRef):
-        # a group member whose extent is not computed yet counts as infinite
-        entry = world.types.entries[expr.name]
-        return list(entry.extent) if entry.extent is not None else None
-    if isinstance(expr, OneofExpr):
-        out = []
-        for b in expr.branches:
-            sub = _compute_extent(b, world)
-            if sub is None:
-                return None
-            for v in sub:
-                if v not in out:
-                    out.append(v)
-            if len(out) > EXTENT_CAP:
-                return None
-        return out
-    if isinstance(expr, ProductExpr):
-        car_ext = _compute_extent(expr.car, world)
-        cdr_ext = _compute_extent(expr.cdr, world)
-        if car_ext is None or cdr_ext is None or len(car_ext) * len(cdr_ext) > EXTENT_CAP:
-            return None
-        out = []
-        for a in car_ext:
-            for d in cdr_ext:
-                v = Cons(a, d)
-                if v not in out:
-                    out.append(v)
-        return out
-    if isinstance(expr, RecordExpr):
-        field_exts = []
-        total = 1
-        for _, fexpr in expr.fields:
-            ext = _compute_extent(fexpr, world)
-            if ext is None:
-                return None
-            total *= max(len(ext), 1)
-            if total > EXTENT_CAP:
-                return None
-            field_exts.append(ext)
-        out = [[]]
-        for ext in field_exts:
-            out = [prev + [v] for prev in out for v in ext]
-        values = []
-        for combo in out:
-            pairs = [Cons(Symbol(fname), v) for (fname, _), v in zip(expr.fields, combo)]
-            rec = from_list([Symbol(expr.tag)] + pairs)
-            if rec not in values:
-                values.append(rec)
-        return values
-    return None  # listof, set, custom: infinite or unknown
+    return max(below, default=0)
 
 
 def _finite_extent(expr: TypeExpr, world) -> Optional[tuple[Value, ...]]:
-    """A type entry's ``extent``: its values when finite and small, else None."""
-    extent = _compute_extent(expr, world)
-    return tuple(extent) if extent is not None and len(extent) <= EXTENT_CAP else None
+    """A type entry's ``extent``: its values in enumeration order when there
+    are at most ``EXTENT_CAP`` of them, else None. A group member whose extent
+    is not computed yet counts as infinite."""
+    kind = type(expr)
+    if kind is BaseRef:
+        return (T, NIL) if expr.name == "boolean" else None
+    if kind is NamedRef:
+        return world.types.entries[expr.name].extent
+    if kind is EnumExpr or kind is OneofExpr:
+        # only here can values repeat; each keeps its first place
+        if kind is EnumExpr:
+            parts = [expr.values]
+        else:
+            parts = [_finite_extent(branch, world) for branch in expr.branches]
+        if None in parts:
+            return None
+        values = tuple(dict.fromkeys(itertools.chain.from_iterable(parts)))
+        return values if len(values) <= EXTENT_CAP else None
+    if kind is ProductExpr or kind is RecordExpr:
+        # a value is a cons chain over one choice per part, the last its tail,
+        # so the values are distinct by construction
+        if kind is ProductExpr:
+            cars, last = _product_spine(expr)
+            parts = [_finite_extent(part, world) for part in (*cars, last)]
+        else:
+            parts = [_finite_extent(part, world) for part in _parts(expr)]
+        if None in parts or math.prod(map(len, parts)) > EXTENT_CAP:
+            return None
+        if kind is RecordExpr:
+            pairs = [[Cons(Symbol(fname), v) for v in part] for (fname, _), part in zip(expr.fields, parts)]
+            parts = [(Symbol(expr.tag),), *pairs, (NIL,)]
+        return tuple(from_list(choice[:-1], choice[-1]) for choice in itertools.product(*parts))
+    return None  # listof, set, custom: infinite or unknown
 
 
 # ---------------------------------------------------------------------------
 # registration
-
-
-def _referenced_names(expr: TypeExpr):
-    if isinstance(expr, NamedRef):
-        yield expr.name
-    elif isinstance(expr, OneofExpr):
-        for b in expr.branches:
-            yield from _referenced_names(b)
-    elif isinstance(expr, ProductExpr):
-        yield from _referenced_names(expr.car)
-        yield from _referenced_names(expr.cdr)
-    elif isinstance(expr, (ListofExpr, SetExpr)):
-        yield from _referenced_names(expr.elem)
-    elif isinstance(expr, RecordExpr):
-        for _, f in expr.fields:
-            yield from _referenced_names(f)
 
 
 def _auto_subtype_edges(world, name: str, expr: TypeExpr):
@@ -726,12 +677,8 @@ def _auto_subtype_edges(world, name: str, expr: TypeExpr):
         graph.add_edge(name, "true-list")
     if isinstance(expr, RecordExpr):
         graph.add_edge(name, "proper-cons")
-    if isinstance(expr, ProductExpr):
-        tail = expr
-        while isinstance(tail, ProductExpr):
-            tail = tail.cdr
-        if tail == EnumExpr((NIL,)):
-            graph.add_edge(name, "proper-cons")
+    if isinstance(expr, ProductExpr) and _product_spine(expr)[1] == EnumExpr((NIL,)):
+        graph.add_edge(name, "proper-cons")
     if isinstance(expr, EnumExpr):
         for base in BASE_TYPES:
             if base != "all" and all(recognize(world, base, v) for v in expr.values):
@@ -783,8 +730,9 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
             if ref not in group and ref not in world.types.entries:
                 raise AdmissionError(f"unknown referenced type: {ref}")
 
-    # groundedness fixpoint over the group
-    heights: dict[str, float] = {name: _UNGROUNDED for name in group}
+    # groundedness fixpoint over the group; its last pass changes no height,
+    # so the base branches it pins are the lowest under the final heights
+    heights: dict[str, float] = dict.fromkeys(group, _UNGROUNDED)
     changed = True
     while changed:
         changed = False
@@ -797,17 +745,15 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
         if heights[name] == _UNGROUNDED:
             raise AdmissionError(f"recursive data definition {name} has no base case")
 
-    resolved = [(name, _resolve_base_branches(expr, heights)) for name, expr in definitions]
-
     # install entries first so mutual references resolve during extent checks
-    for name, expr in resolved:
+    for name, expr in definitions:
         world.types.entries[name] = TypeEntry(name, expr)
-    for name, expr in resolved:
+    for name, expr in definitions:
         world.types.entries[name].extent = _finite_extent(expr, world)
 
     for fname, (_, host) in hosts.items():
         world.add_function(fname, host)
-    for name, expr in resolved:
+    for name, expr in definitions:
         recognizer = expr.recognizer if isinstance(expr, CustomExpr) else _derived_names(name)[0]
         world.types.recognizer_index[recognizer] = name
         _auto_subtype_edges(world, name, expr)

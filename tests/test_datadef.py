@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sedan import evaluator
+from sedan import datadef, evaluator
 from sedan.datadef import (
     SingletonRestriction,
     component_types,
@@ -436,3 +436,53 @@ def test_a_record_recognizer_rejects_extra_fields_and_improper_tails():
         " (entry (valid . t) (addr . 3) . 5) (entry (valid . t)) (entry (valid . 2) (addr . 3))"
     )]
     assert [recognize(w, "entry", v) for v in values] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize("src, error", [
+    ("(defdata x ())", "1:12: empty type expression"),
+    ("(defdata x (1 nat))", "1:12: type expression must start with a symbol"),
+    ("(defdata x (enum))", "1:12: enum needs at least one value"),
+    ("(defdata x (oneof))", "1:12: oneof needs at least one branch"),
+    ("(defdata x (cons nat))", "1:12: cons type takes exactly two components"),
+    ("(defdata x (listof))", "1:12: listof takes exactly one element type"),
+    ("(defdata x (set))", "1:12: set takes exactly one element type"),
+    ("(defdata x (custom f))", "1:12: custom takes a recognizer and an enumerator function name"),
+    ("(defdata x (foo nat))", "1:12: unknown type constructor: foo"),
+    ("(defdata x (record (a nat)))", "1:20: record field must look like (name . type)"),
+    ("(defdata (a nat) (a integer))", "duplicate name within a defdata group"),
+    ("(defdata t1 (custom zzz zzz))", "custom type t1: unknown function zzz"),
+    ("(defdata-subtype nat zz)", "unknown type: zz"),
+])
+def test_a_defdata_form_the_world_cannot_admit_is_an_error_at_its_form(src, error):
+    outcome, world = process_source(src)
+    assert outcome.fatal_error is None
+    assert [(fr.status, fr.error) for fr in outcome.forms] == [("error", error)]
+    assert world.types.entries.keys() == World().types.entries.keys()
+
+
+def test_admission_paths_that_succeed():
+    w = make_world(
+        "(defdata abc (enum a b c))\n"
+        "(defdata just-nat (oneof nat))\n"
+        "(defdata tree (oneof nat (cons tree tree)))\n"
+        "(defdata t2 tree)\n"
+    )
+    # an unquoted enum lists its values; a one-branch oneof is its branch
+    assert [print_value(enumerate_value(w, "abc", n)) for n in range(4)] == ["a", "b", "c", "a"]
+    assert [enumerate_value(w, "just-nat", n) for n in range(5)] == [0, 1, 2, 3, 4]
+    # an alias has exactly the other type's extent, so the edges go both ways
+    assert w.subtypes.subsumes("t2", "tree") and w.subtypes.subsumes("tree", "t2")
+
+
+def test_the_evidence_for_a_finite_subtype_stops_at_its_size(monkeypatch):
+    indices = []
+    decoder = datadef._decoder
+
+    def counting(world, name):
+        dec = decoder(world, name)
+        return lambda n: indices.append(n) or dec(n)
+
+    monkeypatch.setattr(datadef, "_decoder", counting)
+    w = make_world("(defdata small (enum 1 2 1))\n(defdata-subtype small nat)")
+    assert indices == [0, 1]
+    assert w.subtypes.subsumes("small", "nat")

@@ -5,10 +5,13 @@ time, and a finite type's enumerator and its generated source run over its
 extent, so they must not change.
 """
 
+import os
+
 import pytest
 
+from sedan import cli
 from sedan.session import process_source
-from sedan.values import print_value
+from sedan.values import Cons, print_value
 
 EXTENT_SOURCE = """
 (defdata rep (enum '(a b a c b a)))
@@ -77,3 +80,28 @@ def test_finite_extents_match_pinned_values():
 def test_group_extents_follow_definition_order(src, expected):
     assert extents(src) == expected
 
+
+WIDE_FINITE = (
+    "(defdata bits (record " + " ".join(f"(f{i} . boolean)" for i in range(12)) + "))\n"
+    "(defdata bk (list " + " ".join(["boolean"] * 12) + "))\n"
+)
+
+
+def test_a_4096_value_record_and_list_are_admitted_without_pairwise_comparison(tmp_path, monkeypatch, capsys):
+    # duplicates are removed by hashing, and a product's or record's values are
+    # distinct by construction, so admission compares almost no conses
+    path = tmp_path / "wide.lisp"
+    path.write_text(WIDE_FINITE)
+    calls = [0]
+    compare = Cons.__eq__
+
+    def counting(a, b):
+        calls[0] += 1
+        return compare(a, b)
+
+    monkeypatch.setattr(Cons, "__eq__", counting)
+    assert cli.main([os.fspath(path), "--format", "text"]) == 0
+    assert calls[0] < 1000, calls[0]
+    assert capsys.readouterr().out.count("Admitted.") == 2
+    outcome, world = process_source(WIDE_FINITE)
+    assert [world.types.entries[name].size for name in ("bits", "bk")] == [4096, 4096]

@@ -16,7 +16,7 @@ from sedan.reader import MAX_NESTING
 from sedan.reports import display_binding, emit_report, parse_binding, render_text
 from sedan.session import process_file, process_source
 from sedan.values import NIL
-from sedan.world import SETTING_BOUNDS, Settings, World, describe_bound
+from sedan.world import SETTING_BOUNDS, AdmissionError, RewriteRule, Settings, World, describe_bound
 
 from conftest import corpus_path, make_world, term
 
@@ -244,6 +244,30 @@ def test_redefinition_rejected():
     out, _ = process_source("(defun f (x) x)\n(defun f (y) y)")
     assert out.forms[1].status == "error"
     assert "redefinition" in out.forms[1].error
+
+
+@pytest.mark.parametrize("src, error", [
+    ("(defun f (x x) x)", "duplicate formal in f"),
+    ("(defun f (x) y)", "unbound variable in body: y"),
+    ("(defrule r (equal (car (cons x y)) x))\n(defrule r (equal (cdr (cons x y)) y))", "duplicate rule name: r"),
+    ("(defrule r (equal (car x) y))", "rule r: right-hand side has variables not bound by the left-hand side"),
+    ("(defrule r (implies (natp y) (equal (car x) x)))",
+     "rule r: hypothesis has variables not bound by the left-hand side"),
+])
+def test_a_defun_or_defrule_the_world_cannot_admit_is_an_error_at_its_form(src, error):
+    out, world = process_source(src)
+    assert out.fatal_error is None
+    assert out.forms[-1].status == "error" and out.forms[-1].error == error
+    assert "f" not in world.functions
+    assert [rule.name for rule in world.rules] == ["r"] * (len(out.forms) - 1)
+
+
+def test_a_rule_whose_left_hand_side_is_not_an_application_is_rejected(world):
+    # the surface syntax already rejects it as a parse error, so only a
+    # direct caller of add_rule can meet this check
+    with pytest.raises(AdmissionError, match="rule r: left-hand side must be a function application"):
+        world.add_rule(RewriteRule("r", (), term("x"), term("1")))
+    assert not world.rules and not world.rules_by_name
 
 
 def test_a_self_call_is_checked_like_any_other_call():

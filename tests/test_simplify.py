@@ -1,9 +1,10 @@
 from sedan import simplify
+from sedan.session import process_source
 from sedan.simplify import QNIL, fold_ground, match, simplify_clause
 from sedan.terms import Quote, Var
 from sedan.world import RewriteRule
 
-from conftest import make_world, term
+from conftest import make_world, term, with_settings
 
 RULES = '(include "base-rules.lisp")\n(include "cancel-rules.lisp")\n'
 
@@ -153,3 +154,63 @@ def test_rules_are_tried_only_on_their_own_head_first_admitted_first(monkeypatch
     # every rule would have tried g-one on (f y) and on (h y) too.
     assert out.children == [clause("(equal 2 z)")]
     assert tried == ["f-first", "h-two"]
+
+
+PRED_RULES = (
+    "(defun p (x) x)\n(defun f (x) x)\n(defun g (n x) x)\n"
+    "(defrule p-holds (equal (p x) t))\n"
+    "(defrule f-under-p (implies (p x) (equal (f x) 1)))\n"
+    "(defrule f-under-not-p (implies (not (p x)) (equal (f x) 2)))\n"
+    "(defrule g-on-nat (implies (natp n) (equal (g n x) x)))\n"
+)
+
+
+def rewrite(src, world, assumed_nil=()):
+    """One literal rewritten with the other literals' context, as simplify_clause does."""
+    budget = simplify._Budget(100, world.settings.max_rewrite_depth)
+    ctx = simplify._Context(frozenset(), frozenset(term(s) for s in assumed_nil))
+    return simplify._rewrite(term(src), world, ctx, budget, 0), budget
+
+
+def test_a_hypothesis_another_literal_assumes_nil_is_not_relieved():
+    w = make_world(PRED_RULES)
+    # p-holds would relieve (p a) by rewriting; the assumption wins, and only
+    # the negated hypothesis, whose atom is assumed nil, is relieved
+    assert rewrite("(f a)", w)[0] == Quote(1)
+    assert rewrite("(f a)", w, assumed_nil=["(p a)"])[0] == Quote(2)
+
+
+def test_a_hypothesis_ground_after_matching_is_evaluated_within_any_depth():
+    w = with_settings(make_world(PRED_RULES), max_rewrite_depth=0)
+    got, budget = rewrite("(g 3 a)", w)
+    assert got == Var("a") and not budget.depth_cut
+    got, budget = rewrite("(g -1 a)", w)
+    assert got == term("(g -1 a)") and not budget.depth_cut
+
+
+def test_the_backchain_depth_cut_leaves_the_rule_unfired_with_a_diagnostic():
+    w = make_world(PRED_RULES)
+    clause_ = clause("(equal (f a) 1)")
+    assert simplify_clause(clause_, w).status == "proved"
+    out = simplify_clause(clause_, with_settings(w, max_rewrite_depth=0))
+    assert out.status == "unchanged"
+    assert out.diagnostics == ["rewrite backchain depth limit reached while relieving hypotheses"]
+
+
+def test_an_if_whose_test_rewrites_to_a_constant_becomes_its_branch():
+    w = make_world(PRED_RULES)
+    assert rewrite("(if (p a) b c)", w)[0] == Var("b")
+    assert rewrite("(if (not (p a)) b c)", w)[0] == Var("c")
+    assert simplify_clause(clause("(equal (if (p a) b c) b)"), w).status == "proved"
+
+
+def test_a_rule_that_nests_its_own_left_hand_side_stops_at_the_structure_cap():
+    src = "(defun f (x) x)\n(defun g (x) x)\n(defrule grow (equal (f x) (g (f x))))\n"
+    w = make_world(src)
+    out = simplify_clause(clause("(equal (f a) a)"), w)
+    assert out.status == "unchanged"
+    assert out.diagnostics == ["rewrite budget exhausted; rewriting disabled for this goal"]
+    # the structure cap stopped it, long before the application budget
+    assert out.rule_applications < simplify.MAX_RULE_APPLICATIONS
+    outcome, _ = process_source(src + "(thm (equal (f a) a))")
+    assert outcome.forms[-1].status == "failed-with-checkpoints"
