@@ -3,11 +3,18 @@
 A clause is a literal list with disjunction semantics; hypotheses appear
 negated and the last literal is the conclusion. The conjunction of the
 returned clauses is logically equivalent to the input formula.
+
+One walk turns a formula into clauses, carrying a polarity: ``not`` flips
+it, and under it ``and``, ``or`` and ``implies`` trade conjunction for
+disjunction by De Morgan's laws. ``(if p q r)`` splits into the clauses of q
+under ``(not p)`` and those of r under p, in either polarity. Anything else,
+a connective of the wrong arity included, is an atom, negated when the
+polarity is negative.
 """
 
 from __future__ import annotations
 
-from .terms import App, Quote, Term, app, free_vars, is_negation, negate
+from .terms import App, Quote, Term, app, free_vars, negate
 from .values import NIL
 
 
@@ -21,65 +28,36 @@ def _dedup(literals: list[Term]) -> list[Term]:
 
 def clausify(formula: Term) -> list[list[Term]]:
     """CNF over the propositional skeleton; non-connective terms are atoms."""
-    return [_dedup(c) for c in _cnf(formula)]
+    return [_dedup(c) for c in _cnf(formula, True)]
 
 
-def _cnf(t: Term) -> list[list[Term]]:
+def _cnf(t: Term, positive: bool) -> list[list[Term]]:
+    """The clauses of ``t``, or of its negation when not ``positive``."""
     if isinstance(t, App):
-        fn = t.fn
-        if fn == "and":
-            out: list[list[Term]] = []
-            for a in t.args:
-                out.extend(_cnf(a))
-            return out
-        if fn == "or":
-            acc: list[list[Term]] = [[]]
-            for a in t.args:
-                acc = [c1 + c2 for c1 in acc for c2 in _cnf(a)]
-            return acc
-        if fn == "implies" and len(t.args) == 2:
-            # (implies h c) = (or (not h) c); cross the clause sets of both sides
-            h, c = t.args
-            out = []
-            for h_clause in _neg_cnf(h):
-                for c_clause in _cnf(c):
-                    out.append(h_clause + c_clause)
-            return out
-        if fn == "if" and len(t.args) == 3:
-            p, q, r = t.args
-            out = []
-            for c in _cnf(q):
-                out.append([negate(p)] + c)
-            for c in _cnf(r):
-                out.append([p] + c)
-            return out
-        if fn == "not" and len(t.args) == 1:
-            return _neg_cnf(t.args[0])
-    return [[t]]
+        fn, args = t.fn, t.args
+        if fn == "not" and len(args) == 1:
+            return _cnf(args[0], not positive)
+        if fn == "if" and len(args) == 3:
+            p, q, r = args
+            return [[negate(p)] + c for c in _cnf(q, positive)] + [[p] + c for c in _cnf(r, positive)]
+        if fn in ("and", "or"):
+            return _combine([_cnf(a, positive) for a in args], (fn == "and") == positive)
+        if fn == "implies" and len(args) == 2:
+            # (implies h c) is (or (not h) c)
+            return _combine([_cnf(args[0], not positive), _cnf(args[1], positive)], not positive)
+    return [[t] if positive else [negate(t)]]
 
 
-def _neg_cnf(t: Term) -> list[list[Term]]:
-    if isinstance(t, App):
-        fn = t.fn
-        if fn == "and":
-            acc: list[list[Term]] = [[]]
-            for a in t.args:
-                acc = [c1 + c2 for c1 in acc for c2 in _neg_cnf(a)]
-            return acc
-        if fn == "or":
-            out: list[list[Term]] = []
-            for a in t.args:
-                out.extend(_neg_cnf(a))
-            return out
-        if fn == "implies" and len(t.args) == 2:
-            h, c = t.args
-            return _cnf(h) + _neg_cnf(c)
-        if fn == "if" and len(t.args) == 3:
-            p, q, r = t.args
-            return _cnf(app("if", p, negate(q), negate(r)))
-        if fn == "not" and len(t.args) == 1:
-            return _cnf(t.args[0])
-    return [[negate(t)]]
+def _combine(parts: list[list[list[Term]]], conjunctive: bool) -> list[list[Term]]:
+    """The clauses of a conjunction of parts are theirs, in order; those of a
+    disjunction, one per choice of a clause from each part, the first part
+    varying slowest."""
+    if conjunctive:
+        return [c for part in parts for c in part]
+    acc: list[list[Term]] = [[]]
+    for part in parts:
+        acc = [c1 + c2 for c1 in acc for c2 in part]
+    return acc
 
 
 def clause_vars(literals: list[Term]) -> list[str]:
@@ -114,19 +92,8 @@ def clause_to_term(literals: list[Term]) -> Term:
         return Quote(NIL)
     if len(literals) == 1:
         return literals[0]
-    hyps = [lit.args[0] if is_negation(lit) else negate(lit) for lit in literals[:-1]]
+    hyps = [negate(lit) for lit in literals[:-1]]
     concl = literals[-1]
     hyp = hyps[0] if len(hyps) == 1 else app("and", *hyps)
     return app("implies", hyp, concl)
 
-
-def has_connective(t: Term) -> bool:
-    """True when a literal still carries formula-level structure to re-clausify."""
-    if not isinstance(t, App):
-        return False
-    if t.fn in ("and", "or", "implies", "if"):
-        return True
-    if t.fn == "not" and len(t.args) == 1:
-        inner = t.args[0]
-        return isinstance(inner, App) and inner.fn in ("and", "or", "implies", "if", "not")
-    return False

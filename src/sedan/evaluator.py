@@ -232,15 +232,16 @@ def _check_arity(name: str, lo: int, hi, n: int):
         raise ArityError(f"{name} expects {expected} argument(s), got {n}")
 
 
-def evaluate(term: Term, binding: Binding, world, depth_cap: int | None = None) -> Value:
-    """Evaluate a term under a binding of its free variables."""
-    cap = world.settings.depth_cap if depth_cap is None else depth_cap
+def evaluate(term: Term, binding: Binding, world) -> Value:
+    """Evaluate a term under a binding of its free variables, nesting user
+    functions no deeper than ``world.settings.depth_cap``."""
+    cap = world.settings.depth_cap
     try:
         return _code(term, world)(binding, cap)
     except _OutOfDepth:
         raise DepthExceededError(cap) from None
     except (_Interpret, RecursionError):
-        return _interpret(term, binding, world, cap)
+        return _interpret(term, binding, world)
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +615,10 @@ class _Emitter(Source):
 # interpretation
 
 
-def _interpret(term: Term, binding: Binding, world, depth_cap: int | None = None) -> Value:
+def _interpret(term: Term, binding: Binding, world) -> Value:
     """The explicit-work-stack interpreter: the fallback for compiled runs that
     overflow the Python stack, and the oracle the compiled path is tested against."""
-    cap = world.settings.depth_cap if depth_cap is None else depth_cap
+    cap = world.settings.depth_cap
     work: list = [("ev", term, binding)]
     vals: list = []
     depth = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import testgen
-from .clauses import clause_to_term, clause_vars
+from .clauses import clause_vars
 from .forms import PROCESS_NAMES, HintSpec
 from .history import merge_type_alists
 
@@ -84,7 +84,7 @@ def test_gen_checkpoint(processor, children, goal, world, seed: int, history) ->
     child = children[0]
     own = testgen.extract_restrictions(child, world)
     alist = merge_type_alists(clause_vars(child), own, history.accumulated_type_alist(goal.id, world))
-    report = testgen.run_trials(clause_to_term(child), alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
+    report = testgen.run_trials(child, alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
     if report.falsified:
         return BacktrackOutcome(
             "redo",

@@ -20,6 +20,9 @@ from .values import NIL, Value
 
 DONT_CARE = None  # marker inside variable maps
 
+# values a lift with don't-care variables is re-checked under, besides nil
+WILDCARD_PROBES = 3
+
 
 @dataclass
 class HistoryNode:
@@ -65,12 +68,10 @@ class History:
     def __init__(self):
         self.nodes: dict[str, HistoryNode] = {}
         self.order: list[str] = []
-        self.top_id: Optional[str] = None
 
     def record_top(self, goal_id: str, clause: list[Term]):
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
-        self.top_id = goal_id
         node = HistoryNode(goal_id, None, None, list(clause), variables=clause_vars(clause))
         self.nodes[goal_id] = node
         self.order.append(goal_id)
@@ -180,13 +181,13 @@ class History:
             wildcard_vars=tuple(v for v in top_vars if v in pure_wildcards),
         )
 
-    def wildcard_probe_values(self, world, count: int = 3) -> list[Value]:
+    def wildcard_probe_values(self, world) -> list[Value]:
         """Alternative instantiations for don't-care variables in lift checks.
 
         Skips nil (the default instantiation) so each probe is informative."""
         out: list[Value] = []
         i = 1
-        while len(out) < count:
+        while len(out) < WILDCARD_PROBES:
             v = enumerate_value(world, "all", i)
             if v != NIL and v not in out:
                 out.append(v)

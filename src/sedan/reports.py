@@ -126,13 +126,10 @@ def _render_thm(fr: FormResult) -> list[str]:
     lines.append(f"Proof attempt failed; {n} {plural} pushed to the pool.")
     lines.append("")
     for goal in proof.checkpoints:
-        report = proof.checkpoint_reports.get(goal.id)
-        if report is None:
-            continue
         lines.append(f"Checkpoint {goal.id}:")
         lines.append(print_term(clause_to_term(goal.literals), upcase=True))
         lines.append("")
-        lines.extend(render_test_report(report))
+        lines.extend(render_test_report(proof.checkpoint_reports[goal.id]))
         lines.append("")
     if proof.counterexamples:
         lines.append("We falsified the conjecture. Here are counterexamples:")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .clauses import clausify, has_connective
+from .clauses import clausify
 from .evaluator import EvaluationError, evaluate
 from .terms import QNIL, QT, App, Quote, Term, Var, app, free_var_set, is_negation, subst_vars
 from .values import truthy
@@ -249,15 +249,11 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
             out = SimplifyOutcome("proved", substitutions=substitutions, diagnostics=diagnostics)
             break
 
-        if any(has_connective(lit) for lit in lits):
-            disjunction = lits[0] if len(lits) == 1 else app("or", *lits)
-            new_clauses = clausify(disjunction)
-            if new_clauses != [lits]:
-                if new_clauses == []:
-                    # or() of nothing is false
-                    new_clauses = [[QNIL]]
-                out = SimplifyOutcome("children", children=new_clauses, substitutions=substitutions, diagnostics=diagnostics)
-                break
+        # a literal that still carries connectives splits the clause
+        new_clauses = clausify(lits[0] if len(lits) == 1 else app("or", *lits))
+        if new_clauses != [lits]:
+            out = SimplifyOutcome("children", children=new_clauses, substitutions=substitutions, diagnostics=diagnostics)
+            break
 
         if lits == before:
             break

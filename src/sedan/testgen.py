@@ -25,7 +25,7 @@ from .datadef import (
 )
 from .evaluator import EvaluationError, evaluate
 from .rand import IndexSource
-from .terms import App, Quote, Term, Var, free_vars, is_negation, negate
+from .terms import QNIL, App, Quote, Term, Var, is_negation, negate
 from .values import Value, print_value, truthy
 
 TypeAlist = dict[str, tuple[Restriction, ...]]
@@ -163,23 +163,26 @@ def _erred(report: TestReport, e: BaseException):
 
 
 def run_trials(
-    conjecture: Term,
+    literals: list[Term],
     alist: TypeAlist,
     world,
     seed: int,
     trials: int,
     goal_id: Optional[str] = None,
 ) -> TestReport:
-    """Instantiate, evaluate, and classify trials for one conjecture.
-    ``trials`` is the random-mode count; the mode, distribution and bounds
-    come from ``world.settings``.
+    """Instantiate, evaluate, and classify trials for one clause. Its
+    hypotheses are the negations of every literal but the last, and its
+    conclusion is the last literal (nil for the empty clause); variables come
+    in ``clause_vars`` order. ``trials`` is the random-mode count; the mode,
+    distribution and bounds come from ``world.settings``.
 
     Deterministic for a fixed seed: each trial draws one index per non-singleton
     variable in variable order, so the first k trials of a longer run match a
     k-trial run exactly.
     """
-    hyps, concl = split_implies(conjecture)
-    var_order = free_vars(conjecture)
+    hyps = [negate(lit) for lit in literals[:-1]]
+    concl = literals[-1] if literals else QNIL
+    var_order = clause_vars(literals)
     for v in var_order:
         if v not in alist:
             raise ValueError(f"type alist does not cover variable {v}")
@@ -254,5 +257,5 @@ def top_level_test(term: Term, world, seed: int) -> TestReport:
     """Test an unsimplified conjecture: extract restrictions, then run the
     world's number of trials."""
     hyps, concl = split_implies(term)
-    alist = extract_restrictions([negate(h) for h in hyps] + [concl], world)
-    return run_trials(term, alist, world, seed, world.settings.trials)
+    clause = [negate(h) for h in hyps] + [concl]
+    return run_trials(clause, extract_restrictions(clause, world), world, seed, world.settings.trials)

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .clauses import clause_to_term, clause_vars, clausify
+from .clauses import clause_vars, clausify
 from .datadef import component_types
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
@@ -270,9 +270,7 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
 
     for goal in pool:
         alist = history.accumulated_type_alist(goal.id, world)
-        report = run_trials(
-            clause_to_term(goal.literals), alist, world, seed, goal_trials(goal, world), goal_id=goal.id
-        )
+        report = run_trials(goal.literals, alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
         result.checkpoint_reports[goal.id] = report
         for binding in report.counterexamples:
             _classify_counterexample(result, history, goal, binding, top, world)

@@ -14,8 +14,9 @@ special forms. A new world seeds it with the built-ins (``evaluator.BUILTINS``)
 and then the base types (``datadef.install_base_types``, the one source of the
 base recognizers such as ``natp``); data definitions add their recognizers
 ``Xp`` and enumerators ``nth-X`` as ``HostFunction`` records, whose
-one-argument ``impl`` holds the world only through a weak reference; and each
-defun adds a ``FunctionDef``. No name is ever redefined.
+one-argument ``impl`` calls the type's generated function through the world's
+namespace and holds no reference to the world; and each defun adds a
+``FunctionDef``. No name is ever redefined.
 
 ``World.namespace`` holds the globals of the world's generated code: the
 host functions and defun functions that ``evaluator`` emits calls to.

@@ -1,8 +1,10 @@
 import itertools
 
+import pytest
+
 from sedan.clauses import clause_to_term, clausify
 from sedan.evaluator import evaluate
-from sedan.terms import free_vars, negate
+from sedan.terms import free_vars, negate, print_term
 from sedan.values import NIL, T, truthy
 
 from conftest import make_world, term
@@ -103,3 +105,58 @@ def test_clause_to_term_round_trips_semantics():
 def test_negate_collapses_double_negation():
     assert negate(term("(not p)")) == term("p")
     assert negate(term("p")) == term("(not p)")
+
+
+# clausify's exact output, clause order and literal order included: goal ids
+# come from clause positions and reports print literals in order, so a change
+# of order changes reports even where the meaning stays the same
+CLAUSE_ORDER_PINS = [
+    ("(not p)", [["(not p)"]]),
+    ("(not (not p))", [["p"]]),
+    ("(not (not (not p)))", [["(not p)"]]),
+    ("(not (not (and a b)))", [["a"], ["b"]]),
+    ("(not (not (not (or a b))))", [["(not a)"], ["(not b)"]]),
+    ("(not (implies h c))", [["h"], ["(not c)"]]),
+    ("(not (implies (and a b) (or c d)))", [["a"], ["b"], ["(not c)"], ["(not d)"]]),
+    ("(implies (implies a b) c)", [["a", "c"], ["(not b)", "c"]]),
+    ("(not (if p q r))", [["(not p)", "(not q)"], ["p", "(not r)"]]),
+    ("(not (if p (and a b) (or c d)))", [["(not p)", "(not a)", "(not b)"], ["p", "(not c)"], ["p", "(not d)"]]),
+    ("(not (not (if p q r)))", [["(not p)", "q"], ["p", "r"]]),
+    ("(implies (if p q r) s)", [["(not p)", "(not q)", "s"], ["p", "(not r)", "s"]]),
+    ("(if (not p) (implies a b) (and c d))", [["p", "(not a)", "b"], ["(not p)", "c"], ["(not p)", "d"]]),
+    ("(if p (not q) (not (and a b)))", [["(not p)", "(not q)"], ["p", "(not a)", "(not b)"]]),
+    ("(and)", []),
+    ("(and a)", [["a"]]),
+    ("(and a b c)", [["a"], ["b"], ["c"]]),
+    ("(or)", [[]]),
+    ("(or a)", [["a"]]),
+    ("(or a b c)", [["a", "b", "c"]]),
+    ("(not (and))", [[]]),
+    ("(not (or))", []),
+    ("(not (and a))", [["(not a)"]]),
+    ("(not (or a))", [["(not a)"]]),
+    ("(not (and a b c))", [["(not a)", "(not b)", "(not c)"]]),
+    ("(not (or a b c))", [["(not a)"], ["(not b)"], ["(not c)"]]),
+    ("(or (and a b) (and c d) e)", [["a", "c", "e"], ["a", "d", "e"], ["b", "c", "e"], ["b", "d", "e"]]),
+    ("(and (or a b) (or c d) e)", [["a", "b"], ["c", "d"], ["e"]]),
+    ("(or p (not (not p)) q p)", [["p", "q"]]),
+    ("(implies (and) c)", [["c"]]),
+    ("(implies (or) c)", []),
+    ("(implies h (or))", [["(not h)"]]),
+    ("(implies a b c)", [["(implies a b c)"]]),
+    ("(implies a)", [["(implies a)"]]),
+    ("(if p q)", [["(if p q)"]]),
+    ("(if p q r s)", [["(if p q r s)"]]),
+    ("(not p q)", [["(not p q)"]]),
+    ("(not)", [["(not)"]]),
+    ("(not (implies a b c))", [["(not (implies a b c))"]]),
+    ("(not (if p q))", [["(not (if p q))"]]),
+    ("(not (not p q))", [["(not (not p q))"]]),
+    ("(or (implies a) (if p q) (not p q))", [["(implies a)", "(if p q)", "(not p q)"]]),
+    ("(if p (not q r) (implies a))", [["(not p)", "(not q r)"], ["p", "(implies a)"]]),
+]
+
+
+@pytest.mark.parametrize("src, expected", CLAUSE_ORDER_PINS)
+def test_clausify_order_is_pinned(src, expected):
+    assert [[print_term(lit) for lit in clause] for clause in clausify(term(src))] == expected

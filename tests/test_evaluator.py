@@ -1,5 +1,6 @@
 import itertools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -131,7 +132,7 @@ def test_depth_cap_is_an_error_not_nontermination():
         evaluate(term("(spin 1)"), {}, w)
     # configurable
     with pytest.raises(DepthExceededError):
-        evaluate(term("(spin 1)"), {}, w, depth_cap=10)
+        evaluate(term("(spin 1)"), {}, with_settings(w, depth_cap=10))
 
 
 def test_deep_recursion_within_cap_is_fine():
@@ -224,9 +225,23 @@ def diff_apps(children):
 diff_terms = st.recursive(diff_leaves, diff_apps, max_leaves=12)
 
 
-def outcome(run, t, binding, cap):
+@contextmanager
+def capped(world, cap):
+    """The world with its depth cap set as set-testing sets it, restored on
+    exit; a cap of None keeps the world's own."""
+    saved = world.settings
+    if cap is not None:
+        with_settings(world, depth_cap=cap)
     try:
-        v = run(t, binding, DIFF_WORLD, depth_cap=cap)
+        yield world
+    finally:
+        world.settings = saved
+
+
+def outcome(run, t, binding, cap, world):
+    try:
+        with capped(world, cap):
+            v = run(t, binding, world)
     except EvaluationError as e:
         return (type(e), str(e))
     return (type(v), print_value(v))
@@ -236,16 +251,17 @@ def outcome(run, t, binding, cap):
 @given(diff_terms, st.sampled_from([None, 10]))
 def test_compiled_evaluation_matches_the_interpreter(t, cap):
     binding = {"x": from_list([1, 2]), "y": 3}
-    assert outcome(evaluate, t, binding, cap) == outcome(_interpret, t, binding, cap)
+    assert outcome(evaluate, t, binding, cap, DIFF_WORLD) == outcome(_interpret, t, binding, cap, DIFF_WORLD)
     # a second run goes through the code memoised on the term
-    assert outcome(evaluate, t, binding, cap) == outcome(_interpret, t, binding, cap)
+    assert outcome(evaluate, t, binding, cap, DIFF_WORLD) == outcome(_interpret, t, binding, cap, DIFF_WORLD)
 
 
 def test_small_depth_cap_is_enforced_on_the_compiled_path(monkeypatch):
     monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
-    with pytest.raises(DepthExceededError, match="cap of 10 exceeded"):
-        evaluate(term("(cnt 10)"), {}, DIFF_WORLD, depth_cap=10)
-    assert evaluate(term("(cnt 9)"), {}, DIFF_WORLD, depth_cap=10) == 9  # ten nested calls
+    with capped(DIFF_WORLD, 10) as world:
+        with pytest.raises(DepthExceededError, match="cap of 10 exceeded"):
+            evaluate(term("(cnt 10)"), {}, world)
+        assert evaluate(term("(cnt 9)"), {}, world) == 9  # ten nested calls
 
 
 def test_stack_overflow_falls_back_to_the_interpreter(monkeypatch):
@@ -266,7 +282,7 @@ def test_compiled_code_sees_later_definitions_and_cap_changes():
     w.define_function("later", ("n",), term("(if (posp n) (later (- n 1)) 7)"))
     assert evaluate(t, {"x": 5}, w) == 7  # the same term object, compiled before the defun
     with pytest.raises(DepthExceededError, match="cap of 3 exceeded"):
-        evaluate(t, {"x": 5}, w, depth_cap=3)
+        evaluate(t, {"x": 5}, with_settings(w, depth_cap=3))
     with_settings(w, depth_cap=4)
     with pytest.raises(DepthExceededError, match="cap of 4 exceeded"):
         evaluate(t, {"x": 5}, w)
@@ -343,12 +359,8 @@ def test_generated_code_matches_the_interpreter_on_deep_reshaped_and_shared_term
     reshaped = _same_shape(data.draw, shaped)
     for t in (deep, reached, shaped, reshaped):
         for world in (DIFF_WORLD, DIFF_WORLD_TWIN):
-            expected = outcome(_interpret, t, binding, cap)
-            try:
-                got = (type(v := evaluate(t, binding, world, depth_cap=cap)), print_value(v))
-            except EvaluationError as e:
-                got = (type(e), str(e))
-            assert got == expected
+            expected = outcome(_interpret, t, binding, cap, DIFF_WORLD)
+            assert outcome(evaluate, t, binding, cap, world) == expected
     # Python compiled the deep chains: they did not fall back to the interpreter
     assert evaluator._interpret_instead not in (deep._compiled[1], reached._compiled[1])
 

@@ -96,6 +96,14 @@ def test_only_datadef_knows_the_type_expressions():
     assert not {m: lines for m, lines in readers.items() if lines}
 
 
+def test_only_reports_prints_a_clause_as_a_term():
+    # testing takes a clause as it is; an implication rebuilt from it is only
+    # for the text report to print
+    readers = {m: _loads(m, {"clause_to_term"}) for m in MODULES if m not in ("clauses", "reports")}
+    assert not {m: lines for m, lines in readers.items() if lines}
+    assert _loads("reports", {"clause_to_term"})
+
+
 def test_settings_travel_only_on_the_world():
     # every setting lives in world.settings; no function takes a separate record
     found = [

@@ -20,9 +20,14 @@ from conftest import make_world, term, with_settings
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
 
 
+def clause_of(conjecture):
+    """The clause top_level_test builds from a conjecture."""
+    hyps, concl = split_implies(conjecture)
+    return [negate(h) for h in hyps] + [concl]
+
+
 def alist_of(src, world):
-    hyps, concl = split_implies(term(src))
-    return extract_restrictions([negate(h) for h in hyps] + [concl], world)
+    return extract_restrictions(clause_of(term(src)), world)
 
 
 def test_extract_unrestricted_is_all(world):
@@ -61,7 +66,7 @@ def test_unrecognized_hypotheses_contribute_nothing(world):
 
 def test_tautology_counts():
     w = make_world()
-    report = run_trials(Quote(T), {}, w, 3, 10)
+    report = run_trials(clause_of(Quote(T)), {}, w, 3, 10)
     assert report.trials_run == 10
     assert report.satisfied == 10
     assert report.unique_satisfied == 1  # the empty binding, deduplicated
@@ -168,7 +173,7 @@ def test_erroring_trials_are_neither_witness_nor_counterexample():
 def test_exhaustive_mode_covers_the_box():
     w = make_world()
     report = run_trials(
-        term("(implies (booleanp x) (equal x x))"),
+        clause_of(term("(implies (booleanp x) (equal x x))")),
         {"x": ("boolean",)},
         with_settings(w, mode="exhaustive", exhaustive_bound=10),
         24,
@@ -181,7 +186,7 @@ def test_exhaustive_mode_covers_the_box():
 
 def test_mixed_mode_switches_on_bound_product():
     w = make_world()
-    t = term("(implies (and (booleanp x) (booleanp y)) (equal x x))")
+    t = clause_of(term("(implies (and (booleanp x) (booleanp y)) (equal x x))"))
     with_settings(w, mode="mixed")
     small = run_trials(t, {"x": ("boolean",), "y": ("boolean",)}, w, 24, 100)
     assert small.mode == "exhaustive" and small.trials_run == 4
@@ -192,7 +197,7 @@ def test_mixed_mode_switches_on_bound_product():
 def test_alist_must_cover_free_variables():
     w = make_world()
     with pytest.raises(ValueError, match="does not cover"):
-        run_trials(term("(natp x)"), {}, w, 24, 5)
+        run_trials(clause_of(term("(natp x)")), {}, w, 24, 5)
 
 
 def test_strengthened_inequality_yields_no_counterexamples():
@@ -220,7 +225,7 @@ SPINNING_ENUMERATOR = (
 
 def test_erroring_custom_enumerator_counts_as_erroring_trials():
     w = make_world(SPINNING_ENUMERATOR)
-    t = term("(implies (and (evr x) (natp y)) (equal x (- y y)))")
+    t = clause_of(term("(implies (and (evr x) (natp y)) (equal x (- y y)))"))
     alist = {"x": ("ev",), "y": ("nat",)}
     small = run_trials(t, alist, w, 3, 30)
     assert small.trials_run == 30
@@ -240,7 +245,7 @@ def test_erroring_custom_recognizer_in_a_residual_check_counts_as_erroring():
         "(defun eve (n) n)\n"
         "(defdata ev (custom evr eve))"
     )
-    report = run_trials(term("(equal x x)"), {"x": ("nat", "ev")}, w, 5, 40)
+    report = run_trials(clause_of(term("(equal x x)")), {"x": ("nat", "ev")}, w, 5, 40)
     assert report.erroring > 0 and report.erroring + report.satisfied == 40
     assert "depth cap of 50" in report.first_error
 
@@ -300,7 +305,7 @@ def test_value_keys_deduplicate_as_printed_keys_do():
     # and in the conclusion (x)
     t = term("(implies (and (lookp x) (not (equal (spin y) 'b))) (equal (spin x) y))")
     bound = 40
-    report = run_trials(t, {"x": ("look",), "y": ("look",)},
+    report = run_trials(clause_of(t), {"x": ("look",), "y": ("look",)},
                         with_settings(w, mode="exhaustive", exhaustive_bound=bound), 24, 100)
     counts, witnesses, counterexamples = _counts_under_printed_keys(w, t, ["x", "y"], bound)
     assert report.trials_run == bound * bound

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from sedan import waterfall
+from sedan import cli, waterfall
 from sedan.evaluator import evaluate
 from sedan.simplify import simplify_clause
 from sedan.values import NIL, Cons
@@ -362,3 +364,41 @@ def test_goal_budget_guards_against_looping_rule_sets(monkeypatch):
     result = run_waterfall(term("(f y)"), with_settings(world, trials=5, backtrack=False), (), 1)
     assert any("goal budget" in d for d in result.diagnostics)
     assert result.status == "failed"
+
+
+def _cli_reports(tmp_path, capsys, source):
+    """Exit code, text report and structured form report of one thm file."""
+    path, report = tmp_path / "edge.lisp", tmp_path / "edge.json"
+    path.write_text(source + "\n")
+    code = cli.main([str(path), "--seed", "24", "--trials", "5", "--report", str(report)])
+    [form] = json.loads(report.read_text())["forms"]
+    return code, capsys.readouterr().out, form
+
+
+def test_an_empty_conjunction_is_proved_by_clausification_alone(tmp_path, capsys):
+    code, text, form = _cli_reports(tmp_path, capsys, "(thm (and))")
+    assert code == 0
+    assert "\nQ.E.D.\n" in text
+    assert form["status"] == "proved"
+    proof = form["proof"]
+    assert proof["status"] == "proved"
+    assert proof["process_log"] == [] and proof["checkpoints"] == [] and proof["checkpoint_reports"] == {}
+    assert [(n["goal"], n["parent"], n["process"]) for n in proof["history"]] == [("Goal", None, None)]
+
+
+def test_an_empty_clause_is_pooled_and_falsified_by_the_empty_binding(tmp_path, capsys):
+    code, text, form = _cli_reports(tmp_path, capsys, "(thm (or) :hints ((\"Goal'\" :do-not (simplify))))")
+    assert code == 1
+    assert "Checkpoint Goal':\nNIL\n" in text
+    assert form["status"] == "falsified"
+    proof = form["proof"]
+    assert proof["status"] == "failed"
+    assert [(e["goal"], e["process"], e["children"]) for e in proof["process_log"]] == [("Goal", "clausify", ["Goal'"])]
+    assert proof["checkpoints"] == ["Goal'"]
+    checkpoint = proof["checkpoint_reports"]["Goal'"]
+    assert (checkpoint["trials"], checkpoint["satisfied"], checkpoint["unique"]) == (5, 5, 1)
+    assert checkpoint["type_alist"] == [] and checkpoint["witnesses"] == []
+    assert checkpoint["counterexamples"] == ["()"]
+    assert [(c["goal"], c["subgoal_binding"], c["top_binding"]) for c in proof["counterexamples"]] == [
+        ("Goal'", "()", "()")
+    ]
