@@ -577,14 +577,13 @@ def enumerate_value(world, name: str, n: int) -> Value:
     return _decoder(world, name)(n)
 
 
+# the trial loop decodes an index drawn from a ``rand.IndexSource`` under this
+# name, which perfbench's tracer spans per type
+sample = enumerate_value
+
+
 def recognize(world, name: str, v: Value) -> bool:
     return _recognizer(world, name)(v)
-
-
-def sample(world, name: str, rng, dist: str = "geometric") -> Value:
-    """Draw one value: a distribution-controlled index fed to the enumerator."""
-    idx = rng.geometric() if dist == "geometric" else rng.uniform()
-    return _decoder(world, name)(idx)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Two draws are supported. Pseudo-geometric: grow a bit width g while a coin
 keeps landing on continue (probability 3/4, capped at 30 bits), then draw a
 uniform index below 2^g, so small indices dominate but any index stays
-reachable. Pseudo-uniform: a uniform index below a fixed bound. Sequences
+reachable. Pseudo-uniform: a uniform index below a fixed bound. A source is
+made for one of the two, and ``draw`` takes the next index from it. Sequences
 are fully determined by the seed and call order.
 """
 
@@ -17,9 +18,10 @@ DEFAULT_UNIFORM_BOUND = 1 << 24
 
 
 class IndexSource:
-    def __init__(self, seed: int, uniform_bound: int = DEFAULT_UNIFORM_BOUND):
+    def __init__(self, seed: int, dist: str = "geometric", uniform_bound: int = DEFAULT_UNIFORM_BOUND):
         self._rng = random.Random(seed)
         self.uniform_bound = uniform_bound
+        self.draw = self.geometric if dist == "geometric" else self.uniform
 
     def geometric(self) -> int:
         rng = self._rng

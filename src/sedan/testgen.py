@@ -2,8 +2,13 @@
 
 Hypotheses are always evaluated before the conclusion, so no trial passes
 vacuously: a reported witness satisfies every hypothesis, and a reported
-counterexample falsifies the whole conjecture. Satisfying assignments are
-deduplicated by the tuple of their values in variable order.
+counterexample falsifies the whole conjecture.
+
+A trial is a tuple of enumerator indices, one per non-singleton variable.
+Repeats are common, since geometric draws favour small indices, so a bounded
+memo keeps each tuple's outcome and a repeat only counts it. Two tuples may
+still decode to the same values, and reports count by value: satisfying
+assignments are deduplicated by the tuple of their values in variable order.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice, product, repeat
 from typing import Optional
 
 from .clauses import clause_vars, split_implies
@@ -18,7 +24,6 @@ from .datadef import (
     Restriction,
     SingletonRestriction,
     TypeSelection,
-    enumerate_value,
     minimal_type,
     recognize,
     sample,
@@ -34,6 +39,12 @@ Binding = dict[str, Value]
 # what a trial may raise: an evaluation error, or a value nested too deeply
 # for a recursive recognizer
 _TRIAL_ERRORS = (EvaluationError, RecursionError)
+
+# the most index tuples whose outcomes one run_trials call remembers
+OUTCOME_MEMO_CAPACITY = 1 << 16
+
+# a trial's outcome: what it adds to the (satisfied, erroring) counts
+_VACUOUS, _ERRED, _SATISFIED, _SATISFIED_ERRED = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
 @dataclass
@@ -108,58 +119,32 @@ def _passes_residuals(world, selection: TypeSelection, value: Value) -> bool:
 
 
 def _index_bound(world, selection: TypeSelection, exhaustive_bound: int) -> int:
-    if isinstance(selection.primary, SingletonRestriction):
-        return 1
     entry = world.types.entries[selection.primary]
     if entry.size is not None:
         return min(exhaustive_bound, entry.size)
     return exhaustive_bound
 
 
-def _bind(plans, var_order, value_of):
-    """One trial's binding, each non-singleton variable's value drawn by
-    ``value_of(var, type)``, and the first error an enumerator raised (None if
-    none did). Every variable is drawn even after an error, so each trial makes
-    the same draws whether or not an enumerator fails."""
-    binding, error = {}, None
-    for v in var_order:
-        primary = plans[v].primary
-        if isinstance(primary, SingletonRestriction):
-            binding[v] = primary.value
+def _satisfied(report: TestReport, seen: dict, binding: Binding, concl: Term, world) -> tuple[int, int]:
+    """Classify a binding that satisfies every hypothesis by the conclusion,
+    once per distinct tuple of values (the binding holds the variables in
+    clause order); returns the trial's outcome."""
+    key = tuple(binding.values())
+    verdict = seen.get(key)
+    if verdict is None:
+        report.unique_satisfied += 1
+        try:
+            value = evaluate(concl, binding, world)
+        except _TRIAL_ERRORS as e:
+            report.erroring_unique += 1
+            if report.first_error is None:
+                report.first_error = str(e)
+            verdict = "err"
         else:
-            try:
-                binding[v] = value_of(v, primary)
-            except _TRIAL_ERRORS as e:
-                if error is None:
-                    error = e
-    return binding, error
-
-
-def _exhaustive_assignments(world, plans, var_order, bounds, per_goal_cap: int):
-    counters = [0] * len(var_order)
-    for _ in range(min(math.prod(bounds), per_goal_cap)):
-        index = dict(zip(var_order, counters))
-        yield _bind(plans, var_order, lambda v, t: enumerate_value(world, t, index[v]))
-        # odometer: last variable fastest
-        for i in range(len(counters) - 1, -1, -1):
-            counters[i] += 1
-            if counters[i] < bounds[i]:
-                break
-            counters[i] = 0
-
-
-def _random_assignments(world, plans, var_order, trials: int, dist: str, rng: IndexSource):
-    def draw(v, t):
-        return sample(world, t, rng, dist)
-
-    for _ in range(trials):
-        yield _bind(plans, var_order, draw)
-
-
-def _erred(report: TestReport, e: BaseException):
-    report.erroring += 1
-    if report.first_error is None:
-        report.first_error = str(e)
+            verdict = "wit" if truthy(value) else "cex"
+            (report.witnesses if verdict == "wit" else report.counterexamples).append(binding)
+        seen[key] = verdict
+    return _SATISFIED_ERRED if verdict == "err" else _SATISFIED
 
 
 def run_trials(
@@ -176,9 +161,16 @@ def run_trials(
     in ``clause_vars`` order. ``trials`` is the random-mode count; the mode,
     distribution and bounds come from ``world.settings``.
 
-    Deterministic for a fixed seed: each trial draws one index per non-singleton
-    variable in variable order, so the first k trials of a longer run match a
-    k-trial run exactly.
+    A trial is a tuple of indices, one per non-singleton variable in variable
+    order: the next draws of a seeded ``IndexSource`` in random mode, the next
+    position of an odometer in exhaustive mode. Decoders, recognizers and
+    evaluation are deterministic, so a trial's outcome is a function of its
+    tuple; a tuple seen before adds its remembered outcome to the counts
+    without being decoded or evaluated again. The memo holds at most
+    ``OUTCOME_MEMO_CAPACITY`` tuples; past that, new tuples run in full.
+
+    Deterministic for a fixed seed, and the first k trials of a longer run
+    match a k-trial run exactly.
     """
     hyps = [negate(lit) for lit in literals[:-1]]
     concl = literals[-1] if literals else QNIL
@@ -188,18 +180,33 @@ def run_trials(
             raise ValueError(f"type alist does not cover variable {v}")
     plans = _var_plans(alist, world)
     settings = world.settings
+    # every binding starts as a copy of the template, which holds each
+    # singleton variable's value, and gets the other variables decoded
+    template: Binding = {}
+    drawn = []  # (variable, type) for each index of a trial's tuple
+    for v in var_order:
+        primary = plans[v].primary
+        if isinstance(primary, SingletonRestriction):
+            template[v] = primary.value
+        else:
+            template[v] = None
+            drawn.append((v, primary))
+    width = len(drawn)
 
     mode = settings.mode
     if mode != "random":
-        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v in var_order]
+        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v, _ in drawn]
         if mode == "mixed":
             mode = "exhaustive" if math.prod(bounds) <= trials else "random"
-
     if mode == "exhaustive":
-        assignments = _exhaustive_assignments(world, plans, var_order, bounds, settings.per_goal_cap)
+        # the odometer, last variable fastest, never repeats a tuple
+        tuples = islice(product(*map(range, bounds)), settings.per_goal_cap)
+        capacity = 0
     else:
-        rng = IndexSource(seed, uniform_bound=settings.uniform_bound)
-        assignments = _random_assignments(world, plans, var_order, trials, settings.dist, rng)
+        rng = IndexSource(seed, settings.dist, settings.uniform_bound)
+        draws = (rng.draw() for _ in range(trials * width))
+        tuples = zip(*[draws] * width) if width else repeat((), trials)
+        capacity = OUTCOME_MEMO_CAPACITY
 
     report = TestReport(
         goal_id=goal_id,
@@ -214,42 +221,33 @@ def run_trials(
     hyp_term = App("and", tuple(hyps)) if hyps else None
     filtered = [(v, plans[v]) for v in var_order if plans[v].residuals]
     seen: dict[tuple, str] = {}  # binding values -> "cex" | "wit" | "err"
+    memo: dict[tuple, tuple[int, int]] = {}  # index tuple -> outcome
+    trials_run = satisfied = erroring = 0
     started = time.perf_counter()
-    for binding, error in assignments:
-        report.trials_run += 1
-        if error is not None:
-            _erred(report, error)  # a custom enumerator failed to instantiate
-            continue
-        try:
-            if filtered and not all(_passes_residuals(world, plan, binding[v]) for v, plan in filtered):
-                continue
-            ok = hyp_term is None or truthy(evaluate(hyp_term, binding, world))
-        except _TRIAL_ERRORS as e:
-            _erred(report, e)
-            continue
-        if not ok:
-            continue  # vacuous: a hypothesis failed
-        report.satisfied += 1
-        key = tuple(binding[v] for v in var_order)
-        if key in seen:
-            if seen[key] == "err":
-                report.erroring += 1  # erroring is counted per trial
-            continue
-        report.unique_satisfied += 1
-        try:
-            value = evaluate(concl, binding, world)
-        except _TRIAL_ERRORS as e:
-            _erred(report, e)
-            report.erroring_unique += 1
-            seen[key] = "err"
-            continue
-        if truthy(value):
-            seen[key] = "wit"
-            report.witnesses.append(dict(binding))
-        else:
-            seen[key] = "cex"
-            report.counterexamples.append(dict(binding))
+    for indices in tuples:
+        trials_run += 1
+        outcome = memo.get(indices)
+        if outcome is None:
+            binding = template.copy()
+            try:
+                for (v, t), i in zip(drawn, indices):
+                    binding[v] = sample(world, t, i)
+                ok = all(_passes_residuals(world, plan, binding[v]) for v, plan in filtered) and (
+                    hyp_term is None or truthy(evaluate(hyp_term, binding, world))
+                )
+            except _TRIAL_ERRORS as e:
+                # a custom enumerator or recognizer, or a hypothesis, raised
+                if report.first_error is None:
+                    report.first_error = str(e)
+                outcome = _ERRED
+            else:
+                outcome = _satisfied(report, seen, binding, concl, world) if ok else _VACUOUS
+            if len(memo) < capacity:
+                memo[indices] = outcome
+        satisfied += outcome[0]
+        erroring += outcome[1]
     report.elapsed = time.perf_counter() - started
+    report.trials_run, report.satisfied, report.erroring = trials_run, satisfied, erroring
     return report
 
 

@@ -43,8 +43,8 @@ class Cons:
     __slots__ = ("car", "cdr")
 
     def __init__(self, car: "Value", cdr: "Value"):
-        object.__setattr__(self, "car", car)
-        object.__setattr__(self, "cdr", cdr)
+        _set_car(self, car)
+        _set_cdr(self, cdr)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a cons")
@@ -99,6 +99,9 @@ class Cons:
 
 
 Value = Union[int, Fraction, Symbol, Char, str, Cons]
+
+# the slots' own setters, which __setattr__ does not go through
+_set_car, _set_cdr = Cons.car.__set__, Cons.cdr.__set__
 
 NIL = Symbol("nil")
 T = Symbol("t")

@@ -192,8 +192,8 @@ def test_criterion_7_enumerators():
             full = {print_value(v) for v in entry.extent}
             assert covered == full, name
     for name in world.types.entries:
-        s1 = [print_value(sample(world, name, IndexSource(77), "geometric")) for _ in range(100)]
-        s2 = [print_value(sample(world, name, IndexSource(77), "geometric")) for _ in range(100)]
+        s1 = [print_value(sample(world, name, IndexSource(77).draw())) for _ in range(100)]
+        s2 = [print_value(sample(world, name, IndexSource(77).draw())) for _ in range(100)]
         assert s1 == s2, name
 
 

@@ -265,23 +265,23 @@ def test_encoding_totality_at_huge_indices(world):
 
 
 def test_sample_determinism(world):
-    a = [print_value(sample(world, "all", IndexSource(99), "geometric")) for _ in range(200)]
-    b = [print_value(sample(world, "all", IndexSource(99), "geometric")) for _ in range(200)]
+    a = [print_value(sample(world, "all", IndexSource(99).draw())) for _ in range(200)]
+    b = [print_value(sample(world, "all", IndexSource(99).draw())) for _ in range(200)]
     assert a == b
-    c = [print_value(sample(world, "all", IndexSource(100), "geometric")) for _ in range(200)]
+    c = [print_value(sample(world, "all", IndexSource(100).draw())) for _ in range(200)]
     assert a != c
 
 
 def test_boolean_uniform_sampling_hits_both(world):
-    rng = IndexSource(5)
-    seen = {print_value(sample(world, "boolean", rng, "uniform")) for _ in range(1000)}
+    rng = IndexSource(5, "uniform")
+    seen = {print_value(sample(world, "boolean", rng.draw())) for _ in range(1000)}
     assert seen == {"t", "nil"}
 
 
 def test_geometric_list_sampling_favors_short_lists():
     w = make_world("(defdata loi (listof integer))")
     rng = IndexSource(7)
-    lengths = sorted(proper_length(sample(w, "loi", rng, "geometric")) for _ in range(1000))
+    lengths = sorted(proper_length(sample(w, "loi", rng.draw())) for _ in range(1000))
     median = lengths[500]
     assert median <= 4
 
@@ -312,7 +312,7 @@ def test_sample_with_drawn_index_zero_is_zero(world):
     for seed in range(1, 60):
         rng = IndexSource(seed)
         if IndexSource(seed).geometric() == 0:
-            assert sample(world, "nat", rng, "geometric") == 0
+            assert sample(world, "nat", rng.draw()) == 0
             return
     raise AssertionError("no seed with a first draw of 0 in range")
 

@@ -5,7 +5,9 @@ import pytest
 
 from sedan.clauses import split_implies
 from sedan.datadef import SingletonRestriction, enumerate_value
+from sedan import testgen
 from sedan.evaluator import EvaluationError, evaluate
+from sedan.rand import IndexSource
 from sedan.terms import Quote, negate
 from sedan.testgen import (
     extract_restrictions,
@@ -322,3 +324,113 @@ def test_value_keys_deduplicate_as_printed_keys_do():
     assert witnesses and counterexamples
     printed = {print_value(enumerate_value(w, "look", n)) for n in range(bound)}
     assert {"a", '"a"', "#\\a", '(a . "a")'} <= printed
+
+
+# -- the outcome memo: a repeated index tuple only adds its remembered outcome,
+# so every report field must match a run that remembers nothing
+
+
+def _report_fields(report):
+    return (
+        report.mode, report.trials_run, report.satisfied, report.unique_satisfied,
+        report.erroring, report.erroring_unique, report.first_error,
+        report.counterexamples, report.witnesses,
+    )
+
+
+def _counting_decodes(monkeypatch):
+    """Count the decodes run_trials makes through ``testgen.sample``."""
+    decodes = Counter()
+    decode = testgen.sample
+
+    def counted(world, name, index):
+        decodes["n"] += 1
+        return decode(world, name, index)
+
+    monkeypatch.setattr(testgen, "sample", counted)
+    return decodes
+
+
+MEMO_CASES = {
+    # id: (forms, settings, conjecture, alist or None to extract it, trials,
+    #      what the run and its number of decodes must show for the comparison
+    #      to mean something)
+    "geometric": (REV, {}, "(equal (rev (rev x)) x)", None, 300,
+                  lambda r, d: r.counterexamples and r.witnesses),
+    "uniform": ("", {"dist": "uniform", "uniform_bound": 6},
+                "(implies (and (natp x) (natp y)) (< x (+ y 2)))", None, 200,
+                lambda r, d: r.counterexamples and r.witnesses),
+    "exhaustive": ("", {"mode": "exhaustive", "exhaustive_bound": 12},
+                   "(implies (and (natp x) (natp y)) (< x (+ y 2)))", None, 500,
+                   lambda r, d: r.mode == "exhaustive" and r.trials_run == 144),
+    "mixed-random": ("", {"mode": "mixed"}, "(implies (and (booleanp x) (natp y)) (or x (< y 3)))",
+                     None, 200, lambda r, d: r.mode == "random" and r.counterexamples),
+    "mixed-exhaustive": ("", {"mode": "mixed", "exhaustive_bound": 5},
+                         "(implies (and (booleanp x) (natp y)) (or x (< y 3)))", None, 200,
+                         lambda r, d: r.mode == "exhaustive" and r.trials_run == 10),
+    "singleton": ("", {}, "(implies (and (equal y 3) (natp x)) (< x y))", None, 200,
+                  lambda r, d: r.witnesses and all(b["y"] == 3 for b in r.witnesses + r.counterexamples)),
+    "residual": ("(defdata lo (oneof 0 1 2 'a 'b))", {}, "(equal x x)", {"x": ("lo", "nat")}, 200,
+                 lambda r, d: 0 < r.satisfied < r.trials_run),
+    "erroring-enumerator": (SPINNING_ENUMERATOR, {},
+                            "(implies (and (evr x) (natp y)) (equal x (- y y)))",
+                            {"x": ("ev",), "y": ("nat",)}, 200,
+                            lambda r, d: r.erroring > 0 and r.satisfied > 0),
+    "erroring-recognizer": (
+        "(set-testing :depth-cap 50)\n(defun evr (x) (if (equal x 0) t (evr x)))\n"
+        "(defun eve (n) n)\n(defdata ev (custom evr eve))",
+        {}, "(equal x x)", {"x": ("nat", "ev")}, 200,
+        lambda r, d: r.erroring > 0 and r.erroring + r.satisfied == r.trials_run),
+    # spin errors in a hypothesis (y) and in the conclusion (x); satisfied
+    # trials that repeat a conclusion error count as erroring
+    "depth-cap": (LOOK_ALIKES, {},
+                  "(implies (and (lookp x) (not (equal (spin y) 'b))) (equal (spin x) y))",
+                  {"x": ("look",), "y": ("look",)}, 2000,
+                  lambda r, d: r.trials_run > r.satisfied
+                  and 0 < r.erroring_unique < r.erroring - (r.trials_run - r.satisfied)),
+    # nat's and pos's values overlap, so distinct indices decode to one value
+    "non-injective": ("(defdata np (oneof nat pos))", {}, "(implies (npp x) (< x 4))", None, 300,
+                      lambda r, d: r.counterexamples and r.witnesses and r.unique_satisfied < d),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_CASES))
+def test_outcome_memo_changes_no_report_field(case, monkeypatch):
+    forms, settings, conjecture, alist, trials, shows = MEMO_CASES[case]
+    w = with_settings(make_world(forms), **settings)
+    clause = clause_of(term(conjecture))
+    alist = alist or extract_restrictions(clause, w)
+    decodes = _counting_decodes(monkeypatch)
+    remembered = run_trials(clause, alist, w, 24, trials)
+    decoded_with_memo = decodes["n"]
+    monkeypatch.setattr(testgen, "OUTCOME_MEMO_CAPACITY", 0)
+    forgotten = run_trials(clause, alist, w, 24, trials)
+    assert _report_fields(remembered) == _report_fields(forgotten)
+    assert shows(remembered, decoded_with_memo)
+    if remembered.mode == "random":
+        # repeats were answered from the memo, not decoded again
+        assert decoded_with_memo < decodes["n"] - decoded_with_memo
+    else:
+        assert decoded_with_memo == decodes["n"] - decoded_with_memo
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 5, 40])
+def test_a_full_memo_stops_remembering(capacity, monkeypatch):
+    w = make_world(REV)
+    clause = clause_of(term("(equal (rev (rev x)) x)"))
+    alist = {"x": ("all",)}
+    full = run_trials(clause, alist, w, 9, 300)
+    decodes = _counting_decodes(monkeypatch)
+    monkeypatch.setattr(testgen, "OUTCOME_MEMO_CAPACITY", capacity)
+    bounded = run_trials(clause, alist, w, 9, 300)
+    assert _report_fields(bounded) == _report_fields(full)
+    # the first `capacity` distinct indices are remembered, and only they
+    rng, remembered, expected = IndexSource(9), set(), 0
+    for _ in range(300):
+        index = (rng.draw(),)
+        if index not in remembered:
+            expected += 1
+            if len(remembered) < capacity:
+                remembered.add(index)
+    assert decodes["n"] == expected
+    assert expected < 300 if capacity else expected == 300
