@@ -83,21 +83,24 @@ def main(argv=None) -> int:
         backtrack=args.backtrack,
         max_rewrite_depth=args.max_rewrite_depth,
     )
+    # the structured report goes to --report, or to stdout when it is the
+    # only format; otherwise nothing receives it and it is not rendered
+    structured = args.format == "structured" or (args.format == "both" and args.report)
     exit_code = 0
     structured_chunks = []
     for path in args.files:
         outcome = process_file(path, settings)
         exit_code = max(exit_code, outcome.exit_code)
-        if args.format in ("text", "both"):
+        if args.format != "structured":
             sys.stdout.write(emit_report(outcome, "text").decode())
-        if args.format in ("structured", "both"):
+        if structured:
             structured_chunks.append(emit_report(outcome, "structured"))
-    if structured_chunks:
+    if structured:
         blob = b"".join(structured_chunks)
         if args.report:
             with open(args.report, "wb") as fh:
                 fh.write(blob)
-        elif args.format == "structured":
+        else:
             sys.stdout.buffer.write(blob)
     return exit_code
 

@@ -192,9 +192,9 @@ Restriction = str | SingletonRestriction
 
 
 def print_restriction(r: Restriction, upcase: bool = False) -> str:
-    """A type name, or a singleton's value; ``upcase`` as for ``print_value``."""
+    """A type name, or ``=`` and a singleton's value; ``upcase`` as for ``print_value``."""
     if isinstance(r, SingletonRestriction):
-        return print_value(r.value, upcase)
+        return "=" + print_value(r.value, upcase)
     return r.upper() if upcase else r
 
 

@@ -18,9 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import testgen
-from .clauses import clause_vars
 from .forms import PROCESS_NAMES, HintSpec
-from .history import merge_type_alists
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ def test_gen_checkpoint(processor, children, goal, world, seed: int, history) ->
     if processor != "generalize" or not children:
         return BacktrackOutcome("keep")
     child = children[0]
-    own = testgen.extract_restrictions(child, world)
-    alist = merge_type_alists(clause_vars(child), own, history.accumulated_type_alist(goal.id, world))
+    alist = history.probe_type_alist(goal.id, child, world)
     report = testgen.run_trials(child, alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
     if report.falsified:
         return BacktrackOutcome(

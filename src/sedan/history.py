@@ -2,8 +2,10 @@
 
 Each node maps every parent variable to a term over the child's variables (or
 to the don't-care marker when a variable was elided with no defining
-expression), and carries the child's accumulated type restrictions so subgoals
-never lose type information their ancestors had.
+expression), and carries the restrictions the child inherits, so subgoals
+never lose type information their ancestors had. This module alone forms a
+goal's type alist, by one rule (``HistoryNode.type_alist``), for checkpoints
+and for the probe of a generalization alike.
 """
 
 from __future__ import annotations
@@ -31,9 +33,22 @@ class HistoryNode:
     process: Optional[str]
     clause: list[Term]
     variable_map: dict[str, Optional[Term]] = field(default_factory=dict)
-    type_map: dict[str, tuple[Restriction, ...]] = field(default_factory=dict)
+    type_map: dict[str, tuple[Restriction, ...]] = field(default_factory=dict)  # inherited restrictions
     liftable: bool = True
     variables: list[str] = field(default_factory=list)  # clause_vars(clause), recorded once
+    alist: Optional[dict[str, tuple[Restriction, ...]]] = field(default=None, repr=False, compare=False)
+
+    def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
+        """The goal's type alist: per variable, the clause's own restrictions
+        first, then the inherited ones; a variable left with none maps to
+        ``all``. Worked out on the first call and kept, since a history
+        serves one proof and so one world; every caller reads the same dict."""
+        if self.alist is None:
+            own = testgen.extract_restrictions(self.clause, world)
+            self.alist = {
+                v: merge_restrictions(own.get(v, ()), self.type_map.get(v, ())) or ("all",) for v in self.variables
+            }
+        return self.alist
 
 
 @dataclass
@@ -45,36 +60,29 @@ class LiftOutcome:
     wildcard_vars: tuple[str, ...] = ()  # top-level vars still carrying a pure don't-care
 
 
-def merge_restrictions(own, inherited) -> tuple[Restriction, ...]:
-    """Own restrictions first, then each inherited one not already listed;
-    an inherited ``all`` adds nothing and is dropped."""
-    out = list(own)
-    for r in inherited:
+def merge_restrictions(first, then) -> tuple[Restriction, ...]:
+    """``first``'s restrictions, then each of ``then``'s not already listed;
+    ``all`` adds nothing and is dropped from both."""
+    out = [r for r in first if r != "all"]
+    for r in then:
         if r != "all" and r not in out:
             out.append(r)
     return tuple(out)
 
 
-def merge_type_alists(variables, own, inherited) -> dict[str, tuple[Restriction, ...]]:
-    """Per variable, own restrictions (bar ``all``) before inherited ones; a
-    variable left with none maps to ``all``."""
-    return {
-        v: merge_restrictions([r for r in own.get(v, ()) if r != "all"], inherited.get(v, ())) or ("all",)
-        for v in variables
-    }
-
-
 class History:
     def __init__(self):
         self.nodes: dict[str, HistoryNode] = {}
-        self.order: list[str] = []
+
+    @property
+    def order(self) -> list[str]:
+        """Goal ids in the order they were recorded."""
+        return list(self.nodes)
 
     def record_top(self, goal_id: str, clause: list[Term]):
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
-        node = HistoryNode(goal_id, None, None, list(clause), variables=clause_vars(clause))
-        self.nodes[goal_id] = node
-        self.order.append(goal_id)
+        self.nodes[goal_id] = HistoryNode(goal_id, None, None, list(clause), variables=clause_vars(clause))
 
     def record_node(
         self,
@@ -88,10 +96,18 @@ class History:
         world=None,
     ):
         """Store a child node; parent variables without an entry map to
-        themselves when they survive and to the don't-care marker otherwise."""
+        themselves when they survive and to the don't-care marker otherwise.
+        The child inherits the step's ``type_map`` restrictions first, then
+        its parent's type alist for each variable that survives by name."""
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
+        node = self._child(parent_id, goal_id, clause, process, variable_map, type_map or {}, liftable, world)
+        self.nodes[goal_id] = node
+        return node
+
+    def _child(self, parent_id, goal_id, clause, process, variable_map, type_map, liftable, world) -> HistoryNode:
         parent = self.nodes[parent_id]
+        parent_alist = self.accumulated_type_alist(parent_id, world)
         child_vars = clause_vars(clause)
         child_var_set = set(child_vars)
         full_map: dict[str, Optional[Term]] = {}
@@ -102,38 +118,21 @@ class History:
                 full_map[pv] = Var(pv)
             else:
                 full_map[pv] = DONT_CARE
-        merged = self.merge_child_restrictions(parent_id, child_vars, full_map, type_map or {}, world)
-        node = HistoryNode(goal_id, parent_id, process, list(clause), full_map, merged, liftable, child_vars)
-        self.nodes[goal_id] = node
-        self.order.append(goal_id)
-        return node
-
-    def merge_child_restrictions(
-        self,
-        parent_id: str,
-        child_vars: list[str],
-        variable_map: dict[str, Optional[Term]],
-        process_typemap: dict[str, tuple[Restriction, ...]],
-        world,
-    ) -> dict[str, tuple[Restriction, ...]]:
-        """Process-provided restrictions first, inherited parent restrictions after
-        (datatype monotonicity for surviving variables). A process's ``all`` adds
-        nothing and is dropped, so an unrestricted variable always maps to ()."""
-        parent_acc = self.accumulated_type_alist(parent_id, world)
-        survivors = {pv for pv, expr in variable_map.items() if expr == Var(pv)}
-        return {
-            cv: merge_restrictions(
-                [r for r in process_typemap.get(cv, ()) if r != "all"],
-                parent_acc.get(cv, ()) if cv in survivors else (),
-            )
+        inherited = {
+            cv: merge_restrictions(type_map.get(cv, ()), parent_alist[cv] if full_map.get(cv) == Var(cv) else ())
             for cv in child_vars
         }
+        return HistoryNode(goal_id, parent_id, process, list(clause), full_map, inherited, liftable, child_vars)
+
+    def probe_type_alist(self, parent_id: str, clause: list[Term], world) -> dict[str, tuple[Restriction, ...]]:
+        """The type alist ``record_node`` would give a child of ``parent_id``
+        that keeps its parent's variable names and gets no restrictions from
+        its step: a generalization, tested before its child is recorded."""
+        return self._child(parent_id, None, clause, "generalize", {}, {}, False, world).type_alist(world)
 
     def accumulated_type_alist(self, goal_id: str, world) -> dict[str, tuple[Restriction, ...]]:
-        """Own extracted restrictions first, inherited restrictions after."""
-        node = self.nodes[goal_id]
-        own = testgen.extract_restrictions(node.clause, world)
-        return merge_type_alists(node.variables, own, node.type_map)
+        """The recorded goal's type alist (``HistoryNode.type_alist``)."""
+        return self.nodes[goal_id].type_alist(world)
 
     def lift(
         self,
@@ -196,8 +195,7 @@ class History:
 
     def to_json(self) -> list[dict]:
         out = []
-        for gid in self.order:
-            node = self.nodes[gid]
+        for node in self.nodes.values():
             out.append(
                 {
                     "goal": node.goal_id,
@@ -214,4 +212,3 @@ class History:
                 }
             )
         return out
-

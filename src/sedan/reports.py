@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .clauses import clause_to_term, clause_vars
-from .datadef import SingletonRestriction, print_restriction
+from .datadef import print_restriction
 from .history import DONT_CARE
 from .reader import SAtom, SList, dotted_pair, read_sexprs, sexpr_to_value
 from .session import FormResult, SessionOutcome
@@ -179,10 +179,10 @@ def _report_json(report: TestReport) -> dict:
     return {
         "goal": report.goal_id,
         "type_alist": [
-            [v, [_restriction_json(r) for r in rs]] for v, rs in report.type_alist.items()
+            [v, [print_restriction(r) for r in rs]] for v, rs in report.type_alist.items()
         ],
         "selection": [
-            [v, _restriction_json(report.selections[v].primary)] for v in report.type_alist
+            [v, print_restriction(report.selections[v].primary)] for v in report.type_alist
         ],
         "trials": report.trials_run,
         "satisfied": report.satisfied,
@@ -197,12 +197,6 @@ def _report_json(report: TestReport) -> dict:
         "mode": report.mode,
         "dist": report.dist,
     }
-
-
-def _restriction_json(r) -> str:
-    if isinstance(r, SingletonRestriction):
-        return "=" + print_value(r.value)
-    return r
 
 
 def _log_entry_json(entry: ProcessLogEntry) -> dict:

@@ -215,7 +215,6 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
     lits = list(literals)
     substitutions: dict[str, Term] = {}
     diagnostics: list[str] = []
-    rewriting_enabled = bool(world.rules)
     out = None
 
     for _ in range(100):  # fixpoint pass limit
@@ -232,7 +231,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
             substitutions = {k: subst_vars(v, mapping) for k, v in substitutions.items()}
             substitutions[var] = replacement
 
-        if rewriting_enabled and not budget.exhausted:
+        if world.rules and not budget.exhausted:
             attempt = list(lits)
             rewritten = []
             for i, lit in enumerate(attempt):
@@ -240,7 +239,6 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
                 rewritten.append(_rewrite(lit, world, ctx, budget, 0))
             if budget.exhausted:
                 diagnostics.append("rewrite budget exhausted; rewriting disabled for this goal")
-                rewriting_enabled = False
             else:
                 lits = rewritten
 

@@ -1,11 +1,15 @@
+import os
+
 import pytest
 
+from sedan import testgen
 from sedan.history import DONT_CARE, History
 from sedan.session import process_source
 from sedan.terms import Var
 from sedan.values import NIL, from_list
+from sedan.world import Settings
 
-from conftest import term
+from conftest import CORPUS_DIR, corpus_path, term
 
 
 def clause(*srcs):
@@ -165,3 +169,63 @@ def test_unrestricted_child_variable_has_an_empty_type_map():
     type_maps = {n["goal"]: n["type_map"] for n in doc}
     assert type_maps["Goal''"] == {"x1": [], "x2": ["la"]}
     assert all("all" not in rs for tm in type_maps.values() for rs in tm.values())
+
+
+def _generalize_sources():
+    """(text, directory) of every corpus file, the backtrack-hints fixture,
+    and generalizations over variables typed by their own clause and by an
+    ancestor's destructor elimination."""
+    paths = [corpus_path(n) for n in sorted(os.listdir(CORPUS_DIR)) if n.endswith(".lisp")]
+    paths.append(os.path.join(os.path.dirname(__file__), "fixtures", "backtrack-hints.lisp"))
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            yield fh.read(), os.path.dirname(path)
+    yield (
+        "(defdata nl (listof nat))\n"
+        "(thm (implies (and (nlp x) (consp x) (natp n)) (<= n (+ n (len (cdr x)) (len (cdr x))))))\n"
+        "(thm (implies (and (nlp x) (consp x)) (< (car x) (+ 1 (car x) (len (cdr x)) (len (cdr x))))))\n",
+        ".",
+    )
+
+
+@pytest.mark.parametrize("backtrack", [True, False])
+def test_the_probe_alist_is_the_recorded_child_alist(backtrack):
+    # the backtrack probe tests a generalization's child before it is
+    # recorded; for every kept generalization it must have used the type
+    # alist the recorded child gets
+    checked = []
+    for text, directory in _generalize_sources():
+        outcome, world = process_source(text, Settings(trials=20, backtrack=backtrack), directory)
+        for fr in outcome.forms:
+            if fr.proof is None:
+                continue
+            h = fr.proof.history
+            for entry in fr.proof.process_log:
+                if entry.process == "generalize" and entry.outcome == "children":
+                    [child_id], [child] = entry.child_ids, entry.child_clauses
+                    alist = h.accumulated_type_alist(child_id, world)
+                    assert h.probe_type_alist(entry.goal_id, child, world) == alist
+                    checked.append(alist)
+    assert len(checked) >= 3
+    assert {"x1": ("nat",), "x2": ("nl",), "v1": ("all",)} in checked
+
+
+def test_each_goal_extracts_its_restrictions_once(monkeypatch):
+    extracted = []
+
+    def counting(literals, world):
+        extracted.append(id(literals))
+        return extract(literals, world)
+
+    extract = testgen.extract_restrictions
+    monkeypatch.setattr(testgen, "extract_restrictions", counting)
+    # a case split and a destructor elimination: a goal's alist is asked for
+    # by each of its children, by destructor elimination and by its checkpoint
+    outcome, _ = process_source(
+        "(thm (implies (and (true-listp x) (consp x) (natp y))"
+        " (and (equal (car x) y) (< y (len (cdr x))))))"
+    )
+    history = outcome.forms[-1].proof.history
+    goal_clauses = {id(node.clause) for node in history.nodes.values()}
+    assert len(history.nodes) >= 5
+    assert len(extracted) == len(set(extracted)) and set(extracted) <= goal_clauses

@@ -104,6 +104,15 @@ def test_only_reports_prints_a_clause_as_a_term():
     assert _loads("reports", {"clause_to_term"})
 
 
+def test_only_the_history_forms_a_type_alist():
+    # a goal's type alist comes from one rule in history, which extracts the
+    # clause's own restrictions; hints asks history for its probe's alist
+    readers = {m: _loads(m, {"extract_restrictions"}) for m in MODULES}
+    assert {m for m, lines in readers.items() if lines} == {"__init__", "testgen", "history"}, readers
+    hints_imports = [t for node in _tree("hints").body if isinstance(node, ast.ImportFrom) for t in _sibling_imports(node)]
+    assert "history" not in hints_imports, hints_imports
+
+
 def test_settings_travel_only_on_the_world():
     # every setting lives in world.settings; no function takes a separate record
     found = [

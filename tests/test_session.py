@@ -499,6 +499,27 @@ def test_cli_structured_format_to_stdout(capsys):
     assert all(f["status"] == "admitted" for f in doc["forms"])
 
 
+@pytest.mark.parametrize(
+    "args, renders",
+    [([], 0), (["--format", "text"], 0), (["--format", "text", "--report", "R"], 0),
+     (["--report", "R"], 1), (["--format", "structured"], 1), (["--format", "structured", "--report", "R"], 1)],
+)
+def test_the_structured_report_is_rendered_only_for_a_receiver(args, renders, tmp_path, monkeypatch, capsys):
+    from sedan import cli
+
+    formats = []
+
+    def counting(outcome, fmt):
+        formats.append(fmt)
+        return emit_report(outcome, fmt)
+
+    monkeypatch.setattr(cli, "emit_report", counting)
+    report = tmp_path / "report.json"
+    assert cli.main([corpus_path("base-rules.lisp"), *(str(report) if a == "R" else a for a in args)]) == 0
+    assert formats.count("structured") == renders
+    assert report.exists() == (renders == 1 and "R" in args)
+
+
 # sha256 of the reports of the file below at --seed 24, recorded when terms
 # were still compiled to nested closures, before generated Python replaced them
 DEEP_COND_DIGESTS = {

@@ -214,3 +214,29 @@ def test_a_rule_that_nests_its_own_left_hand_side_stops_at_the_structure_cap():
     assert out.rule_applications < simplify.MAX_RULE_APPLICATIONS
     outcome, _ = process_source(src + "(thm (equal (f a) a))")
     assert outcome.forms[-1].status == "failed-with-checkpoints"
+
+
+SPIN = (
+    "(set-testing :depth-cap 20)\n(defun spin (x) (spin x))\n(defun f (x) x)\n(defun g (x) (cons x x))\n"
+    "(defrule f-id (equal (f x) x))\n(defrule g-zero (implies (spin 1) (equal (g x) 0)))\n"
+)
+
+
+def test_a_ground_term_or_hypothesis_whose_evaluation_raises_stays_as_it_is():
+    w = make_world(SPIN)
+    # (f (spin 1)) is ground and raises, so it is kept and f-id is not tried
+    assert simplify_clause(clause("(equal (f (spin 1)) (spin 1))"), w).status == "unchanged"
+    # g-zero's ground hypothesis (spin 1) raises, so it is not relieved
+    assert simplify_clause(clause("(equal (g y) 0)"), w).status == "unchanged"
+    outcome, _ = process_source(SPIN + "(thm (equal (f (spin 1)) (spin 1)))\n(thm (equal (g y) 0))\n")
+    assert [fr.status for fr in outcome.forms] == ["admitted"] * 6 + ["proved", "falsified"]
+    # the first is proved once generalization takes (spin 1) out
+    assert [(e.goal_id, e.process) for e in outcome.forms[6].proof.process_log] == [
+        ("Goal", "generalize"), ("Goal'", "simplify")
+    ]
+
+
+def test_a_negated_quote_left_by_substitution_drops_out(world):
+    # x := '5 leaves (not '5), a false disjunct
+    out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(natp y)"), world)
+    assert (out.status, out.children, out.substitutions) == ("children", [clause("(natp y)")], {"x": term("'5")})

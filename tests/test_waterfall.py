@@ -402,3 +402,21 @@ def test_an_empty_clause_is_pooled_and_falsified_by_the_empty_binding(tmp_path, 
     assert [(c["goal"], c["subgoal_binding"], c["top_binding"]) for c in proof["counterexamples"]] == [
         ("Goal'", "()", "()")
     ]
+
+
+def test_a_singleton_restriction_prints_with_its_equals_sign(tmp_path, capsys):
+    # (equal x 'nat) pins x to the symbol nat, which is not the type nat
+    conjecture = "(implies (and (equal x 'nat) (consp y)) (equal (car y) x))"
+    path, report = tmp_path / "singleton.lisp", tmp_path / "singleton.json"
+    path.write_text(
+        f"(thm {conjecture} :hints ((\"Goal\" :do-not '(simplify)) (\"Goal'\" :do-not '(simplify))))\n"
+        f"(test? {conjecture})\n"
+    )
+    cli.main([str(path), "--seed", "24", "--trials", "5", "--report", str(report)])
+    text = capsys.readouterr().out
+    thm, test = json.loads(report.read_text())["forms"]
+    type_maps = {n["goal"]: n["type_map"] for n in thm["proof"]["history"]}
+    assert type_maps["Goal''"] == {"x": ["=nat"], "y1": []}
+    assert "Random testing with type alist ((X . =NAT) (Y . ALL))" in text
+    assert test["testing"]["type_alist"] == [["x", ["=nat"]], ["y", ["all"]]]
+    assert test["testing"]["selection"] == [["x", "=nat"], ["y", "all"]]
