@@ -83,9 +83,10 @@ def main(argv=None) -> int:
         backtrack=args.backtrack,
         max_rewrite_depth=args.max_rewrite_depth,
     )
-    # the structured report goes to --report, or to stdout when it is the
-    # only format; otherwise nothing receives it and it is not rendered
-    structured = args.format == "structured" or (args.format == "both" and args.report)
+    # the structured report goes to --report whatever the format, or to
+    # stdout when it is the only format; otherwise nothing receives it and it
+    # is not rendered
+    structured = args.format == "structured" or args.report
     exit_code = 0
     structured_chunks = []
     for path in args.files:

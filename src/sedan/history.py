@@ -3,9 +3,12 @@
 Each node maps every parent variable to a term over the child's variables (or
 to the don't-care marker when a variable was elided with no defining
 expression), and carries the restrictions the child inherits, so subgoals
-never lose type information their ancestors had. This module alone forms a
-goal's type alist, by one rule (``HistoryNode.type_alist``), for checkpoints
-and for the probe of a generalization alike.
+never lose type information their ancestors had. A variable that a map term
+reads but the child clause lacks (the cdr of an eliminated cons the clause no
+longer mentions) is a don't-care too: any value falsifies the child. This
+module alone forms a goal's type alist, by one rule
+(``HistoryNode.type_alist``), for checkpoints and for the probe of a
+generalization alike.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from . import testgen
 from .clauses import clause_vars
 from .datadef import Restriction, enumerate_value, print_restriction
 from .evaluator import EvaluationError, evaluate
-from .terms import Term, Var, print_term
+from .terms import Term, Var, free_vars, print_term
 from .values import NIL, Value
 
 DONT_CARE = None  # marker inside variable maps
@@ -36,6 +39,7 @@ class HistoryNode:
     type_map: dict[str, tuple[Restriction, ...]] = field(default_factory=dict)  # inherited restrictions
     liftable: bool = True
     variables: list[str] = field(default_factory=list)  # clause_vars(clause), recorded once
+    unbound: tuple[str, ...] = ()  # variables the map's terms read that the clause lacks
     alist: Optional[dict[str, tuple[Restriction, ...]]] = field(default=None, repr=False, compare=False)
 
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
@@ -122,7 +126,11 @@ class History:
             cv: merge_restrictions(type_map.get(cv, ()), parent_alist[cv] if full_map.get(cv) == Var(cv) else ())
             for cv in child_vars
         }
-        return HistoryNode(goal_id, parent_id, process, list(clause), full_map, inherited, liftable, child_vars)
+        read = (v for expr in full_map.values() if expr is not DONT_CARE for v in free_vars(expr))
+        unbound = tuple(dict.fromkeys(v for v in read if v not in child_var_set))
+        return HistoryNode(
+            goal_id, parent_id, process, list(clause), full_map, inherited, liftable, child_vars, unbound
+        )
 
     def probe_type_alist(self, parent_id: str, clause: list[Term], world) -> dict[str, tuple[Restriction, ...]]:
         """The type alist ``record_node`` would give a child of ``parent_id``
@@ -143,7 +151,8 @@ class History:
     ) -> LiftOutcome:
         """Walk child-to-parent variable maps up to the top-level binding.
 
-        Don't-care variables get ``wildcard_value`` (nil by default) and the
+        Don't-care variables, and the variables a map term reads that its
+        child clause lacks, get ``wildcard_value`` (nil by default) and the
         outcome is flagged. Crossing a non-liftable edge fails."""
         node = self.nodes[goal_id]
         binding = dict(assignment)
@@ -152,6 +161,10 @@ class History:
         while node.parent_id is not None:
             if not node.liftable:
                 return LiftOutcome("failed", reason=f"non-liftable {node.process} edge at {node.goal_id}")
+            if node.unbound:
+                binding.update(dict.fromkeys(node.unbound, wildcard_value))
+                pure_wildcards.update(node.unbound)
+                had_wildcards = True
             parent_binding: dict[str, Value] = {}
             parent_wild: set[str] = set()
             for pv, expr in node.variable_map.items():

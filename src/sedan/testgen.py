@@ -6,9 +6,12 @@ counterexample falsifies the whole conjecture.
 
 A trial is a tuple of enumerator indices, one per non-singleton variable.
 Repeats are common, since geometric draws favour small indices, so a bounded
-memo keeps each tuple's outcome and a repeat only counts it. Two tuples may
-still decode to the same values, and reports count by value: satisfying
-assignments are deduplicated by the tuple of their values in variable order.
+memo keeps each tuple's outcome and a repeat only counts it. A new tuple
+mostly draws indices seen before, so each type's decoded values are kept by
+index too, shared by its variables, and a run decodes each (type, index) once.
+Two tuples may still decode to the same values, and reports count by value:
+satisfying assignments are deduplicated by the tuple of their values in
+variable order.
 """
 
 from __future__ import annotations
@@ -168,6 +171,10 @@ def run_trials(
     tuple; a tuple seen before adds its remembered outcome to the counts
     without being decoded or evaluated again. The memo holds at most
     ``OUTCOME_MEMO_CAPACITY`` tuples; past that, new tuples run in full.
+    A new tuple takes each value from its type's decoded values, shared by the
+    variables of that type and filled in every mode, and decodes only an index
+    not decoded before; these hold at most ``OUTCOME_MEMO_CAPACITY`` values in
+    all, and a decode that raised is not kept.
 
     Deterministic for a fixed seed, and the first k trials of a longer run
     match a k-trial run exactly.
@@ -183,30 +190,34 @@ def run_trials(
     # every binding starts as a copy of the template, which holds each
     # singleton variable's value, and gets the other variables decoded
     template: Binding = {}
-    drawn = []  # (variable, type) for each index of a trial's tuple
+    decoded: dict[str, dict[int, Value]] = {}  # per type, index -> value, shared by its variables
+    drawn = []  # (variable, type, its decoded values) for each index of a trial's tuple
     for v in var_order:
         primary = plans[v].primary
         if isinstance(primary, SingletonRestriction):
             template[v] = primary.value
         else:
             template[v] = None
-            drawn.append((v, primary))
+            drawn.append((v, primary, decoded.setdefault(primary, {})))
     width = len(drawn)
 
     mode = settings.mode
     if mode != "random":
-        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v, _ in drawn]
+        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v, _, _ in drawn]
         if mode == "mixed":
             mode = "exhaustive" if math.prod(bounds) <= trials else "random"
+    # the decoded values, and the outcomes outside exhaustive mode, each
+    # remember at most this many entries
+    room = capacity = OUTCOME_MEMO_CAPACITY
     if mode == "exhaustive":
-        # the odometer, last variable fastest, never repeats a tuple
+        # the odometer, last variable fastest, never repeats a tuple, but it
+        # repeats each variable's indices
         tuples = islice(product(*map(range, bounds)), settings.per_goal_cap)
         capacity = 0
     else:
         rng = IndexSource(seed, settings.dist, settings.uniform_bound)
         draws = (rng.draw() for _ in range(trials * width))
         tuples = zip(*[draws] * width) if width else repeat((), trials)
-        capacity = OUTCOME_MEMO_CAPACITY
 
     report = TestReport(
         goal_id=goal_id,
@@ -230,8 +241,14 @@ def run_trials(
         if outcome is None:
             binding = template.copy()
             try:
-                for (v, t), i in zip(drawn, indices):
-                    binding[v] = sample(world, t, i)
+                for (v, t, values), i in zip(drawn, indices):
+                    value = values.get(i)  # no value is None
+                    if value is None:
+                        value = sample(world, t, i)
+                        if room:
+                            values[i] = value
+                            room -= 1
+                    binding[v] = value
                 ok = all(_passes_residuals(world, plan, binding[v]) for v, plan in filtered) and (
                     hyp_term is None or truthy(evaluate(hyp_term, binding, world))
                 )

@@ -2,7 +2,9 @@
 
 Integers are plain Python ints; non-integer rationals are ``fractions.Fraction``
 (always lowest terms, positive denominator). ``nil`` doubles as the empty list
-and logical false; every other value is logically true.
+and logical false; every other value is logically true. A cons is immutable
+and keeps its hash once worked out, so a value hashed again (a dedup key that
+repeats a decoded value) costs no walk.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ class Cons:
     Equality, hashing, printing and ``order_key`` walk a value iteratively:
     each follows the cdr spine in a loop and keeps on an explicit stack only
     the cells whose car is itself a cons, so neither a long list nor a value
-    nested deep in its cars hits the interpreter recursion limit."""
+    nested deep in its cars hits the interpreter recursion limit. A cons is
+    immutable, so the first ``hash`` keeps its walk's result in the ``_hash``
+    slot and later calls return it without walking again."""
 
-    __slots__ = ("car", "cdr")
+    __slots__ = ("car", "cdr", "_hash")
 
     def __init__(self, car: "Value", cdr: "Value"):
         _set_car(self, car)
@@ -75,6 +79,10 @@ class Cons:
             a, b = pending.pop()
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # the first call walks the value
+            pass
         h, node = 0, self
         outer = None  # (hash of the cars before it, cell) per list whose car is being hashed
         while True:
@@ -90,6 +98,7 @@ class Cons:
                 node = node.cdr
             h = hash((h, "·", node))
             if not outer:
+                _set_hash(self, h)
                 return h
             before, cell = outer.pop()
             h, node = hash((before, h)), cell.cdr
@@ -101,7 +110,7 @@ class Cons:
 Value = Union[int, Fraction, Symbol, Char, str, Cons]
 
 # the slots' own setters, which __setattr__ does not go through
-_set_car, _set_cdr = Cons.car.__set__, Cons.cdr.__set__
+_set_car, _set_cdr, _set_hash = Cons.car.__set__, Cons.cdr.__set__, Cons._hash.__set__
 
 NIL = Symbol("nil")
 T = Symbol("t")

@@ -6,7 +6,7 @@ from sedan import testgen
 from sedan.history import DONT_CARE, History
 from sedan.session import process_source
 from sedan.terms import Var
-from sedan.values import NIL, from_list
+from sedan.values import NIL, Cons, from_list
 from sedan.world import Settings
 
 from conftest import CORPUS_DIR, corpus_path, term
@@ -78,6 +78,22 @@ def test_dont_care_variables_lift_to_nil_and_flag(world):
     assert out.binding == {"x": NIL, "y": 5}
     probed = h.lift("Goal'", {"y": 5}, world, wildcard_value=7)
     assert probed.binding["x"] == 7
+
+
+def test_a_variable_a_map_reads_but_the_child_lacks_lifts_as_a_dont_care(world):
+    h = History()
+    h.record_top("Goal", clause("(not (consp y))", "(not (natp z))", "(equal (car y) z)"))
+    # y2 and w occur in no literal of the child
+    h.record_node("Goal", "Goal'", clause("(not (natp z))", "(equal y1 z)"), "eliminate-destructors",
+                  {"y": term("(cons y1 y2)"), "z": Var("w")}, world=world)
+    assert h.nodes["Goal'"].unbound == ("y2", "w")
+    out = h.lift("Goal'", {"y1": 3}, world)
+    assert out.status == "lifted" and out.had_wildcards
+    assert out.binding == {"y": from_list([3]), "z": NIL}
+    # a map entry that is only such a variable is a pure don't-care
+    assert out.wildcard_vars == ("z",)
+    probed = h.lift("Goal'", {"y1": 3}, world, wildcard_value=7)
+    assert probed.binding == {"y": Cons(3, 7), "z": 7}
 
 
 def test_generalize_edge_is_not_liftable(world):

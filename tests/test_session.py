@@ -501,7 +501,7 @@ def test_cli_structured_format_to_stdout(capsys):
 
 @pytest.mark.parametrize(
     "args, renders",
-    [([], 0), (["--format", "text"], 0), (["--format", "text", "--report", "R"], 0),
+    [([], 0), (["--format", "text"], 0), (["--format", "text", "--report", "R"], 1),
      (["--report", "R"], 1), (["--format", "structured"], 1), (["--format", "structured", "--report", "R"], 1)],
 )
 def test_the_structured_report_is_rendered_only_for_a_receiver(args, renders, tmp_path, monkeypatch, capsys):

@@ -339,12 +339,14 @@ def _report_fields(report):
 
 
 def _counting_decodes(monkeypatch):
-    """Count the decodes run_trials makes through ``testgen.sample``."""
+    """Count the decodes run_trials makes through ``testgen.sample``: all of
+    them under "n", and each (type, index) pair under the pair."""
     decodes = Counter()
     decode = testgen.sample
 
     def counted(world, name, index):
         decodes["n"] += 1
+        decodes[name, index] += 1
         return decode(world, name, index)
 
     monkeypatch.setattr(testgen, "sample", counted)
@@ -403,6 +405,7 @@ def test_outcome_memo_changes_no_report_field(case, monkeypatch):
     decodes = _counting_decodes(monkeypatch)
     remembered = run_trials(clause, alist, w, 24, trials)
     decoded_with_memo = decodes["n"]
+    distinct_pairs = len(decodes) - 1
     monkeypatch.setattr(testgen, "OUTCOME_MEMO_CAPACITY", 0)
     forgotten = run_trials(clause, alist, w, 24, trials)
     assert _report_fields(remembered) == _report_fields(forgotten)
@@ -411,7 +414,10 @@ def test_outcome_memo_changes_no_report_field(case, monkeypatch):
         # repeats were answered from the memo, not decoded again
         assert decoded_with_memo < decodes["n"] - decoded_with_memo
     else:
-        assert decoded_with_memo == decodes["n"] - decoded_with_memo
+        # the odometer repeats no tuple, but it repeats each variable's
+        # indices, and each (type, index) is decoded once
+        assert decoded_with_memo <= distinct_pairs
+        assert decoded_with_memo < decodes["n"] - decoded_with_memo
 
 
 @pytest.mark.parametrize("capacity", [0, 1, 5, 40])
@@ -434,3 +440,66 @@ def test_a_full_memo_stops_remembering(capacity, monkeypatch):
                 remembered.add(index)
     assert decodes["n"] == expected
     assert expected < 300 if capacity else expected == 300
+
+
+# -- the decode memo: each (type, index) is decoded once per run, whichever
+# variable of that type draws it
+
+
+def _trial_tuples(settings, width, trials):
+    """The index tuples run_trials walks for ``width`` variables of a type
+    with no finite extent, replayed outside it."""
+    mode, bound = settings.get("mode", "random"), settings.get("exhaustive_bound", 16)
+    if mode == "exhaustive" or (mode == "mixed" and bound**width <= trials):
+        return list(itertools.product(range(bound), repeat=width))
+    rng = IndexSource(24, settings.get("dist", "geometric"), settings.get("uniform_bound", 1 << 24))
+    return [tuple(rng.draw() for _ in range(width)) for _ in range(trials)]
+
+
+@pytest.mark.parametrize("settings", [
+    {},
+    {"dist": "uniform", "uniform_bound": 12},
+    {"mode": "exhaustive", "exhaustive_bound": 7},
+    {"mode": "mixed", "exhaustive_bound": 6},
+    {"mode": "mixed", "exhaustive_bound": 9},
+], ids=["geometric", "uniform", "exhaustive", "mixed-exhaustive", "mixed-random"])
+def test_each_type_and_index_is_decoded_once(settings, monkeypatch):
+    w = with_settings(make_world(), **settings)
+    clause = clause_of(term("(implies (and (natp a) (natp b) (natp c)) (< a (+ b c 5)))"))
+    decodes = _counting_decodes(monkeypatch)
+    report = run_trials(clause, extract_restrictions(clause, w), w, 24, 300)
+    tuples = _trial_tuples(settings, 3, 300)
+    assert report.trials_run == len(tuples)
+    assert report.counterexamples and report.witnesses
+    assert max(count for key, count in decodes.items() if key != "n") == 1
+    # a, b and c share nat's values: an index two variables draw is decoded once
+    distinct = {i for t in tuples for i in t}
+    per_variable = sum(len({t[k] for t in tuples}) for k in range(3))
+    assert decodes["n"] == len(distinct) < per_variable
+
+
+@pytest.mark.parametrize("forms, conjecture, alist", [
+    # index 0 decodes to 0; every other index of ev's enumerator raises
+    (SPINNING_ENUMERATOR, "(equal (+ x y) (+ y z))", {v: ("ev",) for v in "xyz"}),
+    # nat's and pos's values overlap, so distinct indices decode to one value
+    ("(defdata np (oneof nat pos))", "(implies (and (npp x) (npp y) (npp z)) (< x (+ y z 3)))", None),
+], ids=["raising-enumerator", "non-injective"])
+def test_the_decode_memo_changes_no_report_field(forms, conjecture, alist, monkeypatch):
+    w = make_world(forms)
+    clause = clause_of(term(conjecture))
+    alist = alist or extract_restrictions(clause, w)
+    decodes = _counting_decodes(monkeypatch)
+    remembered = run_trials(clause, alist, w, 24, 300)
+    pairs = {key: count for key, count in decodes.items() if key != "n"}
+    monkeypatch.setattr(testgen, "OUTCOME_MEMO_CAPACITY", 0)
+    assert _report_fields(remembered) == _report_fields(run_trials(clause, alist, w, 24, 300))
+    assert remembered.witnesses
+    if remembered.erroring:
+        # a decode that raised was not remembered: each tuple that drew a
+        # raising index decoded it again, while index 0 decoded once
+        assert remembered.first_error and remembered.satisfied
+        assert pairs.pop(("ev", 0)) == 1 and max(pairs.values()) > 1
+    else:
+        assert remembered.counterexamples
+        values = {print_value(enumerate_value(w, name, i)) for name, i in pairs}
+        assert max(pairs.values()) == 1 and len(values) < len(pairs)

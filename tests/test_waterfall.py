@@ -5,7 +5,8 @@ import pytest
 from sedan import cli, waterfall
 from sedan.evaluator import evaluate
 from sedan.simplify import simplify_clause
-from sedan.values import NIL, Cons
+from sedan.reader import read_sexprs, sexpr_to_value
+from sedan.values import NIL, Cons, truthy
 from sedan.waterfall import (
     FreshNames,
     Goal,
@@ -420,3 +421,24 @@ def test_a_singleton_restriction_prints_with_its_equals_sign(tmp_path, capsys):
     assert "Random testing with type alist ((X . =NAT) (Y . ALL))" in text
     assert test["testing"]["type_alist"] == [["x", ["=nat"]], ["y", ["all"]]]
     assert test["testing"]["selection"] == [["x", "=nat"], ["y", "all"]]
+
+
+def test_a_destructor_the_child_drops_lifts_as_a_dont_care(tmp_path, capsys):
+    # elimination maps y to (cons y1 y2), and the child (equal y1 'nat) has no y2
+    conjecture = "(implies (consp y) (equal (car y) 'nat))"
+    path, report = tmp_path / "drop.lisp", tmp_path / "drop.json"
+    path.write_text(f"(thm {conjecture})\n")
+    assert cli.main([str(path), "--trials", "20", "--format", "text", "--report", str(report)]) == 1
+    assert "unbound variable" not in capsys.readouterr().out
+    [form] = json.loads(report.read_text())["forms"]
+    proof = form["proof"]
+    assert form["status"] == "falsified"
+    elimination = {n["goal"]: n["variable_map"] for n in proof["history"]}["Goal''"]
+    assert elimination == {"y": "(cons y1 y2)"}
+    assert proof["counterexamples"] and not proof["subgoal_counterexamples"]
+    for cex in proof["counterexamples"]:
+        assert cex["had_wildcards"] and cex["dont_care"] == []
+        [binding] = read_sexprs(cex["top_binding"])
+        pair = sexpr_to_value(binding)  # ((y . value))
+        assert pair.cdr == NIL and pair.car.car.name == "y"
+        assert not truthy(evaluate(term(conjecture), {"y": pair.car.cdr}, make_world()))
