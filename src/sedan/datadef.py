@@ -39,7 +39,9 @@ an application of its user-supplied functions through the namespace's
 ``w_evaluate``, which holds the world weakly. The source depends only on the
 type's shape, so ``compile()`` runs once per shape for every world. No
 generated function holds its world, so a finished world is freed by
-reference counting.
+reference counting. A recursive type's functions recurse once per level of
+the value, so ``enumerate_value`` and ``recognize`` run once more on a deeper
+stack when a value overflows Python's (``evaluator.with_deeper_rerun``).
 
 Only this module reads a type expression, and it defines the base types'
 recognizers (``natp``, ...) too, in ``install_base_types``.
@@ -53,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot
+from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_deeper_rerun
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -572,6 +574,7 @@ class _TypeEmitter(Source):
 # public operations
 
 
+@with_deeper_rerun
 def enumerate_value(world, name: str, n: int) -> Value:
     """Total surjective map from naturals onto the named type's extent."""
     return _decoder(world, name)(n)
@@ -582,6 +585,7 @@ def enumerate_value(world, name: str, n: int) -> Value:
 sample = enumerate_value
 
 
+@with_deeper_rerun
 def recognize(world, name: str, v: Value) -> bool:
     return _recognizer(world, name)(v)
 
@@ -819,12 +823,11 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
         entry = world.types.entries[t1]
         if entry.size is not None:
             n_trials = min(n_trials, entry.size)
-        dec, rec = _decoder(world, t1), _recognizer(world, t2)
         for i in range(n_trials):
             try:
-                v = dec(i)
-                ok = rec(v)
-            except (EvaluationError, RecursionError) as e:
+                v = enumerate_value(world, t1, i)
+                ok = recognize(world, t2, v)
+            except EvaluationError as e:
                 raise DatadefError(
                     f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: {e}"
                 ) from None

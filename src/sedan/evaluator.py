@@ -28,9 +28,11 @@ on the term object, so it lives exactly as long as the term does.
 - a defun is called through a per-world slot in that namespace, which
   generates the body's function on its first call and then holds it (worlds
   only grow and redefinition is rejected, so nothing goes stale);
-- a call that is not well formed (to a name the world lacks, with a wrong
-  argument count, a malformed special form, a non-term) becomes
-  ``_interpret_instead``, after the arguments the interpreter evaluates first.
+- a call to a name the world lacks, or with a wrong argument count, goes
+  through ``w_call`` after its arguments, which looks the name up when it
+  runs, so a defun admitted since is called; a malformed special form or a
+  non-term raises before its arguments; a variable the binding lacks raises
+  where evaluation reaches it, in the term emitted again with it unbound.
 
 ``Source`` is the emitter core that ``_Emitter`` and datadef's type emitter
 build on. Quoted constants become parameters of a maker function, so the
@@ -41,12 +43,12 @@ Python's parser limits moves into a helper function. A world's namespace is
 cleared when the world is freed, which breaks the cycle between it and the
 defun functions it holds, so a finished world is freed by reference counting.
 
-The explicit work-stack interpreter ``_interpret`` is the oracle the generated
-code is tested against, and it reruns every evaluation the generated code does
-not run: one that overflows the Python stack, misses a variable of its
-binding, reaches a call that is not well formed, or whose source Python cannot
-compile. So an error is raised only when evaluation reaches it, in the
-interpreter's order and with its class and message.
+Generated code is the only evaluation path. It raises every error when
+evaluation reaches it, in the order and with the class and message of the
+explicit work-stack interpreter ``_interpret``, which is only the oracle the
+tests check it against. It recurses on the Python stack, far shallower than
+the depth cap: an evaluation, decode or recognition that overflows it runs once
+more, code generation included, on a thread sized to the cap (``rerun_deeper``).
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -55,6 +57,8 @@ from __future__ import annotations
 
 import builtins
 import functools
+import sys
+import threading
 import weakref
 from fractions import Fraction
 from types import CodeType, FunctionType
@@ -237,11 +241,82 @@ def evaluate(term: Term, binding: Binding, world) -> Value:
     functions no deeper than ``world.settings.depth_cap``."""
     cap = world.settings.depth_cap
     try:
-        return _code(term, world)(binding, cap)
+        try:
+            return _code(term, world)(binding, cap)
+        except _Unbound:
+            unbound = {name for name in free_vars(term) if name not in binding}
+            return _generate(world, term, unbound=unbound)(binding, cap)
     except _OutOfDepth:
         raise DepthExceededError(cap) from None
-    except (_Interpret, RecursionError):
-        return _interpret(term, binding, world)
+    except RecursionError:
+        return rerun_deeper(world, evaluate, term, binding, world)
+
+
+# a rerun thread's recursion limit: frames per level of user-function nesting
+# (a defun's function, helpers its body moved into, a custom type's evaluation;
+# 1 to 3 measured), plus a margin for the frames below and for generating code;
+# its stack allows this many bytes of C stack per frame
+_FRAMES_PER_LEVEL = 8
+_FRAME_MARGIN = 4096
+_STACK_BYTES_PER_FRAME = 512
+
+_rerun = threading.local()
+
+
+def rerun_deeper(world, run, *args):
+    """``run(*args)`` run once more, after it overflowed the Python stack, on a
+    daemon thread whose recursion limit and stack size are sized to the
+    world's depth cap. The thread raises the recursion limit for its run and
+    restores it at its own shallow depth, where any limit can be set back. On
+    that thread a nested evaluation does not rerun: an overflow there, or a
+    thread that cannot start, is an ``EvaluationError``."""
+    cap = world.settings.depth_cap
+    if getattr(_rerun, "active", False):
+        raise EvaluationError(f"the Python stack overflowed within the depth cap of {cap}")
+    frames = _FRAMES_PER_LEVEL * cap + _FRAME_MARGIN
+    outcome: list = []
+
+    def rerun():
+        _rerun.active = True
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(max(limit, frames))
+            outcome.append((True, run(*args)))
+        except BaseException as e:
+            outcome.append((False, e))
+        finally:
+            sys.setrecursionlimit(limit)
+
+    stack_size = threading.stack_size()
+    try:
+        threading.stack_size(frames * _STACK_BYTES_PER_FRAME)
+        thread = threading.Thread(target=rerun, daemon=True)
+        thread.start()
+    except RecursionError:
+        raise  # the caller is itself too deep: an outer evaluation reruns
+    except (RuntimeError, ValueError, OverflowError) as e:
+        raise EvaluationError(f"cannot start a thread with a Python stack for the depth cap of {cap}: {e}") from None
+    finally:
+        threading.stack_size(stack_size)
+    thread.join()
+    returned, result = outcome.pop()
+    if returned:
+        return result
+    raise result
+
+
+def with_deeper_rerun(fn):
+    """``fn(world, *args)``, run once more through ``rerun_deeper`` when it
+    overflows the Python stack."""
+
+    @functools.wraps(fn)
+    def run(world, *args):
+        try:
+            return fn(world, *args)
+        except RecursionError:
+            return rerun_deeper(world, run, world, *args)
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +329,27 @@ class _OutOfDepth(Exception):
     """Raised by generated code past the depth cap; evaluate reports the cap."""
 
 
-class _Interpret(Exception):
-    """Raised by generated code that cannot run this evaluation: a variable
-    the binding lacks, a call that is not well formed (``_interpret_instead``)
-    or a body Python cannot compile. evaluate reruns it in the interpreter,
-    which raises the same errors in the same order, or calls a defun admitted
-    since the code was generated."""
+class _Unbound(Exception):
+    """Raised on entry by a term's function whose binding lacks one of its
+    variables; evaluate runs the term emitted with those variables unbound."""
 
 
-def _interpret_instead(*_):
-    raise _Interpret
+def _raise(error_class, arg):
+    """Raise ``error_class(arg)``: generated code's errors, as an expression."""
+    raise error_class(arg)
+
+
+def _late_call(world, name: str, rem: int, args):
+    """A call generated code could not resolve: the function ``name`` names in
+    the world now, called with ``rem`` nesting left, or the interpreter's
+    error for an unknown name or a wrong argument count."""
+    fdef = world.functions.get(name)
+    if fdef is None:
+        raise UndefinedFunctionError(name)
+    _check_arity(name, *fdef.arity_bounds(), len(args))
+    if type(fdef) is HostFunction:
+        return fdef.impl(*args)
+    return world.namespace[_defun_slot(world, name)](rem, *args)
 
 
 def _code(term: Term, world):
@@ -285,8 +371,8 @@ def _code(term: Term, world):
 
 
 # the names every generated function may read; a world's namespace adds
-# ``w_evaluate``, the host functions (h_NAME) and the defun slots (d_NAME) its
-# code calls, and datadef's type names and slots
+# ``w_evaluate`` and ``w_call``, the host functions (h_NAME) and the defun
+# slots (d_NAME) its code calls, and datadef's type names and slots
 _PRELUDE = {
     "__builtins__": builtins,
     "_T": T,
@@ -298,18 +384,23 @@ _PRELUDE = {
     "_minus": _minus,
     "_times": _times,
     "_OutOfDepth": _OutOfDepth,
-    "_Interpret": _Interpret,
-    "_interpret_instead": _interpret_instead,
+    "_Unbound": _Unbound,
+    "_raise": _raise,
+    "_EvaluationError": EvaluationError,
+    "_UnboundVariableError": UnboundVariableError,
+    "_check_arity": _check_arity,
 }
 
 
 def new_namespace(world) -> dict:
     """The globals of a world's generated functions, made with the world.
-    ``w_evaluate`` is the world's ``evaluate``, which holds it weakly; a
-    custom type's code calls it. A defun's function sits in the namespace and
-    reads it, a cycle that is cleared when the world is freed."""
+    ``w_evaluate`` is the world's ``evaluate`` and ``w_call(name, rem, *args)``
+    its late-bound call, both holding the world weakly; a custom type's code
+    calls the first. A defun's function sits in the namespace and reads it, a
+    cycle that is cleared when the world is freed."""
     owner = weakref.ref(world)
-    ns = dict(_PRELUDE, w_evaluate=lambda term, binding: evaluate(term, binding, owner()))
+    ns = dict(_PRELUDE, w_evaluate=lambda term, binding: evaluate(term, binding, owner()),
+              w_call=lambda name, rem, *args: _late_call(owner(), name, rem, args))
     weakref.finalize(world, ns.clear)
     return ns
 
@@ -359,17 +450,11 @@ class Source:
         return FunctionType(_maker_code(source), self.world.namespace)(*self.consts)
 
 
-def _generate(world, term: Term, formals=None):
+def _generate(world, term: Term, formals=None, unbound=()):
     """The generated function for a term (``formals`` None) or for a defun
-    body, or ``_interpret_instead`` when Python cannot compile its source. A
-    RecursionError while emitting is left to ``evaluate``'s fallback, so a
-    term first met deep in the stack is generated again the next time."""
-    em = _Emitter(world, formals)
-    main = em.function(term)
-    try:
-        return em.make(main)
-    except (SyntaxError, MemoryError):
-        return _interpret_instead
+    body; the ``unbound`` variables raise where evaluation reaches them."""
+    em = _Emitter(world, formals, unbound)
+    return em.make(em.function(term))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -430,12 +515,13 @@ class _Emitter(Source):
     its truth as a Python bool, each with its parenthesis depth. Built-ins
     are recognised by name (no name is ever redefined); any other host
     function or defun is registered in the world's namespace. A call that is
-    not well formed becomes ``_interpret_instead``, after the arguments the
+    not well formed goes through ``w_call``, after the arguments the
     interpreter would evaluate first."""
 
-    def __init__(self, world, formals):
+    def __init__(self, world, formals, unbound=()):
         super().__init__(world)
         self.formals = formals
+        self.unbound = unbound
         # variable -> Python identifier: a defun's formals, or a term's
         # variables as they are met
         self.locals = {} if formals is None else {name: _ident("v_", name) for name in formals}
@@ -448,7 +534,7 @@ class _Emitter(Source):
                      "        if rem <= 0:\n            raise _OutOfDepth\n        rem -= 1\n")
         elif self.locals:
             reads = "".join([f"            {ident} = env[{name!r}]\n" for name, ident in self.locals.items()])
-            entry = f"    def _f(env, rem):\n        try:\n{reads}        except KeyError:\n            raise _Interpret from None\n"
+            entry = f"    def _f(env, rem):\n        try:\n{reads}        except KeyError:\n            raise _Unbound from None\n"
         else:
             entry = "    def _f(env, rem):\n"
         return f"{entry}        return {body}\n"
@@ -475,7 +561,7 @@ class _Emitter(Source):
             return text, depth
         names: dict = {}
         for t in terms:
-            names.update(dict.fromkeys(free_vars(t)))
+            names.update(dict.fromkeys(name for name in free_vars(t) if name not in self.unbound))
         params = ", ".join(["rem", *(self.locals[name] for name in names)])
         helper = self.helper(lambda name: f"    def {name}({params}):\n        return {text}\n")
         return f"{helper}({params})", 1
@@ -485,6 +571,8 @@ class _Emitter(Source):
     def value(self, t) -> tuple[str, int]:
         tt = type(t)
         if tt is Var:
+            if t.name in self.unbound:
+                return f"_raise(_UnboundVariableError, {t.name!r})", 1
             ident = self.locals.get(t.name)
             if ident is None:
                 ident = self.locals[t.name] = _ident("v_", t.name)
@@ -492,7 +580,7 @@ class _Emitter(Source):
         if tt is Quote:
             return self.const(t.value), 0
         if tt is not App:
-            return "_interpret_instead()", 1
+            return f"_raise(_EvaluationError, {self.const(f'not a term: {t!r}')})", 1
         fn, args = t.fn, t.args
         text, depth = self._app_value(fn, args) if fn in _INLINE else self._call(fn, args)
         return (text, depth) if depth <= _HOIST_DEPTH else self.hoist((t,), text, depth)
@@ -526,7 +614,8 @@ class _Emitter(Source):
             return f"_Cons({a}, {b})", 1 + max(da, db)
         if fn in SPECIAL_FORMS:
             # a special form's arity error comes before any argument
-            return "_interpret_instead()", 1
+            lo, hi = SPECIAL_FORMS[fn]
+            return f"_check_arity({fn!r}, {lo}, {hi}, {n})", 1
         return self._call(fn, args)
 
     def _or_value(self, args) -> tuple[str, int]:
@@ -569,7 +658,7 @@ class _Emitter(Source):
         if fdef is not None:
             lo, hi = fdef.arity_bounds()
         if fdef is None or len(args) < lo or (hi is not None and len(args) > hi):
-            return f"_interpret_instead({', '.join(texts)})", depth
+            return f"w_call({', '.join([self.const(fn), 'rem', *texts])})", depth
         if type(fdef) is HostFunction:
             key = _ident("h_", fn)
             self.world.namespace.setdefault(key, fdef.impl)
@@ -616,8 +705,8 @@ class _Emitter(Source):
 
 
 def _interpret(term: Term, binding: Binding, world) -> Value:
-    """The explicit-work-stack interpreter: the fallback for compiled runs that
-    overflow the Python stack, and the oracle the compiled path is tested against."""
+    """The explicit-work-stack interpreter: the oracle the generated code is
+    tested against. Nothing in the package calls it."""
     cap = world.settings.depth_cap
     work: list = [("ev", term, binding)]
     vals: list = []

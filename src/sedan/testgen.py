@@ -39,9 +39,8 @@ from .values import Value, print_value, truthy
 TypeAlist = dict[str, tuple[Restriction, ...]]
 Binding = dict[str, Value]
 
-# what a trial may raise: an evaluation error, or a value nested too deeply
-# for a recursive recognizer
-_TRIAL_ERRORS = (EvaluationError, RecursionError)
+# what a trial may raise
+_TRIAL_ERRORS = EvaluationError
 
 # the most index tuples whose outcomes one run_trials call remembers
 OUTCOME_MEMO_CAPACITY = 1 << 16

@@ -429,6 +429,20 @@ def test_index_zero_goes_to_a_oneofs_base_branch_wherever_it_is():
     )
 
 
+def test_a_value_deeper_than_the_python_stack_is_recognized():
+    w = make_world("(defdata rtree (oneof (cons rtree rtree) nat))")
+    deep = 0
+    for _ in range(3000):
+        deep = Cons(deep, 0)
+    try:
+        verdicts = recognize(w, "rtree", deep), recognize(w, "rtree", Cons(deep, "x"))
+    except RecursionError:
+        # fail outside the handler: pytest's report of the overflow's traceback
+        # compares the deep values in its frames and takes minutes
+        verdicts = "overflow"
+    assert verdicts == (True, False)
+
+
 def test_a_record_recognizer_rejects_extra_fields_and_improper_tails():
     w = make_world("(defdata entry (record (valid . boolean) (addr . nat)))")
     values = [sexpr_to_value(sx) for sx in read_sexprs(

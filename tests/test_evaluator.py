@@ -1,7 +1,10 @@
 import itertools
 import math
+import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
+from types import FunctionType
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,7 @@ def test_list_builtins():
     assert ev("(len '(1 2 . 3))") == 2
     assert ev("(len 5)") == 0
     assert ev("(append '(1) '(2) '(3))") == from_list([1, 2, 3])
+    assert ev("(append)") == NIL
     assert ev("(append '(1 . 9) '(2))") == from_list([1, 2])  # improper tail dropped
     assert ev("(true-listp '(1 2))") == T
     assert ev("(true-listp '(1 . 2))") == NIL
@@ -264,13 +268,39 @@ def test_small_depth_cap_is_enforced_on_the_compiled_path(monkeypatch):
         assert evaluate(term("(cnt 9)"), {}, world) == 9  # ten nested calls
 
 
-def test_stack_overflow_falls_back_to_the_interpreter(monkeypatch):
-    calls = []
-    monkeypatch.setattr(evaluator, "_interpret", lambda *a: calls.append(a) or _interpret(*a))
+def test_a_stack_overflow_reruns_on_a_deeper_stack(monkeypatch):
+    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+    runs = []
+    rerun_deeper = evaluator.rerun_deeper
+    monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
+    limit, stack_size = sys.getrecursionlimit(), threading.stack_size()
     assert evaluate(term("(cnt 3000)"), {}, DIFF_WORLD) == 3000
-    assert len(calls) == 1
+    assert len(runs) == 1  # Python's default stack is too shallow for 3000 calls
     with pytest.raises(DepthExceededError, match="cap of 10000 exceeded"):
         evaluate(term("(spin 1)"), {}, DIFF_WORLD)
+    assert len(runs) == 2
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, stack_size)
+
+
+def test_a_rerun_thread_that_cannot_start_is_an_evaluation_error(monkeypatch):
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    limit, stack_size = sys.getrecursionlimit(), threading.stack_size()
+    with pytest.raises(EvaluationError, match="cannot start a thread") as caught:
+        evaluate(term("(cnt 3000)"), {}, DIFF_WORLD)
+    assert type(caught.value) is EvaluationError
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, stack_size)
+    assert evaluate(term("(cnt 30)"), {}, DIFF_WORLD) == 30  # a shallow call needs no thread
+
+
+def test_an_overflow_on_the_rerun_thread_is_an_evaluation_error(monkeypatch):
+    monkeypatch.setattr(evaluator, "_FRAMES_PER_LEVEL", 0)
+    monkeypatch.setattr(evaluator, "_FRAME_MARGIN", 1000)
+    with pytest.raises(EvaluationError, match="Python stack overflowed") as caught:
+        evaluate(term("(cnt 3000)"), {}, DIFF_WORLD)
+    assert type(caught.value) is EvaluationError
 
 
 def test_compiled_code_sees_later_definitions_and_cap_changes():
@@ -286,6 +316,26 @@ def test_compiled_code_sees_later_definitions_and_cap_changes():
     with_settings(w, depth_cap=4)
     with pytest.raises(DepthExceededError, match="cap of 4 exceeded"):
         evaluate(t, {"x": 5}, w)
+
+
+def test_a_host_function_added_after_the_term_compiled_is_called(monkeypatch):
+    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+    w = make_world()
+    t = term("(if (posp x) (late-host x) 0)")
+    assert evaluate(t, {"x": 0}, w) == 0  # generated while late-host is unknown
+    w.add_function("late-host", HostFunction(1, 1, lambda v: Cons(v, v)))
+    assert evaluate(t, {"x": 2}, w) == Cons(2, 2)
+
+
+def test_edge_terms_and_a_non_term_give_the_interpreters_outcome():
+    # fixed inputs, so every branch of the oracle that they reach runs on every run
+    w = make_world()
+    bad = App("cons", (Var("z"), 5))  # a non-term raises after the arguments before it
+    assert outcome(_interpret, bad, {"z": 1}, None, w) == (EvaluationError, "not a term: 5")
+    for t, binding in ((bad, {}), (bad, {"z": 1}), (term("(and)"), {}), (term("(or)"), {}),
+                       (term("(mystery (car 1 2))"), {}), (term("(mystery 1)"), {}),
+                       (term("(if (implies 1) 2 3)"), {})):
+        assert outcome(evaluate, t, binding, None, w) == outcome(_interpret, t, binding, None, w)
 
 
 def test_an_ill_formed_call_in_a_branch_not_taken_runs_on_generated_code(monkeypatch):
@@ -361,8 +411,8 @@ def test_generated_code_matches_the_interpreter_on_deep_reshaped_and_shared_term
         for world in (DIFF_WORLD, DIFF_WORLD_TWIN):
             expected = outcome(_interpret, t, binding, cap, DIFF_WORLD)
             assert outcome(evaluate, t, binding, cap, world) == expected
-    # Python compiled the deep chains: they did not fall back to the interpreter
-    assert evaluator._interpret_instead not in (deep._compiled[1], reached._compiled[1])
+    # Python compiled the deep chains, and their functions are memoised on them
+    assert all(type(t._compiled[1]) is FunctionType for t in (deep, reached))
 
 
 def test_one_defun_text_is_compiled_once_for_every_world(monkeypatch):

@@ -162,3 +162,21 @@ def test_terms_are_compiled_at_one_site():
     assert issubclass(evaluator._Emitter, evaluator.Source) and issubclass(datadef._TypeEmitter, evaluator.Source)
     own = [fn.name for fn in ast.walk(_tree("datadef")) if isinstance(fn, ast.FunctionDef) and fn.name in ("source", "const", "temp")]
     assert not own, own
+
+
+def test_only_generated_code_evaluates():
+    # the work-stack interpreter is the tests' oracle; no module runs a term in it
+    callers = {
+        m: [node.lineno for node in ast.walk(_tree(m))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_interpret"]
+        for m in MODULES
+    }
+    assert not {m: lines for m, lines in callers.items() if lines}
+    assert not hasattr(evaluator, "_Interpret") and not hasattr(evaluator, "_interpret_instead")
+
+
+def test_only_the_evaluator_handles_a_stack_overflow():
+    # a RecursionError reruns on a deeper stack in one helper; every other
+    # module sees only EvaluationError
+    readers = {m: _loads(m, {"RecursionError"}) for m in MODULES}
+    assert {m for m, lines in readers.items() if lines} == {"evaluator"}, readers

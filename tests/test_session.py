@@ -165,6 +165,61 @@ def test_subtype_evidence_that_raises_is_an_admission_error(tmp_path, capsys):
     assert "form 5" not in out  # an admission error stops the session
 
 
+DEEP_FILES = {
+    # 9990 nested calls, and a test? whose draws above 5000 pass the depth cap
+    "len3": "(defun len3 (n) (if (posp n) (+ 1 (len3 (- n 1))) 0))\n"
+            "(thm (equal (len3 9990) 9990))\n"
+            "(test? (implies (natp n) (equal (len3 (+ n 5000)) (+ n 5000))))\n",
+    # a tree 3000 deep, which the recursive tree recognizer walks once per level
+    "tree-thm": "(defdata tree (oneof nat (cons tree tree)))\n"
+                "(defun mk (n) (if (posp n) (cons (mk (- n 1)) 0) 0))\n"
+                "(thm (treep (mk 3000)))\n",
+    "tree-test": "(defdata tree (oneof nat (cons tree tree)))\n"
+                 "(defun mk (n) (if (posp n) (cons (mk (- n 1)) 0) 0))\n"
+                 "(test? (implies (posp n) (treep (mk (+ n 3000)))))\n",
+}
+
+
+def _run_deep(name, tmp_path, capsys, monkeypatch):
+    """cli.main's text and structured forms for a DEEP_FILES entry, run with
+    the interpreter gone, so only generated code evaluates."""
+    from sedan import evaluator
+    from sedan.cli import main
+
+    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+    path, report = tmp_path / f"{name}.lisp", tmp_path / "report.json"
+    path.write_text(DEEP_FILES[name])
+    assert main([str(path), "--format", "text", "--report", str(report)]) == 0
+    text = capsys.readouterr().out
+    assert "Traceback" not in text and "maximum recursion depth" not in text
+    return text, json.loads(report.read_text())["forms"]
+
+
+def test_a_defun_nested_to_the_depth_cap_runs_on_generated_code(tmp_path, capsys, monkeypatch):
+    text, forms = _run_deep("len3", tmp_path, capsys, monkeypatch)
+    assert [f["status"] for f in forms] == ["admitted", "proved", "admitted"]
+    testing = forms[2]["testing"]
+    # every erroring trial is a distinct draw above 5000 (two at this seed),
+    # and each hits the depth cap
+    erroring = testing["unique"] - testing["witness_count"] - testing["counterexample_count"]
+    assert testing["erroring"] == erroring == 2
+    assert testing["first_error"] == "recursion depth cap of 10000 exceeded (likely nonterminating definition)"
+
+
+def test_a_deep_ground_value_folds_to_a_verdict(tmp_path, capsys, monkeypatch):
+    text, forms = _run_deep("tree-thm", tmp_path, capsys, monkeypatch)
+    assert forms[2]["status"] == "proved"
+    assert "Q.E.D." in text
+
+
+def test_deep_values_in_trials_are_recognized(tmp_path, capsys, monkeypatch):
+    text, forms = _run_deep("tree-test", tmp_path, capsys, monkeypatch)
+    testing = forms[2]["testing"]
+    # only a draw that takes mk past the depth cap errs
+    assert testing["erroring"] == 1
+    assert testing["first_error"].startswith("recursion depth cap of 10000 exceeded")
+
+
 RECURSIVE_AND_CUSTOM = """\
 (defun evp (x) (and (integerp x) (integerp (* x 1/2))))
 (defun nth-ev (n) (* 2 n))

@@ -127,6 +127,13 @@ def test_singleton_conflicting_with_type_filter_is_vacuous():
     )
     assert report.satisfied == 0
     assert not report.witnesses and not report.counterexamples
+    # a second singleton on the same variable is a residual filter
+    report = top_level_test(
+        term("(implies (and (equal x 1) (equal x 2)) nil)"),
+        with_settings(w, trials=20), 1,
+    )
+    assert report.trials_run == 20 and report.satisfied == 0
+    assert not report.witnesses and not report.counterexamples
 
 
 def test_incomparable_restrictions_reject_via_residual():

@@ -7,8 +7,12 @@ A pytest plugin that is loaded only when named:
 It traces the lines that run in ``src/sedan`` while the suite runs and, at
 the end, prints for each module the lines of function bodies that no test
 ran. Class bodies and module-level code run on import and are left out. A
-line counts as run when ``sys.settrace`` reports it, so a function that
-Python's compile step put on one line is run when any of it is.
+line counts as run when the tracer reports it, so a function that Python's
+compile step put on one line is run when any of it is. The tracer is installed
+with ``threading.settrace`` too, so the lines a thread runs are counted, such
+as an evaluation rerun on a deeper stack. A stack overflow on the main thread
+drops its tracer until the next test, so what that test runs after the
+overflow on the main thread is not counted.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import inspect
 import os
 import sys
+import threading
 from types import CodeType
 
 import pytest
@@ -47,6 +52,12 @@ def _ranges(lines: list[int]) -> str:
         else:
             spans.append([n, n])
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def _install(tracer):
+    """Trace this thread and every thread started from now on (None: stop)."""
+    threading.settrace(tracer)
+    sys.settrace(tracer)
 
 
 class LineTracer:
@@ -86,10 +97,10 @@ class LineTracer:
     @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_setup(self, item):
         # a test that overflows the stack drops the tracer; put it back
-        sys.settrace(self.call)
+        _install(self.call)
 
     def pytest_terminal_summary(self, terminalreporter):
-        sys.settrace(None)
+        _install(None)
         write = terminalreporter.write_line
         terminalreporter.section("function-body lines no test ran")
         total = unrun = 0
@@ -102,4 +113,4 @@ class LineTracer:
 def pytest_configure(config):
     tracer = LineTracer()
     config.pluginmanager.register(tracer, "line-coverage-tracer")
-    sys.settrace(tracer.call)
+    _install(tracer.call)
