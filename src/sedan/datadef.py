@@ -30,16 +30,16 @@ a type with more than EXTENT_CAP values has no extent.
 Each type's enumerator and recognizer are generated Python, emitted on first
 use by ``_TypeEmitter``, which builds on the evaluator's emitter core
 ``Source`` as the term emitter does: a function ``dec(n)`` and a function
-``rec(v)``, memoised on its TypeEntry; enumeration, recognition, sampling, the
-host functions ``Xp``/``nth-X`` in the world's function table and subtype
-evidence all run them. A reference to a named type calls that type's function
-through a slot in the world's namespace that generates it on its first call,
-so mutually recursive groups need no compile order. A custom type evaluates
-an application of its user-supplied functions through the namespace's
-``w_evaluate``, which holds the world weakly. The source depends only on the
-type's shape, so ``compile()`` runs once per shape for every world. No
-generated function holds its world, so a finished world is freed by
-reference counting. A recursive type's functions recurse once per level of
+``rec(v)``. Each lives in a slot of the world's namespace that generates it
+on its first call, and every caller calls through that slot: enumeration,
+recognition, sampling, the host functions ``Xp``/``nth-X`` in the world's
+function table, subtype evidence, and a reference to a named type in another
+type's code, so mutually recursive groups need no compile order. A custom
+type evaluates an application of its user-supplied functions through the
+namespace's ``w_evaluate``, which holds the world weakly. The source depends
+only on the type's shape, so ``compile()`` runs once per shape for every
+world. No generated function holds its world, so a finished world is freed
+by reference counting. A recursive type's functions recurse once per level of
 the value, so ``enumerate_value`` and ``recognize`` run once more on a deeper
 stack when a value overflows Python's (``evaluator.with_deeper_rerun``).
 
@@ -53,7 +53,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_deeper_rerun
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
@@ -205,9 +205,6 @@ class TypeEntry:
     name: str
     expr: TypeExpr
     extent: Optional[tuple[Value, ...]] = None  # the values of a finite type
-    # generated on first use: dec(n) enumerates, rec(v) recognizes
-    dec: Optional[Callable] = field(default=None, repr=False, compare=False)
-    rec: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> Optional[int]:
@@ -233,25 +230,18 @@ BASE_EDGES = (
 
 
 def _decoder(world, name: str):
-    entry = world.types.entries.get(name)
-    if entry is None:
-        raise UnknownTypeError(name)
-    if entry.dec is None:
-        entry.dec = _generate_type(world, entry, _TypeEmitter.decoder)
-    return entry.dec
+    return _generate_type(world, name, _TypeEmitter.decoder)
 
 
 def _recognizer(world, name: str):
+    return _generate_type(world, name, _TypeEmitter.recognizer)
+
+
+def _generate_type(world, name: str, emit):
+    """A finite type runs over its extent, any other over its expression."""
     entry = world.types.entries.get(name)
     if entry is None:
         raise UnknownTypeError(name)
-    if entry.rec is None:
-        entry.rec = _generate_type(world, entry, _TypeEmitter.recognizer)
-    return entry.rec
-
-
-def _generate_type(world, entry: TypeEntry, emit):
-    """A finite type runs over its extent, any other over its expression."""
     em = _TypeEmitter(world)
     return em.make(emit(em, "_f", entry.expr if entry.extent is None else EnumExpr(entry.extent)))
 
@@ -577,7 +567,7 @@ class _TypeEmitter(Source):
 @with_deeper_rerun
 def enumerate_value(world, name: str, n: int) -> Value:
     """Total surjective map from naturals onto the named type's extent."""
-    return _decoder(world, name)(n)
+    return world.namespace[lazy_slot(world, "e_", name, _decoder)](n)
 
 
 # the trial loop decodes an index drawn from a ``rand.IndexSource`` under this
@@ -587,7 +577,14 @@ sample = enumerate_value
 
 @with_deeper_rerun
 def recognize(world, name: str, v: Value) -> bool:
-    return _recognizer(world, name)(v)
+    return world.namespace[lazy_slot(world, "r_", name, _recognizer)](v)
+
+
+def recognizer_name(world, name: str) -> str:
+    """The function that recognizes the named type: ``Xp``, or a custom
+    type's own recognizer."""
+    expr = world.types.entries[name].expr
+    return expr.recognizer if isinstance(expr, CustomExpr) else _derived_names(name)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +754,7 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
     for fname, (_, host) in hosts.items():
         world.add_function(fname, host)
     for name, expr in definitions:
-        recognizer = expr.recognizer if isinstance(expr, CustomExpr) else _derived_names(name)[0]
-        world.types.recognizer_index[recognizer] = name
+        world.types.recognizer_index[recognizer_name(world, name)] = name
         _auto_subtype_edges(world, name, expr)
 
 

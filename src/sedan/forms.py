@@ -342,7 +342,7 @@ def _parse_hints(sx: Sexpr, ctx: Sexpr) -> tuple[HintSpec, ...]:
 _SET_TESTING_KEYS = {
     ":" + name.replace("_", "-"): (name, SETTING_BOUNDS[name])
     for name in ("trials", "mode", "dist", "seed", "exhaustive_bound", "uniform_bound",
-                 "per_goal_cap", "deterministic", "evidence_trials", "depth_cap")
+                 "deterministic", "evidence_trials", "depth_cap")
 }
 
 

@@ -61,15 +61,14 @@ def _count_phrase(n: int, singular: str, plural: str) -> str:
 
 
 def _trial_sentences(report: TestReport) -> list[str]:
-    style = "random" if report.mode == "random" else report.mode
     lines = []
     if report.satisfied == 0:
         lines.append(
-            f"We tried {report.trials_run} {style} trials, none of which satisfied the hypotheses."
+            f"We tried {report.trials_run} {report.mode} trials, none of which satisfied the hypotheses."
         )
     else:
         lines.append(
-            f"We tried {report.trials_run} {style} trials, "
+            f"We tried {report.trials_run} {report.mode} trials, "
             f"{report.satisfied} ({report.unique_satisfied} unique) of which satisfied the hypotheses."
         )
         lines.append(
@@ -85,11 +84,9 @@ def _trial_sentences(report: TestReport) -> list[str]:
 
 def render_test_report(report: TestReport) -> list[str]:
     var_order = list(report.type_alist)
-    lines = []
-    if report.goal_id:
-        lines.append(f'Random testing "{report.goal_id}" with type alist {display_alist(report)}')
-    else:
-        lines.append(f"Random testing with type alist {display_alist(report)}")
+    style = "Exhaustive" if report.mode == "exhaustive" else "Random"
+    goal = f' "{report.goal_id}"' if report.goal_id else ""
+    lines = [f"{style} testing{goal} with type alist {display_alist(report)}"]
     lines.append("")
     if report.counterexamples:
         lines.append("We falsified the conjecture. Here are counterexamples:")

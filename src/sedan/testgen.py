@@ -28,7 +28,10 @@ from .datadef import (
     SingletonRestriction,
     TypeSelection,
     minimal_type,
+    # trials call recognizers in their conjunction, not through recognize;
+    # the name stays here for perfbench's tracer, which spans it
     recognize,
+    recognizer_name,
     sample,
 )
 from .evaluator import EvaluationError, evaluate
@@ -110,14 +113,15 @@ def _var_plans(alist: TypeAlist, world):
     return {v: minimal_type(world, list(rs)) for v, rs in alist.items()}
 
 
-def _passes_residuals(world, selection: TypeSelection, value: Value) -> bool:
-    for r in selection.residuals:
-        if isinstance(r, SingletonRestriction):
-            if value != r.value:
-                return False
-        elif not recognize(world, r, value):
-            return False
-    return True
+def _residual_checks(world, plans: dict[str, TypeSelection], var_order) -> list[Term]:
+    """Each variable's residual restrictions, in variable order, as terms: a
+    singleton is an equality with its value, a type a call of its recognizer."""
+    return [
+        App("equal", (Var(v), Quote(r.value))) if isinstance(r, SingletonRestriction)
+        else App(recognizer_name(world, r), (Var(v),))
+        for v in var_order
+        for r in plans[v].residuals
+    ]
 
 
 def _index_bound(world, selection: TypeSelection, exhaustive_bound: int) -> int:
@@ -160,15 +164,17 @@ def run_trials(
     """Instantiate, evaluate, and classify trials for one clause. Its
     hypotheses are the negations of every literal but the last, and its
     conclusion is the last literal (nil for the empty clause); variables come
-    in ``clause_vars`` order. ``trials`` is the random-mode count; the mode,
-    distribution and bounds come from ``world.settings``.
+    in ``clause_vars`` order. ``trials`` bounds the trials in every mode; the
+    mode, distribution and bounds come from ``world.settings``.
 
     A trial is a tuple of indices, one per non-singleton variable in variable
     order: the next draws of a seeded ``IndexSource`` in random mode, the next
-    position of an odometer in exhaustive mode. Decoders, recognizers and
-    evaluation are deterministic, so a trial's outcome is a function of its
-    tuple; a tuple seen before adds its remembered outcome to the counts
-    without being decoded or evaluated again. The memo holds at most
+    position of an odometer in exhaustive mode. One conjunction decides
+    whether a trial satisfies the hypotheses: each variable's residual
+    restrictions, in variable order, and then the hypotheses. Decoders,
+    recognizers and evaluation are deterministic, so a trial's outcome is a
+    function of its tuple; a tuple seen before adds its remembered outcome to
+    the counts without being decoded or evaluated again. The memo holds at most
     ``OUTCOME_MEMO_CAPACITY`` tuples; past that, new tuples run in full.
     A new tuple takes each value from its type's decoded values, shared by the
     variables of that type and filled in every mode, and decodes only an index
@@ -211,7 +217,7 @@ def run_trials(
     if mode == "exhaustive":
         # the odometer, last variable fastest, never repeats a tuple, but it
         # repeats each variable's indices
-        tuples = islice(product(*map(range, bounds)), settings.per_goal_cap)
+        tuples = islice(product(*map(range, bounds)), trials)
         capacity = 0
     else:
         rng = IndexSource(seed, settings.dist, settings.uniform_bound)
@@ -226,10 +232,11 @@ def run_trials(
         dist=settings.dist,
         mode=mode,
     )
-    # one conjunction evaluates the hypotheses in order, stopping at the first
-    # that fails, with the depth cap applying to each on its own
-    hyp_term = App("and", tuple(hyps)) if hyps else None
-    filtered = [(v, plans[v]) for v in var_order if plans[v].residuals]
+    # one conjunction evaluates the residual checks and then the hypotheses in
+    # order, stopping at the first that fails, with the depth cap applying to
+    # each on its own
+    checks = _residual_checks(world, plans, var_order) + hyps
+    hyp_term = App("and", tuple(checks)) if checks else None
     seen: dict[tuple, str] = {}  # binding values -> "cex" | "wit" | "err"
     memo: dict[tuple, tuple[int, int]] = {}  # index tuple -> outcome
     trials_run = satisfied = erroring = 0
@@ -248,9 +255,7 @@ def run_trials(
                             values[i] = value
                             room -= 1
                     binding[v] = value
-                ok = all(_passes_residuals(world, plan, binding[v]) for v, plan in filtered) and (
-                    hyp_term is None or truthy(evaluate(hyp_term, binding, world))
-                )
+                ok = hyp_term is None or truthy(evaluate(hyp_term, binding, world))
             except _TRIAL_ERRORS as e:
                 # a custom enumerator or recognizer, or a hypothesis, raised
                 if report.first_error is None:

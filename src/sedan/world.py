@@ -64,7 +64,6 @@ SETTING_BOUNDS = {
     "seed": 0,
     "exhaustive_bound": 0,
     "uniform_bound": 1,  # a uniform draw is below it
-    "per_goal_cap": 0,
     "deterministic": (None, True, False),
     "backtrack": (True, False),
     "max_rewrite_depth": 0,
@@ -93,7 +92,6 @@ class Settings:
     seed: int = 24
     exhaustive_bound: int = 1000
     uniform_bound: int = DEFAULT_UNIFORM_BOUND
-    per_goal_cap: int = 200_000
     deterministic: Optional[bool] = None  # None: on for thm forms, off for test?
     backtrack: bool = True  # goals without a handler hint get test-gen-checkpoint
     max_rewrite_depth: int = 8

@@ -40,3 +40,16 @@ def with_settings(world, **updates):
 @pytest.fixture
 def world():
     return World()
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """A test that lets a ``RecursionError`` escape fails at once, named by the
+    error, without a traceback: to print one, pytest compares the locals of
+    the repeated frames, which under a deep value takes minutes."""
+    try:
+        return (yield)
+    except RecursionError as e:
+        message = f"RecursionError escaped the test: {e}"
+    # outside the handler, so the failure does not chain the overflow
+    pytest.fail(message, pytrace=False)

@@ -317,6 +317,40 @@ def test_a_defun_or_defrule_the_world_cannot_admit_is_an_error_at_its_form(src, 
     assert [rule.name for rule in world.rules] == ["r"] * (len(out.forms) - 1)
 
 
+@pytest.mark.parametrize("src, error", [
+    ("(test? (1 x))", "1:8: expected a function symbol"),
+    ("(test? (quote a b))", "1:8: quote takes exactly one datum"),
+    ("(test? (cadr x y))", "1:8: cadr takes exactly one argument"),
+    ("(test? (cond (t)))", "1:8: cond clause must be (test expr)"),
+    # each clause but a t clause nests the rest one level deeper: the 257th is too deep
+    ("(test? (cond" + " (x 1)" * 300 + "))", "1:1550: term nested deeper than 256 levels once cond and selectors expand"),
+    ("(defun 5 (x) x)", "1:8: expected a function name"),
+    ("(defdata-subtype nat integer :trusted t)", "1:1: expected :trust"),
+    ("(defrule r (implies (natp x) x))", "1:1: rule left-hand side must be a function application"),
+    ("(thm (natp x) :hints ((\"Goal\" :do-not '(frob))))", "1:1: unknown process name in :do-not: frob"),
+    ("(thm (natp x) :hints ((\"Goal\" :frob 1)))", "1:1: unknown hint keyword: :frob"),
+    ("(set-testing :frob 1)", "1:1: unknown set-testing keyword: :frob"),
+    ("(set-testing :per-goal-cap 5)", "1:1: unknown set-testing keyword: :per-goal-cap"),
+    ("(set-testing :deterministic 1)", "1:1: :deterministic expects t or nil"),
+])
+def test_a_malformed_form_is_a_parse_error_at_its_position(src, error):
+    out, _ = process_source(src)
+    assert out.fatal_error == error
+    assert out.forms == []
+
+
+@pytest.mark.parametrize("text, error", [
+    ("(x . 1) (y . 2)", "not a binding: (x . 1) (y . 2)"),
+    ("x", "not a binding: x"),
+    ("((x 1))", "bad binding entry in ((x 1))"),
+    ("((1 . 2))", "bad binding entry in ((1 . 2))"),
+])
+def test_a_malformed_binding_is_a_value_error(text, error):
+    with pytest.raises(ValueError) as e:
+        parse_binding(text)
+    assert str(e.value) == error
+
+
 def test_a_rule_whose_left_hand_side_is_not_an_application_is_rejected(world):
     # the surface syntax already rejects it as a parse error, so only a
     # direct caller of add_rule can meet this check
@@ -496,6 +530,19 @@ def test_cli_main_runs(tmp_path, capsys):
     assert doc["flags"]["seed"] == 24
     captured = capsys.readouterr()
     assert "Testing refuted a generalization" in captured.out
+
+
+def test_exhaustive_mode_runs_the_hinted_trials_and_says_so(tmp_path, capsys):
+    from sedan.cli import main
+
+    path = tmp_path / "exhaustive.lisp"
+    path.write_text('(set-testing :mode exhaustive)\n'
+                    '(thm (implies (natp x) (< x 5000)) :hints (("Goal" :trials 5)))\n')
+    assert main([str(path), "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert 'Exhaustive testing "Goal\'" with type alist ((X . NAT))' in out
+    assert "Random testing" not in out
+    assert "We tried 5 exhaustive trials, 5 (5 unique) of which satisfied the hypotheses." in out
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--max-rewrite-depth"])

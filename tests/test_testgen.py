@@ -259,6 +259,37 @@ def test_erroring_custom_recognizer_in_a_residual_check_counts_as_erroring():
     assert "depth cap of 50" in report.first_error
 
 
+RESIDUAL_CASES = [
+    # a second singleton on the same variable
+    ("", "(implies (and (equal x 1) (equal x 2)) nil)", None,
+     lambda r: r.trials_run == 40 and r.satisfied == 0),
+    # primary string, residual integer
+    ("", "(implies (and (stringp x) (integerp x)) (equal x x))", None,
+     lambda r: r.selections["x"].residuals == ("integer",) and r.satisfied == 0),
+    # primary nat, residual ev, whose recognizer loops on every value but 0
+    ("(set-testing :depth-cap 50)\n(defun evr (x) (if (equal x 0) t (evr x)))\n"
+     "(defun eve (n) n)\n(defdata ev (custom evr eve))",
+     "(equal x x)", {"x": ("nat", "ev")},
+     lambda r: 0 < r.erroring < r.trials_run == r.erroring + r.satisfied and "depth cap of 50" in r.first_error),
+]
+
+
+def test_residual_checks_run_in_the_one_conjunction(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a residual check ran outside the trial's conjunction")
+
+    for forms, conjecture, alist, shows in RESIDUAL_CASES:
+        w = make_world(forms)
+        clause = clause_of(term(conjecture))
+        alist = alist or extract_restrictions(clause, w)
+        expected = run_trials(clause, alist, w, 5, 40)
+        with monkeypatch.context() as m:
+            m.setattr(testgen, "recognize", forbidden)
+            got = run_trials(clause, alist, w, 5, 40)
+        assert _report_fields(got) == _report_fields(expected), conjecture
+        assert shows(got), conjecture
+
+
 def test_erroring_custom_enumerator_is_reported_by_the_cli(tmp_path, capsys):
     from sedan.cli import main
 
@@ -315,7 +346,7 @@ def test_value_keys_deduplicate_as_printed_keys_do():
     t = term("(implies (and (lookp x) (not (equal (spin y) 'b))) (equal (spin x) y))")
     bound = 40
     report = run_trials(clause_of(t), {"x": ("look",), "y": ("look",)},
-                        with_settings(w, mode="exhaustive", exhaustive_bound=bound), 24, 100)
+                        with_settings(w, mode="exhaustive", exhaustive_bound=bound), 24, bound * bound)
     counts, witnesses, counterexamples = _counts_under_printed_keys(w, t, ["x", "y"], bound)
     assert report.trials_run == bound * bound
     assert report.unique_satisfied == counts["unique_satisfied"]
@@ -455,10 +486,10 @@ def test_a_full_memo_stops_remembering(capacity, monkeypatch):
 
 def _trial_tuples(settings, width, trials):
     """The index tuples run_trials walks for ``width`` variables of a type
-    with no finite extent, replayed outside it."""
+    with no finite extent, replayed outside it; ``trials`` bounds every mode."""
     mode, bound = settings.get("mode", "random"), settings.get("exhaustive_bound", 16)
     if mode == "exhaustive" or (mode == "mixed" and bound**width <= trials):
-        return list(itertools.product(range(bound), repeat=width))
+        return list(itertools.islice(itertools.product(range(bound), repeat=width), trials))
     rng = IndexSource(24, settings.get("dist", "geometric"), settings.get("uniform_bound", 1 << 24))
     return [tuple(rng.draw() for _ in range(width)) for _ in range(trials)]
 

@@ -12,7 +12,8 @@ compile step put on one line is run when any of it is. The tracer is installed
 with ``threading.settrace`` too, so the lines a thread runs are counted, such
 as an evaluation rerun on a deeper stack. A stack overflow on the main thread
 drops its tracer until the next test, so what that test runs after the
-overflow on the main thread is not counted.
+overflow on the main thread is not counted; the report lists the tests whose
+tracer was gone when they finished.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class LineTracer:
     def __init__(self):
         self.run: set[tuple[str, int]] = set()  # (code file name, line)
         self.ours: dict[str, bool] = {}  # code file name -> whether it is in src/sedan
+        self.dropped: list[str] = []  # the tests that ended without the tracer
 
     def call(self, frame, event, arg):
         name = frame.f_code.co_filename
@@ -99,6 +101,14 @@ class LineTracer:
         # a test that overflows the stack drops the tracer; put it back
         _install(self.call)
 
+    @pytest.hookimpl(wrapper=True)
+    def pytest_runtest_call(self, item):
+        try:
+            return (yield)
+        finally:
+            if sys.gettrace() != self.call:
+                self.dropped.append(item.nodeid)
+
     def pytest_terminal_summary(self, terminalreporter):
         _install(None)
         write = terminalreporter.write_line
@@ -108,6 +118,11 @@ class LineTracer:
             total, unrun = total + count, unrun + len(missed)
             write(f"{module}: {len(missed)} of {count}" + (f": {_ranges(missed)}" if missed else ""))
         write(f"total: {unrun} of {total}")
+        if self.dropped:
+            write(f"{len(self.dropped)} tests lost the tracer to a stack overflow, so lines they ran"
+                  " after it are not counted and may be listed above:")
+            for nodeid in self.dropped:
+                write(f"  {nodeid}")
 
 
 def pytest_configure(config):
