@@ -27,6 +27,15 @@ FIXTURE_DIR = os.path.join(HERE, "fixtures")
 CORPUS = sorted(n for n in os.listdir(CORPUS_DIR) if n.endswith(".lisp"))
 FORMATS = {"structured": ".json", "text": ".txt"}
 BACKTRACK_OFF = ("--backtrack", "off")
+# the flag sets every input also runs with, so a refactor's "same behaviour"
+# is checked beyond the default flags; a later --seed overrides --seed 24
+FLAG_MATRIX = {
+    "mode-exhaustive": ("--mode", "exhaustive"),
+    "mode-mixed": ("--mode", "mixed"),
+    "dist-uniform": ("--dist", "uniform"),
+    "seed-7": ("--seed", "7"),
+}
+MATRIX_INPUTS = [*((CORPUS_DIR, name) for name in CORPUS), (FIXTURE_DIR, "backtrack-hints.lisp")]
 
 # golden name -> (directory, input file, flags besides --seed and --format)
 CASES = {
@@ -35,6 +44,12 @@ CASES = {
     "triangle.backtrack-off": (CORPUS_DIR, "triangle.lisp", BACKTRACK_OFF),
     "backtrack-hints": (FIXTURE_DIR, "backtrack-hints.lisp", ()),
     "backtrack-hints.backtrack-off": (FIXTURE_DIR, "backtrack-hints.lisp", BACKTRACK_OFF),
+    "spurious-lift": (FIXTURE_DIR, "spurious-lift.lisp", ()),
+    **{
+        f"{name[: -len('.lisp')]}.{suffix}": (directory, name, flags)
+        for directory, name in MATRIX_INPUTS
+        for suffix, flags in FLAG_MATRIX.items()
+    },
 }
 
 
