@@ -12,7 +12,6 @@ import json
 
 from .clauses import clause_to_term, clause_vars
 from .datadef import print_restriction
-from .history import DONT_CARE
 from .reader import SAtom, SList, dotted_pair, read_sexprs, sexpr_to_value
 from .session import FormResult, SessionOutcome
 from .terms import print_term
@@ -203,7 +202,7 @@ def _log_entry_json(entry: ProcessLogEntry) -> dict:
         "outcome": entry.outcome,
         "children": list(entry.child_ids),
         "liftable": entry.liftable,
-        "variable_map": {v: print_term(t) for v, t in entry.variable_map.items() if t is not DONT_CARE},
+        "variable_map": {v: print_term(t) for v, t in entry.variable_map.items()},
         "note": entry.note,
     }
 

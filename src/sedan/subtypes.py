@@ -20,11 +20,6 @@ class SubtypeGraph:
         self.adj.setdefault(t1, set()).add(t2)
         self.adj.setdefault(t2, set())
 
-    def edges(self):
-        for src in sorted(self.adj):
-            for dst in sorted(self.adj[src]):
-                yield (src, dst)
-
     def _reachable(self, name: str) -> set[str]:
         seen = {name}
         stack = [name]

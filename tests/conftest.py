@@ -2,6 +2,7 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
 
 from sedan.forms import compile_term
 from sedan.reader import read_sexprs
@@ -9,6 +10,11 @@ from sedan.session import process_source
 from sedan.world import World
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "sedan", "corpus")
+
+# every property test draws the same examples on every run, at the example
+# count its own settings give; `--hypothesis-profile default` draws new ones
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def corpus_path(name: str) -> str:

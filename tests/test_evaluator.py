@@ -19,13 +19,13 @@ from sedan.evaluator import (
     HostFunction,
     UnboundVariableError,
     UndefinedFunctionError,
-    _interpret,
     evaluate,
 )
 from sedan.terms import App, Quote, Var
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value
 
 from conftest import make_world, term, with_settings
+from oracle import _interpret
 
 # one representative per primitive kind of the (reduced) value universe:
 # zero, positive/negative integers, positive/negative non-integer rationals,
@@ -179,7 +179,7 @@ def test_special_forms_total_over_representatives():
 
 
 # ---------------------------------------------------------------------------
-# the compiled path against the interpreter
+# the compiled path against the interpreter (oracle.py)
 
 
 DIFF_DEFUNS = (
@@ -260,8 +260,7 @@ def test_compiled_evaluation_matches_the_interpreter(t, cap):
     assert outcome(evaluate, t, binding, cap, DIFF_WORLD) == outcome(_interpret, t, binding, cap, DIFF_WORLD)
 
 
-def test_small_depth_cap_is_enforced_on_the_compiled_path(monkeypatch):
-    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+def test_small_depth_cap_is_enforced_on_the_compiled_path():
     with capped(DIFF_WORLD, 10) as world:
         with pytest.raises(DepthExceededError, match="cap of 10 exceeded"):
             evaluate(term("(cnt 10)"), {}, world)
@@ -269,7 +268,6 @@ def test_small_depth_cap_is_enforced_on_the_compiled_path(monkeypatch):
 
 
 def test_a_stack_overflow_reruns_on_a_deeper_stack(monkeypatch):
-    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
     runs = []
     rerun_deeper = evaluator.rerun_deeper
     monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
@@ -318,8 +316,7 @@ def test_compiled_code_sees_later_definitions_and_cap_changes():
         evaluate(t, {"x": 5}, w)
 
 
-def test_a_host_function_added_after_the_term_compiled_is_called(monkeypatch):
-    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+def test_a_host_function_added_after_the_term_compiled_is_called():
     w = make_world()
     t = term("(if (posp x) (late-host x) 0)")
     assert evaluate(t, {"x": 0}, w) == 0  # generated while late-host is unknown
@@ -338,8 +335,7 @@ def test_edge_terms_and_a_non_term_give_the_interpreters_outcome():
         assert outcome(evaluate, t, binding, None, w) == outcome(_interpret, t, binding, None, w)
 
 
-def test_an_ill_formed_call_in_a_branch_not_taken_runs_on_generated_code(monkeypatch):
-    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
+def test_an_ill_formed_call_in_a_branch_not_taken_runs_on_generated_code():
     assert ev("(if (posp x) (later x) (+ x 1))", {"x": 0}) == 1
     assert ev("(if t 1 (car 1 2))") == 1
 
@@ -360,9 +356,9 @@ def test_arguments_are_evaluated_before_arity_and_undefined_errors():
 
 DIFF_WORLD_TWIN = make_world(DIFF_DEFUNS)
 
-# leaves the binding always has, so a term runs on the generated code rather
-# than falling back to the interpreter for a missing variable; Symbol("nil")
-# is nil but not the NIL object, as the reader makes it inside quoted data
+# leaves the binding always has, so a term runs on its memoised code rather
+# than on the code emitted again for a missing variable; Symbol("nil") is nil
+# but not the NIL object, as the reader makes it inside quoted data
 bound_leaves = st.one_of(
     st.sampled_from(["x", "y"]).map(Var),
     st.sampled_from([0, 1, 2, -3, Fraction(1, 2), NIL, Symbol("nil"), T, Symbol("foo"), from_list([1, 2])]).map(Quote),
@@ -399,7 +395,7 @@ def _same_shape(draw, t):
     return t
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_generated_code_matches_the_interpreter_on_deep_reshaped_and_shared_terms(data):
     binding = {"x": from_list([1, 2]), "y": 3}
@@ -436,10 +432,9 @@ def test_terms_differing_only_in_constants_share_one_code_object():
     assert one._compiled[1].__code__ is two._compiled[1].__code__
 
 
-def test_a_deep_cond_body_runs_on_generated_code(monkeypatch):
+def test_a_deep_cond_body_runs_on_generated_code():
     clauses = " ".join(f"((equal n {i}) {i})" for i in range(249))
     w = make_world(f"(defun cls (n) (cond {clauses} (t 249)))")
-    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
     assert evaluate(term("(cls 248)"), {}, w) == 248
     assert evaluate(term("(cls 5000)"), {}, w) == 249
 

