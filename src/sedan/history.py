@@ -5,10 +5,12 @@ to the don't-care marker when a variable was elided with no defining
 expression), and carries the restrictions the child inherits, so subgoals
 never lose type information their ancestors had. A variable that a map term
 reads but the child clause lacks (the cdr of an eliminated cons the clause no
-longer mentions) is a don't-care too: any value falsifies the child. This
-module alone forms a goal's type alist, by one rule
-(``HistoryNode.type_alist``), for checkpoints and for the probe of a
-generalization alike.
+longer mentions) is a don't-care too: any value falsifies the child. A lift
+evaluates the map terms on a goal's path to the top, which is worked out once
+per goal (``History.lift_path``); don't-cares get nil, or one of
+``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module alone
+forms a goal's type alist, by one rule (``HistoryNode.type_alist``), for
+checkpoints and for the probe of a generalization alike.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ from typing import Optional
 
 from . import testgen
 from .clauses import clause_vars
-from .datadef import Restriction, enumerate_value, print_restriction
+from .datadef import Restriction, print_restriction
 from .evaluator import EvaluationError, evaluate
 from .terms import Term, Var, free_vars, print_term
-from .values import NIL, Value
+from .values import NIL, Char, Cons, Value
 
 DONT_CARE = None  # marker inside variable maps
 
-# values a lift with don't-care variables is re-checked under, besides nil
-WILDCARD_PROBES = 3
+# values a lift with don't-care variables is re-checked under, besides nil:
+# the first three distinct non-nil values of the type all
+WILDCARD_PROBES = (Char("a"), "", Cons(0, 0))
 
 
 @dataclass
@@ -41,6 +44,7 @@ class HistoryNode:
     variables: list[str] = field(default_factory=list)  # clause_vars(clause), recorded once
     unbound: tuple[str, ...] = ()  # variables the map's terms read that the clause lacks
     alist: Optional[dict[str, tuple[Restriction, ...]]] = field(default=None, repr=False, compare=False)
+    path: Optional[LiftPath] = field(default=None, repr=False, compare=False)  # History.lift_path
 
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
         """The goal's type alist: per variable, the clause's own restrictions
@@ -53,6 +57,19 @@ class HistoryNode:
                 v: merge_restrictions(own.get(v, ()), self.type_map.get(v, ())) or ("all",) for v in self.variables
             }
         return self.alist
+
+
+@dataclass(frozen=True)
+class LiftPath:
+    """What a lift from a goal does that depends on the goal alone: the edges
+    up to the top, or up to the first non-liftable edge, bottom first, each as
+    its unbound variables and its map items; that edge's failure; and, for a
+    path that reaches the top, the flags every lift along it reports."""
+
+    edges: tuple[tuple[tuple[str, ...], tuple[tuple[str, Optional[Term]], ...]], ...]
+    failure: Optional[str]
+    had_wildcards: bool
+    wildcard_vars: tuple[str, ...]
 
 
 @dataclass
@@ -142,69 +159,41 @@ class History:
         """The recorded goal's type alist (``HistoryNode.type_alist``)."""
         return self.nodes[goal_id].type_alist(world)
 
-    def lift(
-        self,
-        goal_id: str,
-        assignment: dict[str, Value],
-        world,
-        wildcard_value: Value = NIL,
-    ) -> LiftOutcome:
-        """Walk child-to-parent variable maps up to the top-level binding.
+    def lift_path(self, goal_id: str) -> LiftPath:
+        """The goal's ``LiftPath``, worked out on its first lift and kept."""
+        start = node = self.nodes[goal_id]
+        if start.path is None:
+            edges, pure, had_wildcards = [], [], False  # pure: vars whose value is a bare don't-care
+            while node.parent_id is not None and node.liftable:
+                wild = {*pure, *node.unbound}
+                items = tuple(node.variable_map.items())
+                pure = [pv for pv, expr in items if expr is DONT_CARE or (isinstance(expr, Var) and expr.name in wild)]
+                had_wildcards = had_wildcards or bool(node.unbound) or any(expr is DONT_CARE for _, expr in items)
+                edges.append((node.unbound, items))
+                node = self.nodes[node.parent_id]
+            failure = None if node.liftable else f"non-liftable {node.process} edge at {node.goal_id}"
+            start.path = LiftPath(tuple(edges), failure, had_wildcards, tuple(pure))
+        return start.path
 
-        Don't-care variables, and the variables a map term reads that its
-        child clause lacks, get ``wildcard_value`` (nil by default) and the
-        outcome is flagged. Crossing a non-liftable edge fails."""
-        node = self.nodes[goal_id]
+    def lift(self, goal_id: str, assignment: dict[str, Value], world, wildcard_value: Value = NIL) -> LiftOutcome:
+        """Evaluate the goal's path from ``assignment`` up to the top-level
+        binding, edge by edge. Don't-care variables, and the variables a map
+        term reads that its child clause lacks, get ``wildcard_value`` (nil by
+        default). A path cut by a non-liftable edge fails, unless an edge
+        below that one fails to evaluate first."""
+        path = self.lift_path(goal_id)
         binding = dict(assignment)
-        had_wildcards = False
-        pure_wildcards: set[str] = set()  # vars whose value is a bare don't-care
-        while node.parent_id is not None:
-            if not node.liftable:
-                return LiftOutcome("failed", reason=f"non-liftable {node.process} edge at {node.goal_id}")
-            if node.unbound:
-                binding.update(dict.fromkeys(node.unbound, wildcard_value))
-                pure_wildcards.update(node.unbound)
-                had_wildcards = True
-            parent_binding: dict[str, Value] = {}
-            parent_wild: set[str] = set()
-            for pv, expr in node.variable_map.items():
-                if expr is DONT_CARE:
-                    parent_binding[pv] = wildcard_value
-                    parent_wild.add(pv)
-                    had_wildcards = True
-                else:
-                    if isinstance(expr, Var) and expr.name in pure_wildcards:
-                        parent_wild.add(pv)
-                    try:
-                        parent_binding[pv] = evaluate(expr, binding, world)
-                    except EvaluationError as e:
-                        return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
-            binding = parent_binding
-            pure_wildcards = parent_wild
-            node = self.nodes[node.parent_id]
-        top_vars = node.variables
-        missing = [v for v in top_vars if v not in binding]
-        if missing:
-            return LiftOutcome("failed", reason=f"lift lost top-level variables: {missing}")
-        return LiftOutcome(
-            "lifted",
-            {v: binding[v] for v in top_vars},
-            had_wildcards=had_wildcards,
-            wildcard_vars=tuple(v for v in top_vars if v in pure_wildcards),
-        )
-
-    def wildcard_probe_values(self, world) -> list[Value]:
-        """Alternative instantiations for don't-care variables in lift checks.
-
-        Skips nil (the default instantiation) so each probe is informative."""
-        out: list[Value] = []
-        i = 1
-        while len(out) < WILDCARD_PROBES:
-            v = enumerate_value(world, "all", i)
-            if v != NIL and v not in out:
-                out.append(v)
-            i += 1
-        return out
+        for unbound, items in path.edges:
+            binding.update(dict.fromkeys(unbound, wildcard_value))
+            try:
+                binding = {
+                    pv: wildcard_value if expr is DONT_CARE else evaluate(expr, binding, world) for pv, expr in items
+                }
+            except EvaluationError as e:
+                return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
+        if path.failure is not None:
+            return LiftOutcome("failed", reason=path.failure)
+        return LiftOutcome("lifted", binding, had_wildcards=path.had_wildcards, wildcard_vars=path.wildcard_vars)
 
     def to_json(self) -> list[dict]:
         out = []

@@ -24,7 +24,7 @@ from .datadef import component_types
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
 from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings, goal_trials
-from .history import History
+from .history import WILDCARD_PROBES, History
 from .simplify import simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
 from .testgen import TestReport, run_trials
@@ -294,7 +294,7 @@ def _classify_counterexample(result: ProofResult, history: History, goal: Goal, 
         return
     if lift.had_wildcards:
         # don't-care variables must falsify regardless of their instantiation
-        for probe in history.wildcard_probe_values(world):
+        for probe in WILDCARD_PROBES:
             relift = history.lift(goal.id, binding, world, wildcard_value=probe)
             if relift.status != "lifted":
                 result.spurious_lifts.append(SubgoalCounterexample(goal.id, binding, "wildcard probe failed to lift"))

@@ -1,15 +1,17 @@
+import itertools
 import os
 
 import pytest
 
 from sedan import testgen
-from sedan.history import DONT_CARE, History
+from sedan.datadef import enumerate_value
+from sedan.history import DONT_CARE, WILDCARD_PROBES, History, LiftOutcome
 from sedan.session import process_source
 from sedan.terms import Var
 from sedan.values import NIL, Cons, from_list
 from sedan.world import Settings
 
-from conftest import CORPUS_DIR, corpus_path, term
+from conftest import CORPUS_DIR, corpus_path, make_world, term
 
 
 def clause(*srcs):
@@ -103,6 +105,67 @@ def test_generalize_edge_is_not_liftable(world):
     out = h.lift("Goal'", {"v1": -1}, world)
     assert out.status == "failed"
     assert "generalize" in out.reason
+
+
+def test_an_evaluation_error_below_a_non_liftable_edge_is_the_reason(world):
+    h = History()
+    h.record_top("Goal", clause("(<= 0 (+ (len x) (len x)))"))
+    h.record_node("Goal", "Goal'", clause("(<= 0 (+ v1 v1))"), "generalize", {}, liftable=False, world=world)
+    h.record_node("Goal'", "Goal''", clause("(natp y)"), "simplify", {"v1": term("(mystery y)")}, world=world)
+    h.record_node("Goal'", "Subgoal 2", clause("(natp y)"), "simplify", {"v1": term("y")}, world=world)
+    assert h.lift("Goal''", {"y": 1}, world).reason == "evaluation error in variable map: undefined function: mystery"
+    assert h.lift("Subgoal 2", {"y": 1}, world).reason == "non-liftable generalize edge at Goal'"
+
+
+def _triangle_chain_with_a_sibling(world):
+    """``build_triangle_chain`` with a second checkpoint under Goal''', whose
+    clause drops x3, x5 and x6: it shares three edges with Goal''''."""
+    h = build_triangle_chain(world)
+    h.record_node("Goal'''", "Subgoal 2", clause("(natp x1)"), "simplify",
+                  {"x3": term("2"), "x5": term("(+ x1 1)")}, world=world)
+    return h
+
+
+def test_checkpoints_sharing_a_path_lift_as_in_a_fresh_history(world):
+    shared = _triangle_chain_with_a_sibling(world)
+    for x1 in (1, 429, -3):
+        for wildcard in (NIL, 7, "", Cons(0, 0)):
+            # alternate between the two checkpoints
+            for goal_id in ("Goal''''", "Subgoal 2"):
+                fresh = _triangle_chain_with_a_sibling(world)
+                expected = fresh.lift(goal_id, {"x1": x1}, world, wildcard_value=wildcard)
+                assert shared.lift(goal_id, {"x1": x1}, world, wildcard_value=wildcard) == expected
+    assert shared.lift("Subgoal 2", {"x1": 4}, world) == LiftOutcome(
+        "lifted", {"x": Cons(4, Cons(2, Cons(5, NIL)))}, had_wildcards=True
+    )
+
+
+def test_a_probe_lift_reports_the_wildcards_a_nil_lift_did(world):
+    h = History()
+    h.record_top("Goal", clause("(not (natp x))", "(not (consp y))", "(natp (car y))"))
+    h.record_node("Goal", "Goal'", clause("(not (natp z))", "(natp y1)"), "eliminate-destructors",
+                  {"x": term("z"), "y": term("(cons y1 y2)")}, world=world)
+    h.record_node("Goal'", "Goal''", clause("(natp y1)"), "simplify", {}, world=world)
+    nil_lift = h.lift("Goal''", {"y1": -1}, world)
+    assert nil_lift.status == "lifted"
+    assert (nil_lift.had_wildcards, nil_lift.wildcard_vars) == (True, ("x",))
+    for probe in (7, "", Cons(0, 0)):
+        probed = h.lift("Goal''", {"y1": -1}, world, wildcard_value=probe)
+        assert (probed.had_wildcards, probed.wildcard_vars) == (True, ("x",))
+        assert probed.binding == {"x": probe, "y": Cons(-1, probe)}
+
+
+@pytest.mark.parametrize("source", ["", "(defdata loi (listof integer))"])
+def test_the_wildcard_probes_are_the_first_non_nil_values_of_all(source):
+    world = make_world(source)
+    distinct = []
+    for i in itertools.count(1):
+        value = enumerate_value(world, "all", i)
+        if value != NIL and value not in distinct:
+            distinct.append(value)
+        if len(distinct) == 3:
+            break
+    assert WILDCARD_PROBES == tuple(distinct)
 
 
 def test_duplicate_goal_id_rejected(world):

@@ -442,3 +442,20 @@ def test_a_destructor_the_child_drops_lifts_as_a_dont_care(tmp_path, capsys):
         pair = sexpr_to_value(binding)  # ((y . value))
         assert pair.cdr == NIL and pair.car.car.name == "y"
         assert not truthy(evaluate(term(conjecture), {"y": pair.car.cdr}, make_world()))
+
+
+def test_a_bare_variable_hypothesis_restricts_nothing_and_lifts(tmp_path):
+    # the hypothesis x is no recognizer call and no consp, so neither type
+    # extraction nor destructor elimination reads it; y's cdr is a don't-care
+    path, report = tmp_path / "bare.lisp", tmp_path / "bare.json"
+    path.write_text("(thm (implies (and x (consp y)) (natp (car y))))\n")
+    assert cli.main([str(path), "--seed", "24", "--report", str(report)]) == 1
+    [form] = json.loads(report.read_text())["forms"]
+    proof = form["proof"]
+    assert proof["checkpoints"] == ["Goal''"]
+    checkpoint = proof["checkpoint_reports"]["Goal''"]
+    assert checkpoint["type_alist"] == [["x", ["all"]], ["y1", ["all"]]]
+    assert checkpoint["counterexample_count"] == 30
+    assert len(proof["counterexamples"]) == 30
+    assert all(cex["had_wildcards"] for cex in proof["counterexamples"])
+    assert proof["spurious_lifts"] == [] and proof["subgoal_counterexamples"] == []

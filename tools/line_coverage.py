@@ -11,13 +11,16 @@ line counts as run when the tracer reports it, so a function that Python's
 compile step put on one line is run when any of it is. The tracer is installed
 with ``threading.settrace`` too, so the lines a thread runs are counted, such
 as an evaluation rerun on a deeper stack. A stack overflow on the main thread
-drops its tracer until the next test, so what that test runs after the
-overflow on the main thread is not counted; the report lists the tests whose
-tracer was gone when they finished.
+drops its tracer, so ``sedan.evaluator.rerun_deeper``, which every rerun after
+an overflow goes through, is wrapped to put the tracer back before it runs:
+only the lines between the overflow and that call go uncounted. Each test
+starts with the tracer installed again, and the report lists the tests whose
+tracer was still gone when they finished.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import os
 import sys
@@ -25,6 +28,8 @@ import threading
 from types import CodeType
 
 import pytest
+
+from sedan import evaluator
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.realpath(__file__))), "src", "sedan")
 
@@ -53,6 +58,19 @@ def _ranges(lines: list[int]) -> str:
         else:
             spans.append([n, n])
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def _rearming(rerun_deeper, tracer):
+    """``rerun_deeper``, first putting ``tracer`` back on this thread when a
+    stack overflow dropped it."""
+
+    @functools.wraps(rerun_deeper)
+    def rerun(*args):
+        if sys.gettrace() is None:
+            sys.settrace(tracer)
+        return rerun_deeper(*args)
+
+    return rerun
 
 
 def _install(tracer):
@@ -128,4 +146,6 @@ class LineTracer:
 def pytest_configure(config):
     tracer = LineTracer()
     config.pluginmanager.register(tracer, "line-coverage-tracer")
+    # evaluate and with_deeper_rerun both call the module's global
+    evaluator.rerun_deeper = _rearming(evaluator.rerun_deeper, tracer.call)
     _install(tracer.call)
