@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from sedan import testgen
+from sedan import evaluator, testgen
 from sedan.datadef import enumerate_value
 from sedan.history import DONT_CARE, WILDCARD_PROBES, History, LiftOutcome
 from sedan.session import process_source
@@ -11,7 +11,7 @@ from sedan.terms import Var
 from sedan.values import NIL, Cons, from_list
 from sedan.world import Settings
 
-from conftest import CORPUS_DIR, corpus_path, make_world, term
+from conftest import CORPUS_DIR, corpus_path, make_world, term, with_settings
 
 
 def clause(*srcs):
@@ -227,6 +227,57 @@ def test_lift_fails_on_missing_variable(world):
     h = build_triangle_chain(world)
     out = h.lift("Goal''''", {}, world)  # x1 missing
     assert out.status == "failed"
+
+
+def test_a_missing_checkpoint_variable_is_the_reason(world):
+    h = build_triangle_chain(world)
+    out = h.lift("Goal''''", {}, world)
+    assert out == LiftOutcome("failed", reason="evaluation error in variable map: unbound variable: x1")
+
+
+def test_the_first_failing_map_term_of_an_edge_is_the_reason(world):
+    h = History()
+    h.record_top("Goal", clause("(natp x)", "(natp y)"))
+    h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
+                  {"x": term("(mystery z)"), "y": term("(enigma z)")}, world=world)
+    out = h.lift("Goal'", {"z": 1}, world)
+    assert out.reason == "evaluation error in variable map: undefined function: mystery"
+
+
+def test_a_map_term_past_the_depth_cap_is_the_reason():
+    world = with_settings(make_world("(defun spin (x) (spin x))"), depth_cap=50)
+    h = History()
+    h.record_top("Goal", clause("(natp x)"))
+    h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify", {"x": term("(spin z)")}, world=world)
+    out = h.lift("Goal'", {"z": 1}, world)
+    assert out.reason == (
+        "evaluation error in variable map: recursion depth cap of 50 exceeded (likely nonterminating definition)"
+    )
+
+
+def test_a_swap_map_reads_the_childs_values(world):
+    h = History()
+    h.record_top("Goal", clause("(< a b)"))
+    h.record_node("Goal", "Goal'", clause("(< b a)"), "simplify", {"a": Var("b"), "b": Var("a")}, world=world)
+    out = h.lift("Goal'", {"a": 1, "b": 2}, world)
+    assert out == LiftOutcome("lifted", {"a": 2, "b": 1})
+
+
+def test_a_map_term_that_overflows_the_python_stack_reruns_once(monkeypatch):
+    # 3000 nested calls are within the depth cap but past Python's default
+    # stack: the lift reruns deeper, once, and lifts the value
+    world = make_world("(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))")
+    runs = []
+    rerun_deeper = evaluator.rerun_deeper
+    monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
+    h = History()
+    h.record_top("Goal", clause("(natp x)", "(natp y)"))
+    h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
+                  {"x": term("(cnt z)"), "y": term("(+ z 1)")}, world=world)
+    assert h.lift("Goal'", {"z": 3000}, world) == LiftOutcome("lifted", {"x": 3000, "y": 3001})
+    assert len(runs) == 1
+    assert h.lift("Goal'", {"z": 30}, world) == LiftOutcome("lifted", {"x": 30, "y": 31})
+    assert len(runs) == 1  # a shallow lift needs no thread
 
 
 def test_history_serialization_shape(world):
