@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_deeper_rerun
+from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, each_deeper, lazy_slot, with_deeper_rerun
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -808,8 +808,9 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
 
     The check runs recognize(t2, enumerate(t1, i)) for i in [0, N). Following
     a failure the edge is rejected with the witness index and value, and an
-    index whose enumeration or recognition raises rejects it too. ``trust``
-    skips the check (for curated corpus files).
+    index whose enumeration or recognition raises rejects it too; an index
+    that overflows the Python stack reruns deeper on its own. ``trust`` skips
+    the check (for curated corpus files).
     """
     for name in (t1, t2):
         if name not in world.types.entries:
@@ -819,16 +820,23 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
         entry = world.types.entries[t1]
         if entry.size is not None:
             n_trials = min(n_trials, entry.size)
-        for i in range(n_trials):
+        # the slots are looked up once, and read on every call: each replaces
+        # itself on its first
+        ns, decode = world.namespace, lazy_slot(world, "e_", t1, _decoder)
+        rec = lazy_slot(world, "r_", t2, _recognizer)
+
+        def check(i):
             try:
-                v = enumerate_value(world, t1, i)
-                ok = recognize(world, t2, v)
+                v = ns[decode](i)
+                ok = ns[rec](v)
             except EvaluationError as e:
                 raise DatadefError(
                     f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: {e}"
                 ) from None
             if not ok:
                 raise SubtypeEvidenceError(t1, t2, i, v)
+
+        each_deeper(world, check, range(n_trials))
     world.subtypes.add_edge(t1, t2)
 
 

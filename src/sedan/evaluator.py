@@ -16,7 +16,11 @@ per evaluated term, which reads its variables from ``env`` once on entry, and
 one function ``f(remaining, *formals)`` per defun body, which takes the formals
 as positional parameters, so a call builds no environment. ``remaining`` is
 the user-function nesting the cap still allows. A term's function is memoised
-on the term object, so it lives exactly as long as the term does.
+on the term object, so it lives exactly as long as the term does. A ``Chain``
+of parallel assignments, which is how a lift runs a checkpoint's path to the
+top, becomes one function ``f(env, wild, remaining)`` that assigns each step's
+terms at once, as Python locals, and gives every term the whole cap; it is
+kept on the chain.
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter
   does, and in their test position a built-in predicate (``consp``,
@@ -48,8 +52,9 @@ evaluation reaches it, in the order and with the class and message of the
 explicit work-stack interpreter in the tests (``tests/oracle.py``), the oracle
 they check it against and "the interpreter" this module's comments name. It
 recurses on the Python stack, far shallower than the depth cap: an
-evaluation, decode or recognition that overflows it runs once more, code
-generation included, on a thread sized to the cap (``rerun_deeper``).
+evaluation, chain, decode or recognition that overflows it runs once more, code
+generation included, on a thread sized to the cap (``rerun_deeper``), and so
+does an item of ``each_deeper``'s loop, alone.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -319,6 +324,20 @@ def with_deeper_rerun(fn):
     return run
 
 
+def each_deeper(world, run, items):
+    """``run(item)`` for each item in turn; an item whose run overflows the
+    Python stack runs once more through ``rerun_deeper``, and the items after
+    it run here again."""
+    rest = iter(items)
+    while True:
+        try:
+            for item in rest:
+                run(item)
+            return
+        except RecursionError:
+            rerun_deeper(world, run, item)
+
+
 # ---------------------------------------------------------------------------
 # compilation: a term becomes a generated Python function f(env, remaining) and
 # a defun body a function f(remaining, *formals), where remaining is the
@@ -330,8 +349,9 @@ class _OutOfDepth(Exception):
 
 
 class _Unbound(Exception):
-    """Raised on entry by a term's function whose binding lacks one of its
-    variables; evaluate runs the term emitted with those variables unbound."""
+    """Raised on entry by a term's or a chain's function whose binding lacks
+    one of its variables; evaluate or run_chain runs it emitted again with
+    those variables unbound."""
 
 
 def _raise(error_class, arg):
@@ -368,6 +388,53 @@ def _code(term: Term, world):
     if type(term) in (App, Var, Quote):
         object.__setattr__(term, "_compiled", (weakref.ref(world), code))
     return code
+
+
+class Chain:
+    """Parallel assignments run in turn by one generated function, as a lift
+    runs a checkpoint's path (``run_chain``).
+
+    Each step is a pair (names, items): it sets its ``names`` to ``wild``,
+    evaluates its items' terms in order against the values before the step
+    (a term None is ``wild``), then sets every item's name at once, so a swap
+    reads the old values. The first step reads its other variables from
+    ``env``. The result is the last step's items as a dict, or a copy of
+    ``env`` when there is no step."""
+
+    def __init__(self, steps):
+        self.steps = steps
+        self._compiled = None
+
+    def code(self, world, unbound=()):
+        """The generated function ``f(env, wild, rem)``; with no ``unbound``
+        variable it is made on the first call and kept, with the world
+        weakly."""
+        if not unbound and self._compiled is not None and self._compiled[0]() is world:
+            return self._compiled[1]
+        em = _Emitter(world, None)
+        code = em.make(em.chain(self.steps, unbound))
+        if not unbound:
+            self._compiled = (weakref.ref(world), code)
+        return code
+
+
+@with_deeper_rerun
+def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value]:
+    """The chain's result from ``env``, its don't-cares set to ``wild``. Each
+    term may nest user functions to the depth cap, as ``evaluate`` lets it,
+    and the first error is the one that evaluating the terms one by one would
+    raise; an overflow of the Python stack runs the whole chain once more."""
+    cap = world.settings.depth_cap
+    try:
+        try:
+            return chain.code(world)(env, wild, cap)
+        except _Unbound:
+            names, items = chain.steps[0]
+            read = (name for _, t in items if t is not None for name in free_vars(t))
+            unbound = {name for name in read if name not in env and name not in names}
+            return chain.code(world, unbound)(env, wild, cap)
+    except _OutOfDepth:
+        raise DepthExceededError(cap) from None
 
 
 # the names every generated function may read; a world's namespace adds
@@ -538,6 +605,32 @@ class _Emitter(Source):
         else:
             entry = "    def _f(env, rem):\n"
         return f"{entry}        return {body}\n"
+
+    def chain(self, steps, unbound) -> str:
+        """The source of ``_f(env, wild, rem)``, which runs a ``Chain``'s
+        steps; the ``unbound`` variables of the first step raise where
+        evaluation reaches them."""
+        if not steps:
+            return "    def _f(env, wild, rem):\n        return dict(env)\n"
+        lines: list[str] = []
+        for i, (names, items) in enumerate(steps):
+            self.unbound = unbound if i == 0 else ()
+            wild = [self.locals.setdefault(name, _ident("v_", name)) for name in names]
+            if wild:
+                lines.append(" = ".join([*wild, "wild"]))
+            values = ["wild" if t is None else self.value(t)[0] for _, t in items]
+            if i == 0:  # what the first step reads besides its wildcards comes from env
+                reads = [(name, ident) for name, ident in self.locals.items() if name not in names]
+            if i == len(steps) - 1:
+                lines.append("return {" + ", ".join(f"{name!r}: {v}" for (name, _), v in zip(items, values)) + "}")
+            elif items:
+                targets = [self.locals.setdefault(name, _ident("v_", name)) for name, _ in items]
+                lines.append(f"{', '.join(targets)}, = {', '.join(values)},")
+        entry = "    def _f(env, wild, rem):\n"
+        if reads:
+            entry += "        try:\n" + "".join(f"            {ident} = env[{name!r}]\n" for name, ident in reads)
+            entry += "        except KeyError:\n            raise _Unbound from None\n"
+        return entry + "".join(f"        {line}\n" for line in lines)
 
     # -- pieces -----------------------------------------------------------
 

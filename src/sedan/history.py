@@ -5,11 +5,12 @@ to the don't-care marker when a variable was elided with no defining
 expression), and carries the restrictions the child inherits, so subgoals
 never lose type information their ancestors had. A variable that a map term
 reads but the child clause lacks (the cdr of an eliminated cons the clause no
-longer mentions) is a don't-care too: any value falsifies the child. A lift
-evaluates the map terms on a goal's path to the top, which is worked out once
-per goal (``History.lift_path``); don't-cares get nil, or one of
-``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module alone
-forms a goal's type alist, by one rule (``HistoryNode.type_alist``), for
+longer mentions) is a don't-care too: any value falsifies the child. A goal's
+path to the top is worked out once per goal (``History.lift_path``), with one
+generated function that assigns the path's map terms edge by edge
+(``evaluator.Chain``); a lift runs that function, and don't-cares get nil, or
+one of ``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module
+alone forms a goal's type alist, by one rule (``HistoryNode.type_alist``), for
 checkpoints and for the probe of a generalization alike.
 """
 
@@ -21,11 +22,13 @@ from typing import Optional
 from . import testgen
 from .clauses import clause_vars
 from .datadef import Restriction, print_restriction
-from .evaluator import EvaluationError, evaluate
+# a lift runs its path's chain and calls no evaluate; that name stays here for
+# perfbench's tracer, which spans it
+from .evaluator import Chain, EvaluationError, evaluate, run_chain
 from .terms import Term, Var, free_vars, print_term
 from .values import NIL, Char, Cons, Value
 
-DONT_CARE = None  # marker inside variable maps
+DONT_CARE = None  # marker inside variable maps; a Chain runs it as the wildcard
 
 # values a lift with don't-care variables is re-checked under, besides nil:
 # the first three distinct non-nil values of the type all
@@ -61,12 +64,13 @@ class HistoryNode:
 
 @dataclass(frozen=True)
 class LiftPath:
-    """What a lift from a goal does that depends on the goal alone: the edges
-    up to the top, or up to the first non-liftable edge, bottom first, each as
-    its unbound variables and its map items; that edge's failure; and, for a
-    path that reaches the top, the flags every lift along it reports."""
+    """What a lift from a goal does that depends on the goal alone: the chain
+    of the edges up to the top, or up to the first non-liftable edge, bottom
+    first, each as its unbound variables and its map items; that edge's
+    failure; and, for a path that reaches the top, the flags every lift along
+    it reports."""
 
-    edges: tuple[tuple[tuple[str, ...], tuple[tuple[str, Optional[Term]], ...]], ...]
+    chain: Chain
     failure: Optional[str]
     had_wildcards: bool
     wildcard_vars: tuple[str, ...]
@@ -172,25 +176,21 @@ class History:
                 edges.append((node.unbound, items))
                 node = self.nodes[node.parent_id]
             failure = None if node.liftable else f"non-liftable {node.process} edge at {node.goal_id}"
-            start.path = LiftPath(tuple(edges), failure, had_wildcards, tuple(pure))
+            start.path = LiftPath(Chain(tuple(edges)), failure, had_wildcards, tuple(pure))
         return start.path
 
     def lift(self, goal_id: str, assignment: dict[str, Value], world, wildcard_value: Value = NIL) -> LiftOutcome:
-        """Evaluate the goal's path from ``assignment`` up to the top-level
-        binding, edge by edge. Don't-care variables, and the variables a map
-        term reads that its child clause lacks, get ``wildcard_value`` (nil by
+        """Run the goal's path from ``assignment`` up to the top-level binding,
+        as its chain: one generated function that evaluates each edge's map
+        terms in turn. Don't-care variables, and the variables a map term
+        reads that its child clause lacks, get ``wildcard_value`` (nil by
         default). A path cut by a non-liftable edge fails, unless an edge
         below that one fails to evaluate first."""
         path = self.lift_path(goal_id)
-        binding = dict(assignment)
-        for unbound, items in path.edges:
-            binding.update(dict.fromkeys(unbound, wildcard_value))
-            try:
-                binding = {
-                    pv: wildcard_value if expr is DONT_CARE else evaluate(expr, binding, world) for pv, expr in items
-                }
-            except EvaluationError as e:
-                return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
+        try:
+            binding = run_chain(world, path.chain, assignment, wildcard_value)
+        except EvaluationError as e:
+            return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
         if path.failure is not None:
             return LiftOutcome("failed", reason=path.failure)
         return LiftOutcome("lifted", binding, had_wildcards=path.had_wildcards, wildcard_vars=path.wildcard_vars)

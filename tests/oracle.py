@@ -1,11 +1,15 @@
-"""The explicit-work-stack interpreter, the oracle that sedan's generated code
-is checked against.
+"""The oracles that sedan's generated code is checked against.
 
 sedan evaluates every term through generated Python (``sedan.evaluator``),
-which recurses on the Python stack. This interpreter walks a term with an
-explicit work stack instead, and raises each error with the class and message
-that generated code must raise, in the same order. The differential tests in
-``test_evaluator.py`` run both on the same terms, bindings and worlds.
+which recurses on the Python stack. The explicit-work-stack interpreter walks
+a term with an explicit work stack instead, and raises each error with the
+class and message that generated code must raise, in the same order. The
+differential tests in ``test_evaluator.py`` run both on the same terms,
+bindings and worlds.
+
+A lift runs a checkpoint's path as one generated function (``evaluator.Chain``).
+``lift_edge_by_edge`` walks the path's edges instead and evaluates each map
+term on its own; ``test_history.py`` runs both on generated histories.
 """
 
 from sedan.evaluator import (
@@ -16,7 +20,9 @@ from sedan.evaluator import (
     UnboundVariableError,
     UndefinedFunctionError,
     _check_arity,
+    evaluate,
 )
+from sedan.history import DONT_CARE, LiftOutcome
 from sedan.terms import App, Quote, Term, Var
 from sedan.values import NIL, T, Value, boolify, truthy
 
@@ -124,3 +130,21 @@ def _interpret(term: Term, binding: Binding, world) -> Value:
             vals.append(boolify(truthy(vals.pop())))
     assert len(vals) == 1
     return vals[0]
+
+
+def lift_edge_by_edge(history, goal_id: str, assignment, world, wildcard_value: Value = NIL) -> LiftOutcome:
+    """``History.lift`` as one ``evaluate`` per map term, edge by edge: the
+    oracle the lift's generated chain is tested against."""
+    path = history.lift_path(goal_id)
+    binding = dict(assignment)
+    for unbound, items in path.chain.steps:
+        binding.update(dict.fromkeys(unbound, wildcard_value))
+        try:
+            binding = {
+                pv: wildcard_value if expr is DONT_CARE else evaluate(expr, binding, world) for pv, expr in items
+            }
+        except EvaluationError as e:
+            return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
+    if path.failure is not None:
+        return LiftOutcome("failed", reason=path.failure)
+    return LiftOutcome("lifted", binding, had_wildcards=path.had_wildcards, wildcard_vars=path.wildcard_vars)

@@ -2,16 +2,19 @@ import itertools
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sedan import evaluator, testgen
+from sedan import evaluator, history, testgen
 from sedan.datadef import enumerate_value
 from sedan.history import DONT_CARE, WILDCARD_PROBES, History, LiftOutcome
 from sedan.session import process_source
-from sedan.terms import Var
+from sedan.terms import App, Quote, Var
 from sedan.values import NIL, Cons, from_list
 from sedan.world import Settings
 
 from conftest import CORPUS_DIR, corpus_path, make_world, term, with_settings
+from oracle import lift_edge_by_edge
 
 
 def clause(*srcs):
@@ -255,6 +258,19 @@ def test_a_map_term_past_the_depth_cap_is_the_reason():
     )
 
 
+def test_each_map_term_gets_the_whole_depth_cap():
+    # (cnt 9) nests ten calls, (cnt 10) eleven
+    world = with_settings(make_world("(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))"), depth_cap=10)
+    h = History()
+    h.record_top("Goal", clause("(natp x)", "(natp y)"))
+    h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
+                  {"x": term("(cnt z)"), "y": term("(cnt z)")}, world=world)
+    assert h.lift("Goal'", {"z": 9}, world) == LiftOutcome("lifted", {"x": 9, "y": 9})
+    assert h.lift("Goal'", {"z": 10}, world).reason == (
+        "evaluation error in variable map: recursion depth cap of 10 exceeded (likely nonterminating definition)"
+    )
+
+
 def test_a_swap_map_reads_the_childs_values(world):
     h = History()
     h.record_top("Goal", clause("(< a b)"))
@@ -359,3 +375,114 @@ def test_each_goal_extracts_its_restrictions_once(monkeypatch):
     goal_clauses = {id(node.clause) for node in history.nodes.values()}
     assert len(history.nodes) >= 5
     assert len(extracted) == len(set(extracted)) and set(extracted) <= goal_clauses
+
+
+# ---------------------------------------------------------------------------
+# the generated chain against the edge-by-edge lift (oracle.py)
+
+
+LIFT_WORLD = with_settings(
+    make_world("(defun spin (x) (spin x))\n(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))"), depth_cap=10
+)
+# arities; mystery is never defined, spin passes any depth cap and cnt passes
+# a cap of 10 on 10 and more, but not on 9
+LIFT_FUNS = {"cons": 2, "car": 1, "+": 2, "if": 3, "equal": 2, "cnt": 1, "spin": 1, "mystery": 1}
+# a term that calls spin or mystery fails the lift, so they are drawn less
+LIFT_CALLS = ["cons", "cons", "car", "+", "+", "if", "equal", "cnt", "cnt", "spin", "mystery"]
+NAMES = ["a", "b", "c", "d"]
+VALUES = [0, 1, 9, 12, -2, NIL, "s", Cons(1, 2), from_list([3, 4])]
+
+
+def map_terms(child):
+    """Map terms over the child's variables, and over variables it lacks
+    (u is in no clause)."""
+    leaves = st.one_of(
+        st.sampled_from([*child, *child, *NAMES, "u"]).map(Var),
+        st.sampled_from(VALUES).map(Quote),
+        st.sampled_from([*child, "u"]).map(lambda v: App("cnt", (Var(v),))),
+    )
+
+    def apps(children):
+        return st.sampled_from(LIFT_CALLS).flatmap(
+            lambda fn: st.lists(children, min_size=LIFT_FUNS[fn], max_size=LIFT_FUNS[fn]).map(
+                lambda args: App(fn, tuple(args))
+            )
+        )
+
+    return st.recursive(leaves, apps, max_leaves=4)
+
+
+@st.composite
+def histories(draw):
+    """A chain of goals, each with a variable map whose entries are left out
+    (the variable survives or is a don't-care), don't-cares, swaps or map
+    terms, and now and then a non-liftable edge; and an assignment for each
+    goal below the top, now and then missing a variable or holding one too
+    many."""
+    h = History()
+    parent = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    h.record_top("Goal", [App("natp", (Var(v),)) for v in parent])
+    goals = [("Goal", parent)]
+    for k in range(1, draw(st.integers(2, 4)) + 1):
+        if draw(st.booleans()):
+            child = draw(st.permutations(parent))  # every variable survives, so a swap reads the child's
+        else:
+            child = draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))
+        variable_map = {}
+        for pv in parent:
+            kind = draw(st.sampled_from(["survive", "dont-care", "swap", "swap", "term", "term"]))
+            if kind == "dont-care":
+                variable_map[pv] = DONT_CARE
+            elif kind == "swap":
+                variable_map[pv] = Var(draw(st.sampled_from([v for v in [*parent, *NAMES] if v != pv])))
+            elif kind == "term":
+                variable_map[pv] = draw(map_terms(child))
+        goal_id = "Goal" + "'" * k
+        h.record_node(goals[-1][0], goal_id, [App("natp", (Var(v),)) for v in child], "simplify", variable_map,
+                      liftable=draw(st.sampled_from([True] * 9 + [False])), world=LIFT_WORLD)
+        goals.append((goal_id, child))
+        parent = child
+    lifts = []
+    for goal_id, variables in goals[1:]:
+        assignment = {v: draw(st.sampled_from(VALUES)) for v in variables}
+        change = draw(st.sampled_from(["none", "none", "drop", "extra"]))
+        if change == "drop" and assignment:
+            del assignment[draw(st.sampled_from(sorted(assignment)))]
+        elif change == "extra":
+            assignment["u"] = draw(st.sampled_from(VALUES))
+        lifts.append((goal_id, assignment))
+    return h, lifts
+
+
+@settings(max_examples=200, deadline=None)
+@given(histories())
+def test_the_chain_lifts_as_the_map_terms_evaluated_edge_by_edge(history_and_lifts):
+    h, lifts = history_and_lifts
+    for goal_id, assignment in lifts:
+        for wildcard in (NIL, *WILDCARD_PROBES):
+            got = h.lift(goal_id, assignment, LIFT_WORLD, wildcard_value=wildcard)
+            expected = lift_edge_by_edge(h, goal_id, assignment, LIFT_WORLD, wildcard_value=wildcard)
+            assert got == expected
+            assert got.binding is None or list(got.binding) == list(expected.binding)
+
+
+def test_a_variable_the_assignment_lacks_is_bound_above_the_edge_that_sets_it(world):
+    # the checkpoint's a is missing, but the first edge reads it only in a
+    # branch not taken and sets the parent's a, which the next edge reads
+    h = History()
+    h.record_top("Goal", clause("(natp a)"))
+    h.record_node("Goal", "Goal'", clause("(natp a)", "(natp b)"), "simplify", {}, world=world)
+    h.record_node("Goal'", "Goal''", clause("(natp a)", "(natp b)"), "simplify",
+                  {"a": term("(if nil a b)")}, world=world)
+    assert h.lift("Goal''", {"b": 1}, world) == LiftOutcome("lifted", {"a": 1})
+
+
+def test_a_lift_evaluates_no_term_on_its_own(world, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluate called")
+
+    monkeypatch.setattr(evaluator, "evaluate", refuse)
+    monkeypatch.setattr(history, "evaluate", refuse)
+    h = build_triangle_chain(world)
+    assert h.lift("Goal''''", {"x1": 429}, world) == LiftOutcome("lifted", {"x": from_list([429, 1, 429])})
+    assert h.lift("Goal''''", {}, world).reason == "evaluation error in variable map: unbound variable: x1"

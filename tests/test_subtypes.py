@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedan import evaluator
 from sedan.datadef import SubtypeEvidenceError, add_subtype_edge, minimal_type
 from sedan.subtypes import SubtypeGraph
 
@@ -164,3 +165,30 @@ def test_subtype_graph_agrees_with_warshall_closure(isolated, edge_indices, quer
         listed = [names[i] for i in query]
         expected = next((equivalents(n)[0] for n in listed if all(subsumes(n, m) for m in listed)), None)
         assert g.minimal_among(listed) == expected
+
+
+DEEP_AT_3 = (
+    "(defdata tree (oneof nat (cons tree tree)))\n"
+    "(defun mk (n) (if (posp n) (cons (mk (- n 1)) 0) 0))\n"
+    "(defun deepp (x) (treep x))\n"
+)
+
+
+@pytest.mark.parametrize("at_5, witness", [("5", None), ("-1", -1)])
+def test_an_evidence_index_that_overflows_the_stack_reruns_alone(monkeypatch, at_5, witness):
+    # index 3 is a tree 3000 deep, within the depth cap but past Python's
+    # default stack: recognizing it reruns deeper, and the check goes on
+    w = make_world(DEEP_AT_3 + f"(defun nth-deep (n) (if (equal n 3) (mk 3000) (if (equal n 5) {at_5} n)))\n"
+                   "(defdata deep (custom deepp nth-deep))")
+    runs = []
+    rerun_deeper = evaluator.rerun_deeper
+    monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
+    if witness is None:
+        add_subtype_edge(w, "deep", "tree")
+        assert w.subtypes.subsumes("deep", "tree")
+    else:
+        with pytest.raises(SubtypeEvidenceError) as e:
+            add_subtype_edge(w, "deep", "tree")
+        assert (e.value.witness_index, e.value.witness_value) == (5, witness)
+    # one rerun builds the tree and one recognizes it
+    assert len(runs) == 2
