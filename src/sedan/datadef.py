@@ -40,8 +40,9 @@ namespace's ``w_evaluate``, which holds the world weakly. The source depends
 only on the type's shape, so ``compile()`` runs once per shape for every
 world. No generated function holds its world, so a finished world is freed
 by reference counting. A recursive type's functions recurse once per level of
-the value, so ``enumerate_value`` and ``recognize`` run once more on a deeper
-stack when a value overflows Python's (``evaluator.with_deeper_rerun``).
+the value, so ``enumerate_value``, ``recognize`` and each index of a subtype's
+evidence check run once more on a deeper stack when a value overflows
+Python's (``evaluator.with_deeper_rerun``).
 
 Only this module reads a type expression, and it defines the base types'
 recognizers (``natp``, ...) too, in ``install_base_types``.
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, each_deeper, lazy_slot, with_deeper_rerun
+from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_deeper_rerun
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -580,6 +581,15 @@ def recognize(world, name: str, v: Value) -> bool:
     return world.namespace[lazy_slot(world, "r_", name, _recognizer)](v)
 
 
+@with_deeper_rerun
+def _evidence(world, decode: str, rec: str, i: int):
+    """The value at index ``i`` of the type whose decoder slot is ``decode``,
+    and whether the recognizer slot ``rec`` accepts it."""
+    ns = world.namespace
+    v = ns[decode](i)
+    return v, ns[rec](v)
+
+
 def recognizer_name(world, name: str) -> str:
     """The function that recognizes the named type: ``Xp``, or a custom
     type's own recognizer."""
@@ -822,21 +832,17 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
             n_trials = min(n_trials, entry.size)
         # the slots are looked up once, and read on every call: each replaces
         # itself on its first
-        ns, decode = world.namespace, lazy_slot(world, "e_", t1, _decoder)
+        decode = lazy_slot(world, "e_", t1, _decoder)
         rec = lazy_slot(world, "r_", t2, _recognizer)
-
-        def check(i):
+        for i in range(n_trials):
             try:
-                v = ns[decode](i)
-                ok = ns[rec](v)
+                v, ok = _evidence(world, decode, rec, i)
             except EvaluationError as e:
                 raise DatadefError(
                     f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: {e}"
                 ) from None
             if not ok:
                 raise SubtypeEvidenceError(t1, t2, i, v)
-
-        each_deeper(world, check, range(n_trials))
     world.subtypes.add_edge(t1, t2)
 
 

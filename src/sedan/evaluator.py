@@ -53,8 +53,7 @@ explicit work-stack interpreter in the tests (``tests/oracle.py``), the oracle
 they check it against and "the interpreter" this module's comments name. It
 recurses on the Python stack, far shallower than the depth cap: an
 evaluation, chain, decode or recognition that overflows it runs once more, code
-generation included, on a thread sized to the cap (``rerun_deeper``), and so
-does an item of ``each_deeper``'s loop, alone.
+generation included, on a thread sized to the cap (``rerun_deeper``).
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -322,20 +321,6 @@ def with_deeper_rerun(fn):
             return rerun_deeper(world, run, world, *args)
 
     return run
-
-
-def each_deeper(world, run, items):
-    """``run(item)`` for each item in turn; an item whose run overflows the
-    Python stack runs once more through ``rerun_deeper``, and the items after
-    it run here again."""
-    rest = iter(items)
-    while True:
-        try:
-            for item in rest:
-                run(item)
-            return
-        except RecursionError:
-            rerun_deeper(world, run, item)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedan import evaluator
-from sedan.datadef import SubtypeEvidenceError, add_subtype_edge, minimal_type
+from sedan.datadef import DatadefError, SubtypeEvidenceError, add_subtype_edge, minimal_type
 from sedan.subtypes import SubtypeGraph
 
 from conftest import make_world
@@ -192,3 +192,19 @@ def test_an_evidence_index_that_overflows_the_stack_reruns_alone(monkeypatch, at
         assert (e.value.witness_index, e.value.witness_value) == (5, witness)
     # one rerun builds the tree and one recognizes it
     assert len(runs) == 2
+
+
+def test_an_evidence_index_that_overflows_the_deeper_stack_too_is_a_datadef_error():
+    # at a depth cap of 50 the rerun thread allows 8 * 50 + 4096 frames; index
+    # 3 is a tree 6000 deep (48 levels of mk, 125 conses each), built within
+    # the cap, so recognizing it overflows that thread as well
+    conses = "(cons " * 125 + "(mk (- n 1))" + " 0)" * 125
+    w = make_world("(set-testing :depth-cap 50)\n"
+                   "(defdata tree (oneof nat (cons tree tree)))\n"
+                   f"(defun mk (n) (if (posp n) {conses} 0))\n"
+                   "(defun deepp (x) (treep x))\n"
+                   "(defun nth-deep (n) (if (equal n 3) (mk 48) n))\n"
+                   "(defdata deep (custom deepp nth-deep))")
+    with pytest.raises(DatadefError, match="evidence check at index 3 raised: the Python stack overflowed"):
+        add_subtype_edge(w, "deep", "tree")
+    assert not w.subtypes.subsumes("deep", "tree")
