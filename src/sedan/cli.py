@@ -8,6 +8,7 @@ argument error; such a SEDAN_SEED is reported and ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -39,7 +40,10 @@ def _setting(name: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing keeps no
+    state in it, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="sedan",
         description="Type-aware random testing with a waterfall-style conjecture checker.",

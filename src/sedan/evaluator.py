@@ -20,7 +20,11 @@ on the term object, so it lives exactly as long as the term does. A ``Chain``
 of parallel assignments, which is how a lift runs a checkpoint's path to the
 top, becomes one function ``f(env, wild, remaining)`` that assigns each step's
 terms at once, as Python locals, and gives every term the whole cap; it is
-kept on the chain.
+kept on the chain. A clause's trials run in one function made for each
+``testgen.run_trials`` call (``trial_loop``): it holds each variable in a
+local, decodes the indices it has not seen, and inlines the conjunction and
+the conclusion, so a trial calls no term's function; a test that goes past
+the depth cap or the Python stack runs again through ``evaluate``.
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter
   does, and in their test position a built-in predicate (``consp``,
@@ -53,7 +57,8 @@ explicit work-stack interpreter in the tests (``tests/oracle.py``), the oracle
 they check it against and "the interpreter" this module's comments name. It
 recurses on the Python stack, far shallower than the depth cap: an
 evaluation, chain, decode or recognition that overflows it runs once more, code
-generation included, on a thread sized to the cap (``rerun_deeper``).
+generation included, on a thread sized to the cap (``rerun_deeper``); a trial
+whose test overflows runs it once more through ``evaluate``.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -422,6 +427,25 @@ def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value
         raise DepthExceededError(cap) from None
 
 
+def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusion: Term):
+    """A clause's trial loop as one generated function ``f(tuples, memo,
+    capacity, room, decode, world, evaluate, report, rem, *decoded)``, which
+    runs the trials of ``testgen.run_trials`` and sets ``report``'s counts.
+
+    The variables ``names`` are each ``pinned`` to a value or ``drawn``, a
+    list of (variable, type): one index per drawn variable makes a trial of
+    ``tuples``, and ``decoded`` holds one dict index -> value per distinct
+    type, in order of first use. A tuple in ``memo`` only adds its outcome. A
+    new one decodes, through ``decode(world, type, index)``, only the indices
+    its types' dicts lack, keeping each value while ``room`` lasts; tests
+    ``hypothesis`` (None for true) and then, once per distinct tuple of
+    values, the conclusion; and is remembered while ``memo`` holds fewer than
+    ``capacity``. A test that goes past the depth cap ``rem`` or overflows the
+    Python stack runs again as ``evaluate(term, binding, world)``."""
+    em = _Emitter(world, None)
+    return em.make(em.trials(names, drawn, pinned, hypothesis, conclusion))
+
+
 # the names every generated function may read; a world's namespace adds
 # ``w_evaluate`` and ``w_call``, the host functions (h_NAME) and the defun
 # slots (d_NAME) its code calls, and datadef's type names and slots
@@ -560,6 +584,48 @@ def _tests_inline(fn: str, n: int) -> bool:
     return fn in ("and", "or") or _TEST_ARITY.get(fn) == n
 
 
+# the source of a clause's trial loop (``_Emitter.trials``); an outcome is
+# 0 for a vacuous trial, 1 for an erroring one, 2 for a satisfied one and 3
+# for one satisfied by values whose conclusion raised
+_TRIAL_LOOP = """\
+    def _f(tuples, memo, capacity, room, decode, world, evaluate, report, rem{decoded}):
+        trials_run = satisfied = erroring = unique = erroring_unique = 0
+        first_error = None
+        seen = {{}}
+        for trial in tuples:
+            trials_run += 1
+            outcome = memo.get(trial)
+            if outcome is None:
+{unpack}                try:
+{decodes}{hypothesis}                except _EvaluationError as e:
+                    if first_error is None:
+                        first_error = str(e)
+                    outcome = 1
+                else:
+                    outcome = 0
+                    if ok:
+                        key = ({key})
+                        outcome = seen.get(key)
+                        if outcome is None:
+                            unique += 1
+                            try:
+{conclusion}                            except _EvaluationError as e:
+                                erroring_unique += 1
+                                if first_error is None:
+                                    first_error = str(e)
+                                outcome = seen[key] = 3
+                            else:
+                                (report.witnesses if holds else report.counterexamples).append({binding})
+                                outcome = seen[key] = 2
+                if len(memo) < capacity:
+                    memo[trial] = outcome
+            satisfied += outcome >> 1
+            erroring += outcome & 1
+        report.trials_run, report.satisfied, report.erroring = trials_run, satisfied, erroring
+        report.unique_satisfied, report.erroring_unique, report.first_error = unique, erroring_unique, first_error
+"""
+
+
 class _Emitter(Source):
     """Python source for one term or defun body in one world.
 
@@ -616,6 +682,42 @@ class _Emitter(Source):
             entry += "        try:\n" + "".join(f"            {ident} = env[{name!r}]\n" for name, ident in reads)
             entry += "        except KeyError:\n            raise _Unbound from None\n"
         return entry + "".join(f"        {line}\n" for line in lines)
+
+    def trials(self, names, drawn, pinned, hypothesis, conclusion) -> str:
+        """The source of ``_f``, which runs a clause's trials (``trial_loop``);
+        each variable of ``names`` is a local, and a ``pinned`` one a
+        constant."""
+        types = list(dict.fromkeys(t for _, t in drawn))
+        type_consts = [self.const(t) for t in types]
+        for name in names:
+            self.locals[name] = self.const(pinned[name]) if name in pinned else _ident("v_", name)
+        binding = "{" + ", ".join(f"{name!r}: {self.locals[name]}" for name in names) + "}"
+
+        def lines(indent, *texts):
+            return "".join(f"{' ' * indent}{text}\n" for text in texts)
+
+        def checked(indent, target, term):
+            # a test past the depth cap or the Python stack runs again through
+            # evaluate, which reports the cap or reruns deeper
+            rerun = self.truthy(f"evaluate({self.const(term)}, {binding}, world)")
+            return lines(indent, "try:", f"    {target} = {self.test(term)[0]}",
+                         "except (_OutOfDepth, RecursionError):", f"    {target} = {rerun}")
+
+        decodes = ""
+        for j, (name, t) in enumerate(drawn):
+            v, k = self.locals[name], types.index(t)
+            decodes += lines(20, f"{v} = d{k}.get(i{j})", f"if {v} is None:",
+                             f"    {v} = decode(world, {type_consts[k]}, i{j})",
+                             "    if room:", f"        d{k}[i{j}] = {v}", "        room -= 1")
+        return _TRIAL_LOOP.format(
+            decoded="".join(f", d{i}" for i in range(len(types))),
+            unpack=lines(16, "".join(f"i{j}, " for j in range(len(drawn))) + "= trial") if drawn else "",
+            decodes=decodes,
+            hypothesis=checked(20, "ok", hypothesis) if hypothesis is not None else lines(20, "ok = True"),
+            key="".join(f"{self.locals[name]}, " for name in names),
+            conclusion=checked(32, "holds", conclusion),
+            binding=binding,
+        )
 
     # -- pieces -----------------------------------------------------------
 

@@ -12,6 +12,12 @@ index too, shared by its variables, and a run decodes each (type, index) once.
 Two tuples may still decode to the same values, and reports count by value:
 satisfying assignments are deduplicated by the tuple of their values in
 variable order.
+
+A clause's trials run in one generated function (``evaluator.trial_loop``):
+each variable is a local, a singleton a constant, and the conjunction and the
+conclusion are inlined, so a trial makes no ``evaluate`` call. Only a test
+that goes past the depth cap or the Python stack runs again through
+``evaluate``, for its error text and its deeper rerun.
 """
 
 from __future__ import annotations
@@ -34,22 +40,17 @@ from .datadef import (
     recognizer_name,
     sample,
 )
-from .evaluator import EvaluationError, evaluate
+# the trial loop's fallback for a test past the depth cap or the Python stack
+from .evaluator import evaluate, trial_loop
 from .rand import IndexSource
 from .terms import QNIL, App, Quote, Term, Var, is_negation, negate
-from .values import Value, print_value, truthy
+from .values import Value, print_value
 
 TypeAlist = dict[str, tuple[Restriction, ...]]
 Binding = dict[str, Value]
 
-# what a trial may raise
-_TRIAL_ERRORS = EvaluationError
-
 # the most index tuples whose outcomes one run_trials call remembers
 OUTCOME_MEMO_CAPACITY = 1 << 16
-
-# a trial's outcome: what it adds to the (satisfied, erroring) counts
-_VACUOUS, _ERRED, _SATISFIED, _SATISFIED_ERRED = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
 @dataclass
@@ -131,28 +132,6 @@ def _index_bound(world, selection: TypeSelection, exhaustive_bound: int) -> int:
     return exhaustive_bound
 
 
-def _satisfied(report: TestReport, seen: dict, binding: Binding, concl: Term, world) -> tuple[int, int]:
-    """Classify a binding that satisfies every hypothesis by the conclusion,
-    once per distinct tuple of values (the binding holds the variables in
-    clause order); returns the trial's outcome."""
-    key = tuple(binding.values())
-    verdict = seen.get(key)
-    if verdict is None:
-        report.unique_satisfied += 1
-        try:
-            value = evaluate(concl, binding, world)
-        except _TRIAL_ERRORS as e:
-            report.erroring_unique += 1
-            if report.first_error is None:
-                report.first_error = str(e)
-            verdict = "err"
-        else:
-            verdict = "wit" if truthy(value) else "cex"
-            (report.witnesses if verdict == "wit" else report.counterexamples).append(binding)
-        seen[key] = verdict
-    return _SATISFIED_ERRED if verdict == "err" else _SATISFIED
-
-
 def run_trials(
     literals: list[Term],
     alist: TypeAlist,
@@ -171,15 +150,18 @@ def run_trials(
     order: the next draws of a seeded ``IndexSource`` in random mode, the next
     position of an odometer in exhaustive mode. One conjunction decides
     whether a trial satisfies the hypotheses: each variable's residual
-    restrictions, in variable order, and then the hypotheses. Decoders,
-    recognizers and evaluation are deterministic, so a trial's outcome is a
-    function of its tuple; a tuple seen before adds its remembered outcome to
-    the counts without being decoded or evaluated again. The memo holds at most
-    ``OUTCOME_MEMO_CAPACITY`` tuples; past that, new tuples run in full.
-    A new tuple takes each value from its type's decoded values, shared by the
-    variables of that type and filled in every mode, and decodes only an index
-    not decoded before; these hold at most ``OUTCOME_MEMO_CAPACITY`` values in
-    all, and a decode that raised is not kept.
+    restrictions, in variable order, and then the hypotheses. The clause's
+    trials run in one generated function (``evaluator.trial_loop``), which
+    holds each variable in a local and inlines the conjunction and the
+    conclusion. Decoders, recognizers and evaluation are deterministic, so a
+    trial's outcome is a function of its tuple; a tuple seen before adds its
+    remembered outcome to the counts without being decoded or evaluated
+    again. The memo holds at most ``OUTCOME_MEMO_CAPACITY`` tuples; past that,
+    new tuples run in full. A new tuple takes each value from its type's
+    decoded values, shared by the variables of that type and filled in every
+    mode, and decodes through ``sample`` only an index not decoded before;
+    these hold at most ``OUTCOME_MEMO_CAPACITY`` values in all, and a decode
+    that raised is not kept.
 
     Deterministic for a fixed seed, and the first k trials of a longer run
     match a k-trial run exactly.
@@ -192,23 +174,19 @@ def run_trials(
             raise ValueError(f"type alist does not cover variable {v}")
     plans = _var_plans(alist, world)
     settings = world.settings
-    # every binding starts as a copy of the template, which holds each
-    # singleton variable's value, and gets the other variables decoded
-    template: Binding = {}
-    decoded: dict[str, dict[int, Value]] = {}  # per type, index -> value, shared by its variables
-    drawn = []  # (variable, type, its decoded values) for each index of a trial's tuple
+    pinned: Binding = {}  # each singleton variable's value
+    drawn = []  # (variable, type) for each index of a trial's tuple
     for v in var_order:
         primary = plans[v].primary
         if isinstance(primary, SingletonRestriction):
-            template[v] = primary.value
+            pinned[v] = primary.value
         else:
-            template[v] = None
-            drawn.append((v, primary, decoded.setdefault(primary, {})))
+            drawn.append((v, primary))
     width = len(drawn)
 
     mode = settings.mode
     if mode != "random":
-        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v, _, _ in drawn]
+        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v, _ in drawn]
         if mode == "mixed":
             mode = "exhaustive" if math.prod(bounds) <= trials else "random"
     # the decoded values, and the outcomes outside exhaustive mode, each
@@ -219,10 +197,12 @@ def run_trials(
         # repeats each variable's indices
         tuples = islice(product(*map(range, bounds)), trials)
         capacity = 0
-    else:
+    elif width:
         rng = IndexSource(seed, settings.dist, settings.uniform_bound)
-        draws = (rng.draw() for _ in range(trials * width))
-        tuples = zip(*[draws] * width) if width else repeat((), trials)
+        # no draw is -1, so this is the next trials * width draws
+        tuples = zip(*[islice(iter(rng.draw, -1), trials * width)] * width)
+    else:
+        tuples = repeat((), trials)
 
     report = TestReport(
         goal_id=goal_id,
@@ -237,38 +217,11 @@ def run_trials(
     # each on its own
     checks = _residual_checks(world, plans, var_order) + hyps
     hyp_term = App("and", tuple(checks)) if checks else None
-    seen: dict[tuple, str] = {}  # binding values -> "cex" | "wit" | "err"
-    memo: dict[tuple, tuple[int, int]] = {}  # index tuple -> outcome
-    trials_run = satisfied = erroring = 0
+    loop = trial_loop(world, var_order, drawn, pinned, hyp_term, concl)
+    decoded = [{} for _ in dict.fromkeys(t for _, t in drawn)]  # per type, index -> value
     started = time.perf_counter()
-    for indices in tuples:
-        trials_run += 1
-        outcome = memo.get(indices)
-        if outcome is None:
-            binding = template.copy()
-            try:
-                for (v, t, values), i in zip(drawn, indices):
-                    value = values.get(i)  # no value is None
-                    if value is None:
-                        value = sample(world, t, i)
-                        if room:
-                            values[i] = value
-                            room -= 1
-                    binding[v] = value
-                ok = hyp_term is None or truthy(evaluate(hyp_term, binding, world))
-            except _TRIAL_ERRORS as e:
-                # a custom enumerator or recognizer, or a hypothesis, raised
-                if report.first_error is None:
-                    report.first_error = str(e)
-                outcome = _ERRED
-            else:
-                outcome = _satisfied(report, seen, binding, concl, world) if ok else _VACUOUS
-            if len(memo) < capacity:
-                memo[indices] = outcome
-        satisfied += outcome[0]
-        erroring += outcome[1]
+    loop(tuples, {}, capacity, room, sample, world, evaluate, report, settings.depth_cap, *decoded)
     report.elapsed = time.perf_counter() - started
-    report.trials_run, report.satisfied, report.erroring = trials_run, satisfied, erroring
     return report
 
 

@@ -10,8 +10,21 @@ bindings and worlds.
 A lift runs a checkpoint's path as one generated function (``evaluator.Chain``).
 ``lift_edge_by_edge`` walks the path's edges instead and evaluates each map
 term on its own; ``test_history.py`` runs both on generated histories.
+
+A clause's trials run as one generated function (``evaluator.trial_loop``).
+``run_trials_one_by_one`` is the interpreted loop it replaced: it copies a
+binding for each new tuple and evaluates the conjunction and the conclusion
+through ``evaluate``; ``test_testgen.py`` runs both on generated clauses.
 """
 
+import math
+import time
+from itertools import islice, product, repeat
+from typing import Optional
+
+from sedan import testgen
+from sedan.clauses import clause_vars
+from sedan.datadef import SingletonRestriction
 from sedan.evaluator import (
     Binding,
     DepthExceededError,
@@ -23,7 +36,9 @@ from sedan.evaluator import (
     evaluate,
 )
 from sedan.history import DONT_CARE, LiftOutcome
-from sedan.terms import App, Quote, Term, Var
+from sedan.rand import IndexSource
+from sedan.terms import QNIL, App, Quote, Term, Var, negate
+from sedan.testgen import TestReport, TypeAlist, _index_bound, _residual_checks, _var_plans
 from sedan.values import NIL, T, Value, boolify, truthy
 
 
@@ -148,3 +163,131 @@ def lift_edge_by_edge(history, goal_id: str, assignment, world, wildcard_value: 
     if path.failure is not None:
         return LiftOutcome("failed", reason=path.failure)
     return LiftOutcome("lifted", binding, had_wildcards=path.had_wildcards, wildcard_vars=path.wildcard_vars)
+
+
+# a trial's outcome: what it adds to the (satisfied, erroring) counts
+_VACUOUS, _ERRED, _SATISFIED, _SATISFIED_ERRED = (0, 0), (0, 1), (1, 0), (1, 1)
+
+
+def _satisfied(report: TestReport, seen: dict, binding: Binding, concl: Term, world) -> tuple[int, int]:
+    """Classify a binding that satisfies every hypothesis by the conclusion,
+    once per distinct tuple of values (the binding holds the variables in
+    clause order); returns the trial's outcome."""
+    key = tuple(binding.values())
+    verdict = seen.get(key)
+    if verdict is None:
+        report.unique_satisfied += 1
+        try:
+            value = evaluate(concl, binding, world)
+        except EvaluationError as e:
+            report.erroring_unique += 1
+            if report.first_error is None:
+                report.first_error = str(e)
+            verdict = "err"
+        else:
+            verdict = "wit" if truthy(value) else "cex"
+            (report.witnesses if verdict == "wit" else report.counterexamples).append(binding)
+        seen[key] = verdict
+    return _SATISFIED_ERRED if verdict == "err" else _SATISFIED
+
+
+def run_trials_one_by_one(
+    literals: list[Term],
+    alist: TypeAlist,
+    world,
+    seed: int,
+    trials: int,
+    goal_id: Optional[str] = None,
+) -> TestReport:
+    """``testgen.run_trials`` as an interpreted loop: each new tuple copies a
+    template binding, decodes into it variable by variable, and evaluates the
+    conjunction and then the conclusion through ``evaluate``. The oracle the
+    generated trial loop is tested against; it reads ``testgen.sample`` and
+    ``testgen.OUTCOME_MEMO_CAPACITY`` as ``run_trials`` does.
+    """
+    hyps = [negate(lit) for lit in literals[:-1]]
+    concl = literals[-1] if literals else QNIL
+    var_order = clause_vars(literals)
+    for v in var_order:
+        if v not in alist:
+            raise ValueError(f"type alist does not cover variable {v}")
+    plans = _var_plans(alist, world)
+    settings = world.settings
+    # every binding starts as a copy of the template, which holds each
+    # singleton variable's value, and gets the other variables decoded
+    template: Binding = {}
+    decoded: dict[str, dict[int, Value]] = {}  # per type, index -> value, shared by its variables
+    drawn = []  # (variable, type, its decoded values) for each index of a trial's tuple
+    for v in var_order:
+        primary = plans[v].primary
+        if isinstance(primary, SingletonRestriction):
+            template[v] = primary.value
+        else:
+            template[v] = None
+            drawn.append((v, primary, decoded.setdefault(primary, {})))
+    width = len(drawn)
+
+    mode = settings.mode
+    if mode != "random":
+        bounds = [_index_bound(world, plans[v], settings.exhaustive_bound) for v, _, _ in drawn]
+        if mode == "mixed":
+            mode = "exhaustive" if math.prod(bounds) <= trials else "random"
+    # the decoded values, and the outcomes outside exhaustive mode, each
+    # remember at most this many entries
+    room = capacity = testgen.OUTCOME_MEMO_CAPACITY
+    if mode == "exhaustive":
+        # the odometer, last variable fastest, never repeats a tuple, but it
+        # repeats each variable's indices
+        tuples = islice(product(*map(range, bounds)), trials)
+        capacity = 0
+    else:
+        rng = IndexSource(seed, settings.dist, settings.uniform_bound)
+        draws = (rng.draw() for _ in range(trials * width))
+        tuples = zip(*[draws] * width) if width else repeat((), trials)
+
+    report = TestReport(
+        goal_id=goal_id,
+        type_alist=alist,
+        selections=plans,
+        seed=seed,
+        dist=settings.dist,
+        mode=mode,
+    )
+    # one conjunction evaluates the residual checks and then the hypotheses in
+    # order, stopping at the first that fails, with the depth cap applying to
+    # each on its own
+    checks = _residual_checks(world, plans, var_order) + hyps
+    hyp_term = App("and", tuple(checks)) if checks else None
+    seen: dict[tuple, str] = {}  # binding values -> "cex" | "wit" | "err"
+    memo: dict[tuple, tuple[int, int]] = {}  # index tuple -> outcome
+    trials_run = satisfied = erroring = 0
+    started = time.perf_counter()
+    for indices in tuples:
+        trials_run += 1
+        outcome = memo.get(indices)
+        if outcome is None:
+            binding = template.copy()
+            try:
+                for (v, t, values), i in zip(drawn, indices):
+                    value = values.get(i)  # no value is None
+                    if value is None:
+                        value = testgen.sample(world, t, i)
+                        if room:
+                            values[i] = value
+                            room -= 1
+                    binding[v] = value
+                ok = hyp_term is None or truthy(evaluate(hyp_term, binding, world))
+            except EvaluationError as e:
+                # a custom enumerator or recognizer, or a hypothesis, raised
+                if report.first_error is None:
+                    report.first_error = str(e)
+                outcome = _ERRED
+            else:
+                outcome = _satisfied(report, seen, binding, concl, world) if ok else _VACUOUS
+            if len(memo) < capacity:
+                memo[indices] = outcome
+        satisfied += outcome[0]
+        erroring += outcome[1]
+    report.elapsed = time.perf_counter() - started
+    report.trials_run, report.satisfied, report.erroring = trials_run, satisfied, erroring
+    return report

@@ -529,6 +529,20 @@ def test_cli_main_runs(tmp_path, capsys):
     assert "Testing refuted a generalization" in captured.out
 
 
+def test_main_calls_in_one_process_each_see_only_their_own_flags(monkeypatch, capsys):
+    from sedan import cli
+
+    # the parser is built once and shared, so a flag must not outlive its call
+    monkeypatch.delenv("SEDAN_SEED", raising=False)
+    flags = []
+    for argv in (["--trials", "5", "--mode", "exhaustive", "--seed", "7"], []):
+        assert cli.main([corpus_path("base-rules.lisp"), "--format", "structured", *argv]) == 0
+        flags.append(json.loads(capsys.readouterr().out)["flags"])
+    assert cli.build_parser() is cli.build_parser()
+    assert (flags[0]["trials"], flags[0]["mode"], flags[0]["seed"]) == (5, "exhaustive", 7)
+    assert flags[1] == {**flags[0], "trials": Settings.trials, "mode": Settings.mode, "seed": Settings.seed}
+
+
 def test_exhaustive_mode_runs_the_hinted_trials_and_says_so(tmp_path, capsys):
     from sedan.cli import main
 

@@ -1,23 +1,28 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sedan.clauses import split_implies
+from sedan import evaluator
+from sedan.clauses import clause_vars, split_implies
 from sedan.datadef import SingletonRestriction, enumerate_value
 from sedan import testgen
 from sedan.evaluator import EvaluationError, evaluate
 from sedan.rand import IndexSource
-from sedan.terms import Quote, negate
+from sedan.terms import App, Quote, Var, negate
 from sedan.testgen import (
     extract_restrictions,
     print_binding,
     run_trials,
     top_level_test,
 )
-from sedan.values import NIL, T, print_value, truthy
+from sedan.values import NIL, T, Cons, from_list, print_value, truthy
 
 from conftest import make_world, term, with_settings
+from oracle import run_trials_one_by_one
 
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
 
@@ -541,3 +546,162 @@ def test_the_decode_memo_changes_no_report_field(forms, conjecture, alist, monke
         assert remembered.counterexamples
         values = {print_value(enumerate_value(w, name, i)) for name, i in pairs}
         assert max(pairs.values()) == 1 and len(values) < len(pairs)
+
+
+# -- the generated trial loop against the interpreted one (oracle.py)
+
+
+TRIAL_WORLD = make_world(
+    # dep nests n calls deep, past a depth cap of 8 from n = 8; spin passes any cap
+    "(defun dep (n) (if (posp n) (dep (- n 1)) 0))\n"
+    "(defun spin (x) (spin x))\n"
+    # ev's enumerator raises on every index but 0, rv's recognizer on every value but 0
+    "(defun evr (x) (integerp x))\n"
+    "(defun eve (n) (if (equal n 0) 0 (eve n)))\n"
+    "(defdata ev (custom evr eve))\n"
+    "(defun rvr (x) (if (equal x 0) t (rvr x)))\n"
+    "(defun rve (n) n)\n"
+    "(defdata rv (custom rvr rve))\n"
+    "(defdata lon (listof nat))"
+)
+TRIAL_TYPES = ["nat", "integer", "rational", "true-list", "lon", "ev", "rv", "all"]
+TRIAL_RECOGNIZERS = ["natp", "integerp", "rationalp", "true-listp", "lonp", "evr", "rvr"]
+TRIAL_VALUES = [0, 1, 3, -2, Fraction(1, 2), NIL, T, "s", from_list([1, 2])]
+# arities; spin and dep go past the depth cap, and mystery is never defined
+TRIAL_FUNS = {"<": 2, "+": 2, "equal": 2, "consp": 1, "len": 1, "not": 1, "if": 3, "car": 1, "natp": 1,
+              "dep": 1, "spin": 1, "mystery": 1}
+TRIAL_CALLS = ["<", "<", "+", "equal", "equal", "consp", "len", "not", "if", "car", "natp", "dep", "dep", "spin",
+               "mystery"]
+
+
+def trial_terms(names):
+    """Terms over the variables ``names``; none has a variable if ``names`` is empty."""
+    leaves = st.sampled_from(TRIAL_VALUES).map(Quote)
+    if names:
+        variables = st.sampled_from(names).map(Var)
+        leaves = st.one_of(variables, variables, leaves)
+
+    def apps(children):
+        return st.sampled_from(TRIAL_CALLS).flatmap(
+            lambda fn: st.lists(children, min_size=TRIAL_FUNS[fn], max_size=TRIAL_FUNS[fn]).map(
+                lambda args: App(fn, tuple(args))
+            )
+        )
+
+    return st.recursive(leaves, apps, max_leaves=4)
+
+
+@st.composite
+def trial_runs(draw):
+    """A clause, a type alist for it, settings, a memo capacity, a trial
+    count and a seed. A shape of "pinned" pins every variable to a singleton,
+    and "ground" and "empty" have none, so none of them draws an index."""
+    shape = draw(st.sampled_from(["typed", "typed", "typed", "typed", "pinned", "ground", "empty"]))
+    names = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3, unique=True))
+    terms = trial_terms([] if shape == "ground" else names)
+    literals = [] if shape == "empty" else draw(st.lists(terms, max_size=2))
+    if shape != "empty":
+        # a conclusion that goes past the depth cap on large values
+        past_cap = st.one_of(st.sampled_from(names).map(Var), terms).map(
+            lambda t: App("equal", (App("dep", (t,)), Quote(0))))
+        literals.append(draw(st.one_of(terms, past_cap)))
+    if shape in ("typed", "pinned"):
+        # a type hypothesis on each variable the terms left out
+        absent = [v for v in names if v not in clause_vars(literals)]
+        literals[:0] = [App("not", (App(draw(st.sampled_from(TRIAL_RECOGNIZERS)), (Var(v),)),)) for v in absent]
+    alist = {}
+    for v in clause_vars(literals):
+        restrictions = draw(st.lists(st.sampled_from(TRIAL_TYPES), min_size=1, max_size=2, unique=True))
+        if shape == "pinned" or draw(st.sampled_from([False] * 5 + [True])):
+            restrictions.insert(draw(st.integers(0, len(restrictions))),
+                                SingletonRestriction(draw(st.sampled_from(TRIAL_VALUES))))
+        alist[v] = tuple(restrictions)
+    updates = {
+        "mode": draw(st.sampled_from(["random", "exhaustive", "mixed"])),
+        "dist": draw(st.sampled_from(["geometric", "uniform"])),
+        "uniform_bound": draw(st.sampled_from([4, 1 << 24])),
+        "exhaustive_bound": draw(st.integers(2, 12)),
+        "depth_cap": 8,
+    }
+    capacity = draw(st.sampled_from([0, 5, testgen.OUTCOME_MEMO_CAPACITY]))
+    return literals, alist, updates, capacity, draw(st.integers(20, 60)), draw(st.integers(0, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trial_runs())
+def test_the_generated_trial_loop_reports_as_the_interpreted_loop(run):
+    literals, alist, updates, capacity, trials, seed = run
+    w = with_settings(TRIAL_WORLD, **updates)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(testgen, "OUTCOME_MEMO_CAPACITY", capacity)
+        got = run_trials(literals, alist, w, seed, trials)
+        expected = run_trials_one_by_one(literals, alist, w, seed, trials)
+    assert _report_fields(got) == _report_fields(expected)
+    assert got.erroring_unique == expected.erroring_unique
+    bindings = lambda r: [list(b.items()) for b in r.witnesses + r.counterexamples]
+    assert bindings(got) == bindings(expected)
+
+
+# -- the generated loop's fallback: a test past the depth cap or the Python
+# stack runs again through evaluate
+
+TREE_WALK = "(defun size (x) (if (consp x) (+ 1 (size (car x)) (size (cdr x))) 0))"
+
+
+@pytest.mark.parametrize("conjecture", [
+    "(implies (natp n) (< (size x) (+ n 3000)))",
+    "(implies (and (natp n) (< (size x) (+ n 3000))) (< n 5))",
+], ids=["conclusion", "hypothesis"])
+def test_a_test_that_overflows_the_python_stack_reruns_as_the_oracle_does(conjecture, monkeypatch):
+    # x is pinned to a value nested 3000 deep in its cars: far past Python's
+    # stack, well within a cap of 10000
+    deep = NIL
+    for _ in range(3000):
+        deep = Cons(deep, NIL)
+    w = with_settings(make_world(TREE_WALK), depth_cap=10000)
+    clause = clause_of(term(conjecture))
+    alist = {"n": ("nat",), "x": (SingletonRestriction(deep),)}
+    reruns = Counter()
+    rerun = evaluator.rerun_deeper
+
+    def counted(world, run, *args):
+        reruns["n"] += 1
+        return rerun(world, run, *args)
+
+    monkeypatch.setattr(evaluator, "rerun_deeper", counted)
+    got = run_trials(clause, alist, w, 24, 40)
+    generated_reruns = reruns.pop("n")
+    expected = run_trials_one_by_one(clause, alist, w, 24, 40)
+    assert _report_fields(got) == _report_fields(expected)
+    # one rerun for each test that overflowed, as at the oracle
+    assert generated_reruns == reruns["n"] > 0
+    assert expected.witnesses and expected.counterexamples and not expected.erroring
+
+
+def test_a_hypothesis_past_the_depth_cap_reports_the_cap():
+    w = with_settings(make_world("(defun dep (n) (if (posp n) (dep (- n 1)) 0))"), depth_cap=6)
+    clause = clause_of(term("(implies (and (natp n) (equal (dep n) 0)) (< n 3))"))
+    report = run_trials(clause, extract_restrictions(clause, w), w, 24, 200)
+    assert report.first_error == "recursion depth cap of 6 exceeded (likely nonterminating definition)"
+    assert 0 < report.erroring < report.trials_run == 200
+    assert report.counterexamples and report.witnesses
+    assert _report_fields(report) == _report_fields(run_trials_one_by_one(
+        clause, extract_restrictions(clause, w), w, 24, 200))
+
+
+@pytest.mark.parametrize("conjecture, alist", [
+    ("(equal (+ 1 1) 2)", {}),
+    ("(implies (equal x 3) (< x 4))", {"x": (SingletonRestriction(3),)}),
+], ids=["ground", "pinned"])
+@pytest.mark.parametrize("mode, runs", [("random", 37), ("exhaustive", 1), ("mixed", 1)])
+def test_a_clause_with_no_drawn_variable_runs_exactly_its_trials(conjecture, alist, mode, runs, monkeypatch):
+    # random mode runs every trial without a draw; the box of no indices has
+    # one point, which exhaustive mode runs once
+    def no_draw(self):
+        raise AssertionError("an index was drawn")
+
+    monkeypatch.setattr(IndexSource, "geometric", no_draw)
+    w = with_settings(make_world(), mode=mode)
+    report = run_trials(clause_of(term(conjecture)), alist, w, 24, 37)
+    assert (report.mode, report.trials_run, report.satisfied) == ("exhaustive" if runs == 1 else "random", runs, runs)
+    assert report.unique_satisfied == len(report.witnesses) == 1
