@@ -23,8 +23,7 @@ terms at once, as Python locals, and gives every term the whole cap; it is
 kept on the chain. A clause's trials run in one function made for each
 ``testgen.run_trials`` call (``trial_loop``): it holds each variable in a
 local, decodes the indices it has not seen, and inlines the conjunction and
-the conclusion, so a trial calls no term's function; a test that goes past
-the depth cap or the Python stack runs again through ``evaluate``.
+the conclusion, so a trial calls no term's function.
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter
   does, and in their test position a built-in predicate (``consp``,
@@ -35,12 +34,14 @@ the depth cap or the Python stack runs again through ``evaluate``.
   the argument values as positional arguments;
 - a defun is called through a per-world slot in that namespace, which
   generates the body's function on its first call and then holds it (worlds
-  only grow and redefinition is rejected, so nothing goes stale);
+  only grow and redefinition is rejected, so nothing goes stale); a call
+  past the depth cap raises ``DepthExceededError`` itself, with the cap it
+  reads through the namespace's ``w_cap``;
 - a call to a name the world lacks, or with a wrong argument count, goes
   through ``w_call`` after its arguments, which looks the name up when it
   runs, so a defun admitted since is called; a malformed special form or a
   non-term raises before its arguments; a variable the binding lacks raises
-  where evaluation reaches it, in the term emitted again with it unbound.
+  where evaluation reaches it, in the term emitted again for that binding.
 
 ``Source`` is the emitter core that ``_Emitter`` and datadef's type emitter
 build on. Quoted constants become parameters of a maker function, so the
@@ -51,14 +52,15 @@ Python's parser limits moves into a helper function. A world's namespace is
 cleared when the world is freed, which breaks the cycle between it and the
 defun functions it holds, so a finished world is freed by reference counting.
 
-Generated code is the only evaluation path. It raises every error when
-evaluation reaches it, in the order and with the class and message of the
-explicit work-stack interpreter in the tests (``tests/oracle.py``), the oracle
-they check it against and "the interpreter" this module's comments name. It
-recurses on the Python stack, far shallower than the depth cap: an
-evaluation, chain, decode or recognition that overflows it runs once more, code
-generation included, on a thread sized to the cap (``rerun_deeper``); a trial
-whose test overflows runs it once more through ``evaluate``.
+Generated code is the only evaluation path. It raises every error itself,
+the depth cap's included, when evaluation reaches it, in the order and with
+the class and message of the explicit work-stack interpreter in the tests
+(``tests/oracle.py``), the oracle they check it against and "the interpreter"
+this module's comments name. It recurses on the Python stack, far shallower
+than the depth cap: an evaluation, chain, decode or recognition that
+overflows it runs once more, code generation included, on a thread sized to
+the cap (``rerun_deeper``), the one fallback, which a trial's test takes
+through ``evaluate``.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -253,10 +255,7 @@ def evaluate(term: Term, binding: Binding, world) -> Value:
         try:
             return _code(term, world)(binding, cap)
         except _Unbound:
-            unbound = {name for name in free_vars(term) if name not in binding}
-            return _generate(world, term, unbound=unbound)(binding, cap)
-    except _OutOfDepth:
-        raise DepthExceededError(cap) from None
+            return _generate(world, term, bound=binding)(binding, cap)
     except RecursionError:
         return rerun_deeper(world, evaluate, term, binding, world)
 
@@ -334,14 +333,10 @@ def with_deeper_rerun(fn):
 # user-function nesting still allowed under the depth cap
 
 
-class _OutOfDepth(Exception):
-    """Raised by generated code past the depth cap; evaluate reports the cap."""
-
-
 class _Unbound(Exception):
     """Raised on entry by a term's or a chain's function whose binding lacks
-    one of its variables; evaluate or run_chain runs it emitted again with
-    those variables unbound."""
+    one of its variables; evaluate or run_chain runs it emitted again for
+    that binding."""
 
 
 def _raise(error_class, arg):
@@ -362,22 +357,28 @@ def _late_call(world, name: str, rem: int, args):
     return world.namespace[_defun_slot(world, name)](rem, *args)
 
 
-def _code(term: Term, world):
-    """The term's generated function in this world, memoised on the term object.
+def _kept(holder, world, make, *args):
+    """``make(world, *args)``, made once per world and kept on ``holder``.
 
     Neither the memo nor the function holds the world strongly: a defun body
     is a term the world holds, and a reference cycle through it would keep a
     finished world alive until the cyclic collector runs."""
     try:
-        owner, code = term._compiled
+        owner, code = holder._compiled
         if owner() is world:
             return code
     except AttributeError:
         pass
-    code = _generate(world, term)
-    if type(term) in (App, Var, Quote):
-        object.__setattr__(term, "_compiled", (weakref.ref(world), code))
+    code = make(world, *args)
+    object.__setattr__(holder, "_compiled", (weakref.ref(world), code))
     return code
+
+
+def _code(term: Term, world):
+    """The term's generated function in this world, kept on the term object."""
+    if type(term) in (App, Var, Quote):
+        return _kept(term, world, _generate, term)
+    return _generate(world, term)
 
 
 class Chain:
@@ -393,19 +394,10 @@ class Chain:
 
     def __init__(self, steps):
         self.steps = steps
-        self._compiled = None
 
-    def code(self, world, unbound=()):
-        """The generated function ``f(env, wild, rem)``; with no ``unbound``
-        variable it is made on the first call and kept, with the world
-        weakly."""
-        if not unbound and self._compiled is not None and self._compiled[0]() is world:
-            return self._compiled[1]
-        em = _Emitter(world, None)
-        code = em.make(em.chain(self.steps, unbound))
-        if not unbound:
-            self._compiled = (weakref.ref(world), code)
-        return code
+    def code(self, world):
+        """The generated function ``f(env, wild, rem)``, kept on the chain."""
+        return _kept(self, world, _generate_chain, self.steps)
 
 
 @with_deeper_rerun
@@ -416,15 +408,9 @@ def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value
     raise; an overflow of the Python stack runs the whole chain once more."""
     cap = world.settings.depth_cap
     try:
-        try:
-            return chain.code(world)(env, wild, cap)
-        except _Unbound:
-            names, items = chain.steps[0]
-            read = (name for _, t in items if t is not None for name in free_vars(t))
-            unbound = {name for name in read if name not in env and name not in names}
-            return chain.code(world, unbound)(env, wild, cap)
-    except _OutOfDepth:
-        raise DepthExceededError(cap) from None
+        return chain.code(world)(env, wild, cap)
+    except _Unbound:
+        return _generate_chain(world, chain.steps, env)(env, wild, cap)
 
 
 def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusion: Term):
@@ -440,15 +426,15 @@ def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusi
     its types' dicts lack, keeping each value while ``room`` lasts; tests
     ``hypothesis`` (None for true) and then, once per distinct tuple of
     values, the conclusion; and is remembered while ``memo`` holds fewer than
-    ``capacity``. A test that goes past the depth cap ``rem`` or overflows the
-    Python stack runs again as ``evaluate(term, binding, world)``."""
+    ``capacity``. A test that overflows the Python stack runs again as
+    ``evaluate(term, binding, world)``, which reruns it deeper."""
     em = _Emitter(world, None)
     return em.make(em.trials(names, drawn, pinned, hypothesis, conclusion))
 
 
 # the names every generated function may read; a world's namespace adds
-# ``w_evaluate`` and ``w_call``, the host functions (h_NAME) and the defun
-# slots (d_NAME) its code calls, and datadef's type names and slots
+# ``w_evaluate``, ``w_call`` and ``w_cap``, the host functions (h_NAME) and the
+# defun slots (d_NAME) its code calls, and datadef's type names and slots
 _PRELUDE = {
     "__builtins__": builtins,
     "_T": T,
@@ -459,24 +445,25 @@ _PRELUDE = {
     "_plus": _plus,
     "_minus": _minus,
     "_times": _times,
-    "_OutOfDepth": _OutOfDepth,
     "_Unbound": _Unbound,
     "_raise": _raise,
     "_EvaluationError": EvaluationError,
     "_UnboundVariableError": UnboundVariableError,
+    "_DepthExceededError": DepthExceededError,
     "_check_arity": _check_arity,
 }
 
 
 def new_namespace(world) -> dict:
     """The globals of a world's generated functions, made with the world.
-    ``w_evaluate`` is the world's ``evaluate`` and ``w_call(name, rem, *args)``
-    its late-bound call, both holding the world weakly; a custom type's code
-    calls the first. A defun's function sits in the namespace and reads it, a
-    cycle that is cleared when the world is freed."""
+    ``w_evaluate`` is the world's ``evaluate``, ``w_call(name, rem, *args)``
+    its late-bound call and ``w_cap()`` its depth cap, each holding the world
+    weakly. A defun's function sits in the namespace and reads it, a cycle
+    that is cleared when the world is freed."""
     owner = weakref.ref(world)
     ns = dict(_PRELUDE, w_evaluate=lambda term, binding: evaluate(term, binding, owner()),
-              w_call=lambda name, rem, *args: _late_call(owner(), name, rem, args))
+              w_call=lambda name, rem, *args: _late_call(owner(), name, rem, args),
+              w_cap=lambda: owner().settings.depth_cap)
     weakref.finalize(world, ns.clear)
     return ns
 
@@ -526,11 +513,18 @@ class Source:
         return FunctionType(_maker_code(source), self.world.namespace)(*self.consts)
 
 
-def _generate(world, term: Term, formals=None, unbound=()):
+def _generate(world, term: Term, formals=None, bound=None):
     """The generated function for a term (``formals`` None) or for a defun
-    body; the ``unbound`` variables raise where evaluation reaches them."""
-    em = _Emitter(world, formals, unbound)
+    body; given the ``bound`` binding, a variable it lacks raises where
+    evaluation reaches it."""
+    em = _Emitter(world, formals, bound)
     return em.make(em.function(term))
+
+
+def _generate_chain(world, steps, bound=None):
+    """The generated function for a ``Chain``'s steps, ``bound`` as above."""
+    em = _Emitter(world, None, bound)
+    return em.make(em.chain(steps))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -634,12 +628,13 @@ class _Emitter(Source):
     are recognised by name (no name is ever redefined); any other host
     function or defun is registered in the world's namespace. A call that is
     not well formed goes through ``w_call``, after the arguments the
-    interpreter would evaluate first."""
+    interpreter would evaluate first. Given the ``bound`` binding, a variable
+    that is neither a local nor bound raises where evaluation reaches it."""
 
-    def __init__(self, world, formals, unbound=()):
+    def __init__(self, world, formals, bound=None):
         super().__init__(world)
         self.formals = formals
-        self.unbound = unbound
+        self.bound = bound
         # variable -> Python identifier: a defun's formals, or a term's
         # variables as they are met
         self.locals = {} if formals is None else {name: _ident("v_", name) for name in formals}
@@ -649,7 +644,7 @@ class _Emitter(Source):
         body = self.value(term)[0]
         if self.formals is not None:
             entry = (f"    def _f({', '.join(['rem', *self.locals.values()])}):\n"
-                     "        if rem <= 0:\n            raise _OutOfDepth\n        rem -= 1\n")
+                     "        if rem <= 0:\n            raise _DepthExceededError(w_cap())\n        rem -= 1\n")
         elif self.locals:
             reads = "".join([f"            {ident} = env[{name!r}]\n" for name, ident in self.locals.items()])
             entry = f"    def _f(env, rem):\n        try:\n{reads}        except KeyError:\n            raise _Unbound from None\n"
@@ -657,15 +652,12 @@ class _Emitter(Source):
             entry = "    def _f(env, rem):\n"
         return f"{entry}        return {body}\n"
 
-    def chain(self, steps, unbound) -> str:
-        """The source of ``_f(env, wild, rem)``, which runs a ``Chain``'s
-        steps; the ``unbound`` variables of the first step raise where
-        evaluation reaches them."""
+    def chain(self, steps) -> str:
+        """The source of ``_f(env, wild, rem)``, which runs a ``Chain``'s steps."""
         if not steps:
             return "    def _f(env, wild, rem):\n        return dict(env)\n"
         lines: list[str] = []
         for i, (names, items) in enumerate(steps):
-            self.unbound = unbound if i == 0 else ()
             wild = [self.locals.setdefault(name, _ident("v_", name)) for name in names]
             if wild:
                 lines.append(" = ".join([*wild, "wild"]))
@@ -697,11 +689,11 @@ class _Emitter(Source):
             return "".join(f"{' ' * indent}{text}\n" for text in texts)
 
         def checked(indent, target, term):
-            # a test past the depth cap or the Python stack runs again through
-            # evaluate, which reports the cap or reruns deeper
+            # a test that overflows the Python stack runs again through
+            # evaluate, which reruns it deeper
             rerun = self.truthy(f"evaluate({self.const(term)}, {binding}, world)")
             return lines(indent, "try:", f"    {target} = {self.test(term)[0]}",
-                         "except (_OutOfDepth, RecursionError):", f"    {target} = {rerun}")
+                         "except RecursionError:", f"    {target} = {rerun}")
 
         decodes = ""
         for j, (name, t) in enumerate(drawn):
@@ -741,7 +733,7 @@ class _Emitter(Source):
             return text, depth
         names: dict = {}
         for t in terms:
-            names.update(dict.fromkeys(name for name in free_vars(t) if name not in self.unbound))
+            names.update(dict.fromkeys(name for name in free_vars(t) if name in self.locals))
         params = ", ".join(["rem", *(self.locals[name] for name in names)])
         helper = self.helper(lambda name: f"    def {name}({params}):\n        return {text}\n")
         return f"{helper}({params})", 1
@@ -751,10 +743,10 @@ class _Emitter(Source):
     def value(self, t) -> tuple[str, int]:
         tt = type(t)
         if tt is Var:
-            if t.name in self.unbound:
-                return f"_raise(_UnboundVariableError, {t.name!r})", 1
             ident = self.locals.get(t.name)
             if ident is None:
+                if self.bound is not None and t.name not in self.bound:
+                    return f"_raise(_UnboundVariableError, {t.name!r})", 1
                 ident = self.locals[t.name] = _ident("v_", t.name)
             return ident, 0
         if tt is Quote:

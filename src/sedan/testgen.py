@@ -15,9 +15,9 @@ variable order.
 
 A clause's trials run in one generated function (``evaluator.trial_loop``):
 each variable is a local, a singleton a constant, and the conjunction and the
-conclusion are inlined, so a trial makes no ``evaluate`` call. Only a test
-that goes past the depth cap or the Python stack runs again through
-``evaluate``, for its error text and its deeper rerun.
+conclusion are inlined, so a trial makes no ``evaluate`` call. Generated
+code raises the depth cap's error itself; only a test that overflows the
+Python stack runs again through ``evaluate``, for its deeper rerun.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .datadef import (
     recognizer_name,
     sample,
 )
-# the trial loop's fallback for a test past the depth cap or the Python stack
+# the trial loop's fallback for a test that overflows the Python stack
 from .evaluator import evaluate, trial_loop
 from .rand import IndexSource
 from .terms import QNIL, App, Quote, Term, Var, is_negation, negate
@@ -153,10 +153,11 @@ def run_trials(
     restrictions, in variable order, and then the hypotheses. The clause's
     trials run in one generated function (``evaluator.trial_loop``), which
     holds each variable in a local and inlines the conjunction and the
-    conclusion. Decoders, recognizers and evaluation are deterministic, so a
-    trial's outcome is a function of its tuple; a tuple seen before adds its
-    remembered outcome to the counts without being decoded or evaluated
-    again. The memo holds at most ``OUTCOME_MEMO_CAPACITY`` tuples; past that,
+    conclusion; a test past the depth cap raises there, and only one that
+    overflows the Python stack runs again through ``evaluate``. Decoders,
+    recognizers and evaluation are deterministic, so a trial's outcome is a
+    function of its tuple; a tuple seen before adds its remembered outcome to
+    the counts without being decoded or evaluated again. The memo holds at most ``OUTCOME_MEMO_CAPACITY`` tuples; past that,
     new tuples run in full. A new tuple takes each value from its type's
     decoded values, shared by the variables of that type and filled in every
     mode, and decodes through ``sample`` only an index not decoded before;

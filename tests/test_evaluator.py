@@ -329,7 +329,7 @@ def test_edge_terms_and_a_non_term_give_the_interpreters_outcome():
     w = make_world()
     bad = App("cons", (Var("z"), 5))  # a non-term raises after the arguments before it
     assert outcome(_interpret, bad, {"z": 1}, None, w) == (EvaluationError, "not a term: 5")
-    for t, binding in ((bad, {}), (bad, {"z": 1}), (term("(and)"), {}), (term("(or)"), {}),
+    for t, binding in ((bad, {}), (bad, {"z": 1}), (5, {}), (term("(and)"), {}), (term("(or)"), {}),
                        (term("(mystery (car 1 2))"), {}), (term("(mystery 1)"), {}),
                        (term("(if (implies 1) 2 3)"), {})):
         assert outcome(evaluate, t, binding, None, w) == outcome(_interpret, t, binding, None, w)

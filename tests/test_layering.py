@@ -204,3 +204,12 @@ def test_only_the_evaluator_handles_a_stack_overflow():
     # module sees only EvaluationError
     readers = {m: _loads(m, {"RecursionError"}) for m in MODULES}
     assert {m for m, lines in readers.items() if lines} == {"evaluator"}, readers
+
+
+def test_generated_code_raises_only_evaluation_errors():
+    # every error generated code raises reaches its caller as it is, so no
+    # entry translates one; _Unbound only asks evaluate or run_chain to emit
+    # the code again for the binding, and never escapes them
+    raised = {v for v in evaluator._PRELUDE.values() if isinstance(v, type) and issubclass(v, BaseException)}
+    assert all(issubclass(cls, evaluator.EvaluationError) for cls in raised - {evaluator._Unbound}), raised
+    assert evaluator._Unbound in raised and evaluator.DepthExceededError in raised

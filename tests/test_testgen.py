@@ -261,7 +261,7 @@ def test_erroring_custom_recognizer_in_a_residual_check_counts_as_erroring():
     )
     report = run_trials(clause_of(term("(equal x x)")), {"x": ("nat", "ev")}, w, 5, 40)
     assert report.erroring > 0 and report.erroring + report.satisfied == 40
-    assert "depth cap of 50" in report.first_error
+    assert report.first_error == "recursion depth cap of 50 exceeded (likely nonterminating definition)"
 
 
 RESIDUAL_CASES = [
@@ -642,8 +642,8 @@ def test_the_generated_trial_loop_reports_as_the_interpreted_loop(run):
     assert bindings(got) == bindings(expected)
 
 
-# -- the generated loop's fallback: a test past the depth cap or the Python
-# stack runs again through evaluate
+# -- the generated loop's fallback: a test that overflows the Python stack runs
+# again through evaluate; one past the depth cap raises the cap's error itself
 
 TREE_WALK = "(defun size (x) (if (consp x) (+ 1 (size (car x)) (size (cdr x))) 0))"
 
@@ -676,6 +676,20 @@ def test_a_test_that_overflows_the_python_stack_reruns_as_the_oracle_does(conjec
     # one rerun for each test that overflowed, as at the oracle
     assert generated_reruns == reruns["n"] > 0
     assert expected.witnesses and expected.counterexamples and not expected.erroring
+
+
+def test_a_conclusion_past_the_depth_cap_reports_the_cap_without_a_rerun(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a test past the depth cap ran again through evaluate")
+
+    w = with_settings(make_world("(defun spin (n) (if (natp n) (spin (+ n 1)) n))"), depth_cap=50)
+    clause = clause_of(term("(implies (natp x) (natp (spin x)))"))
+    expected = run_trials_one_by_one(clause, extract_restrictions(clause, w), w, 24, 100)
+    monkeypatch.setattr(testgen, "evaluate", forbidden)
+    report = run_trials(clause, extract_restrictions(clause, w), w, 24, 100)
+    assert report.first_error == "recursion depth cap of 50 exceeded (likely nonterminating definition)"
+    assert report.erroring == report.satisfied == report.trials_run == 100
+    assert _report_fields(report) == _report_fields(expected)
 
 
 def test_a_hypothesis_past_the_depth_cap_reports_the_cap():
