@@ -40,9 +40,7 @@ namespace's ``w_evaluate``, which holds the world weakly. The source depends
 only on the type's shape, so ``compile()`` runs once per shape for every
 world. No generated function holds its world, so a finished world is freed
 by reference counting. A recursive type's functions recurse once per level of
-the value, so ``enumerate_value``, ``recognize`` and each index of a subtype's
-evidence check run once more on a deeper stack when a value overflows
-Python's (``evaluator.with_deeper_rerun``).
+the value, and an evidence index that overflows the Python stack errs.
 
 Only this module reads a type expression, and it defines the base types'
 recognizers (``natp``, ...) too, in ``install_base_types``.
@@ -56,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_deeper_rerun
+from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_overflow_error
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -565,7 +563,6 @@ class _TypeEmitter(Source):
 # public operations
 
 
-@with_deeper_rerun
 def enumerate_value(world, name: str, n: int) -> Value:
     """Total surjective map from naturals onto the named type's extent."""
     return world.namespace[lazy_slot(world, "e_", name, _decoder)](n)
@@ -576,12 +573,11 @@ def enumerate_value(world, name: str, n: int) -> Value:
 sample = enumerate_value
 
 
-@with_deeper_rerun
 def recognize(world, name: str, v: Value) -> bool:
     return world.namespace[lazy_slot(world, "r_", name, _recognizer)](v)
 
 
-@with_deeper_rerun
+@with_overflow_error
 def _evidence(world, decode: str, rec: str, i: int):
     """The value at index ``i`` of the type whose decoder slot is ``decode``,
     and whether the recognizer slot ``rec`` accepts it."""
@@ -818,9 +814,9 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
 
     The check runs recognize(t2, enumerate(t1, i)) for i in [0, N). Following
     a failure the edge is rejected with the witness index and value, and an
-    index whose enumeration or recognition raises rejects it too; an index
-    that overflows the Python stack reruns deeper on its own. ``trust`` skips
-    the check (for curated corpus files).
+    index whose enumeration or recognition raises, or overflows the Python
+    stack, rejects it too. ``trust`` skips the check (for curated corpus
+    files).
     """
     for name in (t1, t2):
         if name not in world.types.entries:

@@ -56,11 +56,11 @@ Generated code is the only evaluation path. It raises every error itself,
 the depth cap's included, when evaluation reaches it, in the order and with
 the class and message of the explicit work-stack interpreter in the tests
 (``tests/oracle.py``), the oracle they check it against and "the interpreter"
-this module's comments name. It recurses on the Python stack, far shallower
-than the depth cap: an evaluation, chain, decode or recognition that
-overflows it runs once more, code generation included, on a thread sized to
-the cap (``rerun_deeper``), the one fallback, which a trial's test takes
-through ``evaluate``.
+this module's comments name. It recurses on the Python stack, whose default
+depth is far below the depth cap, so a session runs each form that evaluates
+once, on a thread whose stack is sized to the cap (``on_sized_stack``). An
+overflow of the stack is an ``EvaluationError`` (``stack_overflow_error``)
+per evaluation, lift, evidence index and trial.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -257,10 +257,10 @@ def evaluate(term: Term, binding: Binding, world) -> Value:
         except _Unbound:
             return _generate(world, term, bound=binding)(binding, cap)
     except RecursionError:
-        return rerun_deeper(world, evaluate, term, binding, world)
+        raise stack_overflow_error(world) from None
 
 
-# a rerun thread's recursion limit: frames per level of user-function nesting
+# a form's thread's recursion limit: frames per level of user-function nesting
 # (a defun's function, helpers its body moved into, a custom type's evaluation;
 # 1 to 3 measured), plus a margin for the frames below and for generating code;
 # its stack allows this many bytes of C stack per frame
@@ -268,24 +268,24 @@ _FRAMES_PER_LEVEL = 8
 _FRAME_MARGIN = 4096
 _STACK_BYTES_PER_FRAME = 512
 
-_rerun = threading.local()
+_stack = threading.local()  # .refused: why this thread's form has no sized stack
 
 
-def rerun_deeper(world, run, *args):
-    """``run(*args)`` run once more, after it overflowed the Python stack, on a
-    daemon thread whose recursion limit and stack size are sized to the
-    world's depth cap. The thread raises the recursion limit for its run and
-    restores it at its own shallow depth, where any limit can be set back. On
-    that thread a nested evaluation does not rerun: an overflow there, or a
-    thread that cannot start, is an ``EvaluationError``."""
-    cap = world.settings.depth_cap
-    if getattr(_rerun, "active", False):
-        raise EvaluationError(f"the Python stack overflowed within the depth cap of {cap}")
+def stack_overflow_error(world) -> EvaluationError:
+    """The error a Python stack overflow is: on a form with no sized stack, why."""
+    refused = getattr(_stack, "refused", None)
+    return EvaluationError(refused or f"the Python stack overflowed within the depth cap of {world.settings.depth_cap}")
+
+
+def on_sized_stack(cap: int, run, *args):
+    """``run(*args)``'s result or exception, run on a daemon thread whose
+    recursion limit and stack are sized to the depth cap ``cap``; the thread
+    restores the limit at its own shallow depth. If no such thread starts,
+    ``run`` runs here, and an overflow's error says why."""
     frames = _FRAMES_PER_LEVEL * cap + _FRAME_MARGIN
     outcome: list = []
 
-    def rerun():
-        _rerun.active = True
+    def sized():
         limit = sys.getrecursionlimit()
         try:
             sys.setrecursionlimit(max(limit, frames))
@@ -298,14 +298,17 @@ def rerun_deeper(world, run, *args):
     stack_size = threading.stack_size()
     try:
         threading.stack_size(frames * _STACK_BYTES_PER_FRAME)
-        thread = threading.Thread(target=rerun, daemon=True)
+        thread = threading.Thread(target=sized, daemon=True)
         thread.start()
-    except RecursionError:
-        raise  # the caller is itself too deep: an outer evaluation reruns
     except (RuntimeError, ValueError, OverflowError) as e:
-        raise EvaluationError(f"cannot start a thread with a Python stack for the depth cap of {cap}: {e}") from None
+        thread, _stack.refused = None, f"cannot start a thread with a Python stack for the depth cap of {cap}: {e}"
     finally:
         threading.stack_size(stack_size)
+    if thread is None:
+        try:
+            return run(*args)
+        finally:
+            del _stack.refused
     thread.join()
     returned, result = outcome.pop()
     if returned:
@@ -313,16 +316,15 @@ def rerun_deeper(world, run, *args):
     raise result
 
 
-def with_deeper_rerun(fn):
-    """``fn(world, *args)``, run once more through ``rerun_deeper`` when it
-    overflows the Python stack."""
+def with_overflow_error(fn):
+    """``fn(world, *args)``, raising ``stack_overflow_error`` on an overflow."""
 
     @functools.wraps(fn)
     def run(world, *args):
         try:
             return fn(world, *args)
         except RecursionError:
-            return rerun_deeper(world, run, world, *args)
+            raise stack_overflow_error(world) from None
 
     return run
 
@@ -400,12 +402,12 @@ class Chain:
         return _kept(self, world, _generate_chain, self.steps)
 
 
-@with_deeper_rerun
+@with_overflow_error
 def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value]:
     """The chain's result from ``env``, its don't-cares set to ``wild``. Each
     term may nest user functions to the depth cap, as ``evaluate`` lets it,
     and the first error is the one that evaluating the terms one by one would
-    raise; an overflow of the Python stack runs the whole chain once more."""
+    raise; an overflow of the Python stack is one error for the whole chain."""
     cap = world.settings.depth_cap
     try:
         return chain.code(world)(env, wild, cap)
@@ -415,7 +417,7 @@ def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value
 
 def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusion: Term):
     """A clause's trial loop as one generated function ``f(tuples, memo,
-    capacity, room, decode, world, evaluate, report, rem, *decoded)``, which
+    capacity, room, decode, world, report, rem, *decoded)``, which
     runs the trials of ``testgen.run_trials`` and sets ``report``'s counts.
 
     The variables ``names`` are each ``pinned`` to a value or ``drawn``, a
@@ -426,8 +428,7 @@ def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusi
     its types' dicts lack, keeping each value while ``room`` lasts; tests
     ``hypothesis`` (None for true) and then, once per distinct tuple of
     values, the conclusion; and is remembered while ``memo`` holds fewer than
-    ``capacity``. A test that overflows the Python stack runs again as
-    ``evaluate(term, binding, world)``, which reruns it deeper."""
+    ``capacity``. A trial that overflows the Python stack errs."""
     em = _Emitter(world, None)
     return em.make(em.trials(names, drawn, pinned, hypothesis, conclusion))
 
@@ -450,6 +451,7 @@ _PRELUDE = {
     "_EvaluationError": EvaluationError,
     "_UnboundVariableError": UnboundVariableError,
     "_DepthExceededError": DepthExceededError,
+    "_stack_overflow_error": stack_overflow_error,
     "_check_arity": _check_arity,
 }
 
@@ -582,7 +584,7 @@ def _tests_inline(fn: str, n: int) -> bool:
 # 0 for a vacuous trial, 1 for an erroring one, 2 for a satisfied one and 3
 # for one satisfied by values whose conclusion raised
 _TRIAL_LOOP = """\
-    def _f(tuples, memo, capacity, room, decode, world, evaluate, report, rem{decoded}):
+    def _f(tuples, memo, capacity, room, decode, world, report, rem{decoded}):
         trials_run = satisfied = erroring = unique = erroring_unique = 0
         first_error = None
         seen = {{}}
@@ -591,9 +593,10 @@ _TRIAL_LOOP = """\
             outcome = memo.get(trial)
             if outcome is None:
 {unpack}                try:
-{decodes}{hypothesis}                except _EvaluationError as e:
+{decodes}                    ok = {hypothesis}
+                except (_EvaluationError, RecursionError) as e:
                     if first_error is None:
-                        first_error = str(e)
+                        first_error = str(_stack_overflow_error(world) if type(e) is RecursionError else e)
                     outcome = 1
                 else:
                     outcome = 0
@@ -603,10 +606,11 @@ _TRIAL_LOOP = """\
                         if outcome is None:
                             unique += 1
                             try:
-{conclusion}                            except _EvaluationError as e:
+                                holds = {conclusion}
+                            except (_EvaluationError, RecursionError) as e:
                                 erroring_unique += 1
                                 if first_error is None:
-                                    first_error = str(e)
+                                    first_error = str(_stack_overflow_error(world) if type(e) is RecursionError else e)
                                 outcome = seen[key] = 3
                             else:
                                 (report.witnesses if holds else report.counterexamples).append({binding})
@@ -683,17 +687,9 @@ class _Emitter(Source):
         type_consts = [self.const(t) for t in types]
         for name in names:
             self.locals[name] = self.const(pinned[name]) if name in pinned else _ident("v_", name)
-        binding = "{" + ", ".join(f"{name!r}: {self.locals[name]}" for name in names) + "}"
 
         def lines(indent, *texts):
             return "".join(f"{' ' * indent}{text}\n" for text in texts)
-
-        def checked(indent, target, term):
-            # a test that overflows the Python stack runs again through
-            # evaluate, which reruns it deeper
-            rerun = self.truthy(f"evaluate({self.const(term)}, {binding}, world)")
-            return lines(indent, "try:", f"    {target} = {self.test(term)[0]}",
-                         "except RecursionError:", f"    {target} = {rerun}")
 
         decodes = ""
         for j, (name, t) in enumerate(drawn):
@@ -705,10 +701,10 @@ class _Emitter(Source):
             decoded="".join(f", d{i}" for i in range(len(types))),
             unpack=lines(16, "".join(f"i{j}, " for j in range(len(drawn))) + "= trial") if drawn else "",
             decodes=decodes,
-            hypothesis=checked(20, "ok", hypothesis) if hypothesis is not None else lines(20, "ok = True"),
+            hypothesis=self.test(hypothesis)[0] if hypothesis is not None else "True",
             key="".join(f"{self.locals[name]}, " for name in names),
-            conclusion=checked(32, "holds", conclusion),
-            binding=binding,
+            conclusion=self.test(conclusion)[0],
+            binding="{" + ", ".join(f"{name!r}: {self.locals[name]}" for name in names) + "}",
         )
 
     # -- pieces -----------------------------------------------------------

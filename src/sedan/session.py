@@ -2,7 +2,8 @@
 
 Form processing stops at the first admission error, since later forms depend
 on the world. Falsified test?/thm forms are outcomes, not errors; the session
-continues past them and they drive the exit code instead.
+continues past them and they drive the exit code instead. A form that
+evaluates runs on a stack sized to its depth cap (``evaluator.on_sized_stack``).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .datadef import (
     compile_type_expr,
     register_defdata,
 )
+from .evaluator import on_sized_stack
 from .forms import (
     DefdataForm,
     DefdataSubtypeForm,
@@ -88,7 +90,11 @@ class _Session:
     def run_forms(self, text: str, directory: str) -> bool:
         """Admit or run each form of ``text`` in order; False once one fails."""
         for form in parse_forms(text):
-            if not self.process_form(form, directory):
+            if isinstance(form, (TestForm, ThmForm, DefdataForm, DefdataSubtypeForm)):
+                admitted = on_sized_stack(self.world.settings.depth_cap, self.process_form, form, directory)
+            else:
+                admitted = self.process_form(form, directory)
+            if not admitted:
                 return False
         return True
 

@@ -16,8 +16,8 @@ variable order.
 A clause's trials run in one generated function (``evaluator.trial_loop``):
 each variable is a local, a singleton a constant, and the conjunction and the
 conclusion are inlined, so a trial makes no ``evaluate`` call. Generated
-code raises the depth cap's error itself; only a test that overflows the
-Python stack runs again through ``evaluate``, for its deeper rerun.
+code raises the depth cap's error itself, and a trial that overflows the
+Python stack errs once, with the overflow's ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .datadef import (
     recognizer_name,
     sample,
 )
-# the trial loop's fallback for a test that overflows the Python stack
+# no trial calls evaluate; the name stays here for perfbench's tracer
 from .evaluator import evaluate, trial_loop
 from .rand import IndexSource
 from .terms import QNIL, App, Quote, Term, Var, is_negation, negate
@@ -153,8 +153,8 @@ def run_trials(
     restrictions, in variable order, and then the hypotheses. The clause's
     trials run in one generated function (``evaluator.trial_loop``), which
     holds each variable in a local and inlines the conjunction and the
-    conclusion; a test past the depth cap raises there, and only one that
-    overflows the Python stack runs again through ``evaluate``. Decoders,
+    conclusion; a test past the depth cap raises there, and a trial that
+    overflows the Python stack errs there too. Decoders,
     recognizers and evaluation are deterministic, so a trial's outcome is a
     function of its tuple; a tuple seen before adds its remembered outcome to
     the counts without being decoded or evaluated again. The memo holds at most ``OUTCOME_MEMO_CAPACITY`` tuples; past that,
@@ -221,7 +221,7 @@ def run_trials(
     loop = trial_loop(world, var_order, drawn, pinned, hyp_term, concl)
     decoded = [{} for _ in dict.fromkeys(t for _, t in drawn)]  # per type, index -> value
     started = time.perf_counter()
-    loop(tuples, {}, capacity, room, sample, world, evaluate, report, settings.depth_cap, *decoded)
+    loop(tuples, {}, capacity, room, sample, world, report, settings.depth_cap, *decoded)
     report.elapsed = time.perf_counter() - started
     return report
 

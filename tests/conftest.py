@@ -1,4 +1,5 @@
 import os
+import threading
 from dataclasses import replace
 
 import pytest
@@ -41,6 +42,34 @@ def with_settings(world, **updates):
     """The world, its settings updated as a set-testing form would."""
     world.settings = replace(world.settings, **updates)
     return world
+
+
+# a test that refuses sedan's threads (by patching ``Thread.start``) still
+# starts its own through this
+_START = threading.Thread.start
+
+
+def on_a_plain_thread(run, *args):
+    """``run(*args)`` on a thread of its own, with the default stack and
+    recursion limit: its result, or its exception raised here. A Python stack
+    overflow there drops only that thread's trace function, so a tracing tool
+    (``tools/line_coverage.py``) keeps the main thread's."""
+    outcome = []
+
+    def plain():
+        try:
+            outcome.append((True, run(*args)))
+        except BaseException as e:
+            outcome.append((False, e))
+
+    thread = threading.Thread(target=plain)
+    _START(thread)
+    thread.join(timeout=300)
+    assert not thread.is_alive(), "the thread did not finish"
+    returned, result = outcome.pop()
+    if returned:
+        return result
+    raise result
 
 
 @pytest.fixture

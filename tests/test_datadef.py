@@ -436,7 +436,9 @@ def test_a_value_deeper_than_the_python_stack_is_recognized():
     for _ in range(3000):
         deep = Cons(deep, 0)
     try:
-        verdicts = recognize(w, "rtree", deep), recognize(w, "rtree", Cons(deep, "x"))
+        # on the stack a session gives a form
+        verdicts = tuple(evaluator.on_sized_stack(w.settings.depth_cap, recognize, w, "rtree", v)
+                         for v in (deep, Cons(deep, "x")))
     except RecursionError:
         # fail outside the handler: pytest's report of the overflow's traceback
         # compares the deep values in its frames and takes minutes

@@ -20,11 +20,13 @@ from sedan.evaluator import (
     UnboundVariableError,
     UndefinedFunctionError,
     evaluate,
+    on_sized_stack,
 )
+from sedan.session import process_source
 from sedan.terms import App, Quote, Var
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, print_value
 
-from conftest import make_world, term, with_settings
+from conftest import make_world, on_a_plain_thread, term, with_settings
 from oracle import _interpret
 
 # one representative per primitive kind of the (reduced) value universe:
@@ -130,18 +132,23 @@ def test_errors():
         ev("(car 1 2)")
 
 
+def sized_evaluate(t, binding, world):
+    """``evaluate`` on the stack a session gives a form at the world's cap."""
+    return on_sized_stack(world.settings.depth_cap, evaluate, t, binding, world)
+
+
 def test_depth_cap_is_an_error_not_nontermination():
     w = make_world("(defun spin (x) (spin x))")
     with pytest.raises(DepthExceededError):
-        evaluate(term("(spin 1)"), {}, w)
+        sized_evaluate(term("(spin 1)"), {}, w)
     # configurable
     with pytest.raises(DepthExceededError):
-        evaluate(term("(spin 1)"), {}, with_settings(w, depth_cap=10))
+        sized_evaluate(term("(spin 1)"), {}, with_settings(w, depth_cap=10))
 
 
 def test_deep_recursion_within_cap_is_fine():
     w = make_world("(defun count-down (n) (if (posp n) (+ 1 (count-down (- n 1))) 0))")
-    assert evaluate(term("(count-down 9000)"), {}, w) == 9000
+    assert sized_evaluate(term("(count-down 9000)"), {}, w) == 9000
 
 
 def test_evaluation_is_pure():
@@ -255,9 +262,10 @@ def outcome(run, t, binding, cap, world):
 @given(diff_terms, st.sampled_from([None, 10]))
 def test_compiled_evaluation_matches_the_interpreter(t, cap):
     binding = {"x": from_list([1, 2]), "y": 3}
-    assert outcome(evaluate, t, binding, cap, DIFF_WORLD) == outcome(_interpret, t, binding, cap, DIFF_WORLD)
+    expected = outcome(_interpret, t, binding, cap, DIFF_WORLD)
+    assert outcome(sized_evaluate, t, binding, cap, DIFF_WORLD) == expected
     # a second run goes through the code memoised on the term
-    assert outcome(evaluate, t, binding, cap, DIFF_WORLD) == outcome(_interpret, t, binding, cap, DIFF_WORLD)
+    assert outcome(sized_evaluate, t, binding, cap, DIFF_WORLD) == expected
 
 
 def test_small_depth_cap_is_enforced_on_the_compiled_path():
@@ -267,37 +275,47 @@ def test_small_depth_cap_is_enforced_on_the_compiled_path():
         assert evaluate(term("(cnt 9)"), {}, world) == 9  # ten nested calls
 
 
-def test_a_stack_overflow_reruns_on_a_deeper_stack(monkeypatch):
-    runs = []
-    rerun_deeper = evaluator.rerun_deeper
-    monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
+CNT = "(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))\n"
+PAST_PYTHONS_STACK = "(test? (equal (cnt 3000) 3000))\n"  # 3000 nested calls
+
+
+def test_a_call_past_pythons_default_stack_runs_on_the_forms_stack():
+    # far past Python's default stack and within the default cap of 10000:
+    # the form's thread holds the calls, and spin reaches the cap
     limit, stack_size = sys.getrecursionlimit(), threading.stack_size()
-    assert evaluate(term("(cnt 3000)"), {}, DIFF_WORLD) == 3000
-    assert len(runs) == 1  # Python's default stack is too shallow for 3000 calls
-    with pytest.raises(DepthExceededError, match="cap of 10000 exceeded"):
-        evaluate(term("(spin 1)"), {}, DIFF_WORLD)
-    assert len(runs) == 2
+    outcome, _ = process_source(CNT + PAST_PYTHONS_STACK + "(defun spin (x) (spin x))\n(test? (equal (spin 1) 1))")
+    deep, spin = outcome.forms[1].testing, outcome.forms[3].testing
+    assert (deep.satisfied, deep.erroring, len(deep.witnesses)) == (100, 0, 1)
+    assert spin.erroring == spin.trials_run == 100
+    assert spin.first_error == "recursion depth cap of 10000 exceeded (likely nonterminating definition)"
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, stack_size)
 
 
-def test_a_rerun_thread_that_cannot_start_is_an_evaluation_error(monkeypatch):
+def test_a_form_whose_thread_cannot_start_runs_on_the_callers_stack(monkeypatch):
     def refuse(self):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     limit, stack_size = sys.getrecursionlimit(), threading.stack_size()
-    with pytest.raises(EvaluationError, match="cannot start a thread") as caught:
-        evaluate(term("(cnt 3000)"), {}, DIFF_WORLD)
-    assert type(caught.value) is EvaluationError
+    outcome, _ = on_a_plain_thread(process_source, CNT + PAST_PYTHONS_STACK + "(test? (equal (cnt 30) 30))")
+    deep, shallow = outcome.forms[1].testing, outcome.forms[2].testing
+    assert deep.erroring == deep.trials_run == 100
+    assert deep.first_error == (
+        "cannot start a thread with a Python stack for the depth cap of 10000: can't start new thread")
+    assert (shallow.satisfied, shallow.erroring) == (100, 0)  # a shallow form fits the caller's stack
     assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, stack_size)
-    assert evaluate(term("(cnt 30)"), {}, DIFF_WORLD) == 30  # a shallow call needs no thread
 
 
-def test_an_overflow_on_the_rerun_thread_is_an_evaluation_error(monkeypatch):
+def test_an_overflow_on_a_forms_thread_is_an_evaluation_error(monkeypatch):
     monkeypatch.setattr(evaluator, "_FRAMES_PER_LEVEL", 0)
     monkeypatch.setattr(evaluator, "_FRAME_MARGIN", 1000)
-    with pytest.raises(EvaluationError, match="Python stack overflowed") as caught:
-        evaluate(term("(cnt 3000)"), {}, DIFF_WORLD)
+    outcome, world = process_source(CNT + PAST_PYTHONS_STACK)
+    deep = outcome.forms[1].testing
+    assert deep.erroring == deep.trials_run == 100
+    assert deep.first_error == "the Python stack overflowed within the depth cap of 10000"
+    # evaluate called on a thread of Python's own size overflows at its limit
+    with pytest.raises(EvaluationError, match="^the Python stack overflowed within the depth cap of 10000$") as caught:
+        on_a_plain_thread(evaluate, term("(cnt 3000)"), {}, world)
     assert type(caught.value) is EvaluationError
 
 

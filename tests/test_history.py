@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from sedan import evaluator, history, testgen
 from sedan.datadef import enumerate_value
+from sedan.evaluator import on_sized_stack
 from sedan.history import DONT_CARE, WILDCARD_PROBES, History, LiftOutcome
 from sedan.session import process_source
 from sedan.terms import App, Quote, Var
 from sedan.values import NIL, Cons, from_list
 from sedan.world import Settings
 
-from conftest import CORPUS_DIR, corpus_path, make_world, term, with_settings
+from conftest import CORPUS_DIR, corpus_path, make_world, on_a_plain_thread, term, with_settings
 from oracle import lift_edge_by_edge
 
 
@@ -279,21 +280,22 @@ def test_a_swap_map_reads_the_childs_values(world):
     assert out == LiftOutcome("lifted", {"a": 2, "b": 1})
 
 
-def test_a_map_term_that_overflows_the_python_stack_reruns_once(monkeypatch):
+def test_a_map_term_past_pythons_default_stack_lifts_on_the_forms_stack():
     # 3000 nested calls are within the depth cap but past Python's default
-    # stack: the lift reruns deeper, once, and lifts the value
+    # stack: on the stack a session gives a form, the lift lifts the value. No
+    # proof makes a map term nest that deep, so the lift runs on that stack
+    # through the session's helper
     world = make_world("(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))")
-    runs = []
-    rerun_deeper = evaluator.rerun_deeper
-    monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
     h = History()
     h.record_top("Goal", clause("(natp x)", "(natp y)"))
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
                   {"x": term("(cnt z)"), "y": term("(+ z 1)")}, world=world)
-    assert h.lift("Goal'", {"z": 3000}, world) == LiftOutcome("lifted", {"x": 3000, "y": 3001})
-    assert len(runs) == 1
+    lifted = on_sized_stack(world.settings.depth_cap, h.lift, "Goal'", {"z": 3000}, world)
+    assert lifted == LiftOutcome("lifted", {"x": 3000, "y": 3001})
+    # on a stack of Python's own size the whole chain errs once
+    assert on_a_plain_thread(h.lift, "Goal'", {"z": 3000}, world).reason == (
+        "evaluation error in variable map: the Python stack overflowed within the depth cap of 10000")
     assert h.lift("Goal'", {"z": 30}, world) == LiftOutcome("lifted", {"x": 30, "y": 31})
-    assert len(runs) == 1  # a shallow lift needs no thread
 
 
 def test_history_serialization_shape(world):

@@ -200,10 +200,23 @@ def test_only_generated_code_evaluates():
 
 
 def test_only_the_evaluator_handles_a_stack_overflow():
-    # a RecursionError reruns on a deeper stack in one helper; every other
-    # module sees only EvaluationError
-    readers = {m: _loads(m, {"RecursionError"}) for m in MODULES}
+    # a form that evaluates runs once on a thread sized to the depth cap, and
+    # one helper starts it; an overflow is caught only in evaluator, where
+    # every handler, generated code's included, raises or reports the one
+    # error stack_overflow_error builds, so every other module sees only
+    # EvaluationError
+    readers = {m: _loads(m, {"RecursionError", "threading"}) for m in MODULES}
     assert {m for m, lines in readers.items() if lines} == {"evaluator"}, readers
+    tree = _tree("evaluator")
+    starters = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and any(isinstance(n, ast.Attribute) and n.attr == "Thread" for n in ast.walk(fn))}
+    assert starters == {"on_sized_stack"}
+    handlers = [ast.unparse(h) for h in ast.walk(tree)
+                if isinstance(h, ast.ExceptHandler) and h.type is not None and "RecursionError" in ast.unparse(h.type)]
+    assert len(handlers) == 2 and all("stack_overflow_error(world)" in h for h in handlers), handlers
+    loop = evaluator._TRIAL_LOOP.splitlines()
+    catches = [line for line in loop if "except" in line and "RecursionError" in line]
+    assert len(catches) == 2 and len([line for line in loop if "_stack_overflow_error(world)" in line]) == 2
 
 
 def test_generated_code_raises_only_evaluation_errors():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import threading
 import weakref
 from dataclasses import fields
 
@@ -18,7 +19,7 @@ from sedan.session import process_file, process_source
 from sedan.values import NIL
 from sedan.world import SETTING_BOUNDS, AdmissionError, RewriteRule, Settings, World, describe_bound
 
-from conftest import corpus_path, make_world, term
+from conftest import corpus_path, make_world, on_a_plain_thread, term
 
 CORPUS = ["rev.lisp", "triangle.lisp", "inequality.lisp", "gen-backtrack.lisp",
           "base-rules.lisp", "cancel-rules.lisp"]
@@ -215,6 +216,34 @@ def test_deep_values_in_trials_are_recognized(tmp_path, capsys):
     # only a draw that takes mk past the depth cap errs
     assert testing["erroring"] == 1
     assert testing["first_error"].startswith("recursion depth cap of 10000 exceeded")
+
+
+SPIN = "(defun spin (n) (if (natp n) (spin (+ n 1)) n))\n(test? (implies (natp x) (natp (spin x))))\n"
+
+
+@pytest.mark.parametrize("cap, first_error", [
+    (300, "recursion depth cap of 300 exceeded (likely nonterminating definition)"),
+    (None, "recursion depth cap of 10000 exceeded (likely nonterminating definition)"),
+    # no thread with a stack for this cap can start, so the form runs on the
+    # caller's stack, and each test overflows it once
+    (100000000, "cannot start a thread with a Python stack for the depth cap of 100000000: can't start new thread"),
+], ids=["cap-300", "default-cap", "cap-1e8"])
+def test_a_nonterminating_conclusion_runs_once_per_trial(cap, first_error, monkeypatch):
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread) or start(thread))
+    settings = "(set-testing :trials 30" + ("" if cap is None else f" :depth-cap {cap}") + ")\n"
+    # a thread of the test's own, so an overflow on the caller's stack drops
+    # no tracer of the main thread's
+    outcome, _ = on_a_plain_thread(process_source, settings + SPIN)
+    assert [fr.status for fr in outcome.forms] == ["admitted"] * 3
+    testing = outcome.forms[2].testing
+    assert testing.erroring == testing.satisfied == testing.trials_run == 30
+    assert not testing.counterexamples and not testing.witnesses
+    assert testing.first_error == first_error
+    # one thread started (or tried) for the one form that evaluates, and none
+    # for a trial
+    assert len(starts) == 1
 
 
 RECURSIVE_AND_CUSTOM = """\

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedan import evaluator
-from sedan.datadef import DatadefError, SubtypeEvidenceError, add_subtype_edge, minimal_type
+from sedan.datadef import SubtypeEvidenceError, add_subtype_edge, minimal_type
+from sedan.session import process_source
 from sedan.subtypes import SubtypeGraph
 
 from conftest import make_world
@@ -175,36 +175,35 @@ DEEP_AT_3 = (
 
 
 @pytest.mark.parametrize("at_5, witness", [("5", None), ("-1", -1)])
-def test_an_evidence_index_that_overflows_the_stack_reruns_alone(monkeypatch, at_5, witness):
+def test_an_evidence_index_that_overflows_the_stack_reruns_alone(at_5, witness):
     # index 3 is a tree 3000 deep, within the depth cap but past Python's
-    # default stack: recognizing it reruns deeper, and the check goes on
-    w = make_world(DEEP_AT_3 + f"(defun nth-deep (n) (if (equal n 3) (mk 3000) (if (equal n 5) {at_5} n)))\n"
-                   "(defdata deep (custom deepp nth-deep))")
-    runs = []
-    rerun_deeper = evaluator.rerun_deeper
-    monkeypatch.setattr(evaluator, "rerun_deeper", lambda *a: runs.append(a) or rerun_deeper(*a))
+    # default stack: the form's stack holds it, and the check goes on to
+    # index 5
+    outcome, w = process_source(
+        DEEP_AT_3 + f"(defun nth-deep (n) (if (equal n 3) (mk 3000) (if (equal n 5) {at_5} n)))\n"
+        "(defdata deep (custom deepp nth-deep))\n(defdata-subtype deep tree)")
     if witness is None:
-        add_subtype_edge(w, "deep", "tree")
+        assert outcome.forms[-1].status == "admitted"
         assert w.subtypes.subsumes("deep", "tree")
     else:
-        with pytest.raises(SubtypeEvidenceError) as e:
-            add_subtype_edge(w, "deep", "tree")
-        assert (e.value.witness_index, e.value.witness_value) == (5, witness)
-    # one rerun builds the tree and one recognizes it
-    assert len(runs) == 2
+        assert outcome.forms[-1].error == (
+            f"cannot admit deep as a subtype of tree: enumerated witness at index 5 is {witness}")
+        assert not w.subtypes.subsumes("deep", "tree")
 
 
 def test_an_evidence_index_that_overflows_the_deeper_stack_too_is_a_datadef_error():
-    # at a depth cap of 50 the rerun thread allows 8 * 50 + 4096 frames; index
-    # 3 is a tree 6000 deep (48 levels of mk, 125 conses each), built within
-    # the cap, so recognizing it overflows that thread as well
+    # at a depth cap of 50 the form's thread allows 8 * 50 + 4096 frames;
+    # index 3 is a tree 6000 deep (48 levels of mk, 125 conses each), built
+    # within the cap, so recognizing it overflows that thread
     conses = "(cons " * 125 + "(mk (- n 1))" + " 0)" * 125
-    w = make_world("(set-testing :depth-cap 50)\n"
-                   "(defdata tree (oneof nat (cons tree tree)))\n"
-                   f"(defun mk (n) (if (posp n) {conses} 0))\n"
-                   "(defun deepp (x) (treep x))\n"
-                   "(defun nth-deep (n) (if (equal n 3) (mk 48) n))\n"
-                   "(defdata deep (custom deepp nth-deep))")
-    with pytest.raises(DatadefError, match="evidence check at index 3 raised: the Python stack overflowed"):
-        add_subtype_edge(w, "deep", "tree")
+    outcome, w = process_source("(set-testing :depth-cap 50)\n"
+                                "(defdata tree (oneof nat (cons tree tree)))\n"
+                                f"(defun mk (n) (if (posp n) {conses} 0))\n"
+                                "(defun deepp (x) (treep x))\n"
+                                "(defun nth-deep (n) (if (equal n 3) (mk 48) n))\n"
+                                "(defdata deep (custom deepp nth-deep))\n"
+                                "(defdata-subtype deep tree)")
+    assert (outcome.forms[-1].status, outcome.forms[-1].error) == ("error", (
+        "cannot admit deep as a subtype of tree: evidence check at index 3 raised:"
+        " the Python stack overflowed within the depth cap of 50"))
     assert not w.subtypes.subsumes("deep", "tree")

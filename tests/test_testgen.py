@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedan import evaluator
 from sedan.clauses import clause_vars, split_implies
 from sedan.datadef import SingletonRestriction, enumerate_value
 from sedan import testgen
 from sedan.evaluator import EvaluationError, evaluate
 from sedan.rand import IndexSource
+from sedan.session import process_source
 from sedan.terms import App, Quote, Var, negate
 from sedan.testgen import (
     extract_restrictions,
@@ -19,7 +19,7 @@ from sedan.testgen import (
     run_trials,
     top_level_test,
 )
-from sedan.values import NIL, T, Cons, from_list, print_value, truthy
+from sedan.values import NIL, T, from_list, print_value, truthy
 
 from conftest import make_world, term, with_settings
 from oracle import run_trials_one_by_one
@@ -642,39 +642,27 @@ def test_the_generated_trial_loop_reports_as_the_interpreted_loop(run):
     assert bindings(got) == bindings(expected)
 
 
-# -- the generated loop's fallback: a test that overflows the Python stack runs
-# again through evaluate; one past the depth cap raises the cap's error itself
+# -- a test past Python's default stack runs on the form's stack; one past the
+# depth cap raises the cap's error in the loop itself
 
-TREE_WALK = "(defun size (x) (if (consp x) (+ 1 (size (car x)) (size (cdr x))) 0))"
+TREE_WALK = "(defun size (x) (if (consp x) (+ 1 (size (car x)) (size (cdr x))) 0))\n"
+# a value nested k deep in its cars
+MK = "(defun mk (k) (if (posp k) (cons (mk (- k 1)) nil) nil))\n"
 
 
 @pytest.mark.parametrize("conjecture", [
-    "(implies (natp n) (< (size x) (+ n 3000)))",
-    "(implies (and (natp n) (< (size x) (+ n 3000))) (< n 5))",
+    "(implies (natp n) (< (size (mk 3000)) (+ n 3000)))",
+    "(implies (and (natp n) (< (size (mk 3000)) (+ n 3000))) (< n 5))",
 ], ids=["conclusion", "hypothesis"])
 def test_a_test_that_overflows_the_python_stack_reruns_as_the_oracle_does(conjecture, monkeypatch):
-    # x is pinned to a value nested 3000 deep in its cars: far past Python's
-    # stack, well within a cap of 10000
-    deep = NIL
-    for _ in range(3000):
-        deep = Cons(deep, NIL)
-    w = with_settings(make_world(TREE_WALK), depth_cap=10000)
-    clause = clause_of(term(conjecture))
-    alist = {"n": ("nat",), "x": (SingletonRestriction(deep),)}
-    reruns = Counter()
-    rerun = evaluator.rerun_deeper
-
-    def counted(world, run, *args):
-        reruns["n"] += 1
-        return rerun(world, run, *args)
-
-    monkeypatch.setattr(evaluator, "rerun_deeper", counted)
-    got = run_trials(clause, alist, w, 24, 40)
-    generated_reruns = reruns.pop("n")
-    expected = run_trials_one_by_one(clause, alist, w, 24, 40)
+    # each test builds and walks a value nested 3000 deep: far past Python's
+    # default stack, well within the default cap of 10000, so the form's
+    # stack holds it, for the generated loop and the oracle alike
+    source = "(set-testing :trials 40)\n" + TREE_WALK + MK + f"(test? {conjecture})"
+    got = process_source(source)[0].forms[-1].testing
+    monkeypatch.setattr(testgen, "run_trials", run_trials_one_by_one)
+    expected = process_source(source)[0].forms[-1].testing
     assert _report_fields(got) == _report_fields(expected)
-    # one rerun for each test that overflowed, as at the oracle
-    assert generated_reruns == reruns["n"] > 0
     assert expected.witnesses and expected.counterexamples and not expected.erroring
 
 
