@@ -16,6 +16,8 @@ from .reports import emit_report
 from .session import process_file
 from .world import SETTING_BOUNDS, Settings, describe_bound, within_bound
 
+_DEFAULTS = Settings()
+
 
 def _on_off(value: str) -> bool:
     if value not in ("on", "off"):
@@ -49,15 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Type-aware random testing with a waterfall-style conjecture checker.",
     )
     parser.add_argument("files", nargs="+", help="corpus files to process in order")
-    parser.add_argument("--seed", type=_setting("seed"), default=None, help=f"64-bit seed (default {Settings.seed}; SEDAN_SEED overrides the default)")
-    parser.add_argument("--trials", type=_setting("trials"), default=Settings.trials, help="trials per conjecture (default %(default)s)")
-    parser.add_argument("--mode", choices=SETTING_BOUNDS["mode"], default=Settings.mode)
-    parser.add_argument("--dist", choices=SETTING_BOUNDS["dist"], default=Settings.dist)
-    parser.add_argument("--backtrack", type=_on_off, default=Settings.backtrack, metavar="{on,off}",
+    parser.add_argument("--seed", type=_setting("seed"), default=None, help=f"64-bit seed (default {_DEFAULTS.seed}; SEDAN_SEED overrides the default)")
+    parser.add_argument("--trials", type=_setting("trials"), default=_DEFAULTS.trials, help="trials per conjecture (default %(default)s)")
+    parser.add_argument("--mode", choices=SETTING_BOUNDS["mode"], default=_DEFAULTS.mode)
+    parser.add_argument("--dist", choices=SETTING_BOUNDS["dist"], default=_DEFAULTS.dist)
+    parser.add_argument("--backtrack", type=_on_off, default=_DEFAULTS.backtrack, metavar="{on,off}",
                         help="install the counterexample-driven backtrack handler (default on)")
-    parser.add_argument("--max-rewrite-depth", type=_setting("max_rewrite_depth"), default=Settings.max_rewrite_depth,
+    parser.add_argument("--max-rewrite-depth", type=_setting("max_rewrite_depth"), default=_DEFAULTS.max_rewrite_depth,
                         help="backchain depth for rule hypotheses (default %(default)s)")
-    parser.add_argument("--deterministic", type=_on_off, default=Settings.deterministic, metavar="{on,off}",
+    parser.add_argument("--deterministic", type=_on_off, default=_DEFAULTS.deterministic, metavar="{on,off}",
                         help="fixed seed for every form; default: fixed for thm, per-form for test?")
     parser.add_argument("--report", default=None, help="write the structured JSON report to this path")
     parser.add_argument("--format", choices=("text", "structured", "both"), default="both")
@@ -73,7 +75,7 @@ def resolve_seed(flag_value) -> int:
             return _setting("seed")(env)
         except argparse.ArgumentTypeError as e:
             print(f"warning: ignoring SEDAN_SEED={env!r}: {e}", file=sys.stderr)
-    return Settings.seed
+    return _DEFAULTS.seed
 
 
 def main(argv=None) -> int:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -62,6 +61,7 @@ from .values import (
     T,
     Char,
     Cons,
+    Record,
     Symbol,
     Value,
     from_list,
@@ -127,53 +127,66 @@ SYMBOL_ALPHABET = tuple(
 # type expressions
 
 
-@dataclass(frozen=True)
-class BaseRef:
-    name: str
+class BaseRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._fill(name)
 
 
-@dataclass(frozen=True)
-class NamedRef:
-    name: str
+class NamedRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self._fill(name)
 
 
-@dataclass(frozen=True)
-class EnumExpr:
-    values: tuple[Value, ...]
+class EnumExpr(Record):
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[Value, ...]):
+        self._fill(values)
 
 
-@dataclass
 class OneofExpr:
-    branches: tuple["TypeExpr", ...]
-    base_branch: int = 0  # index 0's branch, pinned by register_defdata
+    def __init__(self, branches: tuple[TypeExpr, ...], base_branch: int = 0):
+        self.branches = branches
+        self.base_branch = base_branch  # index 0's branch, pinned by register_defdata
 
 
-@dataclass(frozen=True)
-class ProductExpr:
-    car: "TypeExpr"
-    cdr: "TypeExpr"
+class ProductExpr(Record):
+    __slots__ = ("car", "cdr")
+
+    def __init__(self, car: TypeExpr, cdr: TypeExpr):
+        self._fill(car, cdr)
 
 
-@dataclass(frozen=True)
-class ListofExpr:
-    elem: "TypeExpr"
+class ListofExpr(Record):
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: TypeExpr):
+        self._fill(elem)
 
 
-@dataclass(frozen=True)
-class SetExpr:
-    elem: "TypeExpr"
+class SetExpr(Record):
+    __slots__ = ("elem",)
+
+    def __init__(self, elem: TypeExpr):
+        self._fill(elem)
 
 
-@dataclass(frozen=True)
-class RecordExpr:
-    tag: str
-    fields: tuple[tuple[str, "TypeExpr"], ...]
+class RecordExpr(Record):
+    __slots__ = ("tag", "fields")
+
+    def __init__(self, tag: str, fields: tuple[tuple[str, TypeExpr], ...]):
+        self._fill(tag, fields)
 
 
-@dataclass(frozen=True)
-class CustomExpr:
-    recognizer: str
-    enumerator: str
+class CustomExpr(Record):
+    __slots__ = ("recognizer", "enumerator")
+
+    def __init__(self, recognizer: str, enumerator: str):
+        self._fill(recognizer, enumerator)
 
 
 TypeExpr = (
@@ -182,11 +195,13 @@ TypeExpr = (
 )
 
 
-@dataclass(frozen=True)
-class SingletonRestriction:
+class SingletonRestriction(Record):
     """A variable pinned to one value by an equality hypothesis."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self._fill(value)
 
 
 Restriction = str | SingletonRestriction
@@ -199,21 +214,21 @@ def print_restriction(r: Restriction, upcase: bool = False) -> str:
     return r.upper() if upcase else r
 
 
-@dataclass
 class TypeEntry:
-    name: str
-    expr: TypeExpr
-    extent: Optional[tuple[Value, ...]] = None  # the values of a finite type
+    def __init__(self, name: str, expr: TypeExpr, extent: Optional[tuple[Value, ...]] = None):
+        self.name = name
+        self.expr = expr
+        self.extent = extent  # the values of a finite type
 
     @property
     def size(self) -> Optional[int]:
         return len(self.extent) if self.extent is not None else None
 
 
-@dataclass
 class TypeTable:
-    entries: dict[str, TypeEntry] = field(default_factory=dict)
-    recognizer_index: dict[str, str] = field(default_factory=dict)
+    def __init__(self):
+        self.entries: dict[str, TypeEntry] = {}
+        self.recognizer_index: dict[str, str] = {}
 
 
 BASE_EDGES = (
@@ -842,12 +857,13 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
     world.subtypes.add_edge(t1, t2)
 
 
-@dataclass(frozen=True)
-class TypeSelection:
+class TypeSelection(Record):
     """Outcome of minimal-type selection for one variable's restriction list."""
 
-    primary: Restriction
-    residuals: tuple[Restriction, ...]
+    __slots__ = ("primary", "residuals")
+
+    def __init__(self, primary: Restriction, residuals: tuple[Restriction, ...]):
+        self._fill(primary, residuals)
 
 
 def minimal_type(world, restrictions: list[Restriction]) -> TypeSelection:

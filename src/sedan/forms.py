@@ -11,14 +11,13 @@ only core terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 from .clauses import split_implies
 from .reader import MAX_NESTING, ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value, unquote
 from .terms import App, Quote, Term, Var, app
-from .values import NIL, T, Symbol, print_value
+from .values import NIL, T, Record, Symbol, print_value
 from .world import SETTING_BOUNDS, describe_bound, within_bound
 
 PROCESS_NAMES = ("simplify", "eliminate-destructors", "generalize")
@@ -45,70 +44,71 @@ def _expand_selector(path: str, arg: Term) -> Term:
     return out
 
 
-@dataclass(frozen=True)
-class HintSpec:
-    goal_id: str
-    do_not: tuple[str, ...] = ()
-    trials: Optional[int] = None
-    backtrack: Optional[str] = None
+class HintSpec(Record):
+    __slots__ = ("goal_id", "do_not", "trials", "backtrack")
+
+    def __init__(
+        self, goal_id: str, do_not: tuple[str, ...] = (), trials: Optional[int] = None, backtrack: Optional[str] = None
+    ):
+        self._fill(goal_id, do_not, trials, backtrack)
 
 
-@dataclass
 class DefunForm:
-    name: str
-    formals: tuple[str, ...]
-    body: Term
-    sx: Sexpr
+    def __init__(self, name: str, formals: tuple[str, ...], body: Term, sx: Sexpr):
+        self.name = name
+        self.formals = formals
+        self.body = body
+        self.sx = sx
 
 
-@dataclass
 class DefdataForm:
-    definitions: list[tuple[str, Sexpr]]  # compiled against the world at admission
-    sx: Sexpr
+    def __init__(self, definitions: list[tuple[str, Sexpr]], sx: Sexpr):
+        self.definitions = definitions  # compiled against the world at admission
+        self.sx = sx
 
 
-@dataclass
 class DefdataSubtypeForm:
-    t1: str
-    t2: str
-    trust: bool
-    sx: Sexpr
+    def __init__(self, t1: str, t2: str, trust: bool, sx: Sexpr):
+        self.t1 = t1
+        self.t2 = t2
+        self.trust = trust
+        self.sx = sx
 
 
-@dataclass
 class DefruleForm:
-    name: str
-    hyps: tuple[Term, ...]
-    lhs: Term
-    rhs: Term
-    sx: Sexpr
+    def __init__(self, name: str, hyps: tuple[Term, ...], lhs: Term, rhs: Term, sx: Sexpr):
+        self.name = name
+        self.hyps = hyps
+        self.lhs = lhs
+        self.rhs = rhs
+        self.sx = sx
 
 
-@dataclass
 class ThmForm:
-    term: Term
-    hints: tuple[HintSpec, ...]
-    sx: Sexpr
+    def __init__(self, term: Term, hints: tuple[HintSpec, ...], sx: Sexpr):
+        self.term = term
+        self.hints = hints
+        self.sx = sx
 
 
-@dataclass
 class TestForm:
     __test__ = False  # not a pytest class
 
-    term: Term
-    sx: Sexpr
+    def __init__(self, term: Term, sx: Sexpr):
+        self.term = term
+        self.sx = sx
 
 
-@dataclass
 class SetTestingForm:
-    updates: dict
-    sx: Sexpr
+    def __init__(self, updates: dict, sx: Sexpr):
+        self.updates = updates
+        self.sx = sx
 
 
-@dataclass
 class IncludeForm:
-    path: str
-    sx: Sexpr
+    def __init__(self, path: str, sx: Sexpr):
+        self.path = path
+        self.sx = sx
 
 
 Form = (

@@ -14,31 +14,36 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import testgen
 from .forms import PROCESS_NAMES, HintSpec
+from .values import Record
 
 
-@dataclass(frozen=True)
-class HintSettings:
-    do_not: frozenset[str] = frozenset()
-    trials: Optional[int] = None
-    backtrack: Optional[str] = None  # registered handler name; children inherit it
+class HintSettings(Record):
+    __slots__ = ("do_not", "trials", "backtrack")
+
+    def __init__(
+        self,
+        do_not: frozenset[str] = frozenset(),
+        trials: Optional[int] = None,
+        backtrack: Optional[str] = None,  # registered handler name; children inherit it
+    ):
+        self._fill(do_not, trials, backtrack)
 
     def extend_do_not(self, names) -> "HintSettings":
-        return replace(self, do_not=self.do_not | frozenset(names))
+        return self.replace(do_not=self.do_not | frozenset(names))
 
 
 EMPTY_SETTINGS = HintSettings()
 
 
-@dataclass
 class BacktrackOutcome:
-    action: str  # "keep" | "redo"
-    settings: Optional[HintSettings] = None  # for redo: the goal's new settings
-    note: Optional[str] = None
+    def __init__(self, action: str, settings: Optional[HintSettings] = None, note: Optional[str] = None):
+        self.action = action  # "keep" | "redo"
+        self.settings = settings  # for redo: the goal's new settings
+        self.note = note
 
 
 def check_hints(user_hints: tuple[HintSpec, ...]):
@@ -64,7 +69,7 @@ def goal_settings(
             settings = HintSettings(frozenset(spec.do_not), spec.trials, spec.backtrack)
             break
     if settings.backtrack is None:
-        settings = replace(settings, backtrack="test-gen-checkpoint" if testing else inherited)
+        settings = settings.replace(backtrack="test-gen-checkpoint" if testing else inherited)
     return settings
 
 

@@ -16,7 +16,6 @@ checkpoints and for the probe of a generalization alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import testgen
@@ -26,7 +25,7 @@ from .datadef import Restriction, print_restriction
 # perfbench's tracer, which spans it
 from .evaluator import Chain, EvaluationError, evaluate, run_chain
 from .terms import Term, Var, free_vars, print_term
-from .values import NIL, Char, Cons, Value
+from .values import NIL, Char, Cons, Record, Value
 
 DONT_CARE = None  # marker inside variable maps; a Chain runs it as the wildcard
 
@@ -35,19 +34,30 @@ DONT_CARE = None  # marker inside variable maps; a Chain runs it as the wildcard
 WILDCARD_PROBES = (Char("a"), "", Cons(0, 0))
 
 
-@dataclass
 class HistoryNode:
-    goal_id: str
-    parent_id: Optional[str]
-    process: Optional[str]
-    clause: list[Term]
-    variable_map: dict[str, Optional[Term]] = field(default_factory=dict)
-    type_map: dict[str, tuple[Restriction, ...]] = field(default_factory=dict)  # inherited restrictions
-    liftable: bool = True
-    variables: list[str] = field(default_factory=list)  # clause_vars(clause), recorded once
-    unbound: tuple[str, ...] = ()  # variables the map's terms read that the clause lacks
-    alist: Optional[dict[str, tuple[Restriction, ...]]] = field(default=None, repr=False, compare=False)
-    path: Optional[LiftPath] = field(default=None, repr=False, compare=False)  # History.lift_path
+    def __init__(
+        self,
+        goal_id: str,
+        parent_id: Optional[str],
+        process: Optional[str],
+        clause: list[Term],
+        variable_map: Optional[dict[str, Optional[Term]]] = None,
+        type_map: Optional[dict[str, tuple[Restriction, ...]]] = None,
+        liftable: bool = True,
+        variables: Optional[list[str]] = None,
+        unbound: tuple[str, ...] = (),
+    ):
+        self.goal_id = goal_id
+        self.parent_id = parent_id
+        self.process = process
+        self.clause = clause
+        self.variable_map = {} if variable_map is None else variable_map
+        self.type_map = {} if type_map is None else type_map  # inherited restrictions
+        self.liftable = liftable
+        self.variables = [] if variables is None else variables  # clause_vars(clause), recorded once
+        self.unbound = unbound  # variables the map's terms read that the clause lacks
+        self.alist: Optional[dict[str, tuple[Restriction, ...]]] = None  # type_alist
+        self.path: Optional[LiftPath] = None  # History.lift_path
 
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
         """The goal's type alist: per variable, the clause's own restrictions
@@ -62,27 +72,31 @@ class HistoryNode:
         return self.alist
 
 
-@dataclass(frozen=True)
-class LiftPath:
+class LiftPath(Record):
     """What a lift from a goal does that depends on the goal alone: the chain
     of the edges up to the top, or up to the first non-liftable edge, bottom
     first, each as its unbound variables and its map items; that edge's
     failure; and, for a path that reaches the top, the flags every lift along
     it reports."""
 
-    chain: Chain
-    failure: Optional[str]
-    had_wildcards: bool
-    wildcard_vars: tuple[str, ...]
+    __slots__ = ("chain", "failure", "had_wildcards", "wildcard_vars")
+
+    def __init__(self, chain: Chain, failure: Optional[str], had_wildcards: bool, wildcard_vars: tuple[str, ...]):
+        self._fill(chain, failure, had_wildcards, wildcard_vars)
 
 
-@dataclass
-class LiftOutcome:
-    status: str  # "lifted" | "failed"
-    binding: Optional[dict[str, Value]] = None
-    reason: Optional[str] = None
-    had_wildcards: bool = False
-    wildcard_vars: tuple[str, ...] = ()  # top-level vars still carrying a pure don't-care
+class LiftOutcome(Record):
+    __slots__ = ("status", "binding", "reason", "had_wildcards", "wildcard_vars")
+
+    def __init__(
+        self,
+        status: str,  # "lifted" | "failed"
+        binding: Optional[dict[str, Value]] = None,
+        reason: Optional[str] = None,
+        had_wildcards: bool = False,
+        wildcard_vars: tuple[str, ...] = (),  # top-level vars still carrying a pure don't-care
+    ):
+        self._fill(status, binding, reason, had_wildcards, wildcard_vars)
 
 
 def merge_restrictions(first, then) -> tuple[Restriction, ...]:

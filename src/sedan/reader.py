@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Union
 
@@ -41,11 +40,11 @@ class SAtom(NamedTuple):
     col: int
 
 
-@dataclass
 class SList:
-    items: List["Sexpr"] = field(default_factory=list)
-    line: int = 0
-    col: int = 0
+    def __init__(self, items: List[Sexpr], line: int, col: int):
+        self.items = items
+        self.line = line
+        self.col = col
 
 
 Sexpr = Union[SAtom, SList]

@@ -9,7 +9,6 @@ evaluates runs on a stack sized to its depth cap (``evaluator.on_sized_stack``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .datadef import (
@@ -39,24 +38,24 @@ from .waterfall import ProofResult, run_waterfall
 from .world import AdmissionError, RewriteRule, Settings, World
 
 
-@dataclass
 class FormResult:
-    index: int
-    kind: str
-    source: str
-    status: str  # admitted | proved | failed-with-checkpoints | falsified | error
-    error: Optional[str] = None
-    testing: Optional[TestReport] = None
-    proof: Optional[ProofResult] = None
-    seed: Optional[int] = None
+    def __init__(self, index: int, kind: str, source: str, status: str):
+        self.index = index
+        self.kind = kind
+        self.source = source
+        self.status = status  # admitted | proved | failed-with-checkpoints | falsified | error
+        self.error: Optional[str] = None
+        self.testing: Optional[TestReport] = None
+        self.proof: Optional[ProofResult] = None
+        self.seed: Optional[int] = None
 
 
-@dataclass
 class SessionOutcome:
-    path: str
-    settings: Settings  # the settings the session started with
-    forms: list[FormResult] = field(default_factory=list)
-    fatal_error: Optional[str] = None
+    def __init__(self, path: str, settings: Settings):
+        self.path = path
+        self.settings = settings  # the settings the session started with
+        self.forms: list[FormResult] = []
+        self.fatal_error: Optional[str] = None
 
     @property
     def exit_code(self) -> int:
@@ -130,7 +129,7 @@ class _Session:
             elif isinstance(form, DefruleForm):
                 self.world.add_rule(RewriteRule(form.name, form.hyps, form.lhs, form.rhs))
             elif isinstance(form, SetTestingForm):
-                self.world.settings = replace(self.world.settings, **form.updates)
+                self.world.settings = self.world.settings.replace(**form.updates)
             elif isinstance(form, IncludeForm):
                 target = os.path.normpath(os.path.join(directory, form.path))
                 if not self.load_file(target):

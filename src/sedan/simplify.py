@@ -10,7 +10,6 @@ stage to a no-op with a diagnostic instead of looping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .clauses import clausify
@@ -22,13 +21,19 @@ from .values import truthy
 MAX_RULE_APPLICATIONS = 10_000
 
 
-@dataclass
 class SimplifyOutcome:
-    status: str  # "proved" | "unchanged" | "children"
-    children: list[list[Term]] = field(default_factory=list)
-    substitutions: dict[str, Term] = field(default_factory=dict)
-    diagnostics: list[str] = field(default_factory=list)
-    rule_applications: int = 0
+    def __init__(
+        self,
+        status: str,  # "proved" | "unchanged" | "children"
+        children: Optional[list[list[Term]]] = None,
+        substitutions: Optional[dict[str, Term]] = None,
+        diagnostics: Optional[list[str]] = None,
+    ):
+        self.status = status
+        self.children = [] if children is None else children
+        self.substitutions = {} if substitutions is None else substitutions
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.rule_applications = 0
 
 
 class _Budget:
@@ -90,10 +95,10 @@ def fold_ground(t: Term, world) -> Term:
     return t if new_args == t.args else App(t.fn, new_args)
 
 
-@dataclass
 class _Context:
-    assumed_true: frozenset  # terms known non-nil (from negated literals)
-    assumed_nil: frozenset  # terms known nil (from positive literals)
+    def __init__(self, assumed_true: frozenset, assumed_nil: frozenset):
+        self.assumed_true = assumed_true  # terms known non-nil (from negated literals)
+        self.assumed_nil = assumed_nil  # terms known nil (from positive literals)
 
 
 def _context_for(literals: list[Term], skip: int) -> _Context:

@@ -1,38 +1,82 @@
-"""Terms of the conjecture language: variables, quoted constants, applications."""
+"""Terms of the conjecture language: variables, quoted constants, applications.
+
+A term is immutable, equals a term of its own class with equal fields, and
+hashes as the tuple of its fields; an App keeps its hash once worked out. The
+``_compiled`` slot holds the term's generated function (``evaluator._code``)
+and takes no part in equality.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .values import NIL, T, Char, Symbol, Value, print_value
+from .values import NIL, T, Char, Immutable, Symbol, Value, print_value
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Immutable):
+    __slots__ = ("name", "_compiled")
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if type(other) is Var:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Quote:
-    value: Value
+class Quote(Immutable):
+    __slots__ = ("value", "_compiled")
+
+    def __init__(self, value: Value):
+        _set_value(self, value)
+
+    def __eq__(self, other):
+        if type(other) is Quote:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __repr__(self):
         return print_term(self)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: str
-    args: Tuple["Term", ...]
+class App(Immutable):
+    __slots__ = ("fn", "args", "_hash", "_compiled")
+
+    def __init__(self, fn: str, args: Tuple["Term", ...]):
+        _set_fn(self, fn)
+        _set_args(self, args)
+        _set_hash(self, None)
+
+    def __eq__(self, other):
+        if type(other) is App:
+            return self.fn == other.fn and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:  # the first call hashes the arguments
+            h = hash((self.fn, self.args))
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         return print_term(self)
 
+
+# the slots' own setters, which __setattr__ does not go through
+_set_name, _set_value = Var.name.__set__, Quote.value.__set__
+_set_fn, _set_args, _set_hash = App.fn.__set__, App.args.__set__, App._hash.__set__
 
 Term = Var | Quote | App
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from itertools import islice, product, repeat
 from typing import Optional
 
@@ -53,25 +52,33 @@ Binding = dict[str, Value]
 OUTCOME_MEMO_CAPACITY = 1 << 16
 
 
-@dataclass
 class TestReport:
     __test__ = False  # not a pytest class
 
-    goal_id: Optional[str]
-    type_alist: TypeAlist
-    selections: dict[str, TypeSelection]
-    trials_run: int = 0
-    satisfied: int = 0
-    unique_satisfied: int = 0
-    counterexamples: list[Binding] = field(default_factory=list)
-    witnesses: list[Binding] = field(default_factory=list)
-    erroring: int = 0
-    erroring_unique: int = 0
-    first_error: Optional[str] = None
-    seed: int = 0
-    dist: str = "geometric"
-    mode: str = "random"
-    elapsed: float = 0.0
+    def __init__(
+        self,
+        goal_id: Optional[str],
+        type_alist: TypeAlist,
+        selections: dict[str, TypeSelection],
+        seed: int = 0,
+        dist: str = "geometric",
+        mode: str = "random",
+    ):
+        self.goal_id = goal_id
+        self.type_alist = type_alist
+        self.selections = selections
+        self.trials_run = 0
+        self.satisfied = 0
+        self.unique_satisfied = 0
+        self.counterexamples: list[Binding] = []
+        self.witnesses: list[Binding] = []
+        self.erroring = 0
+        self.erroring_unique = 0
+        self.first_error: Optional[str] = None
+        self.seed = seed
+        self.dist = dist
+        self.mode = mode
+        self.elapsed = 0.0
 
     @property
     def falsified(self) -> bool:

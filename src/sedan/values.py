@@ -5,36 +5,112 @@ Integers are plain Python ints; non-integer rationals are ``fractions.Fraction``
 and logical false; every other value is logically true. A cons is immutable
 and keeps its hash once worked out, so a value hashed again (a dedup key that
 repeats a decoded value) costs no walk.
+
+Every immutable class of the package is a plain ``__slots__`` class built on
+``Immutable``, and ``Record`` adds the equality, hashing, printing and
+``replace`` of a record whose slots are its fields. Every class is written out
+by hand: generating methods at import would cost more than the rest of
+sedan's set-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Symbol:
+
+class Immutable:
+    """A ``__slots__`` object whose attributes ``__init__`` sets once, through
+    the slots' own setters; assigning or deleting one afterwards raises
+    ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Record(Immutable):
+    """An immutable record whose fields are its class's ``__slots__``, in
+    order. It equals a record of its own class with equal fields, hashes as
+    the tuple of its fields, and prints as ``Name(field=value, ...)``. A
+    subclass's ``__init__`` names its parameters and passes them to
+    ``_fill``."""
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, made through ``__init__`` so that
+        its checks run again; an unknown field name is a ``TypeError``."""
+        kept = {name: getattr(self, name) for name in self.__slots__ if name not in changes}
+        return type(self)(**kept, **changes)
+
+
+class Symbol(Immutable):
     """A case-sensitive symbol. ``t`` and ``nil`` are ordinary symbols."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if type(other) is Symbol:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Char:
+class Char(Immutable):
     """A single character, distinct from a length-1 string."""
 
-    ch: str
+    __slots__ = ("ch",)
+
+    def __init__(self, ch: str):
+        _set_ch(self, ch)
+
+    def __eq__(self, other):
+        if type(other) is Char:
+            return self.ch == other.ch
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ch,))
 
     def __repr__(self):
         return print_value(self)
 
 
-class Cons:
+class Cons(Immutable):
     """An ordered pair of values, immutable once made.
 
     Equality, hashing, printing and ``order_key`` walk a value iteratively:
@@ -49,12 +125,6 @@ class Cons:
     def __init__(self, car: "Value", cdr: "Value"):
         _set_car(self, car)
         _set_cdr(self, cdr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a cons")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a cons")
 
     def __eq__(self, other):
         a, b = self, other
@@ -110,6 +180,7 @@ class Cons:
 Value = Union[int, Fraction, Symbol, Char, str, Cons]
 
 # the slots' own setters, which __setattr__ does not go through
+_set_name, _set_ch = Symbol.name.__set__, Char.ch.__set__
 _set_car, _set_cdr, _set_hash = Cons.car.__set__, Cons.cdr.__set__, Cons._hash.__set__
 
 NIL = Symbol("nil")

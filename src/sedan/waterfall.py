@@ -16,7 +16,6 @@ step, and the goal then runs again with the settings the handler returns.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .clauses import clause_vars, clausify
@@ -31,62 +30,87 @@ from .testgen import TestReport, run_trials
 from .values import Value, truthy
 
 
-@dataclass
 class Goal:
-    id: str
-    literals: list[Term]
-    settings: HintSettings = EMPTY_SETTINGS
-    inherited_backtrack: Optional[str] = None
+    def __init__(
+        self,
+        id: str,
+        literals: list[Term],
+        settings: HintSettings = EMPTY_SETTINGS,
+        inherited_backtrack: Optional[str] = None,
+    ):
+        self.id = id
+        self.literals = literals
+        self.settings = settings
+        self.inherited_backtrack = inherited_backtrack
 
 
-@dataclass
 class ProcessLogEntry:
     """One waterfall step. ``variable_map`` is the edge's map from parent
     variables to child terms, except for generalize, whose non-liftable edge
     keeps the reverse map (fresh variable -> replaced term); ``type_map``
     holds the restrictions destructor elimination gives its fresh variables."""
 
-    goal_id: str
-    process: str
-    outcome: str  # "proved" | "children" | "discarded"
-    child_ids: tuple[str, ...] = ()
-    parent_clause: list[Term] = field(default_factory=list)
-    child_clauses: list[list[Term]] = field(default_factory=list)
-    variable_map: dict = field(default_factory=dict)
-    type_map: dict = field(default_factory=dict)
-    liftable: bool = True
-    note: Optional[str] = None
+    def __init__(
+        self,
+        goal_id: str,
+        process: str,
+        outcome: str,  # "proved" | "children" | "discarded"
+        child_ids: tuple[str, ...] = (),
+        parent_clause: Optional[list[Term]] = None,
+        child_clauses: Optional[list[list[Term]]] = None,
+        variable_map: Optional[dict] = None,
+        type_map: Optional[dict] = None,
+        liftable: bool = True,
+        note: Optional[str] = None,
+    ):
+        self.goal_id = goal_id
+        self.process = process
+        self.outcome = outcome
+        self.child_ids = child_ids
+        self.parent_clause = [] if parent_clause is None else parent_clause
+        self.child_clauses = [] if child_clauses is None else child_clauses
+        self.variable_map = {} if variable_map is None else variable_map
+        self.type_map = {} if type_map is None else type_map
+        self.liftable = liftable
+        self.note = note
 
 
-@dataclass
 class LiftedCounterexample:
-    goal_id: str
-    subgoal_binding: dict[str, Value]
-    top_binding: dict[str, Value]
-    had_wildcards: bool = False
-    wildcard_vars: tuple[str, ...] = ()  # displayed as ? in reports
+    def __init__(
+        self,
+        goal_id: str,
+        subgoal_binding: dict[str, Value],
+        top_binding: dict[str, Value],
+        had_wildcards: bool = False,
+        wildcard_vars: tuple[str, ...] = (),  # displayed as ? in reports
+    ):
+        self.goal_id = goal_id
+        self.subgoal_binding = subgoal_binding
+        self.top_binding = top_binding
+        self.had_wildcards = had_wildcards
+        self.wildcard_vars = wildcard_vars
 
 
-@dataclass
 class SubgoalCounterexample:
-    goal_id: str
-    binding: dict[str, Value]
-    reason: str
+    def __init__(self, goal_id: str, binding: dict[str, Value], reason: str):
+        self.goal_id = goal_id
+        self.binding = binding
+        self.reason = reason
 
 
-@dataclass
 class ProofResult:
-    status: str  # "proved" | "failed"
-    top_term: Term
-    checkpoints: list[Goal] = field(default_factory=list)
-    checkpoint_reports: dict[str, TestReport] = field(default_factory=dict)
-    counterexamples: list[LiftedCounterexample] = field(default_factory=list)
-    subgoal_counterexamples: list[SubgoalCounterexample] = field(default_factory=list)
-    spurious_lifts: list[SubgoalCounterexample] = field(default_factory=list)
-    process_log: list[ProcessLogEntry] = field(default_factory=list)
-    history: Optional[History] = None
-    seed: int = 0
-    diagnostics: list[str] = field(default_factory=list)
+    def __init__(self, status: str, top_term: Term, history: Optional[History] = None, seed: int = 0):
+        self.status = status  # "proved" | "failed"
+        self.top_term = top_term
+        self.checkpoints: list[Goal] = []
+        self.checkpoint_reports: dict[str, TestReport] = {}
+        self.counterexamples: list[LiftedCounterexample] = []
+        self.subgoal_counterexamples: list[SubgoalCounterexample] = []
+        self.spurious_lifts: list[SubgoalCounterexample] = []
+        self.process_log: list[ProcessLogEntry] = []
+        self.history = history
+        self.seed = seed
+        self.diagnostics: list[str] = []
 
     @property
     def falsified(self) -> bool:
@@ -213,7 +237,7 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
         # a clausified goal without a hint of its own takes "Goal"'s; the
         # first hint naming a goal wins, so its own still does
         hints = (
-            *hints, *(replace(spec, goal_id=cid) for spec in hints if spec.goal_id == "Goal" for cid in ids)
+            *hints, *(spec.replace(goal_id=cid) for spec in hints if spec.goal_id == "Goal" for cid in ids)
         )
         for cid, cl in zip(ids, clauses):
             history.record_node("Goal", cid, cl, "clausify", {}, world=world)

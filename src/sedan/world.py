@@ -6,7 +6,7 @@ a testing run the world is read-only.
 ``World.settings`` is the one record of every setting: testing parameters,
 backtracking, and the evaluator's and simplifier's limits. It is frozen, so a
 ``set-testing`` form changes it in one update,
-``world.settings = replace(world.settings, **updates)``, and a value outside
+``world.settings = world.settings.replace(**updates)``, and a value outside
 ``SETTING_BOUNDS`` is a ``ValueError`` naming the field.
 
 ``World.functions`` is the one table for every callable name except the
@@ -24,7 +24,6 @@ host functions and defun functions that ``evaluator`` emits calls to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .datadef import AdmissionError, TypeTable, install_base_types
@@ -32,26 +31,26 @@ from .evaluator import BUILTINS, HostFunction, arity_bounds, new_namespace
 from .rand import DEFAULT_UNIFORM_BOUND
 from .subtypes import SubtypeGraph
 from .terms import App, Term, Var, free_var_set
+from .values import Record
 
 
-@dataclass(frozen=True)
-class FunctionDef:
-    name: str
-    formals: tuple[str, ...]
-    body: Term
+class FunctionDef(Record):
+    __slots__ = ("name", "formals", "body")
+
+    def __init__(self, name: str, formals: tuple[str, ...], body: Term):
+        self._fill(name, formals, body)
 
     def arity_bounds(self):
         return (len(self.formals), len(self.formals))
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(Record):
     """Conditional rewrite rule: under the hypotheses, lhs rewrites to rhs."""
 
-    name: str
-    hyps: tuple[Term, ...]
-    lhs: Term
-    rhs: Term
+    __slots__ = ("name", "hyps", "lhs", "rhs")
+
+    def __init__(self, name: str, hyps: tuple[Term, ...], lhs: Term, rhs: Term):
+        self._fill(name, hyps, lhs, rhs)
 
 
 # the values each setting accepts: an integer is the least one allowed and a
@@ -84,21 +83,29 @@ def describe_bound(bound) -> str:
     return f"one of {bound}"
 
 
-@dataclass(frozen=True)
-class Settings:
-    trials: int = 100
-    mode: str = "random"  # random | exhaustive | mixed
-    dist: str = "geometric"  # geometric | uniform
-    seed: int = 24
-    exhaustive_bound: int = 1000
-    uniform_bound: int = DEFAULT_UNIFORM_BOUND
-    deterministic: Optional[bool] = None  # None: on for thm forms, off for test?
-    backtrack: bool = True  # goals without a handler hint get test-gen-checkpoint
-    max_rewrite_depth: int = 8
-    depth_cap: int = 10_000
-    evidence_trials: int = 1000
+class Settings(Record):
+    """Every setting, one field per entry of ``SETTING_BOUNDS``, in its order.
+    A value out of its bound is a ``ValueError`` naming the field, whether
+    the record is built or made by ``replace``."""
 
-    def __post_init__(self):
+    __slots__ = tuple(SETTING_BOUNDS)
+
+    def __init__(
+        self,
+        trials: int = 100,
+        mode: str = "random",  # random | exhaustive | mixed
+        dist: str = "geometric",  # geometric | uniform
+        seed: int = 24,
+        exhaustive_bound: int = 1000,
+        uniform_bound: int = DEFAULT_UNIFORM_BOUND,
+        deterministic: Optional[bool] = None,  # None: on for thm forms, off for test?
+        backtrack: bool = True,  # goals without a handler hint get test-gen-checkpoint
+        max_rewrite_depth: int = 8,
+        depth_cap: int = 10_000,
+        evidence_trials: int = 1000,
+    ):
+        self._fill(trials, mode, dist, seed, exhaustive_bound, uniform_bound, deterministic, backtrack,
+                   max_rewrite_depth, depth_cap, evidence_trials)
         for name, bound in SETTING_BOUNDS.items():
             value = getattr(self, name)
             if not within_bound(value, bound):

@@ -1,6 +1,5 @@
 import os
 import threading
-from dataclasses import replace
 
 import pytest
 from hypothesis import settings
@@ -40,7 +39,7 @@ def make_world(src: str = ""):
 
 def with_settings(world, **updates):
     """The world, its settings updated as a set-testing form would."""
-    world.settings = replace(world.settings, **updates)
+    world.settings = world.settings.replace(**updates)
     return world
 
 

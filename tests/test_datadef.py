@@ -25,6 +25,41 @@ from sedan.world import World
 from conftest import make_world, term
 
 
+def test_type_expressions_are_records_equal_by_class_and_fields():
+    expr = datadef.ProductExpr(datadef.BaseRef("nat"), datadef.ListofExpr(datadef.NamedRef("tree")))
+    same = datadef.ProductExpr(datadef.BaseRef("nat"), datadef.ListofExpr(datadef.NamedRef("tree")))
+    assert expr == same and not (expr != same) and expr is not same
+    assert expr != datadef.ProductExpr(datadef.BaseRef("nat"), datadef.SetExpr(datadef.NamedRef("tree")))
+    # one field, two classes: never equal, although the hashes agree
+    assert datadef.BaseRef("nat") != datadef.NamedRef("nat")
+    assert hash(datadef.BaseRef("nat")) == hash(datadef.NamedRef("nat")) == hash(("nat",))
+    assert hash(expr) == hash((expr.car, expr.cdr))
+    assert SingletonRestriction(3) != 3 and 3 != SingletonRestriction(3)
+    assert SingletonRestriction(3).__eq__(3) is NotImplemented
+    with pytest.raises(AttributeError, match="cannot assign to field 'car'"):
+        expr.car = datadef.BaseRef("int")
+    with pytest.raises(AttributeError, match="cannot delete field 'car'"):
+        del expr.car
+    with pytest.raises(AttributeError):
+        expr.extra = 1
+
+
+def test_a_type_expression_prints_as_its_fields():
+    # the text of "cannot decode ..." and "cannot recognize with ..."
+    exprs = [
+        datadef.ProductExpr(datadef.BaseRef("nat"), datadef.ListofExpr(datadef.NamedRef("tree"))),
+        datadef.EnumExpr((Symbol("a"), 1, Char("b"))),
+        datadef.RecordExpr("pt", (("x", datadef.BaseRef("nat")),)),
+        datadef.CustomExpr("fp", "nth-f"),
+    ]
+    assert [repr(e) for e in exprs] == [
+        "ProductExpr(car=BaseRef(name='nat'), cdr=ListofExpr(elem=NamedRef(name='tree')))",
+        "EnumExpr(values=(a, 1, #\\b))",
+        "RecordExpr(tag='pt', fields=(('x', BaseRef(name='nat')),))",
+        "CustomExpr(recognizer='fp', enumerator='nth-f')",
+    ]
+
+
 def test_cantor_pairing_round_trips():
     for z in range(500):
         i, j = unpair(z)

@@ -6,6 +6,8 @@ so the package has no import cycle and none hides inside a function body.
 
 import ast
 import os
+import subprocess
+import sys
 import typing
 
 import pytest
@@ -79,6 +81,27 @@ def _loads(module: str, names) -> list[int]:
         elif isinstance(node, ast.Attribute) and node.attr in names:
             lines.append(node.lineno)
     return lines
+
+
+def test_no_module_imports_dataclasses():
+    # records are plain classes: decorating sedan's records and importing
+    # dataclasses (and with it inspect, ast and dis) took most of the set-up
+    found = [
+        f"{module}.py:{node.lineno}"
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "dataclasses")
+    ]
+    assert not found, found
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = os.path.normpath(os.path.join(SRC, ".."))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sedan.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def test_only_the_world_reads_the_builtins():

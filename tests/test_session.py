@@ -6,7 +6,6 @@ import json
 import os
 import threading
 import weakref
-from dataclasses import fields
 
 import pytest
 
@@ -398,7 +397,7 @@ def test_a_self_call_is_checked_like_any_other_call():
 def test_every_set_testing_key_names_a_setting():
     # a set-testing form is one replace() on the world's settings
     targets = {name for name, _ in _SET_TESTING_KEYS.values()}
-    assert targets <= {f.name for f in fields(Settings)}
+    assert targets <= set(Settings.__slots__)
 
 
 def test_every_setting_can_be_set():
@@ -406,7 +405,7 @@ def test_every_setting_can_be_set():
 
     by_keys = {name for name, _ in _SET_TESTING_KEYS.values()}
     by_flags = {action.dest for action in build_parser()._actions}
-    assert {f.name for f in fields(Settings)} - by_keys - by_flags == set()
+    assert set(Settings.__slots__) - by_keys - by_flags == set()
 
 
 def test_a_zero_uniform_bound_is_rejected_at_its_form():
@@ -418,12 +417,25 @@ def test_a_zero_uniform_bound_is_rejected_at_its_form():
 
 
 def test_a_setting_outside_its_bound_is_a_value_error_naming_it():
-    assert set(SETTING_BOUNDS) == {f.name for f in fields(Settings)}
+    assert Settings.__slots__ == tuple(SETTING_BOUNDS)
     with pytest.raises(ValueError, match="uniform_bound expects a positive integer, got 0"):
         Settings(dist="uniform", uniform_bound=0)
     for name, bad in (("seed", -5), ("trials", -1), ("mode", "fast"), ("deterministic", 1), ("depth_cap", 1.5)):
         with pytest.raises(ValueError, match=f"setting {name} expects"):
             Settings(**{name: bad})
+
+
+def test_replace_checks_the_bounds_as_the_constructor_does():
+    messages = []
+    for make in (lambda: Settings(uniform_bound=0), lambda: Settings(seed=3).replace(uniform_bound=0)):
+        with pytest.raises(ValueError) as raised:
+            make()
+        messages.append(str(raised.value))
+    assert messages == ["setting uniform_bound expects a positive integer, got 0"] * 2
+    changed = Settings(seed=3).replace(trials=7, mode="mixed")
+    assert changed == Settings(trials=7, mode="mixed", seed=3) and changed != Settings(seed=3)
+    with pytest.raises(TypeError):
+        Settings().replace(trails=7)
 
 
 @pytest.mark.parametrize("key", sorted(_SET_TESTING_KEYS))
@@ -569,7 +581,7 @@ def test_main_calls_in_one_process_each_see_only_their_own_flags(monkeypatch, ca
         flags.append(json.loads(capsys.readouterr().out)["flags"])
     assert cli.build_parser() is cli.build_parser()
     assert (flags[0]["trials"], flags[0]["mode"], flags[0]["seed"]) == (5, "exhaustive", 7)
-    assert flags[1] == {**flags[0], "trials": Settings.trials, "mode": Settings.mode, "seed": Settings.seed}
+    assert flags[1] == {**flags[0], "trials": Settings().trials, "mode": Settings().mode, "seed": Settings().seed}
 
 
 def test_exhaustive_mode_runs_the_hinted_trials_and_says_so(tmp_path, capsys):
@@ -611,7 +623,7 @@ def test_a_bad_sedan_seed_is_warned_about_and_ignored(env, monkeypatch, capsys):
     from sedan.cli import resolve_seed
 
     monkeypatch.setenv("SEDAN_SEED", env)
-    assert resolve_seed(None) == Settings.seed
+    assert resolve_seed(None) == Settings().seed
     assert f"warning: ignoring SEDAN_SEED={env!r}: expected a nonnegative integer" in capsys.readouterr().err
 
 

@@ -50,6 +50,37 @@ def test_values_of_distinct_kinds_never_compare_equal():
                 assert a != b
 
 
+def test_symbols_and_chars_are_equal_exactly_when_class_and_field_are():
+    assert Symbol("a") == Symbol("a") and Symbol("a") != Symbol("b")
+    assert Char("a") == Char("a") and Char("a") != Char("b")
+    # one field, two classes: never equal, although the hashes agree
+    assert Symbol("a") != Char("a") and Char("a") != Symbol("a") and hash(Symbol("a")) == hash(Char("a"))
+    assert Symbol("a").__eq__("a") is NotImplemented and Char("a").__eq__("a") is NotImplemented
+
+
+def test_a_symbol_or_char_hashes_as_the_tuple_of_its_field():
+    # the hash every set and dict of values is ordered by
+    assert hash(Symbol("nil")) == hash(("nil",)) and hash(Char("\n")) == hash(("\n",))
+    assert len({Symbol("nil"), NIL, Symbol("t")}) == 2
+
+
+def test_a_symbol_or_char_prints_as_source():
+    # the text an error message shows, e.g. "not a value: ..."
+    assert [repr(v) for v in (Symbol("foo"), Char("a"), Char(" "))] == ["foo", "#\\a", "#\\Space"]
+
+
+@pytest.mark.parametrize("value", [Symbol("a"), Char("a")])
+def test_a_symbol_or_char_cannot_be_changed(value):
+    field = type(value).__slots__[0]
+    with pytest.raises(AttributeError, match=f"cannot assign to field {field!r}"):
+        setattr(value, field, "b")
+    with pytest.raises(AttributeError, match=f"cannot delete field {field!r}"):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 3
+    assert getattr(value, field) == "a"
+
+
 def test_list_helpers():
     lst = from_list([1, 2, 3])
     assert is_true_list(NIL) and is_true_list(lst) and not is_true_list(Cons(1, 2))
