@@ -1,6 +1,8 @@
 """Pinned behaviour of the reader: every node read from the corpus and the
 fixtures, and the error for each of a set of malformed inputs, compared with
-values recorded in ``pinned/reader.json``.
+values recorded in ``pinned/reader.json``. The same file pins the position and
+message of each ``ParseError`` that compiling forms and type expressions
+raises (``forms.compile_form`` and ``datadef.compile_type_expr``).
 
 A node is recorded as its position, its kind (atom or list), and for an atom
 its value's type and printed value, for a list its length. Any change to
@@ -17,8 +19,11 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedan.datadef import compile_type_expr
+from sedan.forms import DefdataForm, parse_forms
 from sedan.reader import MAX_NESTING, ParseError, SAtom, read_sexprs
 from sedan.values import print_value
+from sedan.world import World
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "pinned", "reader.json")
@@ -85,6 +90,79 @@ INPUTS = [
 ]
 
 
+# each ParseError site of compile_term, compile_form, _parse_hints,
+# _parse_set_testing and compile_type_expr at least once, on a line > 1 and a
+# column > 1, so that a wrong line or column base shows
+COMPILE_INPUTS = [
+    # compile_term
+    "\n (test? (x\n   ((f) y)))",
+    "\n (test? (g\n   (quote a b)))",
+    "\n (test? " + "(cadddr " * 65 + "x" + ")" * 65 + ")",
+    "\n (test? (f\n   (second a b)))",
+    "\n (test? (f\n   (cond (a))))",
+    "\n (test? (cond\n" + "  (p 1)\n" * (MAX_NESTING + 1) + "))",
+    "\n (test? (equal x\n   '(a . b . c)))",
+    # compile_form
+    "\n  foo",
+    "\n ()",
+    '\n ("a" b)',
+    "\n (defun f (x))",
+    "\n (defun (f) (x) x)",
+    "\n (defun f x x)",
+    "\n (defun f (x\n   :k) x)",
+    "\n (defdata)",
+    "\n (defdata :foo nat)",
+    "\n (defdata (a nat)\n   (b))",
+    "\n (defdata (a nat) b)",
+    "\n (defdata-subtype a)",
+    "\n (defdata-subtype a b :trusty t)",
+    "\n (defrule r)",
+    '\n (defrule "r" (equal a b))',
+    "\n (defrule r (equal x y))",
+    "\n (thm)",
+    "\n (thm (f x) :hintz ())",
+    "\n (test? a b)",
+    "\n (top-level-test?)",
+    "\n (include foo)",
+    "\n (defthing a)",
+    # _parse_hints
+    "\n (thm (f x) :hints a)",
+    "\n (thm (f x) :hints (a))",
+    "\n (thm (f x) :hints ((goal)))",
+    '\n (thm (f x) :hints (("Goal" :trials)))',
+    '\n (thm (f x) :hints (("Goal" 5 6)))',
+    '\n (thm (f x) :hints (("Goal" :do-not simplify)))',
+    '\n (thm (f x) :hints (("Goal" :do-not\n   (simplify 5))))',
+    '\n (thm (f x) :hints \'(("Goal" :do-not (fly))))',
+    '\n (thm (f x) :hints (("Goal" :trials 0)))',
+    '\n (thm (f x) :hints (("Goal"\n   :backtrack "h")))',
+    '\n (thm (f x) :hints (("Goal" :speed 1)))',
+    # _parse_set_testing
+    "\n (set-testing :trials)",
+    "\n (set-testing 5 6)",
+    "\n (set-testing :speed 1)",
+    "\n (set-testing :trials (5))",
+    "\n (set-testing :trials -1)",
+    "\n (set-testing :deterministic 1)",
+    "\n (set-testing :mode fast)",
+    # compile_type_expr, against a world with only the base types
+    "\n (defdata a\n   (listof b))",
+    "\n (defdata a\n   (oneof ()))",
+    "\n (defdata a\n   (5 nat))",
+    "\n (defdata a\n   (quote x y))",
+    "\n (defdata a\n   (enum))",
+    "\n (defdata a\n   (oneof))",
+    "\n (defdata a\n   (cons nat))",
+    "\n (defdata a\n   (listof nat nat))",
+    "\n (defdata a\n   (set))",
+    "\n (defdata a\n   (custom f))",
+    "\n (defdata a\n   (frob nat))",
+    "\n (defdata a\n   (enum 'x))",
+    "\n (defdata a\n   (record (x nat)))",
+    "\n (defdata a\n   (enum a (b . c . d)))",
+]
+
+
 def _nodes(sx, out):
     if isinstance(sx, SAtom):
         out.append(f"{sx.line}:{sx.col} atom {type(sx.value).__name__} {print_value(sx.value)}")
@@ -107,6 +185,20 @@ def read_record(text: str) -> list[str]:
     return out
 
 
+def compile_record(text: str) -> list[str]:
+    """The ParseError that parsing text, then compiling each of its defdata
+    forms' type expressions against a fresh world, raises first; or ``ok``."""
+    try:
+        for form in parse_forms(text):
+            if isinstance(form, DefdataForm):
+                group = {name for name, _ in form.definitions}
+                for _, sx in form.definitions:
+                    compile_type_expr(sx, group, World())
+    except ParseError as e:
+        return [f"error {e.line}:{e.col} {e.message}"]
+    return ["ok"]
+
+
 def source_files():
     paths = []
     for directory in SOURCE_DIRS:
@@ -126,7 +218,11 @@ def record():
     for path in source_files():
         with open(path, encoding="utf-8") as fh:
             files[_key(path)] = read_record(fh.read())
-    return {"files": files, "inputs": {text: read_record(text) for text in INPUTS}}
+    return {
+        "files": files,
+        "inputs": {text: read_record(text) for text in INPUTS},
+        "compile_errors": {text: compile_record(text) for text in COMPILE_INPUTS},
+    }
 
 
 def load_golden():
@@ -138,6 +234,7 @@ def test_pins_cover_every_source_file_and_input():
     golden = load_golden()
     assert sorted(golden["files"]) == sorted(_key(p) for p in source_files())
     assert sorted(golden["inputs"]) == sorted(INPUTS)
+    assert sorted(golden["compile_errors"]) == sorted(COMPILE_INPUTS)
 
 
 def test_source_files_read_as_pinned():
@@ -150,6 +247,19 @@ def test_inputs_read_as_pinned():
     got = record()["inputs"]
     for text, nodes in load_golden()["inputs"].items():
         assert got[text] == nodes, repr(text)
+
+
+def test_compile_errors_are_pinned():
+    got = record()["compile_errors"]
+    for text, errors in load_golden()["compile_errors"].items():
+        assert got[text] == errors, repr(text)
+
+
+def test_each_pinned_compile_error_is_past_the_first_line_and_column():
+    for text, errors in load_golden()["compile_errors"].items():
+        assert errors[0].startswith("error "), repr(text)
+        line, col = errors[0].split()[1].split(":")
+        assert int(line) > 1 and int(col) > 1, repr(text)
 
 
 def test_pinned_inputs_raise_every_reader_message():
