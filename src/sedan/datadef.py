@@ -1012,6 +1012,6 @@ def _is_dotted_field(sx: Sexpr) -> bool:
 
 def _compile_field(sx: Sexpr, group: set[str], world):
     if not _is_dotted_field(sx):
-        raise ParseError("record field must look like (name . type)", getattr(sx, "line", 0), getattr(sx, "col", 0))
+        raise ParseError("record field must look like (name . type)", sx.line, sx.col)
     fname = sx.items[0].value.name
     return (fname, compile_type_expr(sx.items[2], group, world))

@@ -11,13 +11,12 @@ only core terms.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Optional
 
 from .clauses import split_implies
 from .reader import MAX_NESTING, ParseError, SAtom, Sexpr, SList, read_sexprs, sexpr_to_value, unquote
 from .terms import App, Quote, Term, Var, app
-from .values import NIL, T, Record, Symbol, print_value
+from .values import NIL, T, Record, Symbol
 from .world import SETTING_BOUNDS, describe_bound, within_bound
 
 PROCESS_NAMES = ("simplify", "eliminate-destructors", "generalize")
@@ -27,11 +26,9 @@ _SELECTOR_SUGAR = {"first": "a", "second": "ad", "third": "add"}
 _CXR_RE = re.compile(r"c([ad]{2,4})r\Z")
 
 
-@lru_cache(maxsize=4096)
-def _selector_path(fn: str) -> Optional[str]:
-    """The c[ad]*r path a selector name stands for, or None for any other name."""
-    if fn in _SELECTOR_SUGAR:
-        return _SELECTOR_SUGAR[fn]
+def _cxr_path(fn: str) -> Optional[str]:
+    """The c[ad]*r path of a name ``c...r`` past ``first``/``second``/``third``,
+    or None when it is no selector."""
     m = _CXR_RE.match(fn)
     return m.group(1) if m else None
 
@@ -117,46 +114,70 @@ Form = (
 )
 
 
-def compile_term(sx: Sexpr, depth: int = 1) -> Term:
+def _atom_term(sx: SAtom, atoms: dict[str, Term]) -> Term:
+    """The term of an atom, made on its text's first occurrence in atoms."""
+    term = atoms.get(sx.printed)
+    if term is None:
+        v = sx.value
+        if type(v) is Symbol and not (v.name == "t" or v.name == "nil" or v.name[:1] == ":"):
+            term = Var(v.name)
+        else:
+            term = Quote(v)
+        atoms[sx.printed] = term
+    return term
+
+
+def compile_term(sx: Sexpr, depth: int = 1, atoms: Optional[dict[str, Term]] = None) -> Term:
     """The core term of a source expression.
 
     ``depth`` is the nesting level of the term's root among function
     applications (1 for a term on its own). Sugar can nest deeper than its
     source, so a term whose applications, once ``cond`` and selectors expand,
     nest deeper than ``reader.MAX_NESTING`` is a ParseError at the expression
-    that crosses the limit, as a deeply nested list is in the reader."""
+    that crosses the limit, as a deeply nested list is in the reader.
+
+    ``atoms`` maps an atom's printed text to its term. Terms are immutable, so
+    the forms of one ``parse_forms`` call share one map, and every occurrence
+    of an atom there is one term object."""
+    if atoms is None:
+        atoms = {}
     if type(sx) is SAtom:
-        v = sx.value
-        if type(v) is Symbol:
-            name = v.name
-            if name == "t" or name == "nil" or name[:1] == ":":
-                return Quote(v)
-            return Var(name)
-        return Quote(v)
+        return _atom_term(sx, atoms)
     items = sx.items
     if not items:
         return Quote(NIL)
     head = items[0]
     if not (type(head) is SAtom and type(head.value) is Symbol):
         raise ParseError("expected a function symbol", sx.line, sx.col)
-    fn = head.value.name
-    args = items[1:]
+    fn = head.printed
     if fn == "quote":
-        if len(args) != 1:
+        if len(items) != 2:
             raise ParseError("quote takes exactly one datum", sx.line, sx.col)
-        return Quote(sexpr_to_value(args[0]))
+        return Quote(sexpr_to_value(items[1]))
     if fn == "cond":
-        return _expand_cond(args, sx, depth)
-    path = _selector_path(fn)
-    width = 1 if path is None else len(path)  # applications the call expands to
+        return _expand_cond(items[1:], sx, depth, atoms)
+    path = _SELECTOR_SUGAR.get(fn)
+    if path is None and fn[-1] == "r" and fn[0] == "c":
+        path = _cxr_path(fn)
+    if path is None:
+        if depth > MAX_NESTING:
+            raise _too_deep(sx)
+        depth += 1
+        args = []
+        for a in items[1:]:
+            if type(a) is SAtom:
+                t = atoms.get(a.printed)
+                args.append(_atom_term(a, atoms) if t is None else t)
+            else:
+                args.append(compile_term(a, depth, atoms))
+        return App(fn, tuple(args))
+    width = len(path)  # applications the call expands to
     if depth + width - 1 > MAX_NESTING:
         raise _too_deep(sx)
-    compiled = [compile_term(a, depth + width) for a in args]
-    if path is not None:
-        if len(compiled) != 1:
-            raise ParseError(f"{fn} takes exactly one argument", sx.line, sx.col)
-        return _expand_selector(path, compiled[0])
-    return App(fn, tuple(compiled))
+    compiled = [compile_term(a, depth + width, atoms) for a in items[1:]]
+    if len(compiled) != 1:
+        raise ParseError(f"{fn} takes exactly one argument", sx.line, sx.col)
+    return _expand_selector(path, compiled[0])
 
 
 def _too_deep(sx: Sexpr) -> ParseError:
@@ -166,19 +187,19 @@ def _too_deep(sx: Sexpr) -> ParseError:
     )
 
 
-def _expand_cond(clauses, sx: Sexpr, depth: int) -> Term:
+def _expand_cond(clauses, sx: Sexpr, depth: int, atoms: dict[str, Term]) -> Term:
     # each clause but a t clause nests the rest of the chain one level deeper
     arms = []
     for clause in clauses:
         if not (isinstance(clause, SList) and len(clause.items) == 2):
             raise ParseError("cond clause must be (test expr)", sx.line, sx.col)
-        test = compile_term(clause.items[0], depth + 1)
+        test = compile_term(clause.items[0], depth + 1, atoms)
         if test == Quote(T):
-            arms.append((test, compile_term(clause.items[1], depth)))
+            arms.append((test, compile_term(clause.items[1], depth, atoms)))
             continue
         if depth > MAX_NESTING:
             raise _too_deep(clause)
-        arms.append((test, compile_term(clause.items[1], depth + 1)))
+        arms.append((test, compile_term(clause.items[1], depth + 1, atoms)))
         depth += 1
     out: Term = Quote(NIL)
     for test, body in reversed(arms):
@@ -187,35 +208,35 @@ def _expand_cond(clauses, sx: Sexpr, depth: int) -> Term:
 
 
 def _symbol_name(sx: Sexpr, what: str) -> str:
-    if isinstance(sx, SAtom) and isinstance(sx.value, Symbol) and not sx.value.name.startswith(":"):
-        return sx.value.name
-    raise ParseError(f"expected a {what} name", getattr(sx, "line", 0), getattr(sx, "col", 0))
+    if type(sx) is SAtom and type(sx.value) is Symbol and sx.printed[:1] != ":":
+        return sx.printed
+    raise ParseError(f"expected a {what} name", sx.line, sx.col)
 
 
 def _require(cond: bool, msg: str, sx: Sexpr):
     if not cond:
-        raise ParseError(msg, getattr(sx, "line", 0), getattr(sx, "col", 0))
+        raise ParseError(msg, sx.line, sx.col)
 
 
-def compile_form(sx: Sexpr) -> Form:
-    _require(isinstance(sx, SList), "top-level form must be a list", sx)
+def compile_form(sx: Sexpr, atoms: Optional[dict[str, Term]] = None) -> Form:
+    """The form sx stands for; ``atoms`` is ``compile_term``'s map of atom
+    terms, shared by the forms of one ``parse_forms`` call."""
+    _require(type(sx) is SList, "top-level form must be a list", sx)
     items = sx.items
     _require(bool(items), "empty top-level form", sx)
     head = items[0]
-    _require(
-        isinstance(head, SAtom) and isinstance(head.value, Symbol),
-        "top-level form must start with a symbol",
-        sx,
-    )
-    op = head.value.name
+    _require(type(head) is SAtom and type(head.value) is Symbol, "top-level form must start with a symbol", sx)
+    op = head.printed
     args = items[1:]
+    if atoms is None:
+        atoms = {}
 
     if op == "defun":
         _require(len(args) == 3, "defun takes a name, a formals list, and a body", sx)
         name = _symbol_name(args[0], "function")
         _require(isinstance(args[1], SList), "defun formals must be a list", sx)
         formals = tuple(_symbol_name(f, "formal") for f in args[1].items)
-        return DefunForm(name, formals, compile_term(args[2]), sx)
+        return DefunForm(name, formals, compile_term(args[2], 1, atoms), sx)
 
     if op == "defdata":
         _require(len(args) >= 1, "defdata needs a definition", sx)
@@ -251,12 +272,12 @@ def compile_form(sx: Sexpr) -> Form:
     if op == "defrule":
         _require(len(args) == 2, "defrule takes a name and a formula", sx)
         name = _symbol_name(args[0], "rule")
-        hyps, lhs, rhs = _rule_parts(compile_term(args[1]), sx)
+        hyps, lhs, rhs = _rule_parts(compile_term(args[1], 1, atoms), sx)
         return DefruleForm(name, hyps, lhs, rhs, sx)
 
     if op == "thm":
         _require(len(args) >= 1, "thm takes a formula", sx)
-        term = compile_term(args[0])
+        term = compile_term(args[0], 1, atoms)
         hints: tuple[HintSpec, ...] = ()
         rest = args[1:]
         if rest:
@@ -270,7 +291,7 @@ def compile_form(sx: Sexpr) -> Form:
 
     if op in ("test?", "top-level-test?"):
         _require(len(args) == 1, f"{op} takes exactly one formula", sx)
-        return TestForm(compile_term(args[0]), sx)
+        return TestForm(compile_term(args[0], 1, atoms), sx)
 
     if op == "set-testing":
         return SetTestingForm(_parse_set_testing(args, sx), sx)
@@ -372,18 +393,37 @@ def _parse_set_testing(args, sx: Sexpr) -> dict:
 
 def parse_forms(text: str) -> list[Form]:
     """Parse source text into its ordered top-level forms."""
-    return [compile_form(sx) for sx in read_sexprs(text)]
+    atoms: dict[str, Term] = {}
+    return [compile_form(sx, atoms) for sx in read_sexprs(text)]
 
 
-def print_sexpr(sx: Sexpr) -> str:
-    if type(sx) is SAtom:
-        v = sx.value
-        return v.name if type(v) is Symbol else print_value(v)
-    quoted = unquote(sx)
-    if quoted is not sx:
-        return "'" + print_sexpr(quoted)
-    return "(" + " ".join([print_sexpr(i) for i in sx.items]) + ")"
+def _print_list(sx: SList, out: list[str]):
+    items = sx.items
+    if len(items) == 2:
+        head, datum = items
+        if type(head) is SAtom and head.printed == "quote":  # only the symbol prints as quote
+            out.append("'")
+            if type(datum) is SAtom:
+                out.append(datum.printed)
+            else:
+                _print_list(datum, out)
+            return
+    out.append("(")
+    for item in items:
+        if type(item) is SAtom:
+            out.append(item.printed)
+        else:
+            _print_list(item, out)
+        out.append(" ")
+    if items:
+        out[-1] = ")"  # in place of the space after the last item
+    else:
+        out.append(")")
 
 
 def print_form(form: Form) -> str:
-    return print_sexpr(form.sx)
+    """The form's source as sedan echoes it: each atom as the reader printed
+    it, one space between items, and ``(quote x)`` as ``'x``."""
+    out: list[str] = []
+    _print_list(form.sx, out)
+    return "".join(out)

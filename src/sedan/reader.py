@@ -1,19 +1,24 @@
-"""S-expression reader: source text to positioned atoms and lists.
+"""S-expression reader: source text to atoms and lists that know their place.
 
 Surface syntax: parenthesized lists, ``;`` line comments, integer and ``p/q``
-rational literals, ``"..."`` strings, ``#\\c`` characters, and the ``'x``
-quote shorthand (expanded to ``(quote x)``). Every character for which
-``str.isspace`` holds (form feed and no-break space included) separates
-tokens. A quote must be followed by a datum in its own list: a quote just
-before ``)`` or at the end of the text is a "quote mark with nothing to
-quote" error at that quote.
+rational literals in ASCII digits, ``"..."`` strings, ``#\\c`` characters,
+and the ``'x`` quote shorthand (expanded to ``(quote x)``). Every character
+for which ``str.isspace`` holds (form feed and no-break space included)
+separates tokens. A quote must be followed by a datum in its own list: a
+quote just before ``)`` or at the end of the text is a "quote mark with
+nothing to quote" error at that quote.
 
-An atom is an ``SAtom``, a ``NamedTuple`` of its value and the line and
-column where it starts (the cheapest immutable record to build; nothing hashes
-or compares nodes); a list is an ``SList`` of its items and position. Within one
-``read_sexprs`` call each distinct atom text is classified once (integer,
-rational or symbol) and later occurrences share the value; a zero
-denominator raises at its first occurrence, so no error is ever shared.
+``read_sexprs`` splits the text into token strings with one ``findall`` and
+walks them once. A node records one integer, the index of its first token,
+beside the ``Source`` it was read from; its ``line`` and ``col`` are worked out
+only when read (by an error message, a pin or a test), from the tokens'
+offsets and a ``bisect`` over the line starts, both computed for a source the
+first time any of its positions is asked for. An atom is an ``SAtom`` tuple of
+its value, its printed text, its token index and its source; a list is an
+``SList`` tuple of its items, its token index and its source. Within one call
+each distinct atom text is classified once (integer, rational, string,
+character or symbol) and printed once, and later occurrences share both; a
+zero denominator raises at its first occurrence, so no error is ever shared.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from typing import List, NamedTuple, Union
+from typing import List, NamedTuple, Optional, Union
 
-from .values import CHAR_BY_NAME, NIL, Char, Symbol, Value, from_list, norm_rat
+from .values import CHAR_BY_NAME, NIL, Char, Symbol, Value, from_list, norm_rat, print_value
 
 
 class ParseError(Exception):
@@ -34,23 +39,72 @@ class ParseError(Exception):
         self.col = col
 
 
+class Source:
+    """The text one ``read_sexprs`` call read, and where its tokens start."""
+
+    __slots__ = ("text", "_offsets", "_line_starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._offsets: Optional[List[int]] = None
+
+    def _tables(self) -> tuple[List[int], List[int]]:
+        if self._offsets is None:
+            text = self.text
+            self._offsets = [m.start() for m in _TOKEN.finditer(text)]
+            # offsets where each line starts, then one past the end of the text
+            self._line_starts = [0] + [m.end() for m in re.finditer("\n", text)] + [len(text) + 1]
+        return self._offsets, self._line_starts
+
+    def offset(self, index: int) -> int:
+        """Where the token at index starts in the text."""
+        return self._tables()[0][index]
+
+    def position(self, index: int) -> tuple[int, int]:
+        """The line and column, from 1, where the token at index starts."""
+        return self.position_of(self.offset(index))
+
+    def position_of(self, offset: int) -> tuple[int, int]:
+        line_starts = self._tables()[1]
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
+
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, *self.position(index))
+
+
 class SAtom(NamedTuple):
     value: Value
-    line: int
-    col: int
+    printed: str  # the value as print_value writes it, a symbol as its name
+    index: int
+    source: Source
+
+    @property
+    def line(self) -> int:
+        return self.source.position(self.index)[0]
+
+    @property
+    def col(self) -> int:
+        return self.source.position(self.index)[1]
 
 
-class SList:
-    def __init__(self, items: List[Sexpr], line: int, col: int):
-        self.items = items
-        self.line = line
-        self.col = col
+class SList(NamedTuple):
+    items: List["Sexpr"]
+    index: int
+    source: Source
+
+    @property
+    def line(self) -> int:
+        return self.source.position(self.index)[0]
+
+    @property
+    def col(self) -> int:
+        return self.source.position(self.index)[1]
 
 
 Sexpr = Union[SAtom, SList]
 
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-_RAT_RE = re.compile(r"[+-]?\d+/\d+\Z")
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 
 # deepest list nesting the reader accepts, which keeps the recursive walks over
 # what it reads (term compilation, printing, rewriting) off the Python stack
@@ -61,120 +115,111 @@ _QUOTE = Symbol("quote")
 _DOT = Symbol(".")
 
 
-def _classify_atom(text: str, line: int, col: int) -> Value:
-    if _INT_RE.match(text):
-        return int(text)
-    if _RAT_RE.match(text):
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ParseError(f"rational literal with zero denominator: {text}", line, col)
-        return norm_rat(Fraction(int(num), int(den)))
-    return Symbol(text)
+def _classify_atom(text: str) -> Value:
+    """The value an atom's text stands for; a zero denominator raises
+    ``ZeroDivisionError``."""
+    m = _NUMBER.match(text)
+    if m is None:
+        return Symbol(text)
+    num, den = m.groups()
+    if den is None:
+        return int(num)
+    return norm_rat(Fraction(int(num), int(den)))
 
 
 # a string literal up to, not including, its closing quote
 _STRING_PREFIX = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
 
-# one token per match. Every character but whitespace starts some group, so the
-# search skips exactly the whitespace between tokens. A string or `#\` that the
-# string and char groups reject falls through to `bad`, and _bad_literal says
-# what is wrong with it.
-_TOKEN = re.compile(
-    rf"""
-    (?P<comment>;[^\n]*)
-    |(?P<open>\()
-    |(?P<close>\))
-    |(?P<quote>')
-    |(?P<string>{_STRING_PREFIX}")
-    |(?P<char>\#\\[\s\S][^\W_]*)
-    |(?P<bad>"|\#\\)
-    |(?P<atom>[^\s()'";]+)
-    """,
-    re.VERBOSE,
-)
+# one token per match: a paren or quote mark, a character, a complete string,
+# the `"` or `#\` that starts a literal the string and char patterns reject, a
+# comment, or an atom. Every character but whitespace starts some alternative,
+# so the search skips exactly the whitespace between tokens.
+_TOKEN = re.compile(rf"""\(|\)|'|\#\\[\s\S][^\W_]*|{_STRING_PREFIX}"|"|\#\\|;[^\n]*|[^\s()'";]+""")
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _position(line_starts: List[int], pos: int) -> tuple[int, int]:
-    line = bisect_right(line_starts, pos)
-    return line, pos - line_starts[line - 1] + 1
-
-
-def _bad_literal(text: str, pos: int, line_starts: List[int]) -> ParseError:
-    """The error for a string or `#\\` at pos that no token pattern accepts."""
-    line, col = _position(line_starts, pos)
+def _bad_literal(source: Source, index: int) -> ParseError:
+    """The error for the string or `#\\` at index that no token pattern accepts."""
+    text, pos = source.text, source.offset(index)
     if text[pos] == "#":
-        return ParseError("unterminated character literal", line, col)
+        return ParseError("unterminated character literal", *source.position_of(pos))
     end = re.compile(_STRING_PREFIX).match(text, pos).end()  # stops at the end or at a bad escape
     if end == len(text):
-        return ParseError("unterminated string", line, col)
+        return ParseError("unterminated string", *source.position_of(pos))
     if end + 1 == len(text):
-        return ParseError("unterminated string escape", line, col)
-    return ParseError(f"unknown string escape \\{text[end + 1]}", *_position(line_starts, end + 1))
+        return ParseError("unterminated string escape", *source.position_of(pos))
+    return ParseError(f"unknown string escape \\{text[end + 1]}", *source.position_of(end + 1))
+
+
+def _literal(tok: str, source: Source, index: int) -> tuple[Value, str]:
+    """The value and printed text of the string, character or atom token tok."""
+    first = tok[0]
+    if first == '"':
+        if len(tok) == 1:
+            raise _bad_literal(source, index)
+        value: Value = tok[1:-1]
+        if "\\" in value:
+            value = _ESCAPE.sub(r"\1", value)
+        return value, print_value(value)
+    if first == "#" and tok[1:2] == "\\":
+        name = tok[2:]
+        if not name:
+            raise _bad_literal(source, index)
+        if len(name) > 1 and name not in CHAR_BY_NAME:
+            raise source.error(f"unknown character name #\\{name}", index)
+        value = Char(CHAR_BY_NAME.get(name, name))
+        return value, print_value(value)
+    try:
+        value = _classify_atom(tok)
+    except ZeroDivisionError:
+        raise source.error(f"rational literal with zero denominator: {tok}", index) from None
+    return value, tok if type(value) is Symbol else print_value(value)
 
 
 def read_sexprs(text: str) -> List[Sexpr]:
-    """Read all top-level s-expressions, with positions for error reporting."""
-    # offsets where each line starts, then one past the end of the text
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)] + [len(text) + 1]
-    line, line_start, next_line_start = 1, 0, line_starts[1]
+    """Read all top-level s-expressions; each node can say where it starts."""
+    source = Source(text)
+    new = tuple.__new__
     stack: List[SList] = []
-    # each pending quote is (depth, line, col); it wraps the next datum that
+    # each pending quote is (depth, index); it wraps the next datum that
     # completes at its depth, and the ')' closing that depth may not come first
-    quotes: List[tuple[int, int, int]] = []
+    quotes: List[tuple[int, int]] = []
     top: List[Sexpr] = []
     items = top  # the items of the innermost open list
-    atoms: dict[str, Value] = {}  # atom text -> its value, for this text only
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        start = m.start()
-        if start >= next_line_start:
-            line = bisect_right(line_starts, start)
-            line_start, next_line_start = line_starts[line - 1], line_starts[line]
-        col = start - line_start + 1
-        if kind == "atom":
-            atom = m.group()
-            value = atoms.get(atom)
-            if value is None:
-                value = atoms[atom] = _classify_atom(atom, line, col)
-            datum: Sexpr = SAtom(value, line, col)
-        elif kind == "open":
+    atoms: dict[str, tuple[Value, str]] = {}  # atom text -> its value and printed text, for this text only
+    for index, tok in enumerate(_TOKEN.findall(text)):
+        if tok == "(":
             if len(stack) >= MAX_NESTING:
-                raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
-            lst = SList([], line, col)
+                raise source.error(f"lists nested deeper than {MAX_NESTING} levels", index)
+            lst = new(SList, ([], index, source))
             stack.append(lst)
-            items = lst.items
+            items = lst[0]
             continue
-        elif kind == "close":
+        if tok == ")":
             if not stack:
-                raise ParseError("unbalanced ')'", line, col)
+                raise source.error("unbalanced ')'", index)
             if quotes and quotes[-1][0] == len(stack):
-                raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
-            datum = stack.pop()
-            items = stack[-1].items if stack else top
-        elif kind == "quote":
-            quotes.append((len(stack), line, col))
-            continue
-        elif kind == "string":
-            datum = SAtom(_ESCAPE.sub(r"\1", m.group()[1:-1]), line, col)
-        elif kind == "char":
-            name = m.group()[2:]
-            if len(name) > 1 and name not in CHAR_BY_NAME:
-                raise ParseError(f"unknown character name #\\{name}", line, col)
-            datum = SAtom(Char(CHAR_BY_NAME.get(name, name)), line, col)
+                raise source.error("quote mark with nothing to quote", quotes[-1][1])
+            datum: Sexpr = stack.pop()
+            items = stack[-1][0] if stack else top
         else:
-            raise _bad_literal(text, start, line_starts)
+            atom = atoms.get(tok)
+            if atom is None:
+                if tok == "'":
+                    quotes.append((len(stack), index))
+                    continue
+                if tok[0] == ";":
+                    continue
+                atom = atoms[tok] = _literal(tok, source, index)
+            datum = new(SAtom, (atom[0], atom[1], index, source))
         while quotes and quotes[-1][0] == len(stack):
-            _, ql, qc = quotes.pop()
-            datum = SList([SAtom(_QUOTE, ql, qc), datum], ql, qc)
+            qi = quotes.pop()[1]
+            datum = new(SList, ([new(SAtom, (_QUOTE, "quote", qi, source)), datum], qi, source))
         items.append(datum)
     if stack:
-        lst = stack[0]
-        raise ParseError("unbalanced '('", lst.line, lst.col)
+        raise source.error("unbalanced '('", stack[0].index)
     if quotes:
-        raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
+        raise source.error("quote mark with nothing to quote", quotes[-1][1])
     return top
 
 

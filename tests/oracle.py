@@ -15,12 +15,22 @@ A clause's trials run as one generated function (``evaluator.trial_loop``).
 ``run_trials_one_by_one`` is the interpreted loop it replaced: it copies a
 binding for each new tuple and evaluates the conjunction and the conclusion
 through ``evaluate``; ``test_testgen.py`` runs both on generated clauses.
+
+The reader (``sedan.reader.read_sexprs``) tokenizes with one ``findall`` and
+works out a node's line and column only when asked. ``read_sexprs_by_match``
+is the reader it replaced: one ``finditer`` loop that takes each token's kind
+from its ``Match`` and its line and column as it goes, into nodes that hold
+them. ``test_reader.py`` runs both on generated texts, well-formed and not.
+Its integer and rational patterns take ASCII digits only, as the reader's do.
 """
 
 import math
+import re
 import time
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import islice, product, repeat
-from typing import Optional
+from typing import List, NamedTuple, Optional, Union
 
 from sedan import testgen
 from sedan.clauses import clause_vars
@@ -36,10 +46,11 @@ from sedan.evaluator import (
     evaluate,
 )
 from sedan.history import DONT_CARE, LiftOutcome
+from sedan.reader import MAX_NESTING, ParseError
 from sedan.rand import IndexSource
 from sedan.terms import QNIL, App, Quote, Term, Var, negate
 from sedan.testgen import TestReport, TypeAlist, _index_bound, _residual_checks, _var_plans
-from sedan.values import NIL, T, Value, boolify, truthy
+from sedan.values import CHAR_BY_NAME, NIL, T, Char, Symbol, Value, boolify, norm_rat, truthy
 
 
 def _interpret(term: Term, binding: Binding, world) -> Value:
@@ -291,3 +302,146 @@ def run_trials_one_by_one(
     report.elapsed = time.perf_counter() - started
     report.trials_run, report.satisfied, report.erroring = trials_run, satisfied, erroring
     return report
+
+
+# --- the reader by Match ------------------------------------------------------
+
+# the node shapes that read_sexprs_by_match builds: each holds its position
+
+
+class SAtom(NamedTuple):
+    value: Value
+    line: int
+    col: int
+
+
+class SList:
+    def __init__(self, items: List["Sexpr"], line: int, col: int):
+        self.items = items
+        self.line = line
+        self.col = col
+
+
+Sexpr = Union[SAtom, SList]
+
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_RAT_RE = re.compile(r"[+-]?[0-9]+/[0-9]+\Z")
+
+_QUOTE = Symbol("quote")
+
+
+def _classify_atom(text: str, line: int, col: int) -> Value:
+    if _INT_RE.match(text):
+        return int(text)
+    if _RAT_RE.match(text):
+        num, den = text.split("/")
+        if int(den) == 0:
+            raise ParseError(f"rational literal with zero denominator: {text}", line, col)
+        return norm_rat(Fraction(int(num), int(den)))
+    return Symbol(text)
+
+
+# a string literal up to, not including, its closing quote
+_STRING_PREFIX = r'"[^"\\]*(?:\\["\\][^"\\]*)*'
+
+# one token per match. Every character but whitespace starts some group, so the
+# search skips exactly the whitespace between tokens. A string or `#\` that the
+# string and char groups reject falls through to `bad`, and _bad_literal says
+# what is wrong with it.
+_TOKEN = re.compile(
+    rf"""
+    (?P<comment>;[^\n]*)
+    |(?P<open>\()
+    |(?P<close>\))
+    |(?P<quote>')
+    |(?P<string>{_STRING_PREFIX}")
+    |(?P<char>\#\\[\s\S][^\W_]*)
+    |(?P<bad>"|\#\\)
+    |(?P<atom>[^\s()'";]+)
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _position(line_starts: List[int], pos: int) -> tuple[int, int]:
+    line = bisect_right(line_starts, pos)
+    return line, pos - line_starts[line - 1] + 1
+
+
+def _bad_literal(text: str, pos: int, line_starts: List[int]) -> ParseError:
+    """The error for a string or `#\\` at pos that no token pattern accepts."""
+    line, col = _position(line_starts, pos)
+    if text[pos] == "#":
+        return ParseError("unterminated character literal", line, col)
+    end = re.compile(_STRING_PREFIX).match(text, pos).end()  # stops at the end or at a bad escape
+    if end == len(text):
+        return ParseError("unterminated string", line, col)
+    if end + 1 == len(text):
+        return ParseError("unterminated string escape", line, col)
+    return ParseError(f"unknown string escape \\{text[end + 1]}", *_position(line_starts, end + 1))
+
+
+def read_sexprs_by_match(text: str) -> List[Sexpr]:
+    """Read all top-level s-expressions, with positions for error reporting."""
+    # offsets where each line starts, then one past the end of the text
+    line_starts = [0] + [m.end() for m in re.finditer("\n", text)] + [len(text) + 1]
+    line, line_start, next_line_start = 1, 0, line_starts[1]
+    stack: List[SList] = []
+    # each pending quote is (depth, line, col); it wraps the next datum that
+    # completes at its depth, and the ')' closing that depth may not come first
+    quotes: List[tuple[int, int, int]] = []
+    top: List[Sexpr] = []
+    items = top  # the items of the innermost open list
+    atoms: dict[str, Value] = {}  # atom text -> its value, for this text only
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "comment":
+            continue
+        start = m.start()
+        if start >= next_line_start:
+            line = bisect_right(line_starts, start)
+            line_start, next_line_start = line_starts[line - 1], line_starts[line]
+        col = start - line_start + 1
+        if kind == "atom":
+            atom = m.group()
+            value = atoms.get(atom)
+            if value is None:
+                value = atoms[atom] = _classify_atom(atom, line, col)
+            datum: Sexpr = SAtom(value, line, col)
+        elif kind == "open":
+            if len(stack) >= MAX_NESTING:
+                raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
+            lst = SList([], line, col)
+            stack.append(lst)
+            items = lst.items
+            continue
+        elif kind == "close":
+            if not stack:
+                raise ParseError("unbalanced ')'", line, col)
+            if quotes and quotes[-1][0] == len(stack):
+                raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
+            datum = stack.pop()
+            items = stack[-1].items if stack else top
+        elif kind == "quote":
+            quotes.append((len(stack), line, col))
+            continue
+        elif kind == "string":
+            datum = SAtom(_ESCAPE.sub(r"\1", m.group()[1:-1]), line, col)
+        elif kind == "char":
+            name = m.group()[2:]
+            if len(name) > 1 and name not in CHAR_BY_NAME:
+                raise ParseError(f"unknown character name #\\{name}", line, col)
+            datum = SAtom(Char(CHAR_BY_NAME.get(name, name)), line, col)
+        else:
+            raise _bad_literal(text, start, line_starts)
+        while quotes and quotes[-1][0] == len(stack):
+            _, ql, qc = quotes.pop()
+            datum = SList([SAtom(_QUOTE, ql, qc), datum], ql, qc)
+        items.append(datum)
+    if stack:
+        lst = stack[0]
+        raise ParseError("unbalanced '('", lst.line, lst.col)
+    if quotes:
+        raise ParseError("quote mark with nothing to quote", *quotes[-1][1:])
+    return top

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedan.forms import parse_forms, print_form
-from sedan.reader import MAX_NESTING, ParseError, read_sexprs, sexpr_to_value
+from sedan.reader import MAX_NESTING, ParseError, SAtom, read_sexprs, sexpr_to_value
 from sedan.terms import App, Quote, Var, app, print_term
 from sedan.values import NIL, T, Char, Cons, Symbol, from_list, norm_rat, print_value
 
 from conftest import term
+from oracle import SAtom as oracle_atom
+from oracle import read_sexprs_by_match
 
 
 def test_empty_input_gives_no_forms():
@@ -117,9 +119,9 @@ def test_each_distinct_atom_text_is_classified_once_per_read(monkeypatch):
     calls = []
     classify = reader._classify_atom
 
-    def counting(text, line, col):
+    def counting(text):
         calls.append(text)
-        return classify(text, line, col)
+        return classify(text)
 
     monkeypatch.setattr(reader, "_classify_atom", counting)
     a, b, lst = read_sexprs("a 1/2\n(a b a\n  1/2 x)")
@@ -141,6 +143,32 @@ def test_a_zero_denominator_raises_at_its_first_occurrence():
     with pytest.raises(ParseError, match="zero denominator") as e:
         read_sexprs("1/0 1/0")
     assert (e.value.line, e.value.col) == (1, 1)
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff13", "\u00b3", "\u096a"])
+def test_only_ascii_digits_make_a_number(digit):
+    # int() takes any Unicode decimal digit, so the reader must not hand it one
+    sxs = read_sexprs(f"{digit} 1/{digit} -{digit}2 +{digit}")
+    assert [sx.value for sx in sxs] == [Symbol(digit), Symbol(f"1/{digit}"), Symbol(f"-{digit}2"), Symbol(f"+{digit}")]
+    src = f"(thm (equal {digit} 3))"
+    form = parse_forms(src)[0]
+    assert form.term == app("equal", Var(digit), Quote(3))
+    assert print_form(form) == src
+
+
+def test_a_node_works_out_its_position_from_its_token_index():
+    lst, atom = read_sexprs("; c\n  (a\n\t'b) ; d\n\u00a0x")
+    quoted = lst.items[1]
+    assert [(sx.line, sx.col) for sx in (lst, lst.items[0], quoted, quoted.items[0], quoted.items[1], atom)] == [
+        (2, 3), (2, 4), (3, 2), (3, 2), (3, 3), (4, 2),
+    ]
+    assert atom.index == 7 and quoted.index == quoted.items[0].index == 3  # each comment is a token
+
+
+def test_the_echo_prints_each_atom_as_the_reader_printed_it():
+    src = r"""(test? (equal (f 007 -4/6 "a\"b" #\Space (quote (x . y)) '#\a) '(1 "s" 2/1)))"""
+    echo = r"""(test? (equal (f 7 -2/3 "a\"b" #\Space '(x . y) '#\a) '(1 "s" 2)))"""
+    assert print_form(parse_forms(src)[0]) == echo
 
 
 def test_selector_sugar_expands():
@@ -208,3 +236,67 @@ def test_form_print_round_trip():
     reprinted = print_form(form)
     assert parse_forms(reprinted)[0].term == form.term
     assert parse_forms(reprinted)[0].hints == form.hints
+
+
+# --- the reader against the reader by Match ----------------------------------
+
+_ATOMS = [
+    "a", "foo-bar", "x1", ".", "#a", "#", "1.5", "a#\\b", "nil", ":k", "7", "-3", "+0", "007", "+-1", "1/2",
+    "-6/3", "2/4", "1/", "/2", "\u0663", "1/\u0662", "\u540d",
+]
+_LITERALS = ['""', '"ab"', '"a\\"b"', '"x\\\\y"', '"multi\nline"', "#\\a", "#\\Space", "#\\Newline", "#\\(", "#\\\u00e9"]
+_MALFORMED = ["1/0", "-3/00", '"a\\qb"', '"abc', '"a\\', "#\\foo", "#\\1x", "#\\", "'", "(", ")"]
+_SPACE = [" ", "\n", "\t", "\r\n", "\f", "\v", "\x1c", "\x85", "\u00a0", "\u2003", "; c\n", ";\n"]
+_PIECES = _ATOMS + _LITERALS + _MALFORMED + _SPACE
+
+
+def _deep(n: int, inner: str, quoted: bool) -> str:
+    return ("'" if quoted else "") + "(" * n + inner + "\n" + ")" * n
+
+
+# well-formed data, each optionally quoted, with any whitespace or comment between
+_datum = st.recursive(
+    st.tuples(st.sampled_from(["", "'"]), st.sampled_from(_ATOMS + _LITERALS)).map("".join),
+    lambda inner: st.builds(
+        lambda quote, items, space: quote + "(" + space.join(items) + ")",
+        st.sampled_from(["", "'", "''"]), st.lists(inner, max_size=4), st.sampled_from(_SPACE),
+    ),
+    max_leaves=12,
+)
+
+_texts = st.one_of(
+    st.lists(st.tuples(_datum, st.sampled_from(_SPACE)).map("".join), max_size=4).map("".join),
+    st.lists(st.sampled_from(_PIECES), max_size=30).map(" ".join),
+    st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+    st.builds(
+        _deep, st.sampled_from([MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]),
+        st.lists(st.sampled_from(_PIECES), max_size=6).map(" ".join), st.booleans(),
+    ),
+)
+
+
+def _nodes(sx, out):
+    if isinstance(sx, (SAtom, oracle_atom)):
+        out.append(("atom", type(sx.value), sx.value, sx.line, sx.col))
+    else:
+        out.append(("list", len(sx.items), sx.line, sx.col))
+        for item in sx.items:
+            _nodes(item, out)
+    return out
+
+
+def _outcome(read, text):
+    try:
+        sxs = read(text)
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+    out: list = []
+    for sx in sxs:
+        _nodes(sx, out)
+    return out
+
+
+@settings(max_examples=600, deadline=None)
+@given(_texts)
+def test_the_reader_agrees_with_the_reader_by_match(text):
+    assert _outcome(read_sexprs, text) == _outcome(read_sexprs_by_match, text)

@@ -87,6 +87,9 @@ INPUTS = [
     "; only a comment\n;; and another",
     " \n\t\r\n ",
     "(a . b . c)",
+    # only ASCII digits make a number: these are symbols, recorded after the
+    # reader stopped reading other Unicode decimal digits as numbers
+    "(thm (equal \u0663 3))\n1/\u0662 -\uff13 \u00b3",
 ]
 
 

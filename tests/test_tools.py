@@ -27,11 +27,27 @@ def test_show_generated_prints_inequality_s_one_trial_loop(monkeypatch, capsys):
     assert evaluator._maker_code is compiled
 
 
-def test_run_goldens_checks_a_golden_without_pytest():
-    # a fresh interpreter, so the runner imports test_golden with its stubs
-    # and not the pytest this suite runs under
+def test_run_goldens_checks_a_golden_and_the_reader_pins_without_pytest():
+    # a fresh interpreter, so the runner imports test_golden and
+    # test_reader_pins with its stubs and not the pytest and Hypothesis this
+    # suite runs under
     run = subprocess.run([sys.executable, os.path.join(TOOLS, "run_goldens.py"), "inequality"],
                          capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout.splitlines()[0] == "inequality: ok"
-    assert run.stdout.splitlines()[1].startswith("1 of 1 cases byte-identical on Python ")
+    lines = run.stdout.splitlines()
+    assert lines[0] == "inequality: ok"
+    assert lines[1].startswith("1 of 1 cases byte-identical on Python ")
+    assert lines[2] == "reader pins (61 compile_errors, 8 files, 44 inputs): ok"
+    assert len(lines) == 3
+
+
+def test_run_goldens_reports_a_reader_pin_that_differs(monkeypatch, capsys, tmp_path):
+    monkeypatch.syspath_prepend(TOOLS)
+    run_goldens = importlib.import_module("run_goldens")
+    import test_reader_pins
+
+    pinned = test_reader_pins.load_golden()
+    pinned["inputs"]["1/0"] = ["error 1:1 some other message"]
+    monkeypatch.setattr(test_reader_pins, "load_golden", lambda: pinned)
+    assert not run_goldens.check_reader_pins()
+    assert capsys.readouterr().out.endswith("): differ in inputs '1/0'\n")

@@ -1,13 +1,17 @@
-"""Check the golden reports with the standard library alone.
+"""Check the golden reports and the reader pins with the standard library alone.
 
     python tools/run_goldens.py [CASE ...]
 
 Runs each golden case of ``tests/test_golden.py`` (all of them when none is
 named) and compares its text and structured reports with the files in
-``tests/golden/`` byte for byte. It imports ``test_golden`` with ``pytest``
-and the tests' ``conftest`` stubbed out, so it runs on any CPython that sedan
-supports, with no test package installed. It prints one line per case and
-exits 1 when any report differs.
+``tests/golden/`` byte for byte. Then it reads every source file and input
+that ``tests/test_reader_pins.py`` pins and compares the record with
+``tests/pinned/reader.json``; the reader's token pattern takes its whitespace and
+word classes from the running interpreter's Unicode tables, so each CPython
+needs this check of its own. It imports both test modules with ``pytest``,
+``hypothesis`` and the tests' ``conftest`` stubbed out, so it runs on any
+CPython that sedan supports, with no test package installed. It prints one
+line per case and one for the reader pins, and exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -19,16 +23,48 @@ import types
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 
 
+class _Strategy:
+    """Stands for any Hypothesis strategy: each call or attribute gives itself."""
+
+    def __call__(self, *args, **kwargs):
+        return self
+
+    def __getattr__(self, name):
+        return self
+
+
 def _stub_test_packages():
-    """Stand-ins for what ``test_golden`` imports besides sedan: pytest's
-    ``mark.parametrize`` as a decorator that changes nothing, and conftest's
-    ``CORPUS_DIR``. A module already imported, as under pytest, stays."""
+    """Stand-ins for what ``test_golden`` and ``test_reader_pins`` import
+    besides sedan: pytest's ``mark.parametrize`` and Hypothesis's ``given``
+    and ``settings`` as decorators that change nothing, inert strategies, and
+    conftest's ``CORPUS_DIR``. A module already imported, as under pytest,
+    stays."""
+    unchanged = lambda *args, **kwargs: lambda fn: fn  # noqa: E731
     pytest = types.ModuleType("pytest")
-    pytest.mark = types.SimpleNamespace(parametrize=lambda *args, **kwargs: lambda fn: fn)
+    pytest.mark = types.SimpleNamespace(parametrize=unchanged)
+    hypothesis = types.ModuleType("hypothesis")
+    hypothesis.given = hypothesis.settings = unchanged
+    hypothesis.strategies = _Strategy()
     conftest = types.ModuleType("conftest")
     conftest.CORPUS_DIR = os.path.join(ROOT, "src", "sedan", "corpus")
     sys.modules.setdefault("pytest", pytest)
+    sys.modules.setdefault("hypothesis", hypothesis)
     sys.modules.setdefault("conftest", conftest)
+
+
+def check_reader_pins() -> bool:
+    """Whether every record of ``tests/pinned/reader.json`` reads as pinned;
+    prints one line that says so."""
+    import test_reader_pins
+
+    pinned, got = test_reader_pins.load_golden(), test_reader_pins.record()
+    differing = [
+        f"{section} {key!r}" for section in sorted(pinned) for key in sorted(set(pinned[section]) | set(got[section]))
+        if got[section].get(key) != pinned[section].get(key)
+    ]
+    counts = ", ".join(f"{len(pinned[section])} {section}" for section in sorted(pinned))
+    print(f"reader pins ({counts}): {'differ in ' + '; '.join(differing) if differing else 'ok'}")
+    return not differing
 
 
 def main(argv=None) -> int:
@@ -54,7 +90,8 @@ def main(argv=None) -> int:
         differing += bool(bad)
         print(f"{case}: {'differs in ' + ' and '.join(bad) if bad else 'ok'}")
     print(f"{len(cases) - differing} of {len(cases)} cases byte-identical on Python {sys.version.split()[0]}")
-    return 1 if differing else 0
+    pins_ok = check_reader_pins()
+    return 1 if differing or not pins_ok else 0
 
 
 if __name__ == "__main__":
