@@ -73,33 +73,26 @@ class Source:
         return ParseError(message, *self.position(index))
 
 
+# a node's position, worked out from its token index when read
+_line = property(lambda node: node.source.position(node.index)[0], doc="The line, from 1, where the node starts.")
+_col = property(lambda node: node.source.position(node.index)[1], doc="The column, from 1, where the node starts.")
+
+
 class SAtom(NamedTuple):
     value: Value
     printed: str  # the value as print_value writes it, a symbol as its name
     index: int
     source: Source
-
-    @property
-    def line(self) -> int:
-        return self.source.position(self.index)[0]
-
-    @property
-    def col(self) -> int:
-        return self.source.position(self.index)[1]
+    line = _line
+    col = _col
 
 
 class SList(NamedTuple):
     items: List["Sexpr"]
     index: int
     source: Source
-
-    @property
-    def line(self) -> int:
-        return self.source.position(self.index)[0]
-
-    @property
-    def col(self) -> int:
-        return self.source.position(self.index)[1]
+    line = _line
+    col = _col
 
 
 Sexpr = Union[SAtom, SList]
