@@ -13,12 +13,14 @@ walks them once. A node records one integer, the index of its first token,
 beside the ``Source`` it was read from; its ``line`` and ``col`` are worked out
 only when read (by an error message, a pin or a test), from the tokens'
 offsets and a ``bisect`` over the line starts, both computed for a source the
-first time any of its positions is asked for. An atom is an ``SAtom`` tuple of
-its value, its printed text, its token index and its source; a list is an
-``SList`` tuple of its items, its token index and its source. Within one call
-each distinct atom text is classified once (integer, rational, string,
-character or symbol) and printed once, and later occurrences share both; a
-zero denominator raises at its first occurrence, so no error is ever shared.
+first time any of its positions is asked for. An atom (``SAtom``) holds its
+value, its printed text, its token index and its source; a list (``SList``)
+holds its items, its token index and its source. Both are ``__slots__``
+records that the reader fills in place, so building a node runs no Python
+constructor. Within one call each distinct atom text is classified once
+(integer, rational, string, character or symbol) and printed once, and later
+occurrences share both; a zero denominator raises at its first occurrence, so
+no error is ever shared.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Union
+from typing import List, Optional, Union
 
 from .values import CHAR_BY_NAME, NIL, Char, Symbol, Value, from_list, norm_rat, print_value
 
@@ -78,19 +80,21 @@ _line = property(lambda node: node.source.position(node.index)[0], doc="The line
 _col = property(lambda node: node.source.position(node.index)[1], doc="The column, from 1, where the node starts.")
 
 
-class SAtom(NamedTuple):
-    value: Value
-    printed: str  # the value as print_value writes it, a symbol as its name
-    index: int
-    source: Source
+class SAtom:
+    """An atom: its value, its printed text (the value as ``print_value``
+    writes it, a symbol as its name), its token index and its source. The
+    reader fills its slots, and nothing changes them after."""
+
+    __slots__ = ("value", "printed", "index", "source")
     line = _line
     col = _col
 
 
-class SList(NamedTuple):
-    items: List["Sexpr"]
-    index: int
-    source: Source
+class SList:
+    """A list: its items, its first token's index and its source. The reader
+    fills its slots, and nothing changes them after."""
+
+    __slots__ = ("items", "index", "source")
     line = _line
     col = _col
 
@@ -169,10 +173,17 @@ def _literal(tok: str, source: Source, index: int) -> tuple[Value, str]:
     return value, tok if type(value) is Symbol else print_value(value)
 
 
+def _quoted(datum: Sexpr, index: int, source: Source) -> SList:
+    """The list ``(quote datum)`` that the quote mark at index stands for."""
+    quote, lst = SAtom(), SList()
+    quote.value, quote.printed, quote.index, quote.source = _QUOTE, "quote", index, source
+    lst.items, lst.index, lst.source = [quote, datum], index, source
+    return lst
+
+
 def read_sexprs(text: str) -> List[Sexpr]:
     """Read all top-level s-expressions; each node can say where it starts."""
     source = Source(text)
-    new = tuple.__new__
     stack: List[SList] = []
     # each pending quote is (depth, index); it wraps the next datum that
     # completes at its depth, and the ')' closing that depth may not come first
@@ -184,9 +195,10 @@ def read_sexprs(text: str) -> List[Sexpr]:
         if tok == "(":
             if len(stack) >= MAX_NESTING:
                 raise source.error(f"lists nested deeper than {MAX_NESTING} levels", index)
-            lst = new(SList, ([], index, source))
+            items = []
+            lst = SList()
+            lst.items, lst.index, lst.source = items, index, source
             stack.append(lst)
-            items = lst[0]
             continue
         if tok == ")":
             if not stack:
@@ -194,7 +206,7 @@ def read_sexprs(text: str) -> List[Sexpr]:
             if quotes and quotes[-1][0] == len(stack):
                 raise source.error("quote mark with nothing to quote", quotes[-1][1])
             datum: Sexpr = stack.pop()
-            items = stack[-1][0] if stack else top
+            items = stack[-1].items if stack else top
         else:
             atom = atoms.get(tok)
             if atom is None:
@@ -204,10 +216,12 @@ def read_sexprs(text: str) -> List[Sexpr]:
                 if tok[0] == ";":
                     continue
                 atom = atoms[tok] = _literal(tok, source, index)
-            datum = new(SAtom, (atom[0], atom[1], index, source))
+            datum = SAtom()
+            datum.value, datum.printed = atom
+            datum.index, datum.source = index, source
         while quotes and quotes[-1][0] == len(stack):
             qi = quotes.pop()[1]
-            datum = new(SList, ([new(SAtom, (_QUOTE, "quote", qi, source)), datum], qi, source))
+            datum = _quoted(datum, qi, source)
         items.append(datum)
     if stack:
         raise source.error("unbalanced '('", stack[0].index)

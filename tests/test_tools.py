@@ -27,7 +27,7 @@ def test_show_generated_prints_inequality_s_one_trial_loop(monkeypatch, capsys):
     assert evaluator._maker_code is compiled
 
 
-def test_run_goldens_checks_a_golden_and_the_reader_pins_without_pytest():
+def test_run_goldens_checks_a_golden_without_pytest():
     # a fresh interpreter, so the runner imports test_golden and
     # test_reader_pins with its stubs and not the pytest and Hypothesis this
     # suite runs under
@@ -41,7 +41,7 @@ def test_run_goldens_checks_a_golden_and_the_reader_pins_without_pytest():
     assert len(lines) == 3
 
 
-def test_run_goldens_reports_a_reader_pin_that_differs(monkeypatch, capsys, tmp_path):
+def test_run_goldens_reports_a_reader_pin_that_differs(monkeypatch, capsys):
     monkeypatch.syspath_prepend(TOOLS)
     run_goldens = importlib.import_module("run_goldens")
     import test_reader_pins
