@@ -26,13 +26,6 @@ _SELECTOR_SUGAR = {"first": "a", "second": "ad", "third": "add"}
 _CXR_RE = re.compile(r"c([ad]{2,4})r\Z")
 
 
-def _cxr_path(fn: str) -> Optional[str]:
-    """The c[ad]*r path of a name ``c...r`` past ``first``/``second``/``third``,
-    or None when it is no selector."""
-    m = _CXR_RE.match(fn)
-    return m.group(1) if m else None
-
-
 def _expand_selector(path: str, arg: Term) -> Term:
     # path letters apply right-to-left: cadr -> (car (cdr x))
     out = arg
@@ -156,9 +149,10 @@ def compile_term(sx: Sexpr, depth: int = 1, atoms: Optional[dict[str, Term]] = N
         return Quote(sexpr_to_value(items[1]))
     if fn == "cond":
         return _expand_cond(items[1:], sx, depth, atoms)
-    path = _SELECTOR_SUGAR.get(fn)
+    path = _SELECTOR_SUGAR.get(fn)  # the c[ad]*r path a selector name stands for
     if path is None and fn[-1] == "r" and fn[0] == "c":
-        path = _cxr_path(fn)
+        m = _CXR_RE.match(fn)
+        path = m and m.group(1)
     if path is None:
         if depth > MAX_NESTING:
             raise _too_deep(sx)
