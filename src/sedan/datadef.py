@@ -894,6 +894,32 @@ def minimal_type(world, restrictions: list[Restriction]) -> TypeSelection:
     return TypeSelection(primary, residuals)
 
 
+def _reaches_custom(world, name: str) -> bool:
+    """Whether the named type's expression, or a type it refers to, directly
+    or not, is a custom type."""
+    seen, todo = {name}, [name]
+    while todo:
+        expr = world.types.entries[todo.pop()].expr
+        if isinstance(expr, CustomExpr):
+            return True
+        for ref in _referenced_names(expr):
+            if ref not in seen:
+                seen.add(ref)
+                todo.append(ref)
+    return False
+
+
+def selection_decides(world, selection: TypeSelection, name: str) -> bool:
+    """Whether a variable sampled under ``selection`` is known to satisfy the
+    named type's recognizer once its residual checks pass. A residual is
+    decided: its check is that very call. So is the primary type, whose
+    recognizer accepts every value its decoder yields, unless it reaches a
+    custom type, whose user functions may reject or raise. A type that only
+    contains the primary through a subtype edge is not: a ``defdata-subtype``
+    edge is checked on evidence, not proven."""
+    return name in selection.residuals or (name == selection.primary and not _reaches_custom(world, name))
+
+
 def component_types(world, restrictions) -> tuple[list[Restriction], list[Restriction]]:
     """Restrictions on the car and on the cdr of a pair that meets every one
     of ``restrictions``: a listof gives its element type to the car and itself

@@ -186,14 +186,16 @@ def read_sexprs(text: str) -> List[Sexpr]:
     source = Source(text)
     stack: List[SList] = []
     # each pending quote is (depth, index); it wraps the next datum that
-    # completes at its depth, and the ')' closing that depth may not come first
+    # completes at its depth, and the ')' closing that depth may not come
+    # first. It stands for a list, (quote datum), so it counts as a level of
+    # nesting.
     quotes: List[tuple[int, int]] = []
     top: List[Sexpr] = []
     items = top  # the items of the innermost open list
     atoms: dict[str, tuple[Value, str]] = {}  # atom text -> its value and printed text, for this text only
     for index, tok in enumerate(_TOKEN.findall(text)):
         if tok == "(":
-            if len(stack) >= MAX_NESTING:
+            if len(stack) + len(quotes) >= MAX_NESTING:
                 raise source.error(f"lists nested deeper than {MAX_NESTING} levels", index)
             items = []
             lst = SList()
@@ -211,6 +213,8 @@ def read_sexprs(text: str) -> List[Sexpr]:
             atom = atoms.get(tok)
             if atom is None:
                 if tok == "'":
+                    if len(stack) + len(quotes) >= MAX_NESTING:
+                        raise source.error(f"lists nested deeper than {MAX_NESTING} levels", index)
                     quotes.append((len(stack), index))
                     continue
                 if tok[0] == ";":

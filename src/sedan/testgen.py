@@ -38,6 +38,7 @@ from .datadef import (
     recognize,
     recognizer_name,
     sample,
+    selection_decides,
 )
 # no trial calls evaluate; the name stays here for perfbench's tracer
 from .evaluator import evaluate, trial_loop
@@ -132,6 +133,17 @@ def _residual_checks(world, plans: dict[str, TypeSelection], var_order) -> list[
     ]
 
 
+def _undecided(hyps: list[Term], plans: dict[str, TypeSelection], world) -> list[Term]:
+    """The hypotheses but each recognizer call ``(X v)`` that v's sampling
+    decides (``datadef.selection_decides``)."""
+    index = world.types.recognizer_index
+    return [
+        h for h in hyps
+        if not (isinstance(h, App) and len(h.args) == 1 and isinstance(h.args[0], Var) and h.fn in index
+                and selection_decides(world, plans[h.args[0].name], index[h.fn]))
+    ]
+
+
 def _index_bound(world, selection: TypeSelection, exhaustive_bound: int) -> int:
     entry = world.types.entries[selection.primary]
     if entry.size is not None:
@@ -154,10 +166,13 @@ def run_trials(
     mode, distribution and bounds come from ``world.settings``.
 
     A trial is a tuple of indices, one per non-singleton variable in variable
-    order: the next draws of a seeded ``IndexSource`` in random mode, the next
-    position of an odometer in exhaustive mode. One conjunction decides
-    whether a trial satisfies the hypotheses: each variable's residual
-    restrictions, in variable order, and then the hypotheses. The clause's
+    order: the next indices of one seeded ``IndexSource.draws`` generator in
+    random mode, the next position of an odometer in exhaustive mode. One
+    conjunction decides whether a trial satisfies the hypotheses: each
+    variable's residual restrictions, in variable order, and then the
+    hypotheses, less each recognizer call that the variable's sampling
+    already decides: a residual just checked, or the primary type that drew
+    the value, if no custom type is reached. The clause's
     trials run in one generated function (``evaluator.trial_loop``), which
     holds each variable in a local and inlines the conjunction and the
     conclusion; a test past the depth cap raises there, and a trial that
@@ -206,9 +221,8 @@ def run_trials(
         tuples = islice(product(*map(range, bounds)), trials)
         capacity = 0
     elif width:
-        rng = IndexSource(seed, settings.dist, settings.uniform_bound)
-        # no draw is -1, so this is the next trials * width draws
-        tuples = zip(*[islice(iter(rng.draw, -1), trials * width)] * width)
+        draws = IndexSource(seed, settings.dist, settings.uniform_bound).draws(trials * width)
+        tuples = zip(*[draws] * width)
     else:
         tuples = repeat((), trials)
 
@@ -223,7 +237,7 @@ def run_trials(
     # one conjunction evaluates the residual checks and then the hypotheses in
     # order, stopping at the first that fails, with the depth cap applying to
     # each on its own
-    checks = _residual_checks(world, plans, var_order) + hyps
+    checks = _residual_checks(world, plans, var_order) + _undecided(hyps, plans, world)
     hyp_term = App("and", tuple(checks)) if checks else None
     loop = trial_loop(world, var_order, drawn, pinned, hyp_term, concl)
     decoded = [{} for _ in dict.fromkeys(t for _, t in drawn)]  # per type, index -> value

@@ -25,38 +25,39 @@ def _clause_truth(literals, binding, world):
 
 def check_entry_soundness(entry, world, bindings=200, seed=1234):
     """Returns a list of offending binding descriptions (empty = sound)."""
-    rng = IndexSource(seed)
     parent_vars = clause_vars(entry.parent_clause)
     child_vars = sorted({v for cl in entry.child_clauses for v in clause_vars(cl)})
+    # a binding draws at most one index per variable of either clause
+    draws = IndexSource(seed).draws(bindings * (len(parent_vars) + len(child_vars)))
     offenders = []
     for _ in range(bindings):
         if entry.liftable:
-            child_binding = {v: sample(world, "all", rng.draw()) for v in child_vars}
+            child_binding = {v: sample(world, "all", next(draws)) for v in child_vars}
             parent_binding = {}
             for pv in parent_vars:
                 expr = entry.variable_map.get(pv)
                 if expr is None:
                     expr = Var(pv) if pv in child_vars else None
                 if expr is None:
-                    parent_binding[pv] = sample(world, "all", rng.draw())
+                    parent_binding[pv] = sample(world, "all", next(draws))
                 else:
                     try:
                         parent_binding[pv] = evaluate(expr, child_binding, world)
                     except EvaluationError:
-                        parent_binding[pv] = sample(world, "all", rng.draw())
+                        parent_binding[pv] = sample(world, "all", next(draws))
         else:
             # generalize: the parent instantiates the child through the reverse map
-            parent_binding = {v: sample(world, "all", rng.draw()) for v in parent_vars}
+            parent_binding = {v: sample(world, "all", next(draws)) for v in parent_vars}
             child_binding = {}
             for cv in child_vars:
                 expr = entry.variable_map.get(cv, Var(cv) if cv in parent_vars else None)
                 if expr is None:
-                    child_binding[cv] = sample(world, "all", rng.draw())
+                    child_binding[cv] = sample(world, "all", next(draws))
                 else:
                     try:
                         child_binding[cv] = evaluate(expr, parent_binding, world)
                     except EvaluationError:
-                        child_binding[cv] = sample(world, "all", rng.draw())
+                        child_binding[cv] = sample(world, "all", next(draws))
         try:
             children_true = all(
                 _clause_truth(cl, child_binding, world) for cl in entry.child_clauses

@@ -22,9 +22,15 @@ is the reader it replaced: one ``finditer`` loop that takes each token's kind
 from its ``Match`` and its line and column as it goes, into nodes that hold
 them. ``test_reader.py`` runs both on generated texts, well-formed and not.
 Its integer and rational patterns take ASCII digits only, as the reader's do.
+
+An index source (``sedan.rand.IndexSource``) yields its indices from one
+generator, ``draws(n)``. ``IndexSourceOneByOne`` is the source it replaced:
+each index is one method call, ``draw``. ``test_rand.py`` checks that both
+yield the same indices for the same seed.
 """
 
 import math
+import random
 import re
 import time
 from bisect import bisect_right
@@ -47,10 +53,32 @@ from sedan.evaluator import (
 )
 from sedan.history import DONT_CARE, LiftOutcome
 from sedan.reader import MAX_NESTING, ParseError
-from sedan.rand import IndexSource
+from sedan.rand import DEFAULT_UNIFORM_BOUND, GEOMETRIC_CONTINUE, GEOMETRIC_WIDTH_CAP
 from sedan.terms import QNIL, App, Quote, Term, Var, negate
 from sedan.testgen import TestReport, TypeAlist, _index_bound, _residual_checks, _var_plans
 from sedan.values import CHAR_BY_NAME, NIL, T, Char, Symbol, Value, boolify, norm_rat, truthy
+
+
+class IndexSourceOneByOne:
+    """``rand.IndexSource`` with one method call per index: ``draw`` is
+    ``geometric`` or ``uniform``, as the source's distribution says. A
+    geometric index is ``randrange(1 << g)``, whose rejection loop over g + 1
+    random bits ``IndexSource.draws`` runs inline."""
+
+    def __init__(self, seed: int, dist: str = "geometric", uniform_bound: int = DEFAULT_UNIFORM_BOUND):
+        self._rng = random.Random(seed)
+        self.uniform_bound = uniform_bound
+        self.draw = self.geometric if dist == "geometric" else self.uniform
+
+    def geometric(self) -> int:
+        rng = self._rng
+        g = 0
+        while g < GEOMETRIC_WIDTH_CAP and rng.random() < GEOMETRIC_CONTINUE:
+            g += 1
+        return rng.randrange(1 << g)
+
+    def uniform(self) -> int:
+        return self._rng.randrange(self.uniform_bound)
 
 
 def _interpret(term: Term, binding: Binding, world) -> Value:
@@ -252,7 +280,7 @@ def run_trials_one_by_one(
         tuples = islice(product(*map(range, bounds)), trials)
         capacity = 0
     else:
-        rng = IndexSource(seed, settings.dist, settings.uniform_bound)
+        rng = IndexSourceOneByOne(seed, settings.dist, settings.uniform_bound)
         draws = (rng.draw() for _ in range(trials * width))
         tuples = zip(*[draws] * width) if width else repeat((), trials)
 
@@ -389,7 +417,8 @@ def read_sexprs_by_match(text: str) -> List[Sexpr]:
     line, line_start, next_line_start = 1, 0, line_starts[1]
     stack: List[SList] = []
     # each pending quote is (depth, line, col); it wraps the next datum that
-    # completes at its depth, and the ')' closing that depth may not come first
+    # completes at its depth, and the ')' closing that depth may not come
+    # first. It stands for a list, so it counts as a level of nesting.
     quotes: List[tuple[int, int, int]] = []
     top: List[Sexpr] = []
     items = top  # the items of the innermost open list
@@ -410,7 +439,7 @@ def read_sexprs_by_match(text: str) -> List[Sexpr]:
                 value = atoms[atom] = _classify_atom(atom, line, col)
             datum: Sexpr = SAtom(value, line, col)
         elif kind == "open":
-            if len(stack) >= MAX_NESTING:
+            if len(stack) + len(quotes) >= MAX_NESTING:
                 raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
             lst = SList([], line, col)
             stack.append(lst)
@@ -424,6 +453,8 @@ def read_sexprs_by_match(text: str) -> List[Sexpr]:
             datum = stack.pop()
             items = stack[-1].items if stack else top
         elif kind == "quote":
+            if len(stack) + len(quotes) >= MAX_NESTING:
+                raise ParseError(f"lists nested deeper than {MAX_NESTING} levels", line, col)
             quotes.append((len(stack), line, col))
             continue
         elif kind == "string":

@@ -300,23 +300,21 @@ def test_encoding_totality_at_huge_indices(world):
 
 
 def test_sample_determinism(world):
-    a = [print_value(sample(world, "all", IndexSource(99).draw())) for _ in range(200)]
-    b = [print_value(sample(world, "all", IndexSource(99).draw())) for _ in range(200)]
+    a = [print_value(sample(world, "all", i)) for i in IndexSource(99).draws(200)]
+    b = [print_value(sample(world, "all", i)) for i in IndexSource(99).draws(200)]
     assert a == b
-    c = [print_value(sample(world, "all", IndexSource(100).draw())) for _ in range(200)]
+    c = [print_value(sample(world, "all", i)) for i in IndexSource(100).draws(200)]
     assert a != c
 
 
 def test_boolean_uniform_sampling_hits_both(world):
-    rng = IndexSource(5, "uniform")
-    seen = {print_value(sample(world, "boolean", rng.draw())) for _ in range(1000)}
+    seen = {print_value(sample(world, "boolean", i)) for i in IndexSource(5, "uniform").draws(1000)}
     assert seen == {"t", "nil"}
 
 
 def test_geometric_list_sampling_favors_short_lists():
     w = make_world("(defdata loi (listof integer))")
-    rng = IndexSource(7)
-    lengths = sorted(proper_length(sample(w, "loi", rng.draw())) for _ in range(1000))
+    lengths = sorted(proper_length(sample(w, "loi", i)) for i in IndexSource(7).draws(1000))
     median = lengths[500]
     assert median <= 4
 
@@ -345,9 +343,9 @@ def test_recognize_all(world):
 def test_sample_with_drawn_index_zero_is_zero(world):
     # some seed's first geometric draw is index 0; nat maps it to 0
     for seed in range(1, 60):
-        rng = IndexSource(seed)
-        if IndexSource(seed).geometric() == 0:
-            assert sample(world, "nat", rng.draw()) == 0
+        [index] = IndexSource(seed).draws(1)
+        if index == 0:
+            assert sample(world, "nat", index) == 0
             return
     raise AssertionError("no seed with a first draw of 0 in range")
 

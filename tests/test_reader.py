@@ -43,9 +43,15 @@ def test_unbalanced_parens_report_position():
 
 def test_nesting_past_the_cap_is_a_positioned_parse_error():
     read_sexprs("(" * MAX_NESTING + ")" * MAX_NESTING)
+    # a quote mark stands for a list, (quote datum), so it is a level too
+    read_sexprs("'" + "(" * (MAX_NESTING - 1) + ")" * (MAX_NESTING - 1))
     with pytest.raises(ParseError, match="nested deeper") as e:
         read_sexprs("'(" + "\n(" * MAX_NESTING + ")" * (MAX_NESTING + 1))
-    assert (e.value.line, e.value.col) == (MAX_NESTING + 1, 1)
+    assert (e.value.line, e.value.col) == (MAX_NESTING, 1)
+    read_sexprs("'" * MAX_NESTING + "a")
+    with pytest.raises(ParseError, match="nested deeper") as e:
+        read_sexprs("(" + "'" * MAX_NESTING + "a)")
+    assert (e.value.line, e.value.col) == (1, MAX_NESTING + 1)
 
 
 def test_unknown_form_head_rejected():

@@ -101,6 +101,19 @@ def test_deep_nesting_is_reported_not_a_traceback(tmp_path, capsys):
     assert "nested deeper" in capsys.readouterr().out
 
 
+def test_deeply_nested_quote_marks_are_reported_not_a_traceback(tmp_path, capsys):
+    from sedan.cli import main
+
+    # each quote mark is a list, (quote ...): two lists and 254 quotes reach
+    # the cap, so the next quote, at column 17 + 254, is the error
+    path = tmp_path / "quotes.lisp"
+    path.write_text("(test? (equal x " + "'" * 3000 + "a))\n")
+    assert main([str(path), "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert f"1:271: lists nested deeper than {MAX_NESTING} levels" in out
+    assert "Traceback" not in out and "RecursionError" not in out
+
+
 def _long_cond(clauses: int, form: str) -> str:
     arms = " ".join(f"((equal x {i}) {i})" for i in range(clauses))
     return f"({form} (implies (natp x) (equal (cond {arms} (t x)) x)))\n"

@@ -1,4 +1,5 @@
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 from sedan.clauses import clause_vars, split_implies
 from sedan.datadef import SingletonRestriction, enumerate_value
-from sedan import testgen
+from sedan import evaluator, rand, testgen
 from sedan.evaluator import EvaluationError, evaluate
 from sedan.rand import IndexSource
-from sedan.session import process_source
+from sedan.session import process_file, process_source
 from sedan.terms import App, Quote, Var, negate
 from sedan.testgen import (
     extract_restrictions,
@@ -21,7 +22,7 @@ from sedan.testgen import (
 )
 from sedan.values import NIL, T, from_list, print_value, truthy
 
-from conftest import make_world, term, with_settings
+from conftest import corpus_path, make_world, term, with_settings
 from oracle import run_trials_one_by_one
 
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
@@ -295,6 +296,102 @@ def test_residual_checks_run_in_the_one_conjunction(monkeypatch):
         assert shows(got), conjecture
 
 
+# -- a hypothesis that the sampled type decides is not in the conjunction
+
+
+def _trial_loop_sources(monkeypatch, run):
+    """What ``run()`` returns, and the source of each trial loop it generates."""
+    sources = []
+    compiled = evaluator._maker_code
+
+    def recorded(source):
+        sources.append(source)
+        return compiled(source)
+
+    with monkeypatch.context() as m:
+        m.setattr(evaluator, "_maker_code", recorded)
+        result = run()
+    return result, [source for source in sources if "def _f(tuples, memo," in source]
+
+
+def test_inequality_s_trial_loop_calls_no_rational_recognizer(monkeypatch):
+    # a, b and c are drawn from rational, whose recognizer accepts every value
+    # its decoder yields
+    outcome, [loop] = _trial_loop_sources(monkeypatch, lambda: process_file(corpus_path("inequality.lisp")))
+    assert [fr.status for fr in outcome.forms] == ["admitted", "falsified"]
+    assert "rationalp" not in loop
+    assert all(f"v_{v}" in loop.split("ok = ", 1)[1] for v in "abc")  # the comparisons stay
+
+
+def test_a_residual_check_is_not_repeated_by_its_hypothesis(monkeypatch):
+    # x is drawn from string, and integer is its residual check: stringp is
+    # decided by the draw, and integerp by the check the trial has just made
+    w = make_world()
+    clause = clause_of(term("(implies (and (stringp x) (integerp x)) (equal x x))"))
+    alist = extract_restrictions(clause, w)
+    report, [loop] = _trial_loop_sources(monkeypatch, lambda: run_trials(clause, alist, w, 5, 40))
+    assert report.selections["x"].residuals == ("integer",)
+    assert loop.count("h_integerp(") == 1 and "h_stringp" not in loop
+    assert (report.trials_run, report.satisfied) == (40, 0)
+
+
+EVEN_BY_CUSTOM = (
+    "(defun evr (x) (and (integerp x) (integerp (* x 1/2))))\n"
+    "(defun eve (n) n)\n"
+    "(defdata ev (custom evr eve))\n"
+)
+
+
+@pytest.mark.parametrize("forms, conjecture, kept, dropped", [
+    # a custom primary runs user code, which may reject its own values (here
+    # every odd one) or raise
+    (EVEN_BY_CUSTOM, "(implies (and (evr x) (natp y)) (equal x x))", "d_evr(", "h_natp"),
+    # so does a type that reaches one
+    (EVEN_BY_CUSTOM + "(defdata evs (listof ev))", "(implies (and (evsp x) (natp y)) (equal x x))",
+     "h_evsp(", "h_natp"),
+    # an edge admitted by defdata-subtype is checked on evidence, not proven:
+    # three values of nat are small, but not every one
+    ("(set-testing :evidence-trials 3)\n(defdata small (enum '(0 1 2)))\n(defdata-subtype nat small)",
+     "(implies (and (natp x) (smallp x)) (equal x x))", "h_smallp(", "h_natp"),
+], ids=["custom", "reaches-custom", "defdata-subtype"])
+def test_a_conjunct_the_sampled_type_does_not_decide_is_kept(forms, conjecture, kept, dropped, monkeypatch):
+    w = make_world(forms)
+    clause = clause_of(term(conjecture))
+    alist = extract_restrictions(clause, w)
+    report, [loop] = _trial_loop_sources(monkeypatch, lambda: run_trials(clause, alist, w, 5, 40))
+    assert report.selections["x"].residuals == ()
+    assert kept in loop and dropped not in loop
+    assert 0 < report.satisfied < report.trials_run  # the kept conjunct rejects some values
+    assert _report_fields(report) == _report_fields(run_trials_one_by_one(clause, alist, w, 5, 40))
+
+
+def test_a_random_run_draws_from_one_generator_with_no_call_per_draw(monkeypatch):
+    # every function of rand that runs is the source's constructor or its
+    # draws generator, which one call starts for all of the run's indices
+    starts, called = [], set()
+    draws = IndexSource.draws
+
+    def counted(self, n):
+        starts.append(n)
+        return draws(self, n)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == rand.__file__:
+            called.add(frame.f_code.co_name)
+
+    monkeypatch.setattr(IndexSource, "draws", counted)
+    w = make_world()
+    clause = clause_of(term("(implies (and (natp a) (integerp b) (rationalp c)) (< a (+ b c)))"))
+    sys.setprofile(profile)
+    try:
+        report = run_trials(clause, extract_restrictions(clause, w), w, 24, 500)
+    finally:
+        sys.setprofile(None)
+    assert (report.mode, report.trials_run) == ("random", 500)
+    assert starts == [500 * 3]
+    assert called == {"__init__", "draws"}
+
+
 def test_erroring_custom_enumerator_is_reported_by_the_cli(tmp_path, capsys):
     from sedan.cli import main
 
@@ -474,9 +571,8 @@ def test_a_full_memo_stops_remembering(capacity, monkeypatch):
     bounded = run_trials(clause, alist, w, 9, 300)
     assert _report_fields(bounded) == _report_fields(full)
     # the first `capacity` distinct indices are remembered, and only they
-    rng, remembered, expected = IndexSource(9), set(), 0
-    for _ in range(300):
-        index = (rng.draw(),)
+    remembered, expected = set(), 0
+    for index in zip(IndexSource(9).draws(300)):
         if index not in remembered:
             expected += 1
             if len(remembered) < capacity:
@@ -496,7 +592,7 @@ def _trial_tuples(settings, width, trials):
     if mode == "exhaustive" or (mode == "mixed" and bound**width <= trials):
         return list(itertools.islice(itertools.product(range(bound), repeat=width), trials))
     rng = IndexSource(24, settings.get("dist", "geometric"), settings.get("uniform_bound", 1 << 24))
-    return [tuple(rng.draw() for _ in range(width)) for _ in range(trials)]
+    return list(zip(*[rng.draws(trials * width)] * width))
 
 
 @pytest.mark.parametrize("settings", [
@@ -699,10 +795,10 @@ def test_a_hypothesis_past_the_depth_cap_reports_the_cap():
 def test_a_clause_with_no_drawn_variable_runs_exactly_its_trials(conjecture, alist, mode, runs, monkeypatch):
     # random mode runs every trial without a draw; the box of no indices has
     # one point, which exhaustive mode runs once
-    def no_draw(self):
+    def no_draw(self, n):
         raise AssertionError("an index was drawn")
 
-    monkeypatch.setattr(IndexSource, "geometric", no_draw)
+    monkeypatch.setattr(IndexSource, "draws", no_draw)
     w = with_settings(make_world(), mode=mode)
     report = run_trials(clause_of(term(conjecture)), alist, w, 24, 37)
     assert (report.mode, report.trials_run, report.satisfied) == ("exhaustive" if runs == 1 else "random", runs, runs)

@@ -28,8 +28,8 @@ def test_show_generated_prints_inequality_s_one_trial_loop(monkeypatch, capsys):
 
 
 def test_run_goldens_checks_a_golden_without_pytest():
-    # a fresh interpreter, so the runner imports test_golden and
-    # test_reader_pins with its stubs and not the pytest and Hypothesis this
+    # a fresh interpreter, so the runner imports test_golden, test_reader_pins
+    # and test_type_pins with its stubs and not the pytest and Hypothesis this
     # suite runs under
     run = subprocess.run([sys.executable, os.path.join(TOOLS, "run_goldens.py"), "inequality"],
                          capture_output=True, text=True, timeout=120)
@@ -38,7 +38,8 @@ def test_run_goldens_checks_a_golden_without_pytest():
     assert lines[0] == "inequality: ok"
     assert lines[1].startswith("1 of 1 cases byte-identical on Python ")
     assert lines[2] == "reader pins (61 compile_errors, 8 files, 44 inputs): ok"
-    assert len(lines) == 3
+    assert lines[3] == "type layer pins (2 draws, 25 enumerate, 25 recognize): ok"
+    assert len(lines) == 4
 
 
 def test_run_goldens_reports_a_reader_pin_that_differs(monkeypatch, capsys):
@@ -51,3 +52,15 @@ def test_run_goldens_reports_a_reader_pin_that_differs(monkeypatch, capsys):
     monkeypatch.setattr(test_reader_pins, "load_golden", lambda: pinned)
     assert not run_goldens.check_reader_pins()
     assert capsys.readouterr().out.endswith("): differ in inputs '1/0'\n")
+
+
+def test_run_goldens_reports_a_type_layer_pin_that_differs(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    run_goldens = importlib.import_module("run_goldens")
+    import test_type_pins
+
+    pinned = test_type_pins.load_golden()
+    pinned["draws"]["geometric"] = pinned["draws"]["geometric"][::-1]
+    monkeypatch.setattr(test_type_pins, "load_golden", lambda: pinned)
+    assert not run_goldens.check_type_pins()
+    assert capsys.readouterr().out == "type layer pins (2 draws, 25 enumerate, 25 recognize): differ in draws 'geometric'\n"

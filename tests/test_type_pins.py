@@ -69,7 +69,6 @@ def record(world):
     """The figures this file pins, computed with the code under test."""
     mixed = mixed_values()
     names = sorted(world.types.entries)
-    geometric, uniform = IndexSource(DRAW_SEED), IndexSource(DRAW_SEED)
     return {
         "enumerate": {
             name: [print_value(enumerate_value(world, name, n)) for n in range(N_VALUES)]
@@ -77,8 +76,8 @@ def record(world):
         },
         "recognize": {name: [recognize(world, name, v) for v in mixed] for name in names},
         "draws": {
-            "geometric": [geometric.geometric() for _ in range(N_DRAWS)],
-            "uniform": [uniform.uniform() for _ in range(N_DRAWS)],
+            "geometric": list(IndexSource(DRAW_SEED).draws(N_DRAWS)),
+            "uniform": list(IndexSource(DRAW_SEED, "uniform").draws(N_DRAWS)),
         },
     }
 

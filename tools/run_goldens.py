@@ -8,10 +8,14 @@ named) and compares its text and structured reports with the files in
 that ``tests/test_reader_pins.py`` pins and compares the record with
 ``tests/pinned/reader.json``; the reader's token pattern takes its whitespace and
 word classes from the running interpreter's Unicode tables, so each CPython
-needs this check of its own. It imports both test modules with ``pytest``,
-``hypothesis`` and the tests' ``conftest`` stubbed out, so it runs on any
-CPython that sedan supports, with no test package installed. It prints one
-line per case and one for the reader pins, and exits 1 when anything differs.
+needs this check of its own. Last it records what ``tests/test_type_pins.py``
+pins, each type's values and recognizer verdicts and the index draws of both
+distributions, and compares it with ``tests/pinned/type_layer.json``: the
+draws come from the running interpreter's ``random`` module. It imports the
+test modules with ``pytest``, ``hypothesis`` and the tests' ``conftest``
+stubbed out, so it runs on any CPython that sedan supports, with no test
+package installed. It prints one line per case, one for the reader pins and
+one for the type layer pins, and exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ class _Strategy:
 
 
 def _stub_test_packages():
-    """Stand-ins for what ``test_golden`` and ``test_reader_pins`` import
-    besides sedan: pytest's ``mark.parametrize`` and Hypothesis's ``given``
+    """Stand-ins for what the test modules this runs import besides sedan: pytest's ``mark.parametrize`` and Hypothesis's ``given``
     and ``settings`` as decorators that change nothing, inert strategies, and
     conftest's ``CORPUS_DIR``. A module already imported, as under pytest,
     stays."""
@@ -52,19 +55,30 @@ def _stub_test_packages():
     sys.modules.setdefault("conftest", conftest)
 
 
-def check_reader_pins() -> bool:
-    """Whether every record of ``tests/pinned/reader.json`` reads as pinned;
-    prints one line that says so."""
-    import test_reader_pins
-
-    pinned, got = test_reader_pins.load_golden(), test_reader_pins.record()
+def _compare_pins(name: str, pinned: dict, got: dict) -> bool:
+    """Whether the record ``got`` has every entry of every section as
+    ``pinned`` has it; prints one line that says so."""
     differing = [
         f"{section} {key!r}" for section in sorted(pinned) for key in sorted(set(pinned[section]) | set(got[section]))
         if got[section].get(key) != pinned[section].get(key)
     ]
     counts = ", ".join(f"{len(pinned[section])} {section}" for section in sorted(pinned))
-    print(f"reader pins ({counts}): {'differ in ' + '; '.join(differing) if differing else 'ok'}")
+    print(f"{name} ({counts}): {'differ in ' + '; '.join(differing) if differing else 'ok'}")
     return not differing
+
+
+def check_reader_pins() -> bool:
+    """Whether every record of ``tests/pinned/reader.json`` reads as pinned."""
+    import test_reader_pins
+
+    return _compare_pins("reader pins", test_reader_pins.load_golden(), test_reader_pins.record())
+
+
+def check_type_pins() -> bool:
+    """Whether every record of ``tests/pinned/type_layer.json`` is as pinned."""
+    import test_type_pins
+
+    return _compare_pins("type layer pins", test_type_pins.load_golden(), test_type_pins.record(test_type_pins.PIN_WORLD))
 
 
 def main(argv=None) -> int:
@@ -90,8 +104,8 @@ def main(argv=None) -> int:
         differing += bool(bad)
         print(f"{case}: {'differs in ' + ' and '.join(bad) if bad else 'ok'}")
     print(f"{len(cases) - differing} of {len(cases)} cases byte-identical on Python {sys.version.split()[0]}")
-    pins_ok = check_reader_pins()
-    return 1 if differing or not pins_ok else 0
+    pins_ok = [check_reader_pins(), check_type_pins()]
+    return 1 if differing or not all(pins_ok) else 0
 
 
 if __name__ == "__main__":
