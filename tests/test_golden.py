@@ -47,6 +47,7 @@ CASES = {
     "backtrack-hints": (FIXTURE_DIR, "backtrack-hints.lisp", ()),
     "backtrack-hints.backtrack-off": (FIXTURE_DIR, "backtrack-hints.lisp", BACKTRACK_OFF),
     "spurious-lift": (FIXTURE_DIR, "spurious-lift.lisp", ()),
+    "escapes": (FIXTURE_DIR, "escapes.lisp", ()),
     **{
         f"{name[: -len('.lisp')]}.{suffix}": (directory, name, flags)
         for directory, name in MATRIX_INPUTS
