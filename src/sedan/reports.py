@@ -4,11 +4,17 @@ The text echo upcases symbols the way ACL2 session output does; the structured
 report prints bindings canonically (case preserved) so every counterexample
 string parses back to a binding that re-falsifies its conjecture. Timing is
 deliberately omitted: identical inputs must produce byte-identical documents.
+
+The structured report's text is what ``json.dumps(doc, indent=2,
+sort_keys=True)`` would write for its document, then a newline. ``write_json``
+writes it in one walk that appends to a list, since with ``indent`` set
+``json.dumps`` runs its pure-Python encoder, which passes every chunk up
+through a generator per enclosing container.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .clauses import clause_to_term, clause_vars
 from .datadef import print_restriction
@@ -252,6 +258,52 @@ def _proof_json(proof: ProofResult) -> dict:
     }
 
 
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the JSON text of ``value``, a container's item at ``indent`` (a
+    newline and its spaces), to ``out``."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is dict or kind is list:
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = indent + "  "
+        if kind is dict:
+            sep = "{" + inner
+            for key in sorted(value):
+                out.append(sep + _quote(key) + ": ")
+                _write(value[key], inner, out)
+                sep = "," + inner
+            out.append(indent + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"not a report value: {value!r}")
+
+
+def write_json(doc) -> str:
+    """The text ``json.dumps(doc, indent=2, sort_keys=True)`` writes for a
+    document of str, int, bool, None, list and dict with str keys; any other
+    value or key is a ``TypeError`` (``_quote`` raises it for a key)."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    return "".join(out)
+
+
 def render_structured(outcome: SessionOutcome) -> str:
     settings = outcome.settings
     doc = {
@@ -284,7 +336,7 @@ def render_structured(outcome: SessionOutcome) -> str:
         ],
         "exit_code": outcome.exit_code,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return write_json(doc) + "\n"
 
 
 def emit_report(outcome: SessionOutcome, format: str = "text") -> bytes:

@@ -2,8 +2,10 @@
 files and of the fixtures in ``fixtures/``.
 
 Each case in ``CASES`` names an input file and the command-line flags it runs
-with; its goldens are ``golden/<case>.txt`` and ``golden/<case>.json``. A
-refactor must leave them untouched. When a change to a report is intended,
+with; its goldens are ``golden/<case>.txt`` and ``golden/<case>.json``. Each
+structured golden is also the text ``json.dumps(doc, indent=2,
+sort_keys=True)`` writes for its document, then a newline. A refactor must
+leave them untouched. When a change to a report is intended,
 rewrite every golden from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,6 +16,7 @@ and explain the diff in CHANGES.md.
 import contextlib
 import functools
 import io
+import json
 import os
 import tempfile
 
@@ -86,6 +89,19 @@ def test_every_corpus_file_has_goldens():
     assert {name for _, name, flags in CASES.values() if not flags} >= set(CORPUS)
     expected = {os.path.basename(golden_path(case, fmt)) for case in CASES for fmt in FORMATS}
     assert set(os.listdir(GOLDEN_DIR)) == expected
+
+
+def golden_is_json_dumps_form(case: str) -> bool:
+    """Whether the structured golden of a case is what ``json.dumps`` writes
+    for its document: the form sedan's own writer must keep."""
+    with open(golden_path(case, "structured"), encoding="utf-8") as fh:
+        text = fh.read()
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join((CASES[case][1], *CASES[case][2])))
+def test_structured_golden_is_in_json_dumps_form(case):
+    assert golden_is_json_dumps_form(case)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

@@ -4,11 +4,12 @@
 
 Runs each golden case of ``tests/test_golden.py`` (all of them when none is
 named) and compares its text and structured reports with the files in
-``tests/golden/`` byte for byte. Then it reads every source file and input
-that ``tests/test_reader_pins.py`` pins and compares the record with
-``tests/pinned/reader.json``; the reader's token pattern takes its whitespace and
-word classes from the running interpreter's Unicode tables, so each CPython
-needs this check of its own. Last it records what ``tests/test_type_pins.py``
+``tests/golden/`` byte for byte, and checks that the structured golden is what
+``json.dumps(doc, indent=2, sort_keys=True)`` writes for its document. Then it
+reads every source file and input that ``tests/test_reader_pins.py`` pins and
+compares the record with ``tests/pinned/reader.json``; the reader's token
+pattern takes its whitespace and word classes from the running interpreter's
+Unicode tables, so each CPython needs this check of its own. Last it records what ``tests/test_type_pins.py``
 pins, each type's values and recognizer verdicts and the index draws of both
 distributions, and compares it with ``tests/pinned/type_layer.json``: the
 draws come from the running interpreter's ``random`` module. It imports the
@@ -101,6 +102,8 @@ def main(argv=None) -> int:
             with open(test_golden.golden_path(case, fmt), "rb") as fh:
                 if rendered[fmt] != fh.read():
                     bad.append(fmt)
+        if not test_golden.golden_is_json_dumps_form(case):
+            bad.append("json.dumps form")
         differing += bool(bad)
         print(f"{case}: {'differs in ' + ' and '.join(bad) if bad else 'ok'}")
     print(f"{len(cases) - differing} of {len(cases)} cases byte-identical on Python {sys.version.split()[0]}")
