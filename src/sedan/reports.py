@@ -7,9 +7,9 @@ deliberately omitted: identical inputs must produce byte-identical documents.
 
 The structured report's text is what ``json.dumps(doc, indent=2,
 sort_keys=True)`` would write for its document, then a newline. ``write_json``
-writes it in one walk that appends to a list, since with ``indent`` set
-``json.dumps`` runs its pure-Python encoder, which passes every chunk up
-through a generator per enclosing container.
+writes it in one walk that appends to a list: with ``indent`` set,
+``json.dumps`` before CPython 3.13 runs its pure-Python encoder, which passes
+every chunk up through a generator per enclosing container.
 """
 
 from __future__ import annotations

@@ -81,6 +81,11 @@ def render(case: str) -> dict[str, bytes]:
             return {"text": out.buffer.getvalue(), "structured": fh.read()}
 
 
+def case_id(case: str) -> str:
+    """A case's input file and flags, as its tests are named."""
+    return " ".join((CASES[case][1], *CASES[case][2]))
+
+
 def golden_path(case: str, fmt: str) -> str:
     return os.path.join(GOLDEN_DIR, case + FORMATS[fmt])
 
@@ -99,13 +104,13 @@ def golden_is_json_dumps_form(case: str) -> bool:
     return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join((CASES[case][1], *CASES[case][2])))
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_structured_golden_is_in_json_dumps_form(case):
     assert golden_is_json_dumps_form(case)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
-@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join((CASES[case][1], *CASES[case][2])))
+@pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_report_matches_golden(case, fmt):
     with open(golden_path(case, fmt), "rb") as fh:
         assert render(case)[fmt] == fh.read()
