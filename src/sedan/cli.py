@@ -3,12 +3,17 @@
 Seed precedence: --seed flag, then the SEDAN_SEED environment variable, then
 the built-in default of 24. A negative or non-integer ``--seed`` is an
 argument error; such a SEDAN_SEED is reported and ignored.
+
+``main`` runs with CPython's cyclic garbage collector off and puts the
+caller's setting back on every exit: a run builds no reference cycle, so the
+collector would only walk its forms, terms and worlds over and over.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -79,7 +84,16 @@ def resolve_seed(flag_value) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     settings = Settings(
         trials=args.trials,
         mode=args.mode,
@@ -105,8 +119,12 @@ def main(argv=None) -> int:
     if structured:
         blob = b"".join(structured_chunks)
         if args.report:
-            with open(args.report, "wb") as fh:
-                fh.write(blob)
+            try:
+                with open(args.report, "wb") as fh:
+                    fh.write(blob)
+            except OSError as e:
+                print(f"error: cannot write report {args.report}: {e.strerror or e}", file=sys.stderr)
+                return 2
         else:
             sys.stdout.buffer.write(blob)
     return exit_code

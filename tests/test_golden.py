@@ -11,14 +11,20 @@ rewrite every golden from the repository root with
     PYTHONPATH=src python tests/test_golden.py
 
 and explain the diff in CHANGES.md.
+
+Every case's run also checks that ``sedan`` builds no reference cycle, the
+premise of its running with the cyclic collector off: no automatic collection
+runs during the run, and ``gc.collect()`` then finds nothing unreachable.
 """
 
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
 import tempfile
+import typing
 
 import pytest
 
@@ -59,8 +65,43 @@ CASES = {
 }
 
 
+class Run(typing.NamedTuple):
+    """One ``sedan`` run of a case."""
+
+    reports: dict[str, bytes]  # what it wrote in each format
+    collections: int  # automatic collections that ran during it
+    unreachable: int  # objects gc.collect() found unreachable after it
+
+
+def without_collector(fn, *args):
+    """``fn(*args)``'s result, the automatic collections that ran during it
+    and the objects ``gc.collect()`` then finds unreachable, counted with the
+    collector off, from a heap just collected, and with ``build_parser()``'s
+    one-off argparse cycles made beforehand."""
+    enabled = gc.isenabled()
+    gc.disable()
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    try:
+        cli.build_parser()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            result = fn(*args)
+        finally:
+            gc.callbacks.remove(count)
+        return result, len(collections), gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @functools.lru_cache(maxsize=None)
-def render(case: str) -> dict[str, bytes]:
+def run(case: str) -> Run:
     """What ``sedan`` writes for a case in each format, from one run: the text
     report on stdout and the structured report in the ``--report`` file. It
     runs from the input's directory so the report's "file" field is the bare
@@ -73,12 +114,13 @@ def render(case: str) -> dict[str, bytes]:
         os.chdir(directory)
         try:
             with contextlib.redirect_stdout(out):
-                cli.main([name, "--seed", "24", "--format", "text", "--report", report, *flags])
+                _, collections, unreachable = without_collector(
+                    cli.main, [name, "--seed", "24", "--format", "text", "--report", report, *flags])
             out.flush()
         finally:
             os.chdir(cwd)
         with open(report, "rb") as fh:
-            return {"text": out.buffer.getvalue(), "structured": fh.read()}
+            return Run({"text": out.buffer.getvalue(), "structured": fh.read()}, collections, unreachable)
 
 
 def case_id(case: str) -> str:
@@ -113,11 +155,18 @@ def test_structured_golden_is_in_json_dumps_form(case):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_report_matches_golden(case, fmt):
     with open(golden_path(case, fmt), "rb") as fh:
-        assert render(case)[fmt] == fh.read()
+        assert run(case).reports[fmt] == fh.read()
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_a_run_makes_no_reference_cycle(case):
+    # cli.main keeps the collector off, so a cycle would be garbage until the
+    # caller's next collection
+    assert (run(case).collections, run(case).unreachable) == (0, 0)
 
 
 if __name__ == "__main__":
     for case in CASES:
         for fmt in FORMATS:
             with open(golden_path(case, fmt), "wb") as fh:
-                fh.write(render(case)[fmt])
+                fh.write(run(case).reports[fmt])

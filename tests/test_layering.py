@@ -83,16 +83,22 @@ def _loads(module: str, names) -> list[int]:
     return lines
 
 
+def _importers(name: str) -> list[tuple[str, int]]:
+    """The module and line of each import of the standard module ``name``
+    or of a submodule of it."""
+    return [
+        (module, node.lineno)
+        for module in MODULES
+        for node in ast.walk(_tree(module))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == name for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == name)
+    ]
+
+
 def test_no_module_imports_dataclasses():
     # records are plain classes: decorating sedan's records and importing
     # dataclasses (and with it inspect, ast and dis) took most of the set-up
-    found = [
-        f"{module}.py:{node.lineno}"
-        for module in MODULES
-        for node in ast.walk(_tree(module))
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "dataclasses")
-    ]
+    found = _importers("dataclasses")
     assert not found, found
 
 
@@ -102,6 +108,13 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
     run = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
+def test_only_the_cli_touches_the_collector():
+    # the command line runs with the cyclic collector off; a library caller
+    # keeps its own setting, so no other module may change it
+    found = _importers("gc")
+    assert {module for module, _ in found} == {"cli"}, found
 
 
 def test_only_the_world_reads_the_builtins():

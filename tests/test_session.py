@@ -272,6 +272,17 @@ RECURSIVE_AND_CUSTOM = """\
 """
 
 
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """The cyclic collector on or off inside, and as it was after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_a_finished_world_is_freed_by_reference_counting(monkeypatch, tmp_path):
     # compiled terms and types must not hold their world in a reference cycle,
     # or every verdict would leave a world for the cyclic collector
@@ -285,18 +296,13 @@ def test_a_finished_world_is_freed_by_reference_counting(monkeypatch, tmp_path):
     monkeypatch.setattr(session, "World", tracked_world)
     path = tmp_path / "types.lisp"
     path.write_text(RECURSIVE_AND_CUSTOM)
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with collector(False):
         for name in (corpus_path("triangle.lisp"), str(path)):
             outcome = process_file(name)
             assert outcome.fatal_error is None
             assert "error" not in {fr.status for fr in outcome.forms}
             assert outcome.forms[-1].status in ("falsified", "failed-with-checkpoints")
             assert worlds[-1]() is None, name
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def test_missing_file_is_fatal():
@@ -629,6 +635,50 @@ def test_cli_rejects_a_negative_seed(capsys):
         main([corpus_path("base-rules.lisp"), "--seed", "-5"])
     assert exit.value.code == 2
     assert "argument --seed: expected a nonnegative integer, got '-5'" in capsys.readouterr().err
+
+
+def test_a_report_that_cannot_be_written_is_an_error_without_a_traceback(tmp_path, capsys):
+    from sedan.cli import main
+
+    report = tmp_path / "no-such-dir" / "r.json"
+    assert main([corpus_path("base-rules.lisp"), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write report {report}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit", ["return", "argument error", "report error"])
+def test_the_cli_runs_without_the_collector_and_restores_it(exit, enabled, tmp_path, monkeypatch, capsys):
+    from sedan import cli
+
+    seen = []
+
+    def process(path, settings):
+        seen.append(gc.isenabled())
+        return process_file(path, settings)
+
+    monkeypatch.setattr(cli, "process_file", process)
+    argv = {
+        "return": ["--format", "text"],
+        "argument error": ["--seed", "-1"],
+        "report error": ["--report", str(tmp_path / "no-such-dir" / "r.json")],
+    }[exit]
+    with collector(enabled):
+        try:
+            code = cli.main([corpus_path("base-rules.lisp"), *argv])
+        except SystemExit as e:
+            code = e.code
+        assert gc.isenabled() == enabled
+    assert code == (0 if exit == "return" else 2)
+    assert seen == ([] if exit == "argument error" else [False])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_library_leaves_the_collector_as_it_found_it(enabled):
+    with collector(enabled):
+        out, _ = process_source("(defun f (x) x)\n(test? (equal (f x) x))")
+        assert gc.isenabled() == enabled
+    assert [fr.status for fr in out.forms] == ["admitted", "admitted"]
 
 
 @pytest.mark.parametrize("env", ["-5", "x"])

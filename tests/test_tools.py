@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 
-from sedan import evaluator
+from sedan import cli, evaluator
 
 from conftest import corpus_path
 
@@ -35,11 +35,35 @@ def test_run_goldens_checks_a_golden_without_pytest():
                          capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stderr) == (0, "")
     lines = run.stdout.splitlines()
-    assert lines[0] == "inequality: ok"
-    assert lines[1].startswith("1 of 1 cases byte-identical on Python ")
+    assert lines[0] == "inequality: ok (0 collections during the run, 0 unreachable after it)"
+    assert lines[1].startswith("1 of 1 cases byte-identical and free of cyclic garbage on Python ")
     assert lines[2] == "reader pins (61 compile_errors, 9 files, 44 inputs): ok"
     assert lines[3] == "type layer pins (2 draws, 25 enumerate, 25 recognize): ok"
     assert len(lines) == 4
+
+
+def test_run_goldens_reports_a_run_that_leaves_cyclic_garbage(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(TOOLS)
+    run_goldens = importlib.import_module("run_goldens")
+    import test_golden
+
+    process_file = cli.process_file
+
+    def leaky(path, settings):
+        cycle = []
+        cycle.append(cycle)
+        return process_file(path, settings)
+
+    monkeypatch.setattr(cli, "process_file", leaky)
+    # a fresh run, not the one the golden tests cached
+    monkeypatch.setattr(test_golden, "run", test_golden.run.__wrapped__)
+    monkeypatch.setattr(run_goldens, "check_reader_pins", lambda: True)
+    monkeypatch.setattr(run_goldens, "check_type_pins", lambda: True)
+    assert run_goldens.main(["rev"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "rev: leaves cyclic garbage (0 collections during the run, 1 unreachable after it)",
+        f"0 of 1 cases byte-identical and free of cyclic garbage on Python {sys.version.split()[0]}",
+    ]
 
 
 def test_run_goldens_reports_a_reader_pin_that_differs(monkeypatch, capsys):

@@ -5,7 +5,11 @@
 Runs each golden case of ``tests/test_golden.py`` (all of them when none is
 named) and compares its text and structured reports with the files in
 ``tests/golden/`` byte for byte, and checks that the structured golden is what
-``json.dumps(doc, indent=2, sort_keys=True)`` writes for its document. Then it
+``json.dumps(doc, indent=2, sort_keys=True)`` writes for its document. Each
+run is also checked for reference cycles, since ``sedan`` runs with the
+cyclic collector off: no automatic collection may run during it, and
+``gc.collect()`` must then find nothing unreachable. CPython's collectors
+differ between releases, so each needs this check of its own. Then it
 reads every source file and input that ``tests/test_reader_pins.py`` pins and
 compares the record with ``tests/pinned/reader.json``; the reader's token
 pattern takes its whitespace and word classes from the running interpreter's
@@ -15,8 +19,9 @@ distributions, and compares it with ``tests/pinned/type_layer.json``: the
 draws come from the running interpreter's ``random`` module. It imports the
 test modules with ``pytest``, ``hypothesis`` and the tests' ``conftest``
 stubbed out, so it runs on any CPython that sedan supports, with no test
-package installed. It prints one line per case, one for the reader pins and
-one for the type layer pins, and exits 1 when anything differs.
+package installed. It prints one line per case, with the counts of
+collections and unreachable objects, one for the reader pins and one for the
+type layer pins, and exits 1 when anything differs or a run leaves garbage.
 """
 
 from __future__ import annotations
@@ -94,21 +99,25 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown case: {' '.join(unknown)}", file=sys.stderr)
         return 2
-    differing = 0
+    failing = 0
     for case in cases:
-        rendered = test_golden.render(case)
+        run = test_golden.run(case)
         bad = []
         for fmt in sorted(test_golden.FORMATS):
             with open(test_golden.golden_path(case, fmt), "rb") as fh:
-                if rendered[fmt] != fh.read():
+                if run.reports[fmt] != fh.read():
                     bad.append(fmt)
         if not test_golden.golden_is_json_dumps_form(case):
             bad.append("json.dumps form")
-        differing += bool(bad)
-        print(f"{case}: {'differs in ' + ' and '.join(bad) if bad else 'ok'}")
-    print(f"{len(cases) - differing} of {len(cases)} cases byte-identical on Python {sys.version.split()[0]}")
+        problems = ["differs in " + " and ".join(bad)] if bad else []
+        if run.collections or run.unreachable:
+            problems.append("leaves cyclic garbage")
+        failing += bool(problems)
+        print(f"{case}: {'; '.join(problems) or 'ok'} "
+              f"({run.collections} collections during the run, {run.unreachable} unreachable after it)")
+    print(f"{len(cases) - failing} of {len(cases)} cases byte-identical and free of cyclic garbage on Python {sys.version.split()[0]}")
     pins_ok = [check_reader_pins(), check_type_pins()]
-    return 1 if differing or not all(pins_ok) else 0
+    return 1 if failing or not all(pins_ok) else 0
 
 
 if __name__ == "__main__":
