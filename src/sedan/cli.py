@@ -105,8 +105,13 @@ def _run(args: argparse.Namespace) -> int:
     )
     # the structured report goes to --report whatever the format, or to
     # stdout when it is the only format; otherwise nothing receives it and it
-    # is not rendered
+    # is not rendered. The report file is opened before the first input
+    # runs, so a path that cannot be written fails at once.
     structured = args.format == "structured" or args.report
+    try:
+        report = open(args.report, "wb") if args.report else None
+    except OSError as e:
+        return _cannot_write(args.report, e)
     exit_code = 0
     structured_chunks = []
     for path in args.files:
@@ -116,18 +121,21 @@ def _run(args: argparse.Namespace) -> int:
             sys.stdout.write(emit_report(outcome, "text").decode())
         if structured:
             structured_chunks.append(emit_report(outcome, "structured"))
-    if structured:
-        blob = b"".join(structured_chunks)
-        if args.report:
-            try:
-                with open(args.report, "wb") as fh:
-                    fh.write(blob)
-            except OSError as e:
-                print(f"error: cannot write report {args.report}: {e.strerror or e}", file=sys.stderr)
-                return 2
-        else:
-            sys.stdout.buffer.write(blob)
+    if report is None:
+        if structured:
+            sys.stdout.buffer.write(b"".join(structured_chunks))
+        return exit_code
+    try:
+        with report:
+            report.write(b"".join(structured_chunks))
+    except OSError as e:
+        return _cannot_write(args.report, e)
     return exit_code
+
+
+def _cannot_write(path: str, e: OSError) -> int:
+    print(f"error: cannot write report {path}: {e.strerror or e}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

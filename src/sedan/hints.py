@@ -2,14 +2,14 @@
 
 ``check_hints`` rejects a hint naming an unknown process or handler before
 the waterfall starts. ``goal_settings`` is the one rule for what a goal gets
-when the waterfall takes it up. The first user hint naming the goal gives its
+when the waterfall records it. The first user hint naming the goal gives its
 do-not set and its trial count, and may name a backtrack handler; a goal
 whose hint names none gets the testing handler when backtracking is on, and
 otherwise the handler its parent had. ``goal_trials`` is the one rule for how
-many trials a goal's tests run: its hint's count, else the world's. Backtrack
-handlers run after a process succeeds and may discard its children,
-re-entering the goal with settings that extend (never replace) the previous
-ones.
+many trials a goal's tests run: its hint's count, else the world's. A
+backtrack handler runs after a process succeeds and answers keep or redo; on
+a redo the waterfall discards the step and re-enters the goal with that
+step's process added to its do-not set.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ EMPTY_SETTINGS = HintSettings()
 
 
 class BacktrackOutcome:
-    def __init__(self, action: str, settings: Optional[HintSettings] = None, note: Optional[str] = None):
+    def __init__(self, action: str, note: Optional[str] = None):
         self.action = action  # "keep" | "redo"
-        self.settings = settings  # for redo: the goal's new settings
         self.note = note
 
 
@@ -80,19 +79,15 @@ def goal_trials(goal, world) -> int:
 
 def test_gen_checkpoint(processor, children, goal, world, seed: int, history) -> BacktrackOutcome:
     """After a generalization, test the first child with a deterministic seed;
-    a counterexample discards the children and disables generalization for
-    this goal. Other processes are left alone."""
+    a counterexample redoes the goal, which discards the children and
+    disables generalization for it. Other processes are left alone."""
     if processor != "generalize" or not children:
         return BacktrackOutcome("keep")
     child = children[0]
     alist = history.probe_type_alist(goal.id, child, world)
     report = testgen.run_trials(child, alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
     if report.falsified:
-        return BacktrackOutcome(
-            "redo",
-            settings=goal.settings.extend_do_not(["generalize"]),
-            note="generalization refuted by testing",
-        )
+        return BacktrackOutcome("redo", note="generalization refuted by testing")
     return BacktrackOutcome("keep")
 
 
@@ -115,11 +110,6 @@ def apply_backtrack(
     if handler_name is None:
         return BacktrackOutcome("keep")
     try:
-        outcome = HANDLERS[handler_name](processor, children, goal, world, seed, history)
+        return HANDLERS[handler_name](processor, children, goal, world, seed, history)
     except Exception as e:  # a broken handler must not kill the attempt
         return BacktrackOutcome("keep", note=f"backtrack handler error: {e}")
-    if outcome.action == "redo" and outcome.settings is not None:
-        # redo settings must extend the goal's prior settings
-        if not goal.settings.do_not <= outcome.settings.do_not:
-            outcome.settings = outcome.settings.extend_do_not(goal.settings.do_not)
-    return outcome

@@ -11,7 +11,9 @@ generated function that assigns the path's map terms edge by edge
 (``evaluator.Chain``); a lift runs that function, and don't-cares get nil, or
 one of ``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module
 alone forms a goal's type alist, by one rule (``HistoryNode.type_alist``), for
-checkpoints and for the probe of a generalization alike.
+checkpoints and for the probe of a generalization alike. A node is also the
+waterfall's goal: it carries the goal's hint settings, which the waterfall
+sets when it records the goal.
 """
 
 from __future__ import annotations
@@ -37,20 +39,20 @@ WILDCARD_PROBES = (Char("a"), "", Cons(0, 0))
 class HistoryNode:
     def __init__(
         self,
-        goal_id: str,
+        id: str,
         parent_id: Optional[str],
         process: Optional[str],
-        clause: list[Term],
+        literals: list[Term],
         variable_map: Optional[dict[str, Optional[Term]]] = None,
         type_map: Optional[dict[str, tuple[Restriction, ...]]] = None,
         liftable: bool = True,
         variables: Optional[list[str]] = None,
         unbound: tuple[str, ...] = (),
     ):
-        self.goal_id = goal_id
+        self.id = id
         self.parent_id = parent_id
         self.process = process
-        self.clause = clause
+        self.literals = literals
         self.variable_map = {} if variable_map is None else variable_map
         self.type_map = {} if type_map is None else type_map  # inherited restrictions
         self.liftable = liftable
@@ -58,6 +60,7 @@ class HistoryNode:
         self.unbound = unbound  # variables the map's terms read that the clause lacks
         self.alist: Optional[dict[str, tuple[Restriction, ...]]] = None  # type_alist
         self.path: Optional[LiftPath] = None  # History.lift_path
+        self.settings = None  # the goal's hints.HintSettings, set by the waterfall
 
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
         """The goal's type alist: per variable, the clause's own restrictions
@@ -65,7 +68,7 @@ class HistoryNode:
         ``all``. Worked out on the first call and kept, since a history
         serves one proof and so one world; every caller reads the same dict."""
         if self.alist is None:
-            own = testgen.extract_restrictions(self.clause, world)
+            own = testgen.extract_restrictions(self.literals, world)
             self.alist = {
                 v: merge_restrictions(own.get(v, ()), self.type_map.get(v, ())) or ("all",) for v in self.variables
             }
@@ -118,10 +121,11 @@ class History:
         """Goal ids in the order they were recorded."""
         return list(self.nodes)
 
-    def record_top(self, goal_id: str, clause: list[Term]):
+    def record_top(self, goal_id: str, clause: list[Term]) -> HistoryNode:
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
-        self.nodes[goal_id] = HistoryNode(goal_id, None, None, list(clause), variables=clause_vars(clause))
+        node = self.nodes[goal_id] = HistoryNode(goal_id, None, None, list(clause), variables=clause_vars(clause))
+        return node
 
     def record_node(
         self,
@@ -133,11 +137,12 @@ class History:
         type_map: Optional[dict[str, tuple[Restriction, ...]]] = None,
         liftable: bool = True,
         world=None,
-    ):
-        """Store a child node; parent variables without an entry map to
-        themselves when they survive and to the don't-care marker otherwise.
-        The child inherits the step's ``type_map`` restrictions first, then
-        its parent's type alist for each variable that survives by name."""
+    ) -> HistoryNode:
+        """Store and return a child node; parent variables without an entry
+        map to themselves when they survive and to the don't-care marker
+        otherwise. The child inherits the step's ``type_map`` restrictions
+        first, then its parent's type alist for each variable that survives
+        by name."""
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
         node = self._child(parent_id, goal_id, clause, process, variable_map, type_map or {}, liftable, world)
@@ -189,7 +194,7 @@ class History:
                 had_wildcards = had_wildcards or bool(node.unbound) or any(expr is DONT_CARE for _, expr in items)
                 edges.append((node.unbound, items))
                 node = self.nodes[node.parent_id]
-            failure = None if node.liftable else f"non-liftable {node.process} edge at {node.goal_id}"
+            failure = None if node.liftable else f"non-liftable {node.process} edge at {node.id}"
             start.path = LiftPath(Chain(tuple(edges)), failure, had_wildcards, tuple(pure))
         return start.path
 
@@ -214,7 +219,7 @@ class History:
         for node in self.nodes.values():
             out.append(
                 {
-                    "goal": node.goal_id,
+                    "goal": node.id,
                     "parent": node.parent_id,
                     "process": node.process,
                     "liftable": node.liftable,

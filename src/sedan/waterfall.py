@@ -6,11 +6,13 @@ Pooled goals would be handed to induction in a full prover; here the pool is
 never drained, so any pooled goal makes the attempt fail and the pooled goals
 are exactly the checkpoints reported and tested.
 
-The hints are checked once, before the first goal. Each goal takes its
-settings from ``hints.goal_settings``; a goal that clausification produced
-takes "Goal"'s hint unless it has its own. Every process that fires is logged
-as one ``ProcessLogEntry``. The goal's backtrack handler may discard that
-step, and the goal then runs again with the settings the handler returns.
+The hints are checked once, before the first goal. A goal is its
+``history.HistoryNode``: when the waterfall records a goal it gives it its
+settings from ``hints.goal_settings``, and a goal that clausification produced
+takes "Goal"'s hint unless it has its own. Each process returns the step it
+takes as one ``ProcessLogEntry``. The goal's backtrack handler answers keep or
+redo; a redo discards the step and the goal runs again with that step's
+process disabled, so a goal re-enters at most once per process.
 """
 
 from __future__ import annotations
@@ -22,26 +24,12 @@ from .clauses import clause_vars, clausify
 from .datadef import component_types
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
-from .hints import EMPTY_SETTINGS, HintSettings, apply_backtrack, check_hints, goal_settings, goal_trials
-from .history import WILDCARD_PROBES, History
+from .hints import apply_backtrack, check_hints, goal_settings, goal_trials
+from .history import WILDCARD_PROBES, History, HistoryNode
 from .simplify import simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
 from .testgen import TestReport, run_trials
 from .values import Value, truthy
-
-
-class Goal:
-    def __init__(
-        self,
-        id: str,
-        literals: list[Term],
-        settings: HintSettings = EMPTY_SETTINGS,
-        inherited_backtrack: Optional[str] = None,
-    ):
-        self.id = id
-        self.literals = literals
-        self.settings = settings
-        self.inherited_backtrack = inherited_backtrack
 
 
 class ProcessLogEntry:
@@ -102,7 +90,7 @@ class ProofResult:
     def __init__(self, status: str, top_term: Term, history: Optional[History] = None, seed: int = 0):
         self.status = status  # "proved" | "failed"
         self.top_term = top_term
-        self.checkpoints: list[Goal] = []
+        self.checkpoints: list[HistoryNode] = []
         self.checkpoint_reports: dict[str, TestReport] = {}
         self.counterexamples: list[LiftedCounterexample] = []
         self.subgoal_counterexamples: list[SubgoalCounterexample] = []
@@ -144,15 +132,28 @@ def _child_ids(parent_id: str, count: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# destructor elimination
+# the processes: each returns the step it takes on the goal, or None
 
 
-def eliminate_destructors(goal: Goal, world, history: History, fresh: FreshNames):
+def _simplify(goal: HistoryNode, world) -> Optional[ProcessLogEntry]:
+    """Simplify's step, or None when it leaves the clause unchanged. Only a
+    step with children has an edge to map, so only it logs the substitutions."""
+    outcome = simplify_clause(goal.literals, world)
+    if outcome.status == "unchanged":
+        return None
+    return ProcessLogEntry(
+        goal.id, "simplify", outcome.status, parent_clause=goal.literals, child_clauses=outcome.children,
+        variable_map=outcome.substitutions if outcome.status == "children" else None,
+        note="; ".join(outcome.diagnostics) or None,
+    )
+
+
+def eliminate_destructors(goal: HistoryNode, world, history: History, fresh: FreshNames) -> Optional[ProcessLogEntry]:
     """Replace (car v)/(cdr v) by fresh variables and v by their cons.
 
     Applicable when a hypothesis (consp v) holds for a variable v and a
-    destructor application of v occurs in the clause. Returns
-    (child literals, variable map, type map) or None.
+    destructor application of v occurs in the clause. Returns the step, whose
+    type map gives the fresh variables the components' restrictions, or None.
     """
     lits = goal.literals
     for idx, lit in enumerate(lits[:-1]):
@@ -177,18 +178,17 @@ def eliminate_destructors(goal: Goal, world, history: History, fresh: FreshNames
             new_lits.append(out)
         acc = history.accumulated_type_alist(goal.id, world)
         car_r, cdr_r = component_types(world, acc.get(v.name, ()))
-        type_map = {v1: tuple(car_r), v2: tuple(cdr_r)}
-        return new_lits, {v.name: replacement}, type_map
+        return ProcessLogEntry(
+            goal.id, "eliminate-destructors", "children", parent_clause=lits, child_clauses=[new_lits],
+            variable_map={v.name: replacement}, type_map={v1: tuple(car_r), v2: tuple(cdr_r)},
+        )
     return None
 
 
-# ---------------------------------------------------------------------------
-# generalization
-
-
-def generalize(goal: Goal, fresh: FreshNames):
+def generalize(goal: HistoryNode, fresh: FreshNames) -> Optional[ProcessLogEntry]:
     """Replace the largest repeated non-variable, non-quote subterm by a fresh
-    variable everywhere. Returns (child literals, reverse map) or None."""
+    variable everywhere. Returns the step, whose non-liftable edge keeps the
+    reverse map (fresh variable -> replaced term), or None."""
     counts: dict[Term, int] = {}
     first_pos: dict[Term, int] = {}
     pos = 0
@@ -203,8 +203,28 @@ def generalize(goal: Goal, fresh: FreshNames):
         return None
     target = min(candidates, key=lambda t: (-term_size(t), first_pos[t]))
     fresh_name = fresh.fresh("v")
-    new_lits = [replace_subterm(lit, target, Var(fresh_name)) for lit in goal.literals]
-    return new_lits, {fresh_name: target}
+    return ProcessLogEntry(
+        goal.id, "generalize", "children", parent_clause=goal.literals,
+        child_clauses=[[replace_subterm(lit, target, Var(fresh_name)) for lit in goal.literals]],
+        variable_map={fresh_name: target}, liftable=False, note=f"{fresh_name} abstracts {target}",
+    )
+
+
+def _try_processes(goal: HistoryNode, world, history: History, fresh: FreshNames) -> Optional[ProcessLogEntry]:
+    """The step of the first process the goal has not disabled that applies,
+    with outcome "proved" or "children"; None when none applies."""
+    for process in PROCESS_NAMES:
+        if process in goal.settings.do_not:
+            continue
+        if process == "simplify":
+            entry = _simplify(goal, world)
+        elif process == "eliminate-destructors":
+            entry = eliminate_destructors(goal, world, history, fresh)
+        else:
+            entry = generalize(goal, fresh)
+        if entry is not None:
+            return entry
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +243,14 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
     history = History()
     fresh = FreshNames(clause_vars([top]))
     result = ProofResult("failed", top, history=history, seed=seed)
+    testing = world.settings.backtrack
 
-    history.record_top("Goal", [top])
+    goal = history.record_top("Goal", [top])
     clauses = clausify(top)
-    agenda: deque[Goal] = deque()
+    agenda: deque[HistoryNode] = deque()
     if clauses == [[top]]:
-        agenda.append(Goal("Goal", [top]))
+        goal.settings = goal_settings("Goal", hints, None, testing)
+        agenda.append(goal)
     elif not clauses:
         result.status = "proved"
         return result
@@ -240,12 +262,13 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
             *hints, *(spec.replace(goal_id=cid) for spec in hints if spec.goal_id == "Goal" for cid in ids)
         )
         for cid, cl in zip(ids, clauses):
-            history.record_node("Goal", cid, cl, "clausify", {}, world=world)
-            agenda.append(Goal(cid, cl))
+            child = history.record_node("Goal", cid, cl, "clausify", {}, world=world)
+            child.settings = goal_settings(cid, hints, None, testing)
+            agenda.append(child)
         result.process_log.append(
             ProcessLogEntry("Goal", "clausify", "children", tuple(ids), [top], clauses)
         )
-    pool: list[Goal] = []
+    pool: list[HistoryNode] = []
     processed = 0
 
     while agenda:
@@ -259,35 +282,34 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
             agenda.clear()
             break
         goal = agenda.popleft()
-        goal.settings = goal_settings(goal.id, hints, goal.inherited_backtrack, world.settings.backtrack)
-
-        for _ in range(len(PROCESS_NAMES) + 1):
+        while True:
             entry = _try_processes(goal, world, history, fresh)
             if entry is None:
-                pool.append(goal)
                 break
             result.process_log.append(entry)
             outcome = apply_backtrack(
                 goal.settings.backtrack, entry.process, entry.child_clauses, goal, world, seed, history
             )
-            if outcome.action == "redo":
-                entry.outcome, entry.note = "discarded", outcome.note
-                goal.settings = outcome.settings
-                continue
-            if outcome.note:
-                result.diagnostics.append(f"{goal.id}: {outcome.note}")
-            if entry.outcome == "children":
-                entry.child_ids = tuple(_child_ids(goal.id, len(entry.child_clauses)))
-                for cid, cl in zip(entry.child_ids, entry.child_clauses):
-                    history.record_node(
-                        goal.id, cid, cl, entry.process, entry.variable_map, entry.type_map,
-                        liftable=entry.liftable, world=world,
-                    )
-                    agenda.append(Goal(cid, cl, inherited_backtrack=goal.settings.backtrack))
-            break
-        else:
-            result.diagnostics.append(f"{goal.id}: backtracking did not settle; pushed to pool")
+            if outcome.action != "redo":
+                break
+            # the step's process was enabled, so the do-not set grows on
+            # every redo and this loop ends
+            entry.outcome, entry.note = "discarded", outcome.note
+            goal.settings = goal.settings.extend_do_not([entry.process])
+        if entry is None:
             pool.append(goal)
+            continue
+        if outcome.note:
+            result.diagnostics.append(f"{goal.id}: {outcome.note}")
+        if entry.outcome == "children":
+            entry.child_ids = tuple(_child_ids(goal.id, len(entry.child_clauses)))
+            for cid, cl in zip(entry.child_ids, entry.child_clauses):
+                child = history.record_node(
+                    goal.id, cid, cl, entry.process, entry.variable_map, entry.type_map,
+                    liftable=entry.liftable, world=world,
+                )
+                child.settings = goal_settings(cid, hints, goal.settings.backtrack, testing)
+                agenda.append(child)
 
     result.checkpoints = pool
     result.status = "proved" if not pool else "failed"
@@ -301,37 +323,15 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
     return result
 
 
-def _classify_counterexample(result: ProofResult, history: History, goal: Goal, binding, top: Term, world):
+def _classify_counterexample(result: ProofResult, history: History, goal: HistoryNode, binding, top: Term, world):
     lift = history.lift(goal.id, binding, world)
     if lift.status == "failed":
         result.subgoal_counterexamples.append(SubgoalCounterexample(goal.id, binding, lift.reason))
         return
-    try:
-        top_value = evaluate(top, lift.binding, world)
-    except EvaluationError as e:
-        result.spurious_lifts.append(SubgoalCounterexample(goal.id, binding, f"evaluation error at top level: {e}"))
+    reason = _spurious_reason(history, goal, binding, lift, top, world)
+    if reason is not None:
+        result.spurious_lifts.append(SubgoalCounterexample(goal.id, binding, reason))
         return
-    if truthy(top_value):
-        result.spurious_lifts.append(
-            SubgoalCounterexample(goal.id, binding, "lifted binding does not falsify the top-level conjecture")
-        )
-        return
-    if lift.had_wildcards:
-        # don't-care variables must falsify regardless of their instantiation
-        for probe in WILDCARD_PROBES:
-            relift = history.lift(goal.id, binding, world, wildcard_value=probe)
-            if relift.status != "lifted":
-                result.spurious_lifts.append(SubgoalCounterexample(goal.id, binding, "wildcard probe failed to lift"))
-                return
-            try:
-                if truthy(evaluate(top, relift.binding, world)):
-                    result.spurious_lifts.append(
-                        SubgoalCounterexample(goal.id, binding, "wildcard instantiation no longer falsifies")
-                    )
-                    return
-            except EvaluationError as e:
-                result.spurious_lifts.append(SubgoalCounterexample(goal.id, binding, f"wildcard probe error: {e}"))
-                return
     result.counterexamples.append(
         LiftedCounterexample(
             goal.id, binding, lift.binding,
@@ -340,37 +340,23 @@ def _classify_counterexample(result: ProofResult, history: History, goal: Goal, 
     )
 
 
-def _try_processes(goal: Goal, world, history: History, fresh: FreshNames) -> Optional[ProcessLogEntry]:
-    """First applicable process wins; returns its step with outcome "proved"
-    or "children", or None when no process applies."""
-    for process in PROCESS_NAMES:
-        if process in goal.settings.do_not:
-            continue
-        if process == "simplify":
-            outcome = simplify_clause(goal.literals, world)
-            note = "; ".join(outcome.diagnostics) if outcome.diagnostics else None
-            if outcome.status == "proved":
-                return ProcessLogEntry(goal.id, process, "proved", parent_clause=goal.literals, note=note)
-            if outcome.status == "children":
-                return ProcessLogEntry(
-                    goal.id, process, "children", parent_clause=goal.literals,
-                    child_clauses=outcome.children, variable_map=outcome.substitutions, note=note,
-                )
-        elif process == "eliminate-destructors":
-            found = eliminate_destructors(goal, world, history, fresh)
-            if found is not None:
-                new_lits, varmap, typemap = found
-                return ProcessLogEntry(
-                    goal.id, process, "children", parent_clause=goal.literals,
-                    child_clauses=[new_lits], variable_map=varmap, type_map=typemap,
-                )
-        elif process == "generalize":
-            found = generalize(goal, fresh)
-            if found is not None:
-                new_lits, reverse_map = found
-                return ProcessLogEntry(
-                    goal.id, process, "children", parent_clause=goal.literals,
-                    child_clauses=[new_lits], variable_map=reverse_map, liftable=False,
-                    note="; ".join(f"{v} abstracts {t}" for v, t in reverse_map.items()),
-                )
+def _spurious_reason(history: History, goal: HistoryNode, binding, lift, top: Term, world) -> Optional[str]:
+    """Why a lifted binding does not re-falsify ``top``, or None when it
+    does. With don't-care variables it must falsify under each wildcard
+    probe too, whatever the don't-cares are instantiated to."""
+    try:
+        if truthy(evaluate(top, lift.binding, world)):
+            return "lifted binding does not falsify the top-level conjecture"
+    except EvaluationError as e:
+        return f"evaluation error at top level: {e}"
+    if lift.had_wildcards:
+        for probe in WILDCARD_PROBES:
+            relift = history.lift(goal.id, binding, world, wildcard_value=probe)
+            if relift.status != "lifted":
+                return "wildcard probe failed to lift"
+            try:
+                if truthy(evaluate(top, relift.binding, world)):
+                    return "wildcard instantiation no longer falsifies"
+            except EvaluationError as e:
+                return f"wildcard probe error: {e}"
     return None

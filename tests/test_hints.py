@@ -1,10 +1,12 @@
 import pytest
 
-from sedan.forms import HintSpec
-from sedan.hints import EMPTY_SETTINGS, HANDLERS, HintSettings, apply_backtrack, check_hints, goal_settings
+from sedan.forms import PROCESS_NAMES, HintSpec
+from sedan.hints import (
+    EMPTY_SETTINGS, HANDLERS, BacktrackOutcome, HintSettings, apply_backtrack, check_hints, goal_settings,
+)
 from sedan.hints import test_gen_checkpoint as checkpoint_handler
 from sedan.history import History
-from sedan.waterfall import Goal, run_waterfall
+from sedan.waterfall import run_waterfall
 
 from conftest import term, with_settings
 
@@ -57,8 +59,8 @@ def test_parent_handler_is_inherited_only_with_testing_off():
 
 def _goal_with_history(world, *clause_srcs):
     h = History()
-    goal = Goal("Goal", clause(*clause_srcs))
-    h.record_top("Goal", goal.literals)
+    goal = h.record_top("Goal", clause(*clause_srcs))
+    goal.settings = EMPTY_SETTINGS
     return goal, h
 
 
@@ -79,7 +81,7 @@ def test_checkpoint_handler_redoes_refuted_generalization(world):
     child = clause("(<= 0 (+ v1 v1))")
     out = checkpoint_handler("generalize", [child], goal, world, 24, h)
     assert out.action == "redo"
-    assert "generalize" in out.settings.do_not
+    assert out.note == "generalization refuted by testing"
 
 
 def test_checkpoint_handler_keeps_unfalsified_generalization(world):
@@ -97,12 +99,27 @@ def test_backtrack_decisions_deterministic(world):
 
 
 def test_redo_settings_extend_prior_do_not(world):
-    goal, h = _goal_with_history(world, "(<= 0 (+ (len x) (len x)))")
-    goal.settings = HintSettings(do_not=frozenset({"eliminate-destructors"}), backtrack="test-gen-checkpoint")
-    child = clause("(<= 0 (+ v1 v1))")
-    out = apply_backtrack("test-gen-checkpoint", "generalize", [child], goal, world, 24, h)
-    assert out.action == "redo"
-    assert out.settings.do_not >= {"eliminate-destructors", "generalize"}
+    # a redo adds the discarded step's process to the do-not set the hint gave
+    hints = (HintSpec("Goal", do_not=("eliminate-destructors",)),)
+    result = run_waterfall(term("(<= 0 (+ (len x) (len x)))"), with_settings(world, trials=20), hints, 24)
+    assert [(e.goal_id, e.process, e.outcome) for e in result.process_log] == [("Goal", "generalize", "discarded")]
+    [ckpt] = result.checkpoints
+    assert ckpt.settings == HintSettings(frozenset({"eliminate-destructors", "generalize"}), None, "test-gen-checkpoint")
+
+
+def test_a_handler_that_always_redoes_disables_each_step_in_turn(world, monkeypatch):
+    # whatever the handler, a redo disables the process of the step it
+    # discards, so the goal runs out of processes and is pooled
+    monkeypatch.setitem(HANDLERS, "always", lambda *args: BacktrackOutcome("redo", note="again"))
+    hints = (HintSpec("Goal", backtrack="always"),)
+    top = "(implies (and (consp x) (natp (car x))) (equal (+ 0 (len x)) (+ 0 (len x))))"
+    result = run_waterfall(term(top), with_settings(world, trials=5, backtrack=False), hints, 1)
+    log = [(e.goal_id, e.process, e.outcome, e.note) for e in result.process_log]
+    assert log == [("Goal", "clausify", "children", None)] + [
+        ("Goal'", process, "discarded", "again") for process in ("simplify", "eliminate-destructors", "generalize")
+    ]
+    assert [c.id for c in result.checkpoints] == ["Goal'"]
+    assert result.checkpoints[0].settings.do_not == frozenset(PROCESS_NAMES)
 
 
 def test_handler_failure_is_logged_and_kept(world):

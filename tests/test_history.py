@@ -374,7 +374,7 @@ def test_each_goal_extracts_its_restrictions_once(monkeypatch):
         " (and (equal (car x) y) (< y (len (cdr x))))))"
     )
     history = outcome.forms[-1].proof.history
-    goal_clauses = {id(node.clause) for node in history.nodes.values()}
+    goal_clauses = {id(node.literals) for node in history.nodes.values()}
     assert len(history.nodes) >= 5
     assert len(extracted) == len(set(extracted)) and set(extracted) <= goal_clauses
 

@@ -640,10 +640,23 @@ def test_cli_rejects_a_negative_seed(capsys):
 def test_a_report_that_cannot_be_written_is_an_error_without_a_traceback(tmp_path, capsys):
     from sedan.cli import main
 
+    # the report is opened before the first input runs, so nothing runs
     report = tmp_path / "no-such-dir" / "r.json"
     assert main([corpus_path("base-rules.lisp"), "--report", str(report)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err == f"error: cannot write report {report}: No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_a_report_whose_write_fails_is_an_error_without_a_traceback(capsys):
+    from sedan.cli import main
+
+    # /dev/full opens, and every write to it fails
+    assert main([corpus_path("base-rules.lisp"), "--report", "/dev/full"]) == 2
+    out, err = capsys.readouterr()
+    assert out.endswith("Exit code: 0\n")  # every input ran
+    assert err == "error: cannot write report /dev/full: No space left on device\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -670,7 +683,8 @@ def test_the_cli_runs_without_the_collector_and_restores_it(exit, enabled, tmp_p
             code = e.code
         assert gc.isenabled() == enabled
     assert code == (0 if exit == "return" else 2)
-    assert seen == ([] if exit == "argument error" else [False])
+    # a report that cannot be written stops the run before the first input
+    assert seen == ([False] if exit == "return" else [])
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -1,10 +1,13 @@
 """Smoke tests of the opt-in tools in ``tools/``, which import sedan but are
 not part of it."""
 
+import glob
 import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 from sedan import cli, evaluator
 
@@ -40,6 +43,40 @@ def test_run_goldens_checks_a_golden_without_pytest():
     assert lines[2] == "reader pins (61 compile_errors, 9 files, 44 inputs): ok"
     assert lines[3] == "type layer pins (2 draws, 25 enumerate, 25 recognize): ok"
     assert len(lines) == 4
+
+
+def _installed_cpython(minor: str):
+    """The newest pyenv-installed CPython of release ``minor`` ("3.12"), or
+    None; pyenv keeps them under $PYENV_ROOT (default ~/.pyenv)."""
+    root = os.environ.get("PYENV_ROOT", os.path.join(os.path.expanduser("~"), ".pyenv"))
+    found = []
+    for python in glob.glob(os.path.join(root, "versions", minor + ".*", "bin", "python")):
+        patch = os.path.basename(os.path.dirname(os.path.dirname(python)))[len(minor) + 1:]
+        if patch.isdigit():
+            found.append((int(patch), python))
+    return max(found)[1] if found else None
+
+
+@pytest.mark.parametrize("minor", ["3.10", "3.11", "3.12", "3.13"])
+def test_run_goldens_passes_on_each_other_supported_cpython(minor):
+    # the golden reports, the reader pins and the type layer pins each depend
+    # on the interpreter, so each supported CPython checks them; the one
+    # running this suite does so in test_golden and the pin tests
+    if minor == "{}.{}".format(*sys.version_info[:2]):
+        pytest.skip("the running interpreter checks the goldens in this suite")
+    python = _installed_cpython(minor)
+    if python is None:
+        pytest.skip(f"no CPython {minor} installed")
+    import test_golden
+
+    run = subprocess.run([python, os.path.join(TOOLS, "run_goldens.py")], capture_output=True, text=True, timeout=300)
+    assert (run.returncode, run.stderr) == (0, "")
+    lines = run.stdout.splitlines()
+    n = len(test_golden.CASES)
+    assert len(lines) == n + 3
+    assert all(line.endswith(": ok (0 collections during the run, 0 unreachable after it)") for line in lines[:n])
+    assert lines[n].startswith(f"{n} of {n} cases byte-identical and free of cyclic garbage on Python {minor}.")
+    assert lines[n + 1].endswith("): ok") and lines[n + 2].endswith("): ok")
 
 
 def test_run_goldens_reports_a_run_that_leaves_cyclic_garbage(monkeypatch, capsys):

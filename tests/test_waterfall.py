@@ -9,7 +9,6 @@ from sedan.reader import read_sexprs, sexpr_to_value
 from sedan.values import NIL, Cons, truthy
 from sedan.waterfall import (
     FreshNames,
-    Goal,
     ProofResult,
     _classify_counterexample,
     eliminate_destructors,
@@ -106,55 +105,52 @@ def test_triangle_pipeline_end_to_end():
 
 def test_destructor_elimination_variable_map():
     world = make_world()
-    goal = Goal("Goal", [term("(not (consp x))"), term("(natp (car x))"), term("(stringp (cdr x))")])
     history = History()
-    history.record_top("Goal", goal.literals)
+    goal = history.record_top("Goal", [term("(not (consp x))"), term("(natp (car x))"), term("(stringp (cdr x))")])
     fresh = FreshNames(["x"])
-    found = eliminate_destructors(goal, world, history, fresh)
-    assert found is not None
-    new_lits, varmap, typemap = found
-    assert varmap == {"x": term("(cons x1 x2)")}
-    assert new_lits == [term("(natp x1)"), term("(stringp x2)")]
-    assert set(typemap) == {"x1", "x2"}
+    step = eliminate_destructors(goal, world, history, fresh)
+    assert step is not None
+    assert (step.goal_id, step.process, step.outcome, step.liftable) == ("Goal", "eliminate-destructors", "children", True)
+    assert step.parent_clause is goal.literals
+    assert step.variable_map == {"x": term("(cons x1 x2)")}
+    assert step.child_clauses == [[term("(natp x1)"), term("(stringp x2)")]]
+    assert set(step.type_map) == {"x1", "x2"}
 
 
 def test_destructor_elimination_propagates_listof_types():
     world = make_world("(defdata loi (listof integer))")
-    goal = Goal("Goal", [term("(not (consp x))"), term("(not (loip x))"), term("(natp (car x))")])
     history = History()
-    history.record_top("Goal", goal.literals)
-    found = eliminate_destructors(goal, world, history, FreshNames(["x"]))
-    new_lits, varmap, typemap = found
+    goal = history.record_top("Goal", [term("(not (consp x))"), term("(not (loip x))"), term("(natp (car x))")])
+    typemap = eliminate_destructors(goal, world, history, FreshNames(["x"])).type_map
     assert "integer" in typemap["x1"]
     assert "loi" in typemap["x2"]
 
 
 def test_destructor_elimination_inapplicable_without_consp_hyp():
     world = make_world()
-    goal = Goal("Goal", [term("(natp (car x))")])
     history = History()
-    history.record_top("Goal", goal.literals)
+    goal = history.record_top("Goal", [term("(natp (car x))")])
     assert eliminate_destructors(goal, world, history, FreshNames(["x"])) is None
 
 
 def test_generalize_replaces_largest_repeated_subterm():
-    goal = Goal("Goal", [term("(<= 0 (+ (len x) (len x)))")])
-    found = generalize(goal, FreshNames(["x"]))
-    assert found is not None
-    new_lits, reverse = found
-    assert new_lits == [term("(<= 0 (+ v1 v1))")]
-    assert reverse == {"v1": term("(len x)")}
+    goal = History().record_top("Goal", [term("(<= 0 (+ (len x) (len x)))")])
+    step = generalize(goal, FreshNames(["x"]))
+    assert step is not None
+    assert (step.goal_id, step.process, step.outcome, step.liftable) == ("Goal", "generalize", "children", False)
+    assert step.child_clauses == [[term("(<= 0 (+ v1 v1))")]]
+    assert step.variable_map == {"v1": term("(len x)")}
+    assert step.note == "v1 abstracts (len x)"
 
 
 def test_generalize_prefers_larger_subterm():
-    goal = Goal("Goal", [term("(equal (f (g x)) (f (g x)))")])
-    new_lits, reverse = generalize(goal, FreshNames(["x"]))
-    assert reverse == {"v1": term("(f (g x))")}
-    assert new_lits == [term("(equal v1 v1)")]
+    step = generalize(History().record_top("Goal", [term("(equal (f (g x)) (f (g x)))")]), FreshNames(["x"]))
+    assert step.variable_map == {"v1": term("(f (g x))")}
+    assert step.child_clauses == [[term("(equal v1 v1)")]]
 
 
 def test_generalize_inapplicable_when_all_subterms_distinct():
-    goal = Goal("Goal", [term("(equal (rev x) y)")])
+    goal = History().record_top("Goal", [term("(equal (rev x) y)")])
     assert generalize(goal, FreshNames(["x", "y"])) is None
 
 
@@ -162,11 +158,10 @@ def test_process_order_simplify_before_destructors_before_generalize():
     result, world = run(TRIANGLE, TRIANGLE_THM, trials=10)
     for entry in result.process_log:
         if entry.process == "generalize" and entry.outcome != "discarded":
-            goal_lits = entry.parent_clause
-            goal = Goal(entry.goal_id, goal_lits)
-            history = result.history
-            assert simplify_clause(goal_lits, world).status == "unchanged"
-            assert eliminate_destructors(goal, world, history, FreshNames([])) is None
+            goal = result.history.nodes[entry.goal_id]
+            assert entry.parent_clause is goal.literals
+            assert simplify_clause(goal.literals, world).status == "unchanged"
+            assert eliminate_destructors(goal, world, result.history, FreshNames([])) is None
 
 
 def test_backtracked_generalization_disables_only_that_goal():
@@ -234,13 +229,11 @@ def test_process_soundness_across_runs():
 
 def test_destructor_elimination_propagates_triple_component_types():
     world = make_world("(defdata triple (list pos pos pos))")
-    goal = Goal("Goal", [term("(not (consp x))"), term("(not (triplep x))"), term("(natp (car x))")])
     history = History()
-    history.record_top("Goal", goal.literals)
-    found = eliminate_destructors(goal, world, history, FreshNames(["x"]))
-    assert found is not None
-    _, _, typemap = found
-    assert "pos" in typemap["x1"]  # product head propagates to the car variable
+    goal = history.record_top("Goal", [term("(not (consp x))"), term("(not (triplep x))"), term("(natp (car x))")])
+    step = eliminate_destructors(goal, world, history, FreshNames(["x"]))
+    assert step is not None
+    assert "pos" in step.type_map["x1"]  # product head propagates to the car variable
 
 
 def test_lifted_wildcards_display_as_question_marks():
@@ -303,13 +296,11 @@ def _demotions(top, chain, binding):
     before it, and the first is the child of "Goal", whose clause is ``top``."""
     world = make_world()
     h = History()
-    h.record_top("Goal", [top])
-    parent = "Goal"
+    goal = h.record_top("Goal", [top])
     for goal_id, clause, variable_map in chain:
-        h.record_node(parent, goal_id, clause, "simplify", variable_map, world=world)
-        parent = goal_id
+        goal = h.record_node(goal.id, goal_id, clause, "simplify", variable_map, world=world)
     result = ProofResult("failed", top, history=h)
-    _classify_counterexample(result, h, Goal(parent, chain[-1][1]), binding, top, world)
+    _classify_counterexample(result, h, goal, binding, top, world)
     assert not result.counterexamples
     return [spurious.reason for spurious in result.spurious_lifts]
 
@@ -385,6 +376,19 @@ def test_an_empty_conjunction_is_proved_by_clausification_alone(tmp_path, capsys
     assert proof["status"] == "proved"
     assert proof["process_log"] == [] and proof["checkpoints"] == [] and proof["checkpoint_reports"] == {}
     assert [(n["goal"], n["parent"], n["process"]) for n in proof["history"]] == [("Goal", None, None)]
+
+
+def test_a_proved_simplify_step_logs_no_map_and_no_children(tmp_path, capsys):
+    # simplify proves Goal' by substituting x = 3; a proved step has no child,
+    # so it has no edge and logs no variable map
+    code, _, form = _cli_reports(tmp_path, capsys, "(thm (implies (equal x 3) (equal (+ x 1) 4)))")
+    assert code == 0 and form["status"] == "proved"
+    assert form["proof"]["process_log"] == [
+        {"goal": "Goal", "process": "clausify", "outcome": "children", "children": ["Goal'"],
+         "liftable": True, "variable_map": {}, "note": None},
+        {"goal": "Goal'", "process": "simplify", "outcome": "proved", "children": [],
+         "liftable": True, "variable_map": {}, "note": None},
+    ]
 
 
 def test_an_empty_clause_is_pooled_and_falsified_by_the_empty_binding(tmp_path, capsys):
