@@ -57,6 +57,7 @@ CASES = {
     "backtrack-hints.backtrack-off": (FIXTURE_DIR, "backtrack-hints.lisp", BACKTRACK_OFF),
     "spurious-lift": (FIXTURE_DIR, "spurious-lift.lisp", ()),
     "escapes": (FIXTURE_DIR, "escapes.lisp", ()),
+    "gen-kept": (FIXTURE_DIR, "gen-kept.lisp", ()),
     **{
         f"{name[: -len('.lisp')]}.{suffix}": (directory, name, flags)
         for directory, name in MATRIX_INPUTS

@@ -40,7 +40,7 @@ def test_run_goldens_checks_a_golden_without_pytest():
     lines = run.stdout.splitlines()
     assert lines[0] == "inequality: ok (0 collections during the run, 0 unreachable after it)"
     assert lines[1].startswith("1 of 1 cases byte-identical and free of cyclic garbage on Python ")
-    assert lines[2] == "reader pins (61 compile_errors, 9 files, 44 inputs): ok"
+    assert lines[2] == "reader pins (61 compile_errors, 10 files, 44 inputs): ok"
     assert lines[3] == "type layer pins (2 draws, 25 enumerate, 25 recognize): ok"
     assert len(lines) == 4
 
