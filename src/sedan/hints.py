@@ -2,14 +2,16 @@
 
 ``check_hints`` rejects a hint naming an unknown process or handler before
 the waterfall starts. ``goal_settings`` is the one rule for what a goal gets
-when the waterfall records it. The first user hint naming the goal gives its
-do-not set and its trial count, and may name a backtrack handler; a goal
-whose hint names none gets the testing handler when backtracking is on, and
-otherwise the handler its parent had. ``goal_trials`` is the one rule for how
-many trials a goal's tests run: its hint's count, else the world's. A
-backtrack handler runs after a process succeeds and answers keep or redo; on
-a redo the waterfall discards the step and re-enters the goal with that
-step's process added to its do-not set.
+when the waterfall records it: a goal's settings are a ``forms.HintSpec``,
+the first user hint naming the goal, or an empty one. Its do-not tuple and
+its trial count come from that hint, which may name a backtrack handler; a
+goal whose hint names none gets the testing handler when backtracking is on,
+and otherwise the handler its parent had. ``goal_trials`` is the one rule for
+how many trials a goal's tests run: its hint's count, else the world's. A
+backtrack handler runs after a process succeeds and its children are
+recorded, and answers keep or redo; on a redo the waterfall discards the step
+and its children and re-enters the goal with that step's process appended to
+its do-not tuple.
 """
 
 from __future__ import annotations
@@ -18,25 +20,6 @@ from typing import Callable, Optional
 
 from . import testgen
 from .forms import PROCESS_NAMES, HintSpec
-from .values import Record
-
-
-class HintSettings(Record):
-    __slots__ = ("do_not", "trials", "backtrack")
-
-    def __init__(
-        self,
-        do_not: frozenset[str] = frozenset(),
-        trials: Optional[int] = None,
-        backtrack: Optional[str] = None,  # registered handler name; children inherit it
-    ):
-        self._fill(do_not, trials, backtrack)
-
-    def extend_do_not(self, names) -> "HintSettings":
-        return self.replace(do_not=self.do_not | frozenset(names))
-
-
-EMPTY_SETTINGS = HintSettings()
 
 
 class BacktrackOutcome:
@@ -58,15 +41,11 @@ def check_hints(user_hints: tuple[HintSpec, ...]):
 
 def goal_settings(
     goal_id: str, user_hints: tuple[HintSpec, ...], inherited: Optional[str], testing: bool
-) -> HintSettings:
-    """The first user hint whose goal id matches (empty settings if none);
+) -> HintSpec:
+    """The first user hint whose goal id matches, else ``HintSpec(goal_id)``;
     when it names no backtrack handler, the goal gets ``test-gen-checkpoint``
     if ``testing`` is on and its parent's handler ``inherited`` otherwise."""
-    settings = EMPTY_SETTINGS
-    for spec in user_hints:
-        if spec.goal_id == goal_id:
-            settings = HintSettings(frozenset(spec.do_not), spec.trials, spec.backtrack)
-            break
+    settings = next((spec for spec in user_hints if spec.goal_id == goal_id), HintSpec(goal_id))
     if settings.backtrack is None:
         settings = settings.replace(backtrack="test-gen-checkpoint" if testing else inherited)
     return settings
@@ -77,21 +56,23 @@ def goal_trials(goal, world) -> int:
     return world.settings.trials if goal.settings.trials is None else goal.settings.trials
 
 
-def test_gen_checkpoint(processor, children, goal, world, seed: int, history) -> BacktrackOutcome:
-    """After a generalization, test the first child with a deterministic seed;
-    a counterexample redoes the goal, which discards the children and
-    disables generalization for it. Other processes are left alone."""
+def test_gen_checkpoint(processor, children, goal, world, seed: int) -> BacktrackOutcome:
+    """After a generalization, test its recorded child under the child's type
+    alist, with a deterministic seed and the goal's trials; a counterexample
+    redoes the goal, which discards the child and disables generalization for
+    it. Other processes are left alone."""
     if processor != "generalize" or not children:
         return BacktrackOutcome("keep")
     child = children[0]
-    alist = history.probe_type_alist(goal.id, child, world)
-    report = testgen.run_trials(child, alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
+    report = testgen.run_trials(
+        child.literals, child.type_alist(world), world, seed, goal_trials(goal, world), goal_id=goal.id
+    )
     if report.falsified:
         return BacktrackOutcome("redo", note="generalization refuted by testing")
     return BacktrackOutcome("keep")
 
 
-def _noop_handler(processor, children, goal, world, seed, history) -> BacktrackOutcome:
+def _noop_handler(processor, children, goal, world, seed) -> BacktrackOutcome:
     return BacktrackOutcome("keep")
 
 
@@ -101,15 +82,14 @@ HANDLERS: dict[str, Callable] = {
 }
 
 
-def apply_backtrack(
-    handler_name: Optional[str], processor: str, children, goal, world, seed: int, history
-) -> BacktrackOutcome:
-    """Run the goal's backtrack handler, if any. Handler failures never abort
+def apply_backtrack(handler_name: Optional[str], processor: str, children, goal, world, seed: int) -> BacktrackOutcome:
+    """Run the goal's backtrack handler, if any, on the step's recorded
+    children (``history.HistoryNode``s). Handler failures never abort
     a proof: they are treated as keep, with the error in the outcome's note,
     which ``run_waterfall`` adds to the proof's diagnostics."""
     if handler_name is None:
         return BacktrackOutcome("keep")
     try:
-        return HANDLERS[handler_name](processor, children, goal, world, seed, history)
+        return HANDLERS[handler_name](processor, children, goal, world, seed)
     except Exception as e:  # a broken handler must not kill the attempt
         return BacktrackOutcome("keep", note=f"backtrack handler error: {e}")

@@ -11,9 +11,11 @@ generated function that assigns the path's map terms edge by edge
 (``evaluator.Chain``); a lift runs that function, and don't-cares get nil, or
 one of ``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module
 alone forms a goal's type alist, by one rule (``HistoryNode.type_alist``), for
-checkpoints and for the probe of a generalization alike. A node is also the
-waterfall's goal: it carries the goal's hint settings, which the waterfall
-sets when it records the goal.
+checkpoints and for the probe of a generalization alike: the probe tests the
+child the waterfall has recorded, and the waterfall removes that child again
+when the probe refutes the step. A node is also the waterfall's goal: it
+carries the goal's hint settings, which the waterfall sets when it records the
+goal.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class HistoryNode:
         self.unbound = unbound  # variables the map's terms read that the clause lacks
         self.alist: Optional[dict[str, tuple[Restriction, ...]]] = None  # type_alist
         self.path: Optional[LiftPath] = None  # History.lift_path
-        self.settings = None  # the goal's hints.HintSettings, set by the waterfall
+        self.settings = None  # the goal's forms.HintSpec, set by the waterfall
 
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
         """The goal's type alist: per variable, the clause's own restrictions
@@ -145,13 +147,9 @@ class History:
         by name."""
         if goal_id in self.nodes:
             raise ValueError(f"duplicate goal id: {goal_id}")
-        node = self._child(parent_id, goal_id, clause, process, variable_map, type_map or {}, liftable, world)
-        self.nodes[goal_id] = node
-        return node
-
-    def _child(self, parent_id, goal_id, clause, process, variable_map, type_map, liftable, world) -> HistoryNode:
         parent = self.nodes[parent_id]
         parent_alist = self.accumulated_type_alist(parent_id, world)
+        type_map = type_map or {}
         child_vars = clause_vars(clause)
         child_var_set = set(child_vars)
         full_map: dict[str, Optional[Term]] = {}
@@ -168,15 +166,10 @@ class History:
         }
         read = (v for expr in full_map.values() if expr is not DONT_CARE for v in free_vars(expr))
         unbound = tuple(dict.fromkeys(v for v in read if v not in child_var_set))
-        return HistoryNode(
+        node = self.nodes[goal_id] = HistoryNode(
             goal_id, parent_id, process, list(clause), full_map, inherited, liftable, child_vars, unbound
         )
-
-    def probe_type_alist(self, parent_id: str, clause: list[Term], world) -> dict[str, tuple[Restriction, ...]]:
-        """The type alist ``record_node`` would give a child of ``parent_id``
-        that keeps its parent's variable names and gets no restrictions from
-        its step: a generalization, tested before its child is recorded."""
-        return self._child(parent_id, None, clause, "generalize", {}, {}, False, world).type_alist(world)
+        return node
 
     def accumulated_type_alist(self, goal_id: str, world) -> dict[str, tuple[Restriction, ...]]:
         """The recorded goal's type alist (``HistoryNode.type_alist``)."""

@@ -14,6 +14,7 @@ every chunk up through a generator per enclosing container.
 
 from __future__ import annotations
 
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 
 from .clauses import clause_to_term, clause_vars
@@ -23,7 +24,7 @@ from .session import FormResult, SessionOutcome
 from .terms import print_term
 from .testgen import TestReport, print_binding
 from .values import Symbol, Value, print_value
-from .waterfall import ProcessLogEntry, ProofResult
+from .waterfall import ProcessLogEntry, ProofResult, SubgoalCounterexample
 
 REPORT_CAP = 3  # counterexamples and witnesses listed per report
 
@@ -87,26 +88,28 @@ def _trial_sentences(report: TestReport) -> list[str]:
     return lines
 
 
+def _add_listing(lines: list[str], header: str, bindings: list, show) -> None:
+    """Unless ``bindings`` is empty, append ``header``, one `` -- `` line per
+    binding (``show(binding)``) for at most ``REPORT_CAP`` of them, ``...``
+    when there are more, and a blank line."""
+    if not bindings:
+        return
+    lines.append(header)
+    lines.extend([f" -- {show(b)}" for b in bindings[:REPORT_CAP]])
+    if len(bindings) > REPORT_CAP:
+        lines.append("...")
+    lines.append("")
+
+
 def render_test_report(report: TestReport) -> list[str]:
     var_order = list(report.type_alist)
     style = "Exhaustive" if report.mode == "exhaustive" else "Random"
     goal = f' "{report.goal_id}"' if report.goal_id else ""
     lines = [f"{style} testing{goal} with type alist {display_alist(report)}"]
     lines.append("")
-    if report.counterexamples:
-        lines.append("We falsified the conjecture. Here are counterexamples:")
-        for b in report.counterexamples[:REPORT_CAP]:
-            lines.append(f" -- {display_binding(b, var_order)}")
-        if len(report.counterexamples) > REPORT_CAP:
-            lines.append("...")
-        lines.append("")
-    if report.witnesses:
-        lines.append("Cases in which the conjecture is true include:")
-        for b in report.witnesses[:REPORT_CAP]:
-            lines.append(f" -- {display_binding(b, var_order)}")
-        if len(report.witnesses) > REPORT_CAP:
-            lines.append("...")
-        lines.append("")
+    show = partial(display_binding, var_order=var_order)
+    _add_listing(lines, "We falsified the conjecture. Here are counterexamples:", report.counterexamples, show)
+    _add_listing(lines, "Cases in which the conjecture is true include:", report.witnesses, show)
     lines.extend(_trial_sentences(report))
     return lines
 
@@ -134,13 +137,11 @@ def _render_thm(fr: FormResult) -> list[str]:
         lines.extend(render_test_report(proof.checkpoint_reports[goal.id]))
         lines.append("")
     if proof.counterexamples:
-        lines.append("We falsified the conjecture. Here are counterexamples:")
         top_order = clause_vars([proof.top_term])
-        for cex in proof.counterexamples[:REPORT_CAP]:
-            lines.append(f" -- {display_binding(cex.top_binding, top_order, cex.wildcard_vars)}")
-        if len(proof.counterexamples) > REPORT_CAP:
-            lines.append("...")
-        lines.append("")
+        _add_listing(
+            lines, "We falsified the conjecture. Here are counterexamples:", proof.counterexamples,
+            lambda cex: display_binding(cex.top_binding, top_order, cex.wildcard_vars),
+        )
     for sub in proof.subgoal_counterexamples:
         lines.append(
             f'Counterexample local to "{sub.goal_id}" (not liftable to the original conjecture): '
@@ -213,6 +214,15 @@ def _log_entry_json(entry: ProcessLogEntry) -> dict:
     }
 
 
+def _local_json(records: list[SubgoalCounterexample]) -> list[dict]:
+    """Each record's goal, its binding and why it is not a counterexample of
+    the top-level conjecture."""
+    return [
+        {"goal": s.goal_id, "binding": print_binding(s.binding, sorted(s.binding)), "reason": s.reason}
+        for s in records
+    ]
+
+
 def _proof_json(proof: ProofResult) -> dict:
     top_order = clause_vars([proof.top_term])
     return {
@@ -233,22 +243,8 @@ def _proof_json(proof: ProofResult) -> dict:
             }
             for c in proof.counterexamples
         ],
-        "subgoal_counterexamples": [
-            {
-                "goal": s.goal_id,
-                "binding": print_binding(s.binding, sorted(s.binding)),
-                "reason": s.reason,
-            }
-            for s in proof.subgoal_counterexamples
-        ],
-        "spurious_lifts": [
-            {
-                "goal": s.goal_id,
-                "binding": print_binding(s.binding, sorted(s.binding)),
-                "reason": s.reason,
-            }
-            for s in proof.spurious_lifts
-        ],
+        "subgoal_counterexamples": _local_json(proof.subgoal_counterexamples),
+        "spurious_lifts": _local_json(proof.spurious_lifts),
         "discarded_generalizations": [
             {"goal": e.goal_id, "note": e.note} for e in proof.discarded_generalizations
         ],

@@ -86,9 +86,9 @@ class _Session:
         self.index = 0
         self.include_stack: list[str] = []
 
-    def run_forms(self, text: str, directory: str) -> bool:
-        """Admit or run each form of ``text`` in order; False once one fails."""
-        for form in parse_forms(text):
+    def run_forms(self, forms: list[Form], directory: str) -> bool:
+        """Admit or run each form in order; False once one fails."""
+        for form in forms:
             if isinstance(form, (TestForm, ThmForm, DefdataForm, DefdataSubtypeForm)):
                 admitted = on_sized_stack(self.world.settings.depth_cap, self.process_form, form, directory)
             else:
@@ -98,14 +98,19 @@ class _Session:
         return True
 
     def load_file(self, path: str) -> bool:
+        """Admit or run the file's forms; False once one fails. A file that is
+        not UTF-8 or does not parse is an ``AdmissionError`` naming ``path``."""
         real = os.path.realpath(path)
         if real in self.include_stack:
             raise AdmissionError(f"include cycle at {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                forms = parse_forms(fh.read())
+        except (ParseError, UnicodeDecodeError) as e:
+            raise AdmissionError(f"{path}: {e}") from None
         self.include_stack.append(real)
         try:
-            return self.run_forms(text, os.path.dirname(path))
+            return self.run_forms(forms, os.path.dirname(path))
         finally:
             self.include_stack.pop()
 
@@ -176,9 +181,7 @@ def process_file(path: str, settings: Settings = Settings()) -> SessionOutcome:
     session = _Session(settings)
     try:
         session.load_file(path)
-    except (ParseError, UnicodeDecodeError) as e:
-        outcome.fatal_error = f"{path}: {e}"
-    except OSError as e:
+    except (AdmissionError, OSError) as e:
         outcome.fatal_error = str(e)
     outcome.forms = session.results
     return outcome
@@ -189,7 +192,7 @@ def process_source(text: str, settings: Settings = Settings(), directory: str = 
     outcome = SessionOutcome("<string>", settings)
     session = _Session(settings)
     try:
-        session.run_forms(text, directory)
+        session.run_forms(parse_forms(text), directory)
     except ParseError as e:
         outcome.fatal_error = str(e)
     outcome.forms = session.results

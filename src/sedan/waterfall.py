@@ -7,12 +7,14 @@ never drained, so any pooled goal makes the attempt fail and the pooled goals
 are exactly the checkpoints reported and tested.
 
 The hints are checked once, before the first goal. A goal is its
-``history.HistoryNode``: when the waterfall records a goal it gives it its
-settings from ``hints.goal_settings``, and a goal that clausification produced
-takes "Goal"'s hint unless it has its own. Each process returns the step it
-takes as one ``ProcessLogEntry``. The goal's backtrack handler answers keep or
-redo; a redo discards the step and the goal runs again with that step's
-process disabled, so a goal re-enters at most once per process.
+``history.HistoryNode``, and its settings are its ``forms.HintSpec`` from
+``hints.goal_settings``; a goal that clausification produced takes "Goal"'s
+hint unless it has its own. Each process returns the step it takes as one
+``ProcessLogEntry``, and ``_record_children`` records the children of every
+step, clausification's too, before the goal's backtrack handler sees them.
+The handler answers keep or redo; a redo discards the step, removes its
+children from the history, and runs the goal again with that step's process
+disabled, so a goal re-enters at most once per process.
 """
 
 from __future__ import annotations
@@ -227,6 +229,21 @@ def _try_processes(goal: HistoryNode, world, history: History, fresh: FreshNames
     return None
 
 
+def _record_children(entry: ProcessLogEntry, history: History, world, hints, inherited, testing) -> list[HistoryNode]:
+    """Record the step's children in the history, each with its settings
+    (``inherited`` is the stepping goal's handler), set the entry's child
+    ids, and return the children."""
+    entry.child_ids = tuple(_child_ids(entry.goal_id, len(entry.child_clauses)))
+    children = []
+    for cid, cl in zip(entry.child_ids, entry.child_clauses):
+        child = history.record_node(
+            entry.goal_id, cid, cl, entry.process, entry.variable_map, entry.type_map, entry.liftable, world
+        )
+        child.settings = goal_settings(cid, hints, inherited, testing)
+        children.append(child)
+    return children
+
+
 # ---------------------------------------------------------------------------
 # the waterfall proper
 
@@ -261,13 +278,9 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
         hints = (
             *hints, *(spec.replace(goal_id=cid) for spec in hints if spec.goal_id == "Goal" for cid in ids)
         )
-        for cid, cl in zip(ids, clauses):
-            child = history.record_node("Goal", cid, cl, "clausify", {}, world=world)
-            child.settings = goal_settings(cid, hints, None, testing)
-            agenda.append(child)
-        result.process_log.append(
-            ProcessLogEntry("Goal", "clausify", "children", tuple(ids), [top], clauses)
-        )
+        entry = ProcessLogEntry("Goal", "clausify", "children", parent_clause=[top], child_clauses=clauses)
+        result.process_log.append(entry)
+        agenda.extend(_record_children(entry, history, world, hints, None, testing))
     pool: list[HistoryNode] = []
     processed = 0
 
@@ -287,29 +300,22 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
             if entry is None:
                 break
             result.process_log.append(entry)
-            outcome = apply_backtrack(
-                goal.settings.backtrack, entry.process, entry.child_clauses, goal, world, seed, history
-            )
+            children = _record_children(entry, history, world, hints, goal.settings.backtrack, testing)
+            outcome = apply_backtrack(goal.settings.backtrack, entry.process, children, goal, world, seed)
             if outcome.action != "redo":
                 break
-            # the step's process was enabled, so the do-not set grows on
+            # the step's process was enabled, so the do-not tuple grows on
             # every redo and this loop ends
-            entry.outcome, entry.note = "discarded", outcome.note
-            goal.settings = goal.settings.extend_do_not([entry.process])
+            for child in children:
+                del history.nodes[child.id]
+            entry.outcome, entry.note, entry.child_ids = "discarded", outcome.note, ()
+            goal.settings = goal.settings.replace(do_not=(*goal.settings.do_not, entry.process))
         if entry is None:
             pool.append(goal)
             continue
         if outcome.note:
             result.diagnostics.append(f"{goal.id}: {outcome.note}")
-        if entry.outcome == "children":
-            entry.child_ids = tuple(_child_ids(goal.id, len(entry.child_clauses)))
-            for cid, cl in zip(entry.child_ids, entry.child_clauses):
-                child = history.record_node(
-                    goal.id, cid, cl, entry.process, entry.variable_map, entry.type_map,
-                    liftable=entry.liftable, world=world,
-                )
-                child.settings = goal_settings(cid, hints, goal.settings.backtrack, testing)
-                agenda.append(child)
+        agenda.extend(children)
 
     result.checkpoints = pool
     result.status = "proved" if not pool else "failed"

@@ -1,9 +1,8 @@
 import pytest
 
+from sedan import history
 from sedan.forms import PROCESS_NAMES, HintSpec
-from sedan.hints import (
-    EMPTY_SETTINGS, HANDLERS, BacktrackOutcome, HintSettings, apply_backtrack, check_hints, goal_settings,
-)
+from sedan.hints import HANDLERS, BacktrackOutcome, apply_backtrack, check_hints, goal_settings
 from sedan.hints import test_gen_checkpoint as checkpoint_handler
 from sedan.history import History
 from sedan.waterfall import run_waterfall
@@ -17,9 +16,9 @@ def clause(*srcs):
 
 def test_select_hints_matches_goal_id():
     hints = (HintSpec("Goal", do_not=("generalize",)), HintSpec("Subgoal 2", trials=50))
-    assert goal_settings("Goal", hints, None, testing=False).do_not == frozenset({"generalize"})
+    assert goal_settings("Goal", hints, None, testing=False).do_not == ("generalize",)
     assert goal_settings("Subgoal 2", hints, None, testing=False).trials == 50
-    assert goal_settings("Subgoal 3", hints, None, testing=False) == EMPTY_SETTINGS
+    assert goal_settings("Subgoal 3", hints, None, testing=False) == HintSpec("Subgoal 3")
 
 
 def test_select_hints_first_match_wins():
@@ -39,7 +38,7 @@ def test_select_hints_rejects_unknown_names():
 def test_testing_override_preserves_user_do_not():
     hints = (HintSpec("Goal", do_not=("generalize",), trials=7),)
     out = goal_settings("Goal", hints, None, testing=True)
-    assert out == HintSettings(frozenset({"generalize"}), 7, "test-gen-checkpoint")
+    assert out == HintSpec("Goal", ("generalize",), 7, "test-gen-checkpoint")
 
 
 def test_testing_override_keeps_existing_handler():
@@ -51,50 +50,53 @@ def test_testing_override_keeps_existing_handler():
 def test_parent_handler_is_inherited_only_with_testing_off():
     assert goal_settings("Goal'", (), "none", testing=True).backtrack == "test-gen-checkpoint"
     assert goal_settings("Goal'", (), "none", testing=False).backtrack == "none"
-    assert goal_settings("Goal'", (), None, testing=False) == EMPTY_SETTINGS
+    assert goal_settings("Goal'", (), None, testing=False) == HintSpec("Goal'")
     hints = (HintSpec("Goal'", trials=7),)
     out = goal_settings("Goal'", hints, "test-gen-checkpoint", testing=False)
-    assert out == HintSettings(trials=7, backtrack="test-gen-checkpoint")
+    assert out == HintSpec("Goal'", trials=7, backtrack="test-gen-checkpoint")
 
 
-def _goal_with_history(world, *clause_srcs):
+def _step(world, parent_src, process, child_src, variable_map=None):
+    """A recorded goal and the one child a ``process`` step gives it, as the
+    waterfall hands them to a backtrack handler."""
     h = History()
-    goal = h.record_top("Goal", clause(*clause_srcs))
-    goal.settings = EMPTY_SETTINGS
-    return goal, h
+    goal = h.record_top("Goal", clause(parent_src))
+    goal.settings = HintSpec("Goal")
+    child = h.record_node("Goal", "Goal'", clause(child_src), process, variable_map or {}, world=world)
+    return goal, [child]
 
 
 def test_backtrack_no_handler_keeps(world):
-    goal, h = _goal_with_history(world, "(natp x)")
-    out = apply_backtrack(None, "generalize", [clause("(natp v1)")], goal, world, 24, h)
+    goal, children = _step(world, "(natp x)", "generalize", "(natp v1)")
+    out = apply_backtrack(None, "generalize", children, goal, world, 24)
     assert out.action == "keep"
 
 
 def test_checkpoint_handler_ignores_other_processes(world):
-    goal, h = _goal_with_history(world, "(natp x)")
-    out = checkpoint_handler("simplify", [clause("nil")], goal, world, 24, h)
+    goal, children = _step(world, "(natp x)", "simplify", "nil")
+    out = checkpoint_handler("simplify", children, goal, world, 24)
     assert out.action == "keep"
 
 
 def test_checkpoint_handler_redoes_refuted_generalization(world):
-    goal, h = _goal_with_history(world, "(<= 0 (+ (len x) (len x)))")
-    child = clause("(<= 0 (+ v1 v1))")
-    out = checkpoint_handler("generalize", [child], goal, world, 24, h)
+    goal, children = _step(world, "(<= 0 (+ (len x) (len x)))", "generalize", "(<= 0 (+ v1 v1))",
+                           {"v1": term("(len x)")})
+    out = checkpoint_handler("generalize", children, goal, world, 24)
     assert out.action == "redo"
     assert out.note == "generalization refuted by testing"
 
 
 def test_checkpoint_handler_keeps_unfalsified_generalization(world):
-    goal, h = _goal_with_history(world, "(equal (+ (len x) (len x)) (+ (len x) (len x)))")
-    child = clause("(equal (+ v1 v1) (+ v1 v1))")
-    out = checkpoint_handler("generalize", [child], goal, with_settings(world, trials=50), 24, h)
+    goal, children = _step(world, "(equal (+ (len x) (len x)) (+ (len x) (len x)))", "generalize",
+                           "(equal (+ v1 v1) (+ v1 v1))", {"v1": term("(len x)")})
+    out = checkpoint_handler("generalize", children, goal, with_settings(world, trials=50), 24)
     assert out.action == "keep"
 
 
 def test_backtrack_decisions_deterministic(world):
-    goal, h = _goal_with_history(world, "(<= 0 (+ (len x) (len x)))")
-    child = clause("(<= 0 (+ v1 v1))")
-    outs = [checkpoint_handler("generalize", [child], goal, world, 7, h).action for _ in range(3)]
+    goal, children = _step(world, "(<= 0 (+ (len x) (len x)))", "generalize", "(<= 0 (+ v1 v1))",
+                           {"v1": term("(len x)")})
+    outs = [checkpoint_handler("generalize", children, goal, world, 7).action for _ in range(3)]
     assert outs == ["redo", "redo", "redo"]
 
 
@@ -104,7 +106,7 @@ def test_redo_settings_extend_prior_do_not(world):
     result = run_waterfall(term("(<= 0 (+ (len x) (len x)))"), with_settings(world, trials=20), hints, 24)
     assert [(e.goal_id, e.process, e.outcome) for e in result.process_log] == [("Goal", "generalize", "discarded")]
     [ckpt] = result.checkpoints
-    assert ckpt.settings == HintSettings(frozenset({"eliminate-destructors", "generalize"}), None, "test-gen-checkpoint")
+    assert ckpt.settings == HintSpec("Goal", ("eliminate-destructors", "generalize"), None, "test-gen-checkpoint")
 
 
 def test_a_handler_that_always_redoes_disables_each_step_in_turn(world, monkeypatch):
@@ -119,7 +121,65 @@ def test_a_handler_that_always_redoes_disables_each_step_in_turn(world, monkeypa
         ("Goal'", process, "discarded", "again") for process in ("simplify", "eliminate-destructors", "generalize")
     ]
     assert [c.id for c in result.checkpoints] == ["Goal'"]
-    assert result.checkpoints[0].settings.do_not == frozenset(PROCESS_NAMES)
+    assert set(result.checkpoints[0].settings.do_not) == set(PROCESS_NAMES)
+
+
+def _spy_on_the_probe(monkeypatch):
+    """A list that gets, for each call of the testing handler, the children
+    it was handed and its answer."""
+    calls = []
+    probe = HANDLERS["test-gen-checkpoint"]
+
+    def spy(processor, children, goal, world, seed):
+        outcome = probe(processor, children, goal, world, seed)
+        calls.append((processor, list(children), outcome.action))
+        return outcome
+
+    monkeypatch.setitem(HANDLERS, "test-gen-checkpoint", spy)
+    return calls
+
+
+def test_a_redo_removes_the_children_it_recorded(world, monkeypatch):
+    # the probe gets the step's recorded child; the redo takes it out of the
+    # history again, and the discarded step logs no children
+    calls = _spy_on_the_probe(monkeypatch)
+    result = run_waterfall(term("(<= 0 (+ (len x) (len x)))"), with_settings(world, trials=20), (), 24)
+    [entry] = result.process_log
+    assert (entry.process, entry.outcome, entry.child_ids) == ("generalize", "discarded", ())
+    [(processor, [child], action)] = calls
+    assert (processor, action) == ("generalize", "redo")
+    assert (child.id, child.parent_id, child.process) == ("Goal'", "Goal", "generalize")
+    assert child.id not in result.history.nodes
+    assert result.history.order == ["Goal"]
+
+
+def test_a_kept_step_records_each_child_once(world, monkeypatch):
+    # the probe tests the node the history keeps: record_node runs once per
+    # child, and no other node is built
+    calls = _spy_on_the_probe(monkeypatch)
+    recorded, built = [], []
+    record_node, node_class = History.record_node, history.HistoryNode
+
+    def counting_record(self, parent_id, goal_id, *args, **kwargs):
+        recorded.append(goal_id)
+        return record_node(self, parent_id, goal_id, *args, **kwargs)
+
+    def counting_node(*args, **kwargs):
+        built.append(args[0])
+        return node_class(*args, **kwargs)
+
+    monkeypatch.setattr(History, "record_node", counting_record)
+    monkeypatch.setattr(history, "HistoryNode", counting_node)
+    top = "(implies (true-listp x) (equal (car (cons (len x) x)) (car (cons (len x) nil))))"
+    result = run_waterfall(term(top), with_settings(world, trials=20), (), 24)
+    assert [(e.goal_id, e.process, e.outcome, e.child_ids) for e in result.process_log] == [
+        ("Goal", "clausify", "children", ("Goal'",)), ("Goal'", "generalize", "children", ("Goal''",)),
+    ]
+    [(processor, [child], action)] = calls
+    assert (processor, action) == ("generalize", "keep")
+    assert result.history.nodes["Goal''"] is child
+    assert recorded == ["Goal'", "Goal''"]
+    assert built == ["Goal", "Goal'", "Goal''"] == result.history.order
 
 
 def test_handler_failure_is_logged_and_kept(world):
@@ -130,8 +190,8 @@ def test_handler_failure_is_logged_and_kept(world):
 
     hints_mod.HANDLERS["broken"] = broken
     try:
-        goal, h = _goal_with_history(world, "(natp x)")
-        out = apply_backtrack("broken", "generalize", [clause("(natp v1)")], goal, world, 24, h)
+        goal, children = _step(world, "(natp x)", "generalize", "(natp v1)")
+        out = apply_backtrack("broken", "generalize", children, goal, world, 24)
         assert out.action == "keep"
         assert "boom" in out.note
     finally:
@@ -150,11 +210,22 @@ def test_handler_failure_reaches_the_proof_diagnostics(world, monkeypatch):
     assert [(e.goal_id, e.process, e.outcome) for e in result.process_log] == [("Goal", "generalize", "children")]
 
 
-def test_redo_termination_bound():
-    # the do-not set strictly grows, so a goal re-enters at most |processes| times
-    s = EMPTY_SETTINGS
-    for name in ("simplify", "eliminate-destructors", "generalize"):
-        s2 = s.extend_do_not([name])
-        assert s2.do_not > s.do_not
-        s = s2
-    assert s.extend_do_not(["generalize"]).do_not == s.do_not
+def test_redo_termination_bound(world, monkeypatch):
+    # the do-not set strictly grows, and never names a process twice, so a
+    # goal re-enters at most |processes| times
+    seen = []
+
+    def always(processor, children, goal, world, seed):
+        seen.append(goal.settings.do_not)
+        return BacktrackOutcome("redo")
+
+    monkeypatch.setitem(HANDLERS, "always", always)
+    top = "(implies (and (consp x) (natp (car x))) (equal (+ 0 (len x)) (+ 0 (len x))))"
+    result = run_waterfall(term(top), with_settings(world, trials=5, backtrack=False),
+                           (HintSpec("Goal", backtrack="always"),), 1)
+    [ckpt] = result.checkpoints
+    seen.append(ckpt.settings.do_not)
+    assert len(seen) == len(PROCESS_NAMES) + 1
+    for before, after in zip(seen, seen[1:]):
+        assert set(after) > set(before)
+    assert len(set(seen[-1])) == len(seen[-1])

@@ -320,29 +320,41 @@ def test_unrestricted_child_variable_has_an_empty_type_map():
 
 
 def _generalize_sources():
-    """(text, directory) of every corpus file, the backtrack-hints fixture,
-    and generalizations over variables typed by their own clause and by an
-    ancestor's destructor elimination."""
+    """(text, directory) of every corpus file, the backtrack-hints and
+    gen-kept fixtures, and generalizations over variables typed by their own
+    clause and by an ancestor's destructor elimination, and a true one whose
+    hint names the testing handler."""
     paths = [corpus_path(n) for n in sorted(os.listdir(CORPUS_DIR)) if n.endswith(".lisp")]
-    paths.append(os.path.join(os.path.dirname(__file__), "fixtures", "backtrack-hints.lisp"))
+    paths += [os.path.join(os.path.dirname(__file__), "fixtures", n) for n in ("backtrack-hints.lisp", "gen-kept.lisp")]
     for path in paths:
         with open(path, encoding="utf-8") as fh:
             yield fh.read(), os.path.dirname(path)
     yield (
         "(defdata nl (listof nat))\n"
         "(thm (implies (and (nlp x) (consp x) (natp n)) (<= n (+ n (len (cdr x)) (len (cdr x))))))\n"
-        "(thm (implies (and (nlp x) (consp x)) (< (car x) (+ 1 (car x) (len (cdr x)) (len (cdr x))))))\n",
+        "(thm (implies (and (nlp x) (consp x)) (< (car x) (+ 1 (car x) (len (cdr x)) (len (cdr x))))))\n"
+        "(thm (implies (true-listp y) (equal (car (cons (len y) y)) (car (cons (len y) nil))))\n"
+        '     :hints (("Goal" :backtrack test-gen-checkpoint)))\n',
         ".",
     )
 
 
 @pytest.mark.parametrize("backtrack", [True, False])
-def test_the_probe_alist_is_the_recorded_child_alist(backtrack):
-    # the backtrack probe tests a generalization's child before it is
-    # recorded; for every kept generalization it must have used the type
-    # alist the recorded child gets
+def test_the_probe_alist_is_the_recorded_child_alist(backtrack, monkeypatch):
+    # the backtrack probe tests a generalization's recorded child; for every
+    # kept generalization it must have used the type alist the child has,
+    # the very dict every later reader of that alist gets
+    probed = []
+
+    def probe(literals, alist, *args, **kwargs):
+        probed.append(alist)
+        return run_trials(literals, alist, *args, **kwargs)
+
+    run_trials = testgen.run_trials
+    monkeypatch.setattr(testgen, "run_trials", probe)  # the handler's; checkpoints bind their own
     checked = []
     for text, directory in _generalize_sources():
+        probed.clear()
         outcome, world = process_source(text, Settings(trials=20, backtrack=backtrack), directory)
         for fr in outcome.forms:
             if fr.proof is None:
@@ -350,12 +362,15 @@ def test_the_probe_alist_is_the_recorded_child_alist(backtrack):
             h = fr.proof.history
             for entry in fr.proof.process_log:
                 if entry.process == "generalize" and entry.outcome == "children":
-                    [child_id], [child] = entry.child_ids, entry.child_clauses
+                    [child_id] = entry.child_ids
                     alist = h.accumulated_type_alist(child_id, world)
-                    assert h.probe_type_alist(entry.goal_id, child, world) == alist
-                    checked.append(alist)
-    assert len(checked) >= 3
-    assert {"x1": ("nat",), "x2": ("nl",), "v1": ("all",)} in checked
+                    if h.nodes[entry.goal_id].settings.backtrack == "test-gen-checkpoint":
+                        assert any(a is alist for a in probed)
+                        checked.append(alist)
+    assert {"y": ("true-list",), "v1": ("all",)} in checked
+    if backtrack:
+        assert {"x": ("true-list",), "v1": ("all",)} in checked
+        assert {"x1": ("nat",), "x2": ("nl",), "v1": ("all",)} in checked
 
 
 def test_each_goal_extracts_its_restrictions_once(monkeypatch):

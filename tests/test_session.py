@@ -328,6 +328,26 @@ def test_a_file_that_is_not_utf8_is_a_fatal_error(tmp_path, capsys):
     assert "can't decode byte 0xff" in out.forms[0].error
 
 
+def test_an_included_file_that_does_not_parse_is_named_in_its_error(tmp_path):
+    # the include form's error names the file, as the top file's fatal error does
+    bad = str(tmp_path / "bad.lisp")
+    (tmp_path / "bad.lisp").write_text("(defun h (x) (\n")
+    (tmp_path / "main.lisp").write_text('(include "bad.lisp")\n')
+    assert process_file(bad).fatal_error == f"{bad}: 1:1: unbalanced '('"
+    out = process_file(str(tmp_path / "main.lisp"))
+    assert out.fatal_error is None
+    assert [(fr.status, fr.error) for fr in out.forms] == [("error", f"{bad}: 1:1: unbalanced '('")]
+
+
+def test_an_included_file_that_is_not_utf8_is_named_in_its_error(tmp_path):
+    latin1 = str(tmp_path / "latin1.lisp")
+    (tmp_path / "latin1.lisp").write_bytes(b"(test? (natp \xff x))\n")
+    (tmp_path / "main.lisp").write_text('(include "latin1.lisp")\n')
+    out = process_file(str(tmp_path / "main.lisp"))
+    assert [fr.status for fr in out.forms] == ["error"]
+    assert out.forms[0].error.startswith(f"{latin1}: 'utf-8' codec can't decode byte 0xff in position 13")
+
+
 def test_include_loads_relative_and_detects_cycles(tmp_path):
     (tmp_path / "a.lisp").write_text('(include "b.lisp")\n(test? (posp (one)))\n')
     (tmp_path / "b.lisp").write_text("(defun one () 1)\n")
