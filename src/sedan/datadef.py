@@ -42,8 +42,8 @@ world. No generated function holds its world, so a finished world is freed
 by reference counting. A recursive type's functions recurse once per level of
 the value, and an evidence index that overflows the Python stack errs.
 
-Only this module reads a type expression, and it defines the base types'
-recognizers (``natp``, ...) too, in ``install_base_types``.
+Only this module reads a type expression. It registers the base types too,
+in ``install_base_types``, through ``register_defdata`` as any other type.
 """
 
 from __future__ import annotations
@@ -704,11 +704,8 @@ def _auto_subtype_edges(world, name: str, expr: TypeExpr):
         for base in BASE_TYPES:
             if base != "all" and all(recognize(world, base, v) for v in expr.values):
                 graph.add_edge(name, base)
-    if isinstance(expr, NamedRef):
+    if isinstance(expr, (NamedRef, BaseRef)):
         # a direct alias has exactly the other type's extent
-        graph.add_edge(name, expr.name)
-        graph.add_edge(expr.name, name)
-    if isinstance(expr, BaseRef):
         graph.add_edge(name, expr.name)
         graph.add_edge(expr.name, name)
 
@@ -800,24 +797,17 @@ def _enumerator_host(world, type_name: str) -> HostFunction:
 
 
 def install_base_types(world):
-    """Register the base types like any other: an entry, a vertex, ``Xp`` and
-    ``nth-X``; ``real/rationalp`` is another name for ``rationalp``."""
+    """Register the base types with ``register_defdata``, each as its own
+    ``BaseRef``, like any other type: an entry, ``Xp``, ``nth-X`` and an edge
+    to ``all``. Only what no defdata adds is done here: the names type code
+    reads, ``real/rationalp`` as another name for ``rationalp``, and the
+    containments among the base types (``BASE_EDGES``)."""
     world.namespace.update(_TYPE_PRELUDE)
-    for name in BASE_TYPES:
-        expr = BaseRef(name)
-        recog, enum = _derived_names(name)
-        world.types.entries[name] = TypeEntry(name, expr, _finite_extent(expr, world))
-        world.types.recognizer_index[recog] = name
-        world.subtypes.add_vertex(name)
-        world.add_function(recog, _recognizer_host(world, name))
-        world.add_function(enum, _enumerator_host(world, name))
+    register_defdata(world, [(name, BaseRef(name)) for name in BASE_TYPES])
     world.add_function("real/rationalp", world.functions["rationalp"])
     world.types.recognizer_index["real/rationalp"] = "rational"
     for t1, t2 in BASE_EDGES:
         world.subtypes.add_edge(t1, t2)
-    for name in BASE_TYPES:
-        if name != "all":
-            world.subtypes.add_edge(name, "all")
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ path to the top is worked out once per goal (``History.lift_path``), with one
 generated function that assigns the path's map terms edge by edge
 (``evaluator.Chain``); a lift runs that function, and don't-cares get nil, or
 one of ``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module
-alone forms a goal's type alist, by one rule (``HistoryNode.type_alist``), for
-checkpoints and for the probe of a generalization alike: the probe tests the
-child the waterfall has recorded, and the waterfall removes that child again
-when the probe refutes the step. A node is also the waterfall's goal: it
+alone forms a goal's type alist (``HistoryNode.type_alist``), by the rule
+that a ``test?`` gets too, ``testgen.merge_restrictions``, for checkpoints
+and for the probe of a generalization alike: the probe tests the child the
+waterfall has recorded, and the waterfall removes that child again when the
+probe refutes the step. A node is also the waterfall's goal: it
 carries the goal's hint settings, which the waterfall sets when it records the
 goal.
 """
@@ -29,6 +30,7 @@ from .datadef import Restriction, print_restriction
 # perfbench's tracer, which spans it
 from .evaluator import Chain, EvaluationError, evaluate, run_chain
 from .terms import Term, Var, free_vars, print_term
+from .testgen import merge_restrictions
 from .values import NIL, Char, Cons, Record, Value
 
 DONT_CARE = None  # marker inside variable maps; a Chain runs it as the wildcard
@@ -66,8 +68,8 @@ class HistoryNode:
 
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
         """The goal's type alist: per variable, the clause's own restrictions
-        first, then the inherited ones; a variable left with none maps to
-        ``all``. Worked out on the first call and kept, since a history
+        first, then the inherited ones, merged by ``merge_restrictions``; a
+        variable left with none maps to ``all``. Worked out on the first call and kept, since a history
         serves one proof and so one world; every caller reads the same dict."""
         if self.alist is None:
             own = testgen.extract_restrictions(self.literals, world)
@@ -102,16 +104,6 @@ class LiftOutcome(Record):
         wildcard_vars: tuple[str, ...] = (),  # top-level vars still carrying a pure don't-care
     ):
         self._fill(status, binding, reason, had_wildcards, wildcard_vars)
-
-
-def merge_restrictions(first, then) -> tuple[Restriction, ...]:
-    """``first``'s restrictions, then each of ``then``'s not already listed;
-    ``all`` adds nothing and is dropped from both."""
-    out = [r for r in first if r != "all"]
-    for r in then:
-        if r != "all" and r not in out:
-            out.append(r)
-    return tuple(out)
 
 
 class History:

@@ -138,7 +138,8 @@ class _Session:
             elif isinstance(form, IncludeForm):
                 target = os.path.normpath(os.path.join(directory, form.path))
                 if not self.load_file(target):
-                    return False
+                    # the last record is the form that stopped the file
+                    raise AdmissionError(f"{target}: stopped at form {self.results[-1].index}")
             elif isinstance(form, TestForm):
                 self._run_test(form, fr)
             elif isinstance(form, ThmForm):

@@ -2,8 +2,10 @@
 conditional rewriting, propositional cleanup, and re-clausification, iterated
 to a fixpoint under a step budget.
 
-Rule hypotheses are relieved against the goal's other literals (assumed false,
-so negated hypotheses are usable facts) or by recursive rewriting, bounded by
+The rewriting stage runs with or without rules: besides applying them, it is
+what picks an ``if``'s branch once its test folds to a constant. Rule
+hypotheses are relieved against the goal's other literals (assumed false, so
+negated hypotheses are usable facts) or by recursive rewriting, bounded by
 the backchain depth. Exhausting the rewrite budget downgrades the rewriting
 stage to a no-op with a diagnostic instead of looping.
 """
@@ -236,7 +238,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
             substitutions = {k: subst_vars(v, mapping) for k, v in substitutions.items()}
             substitutions[var] = replacement
 
-        if world.rules and not budget.exhausted:
+        if not budget.exhausted:
             attempt = list(lits)
             rewritten = []
             for i, lit in enumerate(attempt):

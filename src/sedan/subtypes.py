@@ -13,9 +13,6 @@ class SubtypeGraph:
     def __init__(self):
         self.adj: dict[str, set[str]] = {}
 
-    def add_vertex(self, name: str):
-        self.adj.setdefault(name, set())
-
     def add_edge(self, t1: str, t2: str):
         self.adj.setdefault(t1, set()).add(t2)
         self.adj.setdefault(t2, set())

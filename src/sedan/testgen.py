@@ -90,7 +90,10 @@ def extract_restrictions(literals: list[Term], world) -> TypeAlist:
     """Datatype and equality hypotheses become per-variable restriction lists.
 
     A hypothesis (recognizerp x) maps x to the recognizer's type; (equal x 'v)
-    pins x to the singleton v. Unrestricted variables map to all.
+    pins x to the singleton v. The restrictions follow a goal's rule
+    (``merge_restrictions``): each once, in order, and ``all`` dropped, so
+    unrestricted variables map to ``("all",)``. This is a ``test?``'s alist,
+    and the start of each goal's.
     """
     alist: dict[str, list[Restriction]] = {v: [] for v in clause_vars(literals)}
     for lit in literals[:-1]:
@@ -109,7 +112,13 @@ def extract_restrictions(literals: list[Term], world) -> TypeAlist:
                 alist[a.name].append(SingletonRestriction(b.value))
             elif isinstance(b, Var) and isinstance(a, Quote):
                 alist[b.name].append(SingletonRestriction(a.value))
-    return {v: tuple(rs) if rs else ("all",) for v, rs in alist.items()}
+    return {v: merge_restrictions(rs) or ("all",) for v, rs in alist.items()}
+
+
+def merge_restrictions(first, then=()) -> tuple[Restriction, ...]:
+    """``first``'s restrictions, then ``then``'s, each once, in order; ``all``
+    adds nothing and is dropped."""
+    return tuple(r for r in dict.fromkeys((*first, *then)) if r != "all")
 
 
 def print_binding(binding: Binding, var_order) -> str:

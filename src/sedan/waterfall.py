@@ -137,11 +137,15 @@ def _child_ids(parent_id: str, count: int) -> list[str]:
 # the processes: each returns the step it takes on the goal, or None
 
 
-def _simplify(goal: HistoryNode, world) -> Optional[ProcessLogEntry]:
-    """Simplify's step, or None when it leaves the clause unchanged. Only a
-    step with children has an edge to map, so only it logs the substitutions."""
+def _simplify(goal: HistoryNode, world, diagnostics: list[str]) -> Optional[ProcessLogEntry]:
+    """Simplify's step, or None when it leaves the clause unchanged; then each
+    of its diagnostics goes to ``diagnostics`` as "<goal>: <diagnostic>", once,
+    although a redo simplifies the goal again. Only a step with children has an
+    edge to map, so only it logs the substitutions."""
     outcome = simplify_clause(goal.literals, world)
     if outcome.status == "unchanged":
+        notes = [f"{goal.id}: {d}" for d in outcome.diagnostics]
+        diagnostics.extend(note for note in notes if note not in diagnostics)
         return None
     return ProcessLogEntry(
         goal.id, "simplify", outcome.status, parent_clause=goal.literals, child_clauses=outcome.children,
@@ -212,14 +216,17 @@ def generalize(goal: HistoryNode, fresh: FreshNames) -> Optional[ProcessLogEntry
     )
 
 
-def _try_processes(goal: HistoryNode, world, history: History, fresh: FreshNames) -> Optional[ProcessLogEntry]:
+def _try_processes(
+    goal: HistoryNode, world, history: History, fresh: FreshNames, diagnostics: list[str]
+) -> Optional[ProcessLogEntry]:
     """The step of the first process the goal has not disabled that applies,
-    with outcome "proved" or "children"; None when none applies."""
+    with outcome "proved" or "children"; None when none applies. Simplify's
+    diagnostics on a goal it leaves unchanged go to ``diagnostics``."""
     for process in PROCESS_NAMES:
         if process in goal.settings.do_not:
             continue
         if process == "simplify":
-            entry = _simplify(goal, world)
+            entry = _simplify(goal, world, diagnostics)
         elif process == "eliminate-destructors":
             entry = eliminate_destructors(goal, world, history, fresh)
         else:
@@ -296,7 +303,7 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
             break
         goal = agenda.popleft()
         while True:
-            entry = _try_processes(goal, world, history, fresh)
+            entry = _try_processes(goal, world, history, fresh, result.diagnostics)
             if entry is None:
                 break
             result.process_log.append(entry)

@@ -115,7 +115,6 @@ class Settings(Record):
 class World:
     def __init__(self, settings: Settings = Settings()):
         self.functions: dict[str, HostFunction | FunctionDef] = dict(BUILTINS)
-        self.rules: list[RewriteRule] = []
         self.rules_by_name: dict[str, RewriteRule] = {}
         # the rules on each left-hand side's function symbol, in admission order
         self.rules_by_head: dict[str, list[RewriteRule]] = {}
@@ -175,6 +174,5 @@ class World:
         for h in rule.hyps:
             if not free_var_set(h) <= lhs_vars:
                 raise AdmissionError(f"rule {rule.name}: hypothesis has variables not bound by the left-hand side")
-        self.rules.append(rule)
         self.rules_by_name[rule.name] = rule
         self.rules_by_head.setdefault(rule.lhs.fn, []).append(rule)

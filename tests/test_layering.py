@@ -141,8 +141,10 @@ def test_only_reports_prints_a_clause_as_a_term():
 
 
 def test_only_the_history_forms_a_type_alist():
-    # a goal's type alist comes from one rule in history, which extracts the
-    # clause's own restrictions; hints asks history for its probe's alist
+    # a type alist follows one rule, testgen.merge_restrictions:
+    # extract_restrictions applies it to a clause's own restrictions, which is
+    # a test?'s alist, and history to a goal's own and inherited ones; hints
+    # asks the recorded child for its probe's alist
     readers = {m: _loads(m, {"extract_restrictions"}) for m in MODULES}
     assert {m for m, lines in readers.items() if lines} == {"__init__", "testgen", "history"}, readers
     hints_imports = [t for node in _tree("hints").body if isinstance(node, ast.ImportFrom) for t in _sibling_imports(node)]

@@ -348,6 +348,35 @@ def test_an_included_file_that_is_not_utf8_is_named_in_its_error(tmp_path):
     assert out.forms[0].error.startswith(f"{latin1}: 'utf-8' codec can't decode byte 0xff in position 13")
 
 
+def test_an_include_whose_file_stops_at_a_form_is_an_error(tmp_path):
+    lib = str(tmp_path / "lib.lisp")
+    (tmp_path / "lib.lisp").write_text("(defun ok (x) x)\n(defun broken (x) (car x y z))\n")
+    (tmp_path / "top.lisp").write_text('(include "lib.lisp")\n')
+    out = process_file(str(tmp_path / "top.lisp"))
+    assert [(fr.kind, fr.status, fr.error) for fr in out.forms] == [
+        ("include", "error", f"{lib}: stopped at form 2"),
+        ("defun", "admitted", None),
+        ("defun", "error", "car applied to 3 argument(s), expects 1"),
+    ]
+    assert out.fatal_error is None and out.exit_code == 1
+
+
+def test_an_include_whose_included_file_does_not_parse_is_an_error_too(tmp_path):
+    # outer -> main -> bad: each include on the chain fails, the innermost with
+    # the parse error
+    main, bad = str(tmp_path / "main.lisp"), str(tmp_path / "bad.lisp")
+    (tmp_path / "bad.lisp").write_text("(defun h (x) (\n")
+    (tmp_path / "main.lisp").write_text('(include "bad.lisp")\n')
+    (tmp_path / "outer.lisp").write_text('(include "main.lisp")\n')
+    out = process_file(str(tmp_path / "outer.lisp"))
+    assert [(fr.status, fr.error) for fr in out.forms] == [
+        ("error", f"{main}: stopped at form 1"),
+        ("error", f"{bad}: 1:1: unbalanced '('"),
+    ]
+    assert out.fatal_error is None and out.exit_code == 1
+    assert "Admitted." not in render_text(out)
+
+
 def test_include_loads_relative_and_detects_cycles(tmp_path):
     (tmp_path / "a.lisp").write_text('(include "b.lisp")\n(test? (posp (one)))\n')
     (tmp_path / "b.lisp").write_text("(defun one () 1)\n")
@@ -378,7 +407,7 @@ def test_a_defun_or_defrule_the_world_cannot_admit_is_an_error_at_its_form(src, 
     assert out.fatal_error is None
     assert out.forms[-1].status == "error" and out.forms[-1].error == error
     assert "f" not in world.functions
-    assert [rule.name for rule in world.rules] == ["r"] * (len(out.forms) - 1)
+    assert [rule.name for rule in world.rules_by_name.values()] == ["r"] * (len(out.forms) - 1)
 
 
 @pytest.mark.parametrize("src, error", [
@@ -420,7 +449,7 @@ def test_a_rule_whose_left_hand_side_is_not_an_application_is_rejected(world):
     # direct caller of add_rule can meet this check
     with pytest.raises(AdmissionError, match="rule r: left-hand side must be a function application"):
         world.add_rule(RewriteRule("r", (), term("x"), term("1")))
-    assert not world.rules and not world.rules_by_name
+    assert not world.rules_by_name and not world.rules_by_head
 
 
 def test_a_self_call_is_checked_like_any_other_call():
@@ -526,6 +555,27 @@ def test_deterministic_flag_overrides_both_kinds():
     assert [fr.seed for fr in out.forms] == [5, 5]
     out, _ = process_source(src, Settings(trials=20, seed=5, deterministic=False))
     assert len({fr.seed for fr in out.forms}) == 2
+
+
+def test_set_testing_deterministic_gives_the_next_test_the_session_seed():
+    out, _ = process_source("(set-testing :deterministic t)\n(test? (natp n))", Settings(trials=20, seed=5))
+    assert [fr.seed for fr in out.forms] == [None, 5]
+
+
+def test_a_trusted_subtype_edge_is_admitted_and_an_untrusted_one_is_checked():
+    out, world = process_source("(defdata-subtype integer nat :trust t)")
+    assert [fr.status for fr in out.forms] == ["admitted"]
+    assert world.subtypes.subsumes("integer", "nat")
+    out, world = process_source("(defdata-subtype integer nat)")
+    assert [(fr.status, fr.error) for fr in out.forms] == [
+        ("error", "cannot admit integer as a subtype of nat: enumerated witness at index 1 is -1")
+    ]
+    assert not world.subtypes.subsumes("integer", "nat")
+
+
+def test_the_empty_list_reads_as_nil():
+    out, _ = process_source("(thm (equal () nil))")
+    assert [fr.status for fr in out.forms] == ["proved"]
 
 
 def test_structured_report_round_trips_counterexamples():
@@ -655,6 +705,15 @@ def test_cli_rejects_a_negative_seed(capsys):
         main([corpus_path("base-rules.lisp"), "--seed", "-5"])
     assert exit.value.code == 2
     assert "argument --seed: expected a nonnegative integer, got '-5'" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_backtrack_value_other_than_on_or_off(capsys):
+    from sedan.cli import main
+
+    with pytest.raises(SystemExit) as exit:
+        main([corpus_path("base-rules.lisp"), "--backtrack", "maybe"])
+    assert exit.value.code == 2
+    assert "argument --backtrack: expected 'on' or 'off'" in capsys.readouterr().err
 
 
 def test_a_report_that_cannot_be_written_is_an_error_without_a_traceback(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import pytest
+
 from sedan import simplify
 from sedan.session import process_source
 from sedan.simplify import QNIL, fold_ground, match, simplify_clause
@@ -140,7 +142,7 @@ def test_rules_are_tried_only_on_their_own_head_first_admitted_first(monkeypatch
     w.add_rule(RewriteRule("h-two", (), term("(h x)"), term("2")))
     w.add_rule(RewriteRule("f-second", (), term("(f x)"), term("3")))
     w.add_rule(RewriteRule("g-three", (), term("(g x)"), term("3")))
-    rule_of = {id(r.lhs): r.name for r in w.rules}
+    rule_of = {id(r.lhs): r.name for r in w.rules_by_name.values()}
     tried = []
 
     def counting_match(pattern, t, sigma=None):
@@ -204,6 +206,17 @@ def test_an_if_whose_test_rewrites_to_a_constant_becomes_its_branch():
     assert simplify_clause(clause("(equal (if (p a) b c) b)"), w).status == "proved"
 
 
+@pytest.mark.parametrize("rules", ["", "(defun h (x) x)\n(defrule unrelated (equal (h x) x))\n"])
+def test_an_if_whose_test_folds_picks_its_branch_with_or_without_rules(rules):
+    # the rewriting stage picks the branch; an unrelated rule must not be
+    # what makes it run
+    conjecture = "(implies (consp x) (equal (car x) (if (equal 1 2) 5 (car x))))"
+    outcome, world = process_source(rules + f"(thm {conjecture})")
+    assert outcome.forms[-1].status == "proved"
+    out = simplify_clause(clause("(equal y (if (equal 1 2) 5 y))"), world)
+    assert out.status == "proved"
+
+
 def test_a_rule_that_nests_its_own_left_hand_side_stops_at_the_structure_cap():
     src = "(defun f (x) x)\n(defun g (x) x)\n(defrule grow (equal (f x) (g (f x))))\n"
     w = make_world(src)
@@ -240,3 +253,12 @@ def test_a_negated_quote_left_by_substitution_drops_out(world):
     # x := '5 leaves (not '5), a false disjunct
     out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(natp y)"), world)
     assert (out.status, out.children, out.substitutions) == ("children", [clause("(natp y)")], {"x": term("'5")})
+
+
+def test_a_negated_quote_drops_out_when_rewriting_is_disabled():
+    # the rewriting stage folds (not '5) itself; once the budget is spent,
+    # the cleanup drops it
+    w = make_world("(defun f (x) x)\n(defun g (x) x)\n(defrule grow (equal (f x) (g (f x))))")
+    out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(equal (f y) y)"), w)
+    assert (out.status, out.children) == ("children", [clause("(equal (f y) y)")])
+    assert out.diagnostics == ["rewrite budget exhausted; rewriting disabled for this goal"]

@@ -138,9 +138,9 @@ def _warshall(vertices, edges):
     st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4), max_size=6),
 )
 def test_subtype_graph_agrees_with_warshall_closure(isolated, edge_indices, queries):
+    # the first ``isolated`` names are vertices of the closure with no edge;
+    # the graph never hears of them, and treats an unknown name as isolated
     g = SubtypeGraph()
-    for name in _NAMES[:isolated]:
-        g.add_vertex(name)
     edges = {(_NAMES[i], _NAMES[j]) for i, j in edge_indices}
     for t1, t2 in edges:
         g.add_edge(t1, t2)

@@ -66,6 +66,22 @@ def test_extract_multiple_restrictions_keep_order(world):
     assert alist == {"x": ("nat", "integer")}
 
 
+def test_extract_drops_repeats_and_all(world):
+    assert alist_of("(implies (and (natp x) (natp x)) (equal x x))", world) == {"x": ("nat",)}
+    assert alist_of("(implies (and (allp y) (natp y)) (equal y y))", world) == {"y": ("nat",)}
+    assert alist_of("(implies (and (allp y) (allp y)) (equal y y))", world) == {"y": ("all",)}
+
+
+@pytest.mark.parametrize("hyps, var", [("(natp x) (natp x)", "x"), ("(allp y) (natp y)", "y")])
+def test_a_test_form_gets_the_type_alist_a_checkpoint_gets(hyps, var):
+    conjecture = f"(implies (and {hyps}) (equal {var} {var}))"
+    hint = ":hints ((\"Goal'\" :do-not '(simplify)))"
+    outcome, world = process_source(f"(test? {conjecture})\n(thm {conjecture} {hint})\n")
+    test, thm = outcome.forms
+    [checkpoint] = thm.proof.checkpoints
+    assert test.testing.type_alist == checkpoint.type_alist(world) == {var: ("nat",)}
+
+
 def test_unrecognized_hypotheses_contribute_nothing(world):
     w = make_world("(defun oddish (x) (equal x 1))")
     alist = alist_of("(implies (oddish x) (equal x 1))", w)

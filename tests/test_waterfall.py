@@ -16,6 +16,7 @@ from sedan.waterfall import (
     run_waterfall,
 )
 from sedan.history import History
+from sedan.session import process_source
 
 from checkers import check_process_soundness
 from conftest import make_world, term, with_settings
@@ -234,6 +235,30 @@ def test_destructor_elimination_propagates_triple_component_types():
     step = eliminate_destructors(goal, world, history, FreshNames(["x"]))
     assert step is not None
     assert "pos" in step.type_map["x1"]  # product head propagates to the car variable
+
+
+def test_destructor_elimination_gives_a_named_cdr_its_type():
+    world = make_world("(defdata pr (cons nat integer))")
+    history = History()
+    goal = history.record_top("Goal", [term("(not (consp p))"), term("(not (prp p))"), term("(natp (cdr p))")])
+    step = eliminate_destructors(goal, world, history, FreshNames(["p"]))
+    assert step.variable_map == {"p": term("(cons p1 p2)")}
+    assert step.type_map == {"p1": ("nat",), "p2": ("integer",)}
+
+
+GROW = "(defun f (x) x)\n(defun g (x) x)\n(defrule grow (equal (f x) (g (f x))))\n"
+
+
+@pytest.mark.parametrize("conjecture, log", [
+    ("(equal (f a) a)", []),
+    # generalizing (f a) is refuted and redone, and the goal is simplified again
+    ("(equal (f a) (+ 1 (f a)))", [("Goal", "generalize", "discarded")]),
+])
+def test_simplifys_diagnostic_on_a_goal_it_leaves_unchanged_reaches_the_proof_once(conjecture, log):
+    outcome, _ = process_source(GROW + f"(thm {conjecture})")
+    proof = outcome.forms[-1].proof
+    assert [(e.goal_id, e.process, e.outcome) for e in proof.process_log] == log
+    assert proof.diagnostics == ["Goal: rewrite budget exhausted; rewriting disabled for this goal"]
 
 
 def test_lifted_wildcards_display_as_question_marks():
