@@ -69,8 +69,9 @@ class HistoryNode:
     def type_alist(self, world) -> dict[str, tuple[Restriction, ...]]:
         """The goal's type alist: per variable, the clause's own restrictions
         first, then the inherited ones, merged by ``merge_restrictions``; a
-        variable left with none maps to ``all``. Worked out on the first call and kept, since a history
-        serves one proof and so one world; every caller reads the same dict."""
+        variable left with none maps to ``all``. Worked out on the first call
+        and kept, since a history serves one proof and so one world; every
+        caller reads the same dict."""
         if self.alist is None:
             own = testgen.extract_restrictions(self.literals, world)
             self.alist = {
