@@ -13,8 +13,9 @@ hint unless it has its own. Each process returns the step it takes as one
 ``ProcessLogEntry``, and ``_record_children`` records the children of every
 step, clausification's too, before the goal's backtrack handler sees them.
 The handler answers keep or redo; a redo discards the step, removes its
-children from the history, and runs the goal again with that step's process
-disabled, so a goal re-enters at most once per process.
+children from the history, appends its process to the goal's do-not tuple,
+and hands the goal to the next process, so each process runs at most once per
+goal.
 """
 
 from __future__ import annotations
@@ -139,13 +140,12 @@ def _child_ids(parent_id: str, count: int) -> list[str]:
 
 def _simplify(goal: HistoryNode, world, diagnostics: list[str]) -> Optional[ProcessLogEntry]:
     """Simplify's step, or None when it leaves the clause unchanged; then each
-    of its diagnostics goes to ``diagnostics`` as "<goal>: <diagnostic>", once,
-    although a redo simplifies the goal again. Only a step with children has an
-    edge to map, so only it logs the substitutions."""
+    of its diagnostics goes to ``diagnostics`` as "<goal>: <diagnostic>". Only
+    a step with children has an edge to map, so only it logs the
+    substitutions."""
     outcome = simplify_clause(goal.literals, world)
     if outcome.status == "unchanged":
-        notes = [f"{goal.id}: {d}" for d in outcome.diagnostics]
-        diagnostics.extend(note for note in notes if note not in diagnostics)
+        diagnostics.extend(f"{goal.id}: {d}" for d in outcome.diagnostics)
         return None
     return ProcessLogEntry(
         goal.id, "simplify", outcome.status, parent_clause=goal.literals, child_clauses=outcome.children,
@@ -216,26 +216,6 @@ def generalize(goal: HistoryNode, fresh: FreshNames) -> Optional[ProcessLogEntry
     )
 
 
-def _try_processes(
-    goal: HistoryNode, world, history: History, fresh: FreshNames, diagnostics: list[str]
-) -> Optional[ProcessLogEntry]:
-    """The step of the first process the goal has not disabled that applies,
-    with outcome "proved" or "children"; None when none applies. Simplify's
-    diagnostics on a goal it leaves unchanged go to ``diagnostics``."""
-    for process in PROCESS_NAMES:
-        if process in goal.settings.do_not:
-            continue
-        if process == "simplify":
-            entry = _simplify(goal, world, diagnostics)
-        elif process == "eliminate-destructors":
-            entry = eliminate_destructors(goal, world, history, fresh)
-        else:
-            entry = generalize(goal, fresh)
-        if entry is not None:
-            return entry
-    return None
-
-
 def _record_children(entry: ProcessLogEntry, history: History, world, hints, inherited, testing) -> list[HistoryNode]:
     """Record the step's children in the history, each with its settings
     (``inherited`` is the stepping goal's handler), set the entry's child
@@ -302,27 +282,33 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
             agenda.clear()
             break
         goal = agenda.popleft()
-        while True:
-            entry = _try_processes(goal, world, history, fresh, result.diagnostics)
+        for process in PROCESS_NAMES:
+            if process in goal.settings.do_not:
+                continue
+            if process == "simplify":
+                entry = _simplify(goal, world, result.diagnostics)
+            elif process == "eliminate-destructors":
+                entry = eliminate_destructors(goal, world, history, fresh)
+            else:
+                entry = generalize(goal, fresh)
             if entry is None:
-                break
+                continue
             result.process_log.append(entry)
             children = _record_children(entry, history, world, hints, goal.settings.backtrack, testing)
             outcome = apply_backtrack(goal.settings.backtrack, entry.process, children, goal, world, seed)
             if outcome.action != "redo":
+                if outcome.note:
+                    result.diagnostics.append(f"{goal.id}: {outcome.note}")
+                agenda.extend(children)
                 break
-            # the step's process was enabled, so the do-not tuple grows on
-            # every redo and this loop ends
+            # the processes before this one did not apply, and nothing they
+            # read has changed, so the goal goes on to the next one
             for child in children:
                 del history.nodes[child.id]
             entry.outcome, entry.note, entry.child_ids = "discarded", outcome.note, ()
             goal.settings = goal.settings.replace(do_not=(*goal.settings.do_not, entry.process))
-        if entry is None:
+        else:
             pool.append(goal)
-            continue
-        if outcome.note:
-            result.diagnostics.append(f"{goal.id}: {outcome.note}")
-        agenda.extend(children)
 
     result.checkpoints = pool
     result.status = "proved" if not pool else "failed"

@@ -1,9 +1,13 @@
 import json
+import os
+from collections import Counter
 
 import pytest
 
 from sedan import cli, waterfall
 from sedan.evaluator import evaluate
+from sedan.forms import HintSpec
+from sedan.hints import HANDLERS, BacktrackOutcome
 from sedan.simplify import simplify_clause
 from sedan.reader import read_sexprs, sexpr_to_value
 from sedan.values import NIL, Cons, truthy
@@ -16,10 +20,11 @@ from sedan.waterfall import (
     run_waterfall,
 )
 from sedan.history import History
-from sedan.session import process_source
+from sedan.session import process_file, process_source
+from sedan.world import Settings
 
 from checkers import check_process_soundness
-from conftest import make_world, term, with_settings
+from conftest import corpus_path, make_world, term, with_settings
 
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
 RULES = '(include "base-rules.lisp")\n(include "cancel-rules.lisp")\n'
@@ -488,3 +493,71 @@ def test_a_bare_variable_hypothesis_restricts_nothing_and_lifts(tmp_path):
     assert len(proof["counterexamples"]) == 30
     assert all(cex["had_wildcards"] for cex in proof["counterexamples"])
     assert proof["spurious_lifts"] == [] and proof["subgoal_counterexamples"] == []
+
+
+
+def _spy_on_the_processes(monkeypatch):
+    """A list that gets, for each proof, the list of its process calls, each
+    as (process, goal id, result); simplify's goal is the node holding the
+    clause it gets."""
+    proofs, histories = [], []
+
+    def new_history():
+        proofs.append([])
+        histories.append(History())
+        return histories[-1]
+
+    def spy(process, fn, goal_of):
+        def wrapped(*args):
+            out = fn(*args)
+            proofs[-1].append((process, goal_of(args), out))
+            return out
+        return wrapped
+
+    def holder(args):
+        return next(node.id for node in histories[-1].nodes.values() if node.literals is args[0])
+
+    monkeypatch.setattr(waterfall, "History", new_history)
+    monkeypatch.setattr(waterfall, "simplify_clause", spy("simplify", waterfall.simplify_clause, holder))
+    for name in ("eliminate_destructors", "generalize"):
+        monkeypatch.setattr(waterfall, name, spy(name, getattr(waterfall, name), lambda args: args[0].id))
+    return proofs
+
+
+def _runs_per_goal(proofs):
+    """For each proof, how often each process ran on each goal."""
+    return [Counter((process, goal) for process, goal, _ in calls) for calls in proofs]
+
+
+@pytest.mark.parametrize("path", [
+    corpus_path("gen-backtrack.lisp"), os.path.join(os.path.dirname(__file__), "fixtures", "backtrack-hints.lisp"),
+], ids=os.path.basename)
+def test_no_process_runs_twice_on_one_goal_of_a_file(path, monkeypatch):
+    # a refuted step hands its goal to the next process, and the processes
+    # before it, which did not apply, are not run on the goal again
+    proofs = _spy_on_the_processes(monkeypatch)
+    outcome = process_file(path, Settings(trials=100, seed=24, backtrack=True))
+    assert any(f.proof.discarded_generalizations for f in outcome.forms if f.proof)
+    assert proofs
+    assert [(i, step) for i, runs in enumerate(_runs_per_goal(proofs)) for step, n in runs.items() if n > 1] == []
+
+
+def test_no_process_runs_twice_when_every_step_is_redone(world, monkeypatch):
+    proofs = _spy_on_the_processes(monkeypatch)
+    monkeypatch.setitem(HANDLERS, "always", lambda *args: BacktrackOutcome("redo", note="again"))
+    top = "(implies (and (consp x) (natp (car x))) (equal (+ 0 (len x)) (+ 0 (len x))))"
+    run_waterfall(term(top), with_settings(world, trials=5, backtrack=False), (HintSpec("Goal", backtrack="always"),), 1)
+    [runs] = _runs_per_goal(proofs)
+    assert runs == {("simplify", "Goal'"): 1, ("eliminate_destructors", "Goal'"): 1, ("generalize", "Goal'"): 1}
+
+
+def test_a_goal_whose_generalization_is_refuted_is_simplified_once(monkeypatch):
+    # the rule grows the term until the rewrite budget is spent; the goal is
+    # not simplified again, at the whole budget's cost, after the redo
+    proofs = _spy_on_the_processes(monkeypatch)
+    outcome, _ = process_source(GROW + "(thm (equal (f a) (+ 1 (f a))))")
+    [calls] = proofs
+    assert [(p, g, out.rule_applications) for p, g, out in calls if p == "simplify"] == [
+        ("simplify", "Goal", 150)
+    ]
+    assert outcome.forms[-1].proof.diagnostics == ["Goal: rewrite budget exhausted; rewriting disabled for this goal"]
