@@ -160,6 +160,17 @@ def _index_bound(world, selection: TypeSelection, exhaustive_bound: int) -> int:
     return exhaustive_bound
 
 
+def _odometer(bounds: list[int], trials: int):
+    """The first ``trials`` tuples of ``product(*map(range, bounds))``, last
+    index fastest, in memory bounded by ``trials``: ``product`` holds each
+    range whole, so each is cut to the indices those tuples reach."""
+    caps, inner = [], 1  # inner: the tuples one step of the index spans
+    for bound in reversed(bounds):
+        caps.append(min(bound, -(-trials // inner)) if inner else 0)
+        inner *= bound
+    return islice(product(*map(range, reversed(caps))), trials)
+
+
 def run_trials(
     literals: list[Term],
     alist: TypeAlist,
@@ -227,7 +238,7 @@ def run_trials(
     if mode == "exhaustive":
         # the odometer, last variable fastest, never repeats a tuple, but it
         # repeats each variable's indices
-        tuples = islice(product(*map(range, bounds)), trials)
+        tuples = _odometer(bounds, trials)
         capacity = 0
     elif width:
         draws = IndexSource(seed, settings.dist, settings.uniform_bound).draws(trials * width)

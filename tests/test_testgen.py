@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -223,6 +224,26 @@ def test_mixed_mode_switches_on_bound_product():
     assert small.mode == "exhaustive" and small.trials_run == 4
     big = run_trials(t, {"x": ("all",), "y": ("all",)}, w, 24, 10)
     assert big.mode == "random" and big.trials_run == 10
+
+
+@pytest.mark.parametrize("bounds", [[], [0], [4], [0, 3], [3, 0], [2, 3, 4], [1, 1, 5], [3, 0, 2], [4, 1, 3]])
+def test_the_odometer_gives_the_first_tuples_of_the_product(bounds):
+    for trials in range(30):
+        expected = list(itertools.islice(itertools.product(*map(range, bounds)), trials))
+        assert list(testgen._odometer(bounds, trials)) == expected
+
+
+def test_exhaustive_modes_memory_follows_its_trials_not_its_bound():
+    # the odometer once held each variable's whole index range: 40 MB here
+    source = "(set-testing :exhaustive-bound 1000000 :mode exhaustive :trials 5)\n(test? (implies (natp x) (< x 0)))"
+    tracemalloc.start()
+    try:
+        report = process_source(source)[0].forms[-1].testing
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mode == "exhaustive" and report.trials_run == 5 and report.falsified
+    assert peak < 4_000_000
 
 
 def test_alist_must_cover_free_variables():
