@@ -53,7 +53,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .evaluator import EvaluationError, HostFunction, Source, arity_bounds, lazy_slot, with_overflow_error
+from .evaluator import EvaluationError, HostFunction, Source, arity_admits, arity_bounds, lazy_slot, with_overflow_error
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -731,8 +731,7 @@ def register_defdata(world, definitions: list[tuple[str, TypeExpr]]):
                 bounds = arity_bounds(world, fname)
                 if bounds is None:
                     raise AdmissionError(f"custom type {name}: unknown function {fname}")
-                lo, hi = bounds
-                if lo > 1 or (hi is not None and hi < 1):
+                if not arity_admits(*bounds, 1):
                     raise AdmissionError(f"custom type {name}: {fname} cannot take exactly one argument")
             added = {} if enum in world.functions else {enum: _enumerator_host(world, name)}
         else:

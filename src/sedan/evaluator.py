@@ -241,10 +241,19 @@ def arity_bounds(world, name: str):
     return fn.arity_bounds()
 
 
+def arity_admits(lo: int, hi, n: int) -> bool:
+    """Whether ``n`` arguments lie within ``lo``..``hi`` (None: no upper bound)."""
+    return lo <= n and (hi is None or n <= hi)
+
+
+def arity_text(lo: int, hi) -> str:
+    """The bounds as messages give them: "2", "1..3" or "1..*"."""
+    return str(lo) if hi == lo else f"{lo}..{'*' if hi is None else hi}"
+
+
 def _check_arity(name: str, lo: int, hi, n: int):
-    if n < lo or (hi is not None and n > hi):
-        expected = str(lo) if hi == lo else f"{lo}..{'*' if hi is None else hi}"
-        raise ArityError(f"{name} expects {expected} argument(s), got {n}")
+    if not arity_admits(lo, hi, n):
+        raise ArityError(f"{name} expects {arity_text(lo, hi)} argument(s), got {n}")
 
 
 def evaluate(term: Term, binding: Binding, world) -> Value:
@@ -823,9 +832,7 @@ class _Emitter(Source):
             depth = d if d > depth else depth
         depth += 1
         fdef = self.world.functions.get(fn)
-        if fdef is not None:
-            lo, hi = fdef.arity_bounds()
-        if fdef is None or len(args) < lo or (hi is not None and len(args) > hi):
+        if fdef is None or not arity_admits(*fdef.arity_bounds(), len(args)):
             return f"w_call({', '.join([self.const(fn), 'rem', *texts])})", depth
         if type(fdef) is HostFunction:
             key = _ident("h_", fn)

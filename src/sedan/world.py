@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .datadef import AdmissionError, TypeTable, install_base_types
-from .evaluator import BUILTINS, HostFunction, arity_bounds, new_namespace
+from .evaluator import BUILTINS, HostFunction, arity_admits, arity_bounds, arity_text, new_namespace
 from .rand import DEFAULT_UNIFORM_BOUND
 from .subtypes import SubtypeGraph
 from .terms import App, Term, Var, free_var_set
@@ -137,10 +137,8 @@ class World:
                 bounds = arity_bounds(self, t.fn)
                 if bounds is None:
                     raise AdmissionError(f"unknown function: {t.fn}")
-                lo, hi = bounds
-                n = len(t.args)
-                if n < lo or (hi is not None and n > hi):
-                    raise AdmissionError(f"{t.fn} applied to {n} argument(s), expects {lo}" + ("" if hi == lo else f"..{hi if hi is not None else '*'}"))
+                if not arity_admits(*bounds, len(t.args)):
+                    raise AdmissionError(f"{t.fn} applied to {len(t.args)} argument(s), expects {arity_text(*bounds)}")
                 stack.extend(t.args)
 
     def define_function(self, name: str, formals: tuple[str, ...], body: Term):

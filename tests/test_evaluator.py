@@ -369,6 +369,15 @@ def test_arguments_are_evaluated_before_arity_and_undefined_errors():
         ev("(if nil 1 (if 1 2))", world=w)
 
 
+
+def test_an_arity_error_gives_the_bounds_in_one_form_everywhere():
+    w = make_world()
+    with pytest.raises(ArityError, match=r"^- expects 1\.\.2 argument\(s\), got 3$"):
+        ev("(- 1 2 3)", world=w)
+    outcome, _ = process_source("(defun f (x) (- x 1 2))")
+    assert outcome.forms[0].error == "- applied to 3 argument(s), expects 1..2"
+    assert [evaluator.arity_text(*b) for b in ((2, 2), (1, 3), (1, None))] == ["2", "1..3", "1..*"]
+
 # ---------------------------------------------------------------------------
 # generated code: deep terms, the shape-keyed cache and worlds sharing it
 
