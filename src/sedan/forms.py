@@ -212,7 +212,7 @@ def _require(cond: bool, msg: str, sx: Sexpr):
         raise ParseError(msg, sx.line, sx.col)
 
 
-def compile_form(sx: Sexpr, atoms: Optional[dict[str, Term]] = None) -> Form:
+def compile_form(sx: Sexpr, atoms: dict[str, Term]) -> Form:
     """The form sx stands for; ``atoms`` is ``compile_term``'s map of atom
     terms, shared by the forms of one ``parse_forms`` call."""
     _require(type(sx) is SList, "top-level form must be a list", sx)
@@ -222,8 +222,6 @@ def compile_form(sx: Sexpr, atoms: Optional[dict[str, Term]] = None) -> Form:
     _require(type(head) is SAtom and type(head.value) is Symbol, "top-level form must start with a symbol", sx)
     op = head.printed
     args = items[1:]
-    if atoms is None:
-        atoms = {}
 
     if op == "defun":
         _require(len(args) == 3, "defun takes a name, a formals list, and a body", sx)
