@@ -536,3 +536,21 @@ def test_the_evidence_for_a_finite_subtype_stops_at_its_size(monkeypatch):
     w = make_world("(defdata small (enum 1 2 1))\n(defdata-subtype small nat)")
     assert indices == [0, 1]
     assert w.subtypes.subsumes("small", "nat")
+
+
+def test_an_unknown_type_name_is_an_error_where_the_api_takes_one():
+    w = World()
+    with pytest.raises(datadef.UnknownTypeError, match="unknown type: nope"):
+        enumerate_value(w, "nope", 0)
+    with pytest.raises(datadef.UnknownTypeError, match="unknown type: nope"):
+        minimal_type(w, ["nope"])
+    with pytest.raises(ValueError, match="empty restriction list"):
+        minimal_type(w, [])
+
+
+def test_a_definition_naming_an_unknown_type_leaves_the_world_unchanged():
+    w = World()
+    functions, types = list(w.functions), list(w.types.entries)
+    with pytest.raises(datadef.AdmissionError, match="unknown referenced type: bar"):
+        datadef.register_defdata(w, [("foo", datadef.ListofExpr(datadef.NamedRef("bar")))])
+    assert (list(w.functions), list(w.types.entries)) == (functions, types)

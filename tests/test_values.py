@@ -134,3 +134,10 @@ def test_order_key_orders_lists_item_by_item_with_the_end_last():
     one, one_two = from_list([1]), from_list([1, 2])
     ordered = [0, Symbol("a"), from_list([one_two, 2]), from_list([one, 2, 3]), from_list([one, 2]), Cons(one, 5)]
     assert sorted(reversed(ordered), key=order_key) == ordered
+
+
+@pytest.mark.parametrize("show", [print_value, order_key])
+def test_what_is_not_a_value_neither_prints_nor_orders(show):
+    for v in (True, object()):
+        with pytest.raises(TypeError, match="not a value"):
+            show(v)
