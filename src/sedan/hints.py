@@ -10,8 +10,8 @@ and otherwise the handler its parent had. ``goal_trials`` is the one rule for
 how many trials a goal's tests run: its hint's count, else the world's. A
 backtrack handler runs after a process succeeds and its children are
 recorded, and answers keep or redo; on a redo the waterfall discards the step
-and its children and re-enters the goal with that step's process appended to
-its do-not tuple.
+and its children, appends the step's process to the goal's do-not tuple, and
+hands the goal to the next process.
 """
 
 from __future__ import annotations
