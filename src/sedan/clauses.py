@@ -9,10 +9,13 @@ it, and under it ``and``, ``or`` and ``implies`` trade conjunction for
 disjunction by De Morgan's laws. ``(if p q r)`` splits into the clauses of q
 under ``(not p)`` and those of r under p, in either polarity. Anything else,
 a connective of the wrong arity included, is an atom, negated when the
-polarity is negative.
+polarity is negative. A disjunction multiplies its parts' clauses, so
+``clausify`` raises ``TooManyClauses`` rather than build more than its cap.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .terms import App, Quote, Term, app, free_vars, negate
 from .values import NIL
@@ -26,32 +29,40 @@ def _dedup(literals: list[Term]) -> list[Term]:
     return out
 
 
-def clausify(formula: Term) -> list[list[Term]]:
-    """CNF over the propositional skeleton; non-connective terms are atoms."""
-    return [_dedup(c) for c in _cnf(formula, True)]
+class TooManyClauses(Exception):
+    """A formula, or a part of it, has more clauses than ``clausify``'s cap."""
 
 
-def _cnf(t: Term, positive: bool) -> list[list[Term]]:
+def clausify(formula: Term, cap: int) -> list[list[Term]]:
+    """CNF over the propositional skeleton; non-connective terms are atoms.
+    Raises ``TooManyClauses`` rather than build more than ``cap`` clauses."""
+    return [_dedup(c) for c in _combine([_cnf(formula, True, cap)], True, cap)]
+
+
+def _cnf(t: Term, positive: bool, cap: int) -> list[list[Term]]:
     """The clauses of ``t``, or of its negation when not ``positive``."""
     if isinstance(t, App):
         fn, args = t.fn, t.args
         if fn == "not" and len(args) == 1:
-            return _cnf(args[0], not positive)
+            return _cnf(args[0], not positive, cap)
         if fn == "if" and len(args) == 3:
             p, q, r = args
-            return [[negate(p)] + c for c in _cnf(q, positive)] + [[p] + c for c in _cnf(r, positive)]
+            q_part = [[negate(p)] + c for c in _cnf(q, positive, cap)]
+            return _combine([q_part, [[p] + c for c in _cnf(r, positive, cap)]], True, cap)
         if fn in ("and", "or"):
-            return _combine([_cnf(a, positive) for a in args], (fn == "and") == positive)
+            return _combine([_cnf(a, positive, cap) for a in args], (fn == "and") == positive, cap)
         if fn == "implies" and len(args) == 2:
             # (implies h c) is (or (not h) c)
-            return _combine([_cnf(args[0], not positive), _cnf(args[1], positive)], not positive)
+            return _combine([_cnf(args[0], not positive, cap), _cnf(args[1], positive, cap)], not positive, cap)
     return [[t] if positive else [negate(t)]]
 
 
-def _combine(parts: list[list[list[Term]]], conjunctive: bool) -> list[list[Term]]:
+def _combine(parts: list[list[list[Term]]], conjunctive: bool, cap: int) -> list[list[Term]]:
     """The clauses of a conjunction of parts are theirs, in order; those of a
     disjunction, one per choice of a clause from each part, the first part
-    varying slowest."""
+    varying slowest. Their number is counted before they are built."""
+    if (sum if conjunctive else prod)(map(len, parts)) > cap:
+        raise TooManyClauses
     if conjunctive:
         return [c for part in parts for c in part]
     acc: list[list[Term]] = [[]]

@@ -1,26 +1,24 @@
 """The simplification process: ground evaluation, equality substitution,
 conditional rewriting, propositional cleanup, and re-clausification, iterated
-to a fixpoint under a step budget.
+to a fixpoint. Each pass and each rule application spends a step of the
+proof's ``Budget``, whose steps left cap the clauses a clause splits into.
 
 The rewriting stage runs with or without rules: besides applying them, it is
 what picks an ``if``'s branch once its test folds to a constant. Rule
 hypotheses are relieved against the goal's other literals (assumed false, so
 negated hypotheses are usable facts) or by recursive rewriting, bounded by
-the backchain depth. Exhausting the rewrite budget downgrades the rewriting
-stage to a no-op with a diagnostic instead of looping.
+the backchain depth. Spending the budget, or nesting past the structure cap,
+turns the rewriting stage off for the goal, with a diagnostic naming the cause.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .clauses import clausify
+from .clauses import TooManyClauses, clausify
 from .evaluator import EvaluationError, evaluate
 from .terms import QNIL, QT, App, Quote, Term, Var, app, free_var_set, is_negation, subst_vars
 from .values import truthy
-
-# rule applications one clause's simplification may spend
-MAX_RULE_APPLICATIONS = 10_000
 
 
 class SimplifyOutcome:
@@ -38,12 +36,13 @@ class SimplifyOutcome:
         self.rule_applications = 0
 
 
-class _Budget:
-    def __init__(self, max_applications: int, max_depth: int):
-        self.left = max_applications
-        self.max_depth = max_depth
+class Budget:
+    """The steps one proof attempt may take, and one simplify call's cuts."""
+
+    def __init__(self, steps: int):
+        self.left = steps
         self.exhausted = False
-        self.depth_cut = False
+        self.depth_cut = self.nested = False
 
     def spend(self) -> bool:
         if self.left <= 0:
@@ -116,7 +115,7 @@ def _context_for(literals: list[Term], skip: int) -> _Context:
     return _Context(frozenset(true_terms), frozenset(nil_terms))
 
 
-def _relieve(hyp: Term, world, ctx: _Context, budget: _Budget, depth: int) -> bool:
+def _relieve(hyp: Term, world, ctx: _Context, budget: Budget, depth: int) -> bool:
     if hyp in ctx.assumed_true:
         return True
     if hyp in ctx.assumed_nil:
@@ -128,7 +127,7 @@ def _relieve(hyp: Term, world, ctx: _Context, budget: _Budget, depth: int) -> bo
             return truthy(evaluate(hyp, {}, world))
         except EvaluationError:
             return False
-    if depth >= budget.max_depth:
+    if depth >= world.settings.max_rewrite_depth:
         budget.depth_cut = True
         return False
     reduced = _rewrite(hyp, world, ctx, budget, depth + 1)
@@ -138,12 +137,12 @@ def _relieve(hyp: Term, world, ctx: _Context, budget: _Budget, depth: int) -> bo
 _STRUCT_RECURSION_CAP = 300
 
 
-def _rewrite(t: Term, world, ctx: _Context, budget: _Budget, depth: int, srec: int = 0) -> Term:
+def _rewrite(t: Term, world, ctx: _Context, budget: Budget, depth: int, srec: int = 0) -> Term:
     """Inside-out conditional rewriting with constant folding."""
-    if not isinstance(t, App) or budget.exhausted:
+    if not isinstance(t, App) or budget.exhausted or budget.nested:
         return t
     if srec > _STRUCT_RECURSION_CAP:
-        budget.exhausted = True
+        budget.nested = True
         return t
     if t.fn == "if":
         # rewrite only the test; the branches stay lazy like evaluation
@@ -216,15 +215,17 @@ def _cleanup(literals: list[Term]):
     return out, False
 
 
-def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
-    """Run the staged simplifier on one clause."""
-    budget = _Budget(MAX_RULE_APPLICATIONS, world.settings.max_rewrite_depth)
+def simplify_clause(literals: list[Term], world, budget: Budget) -> SimplifyOutcome:
+    """Run the staged simplifier on one clause, spending ``budget``."""
+    budget.depth_cut = budget.nested = False
+    start, passes = budget.left, 0
     lits = list(literals)
     substitutions: dict[str, Term] = {}
     diagnostics: list[str] = []
     out = None
 
-    for _ in range(100):  # fixpoint pass limit
+    while budget.spend():
+        passes += 1
         before = list(lits)
 
         lits = [fold_ground(lit, world) for lit in lits]
@@ -238,14 +239,12 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
             substitutions = {k: subst_vars(v, mapping) for k, v in substitutions.items()}
             substitutions[var] = replacement
 
-        if not budget.exhausted:
-            attempt = list(lits)
-            rewritten = []
-            for i, lit in enumerate(attempt):
-                ctx = _context_for(attempt, i)
-                rewritten.append(_rewrite(lit, world, ctx, budget, 0))
+        if not budget.nested:
+            rewritten = [_rewrite(lit, world, _context_for(lits, i), budget, 0) for i, lit in enumerate(lits)]
             if budget.exhausted:
-                diagnostics.append("rewrite budget exhausted; rewriting disabled for this goal")
+                diagnostics.append("proof budget exhausted; rewriting disabled for this goal")
+            elif budget.nested:
+                diagnostics.append(f"rewriting nested past {_STRUCT_RECURSION_CAP} levels; rewriting disabled for this goal")
             else:
                 lits = rewritten
 
@@ -255,7 +254,10 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
             break
 
         # a literal that still carries connectives splits the clause
-        new_clauses = clausify(lits[0] if len(lits) == 1 else app("or", *lits))
+        try:
+            new_clauses = clausify(lits[0] if len(lits) == 1 else app("or", *lits), budget.left)
+        except TooManyClauses:
+            new_clauses = [lits]
         if new_clauses != [lits]:
             out = SimplifyOutcome("children", children=new_clauses, substitutions=substitutions, diagnostics=diagnostics)
             break
@@ -263,7 +265,7 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
         if lits == before:
             break
 
-    if out is None:  # a fixpoint, or the pass limit
+    if out is None:  # a fixpoint, or the budget spent
         if budget.depth_cut:
             diagnostics.append("rewrite backchain depth limit reached while relieving hypotheses")
         if not lits:
@@ -272,5 +274,5 @@ def simplify_clause(literals: list[Term], world) -> SimplifyOutcome:
             out = SimplifyOutcome("unchanged", diagnostics=diagnostics)
         else:
             out = SimplifyOutcome("children", children=[lits], substitutions=substitutions, diagnostics=diagnostics)
-    out.rule_applications = MAX_RULE_APPLICATIONS - budget.left
+    out.rule_applications = start - budget.left - passes
     return out

@@ -16,6 +16,9 @@ The handler answers keep or redo; a redo discards the step, removes its
 children from the history, appends its process to the goal's do-not tuple,
 and hands the goal to the next process, so each process runs at most once per
 goal.
+
+A goal taken up spends a step of the attempt's budget of ``PROOF_STEPS``; a
+"Goal" with more clauses than steps stays unsplit; a spent budget pools the rest.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .clauses import clause_vars, clausify
+from .clauses import TooManyClauses, clause_vars, clausify
 from .datadef import component_types
 from .evaluator import EvaluationError, evaluate
 from .forms import PROCESS_NAMES, HintSpec
 from .hints import apply_backtrack, check_hints, goal_settings, goal_trials
 from .history import WILDCARD_PROBES, History, HistoryNode
-from .simplify import simplify_clause
+from .simplify import Budget, simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
 from .testgen import TestReport, run_trials
 from .values import Value, truthy
@@ -138,12 +141,12 @@ def _child_ids(parent_id: str, count: int) -> list[str]:
 # the processes: each returns the step it takes on the goal, or None
 
 
-def _simplify(goal: HistoryNode, world, diagnostics: list[str]) -> Optional[ProcessLogEntry]:
+def _simplify(goal: HistoryNode, world, budget: Budget, diagnostics: list[str]) -> Optional[ProcessLogEntry]:
     """Simplify's step, or None when it leaves the clause unchanged; then each
     of its diagnostics goes to ``diagnostics`` as "<goal>: <diagnostic>". Only
     a step with children has an edge to map, so only it logs the
     substitutions."""
-    outcome = simplify_clause(goal.literals, world)
+    outcome = simplify_clause(goal.literals, world, budget)
     if outcome.status == "unchanged":
         diagnostics.extend(f"{goal.id}: {d}" for d in outcome.diagnostics)
         return None
@@ -234,9 +237,8 @@ def _record_children(entry: ProcessLogEntry, history: History, world, hints, inh
 # ---------------------------------------------------------------------------
 # the waterfall proper
 
-# goals one proof attempt may process before the rest are pooled unprocessed:
-# a guard against rule sets that loop
-MAX_GOALS_PER_PROOF = 10_000
+# the steps of one proof attempt: a guard against looping rule sets and splits
+PROOF_STEPS = 1000
 
 
 def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> ProofResult:
@@ -249,8 +251,13 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
     result = ProofResult("failed", top, history=history, seed=seed)
     testing = world.settings.backtrack
 
+    budget = Budget(PROOF_STEPS)
     goal = history.record_top("Goal", [top])
-    clauses = clausify(top)
+    try:
+        clauses = clausify(top, budget.left)
+    except TooManyClauses:
+        clauses = [[top]]
+        result.diagnostics.append(f"Goal: more clauses than the proof budget of {PROOF_STEPS} steps; not split")
     agenda: deque[HistoryNode] = deque()
     if clauses == [[top]]:
         goal.settings = goal_settings("Goal", hints, None, testing)
@@ -269,24 +276,18 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
         result.process_log.append(entry)
         agenda.extend(_record_children(entry, history, world, hints, None, testing))
     pool: list[HistoryNode] = []
-    processed = 0
 
     while agenda:
-        processed += 1
-        if processed > MAX_GOALS_PER_PROOF:
-            result.diagnostics.append(
-                f"goal budget of {MAX_GOALS_PER_PROOF} exceeded; "
-                "remaining goals pooled unprocessed (check the rule set for loops)"
-            )
+        if not budget.spend():
+            result.diagnostics.append(f"proof budget of {PROOF_STEPS} steps exhausted; remaining goals pooled unprocessed")
             pool.extend(agenda)
-            agenda.clear()
             break
         goal = agenda.popleft()
         for process in PROCESS_NAMES:
             if process in goal.settings.do_not:
                 continue
             if process == "simplify":
-                entry = _simplify(goal, world, result.diagnostics)
+                entry = _simplify(goal, world, budget, result.diagnostics)
             elif process == "eliminate-destructors":
                 entry = eliminate_destructors(goal, world, history, fresh)
             else:

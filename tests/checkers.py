@@ -12,8 +12,9 @@ from sedan.datadef import sample
 from sedan.evaluator import EvaluationError, evaluate
 from sedan.history import clause_vars
 from sedan.rand import IndexSource
+from sedan.reader import read_sexprs, sexpr_to_value
 from sedan.terms import Var
-from sedan.values import truthy
+from sedan.values import Cons, truthy
 
 
 def _clause_truth(literals, binding, world):
@@ -77,4 +78,19 @@ def check_process_soundness(result, world, bindings=200, seed=1234):
         if entry.outcome == "discarded":
             continue
         offenders.extend(check_entry_soundness(entry, world, bindings, seed))
+    return offenders
+
+
+def unfalsifying_counterexamples(proof, conjecture, world):
+    """The top bindings of a structured proof report's counterexamples that do
+    not falsify ``conjecture`` (empty = every one re-falsifies it)."""
+    offenders = []
+    for cex in proof["counterexamples"]:
+        [alist] = read_sexprs(cex["top_binding"])
+        pairs, binding = sexpr_to_value(alist), {}
+        while isinstance(pairs, Cons):
+            binding[pairs.car.car.name] = pairs.car.cdr
+            pairs = pairs.cdr
+        if truthy(evaluate(conjecture, binding, world)):
+            offenders.append(cex["top_binding"])
     return offenders

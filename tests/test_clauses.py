@@ -2,53 +2,54 @@ import itertools
 
 import pytest
 
-from sedan.clauses import clause_to_term, clausify
+from sedan.clauses import TooManyClauses, clause_to_term, clausify
 from sedan.evaluator import evaluate
 from sedan.terms import free_vars, negate, print_term
 from sedan.values import NIL, T, truthy
+from sedan.waterfall import PROOF_STEPS
 
 from conftest import make_world, term
 
 
 def test_implies_gives_one_clause():
-    clauses = clausify(term("(implies h c)"))
+    clauses = clausify(term("(implies h c)"), PROOF_STEPS)
     assert clauses == [[term("(not h)"), term("c")]]
 
 
 def test_conjunctive_conclusion_splits():
-    clauses = clausify(term("(implies h (and a b))"))
+    clauses = clausify(term("(implies h (and a b))"), PROOF_STEPS)
     assert clauses == [[term("(not h)"), term("a")], [term("(not h)"), term("b")]]
 
 
 def test_if_lifts_into_case_split():
-    clauses = clausify(term("(if p q r)"))
+    clauses = clausify(term("(if p q r)"), PROOF_STEPS)
     assert clauses == [[term("(not p)"), term("q")], [term("p"), term("r")]]
 
 
 def test_implies_chain_flattens_hypotheses_in_order():
-    clauses = clausify(term("(implies (and a b) (implies c d))"))
+    clauses = clausify(term("(implies (and a b) (implies c d))"), PROOF_STEPS)
     assert clauses == [[term("(not a)"), term("(not b)"), term("(not c)"), term("d")]]
 
 
 def test_or_hypothesis_multiplies_clauses():
-    clauses = clausify(term("(implies (or a b) c)"))
+    clauses = clausify(term("(implies (or a b) c)"), PROOF_STEPS)
     assert clauses == [[term("(not a)"), term("c")], [term("(not b)"), term("c")]]
 
 
 def test_non_boolean_atoms_stay_atomic():
-    clauses = clausify(term("(equal (car x) (if p 1 2))"))
+    clauses = clausify(term("(equal (car x) (if p 1 2))"), PROOF_STEPS)
     assert clauses == [[term("(equal (car x) (if p 1 2))")]]
 
 
 def test_duplicate_literals_dropped():
-    clauses = clausify(term("(or p p q)"))
+    clauses = clausify(term("(or p p q)"), PROOF_STEPS)
     assert clauses == [[term("p"), term("q")]]
 
 
 def _truth_equivalent(formula, world):
     """Brute-force oracle: enumerate all boolean assignments of the variables
     and compare the formula against the conjunction of its clauses."""
-    clauses = clausify(formula)
+    clauses = clausify(formula, PROOF_STEPS)
     names = free_vars(formula)
     assert len(names) <= 3
     for values in itertools.product((T, NIL), repeat=len(names)):
@@ -93,7 +94,7 @@ def test_clausify_agrees_with_truth_enumeration():
 def test_clause_to_term_round_trips_semantics():
     w = make_world()
     for src in FORMULAS:
-        for clause in clausify(term(src)):
+        for clause in clausify(term(src), PROOF_STEPS):
             rebuilt = clause_to_term(clause)
             names = sorted({v for lit in clause for v in free_vars(lit)})
             for values in itertools.product((T, NIL), repeat=len(names)):
@@ -159,4 +160,22 @@ CLAUSE_ORDER_PINS = [
 
 @pytest.mark.parametrize("src, expected", CLAUSE_ORDER_PINS)
 def test_clausify_order_is_pinned(src, expected):
-    assert [[print_term(lit) for lit in clause] for clause in clausify(term(src))] == expected
+    # a cap of exactly the clause count splits; one less raises
+    assert [[print_term(lit) for lit in clause] for clause in clausify(term(src), len(expected))] == expected
+    if expected:
+        with pytest.raises(TooManyClauses):
+            clausify(term(src), len(expected) - 1)
+
+
+def _disjunction_of_pairs(n):
+    return term("(or " + " ".join(f"(and a{i} b{i})" for i in range(n)) + ")")
+
+
+def test_a_disjunction_past_the_cap_raises_before_it_builds_a_clause():
+    # 2^30 clauses of 30 literals each: building them would not end
+    with pytest.raises(TooManyClauses):
+        clausify(_disjunction_of_pairs(30), PROOF_STEPS)
+    # a cap of exactly the product splits; one clause more than the cap raises
+    assert len(clausify(_disjunction_of_pairs(9), 512)) == 512
+    with pytest.raises(TooManyClauses):
+        clausify(_disjunction_of_pairs(9), 511)

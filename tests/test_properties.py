@@ -2,10 +2,11 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedan.clauses import clausify
+from sedan.clauses import TooManyClauses, clausify
 from sedan.datadef import compile_type_expr, enumerate_value, recognize, register_defdata
 from sedan.evaluator import evaluate
 from sedan.reader import read_sexprs
@@ -96,11 +97,18 @@ _formula_sources = st.recursive(st.one_of(_vars, st.sampled_from(["t", "nil"])),
 
 
 @settings(max_examples=250, deadline=None)
-@given(_formula_sources)
-def test_clausify_equivalent_under_truth_enumeration(src):
+@given(_formula_sources, st.integers(0, 40))
+def test_clausify_equivalent_under_truth_enumeration(src, cap):
     world = make_world()
     formula = term(src)
-    clauses = clausify(formula)
+    clauses = clausify(formula, 1 << 20)
+    # every part of these formulas has a clause, so none has more than the
+    # whole: the cap raises exactly when the whole exceeds it
+    if len(clauses) > cap:
+        with pytest.raises(TooManyClauses):
+            clausify(formula, cap)
+    else:
+        assert clausify(formula, cap) == clauses
     names = free_vars(formula)
     for values in itertools.product((T, NIL), repeat=len(names)):
         binding = dict(zip(names, values))

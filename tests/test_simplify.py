@@ -2,8 +2,9 @@ import pytest
 
 from sedan import simplify
 from sedan.session import process_source
-from sedan.simplify import QNIL, fold_ground, match, simplify_clause
+from sedan.simplify import QNIL, Budget, fold_ground, match, simplify_clause
 from sedan.terms import Quote, Var
+from sedan.waterfall import PROOF_STEPS
 from sedan.world import RewriteRule
 
 from conftest import make_world, term, with_settings
@@ -16,60 +17,60 @@ def clause(*srcs):
 
 
 def test_complementary_literals_prove_the_clause(world):
-    out = simplify_clause(clause("(natp x)", "(not (natp x))"), world)
+    out = simplify_clause(clause("(natp x)", "(not (natp x))"), world, Budget(PROOF_STEPS))
     assert out.status == "proved"
 
 
 def test_constant_true_literal_proves(world):
-    out = simplify_clause(clause("(not (natp x))", "t"), world)
+    out = simplify_clause(clause("(not (natp x))", "t"), world, Budget(PROOF_STEPS))
     assert out.status == "proved"
 
 
 def test_constant_false_literal_drops(world):
-    out = simplify_clause(clause("nil", "(natp x)"), world)
+    out = simplify_clause(clause("nil", "(natp x)"), world, Budget(PROOF_STEPS))
     assert out.status == "children"
     assert out.children == [clause("(natp x)")]
 
 
 def test_ground_subterms_evaluate(world):
-    out = simplify_clause(clause("(natp (+ 2 3))"), world)
+    out = simplify_clause(clause("(natp (+ 2 3))"), world, Budget(PROOF_STEPS))
     assert out.status == "proved"
-    out = simplify_clause(clause("(equal (len '(1 2)) 3)"), world)
+    out = simplify_clause(clause("(equal (len '(1 2)) 3)"), world, Budget(PROOF_STEPS))
     assert out.status == "children"
     assert out.children == [[QNIL]]  # the whole clause is false
 
 
 def test_equality_substitution_then_ground_evaluation(world):
     # (implies (equal x 42) (natp x)) -> substitute, then 'natp 42' computes
-    out = simplify_clause(clause("(not (equal x 42))", "(natp x)"), world)
+    out = simplify_clause(clause("(not (equal x 42))", "(natp x)"), world, Budget(PROOF_STEPS))
     assert out.status == "proved"
     assert out.substitutions == {"x": Quote(42)}
 
 
 def test_substitution_records_elision(world):
     # no rules loaded: the substitution fires and the residue stays put
-    out = simplify_clause(clause("(not (equal x (cons a b)))", "(consp x)"), world)
+    out = simplify_clause(clause("(not (equal x (cons a b)))", "(consp x)"), world, Budget(PROOF_STEPS))
     assert out.status == "children"
     assert out.children == [clause("(consp (cons a b))")]
     assert out.substitutions == {"x": term("(cons a b)")}
 
 
 def test_reflexive_equality_hypothesis_drops_and_var_vanishes(world):
-    out = simplify_clause(clause("(not (equal x x))", "(< (+ y 1) y)"), world)
+    out = simplify_clause(clause("(not (equal x x))", "(< (+ y 1) y)"), world, Budget(PROOF_STEPS))
     assert out.status == "children"
     assert out.children == [clause("(< (+ y 1) y)")]
 
 
 def test_rewrite_with_relieved_hypothesis():
     w = make_world(RULES)
-    out = simplify_clause(clause("(not (posp n))", "(natp n)"), w)
+    out = simplify_clause(clause("(not (posp n))", "(natp n)"), w, Budget(PROOF_STEPS))
     assert out.status == "proved"
 
 
 def test_rewrite_chain_through_recognizer_rules():
     w = make_world(RULES)
     # rationalp via posp -> natp -> integerp -> rationalp backchaining
-    out = simplify_clause(clause("(not (posp n))", "(rationalp n)"), w)
+    out = simplify_clause(clause("(not (posp n))", "(rationalp n)"), w, Budget(PROOF_STEPS))
     assert out.status == "proved"
 
 
@@ -80,6 +81,7 @@ def test_cancel_rule_microcase():
     out = simplify_clause(
         clause("(not (posp a))", "(not (equal a (* b a)))", "(equal (+ b b) 2)"),
         w,
+        Budget(PROOF_STEPS),
     )
     assert out.status == "proved"
     assert out.substitutions.get("b") == Quote(1)
@@ -87,25 +89,34 @@ def test_cancel_rule_microcase():
 
 def test_selector_rules_reduce_explicit_conses():
     w = make_world(RULES)
-    out = simplify_clause(clause("(equal (car (cons a b)) a)"), w)
+    out = simplify_clause(clause("(equal (car (cons a b)) a)"), w, Budget(PROOF_STEPS))
     assert out.status == "proved"
-    out = simplify_clause(clause("(not (posp (car (cons a b))))", "(posp a)"), w)
+    out = simplify_clause(clause("(not (posp (car (cons a b))))", "(posp a)"), w, Budget(PROOF_STEPS))
     assert out.status == "proved"
 
 
 def test_unchanged_when_nothing_applies():
     w = make_world(RULES + "(defun opaque (x) x)")
-    out = simplify_clause(clause("(not (true-listp x))", "(equal (opaque x) x)"), w)
+    out = simplify_clause(clause("(not (true-listp x))", "(equal (opaque x) x)"), w, Budget(PROOF_STEPS))
     assert out.status == "unchanged"
 
 
-def test_rewrite_budget_exhaustion_downgrades_with_diagnostic(monkeypatch):
+def test_rewrite_budget_exhaustion_downgrades_with_diagnostic():
     w = make_world("(defun f (x) x)\n(defun g (x) x)")
     # a deliberately looping rule: (f x) -> (f (g x))
     w.add_rule(RewriteRule("loop", (), term("(f x)"), term("(f (g x))")))
-    monkeypatch.setattr(simplify, "MAX_RULE_APPLICATIONS", 50)
-    out = simplify_clause(clause("(not (natp (f y)))", "(natp y)"), w)
+    out = simplify_clause(clause("(not (natp (f y)))", "(natp y)"), w, Budget(50))
     assert any("budget" in d for d in out.diagnostics)
+
+
+def test_a_clause_stays_unsplit_when_the_budget_has_fewer_steps_than_its_clauses():
+    w = make_world("(defun f (x) x)\n(defun p (x) x)\n(defun q (x) x)")
+    w.add_rule(RewriteRule("split", (), term("(f x)"), term("(and (p x) (q x))")))
+    out = simplify_clause(clause("(f y)"), w, Budget(PROOF_STEPS))
+    assert out.children == [clause("(p y)"), clause("(q y)")]
+    # a pass and the rule application leave one step, too few for two clauses
+    out = simplify_clause(clause("(f y)"), w, Budget(3))
+    assert (out.status, out.children, out.rule_applications) == ("children", [clause("(and (p y) (q y))")], 1)
 
 
 def test_match_is_nonlinear():
@@ -126,7 +137,7 @@ def test_fold_ground_leaves_erroring_subterms(world):
 def test_reclausification_of_introduced_ifs():
     w = make_world("(defun pick (p) p)")
     w.add_rule(RewriteRule("open-pick", (), term("(pick p)"), term("(if p (natp p) (negp p))")))
-    out = simplify_clause(clause("(pick q)"), w)
+    out = simplify_clause(clause("(pick q)"), w, Budget(PROOF_STEPS))
     # the literal-level if splits into two clauses
     assert out.status == "children"
     assert len(out.children) == 2
@@ -151,7 +162,7 @@ def test_rules_are_tried_only_on_their_own_head_first_admitted_first(monkeypatch
         return match(pattern, t, sigma)
 
     monkeypatch.setattr(simplify, "match", counting_match)
-    out = simplify_clause(clause("(equal (f y) z)"), w)
+    out = simplify_clause(clause("(equal (f y) z)"), w, Budget(PROOF_STEPS))
     # (f y) -> (h y) by f-first, the first admitted; then (h y) -> 2. A scan of
     # every rule would have tried g-one on (f y) and on (h y) too.
     assert out.children == [clause("(equal 2 z)")]
@@ -169,7 +180,7 @@ PRED_RULES = (
 
 def rewrite(src, world, assumed_nil=()):
     """One literal rewritten with the other literals' context, as simplify_clause does."""
-    budget = simplify._Budget(100, world.settings.max_rewrite_depth)
+    budget = simplify.Budget(100)
     ctx = simplify._Context(frozenset(), frozenset(term(s) for s in assumed_nil))
     return simplify._rewrite(term(src), world, ctx, budget, 0), budget
 
@@ -193,8 +204,8 @@ def test_a_hypothesis_ground_after_matching_is_evaluated_within_any_depth():
 def test_the_backchain_depth_cut_leaves_the_rule_unfired_with_a_diagnostic():
     w = make_world(PRED_RULES)
     clause_ = clause("(equal (f a) 1)")
-    assert simplify_clause(clause_, w).status == "proved"
-    out = simplify_clause(clause_, with_settings(w, max_rewrite_depth=0))
+    assert simplify_clause(clause_, w, Budget(PROOF_STEPS)).status == "proved"
+    out = simplify_clause(clause_, with_settings(w, max_rewrite_depth=0), Budget(PROOF_STEPS))
     assert out.status == "unchanged"
     assert out.diagnostics == ["rewrite backchain depth limit reached while relieving hypotheses"]
 
@@ -203,7 +214,7 @@ def test_an_if_whose_test_rewrites_to_a_constant_becomes_its_branch():
     w = make_world(PRED_RULES)
     assert rewrite("(if (p a) b c)", w)[0] == Var("b")
     assert rewrite("(if (not (p a)) b c)", w)[0] == Var("c")
-    assert simplify_clause(clause("(equal (if (p a) b c) b)"), w).status == "proved"
+    assert simplify_clause(clause("(equal (if (p a) b c) b)"), w, Budget(PROOF_STEPS)).status == "proved"
 
 
 @pytest.mark.parametrize("rules", ["", "(defun h (x) x)\n(defrule unrelated (equal (h x) x))\n"])
@@ -213,18 +224,18 @@ def test_an_if_whose_test_folds_picks_its_branch_with_or_without_rules(rules):
     conjecture = "(implies (consp x) (equal (car x) (if (equal 1 2) 5 (car x))))"
     outcome, world = process_source(rules + f"(thm {conjecture})")
     assert outcome.forms[-1].status == "proved"
-    out = simplify_clause(clause("(equal y (if (equal 1 2) 5 y))"), world)
+    out = simplify_clause(clause("(equal y (if (equal 1 2) 5 y))"), world, Budget(PROOF_STEPS))
     assert out.status == "proved"
 
 
 def test_a_rule_that_nests_its_own_left_hand_side_stops_at_the_structure_cap():
     src = "(defun f (x) x)\n(defun g (x) x)\n(defrule grow (equal (f x) (g (f x))))\n"
     w = make_world(src)
-    out = simplify_clause(clause("(equal (f a) a)"), w)
+    out = simplify_clause(clause("(equal (f a) a)"), w, Budget(PROOF_STEPS))
     assert out.status == "unchanged"
-    assert out.diagnostics == ["rewrite budget exhausted; rewriting disabled for this goal"]
-    # the structure cap stopped it, long before the application budget
-    assert out.rule_applications < simplify.MAX_RULE_APPLICATIONS
+    assert out.diagnostics == ["rewriting nested past 300 levels; rewriting disabled for this goal"]
+    # the structure cap stopped it, long before the proof budget
+    assert out.rule_applications < PROOF_STEPS
     outcome, _ = process_source(src + "(thm (equal (f a) a))")
     assert outcome.forms[-1].status == "failed-with-checkpoints"
 
@@ -238,9 +249,9 @@ SPIN = (
 def test_a_ground_term_or_hypothesis_whose_evaluation_raises_stays_as_it_is():
     w = make_world(SPIN)
     # (f (spin 1)) is ground and raises, so it is kept and f-id is not tried
-    assert simplify_clause(clause("(equal (f (spin 1)) (spin 1))"), w).status == "unchanged"
+    assert simplify_clause(clause("(equal (f (spin 1)) (spin 1))"), w, Budget(PROOF_STEPS)).status == "unchanged"
     # g-zero's ground hypothesis (spin 1) raises, so it is not relieved
-    assert simplify_clause(clause("(equal (g y) 0)"), w).status == "unchanged"
+    assert simplify_clause(clause("(equal (g y) 0)"), w, Budget(PROOF_STEPS)).status == "unchanged"
     outcome, _ = process_source(SPIN + "(thm (equal (f (spin 1)) (spin 1)))\n(thm (equal (g y) 0))\n")
     assert [fr.status for fr in outcome.forms] == ["admitted"] * 6 + ["proved", "falsified"]
     # the first is proved once generalization takes (spin 1) out
@@ -251,7 +262,7 @@ def test_a_ground_term_or_hypothesis_whose_evaluation_raises_stays_as_it_is():
 
 def test_a_negated_quote_left_by_substitution_drops_out(world):
     # x := '5 leaves (not '5), a false disjunct
-    out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(natp y)"), world)
+    out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(natp y)"), world, Budget(PROOF_STEPS))
     assert (out.status, out.children, out.substitutions) == ("children", [clause("(natp y)")], {"x": term("'5")})
 
 
@@ -259,6 +270,6 @@ def test_a_negated_quote_drops_out_when_rewriting_is_disabled():
     # the rewriting stage folds (not '5) itself; once the budget is spent,
     # the cleanup drops it
     w = make_world("(defun f (x) x)\n(defun g (x) x)\n(defrule grow (equal (f x) (g (f x))))")
-    out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(equal (f y) y)"), w)
+    out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(equal (f y) y)"), w, Budget(PROOF_STEPS))
     assert (out.status, out.children) == ("children", [clause("(equal (f y) y)")])
-    assert out.diagnostics == ["rewrite budget exhausted; rewriting disabled for this goal"]
+    assert out.diagnostics == ["rewriting nested past 300 levels; rewriting disabled for this goal"]

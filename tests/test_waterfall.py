@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,10 +9,11 @@ from sedan import cli, waterfall
 from sedan.evaluator import evaluate
 from sedan.forms import HintSpec
 from sedan.hints import HANDLERS, BacktrackOutcome
-from sedan.simplify import simplify_clause
+from sedan.simplify import Budget, simplify_clause
 from sedan.reader import read_sexprs, sexpr_to_value
 from sedan.values import NIL, Cons, truthy
 from sedan.waterfall import (
+    PROOF_STEPS,
     FreshNames,
     ProofResult,
     _classify_counterexample,
@@ -23,7 +25,7 @@ from sedan.history import History
 from sedan.session import process_file, process_source
 from sedan.world import Settings
 
-from checkers import check_process_soundness
+from checkers import check_process_soundness, unfalsifying_counterexamples
 from conftest import corpus_path, make_world, term, with_settings
 
 REV = "(defun rev (x) (if (endp x) nil (append (rev (cdr x)) (list (car x)))))"
@@ -80,7 +82,7 @@ def test_typed_rev_rev_fails_with_clean_checkpoint():
     assert not report.counterexamples
     assert not result.counterexamples
     # checkpoint stability: another simplify pass leaves it alone
-    assert simplify_clause(goal.literals, world).status == "unchanged"
+    assert simplify_clause(goal.literals, world, Budget(PROOF_STEPS)).status == "unchanged"
 
 
 def test_triangle_pipeline_end_to_end():
@@ -166,7 +168,7 @@ def test_process_order_simplify_before_destructors_before_generalize():
         if entry.process == "generalize" and entry.outcome != "discarded":
             goal = result.history.nodes[entry.goal_id]
             assert entry.parent_clause is goal.literals
-            assert simplify_clause(goal.literals, world).status == "unchanged"
+            assert simplify_clause(goal.literals, world, Budget(PROOF_STEPS)).status == "unchanged"
             assert eliminate_destructors(goal, world, result.history, FreshNames([])) is None
 
 
@@ -263,7 +265,7 @@ def test_simplifys_diagnostic_on_a_goal_it_leaves_unchanged_reaches_the_proof_on
     outcome, _ = process_source(GROW + f"(thm {conjecture})")
     proof = outcome.forms[-1].proof
     assert [(e.goal_id, e.process, e.outcome) for e in proof.process_log] == log
-    assert proof.diagnostics == ["Goal: rewrite budget exhausted; rewriting disabled for this goal"]
+    assert proof.diagnostics == ["Goal: rewriting nested past 300 levels; rewriting disabled for this goal"]
 
 
 def test_lifted_wildcards_display_as_question_marks():
@@ -382,10 +384,26 @@ def test_goal_budget_guards_against_looping_rule_sets(monkeypatch):
     # pathological: the right-hand side re-embeds the trigger under an if, so
     # every simplify visit splits into a goal that still contains (f x)
     world.add_rule(RewriteRule("respawn", (), term("(f x)"), term("(if (natp x) (f x) t)")))
-    monkeypatch.setattr(waterfall, "MAX_GOALS_PER_PROOF", 20)
+    monkeypatch.setattr(waterfall, "PROOF_STEPS", 20)
     result = run_waterfall(term("(f y)"), with_settings(world, trials=5, backtrack=False), (), 1)
-    assert any("goal budget" in d for d in result.diagnostics)
+    assert "proof budget of 20 steps exhausted; remaining goals pooled unprocessed" in result.diagnostics
     assert result.status == "failed"
+
+
+def test_a_rule_that_respawns_its_goal_is_pooled_when_the_proof_budget_is_spent():
+    # each goal splits into one still holding (f y), with a longer id: 10 000
+    # goals and tens of MB before the goals were counted against the budget
+    source = "(defun f (x) x)\n(defrule respawn (equal (f x) (if (natp x) (f x) t)))\n(thm (f y))"
+    tracemalloc.start()
+    try:
+        proof = process_source(source)[0].forms[-1].proof
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proof.status == "failed" and proof.checkpoints
+    assert proof.diagnostics[-1] == f"proof budget of {PROOF_STEPS} steps exhausted; remaining goals pooled unprocessed"
+    assert len(proof.history.nodes) < PROOF_STEPS
+    assert peak < 4_000_000
 
 
 def _cli_reports(tmp_path, capsys, source):
@@ -395,6 +413,23 @@ def _cli_reports(tmp_path, capsys, source):
     code = cli.main([str(path), "--seed", "24", "--trials", "5", "--report", str(report)])
     [form] = json.loads(report.read_text())["forms"]
     return code, capsys.readouterr().out, form
+
+
+def test_a_goal_with_more_clauses_than_the_proof_budget_is_tested_unsplit(tmp_path, capsys):
+    # 2^10 clauses, none of whose hypotheses random testing satisfies; the
+    # goal itself is falsified easily
+    conjecture = "(or " + " ".join(f"(and (natp a{i}) (natp b{i}))" for i in range(10)) + ")"
+    path, report = tmp_path / "split.lisp", tmp_path / "split.json"
+    path.write_text(f"(thm {conjecture})\n")
+    assert cli.main([str(path), "--seed", "24", "--report", str(report)]) == 1
+    [form] = json.loads(report.read_text())["forms"]
+    assert form["status"] == "falsified"
+    proof = form["proof"]
+    assert proof["checkpoints"] == ["Goal"] and proof["process_log"] == []
+    assert f"Goal: more clauses than the proof budget of {PROOF_STEPS} steps; not split" in proof["diagnostics"]
+    assert proof["counterexamples"]
+    assert unfalsifying_counterexamples(proof, term(conjecture), make_world()) == []
+    assert len(capsys.readouterr().out) < 10_000
 
 
 def test_an_empty_conjunction_is_proved_by_clausification_alone(tmp_path, capsys):
@@ -560,4 +595,4 @@ def test_a_goal_whose_generalization_is_refuted_is_simplified_once(monkeypatch):
     assert [(p, g, out.rule_applications) for p, g, out in calls if p == "simplify"] == [
         ("simplify", "Goal", 150)
     ]
-    assert outcome.forms[-1].proof.diagnostics == ["Goal: rewrite budget exhausted; rewriting disabled for this goal"]
+    assert outcome.forms[-1].proof.diagnostics == ["Goal: rewriting nested past 300 levels; rewriting disabled for this goal"]
