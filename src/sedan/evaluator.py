@@ -12,15 +12,15 @@ recognizer: ``natp``, ``booleanp`` and the other base recognizers come from
 ``datadef.install_base_types``, like every defdata type's ``Xp``.
 
 A term is compiled into generated Python: one function ``f(env, remaining)``
-per evaluated term, which reads its variables from ``env`` once on entry, and
-one function ``f(remaining, *formals)`` per defun body, which takes the formals
-as positional parameters, so a call builds no environment. ``remaining`` is
-the user-function nesting the cap still allows. A term's function is memoised
-on the term object, so it lives exactly as long as the term does. A ``Chain``
-of parallel assignments, which is how a lift runs a checkpoint's path to the
-top, becomes one function ``f(env, wild, remaining)`` that assigns each step's
-terms at once, as Python locals, and gives every term the whole cap; it is
-kept on the chain. A clause's trials run in one function made for each
+per evaluated term, which reads each variable from ``env`` where evaluation
+reaches it, and one function ``f(remaining, *formals)`` per defun body, which
+takes the formals as positional parameters, so a call builds no environment.
+``remaining`` is the user-function nesting the cap still allows. A term's
+function is memoised on the term object, so it lives exactly as long as the
+term does. A ``Chain`` of parallel assignments, which is how a lift runs a
+checkpoint's path to the top, becomes one function ``f(env, wild,
+remaining)`` that assigns each step's terms at once, as Python locals, and
+gives every term the whole cap; it is kept on the chain. A clause's trials run in one function made for each
 ``testgen.run_trials`` call (``trial_loop``): it holds each variable in a
 local, decodes the indices it has not seen, and inlines the conjunction and
 the conclusion, so a trial calls no term's function.
@@ -41,7 +41,9 @@ the conclusion, so a trial calls no term's function.
   through ``w_call`` after its arguments, which looks the name up when it
   runs, so a defun admitted since is called; a malformed special form or a
   non-term raises before its arguments; a variable the binding lacks raises
-  where evaluation reaches it, in the term emitted again for that binding.
+  ``UnboundVariableError`` where evaluation reads it: ``evaluate`` and
+  ``run_chain`` pass the binding as an ``_Env``, whose miss raises it, so
+  one emission serves every binding.
 
 ``Source`` is the emitter core that ``_Emitter`` and datadef's type emitter
 build on. Quoted constants become parameters of a maker function, so the
@@ -259,12 +261,8 @@ def _check_arity(name: str, lo: int, hi, n: int):
 def evaluate(term: Term, binding: Binding, world) -> Value:
     """Evaluate a term under a binding of its free variables, nesting user
     functions no deeper than ``world.settings.depth_cap``."""
-    cap = world.settings.depth_cap
     try:
-        try:
-            return _code(term, world)(binding, cap)
-        except _Unbound:
-            return _generate(world, term, bound=binding)(binding, cap)
+        return _code(term, world)(_Env(binding), world.settings.depth_cap)
     except RecursionError:
         raise stack_overflow_error(world) from None
 
@@ -344,10 +342,14 @@ def with_overflow_error(fn):
 # user-function nesting still allowed under the depth cap
 
 
-class _Unbound(Exception):
-    """Raised on entry by a term's or a chain's function whose binding lacks
-    one of its variables; evaluate or run_chain runs it emitted again for
-    that binding."""
+class _Env(dict):
+    """A binding as generated code reads it: a variable it lacks raises
+    ``UnboundVariableError`` where evaluation reads it."""
+
+    __slots__ = ()
+
+    def __missing__(self, name):
+        raise UnboundVariableError(name)
 
 
 def _raise(error_class, arg):
@@ -417,11 +419,7 @@ def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value
     term may nest user functions to the depth cap, as ``evaluate`` lets it,
     and the first error is the one that evaluating the terms one by one would
     raise; an overflow of the Python stack is one error for the whole chain."""
-    cap = world.settings.depth_cap
-    try:
-        return chain.code(world)(env, wild, cap)
-    except _Unbound:
-        return _generate_chain(world, chain.steps, env)(env, wild, cap)
+    return chain.code(world)(_Env(env), wild, world.settings.depth_cap)
 
 
 def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusion: Term):
@@ -455,10 +453,8 @@ _PRELUDE = {
     "_plus": _plus,
     "_minus": _minus,
     "_times": _times,
-    "_Unbound": _Unbound,
     "_raise": _raise,
     "_EvaluationError": EvaluationError,
-    "_UnboundVariableError": UnboundVariableError,
     "_DepthExceededError": DepthExceededError,
     "_stack_overflow_error": stack_overflow_error,
     "_check_arity": _check_arity,
@@ -524,17 +520,15 @@ class Source:
         return FunctionType(_maker_code(source), self.world.namespace)(*self.consts)
 
 
-def _generate(world, term: Term, formals=None, bound=None):
-    """The generated function for a term (``formals`` None) or for a defun
-    body; given the ``bound`` binding, a variable it lacks raises where
-    evaluation reaches it."""
-    em = _Emitter(world, formals, bound)
+def _generate(world, term: Term, formals=None):
+    """The generated function for a term (``formals`` None) or for a defun body."""
+    em = _Emitter(world, formals)
     return em.make(em.function(term))
 
 
-def _generate_chain(world, steps, bound=None):
-    """The generated function for a ``Chain``'s steps, ``bound`` as above."""
-    em = _Emitter(world, None, bound)
+def _generate_chain(world, steps):
+    """The generated function for a ``Chain``'s steps."""
+    em = _Emitter(world, None)
     return em.make(em.chain(steps))
 
 
@@ -641,29 +635,25 @@ class _Emitter(Source):
     are recognised by name (no name is ever redefined); any other host
     function or defun is registered in the world's namespace. A call that is
     not well formed goes through ``w_call``, after the arguments the
-    interpreter would evaluate first. Given the ``bound`` binding, a variable
-    that is neither a local nor bound raises where evaluation reaches it."""
+    interpreter would evaluate first. A variable that is not a local is read
+    from ``env`` where evaluation reaches it, so a binding (an ``_Env``) that
+    lacks it raises ``UnboundVariableError`` there, from the one emission."""
 
-    def __init__(self, world, formals, bound=None):
+    def __init__(self, world, formals):
         super().__init__(world)
         self.formals = formals
-        self.bound = bound
-        # variable -> Python identifier: a defun's formals, or a term's
-        # variables as they are met
+        # variable -> Python identifier: a defun's formals, a trial loop's
+        # variables, or a chain's wildcards and assigned names
         self.locals = {} if formals is None else {name: _ident("v_", name) for name in formals}
 
     def function(self, term) -> str:
         """The source of ``_f``, which returns the term's value."""
         body = self.value(term)[0]
-        if self.formals is not None:
-            entry = (f"    def _f({', '.join(['rem', *self.locals.values()])}):\n"
-                     "        if rem <= 0:\n            raise _DepthExceededError(w_cap())\n        rem -= 1\n")
-        elif self.locals:
-            reads = "".join([f"            {ident} = env[{name!r}]\n" for name, ident in self.locals.items()])
-            entry = f"    def _f(env, rem):\n        try:\n{reads}        except KeyError:\n            raise _Unbound from None\n"
-        else:
-            entry = "    def _f(env, rem):\n"
-        return f"{entry}        return {body}\n"
+        if self.formals is None:
+            return f"    def _f(env, rem):\n        return {body}\n"
+        return (f"    def _f({', '.join(['rem', *self.locals.values()])}):\n"
+                "        if rem <= 0:\n            raise _DepthExceededError(w_cap())\n        rem -= 1\n"
+                f"        return {body}\n")
 
     def chain(self, steps) -> str:
         """The source of ``_f(env, wild, rem)``, which runs a ``Chain``'s steps."""
@@ -675,18 +665,12 @@ class _Emitter(Source):
             if wild:
                 lines.append(" = ".join([*wild, "wild"]))
             values = ["wild" if t is None else self.value(t)[0] for _, t in items]
-            if i == 0:  # what the first step reads besides its wildcards comes from env
-                reads = [(name, ident) for name, ident in self.locals.items() if name not in names]
             if i == len(steps) - 1:
                 lines.append("return {" + ", ".join(f"{name!r}: {v}" for (name, _), v in zip(items, values)) + "}")
             elif items:
                 targets = [self.locals.setdefault(name, _ident("v_", name)) for name, _ in items]
                 lines.append(f"{', '.join(targets)}, = {', '.join(values)},")
-        entry = "    def _f(env, wild, rem):\n"
-        if reads:
-            entry += "        try:\n" + "".join(f"            {ident} = env[{name!r}]\n" for name, ident in reads)
-            entry += "        except KeyError:\n            raise _Unbound from None\n"
-        return entry + "".join(f"        {line}\n" for line in lines)
+        return "    def _f(env, wild, rem):\n" + "".join(f"        {line}\n" for line in lines)
 
     def trials(self, names, drawn, pinned, hypothesis, conclusion) -> str:
         """The source of ``_f``, which runs a clause's trials (``trial_loop``);
@@ -733,13 +717,12 @@ class _Emitter(Source):
 
     def hoist(self, terms, text: str, depth: int) -> tuple[str, int]:
         """The expression, or a call of a new helper function returning it
-        when it nests too deep; the helper takes the variables it reads."""
+        when it nests too deep; the helper takes the locals it reads, and
+        ``env`` if it reads a variable from there."""
         if depth <= _HOIST_DEPTH:
             return text, depth
-        names: dict = {}
-        for t in terms:
-            names.update(dict.fromkeys(name for name in free_vars(t) if name in self.locals))
-        params = ", ".join(["rem", *(self.locals[name] for name in names)])
+        reads = dict.fromkeys(self.locals.get(name, "env") for t in terms for name in free_vars(t))
+        params = ", ".join(["rem", *reads])
         helper = self.helper(lambda name: f"    def {name}({params}):\n        return {text}\n")
         return f"{helper}({params})", 1
 
@@ -749,11 +732,7 @@ class _Emitter(Source):
         tt = type(t)
         if tt is Var:
             ident = self.locals.get(t.name)
-            if ident is None:
-                if self.bound is not None and t.name not in self.bound:
-                    return f"_raise(_UnboundVariableError, {t.name!r})", 1
-                ident = self.locals[t.name] = _ident("v_", t.name)
-            return ident, 0
+            return (ident, 0) if ident is not None else (f"env[{t.name!r}]", 1)
         if tt is Quote:
             return self.const(t.value), 0
         if tt is not App:

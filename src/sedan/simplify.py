@@ -1,13 +1,15 @@
 """The simplification process: ground evaluation, equality substitution,
 conditional rewriting, propositional cleanup, and re-clausification, iterated
-to a fixpoint. Each pass and each rule application spends a step of the
-proof's ``Budget``, whose steps left cap the clauses a clause splits into.
+to a fixpoint. Each pass, each rule application and each rule hypothesis
+relieved by rewriting spends a step of the proof's ``Budget``, whose steps
+left cap the clauses a clause splits into.
 
 The rewriting stage runs with or without rules: besides applying them, it is
 what picks an ``if``'s branch once its test folds to a constant. Rule
 hypotheses are relieved against the goal's other literals (assumed false, so
 negated hypotheses are usable facts) or by recursive rewriting, bounded by
-the backchain depth. Spending the budget, or nesting past the structure cap,
+the backchain depth; that rewriting counts toward the structure cap's nesting
+like any other. Spending the budget, or nesting past the structure cap,
 turns the rewriting stage off for the goal, with a diagnostic naming the cause.
 """
 
@@ -37,12 +39,14 @@ class SimplifyOutcome:
 
 
 class Budget:
-    """The steps one proof attempt may take, and one simplify call's cuts."""
+    """The steps one proof attempt may take, and one simplify call's cuts
+    and rule applications."""
 
     def __init__(self, steps: int):
         self.left = steps
         self.exhausted = False
         self.depth_cut = self.nested = False
+        self.applied = 0
 
     def spend(self) -> bool:
         if self.left <= 0:
@@ -115,7 +119,7 @@ def _context_for(literals: list[Term], skip: int) -> _Context:
     return _Context(frozenset(true_terms), frozenset(nil_terms))
 
 
-def _relieve(hyp: Term, world, ctx: _Context, budget: Budget, depth: int) -> bool:
+def _relieve(hyp: Term, world, ctx: _Context, budget: Budget, depth: int, srec: int) -> bool:
     if hyp in ctx.assumed_true:
         return True
     if hyp in ctx.assumed_nil:
@@ -130,8 +134,7 @@ def _relieve(hyp: Term, world, ctx: _Context, budget: Budget, depth: int) -> boo
     if depth >= world.settings.max_rewrite_depth:
         budget.depth_cut = True
         return False
-    reduced = _rewrite(hyp, world, ctx, budget, depth + 1)
-    return reduced == QT
+    return budget.spend() and _rewrite(hyp, world, ctx, budget, depth + 1, srec + 1) == QT
 
 
 _STRUCT_RECURSION_CAP = 300
@@ -165,10 +168,11 @@ def _rewrite(t: Term, world, ctx: _Context, budget: Budget, depth: int, srec: in
         sigma = match(rule.lhs, t)
         if sigma is None:
             continue
-        if not all(_relieve(subst_vars(h, sigma), world, ctx, budget, depth) for h in rule.hyps):
+        if not all(_relieve(subst_vars(h, sigma), world, ctx, budget, depth, srec) for h in rule.hyps):
             continue
         if not budget.spend():
             return t
+        budget.applied += 1
         return _rewrite(subst_vars(rule.rhs, sigma), world, ctx, budget, depth, srec + 1)
     return t
 
@@ -218,14 +222,13 @@ def _cleanup(literals: list[Term]):
 def simplify_clause(literals: list[Term], world, budget: Budget) -> SimplifyOutcome:
     """Run the staged simplifier on one clause, spending ``budget``."""
     budget.depth_cut = budget.nested = False
-    start, passes = budget.left, 0
+    budget.applied = 0
     lits = list(literals)
     substitutions: dict[str, Term] = {}
     diagnostics: list[str] = []
     out = None
 
     while budget.spend():
-        passes += 1
         before = list(lits)
 
         lits = [fold_ground(lit, world) for lit in lits]
@@ -274,5 +277,5 @@ def simplify_clause(literals: list[Term], world, budget: Budget) -> SimplifyOutc
             out = SimplifyOutcome("unchanged", diagnostics=diagnostics)
         else:
             out = SimplifyOutcome("children", children=[lits], substitutions=substitutions, diagnostics=diagnostics)
-    out.rule_applications = start - budget.left - passes
+    out.rule_applications = budget.applied
     return out

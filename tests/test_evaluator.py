@@ -475,6 +475,18 @@ def test_a_nil_that_is_not_the_nil_object_is_false_in_every_test_position():
         assert ev(src, nil, w) == expected, src
 
 
+def test_a_term_is_generated_once_whatever_its_bindings_lack(monkeypatch):
+    w = make_world("(defun dbl (x) (+ x x))")
+    generate, generated = evaluator._generate, []
+    monkeypatch.setattr(evaluator, "_generate", lambda *a, **kw: generated.append(a[1]) or generate(*a, **kw))
+    t = term("(if (natp y) (dbl z) y)")
+    for _ in range(5):
+        assert evaluate(t, {"y": -1}, w) == -1
+        with pytest.raises(UnboundVariableError, match="unbound variable: z"):
+            evaluate(t, {"y": 4}, w)
+    assert generated == [t]
+
+
 def test_a_missing_variable_is_raised_where_evaluation_reaches_it():
     w = make_world("(defun dbl (x) (+ x x))")
     assert ev("(if (consp y) z (dbl y))", {"y": 4}, w) == 8

@@ -259,8 +259,7 @@ def test_only_the_evaluator_handles_a_stack_overflow():
 
 def test_generated_code_raises_only_evaluation_errors():
     # every error generated code raises reaches its caller as it is, so no
-    # entry translates one; _Unbound only asks evaluate or run_chain to emit
-    # the code again for the binding, and never escapes them
+    # entry translates one
     raised = {v for v in evaluator._PRELUDE.values() if isinstance(v, type) and issubclass(v, BaseException)}
-    assert all(issubclass(cls, evaluator.EvaluationError) for cls in raised - {evaluator._Unbound}), raised
-    assert evaluator._Unbound in raised and evaluator.DepthExceededError in raised
+    assert all(issubclass(cls, evaluator.EvaluationError) for cls in raised), raised
+    assert evaluator.DepthExceededError in raised

@@ -1,6 +1,6 @@
 import pytest
 
-from sedan import simplify
+from sedan import cli, simplify
 from sedan.session import process_source
 from sedan.simplify import QNIL, Budget, fold_ground, match, simplify_clause
 from sedan.terms import Quote, Var
@@ -273,3 +273,37 @@ def test_a_negated_quote_drops_out_when_rewriting_is_disabled():
     out = simplify_clause(clause("(not (equal x '5))", "(not x)", "(equal (f y) y)"), w, Budget(PROOF_STEPS))
     assert (out.status, out.children) == ("children", [clause("(equal (f y) y)")])
     assert out.diagnostics == ["rewriting nested past 300 levels; rewriting disabled for this goal"]
+
+
+# relieving (q a) rewrites (q a), whose rule asks to relieve (q a) again
+SELF_RELIEVING = "(defun q (x) (consp x))\n(defrule r (implies (q x) (equal (q x) t)))\n"
+
+
+def _structured_thm(tmp_path, capsys, src: str, depth: int) -> str:
+    path = tmp_path / "relieve.lisp"
+    path.write_text(src + "(thm (q a))\n")
+    assert cli.main([str(path), "--format", "structured", "--max-rewrite-depth", str(depth)]) == 1
+    return capsys.readouterr().out
+
+
+def test_backchaining_counts_toward_the_structure_cap(tmp_path, capsys):
+    # the nesting cap, not the Python stack, ends a backchain the depth allows
+    out = _structured_thm(tmp_path, capsys, SELF_RELIEVING, 100000)
+    assert "Goal: rewriting nested past 300 levels; rewriting disabled for this goal" in out
+    assert "Traceback" not in out and "RecursionError" not in out
+
+
+def test_a_relief_spends_a_proof_step(tmp_path, capsys, monkeypatch):
+    # with two such rules the reliefs double at each backchain level, and the
+    # proof budget is what bounds them
+    relieve, calls = simplify._relieve, []
+
+    def spy(*args):
+        calls.append(args)
+        assert len(calls) <= 5000, "reliefs unbounded"
+        return relieve(*args)
+
+    monkeypatch.setattr(simplify, "_relieve", spy)
+    out = _structured_thm(tmp_path, capsys, SELF_RELIEVING + "(defrule r2 (implies (q x) (equal (q x) t)))\n", 30)
+    assert "Goal: proof budget exhausted; rewriting disabled for this goal" in out
+    assert len(calls) <= 5000
