@@ -18,12 +18,12 @@ takes the formals as positional parameters, so a call builds no environment.
 ``remaining`` is the user-function nesting the cap still allows. A term's
 function is memoised on the term object, so it lives exactly as long as the
 term does. A ``Chain`` of parallel assignments, which is how a lift runs a
-checkpoint's path to the top, becomes one function ``f(env, wild,
-remaining)`` that assigns each step's terms at once, as Python locals, and
-gives every term the whole cap; it is kept on the chain. A clause's trials run in one function made for each
-``testgen.run_trials`` call (``trial_loop``): it holds each variable in a
-local, decodes the indices it has not seen, and inlines the conjunction and
-the conclusion, so a trial calls no term's function.
+checkpoint's path to the top, becomes one function ``f(env, wild, remaining)``
+that assigns each step's terms at once, as Python locals, and gives every term
+the whole cap; it is kept on the chain. A clause's trials run in one function
+made for each ``testgen.run_trials`` call (``trial_loop``): it holds each
+variable in a local, decodes the indices it has not seen, and inlines the
+conjunction and the conclusion, so a trial calls no term's function.
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter
   does, and in their test position a built-in predicate (``consp``,
