@@ -53,7 +53,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .evaluator import EvaluationError, HostFunction, Source, arity_admits, arity_bounds, lazy_slot, with_overflow_error
+from .evaluator import EvaluationError, HostFunction, Source, arity_admits, arity_bounds, error_message, lazy_slot
 from .reader import ParseError, SAtom, Sexpr, SList, dotted_pair, sexpr_to_value, unquote
 from .terms import App, Var
 from .values import (
@@ -592,15 +592,6 @@ def recognize(world, name: str, v: Value) -> bool:
     return world.namespace[lazy_slot(world, "r_", name, _recognizer)](v)
 
 
-@with_overflow_error
-def _evidence(world, decode: str, rec: str, i: int):
-    """The value at index ``i`` of the type whose decoder slot is ``decode``,
-    and whether the recognizer slot ``rec`` accepts it."""
-    ns = world.namespace
-    v = ns[decode](i)
-    return v, ns[rec](v)
-
-
 def recognizer_name(world, name: str) -> str:
     """The function that recognizes the named type: ``Xp``, or a custom
     type's own recognizer."""
@@ -832,14 +823,17 @@ def add_subtype_edge(world, t1: str, t2: str, trust: bool = False):
             n_trials = min(n_trials, entry.size)
         # the slots are looked up once, and read on every call: each replaces
         # itself on its first
+        ns = world.namespace
         decode = lazy_slot(world, "e_", t1, _decoder)
         rec = lazy_slot(world, "r_", t2, _recognizer)
         for i in range(n_trials):
             try:
-                v, ok = _evidence(world, decode, rec, i)
-            except EvaluationError as e:
+                v = ns[decode](i)
+                ok = ns[rec](v)
+            except (EvaluationError, RecursionError) as e:
                 raise DatadefError(
-                    f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: {e}"
+                    f"cannot admit {t1} as a subtype of {t2}: evidence check at index {i} raised: "
+                    + error_message(world, e)
                 ) from None
             if not ok:
                 raise SubtypeEvidenceError(t1, t2, i, v)

@@ -17,10 +17,13 @@ reaches it, and one function ``f(remaining, *formals)`` per defun body, which
 takes the formals as positional parameters, so a call builds no environment.
 ``remaining`` is the user-function nesting the cap still allows. A term's
 function is memoised on the term object, so it lives exactly as long as the
-term does. A ``Chain`` of parallel assignments, which is how a lift runs a
-checkpoint's path to the top, becomes one function ``f(env, wild, remaining)``
-that assigns each step's terms at once, as Python locals, and gives every term
-the whole cap; it is kept on the chain. A clause's trials run in one function
+term does. A ``Chain`` of parallel assignments and a test, which is how a
+lift runs a checkpoint's path to the top and re-checks the top conjecture,
+becomes one function ``f(bindings, wild, world, remaining)`` that, for each
+binding of a batch, assigns each step's terms at once, as Python locals, and
+then tests the result on those locals, giving every term the whole cap and
+catching each binding's error on its own; it is kept on the chain. A clause's
+trials run in one function
 made for each ``testgen.run_trials`` call (``trial_loop``): it holds each
 variable in a local, decodes the indices it has not seen, and inlines the
 conjunction and the conclusion, so a trial calls no term's function.
@@ -41,9 +44,10 @@ conjunction and the conclusion, so a trial calls no term's function.
   through ``w_call`` after its arguments, which looks the name up when it
   runs, so a defun admitted since is called; a malformed special form or a
   non-term raises before its arguments; a variable the binding lacks raises
-  ``UnboundVariableError`` where evaluation reads it: ``evaluate`` and
-  ``run_chain`` pass the binding as an ``_Env``, whose miss raises it, so
-  one emission serves every binding.
+  ``UnboundVariableError`` where evaluation reads it: ``evaluate`` and a
+  chain pass the binding as an ``_Env``, whose miss raises it, so one
+  emission serves every binding; a chain's test reads only its lifted
+  binding, and raises on any other variable.
 
 ``Source`` is the emitter core that ``_Emitter`` and datadef's type emitter
 build on. Quoted constants become parameters of a maker function, so the
@@ -62,7 +66,8 @@ this module's comments name. It recurses on the Python stack, whose default
 depth is far below the depth cap, so a session runs each form that evaluates
 once, on a thread whose stack is sized to the cap (``on_sized_stack``). An
 overflow of the stack is an ``EvaluationError`` (``stack_overflow_error``)
-per evaluation, lift, evidence index and trial.
+per evaluation, and generated code reports its message (``error_message``)
+per lifted binding and trial, as datadef does per evidence index.
 
 The evaluator is pure: same term, binding, and world always give the same value.
 """
@@ -284,6 +289,12 @@ def stack_overflow_error(world) -> EvaluationError:
     return EvaluationError(refused or f"the Python stack overflowed within the depth cap of {world.settings.depth_cap}")
 
 
+def error_message(world, e: Exception) -> str:
+    """The message of an ``EvaluationError`` or a ``RecursionError`` caught
+    around generated code: an overflow's is ``stack_overflow_error``'s."""
+    return str(stack_overflow_error(world) if type(e) is RecursionError else e)
+
+
 def on_sized_stack(cap: int, run, *args):
     """``run(*args)``'s result or exception, run on a daemon thread whose
     recursion limit and stack are sized to the depth cap ``cap``; the thread
@@ -321,19 +332,6 @@ def on_sized_stack(cap: int, run, *args):
     if returned:
         return result
     raise result
-
-
-def with_overflow_error(fn):
-    """``fn(world, *args)``, raising ``stack_overflow_error`` on an overflow."""
-
-    @functools.wraps(fn)
-    def run(world, *args):
-        try:
-            return fn(world, *args)
-        except RecursionError:
-            raise stack_overflow_error(world) from None
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -395,31 +393,34 @@ def _code(term: Term, world):
 
 
 class Chain:
-    """Parallel assignments run in turn by one generated function, as a lift
-    runs a checkpoint's path (``run_chain``).
+    """A lift: parallel assignments run in turn, then a test of the result,
+    over a batch of bindings, by one generated function (``History.lift``
+    runs a checkpoint's path to the top this way).
 
     Each step is a pair (names, items): it sets its ``names`` to ``wild``,
     evaluates its items' terms in order against the values before the step
     (a term None is ``wild``), then sets every item's name at once, so a swap
-    reads the old values. The first step reads its other variables from
-    ``env``. The result is the last step's items as a dict, or a copy of
-    ``env`` when there is no step."""
+    reads the old values. The first step reads its other variables from the
+    binding. The lifted binding is the last step's items as a dict, or a copy
+    of the binding when there is no step; ``test`` reads only that binding,
+    and a variable it lacks raises ``UnboundVariableError``. A ``test`` None
+    runs the steps only for their errors.
 
-    def __init__(self, steps):
+    ``code(world)`` is ``f(bindings, wild, world, rem)``: a list of one row
+    (kind, lifted binding, error) per binding, in order. Kind 0 is a step's
+    error (its message), or, with no ``test``, no error (None); 1 the test's
+    error; 2 a test that holds; 3 one that fails. Each term may nest user
+    functions to the depth cap ``rem``, as ``evaluate`` lets it, and the
+    first error is the one that evaluating the terms one by one would raise;
+    an overflow of the Python stack is ``stack_overflow_error``'s."""
+
+    def __init__(self, steps, test: Optional[Term]):
         self.steps = steps
+        self.test = test
 
     def code(self, world):
-        """The generated function ``f(env, wild, rem)``, kept on the chain."""
-        return _kept(self, world, _generate_chain, self.steps)
-
-
-@with_overflow_error
-def run_chain(world, chain: Chain, env: Binding, wild: Value) -> dict[str, Value]:
-    """The chain's result from ``env``, its don't-cares set to ``wild``. Each
-    term may nest user functions to the depth cap, as ``evaluate`` lets it,
-    and the first error is the one that evaluating the terms one by one would
-    raise; an overflow of the Python stack is one error for the whole chain."""
-    return chain.code(world)(_Env(env), wild, world.settings.depth_cap)
+        """The generated function, kept on the chain."""
+        return _kept(self, world, _generate_chain, self.steps, self.test)
 
 
 def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusion: Term):
@@ -456,7 +457,9 @@ _PRELUDE = {
     "_raise": _raise,
     "_EvaluationError": EvaluationError,
     "_DepthExceededError": DepthExceededError,
-    "_stack_overflow_error": stack_overflow_error,
+    "_UnboundVariableError": UnboundVariableError,
+    "_Env": _Env,
+    "_error_message": error_message,
     "_check_arity": _check_arity,
 }
 
@@ -526,10 +529,10 @@ def _generate(world, term: Term, formals=None):
     return em.make(em.function(term))
 
 
-def _generate_chain(world, steps):
-    """The generated function for a ``Chain``'s steps."""
+def _generate_chain(world, steps, test):
+    """The generated function for a ``Chain``."""
     em = _Emitter(world, None)
-    return em.make(em.chain(steps))
+    return em.make(em.chain(steps, test))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -599,7 +602,7 @@ _TRIAL_LOOP = """\
 {decodes}                    ok = {hypothesis}
                 except (_EvaluationError, RecursionError) as e:
                     if first_error is None:
-                        first_error = str(_stack_overflow_error(world) if type(e) is RecursionError else e)
+                        first_error = _error_message(world, e)
                     outcome = 1
                 else:
                     outcome = 0
@@ -613,7 +616,7 @@ _TRIAL_LOOP = """\
                             except (_EvaluationError, RecursionError) as e:
                                 erroring_unique += 1
                                 if first_error is None:
-                                    first_error = str(_stack_overflow_error(world) if type(e) is RecursionError else e)
+                                    first_error = _error_message(world, e)
                                 outcome = seen[key] = 3
                             else:
                                 (report.witnesses if holds else report.counterexamples).append({binding})
@@ -625,6 +628,29 @@ _TRIAL_LOOP = """\
         report.trials_run, report.satisfied, report.erroring = trials_run, satisfied, erroring
         report.unique_satisfied, report.erroring_unique, report.first_error = unique, erroring_unique, first_error
 """
+
+
+# the source of a chain's function (``_Emitter.chain``), whose rows are
+# described at ``Chain``; ``tested`` is what follows the steps
+_CHAIN = """\
+    def _f(bindings, wild, world, rem):
+        out = []
+        for b in bindings:
+            env = _Env(b)
+            try:
+{steps}            except (_EvaluationError, RecursionError) as e:
+                out.append((0, None, _error_message(world, e)))
+                continue
+            {tested}
+        return out
+"""
+_CHAIN_TEST = """lifted = {lifted}
+            try:
+                holds = {test}
+            except (_EvaluationError, RecursionError) as e:
+                out.append((1, lifted, _error_message(world, e)))
+            else:
+                out.append((2 if holds else 3, lifted, None))"""
 
 
 class _Emitter(Source):
@@ -645,6 +671,7 @@ class _Emitter(Source):
         # variable -> Python identifier: a defun's formals, a trial loop's
         # variables, or a chain's wildcards and assigned names
         self.locals = {} if formals is None else {name: _ident("v_", name) for name in formals}
+        self.reads_env = True  # whether a variable that is not a local is read from env
 
     def function(self, term) -> str:
         """The source of ``_f``, which returns the term's value."""
@@ -655,22 +682,29 @@ class _Emitter(Source):
                 "        if rem <= 0:\n            raise _DepthExceededError(w_cap())\n        rem -= 1\n"
                 f"        return {body}\n")
 
-    def chain(self, steps) -> str:
-        """The source of ``_f(env, wild, rem)``, which runs a ``Chain``'s steps."""
-        if not steps:
-            return "    def _f(env, wild, rem):\n        return dict(env)\n"
+    def chain(self, steps, test) -> str:
+        """The source of ``_f(bindings, wild, world, rem)``, which runs a
+        ``Chain``; the test reads the last step's names as locals, and raises
+        on any other variable."""
         lines: list[str] = []
-        for i, (names, items) in enumerate(steps):
+        for names, items in steps:
             wild = [self.locals.setdefault(name, _ident("v_", name)) for name in names]
             if wild:
                 lines.append(" = ".join([*wild, "wild"]))
-            values = ["wild" if t is None else self.value(t)[0] for _, t in items]
-            if i == len(steps) - 1:
-                lines.append("return {" + ", ".join(f"{name!r}: {v}" for (name, _), v in zip(items, values)) + "}")
-            elif items:
+            if items:
+                values = ["wild" if t is None else self.value(t)[0] for _, t in items]
                 targets = [self.locals.setdefault(name, _ident("v_", name)) for name, _ in items]
                 lines.append(f"{', '.join(targets)}, = {', '.join(values)},")
-        return "    def _f(env, wild, rem):\n" + "".join(f"        {line}\n" for line in lines)
+        if test is None:
+            tested = "out.append((0, None, None))"
+        else:
+            lifted = "dict(b)"
+            if steps:
+                self.locals = {name: self.locals[name] for name, _ in steps[-1][1]}
+                self.reads_env = False
+                lifted = "{" + ", ".join(f"{name!r}: {v}" for name, v in self.locals.items()) + "}"
+            tested = _CHAIN_TEST.format(lifted=lifted, test=self.test(test)[0])
+        return _CHAIN.format(steps="".join(f"                {line}\n" for line in lines or ["pass"]), tested=tested)
 
     def trials(self, names, drawn, pinned, hypothesis, conclusion) -> str:
         """The source of ``_f``, which runs a clause's trials (``trial_loop``);
@@ -732,7 +766,11 @@ class _Emitter(Source):
         tt = type(t)
         if tt is Var:
             ident = self.locals.get(t.name)
-            return (ident, 0) if ident is not None else (f"env[{t.name!r}]", 1)
+            if ident is not None:
+                return ident, 0
+            if self.reads_env:
+                return f"env[{t.name!r}]", 1
+            return f"_raise(_UnboundVariableError, {self.const(t.name)})", 1
         if tt is Quote:
             return self.const(t.value), 0
         if tt is not App:

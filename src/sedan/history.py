@@ -6,10 +6,12 @@ expression), and carries the restrictions the child inherits, so subgoals
 never lose type information their ancestors had. A variable that a map term
 reads but the child clause lacks (the cdr of an eliminated cons the clause no
 longer mentions) is a don't-care too: any value falsifies the child. A goal's
-path to the top is worked out once per goal (``History.lift_path``), with one
-generated function that assigns the path's map terms edge by edge
-(``evaluator.Chain``); a lift runs that function, and don't-cares get nil, or
-one of ``WILDCARD_PROBES`` when the waterfall re-checks a lift. This module
+path to the top is worked out once per goal (``History.lift_path``). A lift
+takes all of a checkpoint's counterexamples at once and runs one generated
+function (``evaluator.Chain``) that, per binding, assigns the path's map
+terms edge by edge and re-checks the top conjecture on the result; a
+binding whose lift crossed a don't-care (nil) must falsify the top under each
+of ``WILDCARD_PROBES`` too. This module
 alone forms a goal's type alist (``HistoryNode.type_alist``), by the rule
 that a ``test?`` gets too, ``testgen.merge_restrictions``, for checkpoints
 and for the probe of a generalization alike: the probe tests the child the
@@ -21,14 +23,14 @@ goal.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import testgen
 from .clauses import clause_vars
 from .datadef import Restriction, print_restriction
 # a lift runs its path's chain and calls no evaluate; that name stays here for
 # perfbench's tracer, which spans it
-from .evaluator import Chain, EvaluationError, evaluate, run_chain
+from .evaluator import Chain, evaluate
 from .terms import Term, Var, free_vars, print_term
 from .testgen import merge_restrictions
 from .values import NIL, Char, Cons, Record, Value
@@ -81,30 +83,56 @@ class HistoryNode:
 
 
 class LiftPath(Record):
-    """What a lift from a goal does that depends on the goal alone: the chain
-    of the edges up to the top, or up to the first non-liftable edge, bottom
-    first, each as its unbound variables and its map items; that edge's
-    failure; and, for a path that reaches the top, the flags every lift along
-    it reports."""
+    """What a lift from a goal does that depends on the goal alone: the
+    steps of its ``Chain``, the edges up to the top, or up to the first
+    non-liftable edge, bottom first, each as its unbound variables and its
+    map items; that edge's failure; and, for a path that reaches the top,
+    the flags every lift along it reports."""
 
-    __slots__ = ("chain", "failure", "had_wildcards", "wildcard_vars")
+    __slots__ = ("steps", "failure", "had_wildcards", "wildcard_vars")
 
-    def __init__(self, chain: Chain, failure: Optional[str], had_wildcards: bool, wildcard_vars: tuple[str, ...]):
-        self._fill(chain, failure, had_wildcards, wildcard_vars)
+    def __init__(self, steps: tuple, failure: Optional[str], had_wildcards: bool, wildcard_vars: tuple[str, ...]):
+        self._fill(steps, failure, had_wildcards, wildcard_vars)
 
 
-class LiftOutcome(Record):
-    __slots__ = ("status", "binding", "reason", "had_wildcards", "wildcard_vars")
+class LiftOutcome(NamedTuple):
+    """One binding's lift: "lifted", with its top-level binding, when that
+    binding falsifies the top conjecture (under every wildcard probe too);
+    "spurious", with that binding, when it does not; "failed" when the path
+    gives no top-level binding. A tuple, since a lift makes one per
+    counterexample."""
+
+    status: str
+    binding: Optional[dict[str, Value]] = None
+    reason: Optional[str] = None
+
+
+class Lift(Record):
+    """A goal's lift of a batch of bindings: one ``LiftOutcome`` per binding,
+    in order; "lifted" when one binding lifts; and the path's flags."""
+
+    __slots__ = ("status", "outcomes", "had_wildcards", "wildcard_vars")
 
     def __init__(
         self,
         status: str,  # "lifted" | "failed"
-        binding: Optional[dict[str, Value]] = None,
-        reason: Optional[str] = None,
+        outcomes: list[LiftOutcome],
         had_wildcards: bool = False,
         wildcard_vars: tuple[str, ...] = (),  # top-level vars still carrying a pure don't-care
     ):
-        self._fill(status, binding, reason, had_wildcards, wildcard_vars)
+        self._fill(status, outcomes, had_wildcards, wildcard_vars)
+
+
+# per kind of a ``Chain`` row: the outcome of a binding's lift, as a status
+# and a reason, and the reason a wildcard probe's row of that kind demotes it
+# with; a reason with {} takes the row's error
+_OUTCOMES = (
+    ("failed", "evaluation error in variable map: {}", "wildcard probe failed to lift"),
+    ("spurious", "evaluation error at top level: {}", "wildcard probe error: {}"),
+    ("spurious", "lifted binding does not falsify the top-level conjecture",
+     "wildcard instantiation no longer falsifies"),
+    ("lifted", None, None),
+)
 
 
 class History:
@@ -181,24 +209,40 @@ class History:
                 edges.append((node.unbound, items))
                 node = self.nodes[node.parent_id]
             failure = None if node.liftable else f"non-liftable {node.process} edge at {node.id}"
-            start.path = LiftPath(Chain(tuple(edges)), failure, had_wildcards, tuple(pure))
+            start.path = LiftPath(tuple(edges), failure, had_wildcards, tuple(pure))
         return start.path
 
-    def lift(self, goal_id: str, assignment: dict[str, Value], world, wildcard_value: Value = NIL) -> LiftOutcome:
-        """Run the goal's path from ``assignment`` up to the top-level binding,
-        as its chain: one generated function that evaluates each edge's map
-        terms in turn. Don't-care variables, and the variables a map term
-        reads that its child clause lacks, get ``wildcard_value`` (nil by
-        default). A path cut by a non-liftable edge fails, unless an edge
-        below that one fails to evaluate first."""
+    def lift(
+        self, goal_id: str, bindings: list[dict[str, Value]], world, top: Term, wildcard_value: Value = NIL
+    ) -> Lift:
+        """Lift each binding of the goal's variables to the top and re-check
+        ``top`` on it, as one ``Chain``: one generated function that evaluates
+        each edge's map terms in turn for every binding, then tests ``top``.
+        Don't-care variables, and the variables a map term reads that its
+        child clause lacks, get ``wildcard_value`` (nil by default). A
+        binding whose lift falsifies ``top`` stays lifted only if it does
+        under each of ``WILDCARD_PROBES`` too, when the path has don't-cares:
+        the function runs again per probe over the bindings still standing.
+        A path cut by a non-liftable edge fails, unless an edge below that
+        one fails to evaluate first."""
         path = self.lift_path(goal_id)
-        try:
-            binding = run_chain(world, path.chain, assignment, wildcard_value)
-        except EvaluationError as e:
-            return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
-        if path.failure is not None:
-            return LiftOutcome("failed", reason=path.failure)
-        return LiftOutcome("lifted", binding, had_wildcards=path.had_wildcards, wildcard_vars=path.wildcard_vars)
+        run = Chain(path.steps, top if path.failure is None else None).code(world)
+        cap = world.settings.depth_cap
+        outcomes = []
+        for kind, binding, error in run(bindings, wildcard_value, world, cap):
+            if kind == 0 and error is None:
+                outcomes.append(LiftOutcome("failed", reason=path.failure))
+            else:
+                status, reason, _ = _OUTCOMES[kind]
+                outcomes.append(LiftOutcome(status, binding, reason and reason.format(error)))
+        standing = [i for i, outcome in enumerate(outcomes) if outcome.status == "lifted"]
+        for probe in WILDCARD_PROBES if path.had_wildcards else ():
+            rows = run([bindings[i] for i in standing], probe, world, cap)
+            for i, (kind, _, error) in zip(standing, rows):
+                if kind != 3:
+                    outcomes[i] = LiftOutcome("spurious", outcomes[i].binding, _OUTCOMES[kind][2].format(error))
+            standing = [i for i in standing if outcomes[i].status == "lifted"]
+        return Lift("lifted" if standing else "failed", outcomes, path.had_wildcards, path.wildcard_vars)
 
     def to_json(self) -> list[dict]:
         out = []

@@ -28,14 +28,16 @@ from typing import Optional
 
 from .clauses import TooManyClauses, clause_vars, clausify
 from .datadef import component_types
-from .evaluator import EvaluationError, evaluate
+# the waterfall calls no evaluate (a lift re-checks the top in its chain);
+# that name stays here for perfbench's tracer, which spans it
+from .evaluator import evaluate
 from .forms import PROCESS_NAMES, HintSpec
 from .hints import apply_backtrack, check_hints, goal_settings, goal_trials
-from .history import WILDCARD_PROBES, History, HistoryNode
+from .history import History, HistoryNode
 from .simplify import Budget, simplify_clause
 from .terms import App, Term, Var, app, is_negation, replace_subterm, subst_vars, subterms, term_size
 from .testgen import TestReport, run_trials
-from .values import Value, truthy
+from .values import Value
 
 
 class ProcessLogEntry:
@@ -318,45 +320,14 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
         alist = history.accumulated_type_alist(goal.id, world)
         report = run_trials(goal.literals, alist, world, seed, goal_trials(goal, world), goal_id=goal.id)
         result.checkpoint_reports[goal.id] = report
-        for binding in report.counterexamples:
-            _classify_counterexample(result, history, goal, binding, top, world)
+        if report.counterexamples:
+            lift = history.lift(goal.id, report.counterexamples, world, top)
+            demoted = {"failed": result.subgoal_counterexamples, "spurious": result.spurious_lifts}
+            for binding, outcome in zip(report.counterexamples, lift.outcomes):
+                if outcome.status == "lifted":
+                    result.counterexamples.append(LiftedCounterexample(
+                        goal.id, binding, outcome.binding, lift.had_wildcards, lift.wildcard_vars
+                    ))
+                else:
+                    demoted[outcome.status].append(SubgoalCounterexample(goal.id, binding, outcome.reason))
     return result
-
-
-def _classify_counterexample(result: ProofResult, history: History, goal: HistoryNode, binding, top: Term, world):
-    lift = history.lift(goal.id, binding, world)
-    if lift.status == "failed":
-        result.subgoal_counterexamples.append(SubgoalCounterexample(goal.id, binding, lift.reason))
-        return
-    reason = _spurious_reason(history, goal, binding, lift, top, world)
-    if reason is not None:
-        result.spurious_lifts.append(SubgoalCounterexample(goal.id, binding, reason))
-        return
-    result.counterexamples.append(
-        LiftedCounterexample(
-            goal.id, binding, lift.binding,
-            had_wildcards=lift.had_wildcards, wildcard_vars=lift.wildcard_vars,
-        )
-    )
-
-
-def _spurious_reason(history: History, goal: HistoryNode, binding, lift, top: Term, world) -> Optional[str]:
-    """Why a lifted binding does not re-falsify ``top``, or None when it
-    does. With don't-care variables it must falsify under each wildcard
-    probe too, whatever the don't-cares are instantiated to."""
-    try:
-        if truthy(evaluate(top, lift.binding, world)):
-            return "lifted binding does not falsify the top-level conjecture"
-    except EvaluationError as e:
-        return f"evaluation error at top level: {e}"
-    if lift.had_wildcards:
-        for probe in WILDCARD_PROBES:
-            relift = history.lift(goal.id, binding, world, wildcard_value=probe)
-            if relift.status != "lifted":
-                return "wildcard probe failed to lift"
-            try:
-                if truthy(evaluate(top, relift.binding, world)):
-                    return "wildcard instantiation no longer falsifies"
-            except EvaluationError as e:
-                return f"wildcard probe error: {e}"
-    return None

@@ -7,9 +7,13 @@ class and message that generated code must raise, in the same order. The
 differential tests in ``test_evaluator.py`` run both on the same terms,
 bindings and worlds.
 
-A lift runs a checkpoint's path as one generated function (``evaluator.Chain``).
-``lift_edge_by_edge`` walks the path's edges instead and evaluates each map
-term on its own; ``test_history.py`` runs both on generated histories.
+A lift runs a checkpoint's path and re-checks the top conjecture for a batch
+of bindings in one generated function (``evaluator.Chain``).
+``lift_binding_by_binding`` lifts each binding on its own with
+``lift_edge_by_edge``, which walks the path's edges and evaluates each map
+term on its own, and re-checks the top with the interpreter, under the same
+wildcard probes; ``test_history.py`` runs both on generated histories, and
+``test_golden.py`` runs every golden case with it in place of the lift.
 
 A clause's trials run as one generated function (``evaluator.trial_loop``).
 ``run_trials_one_by_one`` is the interpreted loop it replaced: it copies a
@@ -50,8 +54,9 @@ from sedan.evaluator import (
     UndefinedFunctionError,
     _check_arity,
     evaluate,
+    stack_overflow_error,
 )
-from sedan.history import DONT_CARE, LiftOutcome
+from sedan.history import DONT_CARE, WILDCARD_PROBES, Lift, LiftOutcome
 from sedan.reader import MAX_NESTING, ParseError
 from sedan.rand import DEFAULT_UNIFORM_BOUND, GEOMETRIC_CONTINUE, GEOMETRIC_WIDTH_CAP
 from sedan.terms import QNIL, App, Quote, Term, Var, negate
@@ -186,22 +191,58 @@ def _interpret(term: Term, binding: Binding, world) -> Value:
     return vals[0]
 
 
-def lift_edge_by_edge(history, goal_id: str, assignment, world, wildcard_value: Value = NIL) -> LiftOutcome:
-    """``History.lift`` as one ``evaluate`` per map term, edge by edge: the
-    oracle the lift's generated chain is tested against."""
+def lift_edge_by_edge(history, goal_id: str, assignment, world, wildcard_value: Value = NIL):
+    """One binding's lift to the top, as one ``evaluate`` per map term, edge
+    by edge: (the top-level binding, None), or (None, why it fails)."""
     path = history.lift_path(goal_id)
     binding = dict(assignment)
-    for unbound, items in path.chain.steps:
+    for unbound, items in path.steps:
         binding.update(dict.fromkeys(unbound, wildcard_value))
         try:
             binding = {
                 pv: wildcard_value if expr is DONT_CARE else evaluate(expr, binding, world) for pv, expr in items
             }
         except EvaluationError as e:
-            return LiftOutcome("failed", reason=f"evaluation error in variable map: {e}")
+            return None, f"evaluation error in variable map: {e}"
     if path.failure is not None:
-        return LiftOutcome("failed", reason=path.failure)
-    return LiftOutcome("lifted", binding, had_wildcards=path.had_wildcards, wildcard_vars=path.wildcard_vars)
+        return None, path.failure
+    return binding, None
+
+
+def _refalsifies(top: Term, binding: Binding, world, error: str, holds: str) -> Optional[str]:
+    """None when ``binding`` falsifies ``top`` under the interpreter, else
+    ``holds``, or ``error`` and the error's message."""
+    try:
+        return holds if truthy(_interpret(top, binding, world)) else None
+    except EvaluationError as e:
+        return error + str(e)
+    except RecursionError:
+        return error + str(stack_overflow_error(world))
+
+
+def lift_binding_by_binding(history, goal_id: str, bindings, world, top: Term, wildcard_value: Value = NIL) -> Lift:
+    """``History.lift`` as one ``lift_edge_by_edge`` per binding and wildcard
+    value, with ``top`` re-checked by the interpreter: the oracle the lift's
+    generated chain is tested against."""
+    path = history.lift_path(goal_id)
+    outcomes = []
+    for assignment in bindings:
+        binding, failure = lift_edge_by_edge(history, goal_id, assignment, world, wildcard_value)
+        if binding is None:
+            outcomes.append(LiftOutcome("failed", reason=failure))
+            continue
+        reason = _refalsifies(top, binding, world, "evaluation error at top level: ",
+                              "lifted binding does not falsify the top-level conjecture")
+        for probe in WILDCARD_PROBES if path.had_wildcards else ():
+            if reason is not None:
+                break
+            probed, _ = lift_edge_by_edge(history, goal_id, assignment, world, probe)
+            reason = "wildcard probe failed to lift" if probed is None else _refalsifies(
+                top, probed, world, "wildcard probe error: ", "wildcard instantiation no longer falsifies"
+            )
+        outcomes.append(LiftOutcome("lifted" if reason is None else "spurious", binding, reason))
+    status = "lifted" if any(outcome.status == "lifted" for outcome in outcomes) else "failed"
+    return Lift(status, outcomes, path.had_wildcards, path.wildcard_vars)
 
 
 # a trial's outcome: what it adds to the (satisfied, erroring) counts

@@ -29,8 +29,10 @@ import typing
 import pytest
 
 from sedan import cli
+from sedan.history import History
 
 from conftest import CORPUS_DIR
+from oracle import lift_binding_by_binding
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -101,8 +103,7 @@ def without_collector(fn, *args):
             gc.enable()
 
 
-@functools.lru_cache(maxsize=None)
-def run(case: str) -> Run:
+def run_case(case: str) -> Run:
     """What ``sedan`` writes for a case in each format, from one run: the text
     report on stdout and the structured report in the ``--report`` file. It
     runs from the input's directory so the report's "file" field is the bare
@@ -122,6 +123,9 @@ def run(case: str) -> Run:
             os.chdir(cwd)
         with open(report, "rb") as fh:
             return Run({"text": out.buffer.getvalue(), "structured": fh.read()}, collections, unreachable)
+
+
+run = functools.lru_cache(maxsize=None)(run_case)
 
 
 def case_id(case: str) -> str:
@@ -157,6 +161,17 @@ def test_structured_golden_is_in_json_dumps_form(case):
 def test_report_matches_golden(case, fmt):
     with open(golden_path(case, fmt), "rb") as fh:
         assert run(case).reports[fmt] == fh.read()
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_the_lift_oracle_gives_the_golden_reports(case, monkeypatch):
+    # every checkpoint's counterexamples lifted one by one, edge by edge, and
+    # the top re-checked by the interpreter (oracle.py), in place of the lift
+    monkeypatch.setattr(History, "lift", lift_binding_by_binding)
+    reports = run_case(case).reports
+    for fmt in FORMATS:
+        with open(golden_path(case, fmt), "rb") as fh:
+            assert reports[fmt] == fh.read()
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)

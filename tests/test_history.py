@@ -8,18 +8,27 @@ from hypothesis import strategies as st
 from sedan import evaluator, history, testgen
 from sedan.datadef import enumerate_value
 from sedan.evaluator import on_sized_stack
-from sedan.history import DONT_CARE, WILDCARD_PROBES, History, LiftOutcome
+from sedan.history import DONT_CARE, WILDCARD_PROBES, History, Lift, LiftOutcome
 from sedan.session import process_source
-from sedan.terms import App, Quote, Var
+from sedan.terms import QNIL, App, Quote, Var
 from sedan.values import NIL, Cons, from_list
 from sedan.world import Settings
 
 from conftest import CORPUS_DIR, corpus_path, make_world, on_a_plain_thread, term, with_settings
-from oracle import lift_edge_by_edge
+from oracle import lift_binding_by_binding
 
 
 def clause(*srcs):
     return [term(s) for s in srcs]
+
+
+def lift(h, goal_id, binding, world, wildcard_value=NIL):
+    """``h.lift`` of one binding against the top nil, which every lifted
+    binding falsifies, so the outcome is the lift's own: the batch's record
+    and its one outcome."""
+    batch = h.lift(goal_id, [binding], world, QNIL, wildcard_value)
+    [outcome] = batch.outcomes
+    return batch, outcome
 
 
 def build_triangle_chain(world):
@@ -57,16 +66,16 @@ def build_triangle_chain(world):
 
 def test_lift_through_destructor_and_substitution_chain(world):
     h = build_triangle_chain(world)
-    out = h.lift("Goal''''", {"x1": 429}, world)
+    batch, out = lift(h, "Goal''''", {"x1": 429}, world)
     assert out.status == "lifted"
     assert out.binding == {"x": from_list([429, 1, 429])}
-    assert not out.had_wildcards
+    assert not batch.had_wildcards
 
 
 def test_lift_identity_on_top_goal(world):
     h = History()
     h.record_top("Goal", clause("(natp x)", "(natp y)"))
-    out = h.lift("Goal", {"x": 1, "y": 2}, world)
+    _, out = lift(h, "Goal", {"x": 1, "y": 2}, world)
     assert out.status == "lifted"
     assert out.binding == {"x": 1, "y": 2}
 
@@ -78,11 +87,11 @@ def test_dont_care_variables_lift_to_nil_and_flag(world):
     node = h.nodes["Goal'"]
     assert node.variable_map["x"] is DONT_CARE
     assert node.variable_map["y"] == Var("y")
-    out = h.lift("Goal'", {"y": 5}, world)
+    batch, out = lift(h, "Goal'", {"y": 5}, world)
     assert out.status == "lifted"
-    assert out.had_wildcards
+    assert batch.had_wildcards
     assert out.binding == {"x": NIL, "y": 5}
-    probed = h.lift("Goal'", {"y": 5}, world, wildcard_value=7)
+    _, probed = lift(h, "Goal'", {"y": 5}, world, wildcard_value=7)
     assert probed.binding["x"] == 7
 
 
@@ -93,12 +102,12 @@ def test_a_variable_a_map_reads_but_the_child_lacks_lifts_as_a_dont_care(world):
     h.record_node("Goal", "Goal'", clause("(not (natp z))", "(equal y1 z)"), "eliminate-destructors",
                   {"y": term("(cons y1 y2)"), "z": Var("w")}, world=world)
     assert h.nodes["Goal'"].unbound == ("y2", "w")
-    out = h.lift("Goal'", {"y1": 3}, world)
-    assert out.status == "lifted" and out.had_wildcards
+    batch, out = lift(h, "Goal'", {"y1": 3}, world)
+    assert out.status == "lifted" and batch.had_wildcards
     assert out.binding == {"y": from_list([3]), "z": NIL}
     # a map entry that is only such a variable is a pure don't-care
-    assert out.wildcard_vars == ("z",)
-    probed = h.lift("Goal'", {"y1": 3}, world, wildcard_value=7)
+    assert batch.wildcard_vars == ("z",)
+    _, probed = lift(h, "Goal'", {"y1": 3}, world, wildcard_value=7)
     assert probed.binding == {"y": Cons(3, 7), "z": 7}
 
 
@@ -106,7 +115,7 @@ def test_generalize_edge_is_not_liftable(world):
     h = History()
     h.record_top("Goal", clause("(<= 0 (+ (len x) (len x)))"))
     h.record_node("Goal", "Goal'", clause("(<= 0 (+ v1 v1))"), "generalize", {}, liftable=False, world=world)
-    out = h.lift("Goal'", {"v1": -1}, world)
+    _, out = lift(h, "Goal'", {"v1": -1}, world)
     assert out.status == "failed"
     assert "generalize" in out.reason
 
@@ -117,8 +126,9 @@ def test_an_evaluation_error_below_a_non_liftable_edge_is_the_reason(world):
     h.record_node("Goal", "Goal'", clause("(<= 0 (+ v1 v1))"), "generalize", {}, liftable=False, world=world)
     h.record_node("Goal'", "Goal''", clause("(natp y)"), "simplify", {"v1": term("(mystery y)")}, world=world)
     h.record_node("Goal'", "Subgoal 2", clause("(natp y)"), "simplify", {"v1": term("y")}, world=world)
-    assert h.lift("Goal''", {"y": 1}, world).reason == "evaluation error in variable map: undefined function: mystery"
-    assert h.lift("Subgoal 2", {"y": 1}, world).reason == "non-liftable generalize edge at Goal'"
+    assert lift(h, "Goal''", {"y": 1}, world)[1].reason == (
+        "evaluation error in variable map: undefined function: mystery")
+    assert lift(h, "Subgoal 2", {"y": 1}, world)[1].reason == "non-liftable generalize edge at Goal'"
 
 
 def _triangle_chain_with_a_sibling(world):
@@ -137,10 +147,10 @@ def test_checkpoints_sharing_a_path_lift_as_in_a_fresh_history(world):
             # alternate between the two checkpoints
             for goal_id in ("Goal''''", "Subgoal 2"):
                 fresh = _triangle_chain_with_a_sibling(world)
-                expected = fresh.lift(goal_id, {"x1": x1}, world, wildcard_value=wildcard)
-                assert shared.lift(goal_id, {"x1": x1}, world, wildcard_value=wildcard) == expected
-    assert shared.lift("Subgoal 2", {"x1": 4}, world) == LiftOutcome(
-        "lifted", {"x": Cons(4, Cons(2, Cons(5, NIL)))}, had_wildcards=True
+                expected = lift(fresh, goal_id, {"x1": x1}, world, wildcard_value=wildcard)
+                assert lift(shared, goal_id, {"x1": x1}, world, wildcard_value=wildcard) == expected
+    assert lift(shared, "Subgoal 2", {"x1": 4}, world)[0] == Lift(
+        "lifted", [LiftOutcome("lifted", {"x": Cons(4, Cons(2, Cons(5, NIL)))})], had_wildcards=True
     )
 
 
@@ -150,13 +160,13 @@ def test_a_probe_lift_reports_the_wildcards_a_nil_lift_did(world):
     h.record_node("Goal", "Goal'", clause("(not (natp z))", "(natp y1)"), "eliminate-destructors",
                   {"x": term("z"), "y": term("(cons y1 y2)")}, world=world)
     h.record_node("Goal'", "Goal''", clause("(natp y1)"), "simplify", {}, world=world)
-    nil_lift = h.lift("Goal''", {"y1": -1}, world)
-    assert nil_lift.status == "lifted"
+    nil_lift, out = lift(h, "Goal''", {"y1": -1}, world)
+    assert out.status == "lifted"
     assert (nil_lift.had_wildcards, nil_lift.wildcard_vars) == (True, ("x",))
     for probe in (7, "", Cons(0, 0)):
-        probed = h.lift("Goal''", {"y1": -1}, world, wildcard_value=probe)
+        probed, out = lift(h, "Goal''", {"y1": -1}, world, wildcard_value=probe)
         assert (probed.had_wildcards, probed.wildcard_vars) == (True, ("x",))
-        assert probed.binding == {"x": probe, "y": Cons(-1, probe)}
+        assert out.binding == {"x": probe, "y": Cons(-1, probe)}
 
 
 @pytest.mark.parametrize("source", ["", "(defdata loi (listof integer))"])
@@ -229,13 +239,13 @@ def test_own_restrictions_come_before_inherited(world):
 
 def test_lift_fails_on_missing_variable(world):
     h = build_triangle_chain(world)
-    out = h.lift("Goal''''", {}, world)  # x1 missing
+    _, out = lift(h, "Goal''''", {}, world)  # x1 missing
     assert out.status == "failed"
 
 
 def test_a_missing_checkpoint_variable_is_the_reason(world):
     h = build_triangle_chain(world)
-    out = h.lift("Goal''''", {}, world)
+    _, out = lift(h, "Goal''''", {}, world)
     assert out == LiftOutcome("failed", reason="evaluation error in variable map: unbound variable: x1")
 
 
@@ -244,7 +254,7 @@ def test_the_first_failing_map_term_of_an_edge_is_the_reason(world):
     h.record_top("Goal", clause("(natp x)", "(natp y)"))
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
                   {"x": term("(mystery z)"), "y": term("(enigma z)")}, world=world)
-    out = h.lift("Goal'", {"z": 1}, world)
+    _, out = lift(h, "Goal'", {"z": 1}, world)
     assert out.reason == "evaluation error in variable map: undefined function: mystery"
 
 
@@ -253,7 +263,7 @@ def test_a_map_term_past_the_depth_cap_is_the_reason():
     h = History()
     h.record_top("Goal", clause("(natp x)"))
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify", {"x": term("(spin z)")}, world=world)
-    out = h.lift("Goal'", {"z": 1}, world)
+    _, out = lift(h, "Goal'", {"z": 1}, world)
     assert out.reason == (
         "evaluation error in variable map: recursion depth cap of 50 exceeded (likely nonterminating definition)"
     )
@@ -266,8 +276,8 @@ def test_each_map_term_gets_the_whole_depth_cap():
     h.record_top("Goal", clause("(natp x)", "(natp y)"))
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
                   {"x": term("(cnt z)"), "y": term("(cnt z)")}, world=world)
-    assert h.lift("Goal'", {"z": 9}, world) == LiftOutcome("lifted", {"x": 9, "y": 9})
-    assert h.lift("Goal'", {"z": 10}, world).reason == (
+    assert lift(h, "Goal'", {"z": 9}, world)[1] == LiftOutcome("lifted", {"x": 9, "y": 9})
+    assert lift(h, "Goal'", {"z": 10}, world)[1].reason == (
         "evaluation error in variable map: recursion depth cap of 10 exceeded (likely nonterminating definition)"
     )
 
@@ -276,7 +286,7 @@ def test_a_swap_map_reads_the_childs_values(world):
     h = History()
     h.record_top("Goal", clause("(< a b)"))
     h.record_node("Goal", "Goal'", clause("(< b a)"), "simplify", {"a": Var("b"), "b": Var("a")}, world=world)
-    out = h.lift("Goal'", {"a": 1, "b": 2}, world)
+    _, out = lift(h, "Goal'", {"a": 1, "b": 2}, world)
     assert out == LiftOutcome("lifted", {"a": 2, "b": 1})
 
 
@@ -290,12 +300,12 @@ def test_a_map_term_past_pythons_default_stack_lifts_on_the_forms_stack():
     h.record_top("Goal", clause("(natp x)", "(natp y)"))
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
                   {"x": term("(cnt z)"), "y": term("(+ z 1)")}, world=world)
-    lifted = on_sized_stack(world.settings.depth_cap, h.lift, "Goal'", {"z": 3000}, world)
+    _, lifted = on_sized_stack(world.settings.depth_cap, lift, h, "Goal'", {"z": 3000}, world)
     assert lifted == LiftOutcome("lifted", {"x": 3000, "y": 3001})
     # on a stack of Python's own size the whole chain errs once
-    assert on_a_plain_thread(h.lift, "Goal'", {"z": 3000}, world).reason == (
+    assert on_a_plain_thread(lift, h, "Goal'", {"z": 3000}, world)[1].reason == (
         "evaluation error in variable map: the Python stack overflowed within the depth cap of 10000")
-    assert h.lift("Goal'", {"z": 30}, world) == LiftOutcome("lifted", {"x": 30, "y": 31})
+    assert lift(h, "Goal'", {"z": 30}, world)[1] == LiftOutcome("lifted", {"x": 30, "y": 31})
 
 
 def test_history_serialization_shape(world):
@@ -395,7 +405,7 @@ def test_each_goal_extracts_its_restrictions_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the generated chain against the edge-by-edge lift (oracle.py)
+# the generated chain against the lift binding by binding (oracle.py)
 
 
 LIFT_WORLD = with_settings(
@@ -433,12 +443,14 @@ def map_terms(child):
 def histories(draw):
     """A chain of goals, each with a variable map whose entries are left out
     (the variable survives or is a don't-care), don't-cares, swaps or map
-    terms, and now and then a non-liftable edge; and an assignment for each
-    goal below the top, now and then missing a variable or holding one too
-    many."""
+    terms, and now and then a non-liftable edge; a top conjecture, a map term
+    over the top's variables, which may read one the top lacks; and a batch
+    of assignments for each goal below the top, each now and then missing a
+    variable or holding one too many."""
     h = History()
     parent = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
     h.record_top("Goal", [App("natp", (Var(v),)) for v in parent])
+    top = draw(map_terms(parent))
     goals = [("Goal", parent)]
     for k in range(1, draw(st.integers(2, 4)) + 1):
         if draw(st.booleans()):
@@ -461,26 +473,30 @@ def histories(draw):
         parent = child
     lifts = []
     for goal_id, variables in goals[1:]:
-        assignment = {v: draw(st.sampled_from(VALUES)) for v in variables}
-        change = draw(st.sampled_from(["none", "none", "drop", "extra"]))
-        if change == "drop" and assignment:
-            del assignment[draw(st.sampled_from(sorted(assignment)))]
-        elif change == "extra":
-            assignment["u"] = draw(st.sampled_from(VALUES))
-        lifts.append((goal_id, assignment))
-    return h, lifts
+        batch = []
+        for _ in range(draw(st.integers(1, 3))):
+            assignment = {v: draw(st.sampled_from(VALUES)) for v in variables}
+            change = draw(st.sampled_from(["none", "none", "drop", "extra"]))
+            if change == "drop" and assignment:
+                del assignment[draw(st.sampled_from(sorted(assignment)))]
+            elif change == "extra":
+                assignment["u"] = draw(st.sampled_from(VALUES))
+            batch.append(assignment)
+        lifts.append((goal_id, batch))
+    return h, top, lifts
 
 
 @settings(max_examples=200, deadline=None)
 @given(histories())
-def test_the_chain_lifts_as_the_map_terms_evaluated_edge_by_edge(history_and_lifts):
-    h, lifts = history_and_lifts
-    for goal_id, assignment in lifts:
+def test_the_chain_lifts_as_the_map_terms_evaluated_edge_by_edge(history_top_and_lifts):
+    h, top, lifts = history_top_and_lifts
+    for goal_id, batch in lifts:
         for wildcard in (NIL, *WILDCARD_PROBES):
-            got = h.lift(goal_id, assignment, LIFT_WORLD, wildcard_value=wildcard)
-            expected = lift_edge_by_edge(h, goal_id, assignment, LIFT_WORLD, wildcard_value=wildcard)
+            got = h.lift(goal_id, batch, LIFT_WORLD, top, wildcard_value=wildcard)
+            expected = lift_binding_by_binding(h, goal_id, batch, LIFT_WORLD, top, wildcard_value=wildcard)
             assert got == expected
-            assert got.binding is None or list(got.binding) == list(expected.binding)
+            for outcome, oracle_outcome in zip(got.outcomes, expected.outcomes):
+                assert outcome.binding is None or list(outcome.binding) == list(oracle_outcome.binding)
 
 
 def test_a_variable_the_assignment_lacks_is_bound_above_the_edge_that_sets_it(world):
@@ -491,7 +507,7 @@ def test_a_variable_the_assignment_lacks_is_bound_above_the_edge_that_sets_it(wo
     h.record_node("Goal", "Goal'", clause("(natp a)", "(natp b)"), "simplify", {}, world=world)
     h.record_node("Goal'", "Goal''", clause("(natp a)", "(natp b)"), "simplify",
                   {"a": term("(if nil a b)")}, world=world)
-    assert h.lift("Goal''", {"b": 1}, world) == LiftOutcome("lifted", {"a": 1})
+    assert lift(h, "Goal''", {"b": 1}, world)[1] == LiftOutcome("lifted", {"a": 1})
 
 
 def test_a_lift_evaluates_no_term_on_its_own(world, monkeypatch):
@@ -501,5 +517,93 @@ def test_a_lift_evaluates_no_term_on_its_own(world, monkeypatch):
     monkeypatch.setattr(evaluator, "evaluate", refuse)
     monkeypatch.setattr(history, "evaluate", refuse)
     h = build_triangle_chain(world)
-    assert h.lift("Goal''''", {"x1": 429}, world) == LiftOutcome("lifted", {"x": from_list([429, 1, 429])})
-    assert h.lift("Goal''''", {}, world).reason == "evaluation error in variable map: unbound variable: x1"
+    assert lift(h, "Goal''''", {"x1": 429}, world)[1] == LiftOutcome("lifted", {"x": from_list([429, 1, 429])})
+    assert lift(h, "Goal''''", {}, world)[1].reason == "evaluation error in variable map: unbound variable: x1"
+
+
+# ---------------------------------------------------------------------------
+# a batch: every binding classified in order, whatever its neighbours do
+
+CNT = "(defun cnt (n) (if (posp n) (+ 1 (cnt (- n 1))) 0))"
+
+
+def test_a_binding_past_the_cap_or_the_stack_leaves_the_rest_of_the_batch_classified():
+    # (cnt 200) passes the depth cap of 100; a value 10 000 conses deep
+    # overflows the form's stack of 8 * 100 + 4096 frames in treep, which
+    # counts no nesting
+    world = with_settings(make_world("(defdata tree (oneof nat (cons tree tree)))\n" + CNT), depth_cap=100)
+    h = History()
+    h.record_top("Goal", clause("(natp x)"))
+    h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
+                  {"x": term("(if (consp z) (treep z) (cnt z))")}, world=world)
+    deep = 0
+    for _ in range(10_000):
+        deep = Cons(deep, 0)
+    bindings = [{"z": 2}, {"z": 200}, {"z": deep}, {"z": 5}]
+    batch = on_sized_stack(100, h.lift, "Goal'", bindings, world, term("(equal x 0)"))
+    assert batch == Lift("lifted", [
+        LiftOutcome("lifted", {"x": 2}),
+        LiftOutcome("failed", reason="evaluation error in variable map: recursion depth cap of 100 exceeded"
+                                     " (likely nonterminating definition)"),
+        LiftOutcome("failed", reason=(
+            "evaluation error in variable map: the Python stack overflowed within the depth cap of 100")),
+        LiftOutcome("lifted", {"x": 5}),
+    ])
+
+
+def test_each_wildcard_probe_demotes_a_binding_its_own_way():
+    # Goal'' drops w, which the top's x reads: under nil every binding lifts
+    # and falsifies the top; then for y = 1 the character probe reaches
+    # mystery in the map, for y = 2 the string probe reaches enigma in the
+    # top, and for y = 3 the cons probe makes the top hold. y = 4 stands
+    world = make_world()
+    h = History()
+    top = term("(if (stringp x) (if (equal y 2) (enigma x) nil) (if (consp x) (equal y 3) nil))")
+    h.record_top("Goal", [top])
+    h.record_node("Goal", "Goal'", clause("(natp w)", "(natp y)"), "simplify",
+                  {"x": term("(if (equal y 1) (if (characterp w) (mystery w) w) w)")}, world=world)
+    h.record_node("Goal'", "Goal''", clause("(natp y)"), "simplify", {"w": DONT_CARE}, world=world)
+    bindings = [{"y": 4}, {"y": 3}, {"y": 1}, {"y": 2}]
+    batch = h.lift("Goal''", bindings, world, top)
+    assert batch == Lift("lifted", [
+        LiftOutcome("lifted", {"x": NIL, "y": 4}),
+        LiftOutcome("spurious", {"x": NIL, "y": 3}, "wildcard instantiation no longer falsifies"),
+        LiftOutcome("spurious", {"x": NIL, "y": 1}, "wildcard probe failed to lift"),
+        LiftOutcome("spurious", {"x": NIL, "y": 2}, "wildcard probe error: undefined function: enigma"),
+    ], had_wildcards=True, wildcard_vars=())
+    assert batch == lift_binding_by_binding(h, "Goal''", bindings, world, top)
+
+
+def test_a_top_that_raises_or_holds_demotes_only_its_binding():
+    world = make_world()
+    h = History()
+    top = term("(if (equal x 1) (mystery x) (natp x))")
+    h.record_top("Goal", [top])
+    h.record_node("Goal", "Goal'", clause("(natp y)"), "simplify", {"x": term("y")}, world=world)
+    batch = h.lift("Goal'", [{"y": -1}, {"y": 1}, {"y": 2}, {"y": -2}], world, top)
+    assert batch.outcomes == [
+        LiftOutcome("lifted", {"x": -1}),
+        LiftOutcome("spurious", {"x": 1}, "evaluation error at top level: undefined function: mystery"),
+        LiftOutcome("spurious", {"x": 2}, "lifted binding does not falsify the top-level conjecture"),
+        LiftOutcome("lifted", {"x": -2}),
+    ]
+    # a batch with no binding that falsifies the top fails as a whole
+    assert h.lift("Goal'", [{"y": 2}], world, top).status == "failed"
+
+
+def test_a_top_variable_the_lifted_binding_lacks_is_unbound_whatever_the_checkpoint_binds():
+    # the checkpoint binds z, but the lifted binding has only x
+    world = make_world()
+    h = History()
+    h.record_top("Goal", clause("(natp x)"))
+    h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify", {"x": term("z")}, world=world)
+    top = term("(equal x z)")
+    batch = h.lift("Goal'", [{"z": 1}], world, top)
+    assert batch.outcomes == [
+        LiftOutcome("spurious", {"x": 1}, "evaluation error at top level: unbound variable: z"),
+    ]
+    assert batch == lift_binding_by_binding(h, "Goal'", [{"z": 1}], world, top)
+    # at the top itself the checkpoint binding is the lifted one
+    assert h.lift("Goal", [{"x": 1}], world, top).outcomes == [
+        LiftOutcome("spurious", {"x": 1}, "evaluation error at top level: unbound variable: z"),
+    ]

@@ -239,22 +239,31 @@ def test_only_generated_code_evaluates():
 
 def test_only_the_evaluator_handles_a_stack_overflow():
     # a form that evaluates runs once on a thread sized to the depth cap, and
-    # one helper starts it; an overflow is caught only in evaluator, where
-    # every handler, generated code's included, raises or reports the one
-    # error stack_overflow_error builds, so every other module sees only
-    # EvaluationError
+    # one helper starts it; an overflow is caught in evaluator, and in
+    # datadef's subtype evidence loop, which runs generated decoders and
+    # recognizers itself; every handler, generated code's included, raises or
+    # reports the one error stack_overflow_error builds, so every other
+    # module sees only EvaluationError
     readers = {m: _loads(m, {"RecursionError", "threading"}) for m in MODULES}
-    assert {m for m, lines in readers.items() if lines} == {"evaluator"}, readers
+    assert {m for m, lines in readers.items() if lines} == {"evaluator", "datadef"}, readers
     tree = _tree("evaluator")
     starters = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                 and any(isinstance(n, ast.Attribute) and n.attr == "Thread" for n in ast.walk(fn))}
     assert starters == {"on_sized_stack"}
-    handlers = [ast.unparse(h) for h in ast.walk(tree)
+
+    def handlers(module):
+        return [ast.unparse(h) for h in ast.walk(_tree(module))
                 if isinstance(h, ast.ExceptHandler) and h.type is not None and "RecursionError" in ast.unparse(h.type)]
-    assert len(handlers) == 2 and all("stack_overflow_error(world)" in h for h in handlers), handlers
-    loop = evaluator._TRIAL_LOOP.splitlines()
-    catches = [line for line in loop if "except" in line and "RecursionError" in line]
-    assert len(catches) == 2 and len([line for line in loop if "_stack_overflow_error(world)" in line]) == 2
+
+    assert [h for h in handlers("evaluator") if "stack_overflow_error(world)" in h] == handlers("evaluator")
+    assert len(handlers("evaluator")) == 1
+    assert len(handlers("datadef")) == 1 and "error_message(world, e)" in handlers("datadef")[0]
+    assert "stack_overflow_error(world)" in ast.unparse(next(
+        fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "error_message"))
+    for template, n in ((evaluator._TRIAL_LOOP, 2), (evaluator._CHAIN + evaluator._CHAIN_TEST, 2)):
+        lines = template.splitlines()
+        catches = [line for line in lines if "except" in line and "RecursionError" in line]
+        assert len(catches) == n and len([line for line in lines if "_error_message(world, e)" in line]) == n
 
 
 def test_generated_code_raises_only_evaluation_errors():

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from sedan import cli, waterfall
+from sedan import cli, evaluator, waterfall
 from sedan.evaluator import evaluate
 from sedan.forms import HintSpec
 from sedan.hints import HANDLERS, BacktrackOutcome
@@ -15,8 +15,6 @@ from sedan.values import NIL, Cons, truthy
 from sedan.waterfall import (
     PROOF_STEPS,
     FreshNames,
-    ProofResult,
-    _classify_counterexample,
     eliminate_destructors,
     generalize,
     run_waterfall,
@@ -192,8 +190,8 @@ def test_without_backtracking_generalized_child_is_subgoal_local():
     assert "non-liftable" in sub.reason
     assert not result.counterexamples
     # lift on the generalize edge fails directly too
-    lift = result.history.lift(sub.goal_id, sub.binding, world)
-    assert lift.status == "failed"
+    lift = result.history.lift(sub.goal_id, [sub.binding], world, result.top_term)
+    assert [outcome.status for outcome in lift.outcomes] == ["failed"]
 
 
 def test_do_not_hint_disables_generalization():
@@ -322,19 +320,18 @@ def test_conjunctive_theorem_proves_through_multiple_clauses():
 
 
 def _demotions(top, chain, binding):
-    """The reasons ``_classify_counterexample`` gives for demoting a
-    counterexample at the last goal of ``chain``, in a hand-built history:
-    each (goal id, clause, variable map) in ``chain`` is the child of the one
-    before it, and the first is the child of "Goal", whose clause is ``top``."""
+    """The reasons the lift gives for demoting a counterexample at the last
+    goal of ``chain``, in a hand-built history: each (goal id, clause,
+    variable map) in ``chain`` is the child of the one before it, and the
+    first is the child of "Goal", whose clause is ``top``."""
     world = make_world()
     h = History()
     goal = h.record_top("Goal", [top])
     for goal_id, clause, variable_map in chain:
         goal = h.record_node(goal.id, goal_id, clause, "simplify", variable_map, world=world)
-    result = ProofResult("failed", top, history=h)
-    _classify_counterexample(result, h, goal, binding, top, world)
-    assert not result.counterexamples
-    return [spurious.reason for spurious in result.spurious_lifts]
+    lift = h.lift(goal.id, [binding], world, top)
+    assert lift.status == "failed"
+    return [outcome.reason for outcome in lift.outcomes if outcome.status == "spurious"]
 
 
 def test_spurious_lift_is_demoted_not_reported():
@@ -596,3 +593,35 @@ def test_a_goal_whose_generalization_is_refuted_is_simplified_once(monkeypatch):
         ("simplify", "Goal", 150)
     ]
     assert outcome.forms[-1].proof.diagnostics == ["Goal: rewriting nested past 300 levels; rewriting disabled for this goal"]
+
+
+def test_a_triangle_verdict_lifts_its_checkpoint_in_one_call(monkeypatch):
+    # the shipped triangle's thm: every counterexample of its checkpoint is
+    # lifted and re-checked by one lift call, through one generated function,
+    # and the waterfall evaluates nothing itself
+    lifts, emitted, evaluated = [], [], []
+    lift, generate = History.lift, evaluator._generate_chain
+
+    def counting_lift(self, goal_id, bindings, *args, **kwargs):
+        lifts.append((goal_id, len(bindings)))
+        return lift(self, goal_id, bindings, *args, **kwargs)
+
+    def counting_generate(*args):
+        emitted.append(args)
+        return generate(*args)
+
+    def counting_evaluate(*args):
+        evaluated.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(History, "lift", counting_lift)
+    monkeypatch.setattr(evaluator, "_generate_chain", counting_generate)
+    monkeypatch.setattr(waterfall, "evaluate", counting_evaluate)
+    outcome = process_file(corpus_path("triangle.lisp"), Settings(seed=24))
+    [proof] = [form.proof for form in outcome.forms if form.proof is not None]
+    [checkpoint] = proof.checkpoints
+    tested = len(proof.checkpoint_reports[checkpoint.id].counterexamples)
+    assert tested > 500 and len(proof.counterexamples) == tested
+    assert lifts == [(checkpoint.id, tested)]
+    assert len(emitted) == 1
+    assert evaluated == []
