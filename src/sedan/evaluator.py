@@ -17,14 +17,13 @@ reaches it, and one function ``f(remaining, *formals)`` per defun body, which
 takes the formals as positional parameters, so a call builds no environment.
 ``remaining`` is the user-function nesting the cap still allows. A term's
 function is memoised on the term object, so it lives exactly as long as the
-term does. A ``Chain`` of parallel assignments and a test, which is how a
-lift runs a checkpoint's path to the top and re-checks the top conjecture,
-becomes one function ``f(bindings, wild, world, remaining)`` that, for each
-binding of a batch, assigns each step's terms at once, as Python locals, and
-then tests the result on those locals, giving every term the whole cap and
-catching each binding's error on its own; it is kept on the chain. A clause's
-trials run in one function
-made for each ``testgen.run_trials`` call (``trial_loop``): it holds each
+term does. A chain of parallel assignments and a test, which is how a lift
+runs a checkpoint's path to the top and re-checks the top conjecture, becomes
+one function ``f(bindings, wild, world, remaining)`` (``chain_function``)
+that, for each binding of a batch, assigns each step's terms at once, as
+Python locals, and then tests the result on those locals, giving every term
+the whole cap and catching each binding's error on its own. A clause's trials
+run in one function made for each ``testgen.run_trials`` call (``trial_loop``): it holds each
 variable in a local, decodes the indices it has not seen, and inlines the
 conjunction and the conclusion, so a trial calls no term's function.
 
@@ -392,9 +391,9 @@ def _code(term: Term, world):
     return _generate(world, term)
 
 
-class Chain:
-    """A lift: parallel assignments run in turn, then a test of the result,
-    over a batch of bindings, by one generated function (``History.lift``
+def chain_function(world, steps, test: Optional[Term]):
+    """A lift as one generated function: parallel assignments run in turn,
+    then a test of the result, over a batch of bindings (``History.lift``
     runs a checkpoint's path to the top this way).
 
     Each step is a pair (names, items): it sets its ``names`` to ``wild``,
@@ -406,21 +405,15 @@ class Chain:
     and a variable it lacks raises ``UnboundVariableError``. A ``test`` None
     runs the steps only for their errors.
 
-    ``code(world)`` is ``f(bindings, wild, world, rem)``: a list of one row
+    The function is ``f(bindings, wild, world, rem)``: a list of one row
     (kind, lifted binding, error) per binding, in order. Kind 0 is a step's
     error (its message), or, with no ``test``, no error (None); 1 the test's
     error; 2 a test that holds; 3 one that fails. Each term may nest user
     functions to the depth cap ``rem``, as ``evaluate`` lets it, and the
     first error is the one that evaluating the terms one by one would raise;
     an overflow of the Python stack is ``stack_overflow_error``'s."""
-
-    def __init__(self, steps, test: Optional[Term]):
-        self.steps = steps
-        self.test = test
-
-    def code(self, world):
-        """The generated function, kept on the chain."""
-        return _kept(self, world, _generate_chain, self.steps, self.test)
+    em = _Emitter(world, None)
+    return em.make(em.chain(steps, test))
 
 
 def trial_loop(world, names, drawn, pinned, hypothesis: Optional[Term], conclusion: Term):
@@ -529,12 +522,6 @@ def _generate(world, term: Term, formals=None):
     return em.make(em.function(term))
 
 
-def _generate_chain(world, steps, test):
-    """The generated function for a ``Chain``."""
-    em = _Emitter(world, None)
-    return em.make(em.chain(steps, test))
-
-
 @functools.lru_cache(maxsize=4096)
 def _ident(prefix: str, name: str) -> str:
     """A Python identifier for a Lisp name, one-to-one."""
@@ -631,7 +618,7 @@ _TRIAL_LOOP = """\
 
 
 # the source of a chain's function (``_Emitter.chain``), whose rows are
-# described at ``Chain``; ``tested`` is what follows the steps
+# described at ``chain_function``; ``tested`` is what follows the steps
 _CHAIN = """\
     def _f(bindings, wild, world, rem):
         out = []
@@ -684,8 +671,8 @@ class _Emitter(Source):
 
     def chain(self, steps, test) -> str:
         """The source of ``_f(bindings, wild, world, rem)``, which runs a
-        ``Chain``; the test reads the last step's names as locals, and raises
-        on any other variable."""
+        chain (``chain_function``); the test reads the last step's names as
+        locals, and raises on any other variable."""
         lines: list[str] = []
         for names, items in steps:
             wild = [self.locals.setdefault(name, _ident("v_", name)) for name in names]

@@ -8,10 +8,10 @@ reads but the child clause lacks (the cdr of an eliminated cons the clause no
 longer mentions) is a don't-care too: any value falsifies the child. A goal's
 path to the top is worked out once per goal (``History.lift_path``). A lift
 takes all of a checkpoint's counterexamples at once and runs one generated
-function (``evaluator.Chain``) that, per binding, assigns the path's map
-terms edge by edge and re-checks the top conjecture on the result; a
-binding whose lift crossed a don't-care (nil) must falsify the top under each
-of ``WILDCARD_PROBES`` too. This module
+function (``evaluator.chain_function``) that, per binding, assigns the
+path's map terms edge by edge and re-checks the top conjecture on the
+result; a binding whose lift crossed a don't-care (nil) must falsify the top
+under each of ``WILDCARD_PROBES`` too. This module
 alone forms a goal's type alist (``HistoryNode.type_alist``), by the rule
 that a ``test?`` gets too, ``testgen.merge_restrictions``, for checkpoints
 and for the probe of a generalization alike: the probe tests the child the
@@ -23,19 +23,19 @@ goal.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import testgen
 from .clauses import clause_vars
 from .datadef import Restriction, print_restriction
 # a lift runs its path's chain and calls no evaluate; that name stays here for
 # perfbench's tracer, which spans it
-from .evaluator import Chain, evaluate
+from .evaluator import chain_function, evaluate
 from .terms import Term, Var, free_vars, print_term
 from .testgen import merge_restrictions
 from .values import NIL, Char, Cons, Record, Value
 
-DONT_CARE = None  # marker inside variable maps; a Chain runs it as the wildcard
+DONT_CARE = None  # marker inside variable maps; a chain runs it as the wildcard
 
 # values a lift with don't-care variables is re-checked under, besides nil:
 # the first three distinct non-nil values of the type all
@@ -84,10 +84,10 @@ class HistoryNode:
 
 class LiftPath(Record):
     """What a lift from a goal does that depends on the goal alone: the
-    steps of its ``Chain``, the edges up to the top, or up to the first
-    non-liftable edge, bottom first, each as its unbound variables and its
-    map items; that edge's failure; and, for a path that reaches the top,
-    the flags every lift along it reports."""
+    steps of its chain (``evaluator.chain_function``), the edges up to the
+    top, or up to the first non-liftable edge, bottom first, each as its
+    unbound variables and its map items; that edge's failure; and, for a path
+    that reaches the top, the flags every lift along it reports."""
 
     __slots__ = ("steps", "failure", "had_wildcards", "wildcard_vars")
 
@@ -95,16 +95,16 @@ class LiftPath(Record):
         self._fill(steps, failure, had_wildcards, wildcard_vars)
 
 
-class LiftOutcome(NamedTuple):
+class LiftOutcome(Record):
     """One binding's lift: "lifted", with its top-level binding, when that
     binding falsifies the top conjecture (under every wildcard probe too);
     "spurious", with that binding, when it does not; "failed" when the path
-    gives no top-level binding. A tuple, since a lift makes one per
-    counterexample."""
+    gives no top-level binding."""
 
-    status: str
-    binding: Optional[dict[str, Value]] = None
-    reason: Optional[str] = None
+    __slots__ = ("status", "binding", "reason")
+
+    def __init__(self, status: str, binding: Optional[dict[str, Value]] = None, reason: Optional[str] = None):
+        self._fill(status, binding, reason)
 
 
 class Lift(Record):
@@ -123,7 +123,7 @@ class Lift(Record):
         self._fill(status, outcomes, had_wildcards, wildcard_vars)
 
 
-# per kind of a ``Chain`` row: the outcome of a binding's lift, as a status
+# per kind of a chain's row: the outcome of a binding's lift, as a status
 # and a reason, and the reason a wildcard probe's row of that kind demotes it
 # with; a reason with {} takes the row's error
 _OUTCOMES = (
@@ -216,7 +216,7 @@ class History:
         self, goal_id: str, bindings: list[dict[str, Value]], world, top: Term, wildcard_value: Value = NIL
     ) -> Lift:
         """Lift each binding of the goal's variables to the top and re-check
-        ``top`` on it, as one ``Chain``: one generated function that evaluates
+        ``top`` on it, as one chain: one generated function that evaluates
         each edge's map terms in turn for every binding, then tests ``top``.
         Don't-care variables, and the variables a map term reads that its
         child clause lacks, get ``wildcard_value`` (nil by default). A
@@ -226,7 +226,7 @@ class History:
         A path cut by a non-liftable edge fails, unless an edge below that
         one fails to evaluate first."""
         path = self.lift_path(goal_id)
-        run = Chain(path.steps, top if path.failure is None else None).code(world)
+        run = chain_function(world, path.steps, top if path.failure is None else None)
         cap = world.settings.depth_cap
         outcomes = []
         for kind, binding, error in run(bindings, wildcard_value, world, cap):

@@ -8,7 +8,7 @@ differential tests in ``test_evaluator.py`` run both on the same terms,
 bindings and worlds.
 
 A lift runs a checkpoint's path and re-checks the top conjecture for a batch
-of bindings in one generated function (``evaluator.Chain``).
+of bindings in one generated function (``evaluator.chain_function``).
 ``lift_binding_by_binding`` lifts each binding on its own with
 ``lift_edge_by_edge``, which walks the path's edges and evaluates each map
 term on its own, and re-checks the top with the interpreter, under the same

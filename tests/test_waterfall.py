@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from sedan import cli, evaluator, waterfall
+from sedan import cli, history, waterfall
 from sedan.evaluator import evaluate
 from sedan.forms import HintSpec
 from sedan.hints import HANDLERS, BacktrackOutcome
@@ -600,7 +600,7 @@ def test_a_triangle_verdict_lifts_its_checkpoint_in_one_call(monkeypatch):
     # lifted and re-checked by one lift call, through one generated function,
     # and the waterfall evaluates nothing itself
     lifts, emitted, evaluated = [], [], []
-    lift, generate = History.lift, evaluator._generate_chain
+    lift, generate = History.lift, history.chain_function
 
     def counting_lift(self, goal_id, bindings, *args, **kwargs):
         lifts.append((goal_id, len(bindings)))
@@ -615,7 +615,7 @@ def test_a_triangle_verdict_lifts_its_checkpoint_in_one_call(monkeypatch):
         return evaluate(*args)
 
     monkeypatch.setattr(History, "lift", counting_lift)
-    monkeypatch.setattr(evaluator, "_generate_chain", counting_generate)
+    monkeypatch.setattr(history, "chain_function", counting_generate)
     monkeypatch.setattr(waterfall, "evaluate", counting_evaluate)
     outcome = process_file(corpus_path("triangle.lisp"), Settings(seed=24))
     [proof] = [form.proof for form in outcome.forms if form.proof is not None]
