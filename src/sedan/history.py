@@ -95,28 +95,21 @@ class LiftPath(Record):
         self._fill(steps, failure, had_wildcards, wildcard_vars)
 
 
-class LiftOutcome(Record):
-    """One binding's lift: "lifted", with its top-level binding, when that
-    binding falsifies the top conjecture (under every wildcard probe too);
-    "spurious", with that binding, when it does not; "failed" when the path
-    gives no top-level binding."""
-
-    __slots__ = ("status", "binding", "reason")
-
-    def __init__(self, status: str, binding: Optional[dict[str, Value]] = None, reason: Optional[str] = None):
-        self._fill(status, binding, reason)
-
-
 class Lift(Record):
-    """A goal's lift of a batch of bindings: one ``LiftOutcome`` per binding,
-    in order; "lifted" when one binding lifts; and the path's flags."""
+    """A goal's lift of a batch of bindings: one outcome per binding, in
+    order, as a tuple (status, top-level binding, reason); "lifted" when one
+    binding lifts; and the path's flags. A binding's status is "lifted",
+    with no reason, when its top-level binding falsifies the top conjecture
+    (under every wildcard probe too); "spurious" when it does not; "failed",
+    with no binding, when the path gives none. An outcome is a tuple, not a
+    ``Record``, since a lift makes one per counterexample."""
 
     __slots__ = ("status", "outcomes", "had_wildcards", "wildcard_vars")
 
     def __init__(
         self,
         status: str,  # "lifted" | "failed"
-        outcomes: list[LiftOutcome],
+        outcomes: list[tuple[str, Optional[dict[str, Value]], Optional[str]]],
         had_wildcards: bool = False,
         wildcard_vars: tuple[str, ...] = (),  # top-level vars still carrying a pure don't-care
     ):
@@ -231,17 +224,17 @@ class History:
         outcomes = []
         for kind, binding, error in run(bindings, wildcard_value, world, cap):
             if kind == 0 and error is None:
-                outcomes.append(LiftOutcome("failed", reason=path.failure))
+                outcomes.append(("failed", None, path.failure))
             else:
                 status, reason, _ = _OUTCOMES[kind]
-                outcomes.append(LiftOutcome(status, binding, reason and reason.format(error)))
-        standing = [i for i, outcome in enumerate(outcomes) if outcome.status == "lifted"]
+                outcomes.append((status, binding, reason and reason.format(error)))
+        standing = [i for i, outcome in enumerate(outcomes) if outcome[0] == "lifted"]
         for probe in WILDCARD_PROBES if path.had_wildcards else ():
             rows = run([bindings[i] for i in standing], probe, world, cap)
             for i, (kind, _, error) in zip(standing, rows):
                 if kind != 3:
-                    outcomes[i] = LiftOutcome("spurious", outcomes[i].binding, _OUTCOMES[kind][2].format(error))
-            standing = [i for i in standing if outcomes[i].status == "lifted"]
+                    outcomes[i] = ("spurious", outcomes[i][1], _OUTCOMES[kind][2].format(error))
+            standing = [i for i in standing if outcomes[i][0] == "lifted"]
         return Lift("lifted" if standing else "failed", outcomes, path.had_wildcards, path.wildcard_vars)
 
     def to_json(self) -> list[dict]:

@@ -323,11 +323,11 @@ def run_waterfall(top: Term, world, hints: tuple[HintSpec, ...], seed: int) -> P
         if report.counterexamples:
             lift = history.lift(goal.id, report.counterexamples, world, top)
             demoted = {"failed": result.subgoal_counterexamples, "spurious": result.spurious_lifts}
-            for binding, outcome in zip(report.counterexamples, lift.outcomes):
-                if outcome.status == "lifted":
+            for binding, (status, lifted, reason) in zip(report.counterexamples, lift.outcomes):
+                if status == "lifted":
                     result.counterexamples.append(LiftedCounterexample(
-                        goal.id, binding, outcome.binding, lift.had_wildcards, lift.wildcard_vars
+                        goal.id, binding, lifted, lift.had_wildcards, lift.wildcard_vars
                     ))
                 else:
-                    demoted[outcome.status].append(SubgoalCounterexample(goal.id, binding, outcome.reason))
+                    demoted[status].append(SubgoalCounterexample(goal.id, binding, reason))
     return result

@@ -56,7 +56,7 @@ from sedan.evaluator import (
     evaluate,
     stack_overflow_error,
 )
-from sedan.history import DONT_CARE, WILDCARD_PROBES, Lift, LiftOutcome
+from sedan.history import DONT_CARE, WILDCARD_PROBES, Lift
 from sedan.reader import MAX_NESTING, ParseError
 from sedan.rand import DEFAULT_UNIFORM_BOUND, GEOMETRIC_CONTINUE, GEOMETRIC_WIDTH_CAP
 from sedan.terms import QNIL, App, Quote, Term, Var, negate
@@ -229,7 +229,7 @@ def lift_binding_by_binding(history, goal_id: str, bindings, world, top: Term, w
     for assignment in bindings:
         binding, failure = lift_edge_by_edge(history, goal_id, assignment, world, wildcard_value)
         if binding is None:
-            outcomes.append(LiftOutcome("failed", reason=failure))
+            outcomes.append(("failed", None, failure))
             continue
         reason = _refalsifies(top, binding, world, "evaluation error at top level: ",
                               "lifted binding does not falsify the top-level conjecture")
@@ -240,8 +240,8 @@ def lift_binding_by_binding(history, goal_id: str, bindings, world, top: Term, w
             reason = "wildcard probe failed to lift" if probed is None else _refalsifies(
                 top, probed, world, "wildcard probe error: ", "wildcard instantiation no longer falsifies"
             )
-        outcomes.append(LiftOutcome("lifted" if reason is None else "spurious", binding, reason))
-    status = "lifted" if any(outcome.status == "lifted" for outcome in outcomes) else "failed"
+        outcomes.append(("lifted" if reason is None else "spurious", binding, reason))
+    status = "lifted" if any(outcome[0] == "lifted" for outcome in outcomes) else "failed"
     return Lift(status, outcomes, path.had_wildcards, path.wildcard_vars)
 
 

@@ -176,7 +176,7 @@ def test_criterion_6_backtracking():
     assert thm_off.subgoal_counterexamples  # the generalized child's counterexample appears
     sub = thm_off.subgoal_counterexamples[0]
     lift = thm_off.history.lift(sub.goal_id, [sub.binding], make_world(), thm_off.top_term)
-    assert [outcome.status for outcome in lift.outcomes] == ["failed"]
+    assert [status for status, _, _ in lift.outcomes] == ["failed"]
     assert not thm_off.counterexamples
 
 

@@ -1,5 +1,6 @@
 import itertools
 import os
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from sedan import evaluator, history, testgen
 from sedan.datadef import enumerate_value
 from sedan.evaluator import on_sized_stack
-from sedan.history import DONT_CARE, WILDCARD_PROBES, History, Lift, LiftOutcome
+from sedan.history import DONT_CARE, WILDCARD_PROBES, History, Lift
 from sedan.session import process_source
 from sedan.terms import QNIL, App, Quote, Var
 from sedan.values import NIL, Cons, from_list
@@ -22,13 +23,21 @@ def clause(*srcs):
     return [term(s) for s in srcs]
 
 
+class Outcome(typing.NamedTuple):
+    """A lift's outcome for one binding, with its fields named."""
+
+    status: str
+    binding: typing.Optional[dict] = None
+    reason: typing.Optional[str] = None
+
+
 def lift(h, goal_id, binding, world, wildcard_value=NIL):
     """``h.lift`` of one binding against the top nil, which every lifted
     binding falsifies, so the outcome is the lift's own: the batch's record
     and its one outcome."""
     batch = h.lift(goal_id, [binding], world, QNIL, wildcard_value)
     [outcome] = batch.outcomes
-    return batch, outcome
+    return batch, Outcome(*outcome)
 
 
 def build_triangle_chain(world):
@@ -150,7 +159,7 @@ def test_checkpoints_sharing_a_path_lift_as_in_a_fresh_history(world):
                 expected = lift(fresh, goal_id, {"x1": x1}, world, wildcard_value=wildcard)
                 assert lift(shared, goal_id, {"x1": x1}, world, wildcard_value=wildcard) == expected
     assert lift(shared, "Subgoal 2", {"x1": 4}, world)[0] == Lift(
-        "lifted", [LiftOutcome("lifted", {"x": Cons(4, Cons(2, Cons(5, NIL)))})], had_wildcards=True
+        "lifted", [("lifted", {"x": Cons(4, Cons(2, Cons(5, NIL)))}, None)], had_wildcards=True
     )
 
 
@@ -246,7 +255,7 @@ def test_lift_fails_on_missing_variable(world):
 def test_a_missing_checkpoint_variable_is_the_reason(world):
     h = build_triangle_chain(world)
     _, out = lift(h, "Goal''''", {}, world)
-    assert out == LiftOutcome("failed", reason="evaluation error in variable map: unbound variable: x1")
+    assert out == Outcome("failed", reason="evaluation error in variable map: unbound variable: x1")
 
 
 def test_the_first_failing_map_term_of_an_edge_is_the_reason(world):
@@ -276,7 +285,7 @@ def test_each_map_term_gets_the_whole_depth_cap():
     h.record_top("Goal", clause("(natp x)", "(natp y)"))
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
                   {"x": term("(cnt z)"), "y": term("(cnt z)")}, world=world)
-    assert lift(h, "Goal'", {"z": 9}, world)[1] == LiftOutcome("lifted", {"x": 9, "y": 9})
+    assert lift(h, "Goal'", {"z": 9}, world)[1] == Outcome("lifted", {"x": 9, "y": 9})
     assert lift(h, "Goal'", {"z": 10}, world)[1].reason == (
         "evaluation error in variable map: recursion depth cap of 10 exceeded (likely nonterminating definition)"
     )
@@ -287,7 +296,7 @@ def test_a_swap_map_reads_the_childs_values(world):
     h.record_top("Goal", clause("(< a b)"))
     h.record_node("Goal", "Goal'", clause("(< b a)"), "simplify", {"a": Var("b"), "b": Var("a")}, world=world)
     _, out = lift(h, "Goal'", {"a": 1, "b": 2}, world)
-    assert out == LiftOutcome("lifted", {"a": 2, "b": 1})
+    assert out == Outcome("lifted", {"a": 2, "b": 1})
 
 
 def test_a_map_term_past_pythons_default_stack_lifts_on_the_forms_stack():
@@ -301,11 +310,11 @@ def test_a_map_term_past_pythons_default_stack_lifts_on_the_forms_stack():
     h.record_node("Goal", "Goal'", clause("(natp z)"), "simplify",
                   {"x": term("(cnt z)"), "y": term("(+ z 1)")}, world=world)
     _, lifted = on_sized_stack(world.settings.depth_cap, lift, h, "Goal'", {"z": 3000}, world)
-    assert lifted == LiftOutcome("lifted", {"x": 3000, "y": 3001})
+    assert lifted == Outcome("lifted", {"x": 3000, "y": 3001})
     # on a stack of Python's own size the whole chain errs once
     assert on_a_plain_thread(lift, h, "Goal'", {"z": 3000}, world)[1].reason == (
         "evaluation error in variable map: the Python stack overflowed within the depth cap of 10000")
-    assert lift(h, "Goal'", {"z": 30}, world)[1] == LiftOutcome("lifted", {"x": 30, "y": 31})
+    assert lift(h, "Goal'", {"z": 30}, world)[1] == Outcome("lifted", {"x": 30, "y": 31})
 
 
 def test_history_serialization_shape(world):
@@ -495,8 +504,8 @@ def test_the_chain_lifts_as_the_map_terms_evaluated_edge_by_edge(history_top_and
             got = h.lift(goal_id, batch, LIFT_WORLD, top, wildcard_value=wildcard)
             expected = lift_binding_by_binding(h, goal_id, batch, LIFT_WORLD, top, wildcard_value=wildcard)
             assert got == expected
-            for outcome, oracle_outcome in zip(got.outcomes, expected.outcomes):
-                assert outcome.binding is None or list(outcome.binding) == list(oracle_outcome.binding)
+            for (_, binding, _), (_, oracle_binding, _) in zip(got.outcomes, expected.outcomes):
+                assert binding is None or list(binding) == list(oracle_binding)
 
 
 def test_a_variable_the_assignment_lacks_is_bound_above_the_edge_that_sets_it(world):
@@ -507,7 +516,7 @@ def test_a_variable_the_assignment_lacks_is_bound_above_the_edge_that_sets_it(wo
     h.record_node("Goal", "Goal'", clause("(natp a)", "(natp b)"), "simplify", {}, world=world)
     h.record_node("Goal'", "Goal''", clause("(natp a)", "(natp b)"), "simplify",
                   {"a": term("(if nil a b)")}, world=world)
-    assert lift(h, "Goal''", {"b": 1}, world)[1] == LiftOutcome("lifted", {"a": 1})
+    assert lift(h, "Goal''", {"b": 1}, world)[1] == Outcome("lifted", {"a": 1})
 
 
 def test_a_lift_evaluates_no_term_on_its_own(world, monkeypatch):
@@ -517,7 +526,7 @@ def test_a_lift_evaluates_no_term_on_its_own(world, monkeypatch):
     monkeypatch.setattr(evaluator, "evaluate", refuse)
     monkeypatch.setattr(history, "evaluate", refuse)
     h = build_triangle_chain(world)
-    assert lift(h, "Goal''''", {"x1": 429}, world)[1] == LiftOutcome("lifted", {"x": from_list([429, 1, 429])})
+    assert lift(h, "Goal''''", {"x1": 429}, world)[1] == Outcome("lifted", {"x": from_list([429, 1, 429])})
     assert lift(h, "Goal''''", {}, world)[1].reason == "evaluation error in variable map: unbound variable: x1"
 
 
@@ -542,12 +551,12 @@ def test_a_binding_past_the_cap_or_the_stack_leaves_the_rest_of_the_batch_classi
     bindings = [{"z": 2}, {"z": 200}, {"z": deep}, {"z": 5}]
     batch = on_sized_stack(100, h.lift, "Goal'", bindings, world, term("(equal x 0)"))
     assert batch == Lift("lifted", [
-        LiftOutcome("lifted", {"x": 2}),
-        LiftOutcome("failed", reason="evaluation error in variable map: recursion depth cap of 100 exceeded"
+        Outcome("lifted", {"x": 2}),
+        Outcome("failed", reason="evaluation error in variable map: recursion depth cap of 100 exceeded"
                                      " (likely nonterminating definition)"),
-        LiftOutcome("failed", reason=(
+        Outcome("failed", reason=(
             "evaluation error in variable map: the Python stack overflowed within the depth cap of 100")),
-        LiftOutcome("lifted", {"x": 5}),
+        Outcome("lifted", {"x": 5}),
     ])
 
 
@@ -566,10 +575,10 @@ def test_each_wildcard_probe_demotes_a_binding_its_own_way():
     bindings = [{"y": 4}, {"y": 3}, {"y": 1}, {"y": 2}]
     batch = h.lift("Goal''", bindings, world, top)
     assert batch == Lift("lifted", [
-        LiftOutcome("lifted", {"x": NIL, "y": 4}),
-        LiftOutcome("spurious", {"x": NIL, "y": 3}, "wildcard instantiation no longer falsifies"),
-        LiftOutcome("spurious", {"x": NIL, "y": 1}, "wildcard probe failed to lift"),
-        LiftOutcome("spurious", {"x": NIL, "y": 2}, "wildcard probe error: undefined function: enigma"),
+        Outcome("lifted", {"x": NIL, "y": 4}),
+        Outcome("spurious", {"x": NIL, "y": 3}, "wildcard instantiation no longer falsifies"),
+        Outcome("spurious", {"x": NIL, "y": 1}, "wildcard probe failed to lift"),
+        Outcome("spurious", {"x": NIL, "y": 2}, "wildcard probe error: undefined function: enigma"),
     ], had_wildcards=True, wildcard_vars=())
     assert batch == lift_binding_by_binding(h, "Goal''", bindings, world, top)
 
@@ -582,10 +591,10 @@ def test_a_top_that_raises_or_holds_demotes_only_its_binding():
     h.record_node("Goal", "Goal'", clause("(natp y)"), "simplify", {"x": term("y")}, world=world)
     batch = h.lift("Goal'", [{"y": -1}, {"y": 1}, {"y": 2}, {"y": -2}], world, top)
     assert batch.outcomes == [
-        LiftOutcome("lifted", {"x": -1}),
-        LiftOutcome("spurious", {"x": 1}, "evaluation error at top level: undefined function: mystery"),
-        LiftOutcome("spurious", {"x": 2}, "lifted binding does not falsify the top-level conjecture"),
-        LiftOutcome("lifted", {"x": -2}),
+        Outcome("lifted", {"x": -1}),
+        Outcome("spurious", {"x": 1}, "evaluation error at top level: undefined function: mystery"),
+        Outcome("spurious", {"x": 2}, "lifted binding does not falsify the top-level conjecture"),
+        Outcome("lifted", {"x": -2}),
     ]
     # a batch with no binding that falsifies the top fails as a whole
     assert h.lift("Goal'", [{"y": 2}], world, top).status == "failed"
@@ -600,10 +609,10 @@ def test_a_top_variable_the_lifted_binding_lacks_is_unbound_whatever_the_checkpo
     top = term("(equal x z)")
     batch = h.lift("Goal'", [{"z": 1}], world, top)
     assert batch.outcomes == [
-        LiftOutcome("spurious", {"x": 1}, "evaluation error at top level: unbound variable: z"),
+        Outcome("spurious", {"x": 1}, "evaluation error at top level: unbound variable: z"),
     ]
     assert batch == lift_binding_by_binding(h, "Goal'", [{"z": 1}], world, top)
     # at the top itself the checkpoint binding is the lifted one
     assert h.lift("Goal", [{"x": 1}], world, top).outcomes == [
-        LiftOutcome("spurious", {"x": 1}, "evaluation error at top level: unbound variable: z"),
+        Outcome("spurious", {"x": 1}, "evaluation error at top level: unbound variable: z"),
     ]

@@ -191,7 +191,7 @@ def test_without_backtracking_generalized_child_is_subgoal_local():
     assert not result.counterexamples
     # lift on the generalize edge fails directly too
     lift = result.history.lift(sub.goal_id, [sub.binding], world, result.top_term)
-    assert [outcome.status for outcome in lift.outcomes] == ["failed"]
+    assert [status for status, _, _ in lift.outcomes] == ["failed"]
 
 
 def test_do_not_hint_disables_generalization():
@@ -331,7 +331,7 @@ def _demotions(top, chain, binding):
         goal = h.record_node(goal.id, goal_id, clause, "simplify", variable_map, world=world)
     lift = h.lift(goal.id, [binding], world, top)
     assert lift.status == "failed"
-    return [outcome.reason for outcome in lift.outcomes if outcome.status == "spurious"]
+    return [reason for status, _, reason in lift.outcomes if status == "spurious"]
 
 
 def test_spurious_lift_is_demoted_not_reported():
