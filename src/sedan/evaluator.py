@@ -406,9 +406,10 @@ def chain_function(world, steps, test: Optional[Term]):
     runs the steps only for their errors.
 
     The function is ``f(bindings, wild, world, rem)``: a list of one row
-    (kind, lifted binding, error) per binding, in order. Kind 0 is a step's
-    error (its message), or, with no ``test``, no error (None); 1 the test's
-    error; 2 a test that holds; 3 one that fails. Each term may nest user
+    (kind, lifted binding, error) per binding, in order. Kind "failed" is a
+    step's error (its message), or, with no ``test``, no error (None);
+    "raised" the test's error; "holds" a test that holds; "lifted" one that
+    fails, the binding falsifying it. Each term may nest user
     functions to the depth cap ``rem``, as ``evaluate`` lets it, and the
     first error is the one that evaluating the terms one by one would raise;
     an overflow of the Python stack is ``stack_overflow_error``'s."""
@@ -626,7 +627,7 @@ _CHAIN = """\
             env = _Env(b)
             try:
 {steps}            except (_EvaluationError, RecursionError) as e:
-                out.append((0, None, _error_message(world, e)))
+                out.append(("failed", None, _error_message(world, e)))
                 continue
             {tested}
         return out
@@ -635,9 +636,9 @@ _CHAIN_TEST = """lifted = {lifted}
             try:
                 holds = {test}
             except (_EvaluationError, RecursionError) as e:
-                out.append((1, lifted, _error_message(world, e)))
+                out.append(("raised", lifted, _error_message(world, e)))
             else:
-                out.append((2 if holds else 3, lifted, None))"""
+                out.append(("holds" if holds else "lifted", lifted, None))"""
 
 
 class _Emitter(Source):
@@ -683,7 +684,7 @@ class _Emitter(Source):
                 targets = [self.locals.setdefault(name, _ident("v_", name)) for name, _ in items]
                 lines.append(f"{', '.join(targets)}, = {', '.join(values)},")
         if test is None:
-            tested = "out.append((0, None, None))"
+            tested = 'out.append(("failed", None, None))'
         else:
             lifted = "dict(b)"
             if steps:

@@ -116,16 +116,15 @@ class Lift(Record):
         self._fill(status, outcomes, had_wildcards, wildcard_vars)
 
 
-# per kind of a chain's row: the outcome of a binding's lift, as a status
-# and a reason, and the reason a wildcard probe's row of that kind demotes it
-# with; a reason with {} takes the row's error
-_OUTCOMES = (
-    ("failed", "evaluation error in variable map: {}", "wildcard probe failed to lift"),
-    ("spurious", "evaluation error at top level: {}", "wildcard probe error: {}"),
-    ("spurious", "lifted binding does not falsify the top-level conjecture",
-     "wildcard instantiation no longer falsifies"),
-    ("lifted", None, None),
-)
+# per kind of a chain's row that does not lift: the outcome of a binding's
+# lift, as a status and a reason, and the reason a wildcard probe's row of
+# that kind demotes it with; a reason with {} takes the row's error
+_DEMOTIONS = {
+    "failed": ("failed", "evaluation error in variable map: {}", "wildcard probe failed to lift"),
+    "raised": ("spurious", "evaluation error at top level: {}", "wildcard probe error: {}"),
+    "holds": ("spurious", "lifted binding does not falsify the top-level conjecture",
+              "wildcard instantiation no longer falsifies"),
+}
 
 
 class History:
@@ -221,19 +220,19 @@ class History:
         path = self.lift_path(goal_id)
         run = chain_function(world, path.steps, top if path.failure is None else None)
         cap = world.settings.depth_cap
-        outcomes = []
-        for kind, binding, error in run(bindings, wildcard_value, world, cap):
-            if kind == 0 and error is None:
-                outcomes.append(("failed", None, path.failure))
-            else:
-                status, reason, _ = _OUTCOMES[kind]
-                outcomes.append((status, binding, reason and reason.format(error)))
+        outcomes = run(bindings, wildcard_value, world, cap)  # a lifted row is its outcome
+        for i, (kind, binding, error) in enumerate(outcomes):
+            if kind == "failed" and error is None:
+                outcomes[i] = ("failed", None, path.failure)
+            elif kind != "lifted":
+                status, reason, _ = _DEMOTIONS[kind]
+                outcomes[i] = (status, binding, reason.format(error))
         standing = [i for i, outcome in enumerate(outcomes) if outcome[0] == "lifted"]
         for probe in WILDCARD_PROBES if path.had_wildcards else ():
             rows = run([bindings[i] for i in standing], probe, world, cap)
             for i, (kind, _, error) in zip(standing, rows):
-                if kind != 3:
-                    outcomes[i] = ("spurious", outcomes[i][1], _OUTCOMES[kind][2].format(error))
+                if kind != "lifted":
+                    outcomes[i] = ("spurious", outcomes[i][1], _DEMOTIONS[kind][2].format(error))
             standing = [i for i in standing if outcomes[i][0] == "lifted"]
         return Lift("lifted" if standing else "failed", outcomes, path.had_wildcards, path.wildcard_vars)
 
