@@ -23,9 +23,10 @@ one function ``f(bindings, wild, world, remaining)`` (``chain_function``)
 that, for each binding of a batch, assigns each step's terms at once, as
 Python locals, and then tests the result on those locals, giving every term
 the whole cap and catching each binding's error on its own. A clause's trials
-run in one function made for each ``testgen.run_trials`` call (``trial_loop``): it holds each
-variable in a local, decodes the indices it has not seen, and inlines the
-conjunction and the conclusion, so a trial calls no term's function.
+run in one function made for each ``testgen.run_trials`` call
+(``trial_loop``): it holds each variable in a local, decodes the indices it
+has not seen, and inlines the conjunction and the conclusion, so a trial
+calls no term's function.
 
 - ``if``, ``and``, ``or`` and ``implies`` short-circuit as the interpreter
   does, and in their test position a built-in predicate (``consp``,
@@ -409,10 +410,10 @@ def chain_function(world, steps, test: Optional[Term]):
     (kind, lifted binding, error) per binding, in order. Kind "failed" is a
     step's error (its message), or, with no ``test``, no error (None);
     "raised" the test's error; "holds" a test that holds; "lifted" one that
-    fails, the binding falsifying it. Each term may nest user
-    functions to the depth cap ``rem``, as ``evaluate`` lets it, and the
-    first error is the one that evaluating the terms one by one would raise;
-    an overflow of the Python stack is ``stack_overflow_error``'s."""
+    fails, the binding falsifying it. Each term may nest user functions to
+    the depth cap ``rem``, as ``evaluate`` lets it, and the first error is
+    the one that evaluating the terms one by one would raise; an overflow of
+    the Python stack is ``stack_overflow_error``'s."""
     em = _Emitter(world, None)
     return em.make(em.chain(steps, test))
 
